@@ -1,15 +1,9 @@
 """Role-aware multilinear embedding models for n-ary relational KBs."""
 
 from .errors import ConfigError, DataError, DimensionError, NumericError, ParseError
+from .engine import score, score_batch_position
 from .kb import Fact, KnowledgeBase, Vocabulary, build_kb, subset_by_arity
-from .model import (
-    ModelConfig,
-    ModelParams,
-    pattern_matrix,
-    role_embedding,
-    score,
-    score_batch_position,
-)
+from .model import ModelConfig, ModelParams, pattern_matrix, role_embedding
 from .training import TrainConfig, train
 
 __version__ = "0.1.0"

@@ -12,14 +12,14 @@ import csv
 import io
 import json
 import struct
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .kb import Vocabulary
 from .model import ModelConfig, ModelParams, SlotKey, relation_terms
-from .presets import preset_patterns
 
 MAGIC = b"RAMCKPT1"
 
@@ -36,12 +36,10 @@ def _parse_slot(name: str) -> SlotKey:
 def save_checkpoint(path, params: ModelParams, vocab: Vocabulary) -> None:
     entries = []
     payload = io.BytesIO()
-    named_arrays = [(_slot_name(key), params.data[key]) for key in params.slots()]
-    named_arrays += [(f"raw_u/{rel}", arr) for rel, arr in sorted(params.raw_u.items())]
-    named_arrays += [(f"raw_p/{rel}", arr) for rel, arr in sorted(params.raw_p.items())]
-    for name, array in named_arrays:
+    for key in params.slots():
+        array = params.data[key]
         entries.append(
-            {"name": name, "shape": list(array.shape), "offset": payload.tell()}
+            {"name": _slot_name(key), "shape": list(array.shape), "offset": payload.tell()}
         )
         payload.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
     header = {
@@ -63,12 +61,23 @@ def save_checkpoint(path, params: ModelParams, vocab: Vocabulary) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelParams, Vocabulary]:
+    """Read a checkpoint; a truncated or malformed file raises DataError."""
     raw = Path(path).read_bytes()
     if raw[: len(MAGIC)] != MAGIC:
         raise DataError(f"{path}: not a checkpoint (bad magic)")
-    (header_len,) = struct.unpack("<Q", raw[len(MAGIC) : len(MAGIC) + 8])
     header_start = len(MAGIC) + 8
-    header = json.loads(raw[header_start : header_start + header_len])
+    if len(raw) < header_start:
+        raise DataError(f"{path}: truncated checkpoint (no header length)")
+    (header_len,) = struct.unpack("<Q", raw[len(MAGIC) : header_start])
+    if header_start + header_len > len(raw):
+        raise DataError(
+            f"{path}: truncated checkpoint (header of {header_len} bytes runs past "
+            f"the {len(raw)}-byte file)"
+        )
+    try:
+        header = json.loads(raw[header_start : header_start + header_len])
+    except ValueError as exc:
+        raise DataError(f"{path}: checkpoint header is not valid JSON ({exc})") from exc
     payload = raw[header_start + header_len :]
 
     cfg = ModelConfig.from_dict(header["config"])
@@ -80,36 +89,40 @@ def load_checkpoint(path) -> tuple[ModelParams, Vocabulary]:
         rel_roles=dict(vocab.rel_roles),
         n_roles=vocab.n_roles,
     )
-    if cfg.mode == "preset":
-        params.fixed_patterns, params.fixed_signs = preset_patterns(cfg.preset)
     for entry in header["arrays"]:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
+        if start < 0 or start + 8 * count > len(payload):
+            raise DataError(
+                f"{path}: truncated checkpoint (array {entry['name']!r} needs bytes "
+                f"{start}..{start + 8 * count} of a {len(payload)}-byte payload)"
+            )
         array = np.frombuffer(
             payload, dtype="<f8", count=count, offset=start
         ).reshape(shape).astype(np.float64)
-        name = entry["name"]
-        if name.startswith("raw_u/"):
-            params.raw_u[int(name.split("/")[1])] = array
-        elif name.startswith("raw_p/"):
-            params.raw_p[int(name.split("/")[1])] = array
-        else:
-            params.data[_parse_slot(name)] = array
+        params.data[_parse_slot(entry["name"])] = array
     return params, vocab
 
 
 def check_vocab_compatible(vocab: Vocabulary, other: Vocabulary) -> None:
-    """Raise unless two vocabularies index the same names identically."""
-    if vocab.entities != other.entities:
-        raise DataError(
-            f"entity vocabularies differ ({len(vocab.entities)} vs "
-            f"{len(other.entities)} names)"
-        )
-    if vocab.relations != other.relations:
-        raise DataError("relation vocabularies differ")
-    if vocab.roles != other.roles:
-        raise DataError("role vocabularies differ")
+    """Raise unless two vocabularies index the same names identically.
+
+    The message names the first index at which they differ, `vocab`'s entry
+    first.
+    """
+    for kind, ours, theirs in (
+        ("entity", vocab.entities, other.entities),
+        ("relation", vocab.relations, other.relations),
+        ("role", vocab.roles, other.roles),
+    ):
+        for i, pair in enumerate(zip_longest(ours, theirs)):
+            if pair[0] != pair[1]:
+                a, b = ("no entry" if x is None else repr(x) for x in pair)
+                raise DataError(
+                    f"{kind} vocabularies differ at index {i}: {a} vs {b} "
+                    f"({len(ours)} vs {len(theirs)} entries)"
+                )
 
 
 def export_entities_csv(params: ModelParams, vocab: Vocabulary) -> str:

@@ -1,6 +1,9 @@
 """Command-line entry point.
 
-Subcommands: train, eval, gradcheck, equiv, express, export, subset.
+Subcommands: train, eval, gradcheck, equiv, express, export, subset. Every
+command that scores facts goes through ``engine.forward_group``: training
+and eval directly, ``equiv`` through ``engine.score`` and ``express``
+through ``expressive.verify_separation``.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric abort.
 The RAM_LOG environment variable sets the log level.
 """
@@ -20,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt
+from .engine import score
 from .errors import ConfigError, DataError, NumericError, RamError
 from .evaluation import evaluate
 from .expressive import construct, ground_truth_from_json, verify_separation
@@ -34,7 +38,7 @@ from .kb import (
     subset_by_arity,
 )
 from .mathcore import make_rng
-from .model import ModelConfig, ModelParams, score
+from .model import ModelConfig, ModelParams
 from .presets import PRESET_KINDS, reference_score
 from .training import TrainConfig, train, write_trace_csv
 
@@ -170,7 +174,7 @@ def _arity_predicate(spec: str | None):
 
 
 def cmd_train(args) -> int:
-    overrides = {"seed": args.seed, "threads": args.threads, "mode": args.mode}
+    overrides = {"seed": args.seed, "mode": args.mode}
     model_cfg, train_cfg = load_configs(
         Path(args.config) if args.config else None, overrides
     )
@@ -230,7 +234,7 @@ def cmd_eval(args) -> int:
         seed=args.seed if args.seed is not None else 0,
     )
     ckpt.check_vocab_compatible(vocab, kb.vocab)
-    report = evaluate(params, kb, split=args.split, threads=args.threads or 1)
+    report = evaluate(params, kb, split=args.split)
     print(report.table())
     if args.out:
         out = Path(args.out)
@@ -344,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, data=False, out_required=False):
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
         if data:
             p.add_argument("--data-dir", required=True)
         p.add_argument("--out", required=out_required, default=None)

@@ -1,11 +1,13 @@
-"""Vectorized scoring and manual reverse-mode gradients.
+"""The one scorer: vectorized forward pass and manual reverse-mode gradients.
 
 Facts are processed in groups of equal arity. Within a group every score is
 a sum of multilinear terms; the factor list of a term is the role embedding
 followed by one pattern-weighted entity vector per position. Prefix/suffix
 products over that factor list give both the full product and every
 leave-one-out product without dividing (dropout can zero entries), which the
-backward pass reuses.
+backward pass reuses. Where the role embeddings and pattern matrices come
+from, and where their gradients go, is the business of the mode object
+(``model.mode_of``); this module never looks at the mode.
 
 Candidate scoring replaces one position: the product of all other factors is
 contracted once against the entity table (or a gathered candidate table).
@@ -13,6 +15,10 @@ The gradient of a position's loss with respect to everything shared across
 candidates equals the gradient of a single pseudo-score in which the
 replaced position's entity block is the candidate-probability-weighted sum
 of entity blocks; the backward pass exploits that to stay vectorized.
+
+:func:`score` and :func:`score_batch_position` read one fact's score and one
+position's full-table scores off a one-fact group, so training, evaluation
+and the theoretical checks all run :func:`forward_group`.
 """
 
 from __future__ import annotations
@@ -22,10 +28,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import DimensionError
 from .kb import Fact
-from .mathcore import softmax_matrix_vjp, softmax_vjp
-from .model import ModelParams, RelationTerms, SlotKey, relation_terms
+from .model import ModelParams, RelationTerms, SlotKey, mode_of, relation_terms
 
 
 class GradientBuffer:
@@ -62,13 +67,6 @@ class GradientBuffer:
         buf += values
         self.touched[key][:] = True
 
-    def merge(self, other: "GradientBuffer") -> None:
-        for key, grad in other.grads.items():
-            self._ensure(key)
-            self.grads[key] += grad
-            if key in other.touched:
-                self.touched[key] |= other.touched[key]
-
     def max_abs(self) -> float:
         return max((float(np.abs(g).max()) for g in self.grads.values()), default=0.0)
 
@@ -87,7 +85,7 @@ def split_groups(params: ModelParams, facts: list[Fact]) -> list[GroupSpec]:
     by_arity: dict[int, list[int]] = {}
     for i, fact in enumerate(facts):
         if fact.arity != params.arity_of(fact.relation):
-            raise ConfigError(
+            raise DimensionError(
                 f"fact arity {fact.arity} != relation arity {params.arity_of(fact.relation)}"
             )
         by_arity.setdefault(fact.arity, []).append(i)
@@ -248,8 +246,6 @@ def backward_group(
 ) -> None:
     """Accumulate `scale` times the gradient of the group's summed loss."""
     cfg = params.cfg
-    if cfg.mode == "raw":
-        raise ConfigError("raw mode is a fixed construction and cannot be trained")
     spec = fwd.spec
     a = spec.arity
     b, n_terms, _, d = fwd.factors.shape
@@ -323,46 +319,28 @@ def backward_group(
     np.add.at(gp_rel, fwd.rel_inverse, grad_p)
     np.add.at(gw_rel, fwd.rel_inverse, grad_w)
 
-    grad_norm_basis: Optional[np.ndarray] = None
-    for r, rel in enumerate(fwd.uniq_rels):
-        rel = int(rel)
-        terms = fwd.terms[r]
-        if cfg.mode in ("latent", "extended"):
-            basis_u = params.data[("basis_u",)]
-            buf.add(("basis_u",), np.einsum("ijk,ijd->kd", terms.mix_alpha,
-                                            gu_rel[r], optimize=True))
-            grad_mix_a = np.einsum("kd,ijd->ijk", basis_u, gu_rel[r], optimize=True)
-            if grad_norm_basis is None:
-                grad_norm_basis = np.zeros_like(terms.norm_basis)
-            if cfg.mode == "latent":
-                gp = gp_rel[r][:, :, 0]  # (a, mg, a, m)
-                grad_norm_basis += np.einsum("ijk,ijxm->kxm", terms.mix_alpha, gp,
-                                             optimize=True)
-                grad_mix_a += np.einsum("kxm,ijxm->ijk", terms.norm_basis, gp,
-                                        optimize=True)
-            else:
-                grad_norm_basis += np.einsum("ijlk,ijlxm->kxm", terms.mix_beta,
-                                             gp_rel[r], optimize=True)
-                grad_mix_b = np.einsum("kxm,ijlxm->ijlk", terms.norm_basis,
-                                       gp_rel[r], optimize=True)
-                buf.add(("beta", rel), softmax_vjp(terms.mix_beta, grad_mix_b))
-                buf.add(("omega", rel), gw_rel[r])
-            buf.add(("alpha", rel), softmax_vjp(terms.mix_alpha, grad_mix_a))
-        elif cfg.mode == "explicit":
-            roles = np.array(terms.role_ids, dtype=np.intp)
-            buf.add_rows(("role_vec",), roles, gu_rel[r][:, 0, :])
-            raw_grads = np.empty((a, a, m))
-            for i in range(a):
-                raw_grads[i] = softmax_matrix_vjp(
-                    terms.patterns[i, 0, 0], gp_rel[r][i, 0, 0]
-                )
-            buf.add_rows(("role_pat", a), roles, raw_grads)
-        elif cfg.mode == "preset":
-            buf.add(("preset_u", rel), gu_rel[r])
+    mode_of(cfg).backward(params, fwd.uniq_rels, fwd.terms, gu_rel, gp_rel, gw_rel, buf)
 
-    if grad_norm_basis is not None:
-        raw = np.empty_like(grad_norm_basis)
-        norm = fwd.terms[0].norm_basis
-        for k in range(raw.shape[0]):
-            raw[k] = softmax_matrix_vjp(norm[k], grad_norm_basis[k])
-        buf.add(("basis_p", a), raw)
+
+def score(params: ModelParams, fact: Fact) -> float:
+    """Plausibility score of one fact under the current parameters.
+
+    Scores a one-fact group whose only candidate is the true entity, so no
+    entity-table-wide product is formed.
+    """
+    spec = split_groups(params, [fact])[0]
+    return float(forward_group(params, spec, candidates=spec.ents[:, :, None]).phi[0])
+
+
+def score_batch_position(params: ModelParams, fact: Fact, position: int) -> np.ndarray:
+    """Scores of the fact with the entity at `position` replaced by each entity.
+
+    One row of the full-table scores of a one-fact group; the entry at the
+    fact's own entity equals ``score(params, fact)``. Only the queried slot is
+    replaced, so an entity that also fills another slot keeps it there, and
+    the result is then not linear in that entity's block.
+    """
+    spec = split_groups(params, [fact])[0]
+    if not 0 <= position < spec.arity:
+        raise DimensionError(f"position {position} out of range for arity {spec.arity}")
+    return forward_group(params, spec).scores[0, position]

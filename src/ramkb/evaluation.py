@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .engine import forward_group, split_groups
+from .engine import forward_group, score_batch_position, split_groups
 from .errors import DataError
 from .kb import Fact, KnowledgeBase
 from .model import ModelParams
@@ -83,8 +82,6 @@ def rank_from_scores(scores: np.ndarray, mask: np.ndarray, true_entity: int) -> 
 
 def rank(params: ModelParams, kb: KnowledgeBase, fact: Fact, position: int) -> int:
     """Filtered rank of the fact's entity at one position."""
-    from .model import score_batch_position
-
     scores = score_batch_position(params, fact, position)
     mask = kb.filtered_candidates(fact, position)
     return rank_from_scores(scores, mask, fact.entities[position])
@@ -119,7 +116,6 @@ def evaluate(
     params: ModelParams,
     kb: KnowledgeBase,
     split: str = "test",
-    threads: int = 1,
     batch_size: int = 256,
 ) -> EvalReport:
     """Filtered MRR / Hit@k over every position of every fact in a split."""
@@ -127,39 +123,22 @@ def evaluate(
     if not facts:
         raise DataError(f"split {split!r} is empty")
     start = time.perf_counter()
-
-    def eval_chunk(chunk: list[Fact]) -> list[tuple[int, int]]:
-        results = []
-        basis_cache: dict = {}
-        for lo in range(0, len(chunk), batch_size):
-            batch = chunk[lo : lo + batch_size]
-            for spec in split_groups(params, batch):
-                fwd = forward_group(params, spec, basis_cache=basis_cache)
-                for row, fact_idx in enumerate(spec.fact_index):
-                    fact = batch[fact_idx]
-                    for pos in range(spec.arity):
-                        mask = kb.filtered_candidates(fact, pos)
-                        results.append(
-                            (
-                                spec.arity,
-                                rank_from_scores(
-                                    fwd.scores[row, pos], mask, fact.entities[pos]
-                                ),
-                            )
+    ranks = []
+    basis_cache: dict = {}
+    for lo in range(0, len(facts), batch_size):
+        batch = facts[lo : lo + batch_size]
+        for spec in split_groups(params, batch):
+            fwd = forward_group(params, spec, basis_cache=basis_cache)
+            for row, fact_idx in enumerate(spec.fact_index):
+                fact = batch[fact_idx]
+                for pos in range(spec.arity):
+                    mask = kb.filtered_candidates(fact, pos)
+                    ranks.append(
+                        (
+                            spec.arity,
+                            rank_from_scores(
+                                fwd.scores[row, pos], mask, fact.entities[pos]
+                            ),
                         )
-        return results
-
-    if threads <= 1 or len(facts) < 2 * threads:
-        ranks = eval_chunk(facts)
-    else:
-        chunks = np.array_split(np.arange(len(facts)), threads)
-        ranks = []
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            jobs = [
-                pool.submit(eval_chunk, [facts[i] for i in chunk])
-                for chunk in chunks
-                if len(chunk)
-            ]
-            for job in jobs:
-                ranks.extend(job.result())
+                    )
     return report_from_ranks(ranks, seconds=time.perf_counter() - start)

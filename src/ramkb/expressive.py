@@ -17,18 +17,19 @@ all arithmetic stays on small integers represented exactly in floats.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
+from .engine import GroupSpec, forward_group
 from .errors import ConfigError, DataError
 from .kb import Fact, Vocabulary
-from .model import ModelConfig, ModelParams, score
+from .model import ModelConfig, ModelParams
 
 ENUMERATION_CAP = 1_000_000
+# entity columns scored per forward_group call in verify_separation
+SEPARATION_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -97,11 +98,11 @@ def construct(gt: GroundTruth) -> ModelParams:
         u = np.zeros((arity, n_facts))
         for j in rel_columns.get(rel, []):
             u[:, j] = 1.0
-        params.raw_u[rel] = u
+        params.data[("raw_u", rel)] = u
         pattern = np.zeros((arity, arity, max_arity))
         for i in range(arity):
             pattern[i, np.arange(arity), np.arange(arity)] = 1.0
-        params.raw_p[rel] = pattern
+        params.data[("raw_p", rel)] = pattern
     return params
 
 
@@ -123,11 +124,22 @@ class SeparationReport:
         }
 
 
-def enumerate_tuples(vocab: Vocabulary) -> Iterable[Fact]:
-    """Every (relation, entity tuple) combination over the vocabulary."""
-    for rel, (_, arity) in enumerate(vocab.relations):
-        for combo in itertools.product(range(vocab.n_entities), repeat=arity):
-            yield Fact(rel, combo)
+def _relation_scores(params: ModelParams, rel: int, arity: int, n_entities: int) -> np.ndarray:
+    """Scores of every entity tuple of one relation, shape (n_entities,) * arity.
+
+    Each group row fixes the first arity-1 entities; the full-table scores of
+    its last position give a whole column of tuples at once.
+    """
+    heads = np.indices((n_entities,) * (arity - 1)).reshape(arity - 1, -1).T
+    out = np.empty((len(heads), n_entities))
+    for lo in range(0, len(heads), SEPARATION_CHUNK):
+        chunk = heads[lo : lo + SEPARATION_CHUNK]
+        ents = np.zeros((len(chunk), arity), dtype=np.intp)
+        ents[:, :-1] = chunk
+        spec = GroupSpec(arity, np.full(len(chunk), rel, dtype=np.intp), ents,
+                         np.arange(len(chunk), dtype=np.intp))
+        out[lo : lo + len(chunk)] = forward_group(params, spec).scores[:, arity - 1, :]
+    return out.reshape((n_entities,) * arity)
 
 
 def verify_separation(gt: GroundTruth, params: ModelParams) -> SeparationReport:
@@ -136,26 +148,26 @@ def verify_separation(gt: GroundTruth, params: ModelParams) -> SeparationReport:
     Passes iff the smallest true-fact score is positive and the largest
     score over all non-true tuples is exactly zero.
     """
-    total = sum(
-        gt.vocab.n_entities ** arity for _, arity in gt.vocab.relations
-    )
+    n_entities = gt.vocab.n_entities
+    total = sum(n_entities ** arity for _, arity in gt.vocab.relations)
     if total > ENUMERATION_CAP:
         raise ConfigError(
             f"{total} candidate tuples exceed the enumeration cap "
             f"{ENUMERATION_CAP}; use a smaller ground truth"
         )
-    true_set = set(gt.facts)
-    min_true = float("inf")
-    max_false = float("-inf")
-    n_enumerated = 0
-    for fact in enumerate_tuples(gt.vocab):
-        value = score(params, fact)
-        n_enumerated += 1
-        if fact in true_set:
-            min_true = min(min_true, value)
-        else:
-            max_false = max(max_false, value)
-    if max_false == float("-inf"):
-        max_false = 0.0
+    true_scores = []
+    false_scores = []
+    for rel, (_, arity) in enumerate(gt.vocab.relations):
+        scores = _relation_scores(params, rel, arity, n_entities)
+        is_true = np.zeros(scores.shape, dtype=bool)
+        for fact in gt.facts:
+            if fact.relation == rel:
+                is_true[fact.entities] = True
+        true_scores.append(scores[is_true])
+        false_scores.append(scores[~is_true])
+    true_all = np.concatenate(true_scores)
+    false_all = np.concatenate(false_scores)
+    min_true = float(true_all.min())
+    max_false = float(false_all.max()) if false_all.size else 0.0
     passed = min_true > 0 and max_false == 0.0
-    return SeparationReport(passed, min_true, max_false, len(true_set), n_enumerated)
+    return SeparationReport(passed, min_true, max_false, len(gt.facts), total)

@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import GradientBuffer, backward_group, forward_group, group_losses, split_groups
+from .engine import GradientBuffer, backward_group, forward_group, split_groups
 from .kb import Fact, Vocabulary
 from .mathcore import make_rng
 from .model import ModelConfig, ModelParams
-from .training import _group_candidates, _group_masks
+from .training import _group_candidates, _group_masks, batch_loss
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOL = 1e-4
@@ -62,17 +62,6 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float((np.abs(analytic - numeric) / denom).max())
 
 
-def _loss(params, facts, candidates, masks) -> float:
-    total = 0.0
-    basis_cache: dict = {}
-    for spec in split_groups(params, facts):
-        fwd = forward_group(
-            params, spec, candidates[spec.arity], masks[spec.arity], basis_cache
-        )
-        total += float(group_losses(fwd).sum())
-    return total / len(facts)
-
-
 def check_batch(
     params: ModelParams,
     facts: list[Fact],
@@ -101,9 +90,9 @@ def check_batch(
         for i in range(flat.size):
             original = flat[i]
             flat[i] = original + step
-            up = _loss(params, facts, candidates, masks)
+            up = batch_loss(params, facts, candidates=candidates, masks=masks)
             flat[i] = original - step
-            down = _loss(params, facts, candidates, masks)
+            down = batch_loss(params, facts, candidates=candidates, masks=masks)
             flat[i] = original
             numeric_flat[i] = (up - down) / (2 * step)
         family = key[0]

@@ -5,11 +5,7 @@ All functions are pure and operate on (or return) plain numpy arrays.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
-
-from .errors import DimensionError
 
 
 def make_rng(*keys: int) -> np.random.Generator:
@@ -68,38 +64,3 @@ def softmax_matrix_vjp(q: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Gradient pullback for :func:`softmax_matrix` (jointly normalized)."""
     inner = (q * grad).sum()
     return q * (grad - inner)
-
-
-def multilinear(vectors: Sequence[np.ndarray] | Iterable[np.ndarray]) -> float:
-    """Sum of coordinate-wise products of equally sized vectors.
-
-    For vectors a_1 .. a_n this is sum_t a_1[t] * a_2[t] * ... * a_n[t].
-    """
-    vecs = [np.asarray(v, dtype=np.float64) for v in vectors]
-    if not vecs:
-        raise DimensionError("multilinear needs at least one vector")
-    d = vecs[0].shape
-    if len(d) != 1 or d[0] < 1:
-        raise DimensionError(f"expected 1-d vectors, got shape {d}")
-    for v in vecs[1:]:
-        if v.shape != d:
-            raise DimensionError(f"vector shapes differ: {d} vs {v.shape}")
-    out = vecs[0].copy()
-    for v in vecs[1:]:
-        out *= v
-    return float(out.sum())
-
-
-def row_weighted_contract(weights: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Weighted sum of matrix rows: out[j] = sum_k weights[k] * matrix[k, j]."""
-    weights = np.asarray(weights, dtype=np.float64)
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if weights.ndim != 1 or matrix.ndim != 2:
-        raise DimensionError(
-            f"expected vector and matrix, got shapes {weights.shape}, {matrix.shape}"
-        )
-    if weights.shape[0] != matrix.shape[0]:
-        raise DimensionError(
-            f"weight length {weights.shape[0]} != row count {matrix.shape[0]}"
-        )
-    return weights @ matrix

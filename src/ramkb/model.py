@@ -1,24 +1,29 @@
-"""Model configuration, learnable parameters, and fact scoring.
+"""Model configuration, parameters, and the role modes.
 
 A fact is scored as a sum of multilinear terms. Each term couples one role
 embedding with the pattern-weighted embedding blocks of every entity in the
-fact. Where the role embeddings and pattern matrices come from depends on
-the mode:
+fact; ``engine.forward_group`` evaluates that score for every mode. The modes
+differ only in where role embeddings and pattern matrices come from, and each
+mode is one object below with ``init`` (create its parameter slots),
+``terms`` (derive one relation's role embeddings, pattern matrices and term
+weights) and ``backward`` (pull the group's stacked per-relation gradients
+back onto its slots). :func:`mode_of` picks the object for a config:
 
 * ``latent``   - role embeddings are convex combinations of shared basis
   vectors, pattern matrices are convex combinations of the (jointly
   softmaxed) shared basis matrices; both mixtures use the same softmaxed
   weight vector per (relation, role).
-* ``explicit`` - every globally named role owns a free embedding vector and
-  a raw pattern matrix that is softmax-normalized at use time.
-* ``preset``   - pattern matrices and term signs are frozen to the constants
-  that reproduce DistMult / SimplE / ComplEx / QuatE; role embeddings are
-  free vectors.
 * ``extended`` - several role embeddings per role and several pattern
   matrices per role embedding, combined with learnable per-term weights.
-* ``raw``      - role embeddings and pattern matrices are stored and used
-  verbatim without any normalization; only used by the expressiveness
-  construction, never trained.
+* ``explicit`` - every globally named role owns a free embedding vector and
+  a raw pattern matrix that is softmax-normalized at use time.
+* ``preset``   - pattern matrices and term signs are the constants of
+  ``cfg.preset`` that reproduce DistMult / SimplE / ComplEx / QuatE; role
+  embeddings are free vectors.
+* ``raw``      - role embeddings and pattern matrices are stored in the
+  ``("raw_u", r)`` / ``("raw_p", r)`` slots and used verbatim without any
+  normalization; only built by the expressiveness construction, never
+  trained.
 """
 
 from __future__ import annotations
@@ -29,8 +34,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .kb import Fact, Vocabulary
-from .mathcore import make_rng, softmax_last_axis, softmax_matrix
+from .kb import Vocabulary
+from .mathcore import (
+    make_rng,
+    softmax_last_axis,
+    softmax_matrix,
+    softmax_matrix_vjp,
+    softmax_vjp,
+)
 from .presets import PRESET_DIMS, PRESET_KINDS, preset_patterns
 
 MODES = ("latent", "explicit", "preset", "extended", "raw")
@@ -107,7 +118,7 @@ SlotKey = tuple
 
 
 class ModelParams:
-    """All learnable arrays, stored per parameter slot.
+    """All model arrays, stored per parameter slot.
 
     Slot keys:
 
@@ -120,6 +131,8 @@ class ModelParams:
     * ``("role_vec",)``       explicit role embeddings, (n_roles, d)
     * ``("role_pat", a)``     explicit raw pattern matrices, (n_roles, a, m)
     * ``("preset_u", r)``     free role embeddings in preset mode, (2, mg, d)
+    * ``("raw_u", r)``        verbatim raw-mode role embeddings, (a_r, d)
+    * ``("raw_p", r)``        verbatim raw-mode pattern matrices, (a_r, a_r, m)
 
     ``("ent",)``, ``("role_vec",)`` and ``("role_pat", a)`` are row-sparse:
     the optimizer updates only rows touched by a batch.
@@ -142,12 +155,6 @@ class ModelParams:
         self.rel_roles = dict(rel_roles or {})
         self.n_roles = n_roles
         self.data: dict[SlotKey, np.ndarray] = {}
-        # frozen constants for preset mode, not parameter slots
-        self.fixed_patterns: Optional[np.ndarray] = None
-        self.fixed_signs: Optional[np.ndarray] = None
-        # verbatim role/pattern assignments for raw mode, not trained
-        self.raw_u: dict[int, np.ndarray] = {}
-        self.raw_p: dict[int, np.ndarray] = {}
 
     @classmethod
     def init(cls, cfg: ModelConfig, vocab: Vocabulary, seed: int = 0) -> "ModelParams":
@@ -156,48 +163,20 @@ class ModelParams:
         Zero mixing weights start every role at the uniform mixture over the
         basis, so no basis vector is preferred before training.
         """
-        rel_arity = [a for _, a in vocab.relations]
         params = cls(
             cfg,
             vocab.n_entities,
-            rel_arity,
+            [a for _, a in vocab.relations],
             rel_roles=dict(vocab.rel_roles),
             n_roles=vocab.n_roles,
         )
         rng = make_rng(seed, _STREAM_INIT)
-        d, m, k = cfg.embed_dim, cfg.multiplicity, cfg.latent_size
-        mg, npm = cfg.role_multiplicity, cfg.patterns_per_role
 
         def gauss(*shape):
             return rng.normal(0.0, INIT_STD, size=shape)
 
-        params.data[("ent",)] = gauss(vocab.n_entities, m, d)
-        if cfg.mode in ("latent", "extended"):
-            params.data[("basis_u",)] = gauss(k, d)
-            for a in params.arities:
-                params.data[("basis_p", a)] = gauss(k, a, m)
-            for rel, a in enumerate(rel_arity):
-                params.data[("alpha", rel)] = np.zeros((a, mg, k))
-                if cfg.mode == "extended":
-                    params.data[("beta", rel)] = np.zeros((a, mg, npm, k))
-                    params.data[("omega", rel)] = np.ones((a, mg, npm))
-        elif cfg.mode == "explicit":
-            if vocab.n_roles == 0:
-                raise ConfigError("explicit mode needs a role-annotated dataset")
-            params.data[("role_vec",)] = gauss(vocab.n_roles, d)
-            for a in params.arities:
-                params.data[("role_pat", a)] = gauss(vocab.n_roles, a, m)
-            for rel in range(len(rel_arity)):
-                if rel not in params.rel_roles:
-                    raise ConfigError(f"relation {rel} lacks role annotations")
-        elif cfg.mode == "preset":
-            if any(a != 2 for a in rel_arity):
-                raise ConfigError("preset modes support binary relations only")
-            params.fixed_patterns, params.fixed_signs = preset_patterns(cfg.preset)
-            for rel in range(len(rel_arity)):
-                params.data[("preset_u", rel)] = gauss(2, mg, d)
-        elif cfg.mode == "raw":
-            raise ConfigError("raw-mode parameters are constructed, not initialized")
+        params.data[("ent",)] = gauss(vocab.n_entities, cfg.multiplicity, cfg.embed_dim)
+        mode_of(cfg).init(params, gauss)
         return params
 
     @property
@@ -205,7 +184,7 @@ class ModelParams:
         return len(self.rel_arity)
 
     def slots(self) -> list[SlotKey]:
-        """Keys of every learnable slot, in a stable order."""
+        """Keys of every slot, in a stable order."""
         return sorted(self.data.keys(), key=repr)
 
     def get(self, key: SlotKey) -> np.ndarray:
@@ -216,10 +195,6 @@ class ModelParams:
             self.cfg, self.n_entities, self.rel_arity, self.rel_roles, self.n_roles
         )
         dup.data = {k: v.copy() for k, v in self.data.items()}
-        dup.fixed_patterns = self.fixed_patterns
-        dup.fixed_signs = self.fixed_signs
-        dup.raw_u = {k: v.copy() for k, v in self.raw_u.items()}
-        dup.raw_p = {k: v.copy() for k, v in self.raw_p.items()}
         return dup
 
     def arity_of(self, rel: int) -> int:
@@ -272,37 +247,50 @@ def normalized_basis(params: ModelParams, arity: int) -> np.ndarray:
     return out
 
 
-def relation_terms(
-    params: ModelParams,
-    rel: int,
-    basis_cache: Optional[dict[int, np.ndarray]] = None,
-) -> RelationTerms:
-    """Role embeddings, pattern matrices and term weights for one relation."""
-    cfg = params.cfg
-    a = params.arity_of(rel)
-    mg, npm = cfg.role_multiplicity, cfg.patterns_per_role
+# Every mode's `backward` receives, for one arity group, the relations it
+# holds (`rels`), their `terms`, and the group's gradients stacked per
+# relation: role embeddings `gu` (R, a, mg, d), pattern matrices
+# `gp` (R, a, mg, npm, a, m) and term weights `gw` (R, a, mg, npm).
 
-    if cfg.mode in ("latent", "extended"):
+
+class _Latent:
+    """Shared latent basis; `extended` adds beta pattern mixtures and omega."""
+
+    def __init__(self, extended: bool) -> None:
+        self.extended = extended
+
+    def init(self, params: ModelParams, gauss) -> None:
+        cfg = params.cfg
+        k, mg, npm = cfg.latent_size, cfg.role_multiplicity, cfg.patterns_per_role
+        params.data[("basis_u",)] = gauss(k, cfg.embed_dim)
+        for a in params.arities:
+            params.data[("basis_p", a)] = gauss(k, a, cfg.multiplicity)
+        for rel, a in enumerate(params.rel_arity):
+            params.data[("alpha", rel)] = np.zeros((a, mg, k))
+            if self.extended:
+                params.data[("beta", rel)] = np.zeros((a, mg, npm, k))
+                params.data[("omega", rel)] = np.ones((a, mg, npm))
+
+    def terms(self, params: ModelParams, rel: int, basis_cache) -> RelationTerms:
+        a = params.arity_of(rel)
         if basis_cache is not None and a in basis_cache:
             q = basis_cache[a]
         else:
             q = normalized_basis(params, a)
             if basis_cache is not None:
                 basis_cache[a] = q
-        alpha = params.data[("alpha", rel)]  # (a, mg, K)
-        mix_a = softmax_last_axis(alpha)
+        mix_a = softmax_last_axis(params.data[("alpha", rel)])  # (a, mg, K)
         role_emb = np.einsum("ijk,kd->ijd", mix_a, params.data[("basis_u",)])
-        if cfg.mode == "latent":
+        if not self.extended:
             patterns = np.einsum("ijk,kxm->ijxm", mix_a, q)[:, :, None, :, :]
             return RelationTerms(
                 role_emb,
                 patterns,
-                np.ones((a, mg, npm)),
+                np.ones(patterns.shape[:3]),
                 mix_alpha=mix_a,
                 norm_basis=q,
             )
-        beta = params.data[("beta", rel)]  # (a, mg, npm, K)
-        mix_b = softmax_last_axis(beta)
+        mix_b = softmax_last_axis(params.data[("beta", rel)])  # (a, mg, npm, K)
         patterns = np.einsum("ijlk,kxm->ijlxm", mix_b, q)
         return RelationTerms(
             role_emb,
@@ -313,32 +301,136 @@ def relation_terms(
             norm_basis=q,
         )
 
-    if cfg.mode == "explicit":
+    def backward(self, params, rels, terms, gu, gp, gw, buf) -> None:
+        a = gu.shape[1]
+        basis_u = params.data[("basis_u",)]
+        grad_norm_basis = np.zeros_like(terms[0].norm_basis)
+        for r, rel in enumerate(rels):
+            rel = int(rel)
+            t = terms[r]
+            buf.add(("basis_u",), np.einsum("ijk,ijd->kd", t.mix_alpha, gu[r],
+                                            optimize=True))
+            grad_mix_a = np.einsum("kd,ijd->ijk", basis_u, gu[r], optimize=True)
+            if not self.extended:
+                gp_r = gp[r][:, :, 0]  # (a, mg, a, m)
+                grad_norm_basis += np.einsum("ijk,ijxm->kxm", t.mix_alpha, gp_r,
+                                             optimize=True)
+                grad_mix_a += np.einsum("kxm,ijxm->ijk", t.norm_basis, gp_r,
+                                        optimize=True)
+            else:
+                grad_norm_basis += np.einsum("ijlk,ijlxm->kxm", t.mix_beta, gp[r],
+                                             optimize=True)
+                grad_mix_b = np.einsum("kxm,ijlxm->ijlk", t.norm_basis, gp[r],
+                                       optimize=True)
+                buf.add(("beta", rel), softmax_vjp(t.mix_beta, grad_mix_b))
+                buf.add(("omega", rel), gw[r])
+            buf.add(("alpha", rel), softmax_vjp(t.mix_alpha, grad_mix_a))
+        norm = terms[0].norm_basis
+        raw = np.empty_like(grad_norm_basis)
+        for k in range(raw.shape[0]):
+            raw[k] = softmax_matrix_vjp(norm[k], grad_norm_basis[k])
+        buf.add(("basis_p", a), raw)
+
+
+class _Explicit:
+    """Globally named roles, each with a free vector and a raw pattern matrix."""
+
+    def init(self, params: ModelParams, gauss) -> None:
+        if params.n_roles == 0:
+            raise ConfigError("explicit mode needs a role-annotated dataset")
+        params.data[("role_vec",)] = gauss(params.n_roles, params.cfg.embed_dim)
+        for a in params.arities:
+            params.data[("role_pat", a)] = gauss(params.n_roles, a, params.cfg.multiplicity)
+        for rel in range(params.n_relations):
+            if rel not in params.rel_roles:
+                raise ConfigError(f"relation {rel} lacks role annotations")
+
+    def terms(self, params: ModelParams, rel: int, basis_cache) -> RelationTerms:
+        a = params.arity_of(rel)
         roles = params.rel_roles.get(rel)
         if roles is None:
             raise ConfigError(f"relation {rel} has no role annotations")
         role_emb = params.data[("role_vec",)][list(roles)][:, None, :]
         raw_pat = params.data[("role_pat", a)][list(roles)]
-        patterns = np.empty((a, 1, 1, a, cfg.multiplicity))
+        patterns = np.empty((a, 1, 1, a, params.cfg.multiplicity))
         for i in range(a):
             patterns[i, 0, 0] = softmax_matrix(raw_pat[i])
         return RelationTerms(role_emb, patterns, np.ones((a, 1, 1)), role_ids=roles)
 
-    if cfg.mode == "preset":
-        role_emb = params.data[("preset_u", rel)]
-        patterns = np.broadcast_to(
-            params.fixed_patterns, (2, mg, npm, 2, cfg.multiplicity)
-        )
-        return RelationTerms(role_emb, patterns, params.fixed_signs)
+    def backward(self, params, rels, terms, gu, gp, gw, buf) -> None:
+        a, m = gp.shape[1], gp.shape[-1]
+        for r, t in enumerate(terms):
+            roles = np.array(t.role_ids, dtype=np.intp)
+            buf.add_rows(("role_vec",), roles, gu[r][:, 0, :])
+            raw_grads = np.empty((a, a, m))
+            for i in range(a):
+                raw_grads[i] = softmax_matrix_vjp(t.patterns[i, 0, 0], gp[r][i, 0, 0])
+            buf.add_rows(("role_pat", a), roles, raw_grads)
 
-    if cfg.mode == "raw":
+
+class _Preset:
+    """Free role vectors with one bilinear model's frozen patterns and signs."""
+
+    def __init__(self, kind: str) -> None:
+        self.patterns, self.signs = preset_patterns(kind)
+        self.patterns.flags.writeable = False
+        self.signs.flags.writeable = False
+
+    def init(self, params: ModelParams, gauss) -> None:
+        if any(a != 2 for a in params.rel_arity):
+            raise ConfigError("preset modes support binary relations only")
+        for rel in range(params.n_relations):
+            params.data[("preset_u", rel)] = gauss(
+                2, params.cfg.role_multiplicity, params.cfg.embed_dim
+            )
+
+    def terms(self, params: ModelParams, rel: int, basis_cache) -> RelationTerms:
+        return RelationTerms(params.data[("preset_u", rel)], self.patterns, self.signs)
+
+    def backward(self, params, rels, terms, gu, gp, gw, buf) -> None:
+        for r, rel in enumerate(rels):
+            buf.add(("preset_u", int(rel)), gu[r])
+
+
+class _Raw:
+    """Verbatim role vectors and pattern matrices from the construction."""
+
+    def init(self, params: ModelParams, gauss) -> None:
+        raise ConfigError("raw-mode parameters are constructed, not initialized")
+
+    def terms(self, params: ModelParams, rel: int, basis_cache) -> RelationTerms:
+        a = params.arity_of(rel)
         return RelationTerms(
-            params.raw_u[rel][:, None, :],
-            params.raw_p[rel][:, None, None, :, :],
+            params.data[("raw_u", rel)][:, None, :],
+            params.data[("raw_p", rel)][:, None, None, :, :],
             np.ones((a, 1, 1)),
         )
 
-    raise ConfigError(f"unknown mode {cfg.mode!r}")
+    def backward(self, params, rels, terms, gu, gp, gw, buf) -> None:
+        raise ConfigError("raw mode is a fixed construction and cannot be trained")
+
+
+_MODE_OBJECTS = {
+    "latent": _Latent(extended=False),
+    "extended": _Latent(extended=True),
+    "explicit": _Explicit(),
+    "raw": _Raw(),
+    **{f"preset:{kind}": _Preset(kind) for kind in PRESET_KINDS},
+}
+
+
+def mode_of(cfg: ModelConfig):
+    """The object holding `cfg`'s mode: its init, terms and backward."""
+    return _MODE_OBJECTS[cfg.mode_string()]
+
+
+def relation_terms(
+    params: ModelParams,
+    rel: int,
+    basis_cache: Optional[dict[int, np.ndarray]] = None,
+) -> RelationTerms:
+    """Role embeddings, pattern matrices and term weights for one relation."""
+    return mode_of(params.cfg).terms(params, rel, basis_cache)
 
 
 def role_embedding(params: ModelParams, rel: int, position: int) -> np.ndarray:
@@ -363,82 +455,3 @@ def pattern_matrix(params: ModelParams, rel: int, position: int) -> np.ndarray:
     if pat.shape[0] == 1 and pat.shape[1] == 1:
         return pat[0, 0]
     return pat
-
-
-@dataclass
-class ScoreContext:
-    """Cached intermediates for scoring one fact.
-
-    `weighted` holds the pattern-weighted entity vectors, one per (term,
-    position); the optional `masks` array (same shape) carries inverted
-    dropout factors applied before the multilinear product.
-    """
-
-    rel: int
-    entities: tuple[int, ...]
-    role_emb: np.ndarray  # (T, d)
-    patterns: np.ndarray  # (T, a, m)
-    weights: np.ndarray  # (T,)
-    ent_blocks: np.ndarray  # (a, m, d)
-    weighted: np.ndarray  # (T, a, d)
-    masks: Optional[np.ndarray] = None  # (T, a, d)
-
-    def masked_weighted(self) -> np.ndarray:
-        if self.masks is None:
-            return self.weighted
-        return self.weighted * self.masks
-
-
-def score_context(params: ModelParams, fact: Fact) -> ScoreContext:
-    """Assemble every intermediate needed to score `fact`."""
-    a = params.arity_of(fact.relation)
-    if fact.arity != a:
-        raise DimensionError(
-            f"fact arity {fact.arity} != relation arity {a}"
-        )
-    u, p, w = relation_terms(params, fact.relation).flat()
-    ent_blocks = params.data[("ent",)][list(fact.entities)]
-    weighted = np.einsum("tlm,lmd->tld", p, ent_blocks)
-    return ScoreContext(fact.relation, fact.entities, u, p, w, ent_blocks, weighted)
-
-
-def score_from_context(ctx: ScoreContext) -> float:
-    """Multilinear score of the fact the context was built from."""
-    prod = ctx.role_emb.copy()
-    v = ctx.masked_weighted()
-    for pos in range(v.shape[1]):
-        prod *= v[:, pos, :]
-    return float(ctx.weights @ prod.sum(axis=1))
-
-
-def score(params: ModelParams, fact: Fact) -> float:
-    """Plausibility score of one fact under the current parameters."""
-    return score_from_context(score_context(params, fact))
-
-
-def score_batch_position(
-    params: ModelParams, fact: Fact, position: int, ctx: Optional[ScoreContext] = None
-) -> np.ndarray:
-    """Scores of the fact with the entity at `position` replaced by each entity.
-
-    Precomputes the product of every factor except the replaced position's
-    contribution, then contracts once against the full entity table; the
-    entry at the fact's own entity equals ``score(params, fact)``. Only the
-    queried slot is replaced, so an entity that also fills another slot keeps
-    it there, and the result is then not linear in that entity's block.
-    """
-    if ctx is None:
-        ctx = score_context(params, fact)
-    a = len(ctx.entities)
-    if not 0 <= position < a:
-        raise DimensionError(f"position {position} out of range for arity {a}")
-    v = ctx.masked_weighted()
-    hole = ctx.role_emb.copy()
-    for pos in range(a):
-        if pos != position:
-            hole *= v[:, pos, :]
-    if ctx.masks is not None:
-        hole = hole * ctx.masks[:, position, :]
-    # gather[mu, t] = sum over terms of weight * pattern row entry * hole
-    gather = np.einsum("t,tm,td->md", ctx.weights, ctx.patterns[:, position, :], hole)
-    return np.einsum("cmd,md->c", params.data[("ent",)], gather)

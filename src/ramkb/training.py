@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,7 +20,7 @@ from .engine import (
 from .errors import ConfigError, NumericError
 from .kb import Fact, KnowledgeBase
 from .mathcore import make_rng
-from .model import ModelConfig, ModelParams, ScoreContext
+from .model import ModelConfig, ModelParams
 
 log = logging.getLogger("ramkb.training")
 
@@ -50,7 +49,6 @@ class TrainConfig:
     eval_every: int = 5
     negatives: str | int = "full"
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -82,7 +80,6 @@ class TrainConfig:
             "eval_every": self.eval_every,
             "negatives": self.negatives,
             "seed": self.seed,
-            "threads": self.threads,
         }
 
     @classmethod
@@ -117,37 +114,6 @@ def corrupt(
     return draw
 
 
-def apply_dropout(
-    ctx: ScoreContext, dropout_p: float, rng: np.random.Generator
-) -> ScoreContext:
-    """Inverted dropout on the pattern-weighted entity vectors.
-
-    Entries are zeroed independently with probability `dropout_p` and the
-    survivors are scaled by 1/(1-p), so the masked score is an unbiased
-    estimate of the plain one. Evaluation never applies this.
-    """
-    if not 0 <= dropout_p < 1:
-        raise ConfigError(f"dropout must be in [0, 1), got {dropout_p}")
-    if dropout_p == 0:
-        return ctx
-    keep = rng.random(ctx.weighted.shape) >= dropout_p
-    masks = keep.astype(np.float64) / (1.0 - dropout_p)
-    return replace_masks(ctx, masks)
-
-
-def replace_masks(ctx: ScoreContext, masks: Optional[np.ndarray]) -> ScoreContext:
-    return ScoreContext(
-        rel=ctx.rel,
-        entities=ctx.entities,
-        role_emb=ctx.role_emb,
-        patterns=ctx.patterns,
-        weights=ctx.weights,
-        ent_blocks=ctx.ent_blocks,
-        weighted=ctx.weighted,
-        masks=masks,
-    )
-
-
 def _group_candidates(
     spec: GroupSpec,
     facts: list[Fact],
@@ -176,6 +142,13 @@ def _group_masks(
     dropout: float,
     fact_rngs: Optional[list[np.random.Generator]],
 ) -> Optional[np.ndarray]:
+    """Inverted-dropout factors (B, T, a, d) for the pattern-weighted entity vectors.
+
+    Entries are zeroed independently with probability `dropout`, each fact
+    drawing from its own generator, and the survivors are scaled by
+    1/(1-dropout), so the masked score is an unbiased estimate of the plain
+    one. None when there is nothing to drop; evaluation never applies this.
+    """
     if dropout == 0 or fact_rngs is None:
         return None
     cfg = params.cfg
@@ -231,45 +204,20 @@ def batch_backward(
     negatives: str | int = "full",
     dropout: float = 0.0,
     fact_rngs: Optional[list[np.random.Generator]] = None,
-    threads: int = 1,
 ) -> tuple[float, GradientBuffer]:
     """Mean batch loss and its exact gradient for every learnable slot."""
     if not facts:
         raise ConfigError("empty batch")
     scale = 1.0 / len(facts)
-
-    def run_chunk(chunk_facts, chunk_rngs):
-        buf = GradientBuffer(params)
-        basis_cache: dict = {}
-        total = 0.0
-        for spec in split_groups(params, chunk_facts):
-            cand = _group_candidates(
-                spec, chunk_facts, params.n_entities, negatives, chunk_rngs
-            )
-            mask = _group_masks(spec, params, dropout, chunk_rngs)
-            fwd = forward_group(params, spec, cand, mask, basis_cache)
-            total += float(group_losses(fwd).sum())
-            backward_group(params, fwd, buf, scale)
-        return total, buf
-
-    if threads <= 1 or len(facts) < 2 * threads:
-        total, buf = run_chunk(facts, fact_rngs)
-    else:
-        chunks = np.array_split(np.arange(len(facts)), threads)
-        jobs = []
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for chunk in chunks:
-                if len(chunk) == 0:
-                    continue
-                sub_facts = [facts[i] for i in chunk]
-                sub_rngs = [fact_rngs[i] for i in chunk] if fact_rngs else None
-                jobs.append(pool.submit(run_chunk, sub_facts, sub_rngs))
-        total = 0.0
-        buf = GradientBuffer(params)
-        for job in jobs:
-            part_loss, part_buf = job.result()
-            total += part_loss
-            buf.merge(part_buf)
+    buf = GradientBuffer(params)
+    basis_cache: dict = {}
+    total = 0.0
+    for spec in split_groups(params, facts):
+        cand = _group_candidates(spec, facts, params.n_entities, negatives, fact_rngs)
+        mask = _group_masks(spec, params, dropout, fact_rngs)
+        fwd = forward_group(params, spec, cand, mask, basis_cache)
+        total += float(group_losses(fwd).sum())
+        backward_group(params, fwd, buf, scale)
 
     loss = total * scale
     if not np.isfinite(loss):
@@ -393,7 +341,6 @@ def train(
                 negatives=train_cfg.negatives,
                 dropout=train_cfg.dropout,
                 fact_rngs=rngs,
-                threads=train_cfg.threads,
             )
             optimizer_step(params, buf, state, lr)
             epoch_loss += loss * len(batch)
@@ -402,7 +349,7 @@ def train(
 
         valid_mrr: Optional[float] = None
         if kb.valid and (epoch + 1) % train_cfg.eval_every == 0:
-            report = evaluate(params, kb, split="valid", threads=train_cfg.threads)
+            report = evaluate(params, kb, split="valid")
             valid_mrr = report.mrr
             if best_mrr is None or valid_mrr > best_mrr:
                 best_mrr = valid_mrr

@@ -1,0 +1,153 @@
+import json
+import struct
+
+import numpy as np
+import pytest
+
+from ramkb import cli
+from ramkb.checkpoint import (
+    MAGIC,
+    check_vocab_compatible,
+    load_checkpoint,
+    save_checkpoint,
+)
+from ramkb.engine import score_batch_position
+from ramkb.errors import DataError
+from ramkb.expressive import GroundTruth, construct, verify_separation
+from ramkb.kb import Fact, Vocabulary
+from ramkb.model import ModelConfig, ModelParams
+
+from conftest import make_vocab, random_facts
+from test_model import randomized_params
+
+TRAINED_MODES = [
+    "latent",
+    "extended",
+    "explicit",
+    "preset:DistMult",
+    "preset:SimplE",
+    "preset:ComplEx",
+    "preset:QuatE",
+]
+
+
+def assert_same_arrays(params, loaded):
+    assert loaded.slots() == params.slots()
+    for key in params.slots():
+        np.testing.assert_array_equal(loaded.data[key], params.data[key])
+
+
+@pytest.mark.parametrize("mode_str", TRAINED_MODES)
+def test_round_trip_every_trained_mode(tmp_path, mode_str):
+    mode, preset = ModelConfig.parse_mode(mode_str)
+    extra = {"role_multiplicity": 2, "patterns_per_role": 2} if mode == "extended" else {}
+    cfg = ModelConfig(
+        embed_dim=3, multiplicity=2, latent_size=2, mode=mode, preset=preset, **extra
+    )
+    vocab = make_vocab(
+        6, (2,) if mode == "preset" else (2, 3), explicit_roles=(mode == "explicit")
+    )
+    params = randomized_params(cfg, vocab, seed=3)
+    path = tmp_path / "model.ramckpt"
+    save_checkpoint(path, params, vocab)
+    loaded, loaded_vocab = load_checkpoint(path)
+    assert loaded.cfg == cfg
+    check_vocab_compatible(vocab, loaded_vocab)
+    assert_same_arrays(params, loaded)
+    for fact in random_facts(vocab, 4, seed=4):
+        for pos in range(fact.arity):
+            np.testing.assert_array_equal(
+                score_batch_position(loaded, fact, pos),
+                score_batch_position(params, fact, pos),
+            )
+
+
+def test_round_trip_raw_construction_still_separates(tmp_path):
+    vocab = make_vocab(4, (2, 3))
+    gt = GroundTruth((Fact(0, (0, 1)), Fact(1, (1, 2, 3)), Fact(1, (3, 3, 0))), vocab)
+    params = construct(gt)
+    path = tmp_path / "raw.ramckpt"
+    save_checkpoint(path, params, vocab)
+    loaded, loaded_vocab = load_checkpoint(path)
+    check_vocab_compatible(vocab, loaded_vocab)
+    assert_same_arrays(params, loaded)
+    assert {key[0] for key in loaded.slots()} == {"ent", "raw_u", "raw_p"}
+    for fact in gt.facts:
+        for pos in range(fact.arity):
+            np.testing.assert_array_equal(
+                score_batch_position(loaded, fact, pos),
+                score_batch_position(params, fact, pos),
+            )
+    assert verify_separation(gt, loaded).passed
+
+
+def test_truncated_or_malformed_checkpoint_is_data_error(tmp_path):
+    vocab = make_vocab(5, (2, 3))
+    params = ModelParams.init(ModelConfig(embed_dim=3, latent_size=2), vocab, seed=0)
+    path = tmp_path / "model.ramckpt"
+    save_checkpoint(path, params, vocab)
+    raw = path.read_bytes()
+    header_end = 16 + struct.unpack("<Q", raw[8:16])[0]
+    cuts = {
+        "magic": 4,
+        "length": 12,
+        "header": (16 + header_end) // 2,
+        "payload": (header_end + len(raw)) // 2,
+        "last-byte": len(raw) - 1,
+    }
+    bad_json = MAGIC + struct.pack("<Q", 9) + b"{not json"
+    files = {name: raw[:size] for name, size in cuts.items()}
+    files["bad-json"] = bad_json
+    for name, blob in files.items():
+        bad = tmp_path / f"{name}.ramckpt"
+        bad.write_bytes(blob)
+        with pytest.raises(DataError):
+            load_checkpoint(bad)
+        code = cli.main(
+            ["export", "--checkpoint", str(bad), "--out", str(tmp_path / name)]
+        )
+        assert code == 3, name
+
+
+def test_array_past_payload_is_data_error(tmp_path):
+    vocab = make_vocab(5, (2,))
+    params = ModelParams.init(ModelConfig(embed_dim=3, latent_size=2), vocab, seed=0)
+    path = tmp_path / "model.ramckpt"
+    save_checkpoint(path, params, vocab)
+    raw = path.read_bytes()
+    header_end = 16 + struct.unpack("<Q", raw[8:16])[0]
+    header = json.loads(raw[16:header_end])
+    header["arrays"][-1]["shape"][0] += 1  # one row more than was written
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + raw[header_end:])
+    with pytest.raises(DataError, match="truncated"):
+        load_checkpoint(path)
+
+
+def _vocab(entities=("x", "y", "z"), relations=(("r", 2),), roles=()):
+    vocab = Vocabulary()
+    for name in entities:
+        vocab.add_entity(name)
+    for name, arity in relations:
+        vocab.add_relation(name, arity)
+    for name in roles:
+        vocab.add_role(name)
+    return vocab
+
+
+def test_vocab_mismatch_names_first_differing_entry():
+    base = _vocab(roles=("g0", "g1"))
+    check_vocab_compatible(base, _vocab(roles=("g0", "g1")))
+    cases = [
+        (_vocab(entities=("x", "z", "y"), roles=("g0", "g1")),
+         "entity vocabularies differ at index 1: 'y' vs 'z'"),
+        (_vocab(entities=("x", "y", "z", "w"), roles=("g0", "g1")),
+         "entity vocabularies differ at index 3: no entry vs 'w'"),
+        (_vocab(relations=(("r", 3),), roles=("g0", "g1")),
+         r"relation vocabularies differ at index 0: \('r', 2\) vs \('r', 3\)"),
+        (_vocab(roles=("g0", "g2")),
+         "role vocabularies differ at index 1: 'g1' vs 'g2'"),
+    ]
+    for other, message in cases:
+        with pytest.raises(DataError, match=message):
+            check_vocab_compatible(base, other)

@@ -2,14 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from ramkb.errors import DimensionError
 from ramkb.mathcore import (
     make_rng,
-    multilinear,
-    row_weighted_contract,
     softmax,
     softmax_matrix,
     softmax_matrix_vjp,
@@ -77,78 +74,6 @@ def test_softmax_matrix_normalizes_jointly_not_per_row():
     out = softmax_matrix(mat)
     assert abs(out.sum() - 1.0) < 1e-12
     assert not np.allclose(out[0].sum(), 1.0)
-
-
-def test_multilinear_hand_case():
-    assert multilinear([[1, 2], [3, 4], [5, 6]]) == 63.0
-
-
-def test_multilinear_zero_annihilates():
-    assert multilinear([[1.5, -2.0, 3.0], [0, 0, 0]]) == 0.0
-
-
-def test_multilinear_single_vector_sums():
-    assert multilinear([[2.0, 5.0]]) == 7.0
-
-
-def test_multilinear_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        multilinear([[1, 2], [1, 2, 3]])
-    with pytest.raises(DimensionError):
-        multilinear([])
-
-
-@given(
-    st.lists(st.lists(finite_floats, min_size=3, max_size=3), min_size=2, max_size=5),
-    st.randoms(),
-)
-def test_multilinear_permutation_symmetry(vectors, rnd):
-    shuffled = list(vectors)
-    rnd.shuffle(shuffled)
-    assert multilinear(vectors) == pytest.approx(multilinear(shuffled), rel=1e-9, abs=1e-9)
-
-
-@given(st.lists(finite_floats, min_size=3, max_size=3), finite_floats)
-def test_multilinear_linear_in_each_argument(vec, scale):
-    other = [1.0, -2.0, 0.5]
-    base = multilinear([vec, other])
-    scaled = multilinear([list(np.array(vec) * scale), other])
-    assert scaled == pytest.approx(scale * base, rel=1e-9, abs=1e-6)
-
-
-def test_row_weighted_selector():
-    mat = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_allclose(row_weighted_contract([1, 0], mat), [1, 2])
-
-
-def test_row_weighted_average():
-    mat = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_allclose(row_weighted_contract([0.5, 0.5], mat), [2, 3])
-
-
-def test_row_weighted_hand_case():
-    np.testing.assert_allclose(
-        row_weighted_contract([2, -1], np.array([[1.0, 1.0], [3.0, 0.0]])), [-1, 2]
-    )
-
-
-def test_row_weighted_shape_errors():
-    with pytest.raises(DimensionError):
-        row_weighted_contract([1, 2, 3], np.eye(2))
-
-
-@given(
-    st.lists(finite_floats, min_size=2, max_size=4),
-    st.integers(min_value=1, max_value=5),
-    st.integers(min_value=0, max_value=10_000),
-)
-@settings(max_examples=30)
-def test_row_weighted_matches_double_loop(weights, cols, seed):
-    mat = make_rng(seed).normal(size=(len(weights), cols))
-    expected = [
-        sum(weights[k] * mat[k, j] for k in range(len(weights))) for j in range(cols)
-    ]
-    np.testing.assert_allclose(row_weighted_contract(weights, mat), expected, atol=1e-9)
 
 
 def test_softmax_vjp_matches_jacobian():

@@ -8,6 +8,7 @@ from oracles import (
     naive_extended_score,
     naive_latent_score,
 )
+from ramkb.engine import forward_group, score, score_batch_position, split_groups
 from ramkb.errors import ConfigError, DimensionError
 from ramkb.kb import Fact
 from ramkb.mathcore import make_rng, softmax_matrix
@@ -16,10 +17,6 @@ from ramkb.model import (
     ModelParams,
     pattern_matrix,
     role_embedding,
-    score,
-    score_batch_position,
-    score_context,
-    score_from_context,
 )
 
 from conftest import make_vocab, random_facts
@@ -279,18 +276,18 @@ class TestScoreBatchPosition:
         np.testing.assert_allclose(got, got[0], atol=1e-12)
 
 
-def test_score_context_reuse_matches_direct_score(toy_kb):
+def test_batched_phi_matches_per_fact_score(toy_kb):
     cfg = ModelConfig(embed_dim=4, multiplicity=2, latent_size=3)
     params = ModelParams.init(cfg, toy_kb.vocab, seed=20)
-    for fact in toy_kb.train:
-        ctx = score_context(params, fact)
-        assert score_from_context(ctx) == pytest.approx(score(params, fact), abs=1e-15)
+    for spec in split_groups(params, toy_kb.train):
+        phi = forward_group(params, spec).phi
+        for row, fact_idx in enumerate(spec.fact_index):
+            fact = toy_kb.train[fact_idx]
+            assert phi[row] == pytest.approx(score(params, fact), abs=1e-15)
 
 
 def test_scoring_time_roughly_linear_in_embedding_dim():
     # coarse guard at unit-test scale; the acceptance suite pins the ratio
-    from ramkb.engine import forward_group, split_groups
-
     def per_fact_seconds(d):
         vocab = make_vocab(256, (3,))
         params = ModelParams.init(

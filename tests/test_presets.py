@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from ramkb.engine import score
 from ramkb.errors import ConfigError
 from ramkb.kb import Fact, Vocabulary
 from ramkb.mathcore import make_rng
-from ramkb.model import ModelConfig, ModelParams, score
+from ramkb.model import ModelConfig, ModelParams
 from ramkb.presets import (
     PRESET_KINDS,
     hamilton_product,

@@ -4,16 +4,23 @@ import numpy as np
 import pytest
 
 from oracles import naive_fact_loss, naive_latent_score
-from ramkb.engine import GradientBuffer, backward_group, forward_group, position_loss, split_groups
+from ramkb.engine import (
+    GradientBuffer,
+    backward_group,
+    forward_group,
+    position_loss,
+    score,
+    split_groups,
+)
 from ramkb.errors import ConfigError, NumericError
 from ramkb.gradcheck import check_batch, run_gradcheck
 from ramkb.kb import Fact, KnowledgeBase, Vocabulary, build_kb, parse_tabular
 from ramkb.mathcore import make_rng
-from ramkb.model import ModelConfig, ModelParams, score, score_context, score_from_context
+from ramkb.model import ModelConfig, ModelParams
 from ramkb.training import (
     AdamState,
     TrainConfig,
-    apply_dropout,
+    _group_masks,
     batch_backward,
     batch_loss,
     corrupt,
@@ -181,24 +188,6 @@ class TestBackward:
         with pytest.raises(ConfigError):
             batch_backward(params, [Fact(0, (0, 1))])
 
-    def test_parallel_chunks_match_sequential(self):
-        kb = random_kb(12, (2, 3, 4), n_train=24, seed=11)
-        cfg = ModelConfig(embed_dim=4, multiplicity=2, latent_size=3)
-        params = randomized_params(cfg, kb.vocab, seed=12)
-
-        def fresh_rngs():
-            return [make_rng(0, 2, 0, i) for i in range(len(kb.train))]
-
-        loss_seq, buf_seq = batch_backward(
-            params, kb.train, dropout=0.2, fact_rngs=fresh_rngs(), threads=1
-        )
-        loss_par, buf_par = batch_backward(
-            params, kb.train, dropout=0.2, fact_rngs=fresh_rngs(), threads=3
-        )
-        assert loss_par == pytest.approx(loss_seq, abs=1e-9)
-        for key, grad in buf_seq.grads.items():
-            np.testing.assert_allclose(buf_par.grads[key], grad, atol=1e-9)
-
     def test_non_finite_loss_aborts_with_diagnostics(self):
         kb = random_kb(4, (2,), n_train=2, seed=13)
         cfg = ModelConfig(embed_dim=2, multiplicity=1, latent_size=1)
@@ -210,32 +199,33 @@ class TestBackward:
 
 
 class TestDropout:
-    def _context(self, seed=14):
+    def _group(self, n_copies=1, seed=14):
         vocab = make_vocab(5, (3,))
         cfg = ModelConfig(embed_dim=4, multiplicity=2, latent_size=2)
         params = randomized_params(cfg, vocab, seed=seed)
-        return score_context(params, Fact(0, (0, 1, 2)))
+        return params, split_groups(params, [Fact(0, (0, 1, 2))] * n_copies)[0]
 
     def test_zero_probability_is_identity(self):
-        ctx = self._context()
-        out = apply_dropout(ctx, 0.0, make_rng(1))
-        assert out.masks is None
-        assert score_from_context(out) == score_from_context(ctx)
+        params, spec = self._group()
+        masks = _group_masks(spec, params, 0.0, [make_rng(1)])
+        assert masks is None
+        assert (forward_group(params, spec, masks=masks).phi[0]
+                == forward_group(params, spec).phi[0])
 
     def test_fixed_seed_masks_deterministic_and_scaled(self):
-        ctx = self._context()
-        a = apply_dropout(ctx, 0.5, make_rng(2))
-        b = apply_dropout(ctx, 0.5, make_rng(2))
-        np.testing.assert_array_equal(a.masks, b.masks)
-        assert set(np.unique(a.masks)) <= {0.0, 2.0}
+        params, spec = self._group()
+        a = _group_masks(spec, params, 0.5, [make_rng(2)])
+        b = _group_masks(spec, params, 0.5, [make_rng(2)])
+        np.testing.assert_array_equal(a, b)
+        assert set(np.unique(a)) <= {0.0, 2.0}
 
     def test_masked_score_unbiased_monte_carlo(self):
-        ctx = self._context(seed=15)
-        base = score_from_context(ctx)
-        rng = make_rng(3)
-        draws = np.array(
-            [score_from_context(apply_dropout(ctx, 0.3, rng)) for _ in range(10_000)]
-        )
+        # one group of 10,000 copies of the fact, each row its own mask draw
+        n_draws = 10_000
+        params, spec = self._group(n_copies=n_draws, seed=15)
+        base = score(params, Fact(0, (0, 1, 2)))
+        masks = _group_masks(spec, params, 0.3, [make_rng(3)] * n_draws)
+        draws = forward_group(params, spec, masks=masks).phi
         stderr = draws.std(ddof=1) / math.sqrt(len(draws))
         assert abs(draws.mean() - base) <= 3 * stderr
 
