@@ -22,6 +22,8 @@ from .kb import Vocabulary
 from .model import ModelConfig, ModelParams, SlotKey, relation_terms
 
 MAGIC = b"RAMCKPT1"
+_HEADER_KEYS = ("config", "vocab", "n_entities", "rel_arity", "arrays")
+_ARRAY_KEYS = ("name", "shape", "offset")
 
 
 def _slot_name(key: SlotKey) -> str:
@@ -30,7 +32,10 @@ def _slot_name(key: SlotKey) -> str:
 
 def _parse_slot(name: str) -> SlotKey:
     parts = name.split("/")
-    return (parts[0], *[int(p) for p in parts[1:]])
+    try:
+        return (parts[0], *[int(p) for p in parts[1:]])
+    except ValueError:
+        raise DataError(f"bad slot name {name!r} in checkpoint") from None
 
 
 def save_checkpoint(path, params: ModelParams, vocab: Vocabulary) -> None:
@@ -78,6 +83,11 @@ def load_checkpoint(path) -> tuple[ModelParams, Vocabulary]:
         header = json.loads(raw[header_start : header_start + header_len])
     except ValueError as exc:
         raise DataError(f"{path}: checkpoint header is not valid JSON ({exc})") from exc
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: checkpoint header is not a JSON object")
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise DataError(f"{path}: checkpoint header lacks {', '.join(missing)}")
     payload = raw[header_start + header_len :]
 
     cfg = ModelConfig.from_dict(header["config"])
@@ -90,6 +100,8 @@ def load_checkpoint(path) -> tuple[ModelParams, Vocabulary]:
         n_roles=vocab.n_roles,
     )
     for entry in header["arrays"]:
+        if not isinstance(entry, dict) or any(key not in entry for key in _ARRAY_KEYS):
+            raise DataError(f"{path}: array entry {entry!r} lacks name, shape or offset")
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
@@ -135,23 +147,6 @@ def export_entities_csv(params: ModelParams, vocab: Vocabulary) -> str:
     for idx, name in enumerate(vocab.entities):
         writer.writerow([name] + [repr(x) for x in ent[idx].reshape(-1)])
     return out.getvalue()
-
-
-def import_entities_csv(params: ModelParams, vocab: Vocabulary, text: str) -> None:
-    """Load entity blocks back from :func:`export_entities_csv` output."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    m, d = params.cfg.multiplicity, params.cfg.embed_dim
-    if len(header) != 1 + m * d:
-        raise DataError("entity CSV width does not match the model dimensions")
-    ent = params.data[("ent",)]
-    for row in reader:
-        if not row:
-            continue
-        idx = vocab.entity_index.get(row[0])
-        if idx is None:
-            raise DataError(f"unknown entity {row[0]!r} in CSV")
-        ent[idx] = np.array([float(x) for x in row[1:]]).reshape(m, d)
 
 
 def export_roles_csv(params: ModelParams, vocab: Vocabulary) -> str:

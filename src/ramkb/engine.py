@@ -4,17 +4,22 @@ Facts are processed in groups of equal arity. Within a group every score is
 a sum of multilinear terms; the factor list of a term is the role embedding
 followed by one pattern-weighted entity vector per position. Prefix/suffix
 products over that factor list give both the full product and every
-leave-one-out product without dividing (dropout can zero entries), which the
-backward pass reuses. Where the role embeddings and pattern matrices come
-from, and where their gradients go, is the business of the mode object
-(``model.mode_of``); this module never looks at the mode.
+leave-one-out product without dividing (dropout can zero entries). Where the
+role embeddings and pattern matrices come from, and where their gradients
+go, is the business of the mode object (``model.mode_of``); this module
+never looks at the mode.
 
 Candidate scoring replaces one position: the product of all other factors is
 contracted once against the entity table (or a gathered candidate table).
 The gradient of a position's loss with respect to everything shared across
 candidates equals the gradient of a single pseudo-score in which the
 replaced position's entity block is the candidate-probability-weighted sum
-of entity blocks; the backward pass exploits that to stay vectorized.
+of entity blocks.
+
+The backward pass is the reverse of :func:`forward_group` over the arrays it
+kept: the pseudo-blocks are pulled back through the contraction kernel, then
+one reverse sweep over each of the prefix and suffix recurrences gives every
+factor's gradient at one product per position.
 
 :func:`score` and :func:`score_batch_position` read one fact's score and one
 position's full-table scores off a one-fact group, so training, evaluation
@@ -67,9 +72,6 @@ class GradientBuffer:
         buf += values
         self.touched[key][:] = True
 
-    def max_abs(self) -> float:
-        return max((float(np.abs(g).max()) for g in self.grads.values()), default=0.0)
-
 
 @dataclass
 class GroupSpec:
@@ -111,7 +113,6 @@ class GroupForward:
     uniq_rels: np.ndarray
     rel_inverse: np.ndarray
     terms: list[RelationTerms]
-    uf: np.ndarray  # (B, T, d) role embeddings per term
     pf: np.ndarray  # (B, T, a, m) pattern matrices per term
     wf: np.ndarray  # (B, T) term weights
     ent_blocks: np.ndarray  # (B, a, m, d)
@@ -119,6 +120,7 @@ class GroupForward:
     factors: np.ndarray  # (B, T, a+1, d)
     prefix: np.ndarray  # (B, T, a+2, d)
     suffix: np.ndarray  # (B, T, a+2, d)
+    loo: np.ndarray  # (B, T, a, d) masked leave-one-out products per position
     phi: np.ndarray  # (B,)
     gather: np.ndarray  # (B, a, m, d) contraction kernel per position
     candidates: Optional[np.ndarray]  # (B, a, C) entity ids, col 0 = true
@@ -173,8 +175,7 @@ def forward_group(
     loo = prefix[:, :, 1 : a + 1, :] * suffix[:, :, 2 : a + 2, :]
     if masks is not None:
         loo = loo * masks
-    weighted_loo = wf[:, :, None, None] * loo
-    gather = np.einsum("btlm,btld->blmd", pf, weighted_loo, optimize=True)
+    gather = np.einsum("btlm,btld->blmd", pf, wf[:, :, None, None] * loo, optimize=True)
 
     if candidates is None:
         flat_gather = gather.reshape(b * a, m * d)
@@ -189,7 +190,6 @@ def forward_group(
         uniq_rels=uniq,
         rel_inverse=inverse,
         terms=terms,
-        uf=uf,
         pf=pf,
         wf=wf,
         ent_blocks=ent_blocks,
@@ -197,6 +197,7 @@ def forward_group(
         factors=factors,
         prefix=prefix,
         suffix=suffix,
+        loo=loo,
         phi=phi,
         gather=gather,
         candidates=candidates,
@@ -218,7 +219,6 @@ def group_losses(fwd: GroupForward) -> np.ndarray:
     top = scores.max(axis=-1)
     lse = top + np.log(np.exp(scores - top[..., None]).sum(axis=-1))
     if fwd.candidates is None:
-        b, a = fwd.spec.ents.shape
         true_scores = np.take_along_axis(
             scores, fwd.spec.ents[:, :, None], axis=-1
         )[:, :, 0]
@@ -266,43 +266,35 @@ def backward_group(
                      contrib.reshape(-1, m, d))
         pseudo = np.einsum("blc,blcmd->blmd", g, fwd.cand_blocks, optimize=True)
 
-    grad_u = np.zeros((b, n_terms, d))
-    grad_p = np.zeros((b, n_terms, a, m))
-    grad_w = np.zeros((b, n_terms))
-    grad_e = np.zeros((b, a, m, d))
+    # pull `pseudo` back through gather = sum_t pf * (w * loo)
+    w_col = fwd.wf[:, :, None, None]
+    pseudo_v = np.einsum("btlm,blmd->btld", fwd.pf, pseudo, optimize=True)
+    grad_w = (pseudo_v * fwd.loo).sum(axis=(2, 3))
+    grad_p = np.einsum("blmd,btld->btlm", pseudo, w_col * fwd.loo, optimize=True)
+    grad_loo = w_col * pseudo_v  # with respect to the products before masking
+    if fwd.masks is not None:
+        grad_loo = grad_loo * fwd.masks
 
-    factors = fwd.factors
-    for pos in range(a):
-        pseudo_v = np.einsum("btm,bmd->btd", fwd.pf[:, :, pos, :], pseudo[:, pos],
-                             optimize=True)
-        if fwd.masks is not None:
-            pseudo_v = pseudo_v * fwd.masks[:, :, pos, :]
-        swapped = factors.copy()
-        swapped[:, :, 1 + pos, :] = pseudo_v
+    # loo[l] = prefix[l+1] * suffix[l+2]: one reverse sweep per recurrence
+    factors, prefix, suffix = fwd.factors, fwd.prefix, fwd.suffix
+    grad_factors = np.zeros_like(factors)
+    carry = np.zeros((b, n_terms, d))
+    for q in range(a - 1, -1, -1):  # prefix[q+1] = prefix[q] * factors[q]
+        carry = carry + grad_loo[:, :, q] * suffix[:, :, q + 2]
+        grad_factors[:, :, q] += carry * prefix[:, :, q]
+        carry = carry * factors[:, :, q]
+    carry = np.zeros((b, n_terms, d))
+    for q in range(2, a + 1):  # suffix[q] = factors[q] * suffix[q+1]
+        carry = carry + grad_loo[:, :, q - 2] * prefix[:, :, q - 1]
+        grad_factors[:, :, q] += carry * suffix[:, :, q + 1]
+        carry = carry * factors[:, :, q]
 
-        pre = np.empty((b, n_terms, a + 2, d))
-        suf = np.empty((b, n_terms, a + 2, d))
-        pre[:, :, 0, :] = 1.0
-        suf[:, :, a + 1, :] = 1.0
-        for q in range(a + 1):
-            pre[:, :, q + 1, :] = pre[:, :, q, :] * swapped[:, :, q, :]
-        for q in range(a, -1, -1):
-            suf[:, :, q, :] = swapped[:, :, q, :] * suf[:, :, q + 1, :]
-
-        grad_w += pre[:, :, a + 1, :].sum(axis=-1)
-        w_col = fwd.wf[:, :, None]
-        grad_u += w_col * (pre[:, :, 0, :] * suf[:, :, 1, :])
-        for l in range(a):
-            grad_vtil = w_col * (pre[:, :, 1 + l, :] * suf[:, :, l + 2, :])
-            if fwd.masks is not None:
-                grad_vtil = grad_vtil * fwd.masks[:, :, l, :]
-            source = pseudo[:, pos] if l == pos else fwd.ent_blocks[:, l]
-            grad_p[:, :, l, :] += np.einsum("bmd,btd->btm", source, grad_vtil,
-                                            optimize=True)
-            if l != pos:
-                grad_e[:, l] += np.einsum("btm,btd->bmd", fwd.pf[:, :, l, :],
-                                          grad_vtil, optimize=True)
-
+    grad_u = grad_factors[:, :, 0]
+    grad_weighted = grad_factors[:, :, 1:]
+    if fwd.masks is not None:
+        grad_weighted = grad_weighted * fwd.masks
+    grad_p += np.einsum("blmd,btld->btlm", fwd.ent_blocks, grad_weighted, optimize=True)
+    grad_e = np.einsum("btlm,btld->blmd", fwd.pf, grad_weighted, optimize=True)
     buf.add_rows(("ent",), spec.ents.reshape(-1), grad_e.reshape(-1, m, d))
 
     # fold term-major gradients back to (arity, role_multiplicity, patterns) axes

@@ -1,6 +1,9 @@
 """Dense float64 kernels used by every other module.
 
-All functions are pure and operate on (or return) plain numpy arrays.
+All functions are pure and operate on (or return) plain numpy arrays. There
+is one softmax, over the last axis, and one pullback for it; a matrix that is
+normalized jointly over all its entries is a softmax over its flattened last
+axes, so callers reshape to ``(n, rows * cols)`` around these two.
 """
 
 from __future__ import annotations
@@ -22,31 +25,12 @@ def make_rng(*keys: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(list(keys)))
 
 
-def softmax(v: np.ndarray) -> np.ndarray:
-    """Stable softmax of a vector (max-subtracted before exponentiation)."""
-    v = np.asarray(v, dtype=np.float64)
-    shifted = v - v.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
 def softmax_last_axis(x: np.ndarray) -> np.ndarray:
     """Stable softmax along the last axis of an arbitrary-rank array."""
     x = np.asarray(x, dtype=np.float64)
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def softmax_matrix(m: np.ndarray) -> np.ndarray:
-    """Softmax over all entries of a matrix jointly.
-
-    The whole matrix is normalized as one distribution, not row by row:
-    the output entries are positive and sum to 1 across the entire matrix.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    flat = softmax(m.reshape(-1))
-    return flat.reshape(m.shape)
 
 
 def softmax_vjp(s: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -58,9 +42,3 @@ def softmax_vjp(s: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """
     inner = (s * grad).sum(axis=-1, keepdims=True)
     return s * (grad - inner)
-
-
-def softmax_matrix_vjp(q: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Gradient pullback for :func:`softmax_matrix` (jointly normalized)."""
-    inner = (q * grad).sum()
-    return q * (grad - inner)

@@ -35,13 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .kb import Vocabulary
-from .mathcore import (
-    make_rng,
-    softmax_last_axis,
-    softmax_matrix,
-    softmax_matrix_vjp,
-    softmax_vjp,
-)
+from .mathcore import make_rng, softmax_last_axis, softmax_vjp
 from .presets import PRESET_DIMS, PRESET_KINDS, preset_patterns
 
 MODES = ("latent", "explicit", "preset", "extended", "raw")
@@ -241,10 +235,7 @@ def normalized_basis(params: ModelParams, arity: int) -> np.ndarray:
     raw = params.data.get(("basis_p", arity))
     if raw is None:
         raise ConfigError(f"no basis matrices registered for arity {arity}")
-    out = np.empty_like(raw)
-    for k in range(raw.shape[0]):
-        out[k] = softmax_matrix(raw[k])
-    return out
+    return softmax_last_axis(raw.reshape(raw.shape[0], -1)).reshape(raw.shape)
 
 
 # Every mode's `backward` receives, for one arity group, the relations it
@@ -325,11 +316,10 @@ class _Latent:
                 buf.add(("beta", rel), softmax_vjp(t.mix_beta, grad_mix_b))
                 buf.add(("omega", rel), gw[r])
             buf.add(("alpha", rel), softmax_vjp(t.mix_alpha, grad_mix_a))
-        norm = terms[0].norm_basis
-        raw = np.empty_like(grad_norm_basis)
-        for k in range(raw.shape[0]):
-            raw[k] = softmax_matrix_vjp(norm[k], grad_norm_basis[k])
-        buf.add(("basis_p", a), raw)
+        k = grad_norm_basis.shape[0]
+        norm = terms[0].norm_basis.reshape(k, -1)
+        raw = softmax_vjp(norm, grad_norm_basis.reshape(k, -1))
+        buf.add(("basis_p", a), raw.reshape(grad_norm_basis.shape))
 
 
 class _Explicit:
@@ -351,21 +341,20 @@ class _Explicit:
         if roles is None:
             raise ConfigError(f"relation {rel} has no role annotations")
         role_emb = params.data[("role_vec",)][list(roles)][:, None, :]
-        raw_pat = params.data[("role_pat", a)][list(roles)]
-        patterns = np.empty((a, 1, 1, a, params.cfg.multiplicity))
-        for i in range(a):
-            patterns[i, 0, 0] = softmax_matrix(raw_pat[i])
-        return RelationTerms(role_emb, patterns, np.ones((a, 1, 1)), role_ids=roles)
+        raw_pat = params.data[("role_pat", a)][list(roles)]  # (a, a, m)
+        patterns = softmax_last_axis(raw_pat.reshape(a, -1)).reshape(raw_pat.shape)
+        return RelationTerms(
+            role_emb, patterns[:, None, None], np.ones((a, 1, 1)), role_ids=roles
+        )
 
     def backward(self, params, rels, terms, gu, gp, gw, buf) -> None:
-        a, m = gp.shape[1], gp.shape[-1]
-        for r, t in enumerate(terms):
-            roles = np.array(t.role_ids, dtype=np.intp)
-            buf.add_rows(("role_vec",), roles, gu[r][:, 0, :])
-            raw_grads = np.empty((a, a, m))
-            for i in range(a):
-                raw_grads[i] = softmax_matrix_vjp(t.patterns[i, 0, 0], gp[r][i, 0, 0])
-            buf.add_rows(("role_pat", a), roles, raw_grads)
+        n_rel, a, m = gp.shape[0], gp.shape[1], gp.shape[-1]
+        roles = np.array([t.role_ids for t in terms], dtype=np.intp).reshape(-1)
+        patterns = np.stack([t.patterns[:, 0, 0] for t in terms])  # (R, a, a, m)
+        raw = softmax_vjp(patterns.reshape(n_rel * a, -1),
+                          gp[:, :, 0, 0].reshape(n_rel * a, -1))
+        buf.add_rows(("role_vec",), roles, gu[:, :, 0].reshape(n_rel * a, -1))
+        buf.add_rows(("role_pat", a), roles, raw.reshape(n_rel * a, a, m))
 
 
 class _Preset:

@@ -91,21 +91,17 @@ def corrupt(
     fact: Fact,
     position: int,
     n_entities: int,
-    negatives: str | int = "full",
+    negatives: int,
     rng: Optional[np.random.Generator] = None,
 ) -> np.ndarray:
-    """Corruption candidates at one position, excluding the true entity.
+    """Sampled corruption candidates at one position, excluding the true entity.
 
-    Full mode returns every other entity; sampled mode draws the requested
-    number of distinct entities uniformly (clipped to n_entities - 1).
-    Candidates that happen to form true facts are not removed: the loss
-    trains against all corruptions.
+    Draws the requested number of distinct entities uniformly (clipped to
+    n_entities - 1). Candidates that happen to form true facts are not
+    removed: the loss trains against all corruptions. Full negatives never
+    come here; the engine scores them against the whole entity table.
     """
     true = fact.entities[position]
-    if negatives == "full":
-        out = np.arange(n_entities - 1, dtype=np.intp)
-        out[out >= true] += 1
-        return out
     n = min(int(negatives), n_entities - 1)
     if rng is None:
         raise ConfigError("sampled corruption needs an rng")
@@ -187,15 +183,6 @@ def batch_loss(
         fwd = forward_group(params, spec, cand, mask, basis_cache)
         total += float(group_losses(fwd).sum())
     return total / len(facts)
-
-
-def fact_loss(
-    params: ModelParams, fact: Fact, negatives: str | int = "full",
-    rng: Optional[np.random.Generator] = None,
-) -> float:
-    """Multi-position cross-entropy loss of a single fact."""
-    return batch_loss(params, [fact], negatives,
-                      fact_rngs=[rng] if rng is not None else None)
 
 
 def batch_backward(
@@ -307,6 +294,10 @@ def train(
     MRR on the validation split is measured, the best-scoring parameters are
     kept, and training stops after `patience` evaluations without
     improvement. The returned trace has one row per epoch.
+
+    The same data, configs and seed give bitwise-identical parameters,
+    losses and validation MRRs: initialization, shuffles, corruptions and
+    dropout masks all draw from generators keyed by the seed (`make_rng`).
     """
     from .evaluation import evaluate  # local import to avoid a cycle
 

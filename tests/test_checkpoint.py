@@ -124,6 +124,38 @@ def test_array_past_payload_is_data_error(tmp_path):
         load_checkpoint(path)
 
 
+def test_malformed_header_is_data_error(tmp_path):
+    vocab = make_vocab(5, (2,))
+    params = ModelParams.init(ModelConfig(embed_dim=3, latent_size=2), vocab, seed=0)
+    path = tmp_path / "model.ramckpt"
+    save_checkpoint(path, params, vocab)
+    raw = path.read_bytes()
+    header_end = 16 + struct.unpack("<Q", raw[8:16])[0]
+    header = json.loads(raw[16:header_end])
+    entry = header["arrays"][0]
+    headers = {
+        "empty-object": {},
+        "list": [],
+        "no-arrays": {k: v for k, v in header.items() if k != "arrays"},
+        "no-rel-arity": {k: v for k, v in header.items() if k != "rel_arity"},
+        "entry-without-offset": {
+            **header, "arrays": [{"name": entry["name"], "shape": entry["shape"]}]
+        },
+        "entry-not-object": {**header, "arrays": ["ent"]},
+        "bad-slot-name": {**header, "arrays": [{**entry, "name": "ent/x"}]},
+    }
+    for name, bad_header in headers.items():
+        blob = json.dumps(bad_header).encode("utf-8")
+        bad = tmp_path / f"{name}.ramckpt"
+        bad.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + raw[header_end:])
+        with pytest.raises(DataError):
+            load_checkpoint(bad)
+        code = cli.main(
+            ["export", "--checkpoint", str(bad), "--out", str(tmp_path / name)]
+        )
+        assert code == 3, name
+
+
 def _vocab(entities=("x", "y", "z"), relations=(("r", 2),), roles=()):
     vocab = Vocabulary()
     for name in entities:
