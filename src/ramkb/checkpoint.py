@@ -66,7 +66,11 @@ def save_checkpoint(path, params: ModelParams, vocab: Vocabulary) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelParams, Vocabulary]:
-    """Read a checkpoint; a truncated or malformed file raises DataError."""
+    """Read a checkpoint; a truncated or malformed file raises DataError.
+
+    Malformed includes arrays that are not exactly the slots, by name and
+    shape, that the header's config and relations call for.
+    """
     raw = Path(path).read_bytes()
     if raw[: len(MAGIC)] != MAGIC:
         raise DataError(f"{path}: not a checkpoint (bad magic)")
@@ -91,7 +95,10 @@ def load_checkpoint(path) -> tuple[ModelParams, Vocabulary]:
     payload = raw[header_start + header_len :]
 
     cfg = ModelConfig.from_dict(header["config"])
-    vocab = Vocabulary.from_dict(header["vocab"])
+    try:
+        vocab = Vocabulary.from_dict(header["vocab"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed vocabulary in checkpoint ({exc!r})") from None
     params = ModelParams(
         cfg,
         header["n_entities"],
@@ -99,6 +106,7 @@ def load_checkpoint(path) -> tuple[ModelParams, Vocabulary]:
         rel_roles=dict(vocab.rel_roles),
         n_roles=vocab.n_roles,
     )
+    expected = params.slot_shapes()
     for entry in header["arrays"]:
         if not isinstance(entry, dict) or any(key not in entry for key in _ARRAY_KEYS):
             raise DataError(f"{path}: array entry {entry!r} lacks name, shape or offset")
@@ -110,10 +118,20 @@ def load_checkpoint(path) -> tuple[ModelParams, Vocabulary]:
                 f"{path}: truncated checkpoint (array {entry['name']!r} needs bytes "
                 f"{start}..{start + 8 * count} of a {len(payload)}-byte payload)"
             )
+        key = _parse_slot(entry["name"])
+        if expected.get(key) != shape:
+            wanted = f"needs {expected[key]}" if key in expected else "has no such slot"
+            raise DataError(
+                f"{path}: checkpoint array {entry['name']!r} has shape {shape}; "
+                f"the {cfg.mode_string()} model {wanted}"
+            )
         array = np.frombuffer(
             payload, dtype="<f8", count=count, offset=start
         ).reshape(shape).astype(np.float64)
-        params.data[_parse_slot(entry["name"])] = array
+        params.data[key] = array
+    missing = [_slot_name(key) for key in expected if key not in params.data]
+    if missing:
+        raise DataError(f"{path}: checkpoint lacks arrays {', '.join(sorted(missing))}")
     return params, vocab
 
 
@@ -159,7 +177,7 @@ def export_roles_csv(params: ModelParams, vocab: Vocabulary) -> str:
         + [f"v{i}" for i in range(d)]
     )
     for rel, (name, arity) in enumerate(vocab.relations):
-        terms = relation_terms(params, rel)
+        role_emb = relation_terms(params, [rel]).role_emb[0]
         for pos in range(arity):
             role_name = ""
             if vocab.roles and rel in vocab.rel_roles:
@@ -167,7 +185,7 @@ def export_roles_csv(params: ModelParams, vocab: Vocabulary) -> str:
             for j in range(params.cfg.role_multiplicity):
                 writer.writerow(
                     [name, arity, pos, j, role_name]
-                    + [repr(x) for x in terms.role_emb[pos, j]]
+                    + [repr(x) for x in role_emb[pos, j]]
                 )
     return out.getvalue()
 
@@ -183,11 +201,11 @@ def export_patterns_csv(params: ModelParams, vocab: Vocabulary) -> str:
         + [f"p{i}" for i in range(max_arity * m)]
     )
     for rel, (name, arity) in enumerate(vocab.relations):
-        terms = relation_terms(params, rel)
+        patterns = relation_terms(params, [rel]).patterns[0]
         for pos in range(arity):
             for j in range(params.cfg.role_multiplicity):
                 for k in range(params.cfg.patterns_per_role):
-                    values = terms.patterns[pos, j, k].reshape(-1)
+                    values = patterns[pos, j, k].reshape(-1)
                     row = [name, arity, pos, j, k] + [repr(x) for x in values]
                     row += [""] * (5 + max_arity * m - len(row))
                     writer.writerow(row)

@@ -7,7 +7,9 @@ products over that factor list give both the full product and every
 leave-one-out product without dividing (dropout can zero entries). Where the
 role embeddings and pattern matrices come from, and where their gradients
 go, is the business of the mode object (``model.mode_of``); this module
-never looks at the mode.
+never looks at the mode. A group asks for the terms of all its relations in
+one ``relation_terms`` call and hands their gradients back in one call to
+the mode's ``backward``, stacked on a leading relation axis.
 
 Candidate scoring replaces one position: the product of all other factors is
 contracted once against the entity table (or a gathered candidate table).
@@ -112,7 +114,7 @@ class GroupForward:
     spec: GroupSpec
     uniq_rels: np.ndarray
     rel_inverse: np.ndarray
-    terms: list[RelationTerms]
+    terms: RelationTerms  # stacked over uniq_rels
     pf: np.ndarray  # (B, T, a, m) pattern matrices per term
     wf: np.ndarray  # (B, T) term weights
     ent_blocks: np.ndarray  # (B, a, m, d)
@@ -126,6 +128,7 @@ class GroupForward:
     candidates: Optional[np.ndarray]  # (B, a, C) entity ids, col 0 = true
     cand_blocks: Optional[np.ndarray]  # (B, a, C, m, d)
     scores: np.ndarray  # (B, a, C) or (B, a, n_entities)
+    true_cols: np.ndarray  # (B, a) column of the true entity in `scores`
 
 
 def forward_group(
@@ -133,7 +136,6 @@ def forward_group(
     spec: GroupSpec,
     candidates: Optional[np.ndarray] = None,
     masks: Optional[np.ndarray] = None,
-    basis_cache: Optional[dict] = None,
 ) -> GroupForward:
     a = spec.arity
     b = len(spec.rels)
@@ -141,13 +143,8 @@ def forward_group(
     n_e, m, d = ent_table.shape
 
     uniq, inverse = np.unique(spec.rels, return_inverse=True)
-    if basis_cache is None:
-        basis_cache = {}
-    terms = [relation_terms(params, int(rel), basis_cache) for rel in uniq]
-    flat = [t.flat() for t in terms]
-    uf = np.stack([f[0] for f in flat])[inverse]  # (B, T, d)
-    pf = np.stack([f[1] for f in flat])[inverse]  # (B, T, a, m)
-    wf = np.stack([f[2] for f in flat])[inverse]  # (B, T)
+    terms = relation_terms(params, uniq)
+    uf, pf, wf = (x[inverse] for x in terms.flat())  # (B, T, d), (B, T, a, m), (B, T)
     n_terms = uf.shape[1]
 
     ent_blocks = ent_table[spec.ents]  # (B, a, m, d)
@@ -181,9 +178,11 @@ def forward_group(
         flat_gather = gather.reshape(b * a, m * d)
         scores = (flat_gather @ ent_table.reshape(n_e, m * d).T).reshape(b, a, n_e)
         cand_blocks = None
+        true_cols = spec.ents
     else:
         cand_blocks = ent_table[candidates]  # (B, a, C, m, d)
         scores = np.einsum("blcmd,blmd->blc", cand_blocks, gather, optimize=True)
+        true_cols = np.zeros((b, a), dtype=np.intp)
 
     return GroupForward(
         spec=spec,
@@ -203,27 +202,18 @@ def forward_group(
         candidates=candidates,
         cand_blocks=cand_blocks,
         scores=scores,
+        true_cols=true_cols,
     )
 
 
-def position_loss(scores: np.ndarray, true_col: int) -> float:
-    """Cross-entropy of the true column against all candidate scores."""
-    top = scores.max()
-    lse = top + np.log(np.exp(scores - top).sum())
-    return float(lse - scores[true_col])
+def group_losses(scores: np.ndarray, true_cols: np.ndarray) -> np.ndarray:
+    """Per-fact loss: sum over positions of the candidate cross-entropy.
 
-
-def group_losses(fwd: GroupForward) -> np.ndarray:
-    """Per-fact loss: sum over positions of the candidate cross-entropy."""
-    scores = fwd.scores
+    `scores` is (B, a, C) and `true_cols` (B, a) the true entity's column.
+    """
     top = scores.max(axis=-1)
     lse = top + np.log(np.exp(scores - top[..., None]).sum(axis=-1))
-    if fwd.candidates is None:
-        true_scores = np.take_along_axis(
-            scores, fwd.spec.ents[:, :, None], axis=-1
-        )[:, :, 0]
-    else:
-        true_scores = scores[:, :, 0]
+    true_scores = np.take_along_axis(scores, true_cols[:, :, None], axis=-1)[:, :, 0]
     return (lse - true_scores).sum(axis=1)
 
 
@@ -232,12 +222,9 @@ def _candidate_softmax_grad(fwd: GroupForward) -> np.ndarray:
     top = scores.max(axis=-1, keepdims=True)
     e = np.exp(scores - top)
     p = e / e.sum(axis=-1, keepdims=True)
-    if fwd.candidates is None:
-        np.subtract.at(p, (np.arange(p.shape[0])[:, None],
-                           np.arange(p.shape[1])[None, :],
-                           fwd.spec.ents), 1.0)
-    else:
-        p[:, :, 0] -= 1.0
+    b, a = fwd.true_cols.shape
+    # each (fact, position) pair appears once, so a plain indexed subtract
+    p[np.arange(b)[:, None], np.arange(a)[None, :], fwd.true_cols] -= 1.0
     return p
 
 

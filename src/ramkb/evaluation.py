@@ -124,11 +124,10 @@ def evaluate(
         raise DataError(f"split {split!r} is empty")
     start = time.perf_counter()
     ranks = []
-    basis_cache: dict = {}
     for lo in range(0, len(facts), batch_size):
         batch = facts[lo : lo + batch_size]
         for spec in split_groups(params, batch):
-            fwd = forward_group(params, spec, basis_cache=basis_cache)
+            fwd = forward_group(params, spec)
             for row, fact_idx in enumerate(spec.fact_index):
                 fact = batch[fact_idx]
                 for pos in range(spec.arity):

@@ -71,11 +71,8 @@ def check_batch(
 ) -> dict[str, float]:
     """Max relative error per parameter family for one fixed batch."""
     buf = GradientBuffer(params)
-    basis_cache: dict = {}
     for spec in split_groups(params, facts):
-        fwd = forward_group(
-            params, spec, candidates[spec.arity], masks[spec.arity], basis_cache
-        )
+        fwd = forward_group(params, spec, candidates[spec.arity], masks[spec.arity])
         backward_group(params, fwd, buf, 1.0 / len(facts))
 
     errors: dict[str, float] = {}
@@ -153,7 +150,9 @@ def _random_trial(seed: int, trial: int) -> tuple[ModelParams, list[Fact], dict,
 
     sampled = trial % 3 == 1
     negatives = int(rng.integers(1, n_entities)) if sampled else "full"
-    dropout = 0.3 if trial % 4 == 3 else 0.0
+    # every second pass through the mode list runs under dropout, so each
+    # mode gets dropout trials among the first 2 * len(modes)
+    dropout = 0.3 if trial // len(modes) % 2 == 1 else 0.0
     fact_rngs = [make_rng(seed, 8, trial, i) for i in range(len(facts))]
     candidates = {}
     masks = {}

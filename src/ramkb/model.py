@@ -5,9 +5,12 @@ embedding with the pattern-weighted embedding blocks of every entity in the
 fact; ``engine.forward_group`` evaluates that score for every mode. The modes
 differ only in where role embeddings and pattern matrices come from, and each
 mode is one object below with ``init`` (create its parameter slots),
-``terms`` (derive one relation's role embeddings, pattern matrices and term
-weights) and ``backward`` (pull the group's stacked per-relation gradients
-back onto its slots). :func:`mode_of` picks the object for a config:
+``terms`` (derive the role embeddings, pattern matrices and term weights of
+all the relations of one arity group at once, stacked on a leading relation
+axis) and ``backward`` (pull the group's stacked per-relation gradients back
+onto its slots, one contraction per parameter family). Slots stay per
+relation, so only reading and writing them loops over relations.
+:func:`mode_of` picks the object for a config:
 
 * ``latent``   - role embeddings are convex combinations of shared basis
   vectors, pattern matrices are convex combinations of the (jointly
@@ -22,8 +25,7 @@ back onto its slots). :func:`mode_of` picks the object for a config:
   embeddings are free vectors.
 * ``raw``      - role embeddings and pattern matrices are stored in the
   ``("raw_u", r)`` / ``("raw_p", r)`` slots and used verbatim without any
-  normalization; only built by the expressiveness construction, never
-  trained.
+  normalization; set by the expressiveness construction, never trained.
 """
 
 from __future__ import annotations
@@ -165,13 +167,21 @@ class ModelParams:
             n_roles=vocab.n_roles,
         )
         rng = make_rng(seed, _STREAM_INIT)
-
-        def gauss(*shape):
-            return rng.normal(0.0, INIT_STD, size=shape)
-
-        params.data[("ent",)] = gauss(vocab.n_entities, cfg.multiplicity, cfg.embed_dim)
-        mode_of(cfg).init(params, gauss)
+        params._create_slots(lambda *shape: rng.normal(0.0, INIT_STD, size=shape))
         return params
+
+    def _create_slots(self, gauss) -> None:
+        cfg = self.cfg
+        self.data[("ent",)] = gauss(self.n_entities, cfg.multiplicity, cfg.embed_dim)
+        mode_of(cfg).init(self, gauss)
+
+    def slot_shapes(self) -> dict[SlotKey, tuple]:
+        """Shape of every slot that this config and these relations call for."""
+        shell = ModelParams(
+            self.cfg, self.n_entities, self.rel_arity, self.rel_roles, self.n_roles
+        )
+        shell._create_slots(lambda *shape: np.broadcast_to(0.0, shape))
+        return {key: array.shape for key, array in shell.data.items()}
 
     @property
     def n_relations(self) -> int:
@@ -180,9 +190,6 @@ class ModelParams:
     def slots(self) -> list[SlotKey]:
         """Keys of every slot, in a stable order."""
         return sorted(self.data.keys(), key=repr)
-
-    def get(self, key: SlotKey) -> np.ndarray:
-        return self.data[key]
 
     def copy(self) -> "ModelParams":
         dup = ModelParams(
@@ -197,36 +204,31 @@ class ModelParams:
 
 @dataclass
 class RelationTerms:
-    """Derived per-relation quantities consumed by the scorer.
+    """Derived quantities of one arity group's relations, consumed by the scorer.
 
-    `role_emb` is (a, mg, d), `patterns` is (a, mg, npm, a, m) and `weights`
-    is (a, mg, npm). The softmax outputs that produced them are kept for the
-    backward pass.
+    Every array has a leading relation axis R: `role_emb` is (R, a, mg, d),
+    `patterns` is (R, a, mg, npm, a, m) and `weights` is (R, a, mg, npm). The
+    softmax outputs that produced them are kept for the backward pass.
     """
 
     role_emb: np.ndarray
     patterns: np.ndarray
     weights: np.ndarray
-    mix_alpha: Optional[np.ndarray] = None  # softmax(alpha): (a, mg, K)
-    mix_beta: Optional[np.ndarray] = None  # softmax(beta): (a, mg, npm, K)
+    mix_alpha: Optional[np.ndarray] = None  # softmax(alpha): (R, a, mg, K)
+    mix_beta: Optional[np.ndarray] = None  # softmax(beta): (R, a, mg, npm, K)
     norm_basis: Optional[np.ndarray] = None  # softmaxed basis matrices: (K, a, m)
-    role_ids: Optional[tuple[int, ...]] = None  # explicit mode
-
-    @property
-    def n_terms(self) -> int:
-        a, mg, npm = self.weights.shape
-        return a * mg * npm
+    role_ids: Optional[np.ndarray] = None  # explicit mode: (R, a)
 
     def flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Term-major views: (T, d), (T, a, m), (T,) with T = a * mg * npm."""
-        a, mg, npm = self.weights.shape
+        """Term-major views: (R, T, d), (R, T, a, m), (R, T) with T = a * mg * npm."""
+        r, a, mg, npm = self.weights.shape
         d = self.role_emb.shape[-1]
         m = self.patterns.shape[-1]
-        u = np.broadcast_to(self.role_emb[:, :, None, :], (a, mg, npm, d))
+        u = np.broadcast_to(self.role_emb[:, :, :, None, :], (r, a, mg, npm, d))
         return (
-            u.reshape(-1, d),
-            self.patterns.reshape(-1, a, m),
-            self.weights.reshape(-1),
+            u.reshape(r, -1, d),
+            self.patterns.reshape(r, -1, a, m),
+            self.weights.reshape(r, -1),
         )
 
 
@@ -238,10 +240,16 @@ def normalized_basis(params: ModelParams, arity: int) -> np.ndarray:
     return softmax_last_axis(raw.reshape(raw.shape[0], -1)).reshape(raw.shape)
 
 
-# Every mode's `backward` receives, for one arity group, the relations it
-# holds (`rels`), their `terms`, and the group's gradients stacked per
-# relation: role embeddings `gu` (R, a, mg, d), pattern matrices
-# `gp` (R, a, mg, npm, a, m) and term weights `gw` (R, a, mg, npm).
+def _stacked(params: ModelParams, family: str, rels) -> np.ndarray:
+    """The per-relation slots `(family, rel)` of `rels`, stacked on axis 0."""
+    return np.stack([params.data[(family, int(rel))] for rel in rels])
+
+
+# Every mode's `terms` receives the relations of one arity group (`rels`);
+# its `backward` receives those relations, their `terms`, and the group's
+# gradients stacked per relation: role embeddings `gu` (R, a, mg, d),
+# pattern matrices `gp` (R, a, mg, npm, a, m) and term weights
+# `gw` (R, a, mg, npm).
 
 
 class _Latent:
@@ -262,64 +270,46 @@ class _Latent:
                 params.data[("beta", rel)] = np.zeros((a, mg, npm, k))
                 params.data[("omega", rel)] = np.ones((a, mg, npm))
 
-    def terms(self, params: ModelParams, rel: int, basis_cache) -> RelationTerms:
-        a = params.arity_of(rel)
-        if basis_cache is not None and a in basis_cache:
-            q = basis_cache[a]
-        else:
-            q = normalized_basis(params, a)
-            if basis_cache is not None:
-                basis_cache[a] = q
-        mix_a = softmax_last_axis(params.data[("alpha", rel)])  # (a, mg, K)
-        role_emb = np.einsum("ijk,kd->ijd", mix_a, params.data[("basis_u",)])
-        if not self.extended:
-            patterns = np.einsum("ijk,kxm->ijxm", mix_a, q)[:, :, None, :, :]
-            return RelationTerms(
-                role_emb,
-                patterns,
-                np.ones(patterns.shape[:3]),
-                mix_alpha=mix_a,
-                norm_basis=q,
-            )
-        mix_b = softmax_last_axis(params.data[("beta", rel)])  # (a, mg, npm, K)
-        patterns = np.einsum("ijlk,kxm->ijlxm", mix_b, q)
+    def terms(self, params: ModelParams, rels) -> RelationTerms:
+        q = normalized_basis(params, params.arity_of(int(rels[0])))  # (K, a, m)
+        k = q.shape[0]
+        mix_a = softmax_last_axis(_stacked(params, "alpha", rels))  # (R, a, mg, K)
+        mix_b = softmax_last_axis(_stacked(params, "beta", rels)) if self.extended else None
+        mix_p = mix_a[:, :, :, None] if mix_b is None else mix_b  # (R, a, mg, npm, K)
+        patterns = (mix_p @ q.reshape(k, -1)).reshape(mix_p.shape[:-1] + q.shape[1:])
         return RelationTerms(
-            role_emb,
+            mix_a @ params.data[("basis_u",)],
             patterns,
-            params.data[("omega", rel)],
+            _stacked(params, "omega", rels) if self.extended else np.ones(mix_p.shape[:-1]),
             mix_alpha=mix_a,
             mix_beta=mix_b,
             norm_basis=q,
         )
 
     def backward(self, params, rels, terms, gu, gp, gw, buf) -> None:
-        a = gu.shape[1]
-        basis_u = params.data[("basis_u",)]
-        grad_norm_basis = np.zeros_like(terms[0].norm_basis)
+        a, d = gu.shape[1], gu.shape[-1]
+        q = terms.norm_basis
+        k = q.shape[0]
+        q_flat = q.reshape(k, -1)
+        mix_a = terms.mix_alpha
+        mix_p = mix_a[:, :, :, None] if terms.mix_beta is None else terms.mix_beta
+        gp = gp.reshape(mix_p.shape[:-1] + (-1,))  # (R, a, mg, npm, a * m)
+        buf.add(("basis_u",), mix_a.reshape(-1, k).T @ gu.reshape(-1, d))
+        grad_q = mix_p.reshape(-1, k).T @ gp.reshape(-1, q_flat.shape[1])
+        buf.add(("basis_p", a), softmax_vjp(q_flat, grad_q).reshape(q.shape))
+        grad_mix_a = gu @ params.data[("basis_u",)].T
+        grad_mix_p = gp @ q_flat.T
+        if self.extended:
+            grad_beta = softmax_vjp(terms.mix_beta, grad_mix_p)
+        else:
+            grad_mix_a += grad_mix_p[:, :, :, 0]
+        grad_alpha = softmax_vjp(mix_a, grad_mix_a)
         for r, rel in enumerate(rels):
             rel = int(rel)
-            t = terms[r]
-            buf.add(("basis_u",), np.einsum("ijk,ijd->kd", t.mix_alpha, gu[r],
-                                            optimize=True))
-            grad_mix_a = np.einsum("kd,ijd->ijk", basis_u, gu[r], optimize=True)
-            if not self.extended:
-                gp_r = gp[r][:, :, 0]  # (a, mg, a, m)
-                grad_norm_basis += np.einsum("ijk,ijxm->kxm", t.mix_alpha, gp_r,
-                                             optimize=True)
-                grad_mix_a += np.einsum("kxm,ijxm->ijk", t.norm_basis, gp_r,
-                                        optimize=True)
-            else:
-                grad_norm_basis += np.einsum("ijlk,ijlxm->kxm", t.mix_beta, gp[r],
-                                             optimize=True)
-                grad_mix_b = np.einsum("kxm,ijlxm->ijlk", t.norm_basis, gp[r],
-                                       optimize=True)
-                buf.add(("beta", rel), softmax_vjp(t.mix_beta, grad_mix_b))
+            buf.add(("alpha", rel), grad_alpha[r])
+            if self.extended:
+                buf.add(("beta", rel), grad_beta[r])
                 buf.add(("omega", rel), gw[r])
-            buf.add(("alpha", rel), softmax_vjp(t.mix_alpha, grad_mix_a))
-        k = grad_norm_basis.shape[0]
-        norm = terms[0].norm_basis.reshape(k, -1)
-        raw = softmax_vjp(norm, grad_norm_basis.reshape(k, -1))
-        buf.add(("basis_p", a), raw.reshape(grad_norm_basis.shape))
 
 
 class _Explicit:
@@ -335,23 +325,21 @@ class _Explicit:
             if rel not in params.rel_roles:
                 raise ConfigError(f"relation {rel} lacks role annotations")
 
-    def terms(self, params: ModelParams, rel: int, basis_cache) -> RelationTerms:
-        a = params.arity_of(rel)
-        roles = params.rel_roles.get(rel)
-        if roles is None:
-            raise ConfigError(f"relation {rel} has no role annotations")
-        role_emb = params.data[("role_vec",)][list(roles)][:, None, :]
-        raw_pat = params.data[("role_pat", a)][list(roles)]  # (a, a, m)
-        patterns = softmax_last_axis(raw_pat.reshape(a, -1)).reshape(raw_pat.shape)
+    def terms(self, params: ModelParams, rels) -> RelationTerms:
+        # init (and so every loaded checkpoint) checks that all relations have roles
+        roles = np.array([params.rel_roles[int(rel)] for rel in rels], dtype=np.intp)
+        n_rel, a = roles.shape
+        role_emb = params.data[("role_vec",)][roles][:, :, None, :]  # (R, a, 1, d)
+        raw_pat = params.data[("role_pat", a)][roles]  # (R, a, a, m)
+        patterns = softmax_last_axis(raw_pat.reshape(n_rel, a, -1)).reshape(raw_pat.shape)
         return RelationTerms(
-            role_emb, patterns[:, None, None], np.ones((a, 1, 1)), role_ids=roles
+            role_emb, patterns[:, :, None, None], np.ones((n_rel, a, 1, 1)), role_ids=roles
         )
 
     def backward(self, params, rels, terms, gu, gp, gw, buf) -> None:
         n_rel, a, m = gp.shape[0], gp.shape[1], gp.shape[-1]
-        roles = np.array([t.role_ids for t in terms], dtype=np.intp).reshape(-1)
-        patterns = np.stack([t.patterns[:, 0, 0] for t in terms])  # (R, a, a, m)
-        raw = softmax_vjp(patterns.reshape(n_rel * a, -1),
+        roles = terms.role_ids.reshape(-1)
+        raw = softmax_vjp(terms.patterns[:, :, 0, 0].reshape(n_rel * a, -1),
                           gp[:, :, 0, 0].reshape(n_rel * a, -1))
         buf.add_rows(("role_vec",), roles, gu[:, :, 0].reshape(n_rel * a, -1))
         buf.add_rows(("role_pat", a), roles, raw.reshape(n_rel * a, a, m))
@@ -373,8 +361,13 @@ class _Preset:
                 2, params.cfg.role_multiplicity, params.cfg.embed_dim
             )
 
-    def terms(self, params: ModelParams, rel: int, basis_cache) -> RelationTerms:
-        return RelationTerms(params.data[("preset_u", rel)], self.patterns, self.signs)
+    def terms(self, params: ModelParams, rels) -> RelationTerms:
+        n_rel = len(rels)
+        return RelationTerms(
+            _stacked(params, "preset_u", rels),
+            np.broadcast_to(self.patterns, (n_rel,) + self.patterns.shape),
+            np.broadcast_to(self.signs, (n_rel,) + self.signs.shape),
+        )
 
     def backward(self, params, rels, terms, gu, gp, gw, buf) -> None:
         for r, rel in enumerate(rels):
@@ -385,14 +378,18 @@ class _Raw:
     """Verbatim role vectors and pattern matrices from the construction."""
 
     def init(self, params: ModelParams, gauss) -> None:
-        raise ConfigError("raw-mode parameters are constructed, not initialized")
+        # the construction sets these values; init only fixes the slots' shapes
+        cfg = params.cfg
+        for rel, a in enumerate(params.rel_arity):
+            params.data[("raw_u", rel)] = gauss(a, cfg.embed_dim)
+            params.data[("raw_p", rel)] = gauss(a, a, cfg.multiplicity)
 
-    def terms(self, params: ModelParams, rel: int, basis_cache) -> RelationTerms:
-        a = params.arity_of(rel)
+    def terms(self, params: ModelParams, rels) -> RelationTerms:
+        raw_u = _stacked(params, "raw_u", rels)  # (R, a, d)
         return RelationTerms(
-            params.data[("raw_u", rel)][:, None, :],
-            params.data[("raw_p", rel)][:, None, None, :, :],
-            np.ones((a, 1, 1)),
+            raw_u[:, :, None, :],
+            _stacked(params, "raw_p", rels)[:, :, None, None],
+            np.ones(raw_u.shape[:2] + (1, 1)),
         )
 
     def backward(self, params, rels, terms, gu, gp, gw, buf) -> None:
@@ -413,34 +410,32 @@ def mode_of(cfg: ModelConfig):
     return _MODE_OBJECTS[cfg.mode_string()]
 
 
-def relation_terms(
-    params: ModelParams,
-    rel: int,
-    basis_cache: Optional[dict[int, np.ndarray]] = None,
-) -> RelationTerms:
-    """Role embeddings, pattern matrices and term weights for one relation."""
-    return mode_of(params.cfg).terms(params, rel, basis_cache)
+def relation_terms(params: ModelParams, rels) -> RelationTerms:
+    """Stacked role embeddings, pattern matrices and term weights of `rels`.
+
+    `rels` are relation ids of one arity; every returned array has a leading
+    axis over them.
+    """
+    return mode_of(params.cfg).terms(params, rels)
 
 
-def role_embedding(params: ModelParams, rel: int, position: int) -> np.ndarray:
-    """Embedding of one role slot; convex basis mixture in latent mode."""
-    terms = relation_terms(params, rel)
+def _slot_terms(params: ModelParams, rel: int, position: int) -> RelationTerms:
     if not 0 <= position < params.arity_of(rel):
         raise DimensionError(
             f"position {position} out of range for arity {params.arity_of(rel)}"
         )
-    emb = terms.role_emb[position]
+    return relation_terms(params, [rel])
+
+
+def role_embedding(params: ModelParams, rel: int, position: int) -> np.ndarray:
+    """Embedding of one role slot; convex basis mixture in latent mode."""
+    emb = _slot_terms(params, rel, position).role_emb[0, position]
     return emb[0] if emb.shape[0] == 1 else emb
 
 
 def pattern_matrix(params: ModelParams, rel: int, position: int) -> np.ndarray:
     """Pattern matrix of one role slot, shape (arity, multiplicity)."""
-    terms = relation_terms(params, rel)
-    if not 0 <= position < params.arity_of(rel):
-        raise DimensionError(
-            f"position {position} out of range for arity {params.arity_of(rel)}"
-        )
-    pat = terms.patterns[position]
+    pat = _slot_terms(params, rel, position).patterns[0, position]
     if pat.shape[0] == 1 and pat.shape[1] == 1:
         return pat[0, 0]
     return pat

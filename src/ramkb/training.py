@@ -172,7 +172,6 @@ def batch_loss(
     same corruption sets and dropout draws.
     """
     total = 0.0
-    basis_cache: dict = {}
     for spec in split_groups(params, facts):
         cand = (
             candidates[spec.arity]
@@ -180,8 +179,8 @@ def batch_loss(
             else _group_candidates(spec, facts, params.n_entities, negatives, fact_rngs)
         )
         mask = masks[spec.arity] if masks is not None else None
-        fwd = forward_group(params, spec, cand, mask, basis_cache)
-        total += float(group_losses(fwd).sum())
+        fwd = forward_group(params, spec, cand, mask)
+        total += float(group_losses(fwd.scores, fwd.true_cols).sum())
     return total / len(facts)
 
 
@@ -197,13 +196,12 @@ def batch_backward(
         raise ConfigError("empty batch")
     scale = 1.0 / len(facts)
     buf = GradientBuffer(params)
-    basis_cache: dict = {}
     total = 0.0
     for spec in split_groups(params, facts):
         cand = _group_candidates(spec, facts, params.n_entities, negatives, fact_rngs)
         mask = _group_masks(spec, params, dropout, fact_rngs)
-        fwd = forward_group(params, spec, cand, mask, basis_cache)
-        total += float(group_losses(fwd).sum())
+        fwd = forward_group(params, spec, cand, mask)
+        total += float(group_losses(fwd.scores, fwd.true_cols).sum())
         backward_group(params, fwd, buf, scale)
 
     loss = total * scale

@@ -143,6 +143,19 @@ def test_malformed_header_is_data_error(tmp_path):
         },
         "entry-not-object": {**header, "arrays": ["ent"]},
         "bad-slot-name": {**header, "arrays": [{**entry, "name": "ent/x"}]},
+        "vocab-without-entities": {
+            **header, "vocab": {k: v for k, v in header["vocab"].items() if k != "entities"}
+        },
+        "no-arrays-listed": {**header, "arrays": []},
+        "ent-wrong-shape": {
+            **header,
+            "arrays": [{**e, "shape": [1, 3, 3]} if e["name"] == "ent" else e
+                       for e in header["arrays"]],
+        },
+        "no-basis-p": {
+            **header,
+            "arrays": [e for e in header["arrays"] if not e["name"].startswith("basis_p")],
+        },
     }
     for name, bad_header in headers.items():
         blob = json.dumps(bad_header).encode("utf-8")

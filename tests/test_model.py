@@ -278,13 +278,33 @@ class TestScoreBatchPosition:
 
 
 def test_batched_phi_matches_per_fact_score(toy_kb):
+    from ramkb.expressive import GroundTruth, construct
+
     cfg = ModelConfig(embed_dim=4, multiplicity=2, latent_size=3)
-    params = ModelParams.init(cfg, toy_kb.vocab, seed=20)
-    for spec in split_groups(params, toy_kb.train):
-        phi = forward_group(params, spec).phi
-        for row, fact_idx in enumerate(spec.fact_index):
-            fact = toy_kb.train[fact_idx]
-            assert phi[row] == pytest.approx(score(params, fact), abs=1e-15)
+    cases = [(ModelParams.init(cfg, toy_kb.vocab, seed=20), toy_kb.train)]
+    # groups that stack several relations, each with its own mixing weights
+    arities = (2, 2, 3, 3, 3)
+    for mode_str in ("latent", "extended", "explicit", "preset:ComplEx"):
+        mode, preset = ModelConfig.parse_mode(mode_str)
+        extra = {"role_multiplicity": 2, "patterns_per_role": 2} if mode == "extended" else {}
+        cfg = ModelConfig(embed_dim=4, multiplicity=2, latent_size=3, mode=mode,
+                          preset=preset, **extra)
+        vocab = make_vocab(8, (2, 2, 2) if preset else arities,
+                           explicit_roles=mode == "explicit")
+        cases.append((randomized_params(cfg, vocab, seed=21), random_facts(vocab, 30, seed=22)))
+    vocab = make_vocab(8, arities)
+    facts = random_facts(vocab, 12, seed=23)
+    cases.append((construct(GroundTruth(tuple(facts), vocab)), facts))
+
+    for params, facts in cases[1:]:
+        specs = split_groups(params, facts)
+        assert max(len(np.unique(spec.rels)) for spec in specs) > 1, params.cfg.mode
+    for params, facts in cases:
+        for spec in split_groups(params, facts):
+            phi = forward_group(params, spec).phi
+            for row, fact_idx in enumerate(spec.fact_index):
+                fact = facts[fact_idx]
+                assert phi[row] == pytest.approx(score(params, fact), abs=1e-15)
 
 
 def test_scoring_time_roughly_linear_in_embedding_dim():

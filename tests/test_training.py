@@ -8,12 +8,12 @@ from ramkb.engine import (
     GradientBuffer,
     backward_group,
     forward_group,
-    position_loss,
+    group_losses,
     score,
     split_groups,
 )
 from ramkb.errors import ConfigError, NumericError
-from ramkb.gradcheck import check_batch, run_gradcheck
+from ramkb.gradcheck import _random_trial, check_batch, run_gradcheck
 from ramkb.kb import Fact, KnowledgeBase, Vocabulary, build_kb, parse_tabular
 from ramkb.mathcore import make_rng
 from ramkb.model import ModelConfig, ModelParams
@@ -77,7 +77,8 @@ class TestLoss:
         assert batch_loss(params, [fact]) == pytest.approx(expected, rel=1e-9)
 
     def test_dominant_true_score_drives_loss_to_zero(self):
-        assert position_loss(np.array([1000.0, 0.0, -5.0]), 0) == pytest.approx(0.0, abs=1e-12)
+        loss = group_losses(np.array([[[1000.0, 0.0, -5.0]]]), np.array([[0]]))[0]
+        assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_naive_composition(self):
         vocab = make_vocab(5, (2, 3))
@@ -92,8 +93,9 @@ class TestLoss:
     def test_shift_invariance_of_position_loss(self):
         rng = make_rng(4)
         scores = rng.normal(size=12)
-        base = position_loss(scores, 3)
-        shifted = position_loss(scores + 123.456, 3)
+        true_cols = np.array([[3]])
+        base = group_losses(scores[None, None], true_cols)[0]
+        shifted = group_losses(scores[None, None] + 123.456, true_cols)[0]
         assert shifted == pytest.approx(base, abs=1e-9)
 
     def test_sampled_equals_full_when_clipped_to_whole_vocab(self):
@@ -159,6 +161,15 @@ class TestBackward:
     def test_gradcheck_across_modes(self):
         report = run_gradcheck(trials=8, seed=1)
         assert report.passed, report.family_errors
+
+    def test_default_gradcheck_trials_cover_every_mode_under_dropout(self):
+        modes, with_dropout = set(), set()
+        for trial in range(20):  # `ram gradcheck`'s default trial count
+            params, _, _, masks = _random_trial(0, trial)
+            modes.add(params.cfg.mode_string())
+            if any(mask is not None for mask in masks.values()):
+                with_dropout.add(params.cfg.mode_string())
+        assert with_dropout == modes
 
     def test_independent_finite_difference_via_naive_loss(self):
         # fully test-side check: naive loss + manual central differences on
