@@ -17,13 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .kb import Vocabulary
 from .model import ModelConfig, ModelParams, SlotKey, relation_terms
 
 MAGIC = b"RAMCKPT1"
 _HEADER_KEYS = ("config", "vocab", "n_entities", "rel_arity", "arrays")
-_ARRAY_KEYS = ("name", "shape", "offset")
 
 
 def _slot_name(key: SlotKey) -> str:
@@ -36,6 +35,21 @@ def _parse_slot(name: str) -> SlotKey:
         return (parts[0], *[int(p) for p in parts[1:]])
     except ValueError:
         raise DataError(f"bad slot name {name!r} in checkpoint") from None
+
+
+def _is_count(value, least: int = 0) -> bool:
+    """A JSON integer (not a boolean) of at least `least`."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _header_config(path, data) -> ModelConfig:
+    int_fields = [f for f in ModelConfig.__dataclass_fields__.values() if f.type == "int"]
+    if not isinstance(data, dict) or not all(_is_count(data.get(f.name, 1)) for f in int_fields):
+        raise DataError(f"{path}: checkpoint config {data!r} is not a model config")
+    try:
+        return ModelConfig.from_dict(data)
+    except ConfigError as exc:
+        raise DataError(f"{path}: bad model config in checkpoint ({exc})") from None
 
 
 def save_checkpoint(path, params: ModelParams, vocab: Vocabulary) -> None:
@@ -68,8 +82,9 @@ def save_checkpoint(path, params: ModelParams, vocab: Vocabulary) -> None:
 def load_checkpoint(path) -> tuple[ModelParams, Vocabulary]:
     """Read a checkpoint; a truncated or malformed file raises DataError.
 
-    Malformed includes arrays that are not exactly the slots, by name and
-    shape, that the header's config and relations call for.
+    Malformed includes a header field of the wrong type, a config that
+    ModelConfig rejects, and arrays that are not exactly the slots, by name
+    and shape, that the header's config and relations call for.
     """
     raw = Path(path).read_bytes()
     if raw[: len(MAGIC)] != MAGIC:
@@ -93,27 +108,47 @@ def load_checkpoint(path) -> tuple[ModelParams, Vocabulary]:
     if missing:
         raise DataError(f"{path}: checkpoint header lacks {', '.join(missing)}")
     payload = raw[header_start + header_len :]
+    n_entities, rel_arity = header["n_entities"], header["rel_arity"]
+    if not _is_count(n_entities):
+        raise DataError(f"{path}: checkpoint n_entities {n_entities!r} is not a count")
+    if not isinstance(rel_arity, list) or not all(_is_count(a, 2) for a in rel_arity):
+        raise DataError(f"{path}: checkpoint rel_arity {rel_arity!r} is not a list of arities")
+    if not isinstance(header["arrays"], list):
+        raise DataError(f"{path}: checkpoint arrays {header['arrays']!r} is not a list")
 
-    cfg = ModelConfig.from_dict(header["config"])
+    cfg = _header_config(path, header["config"])
     try:
         vocab = Vocabulary.from_dict(header["vocab"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed vocabulary in checkpoint ({exc!r})") from None
+    if n_entities != vocab.n_entities or rel_arity != [a for _, a in vocab.relations]:
+        raise DataError(
+            f"{path}: checkpoint n_entities or rel_arity disagrees with its vocabulary"
+        )
     params = ModelParams(
         cfg,
-        header["n_entities"],
-        header["rel_arity"],
+        n_entities,
+        rel_arity,
         rel_roles=dict(vocab.rel_roles),
         n_roles=vocab.n_roles,
     )
     expected = params.slot_shapes()
     for entry in header["arrays"]:
-        if not isinstance(entry, dict) or any(key not in entry for key in _ARRAY_KEYS):
-            raise DataError(f"{path}: array entry {entry!r} lacks name, shape or offset")
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(_is_count(n) for n in entry["shape"])
+            and _is_count(entry.get("offset"))
+        ):
+            raise DataError(
+                f"{path}: array entry {entry!r} needs a string name, a list of counts "
+                "as shape and a count as offset"
+            )
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
-        if start < 0 or start + 8 * count > len(payload):
+        if start + 8 * count > len(payload):
             raise DataError(
                 f"{path}: truncated checkpoint (array {entry['name']!r} needs bytes "
                 f"{start}..{start + 8 * count} of a {len(payload)}-byte payload)"

@@ -69,7 +69,11 @@ def _coerce(field_type: str, value: str):
 
 
 def load_configs(config_path: Path | None, overrides: dict) -> tuple[ModelConfig, TrainConfig]:
-    """Build model/train configs from a key=value file plus CLI overrides."""
+    """Build training configs from a key=value file plus CLI overrides.
+
+    Raw mode is rejected: it holds the expressiveness construction's fixed
+    values and has no gradients.
+    """
     raw = _read_config_file(config_path) if config_path else {}
     raw.update({k: v for k, v in overrides.items() if v is not None})
     model_fields = {f.name: f for f in fields(ModelConfig)}
@@ -96,7 +100,10 @@ def load_configs(config_path: Path | None, overrides: dict) -> tuple[ModelConfig
                 raise ConfigError(f"bad value for {key}: {value!r}") from exc
         else:
             raise ConfigError(f"unknown config key {key!r}")
-    return ModelConfig(**model_kwargs), TrainConfig(**train_kwargs)
+    model_cfg = ModelConfig(**model_kwargs)
+    if model_cfg.mode == "raw":
+        raise ConfigError("raw mode is a fixed construction and cannot be trained")
+    return model_cfg, TrainConfig(**train_kwargs)
 
 
 def _sniff_and_parse(path: Path):

@@ -1,20 +1,25 @@
-"""Filtered link-prediction ranking: MRR and Hit@k with per-arity breakdown."""
+"""Filtered link-prediction ranking: MRR and Hit@k with per-arity breakdown.
+
+Each arity group's (B, a, n_entities) full-table scores are ranked in one array
+pass (:func:`rank_from_scores`); :func:`rank` is the same path for one fact.
+"""
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .engine import forward_group, score_batch_position, split_groups
-from .errors import DataError
+from .engine import forward_group, split_groups
+from .errors import DataError, DimensionError
 from .kb import Fact, KnowledgeBase
 from .model import ModelParams
 
 HIT_LEVELS = (1, 3, 10)
+EVAL_BATCH = 256  # facts scored per batch; each arity group's scores span the whole table
 
 
 @dataclass
@@ -73,18 +78,29 @@ class EvalReport:
         return "\n".join(rows)
 
 
-def rank_from_scores(scores: np.ndarray, mask: np.ndarray, true_entity: int) -> int:
-    """Optimistic filtered rank: 1 + count of candidates scoring strictly higher."""
-    true_score = scores[true_entity]
-    better = scores[mask] > true_score
-    return 1 + int(better.sum())
+def rank_from_scores(kb: KnowledgeBase, facts: list[Fact], scores: np.ndarray) -> np.ndarray:
+    """Optimistic filtered ranks (B, a) of facts of one arity.
+
+    `scores` (B, a, n_entities) are the facts' full-table scores. A rank is 1
+    plus the number of entities scoring strictly above the true one, less the
+    known-true entities filtered out of that query that do.
+    """
+    ents = np.array([fact.entities for fact in facts], dtype=np.intp)
+    true = np.take_along_axis(scores, ents[:, :, None], axis=2)  # (B, a, 1)
+    above = np.count_nonzero(scores > true, axis=2).reshape(-1)
+    query, entity = kb.filtered_candidates(facts)
+    known_above = scores.reshape(above.size, -1)[query, entity] > true.reshape(-1)[query]
+    above -= np.bincount(query[known_above], minlength=above.size)
+    return 1 + above.reshape(ents.shape)
 
 
 def rank(params: ModelParams, kb: KnowledgeBase, fact: Fact, position: int) -> int:
     """Filtered rank of the fact's entity at one position."""
-    scores = score_batch_position(params, fact, position)
-    mask = kb.filtered_candidates(fact, position)
-    return rank_from_scores(scores, mask, fact.entities[position])
+    spec = split_groups(params, [fact])[0]
+    if not 0 <= position < spec.arity:
+        raise DimensionError(f"position {position} out of range for arity {spec.arity}")
+    scores = forward_group(params, spec).scores
+    return int(rank_from_scores(kb, [fact], scores)[0, position])
 
 
 def report_from_ranks(
@@ -112,32 +128,17 @@ def report_from_ranks(
     return EvalReport(mrr, hits, per_arity, int(all_ranks.size), seconds)
 
 
-def evaluate(
-    params: ModelParams,
-    kb: KnowledgeBase,
-    split: str = "test",
-    batch_size: int = 256,
-) -> EvalReport:
+def evaluate(params: ModelParams, kb: KnowledgeBase, split: str = "test") -> EvalReport:
     """Filtered MRR / Hit@k over every position of every fact in a split."""
     facts = kb.split(split)
     if not facts:
         raise DataError(f"split {split!r} is empty")
     start = time.perf_counter()
-    ranks = []
-    for lo in range(0, len(facts), batch_size):
-        batch = facts[lo : lo + batch_size]
+    ranks: list[tuple[int, int]] = []
+    for lo in range(0, len(facts), EVAL_BATCH):
+        batch = facts[lo : lo + EVAL_BATCH]
         for spec in split_groups(params, batch):
-            fwd = forward_group(params, spec)
-            for row, fact_idx in enumerate(spec.fact_index):
-                fact = batch[fact_idx]
-                for pos in range(spec.arity):
-                    mask = kb.filtered_candidates(fact, pos)
-                    ranks.append(
-                        (
-                            spec.arity,
-                            rank_from_scores(
-                                fwd.scores[row, pos], mask, fact.entities[pos]
-                            ),
-                        )
-                    )
+            group = [batch[i] for i in spec.fact_index]
+            group_ranks = rank_from_scores(kb, group, forward_group(params, spec).scores)
+            ranks.extend((spec.arity, r) for r in group_ranks.ravel().tolist())
     return report_from_ranks(ranks, seconds=time.perf_counter() - start)

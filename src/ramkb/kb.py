@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -247,20 +247,21 @@ class KnowledgeBase:
     def true_entities_at(self, fact: Fact, position: int) -> set[int]:
         return self.truth.get(_truth_key(fact, position), set())
 
-    def filtered_candidates(self, fact: Fact, position: int) -> np.ndarray:
-        """Boolean mask of ranking candidates at one slot of a fact.
+    def filtered_candidates(self, facts: list[Fact]) -> tuple[np.ndarray, np.ndarray]:
+        """Entities filtered out of the ranking queries of facts of one arity.
 
-        Entities known true at this slot (in any split) are excluded, except
-        the queried fact's own entity, which is always a candidate.
+        Query ``i * a + p`` is slot p of ``facts[i]``. Returns flat (query,
+        entity) index arrays of every entity known true at a query's slot (in
+        any split) other than the queried fact's own entity there; every
+        other entity is a ranking candidate.
         """
-        if not 0 <= position < fact.arity:
-            raise IndexError(f"position {position} out of range for arity {fact.arity}")
-        mask = np.ones(self.vocab.n_entities, dtype=bool)
-        known = self.truth.get(_truth_key(fact, position))
-        if known:
-            mask[list(known)] = False
-        mask[fact.entities[position]] = True
-        return mask
+        queries, entities = [], []
+        for i, fact in enumerate(facts):
+            for pos, own in enumerate(fact.entities):
+                known = self.true_entities_at(fact, pos) - {own}
+                queries.extend([i * fact.arity + pos] * len(known))
+                entities.extend(known)
+        return np.array(queries, dtype=np.intp), np.array(entities, dtype=np.intp)
 
     def stats(self) -> dict:
         arity_hist: dict[int, int] = {}

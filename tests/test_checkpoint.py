@@ -156,6 +156,32 @@ def test_malformed_header_is_data_error(tmp_path):
             **header,
             "arrays": [e for e in header["arrays"] if not e["name"].startswith("basis_p")],
         },
+        "n-entities-string": {**header, "n_entities": "5"},
+        "n-entities-float": {**header, "n_entities": 2.5},
+        "n-entities-negative": {**header, "n_entities": -1},
+        "rel-arity-int": {**header, "rel_arity": 7},
+        "rel-arity-string-entry": {**header, "rel_arity": [2, "3"]},
+        "config-int": {**header, "config": 5},
+        "config-embed-dim-string": {**header, "config": {**header["config"], "embed_dim": "3"}},
+        "config-unknown-mode": {**header, "config": {**header["config"], "mode": "bogus"}},
+        "shape-string": {**header, "arrays": [{**entry, "shape": "ab"}]},
+        "offset-string": {**header, "arrays": [{**entry, "offset": "0"}]},
+        "name-int": {**header, "arrays": [{**entry, "name": 5}]},
+        # well-formed models whose sizes differ from the header's vocabulary
+        "n-entities-not-vocab": {
+            **header,
+            "n_entities": 4,
+            "arrays": [{**e, "shape": [4, *e["shape"][1:]]} if e["name"] == "ent" else e
+                       for e in header["arrays"]],
+        },
+        "rel-arity-not-vocab": {
+            **header,
+            "rel_arity": [2, 2],
+            "arrays": header["arrays"] + [
+                {**e, "name": e["name"].replace("/0", "/1")}
+                for e in header["arrays"] if e["name"].endswith("/0")
+            ],
+        },
     }
     for name, bad_header in headers.items():
         blob = json.dumps(bad_header).encode("utf-8")

@@ -59,3 +59,12 @@ def test_threads_is_not_an_option(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv[:-2] + ["--threads", "2"])
     assert exc.value.code == 2
+
+
+def test_raw_mode_is_rejected_before_anything_is_written(tmp_path):
+    data, config = write_dataset(tmp_path)
+    run = tmp_path / "run"
+    argv = ["train", "--data-dir", str(data), "--out", str(run), "--config", str(config),
+            "--mode", "raw"]
+    assert cli.main(argv) == 2
+    assert not (run / "manifest.json").exists()

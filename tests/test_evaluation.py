@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import sort_rank
+from oracles import brute_force_candidates, sort_rank
 from ramkb.engine import score_batch_position
-from ramkb.errors import DataError
+from ramkb.errors import DataError, DimensionError
 from ramkb.evaluation import EvalReport, evaluate, rank, report_from_ranks
 from ramkb.kb import Fact, KnowledgeBase, build_kb, parse_tabular
 from ramkb.model import ModelConfig, ModelParams
@@ -48,9 +48,19 @@ def test_rank_matches_sort_oracle_on_toy_kb():
     for fact in kb.test:
         for pos in range(fact.arity):
             scores = score_batch_position(params, fact, pos)
-            mask = kb.filtered_candidates(fact, pos)
+            mask = brute_force_candidates(kb, fact, pos)
             expected = sort_rank(list(scores), mask, fact.entities[pos])
             assert rank(params, kb, fact, pos) == expected
+
+
+def test_rank_rejects_bad_position():
+    kb = random_kb(6, (2, 3), n_train=6, n_test=2, seed=5)
+    cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
+    params = ModelParams.init(cfg, kb.vocab, seed=0)
+    fact = kb.train[0]
+    for pos in (-1, fact.arity):
+        with pytest.raises(DimensionError):
+            rank(params, kb, fact, pos)
 
 
 def test_report_hand_case():
@@ -79,18 +89,44 @@ def test_evaluate_counts_all_positions_per_arity():
         assert stats.n_queries == sum(f.arity for f in kb.test if f.arity == arity)
 
 
+def oracle_ranks(params, kb):
+    """Per-query (arity, rank) by sorting each filtered candidate list, plus
+    how many filtered-out entities outscore a true one and how many
+    candidates tie with it."""
+    ranks, filtered_above, ties = [], 0, 0
+    for fact in kb.test:
+        for pos in range(fact.arity):
+            scores = score_batch_position(params, fact, pos)
+            mask = brute_force_candidates(kb, fact, pos)
+            true_score = scores[fact.entities[pos]]
+            filtered_above += int((scores[~mask] > true_score).sum())
+            ties += int((scores[mask] == true_score).sum()) - 1
+            ranks.append((fact.arity, sort_rank(list(scores), mask, fact.entities[pos])))
+    return ranks, filtered_above, ties
+
+
 def test_evaluate_matches_per_query_rank():
-    kb = random_kb(9, (2, 3), n_train=12, n_test=5, seed=9)
     cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
-    params = randomized_params(cfg, kb.vocab, seed=10)
-    report = evaluate(params, kb, split="test")
-    expected = report_from_ranks(
-        (fact.arity, rank(params, kb, fact, pos))
-        for fact in kb.test
-        for pos in range(fact.arity)
-    )
-    assert report.mrr == pytest.approx(expected.mrr, abs=1e-12)
-    assert report.hits == expected.hits
+    sparse = random_kb(9, (2, 3), n_train=12, n_test=5, seed=9)
+    # 6 entities and 60 facts: most slots hold known-true entities to filter
+    dense = random_kb(6, (2, 3), n_train=40, n_test=20, seed=17)
+    tied = randomized_params(cfg, dense.vocab, seed=18)
+    tied.data[("ent",)][1] = tied.data[("ent",)][0]  # exact ties where either is scored
+    cases = {
+        "sparse": (sparse, randomized_params(cfg, sparse.vocab, seed=10)),
+        "dense": (dense, randomized_params(cfg, dense.vocab, seed=18)),
+        "dense-ties": (dense, tied),
+    }
+    for name, (kb, params) in cases.items():
+        ranks, filtered_above, ties = oracle_ranks(params, kb)
+        if name != "sparse":
+            assert filtered_above > 0, name  # the filter changes some ranks
+        if name == "dense-ties":
+            assert ties > 0
+        report = evaluate(params, kb, split="test")
+        expected = report_from_ranks(ranks)
+        assert report.mrr == pytest.approx(expected.mrr, abs=1e-12), name
+        assert report.hits == expected.hits, name
 
 
 def test_evaluate_deterministic():
