@@ -60,11 +60,15 @@ def _read_config_file(path: Path) -> dict[str, str]:
     return values
 
 
-def _coerce(field_type: str, value: str):
-    if field_type == "int":
-        return int(value)
-    if field_type == "float":
-        return float(value)
+def _coerce(key: str, field_type: str, value: str):
+    """Parse a config value by its field type; `negatives` is "full" or an integer."""
+    try:
+        if field_type == "int" or (key == "negatives" and value != "full"):
+            return int(value)
+        if field_type == "float":
+            return float(value)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key}: {value!r}") from exc
     return value
 
 
@@ -87,17 +91,9 @@ def load_configs(config_path: Path | None, overrides: dict) -> tuple[ModelConfig
             if preset is not None:
                 model_kwargs["preset"] = preset
         elif key in model_fields:
-            try:
-                model_kwargs[key] = _coerce(model_fields[key].type, str(value))
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key}: {value!r}") from exc
-        elif key == "negatives":
-            train_kwargs[key] = value if value == "full" else int(value)
+            model_kwargs[key] = _coerce(key, model_fields[key].type, str(value))
         elif key in train_fields:
-            try:
-                train_kwargs[key] = _coerce(train_fields[key].type, str(value))
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key}: {value!r}") from exc
+            train_kwargs[key] = _coerce(key, train_fields[key].type, str(value))
         else:
             raise ConfigError(f"unknown config key {key!r}")
     model_cfg = ModelConfig(**model_kwargs)
@@ -170,13 +166,18 @@ def load_dataset(
 def _arity_predicate(spec: str | None):
     if spec is None or spec == "all":
         return lambda arity: True
-    if spec.startswith(">="):
-        floor = int(spec[2:])
-        return lambda arity: arity >= floor
-    if spec.startswith("<="):
-        cap = int(spec[2:])
-        return lambda arity: arity <= cap
-    allowed = {int(tok) for tok in spec.split(",")}
+    try:
+        if spec.startswith(">="):
+            floor = int(spec[2:])
+            return lambda arity: arity >= floor
+        if spec.startswith("<="):
+            cap = int(spec[2:])
+            return lambda arity: arity <= cap
+        allowed = {int(tok) for tok in spec.split(",")}
+    except ValueError as exc:
+        raise ConfigError(
+            f"bad arity filter {spec!r}; expected e.g. '2,4,5', '>=3', '<=4' or 'all'"
+        ) from exc
     return lambda arity: arity in allowed
 
 

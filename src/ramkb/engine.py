@@ -13,15 +13,14 @@ the mode's ``backward``, stacked on a leading relation axis.
 
 Candidate scoring replaces one position: the product of all other factors is
 contracted once against the entity table (or a gathered candidate table).
-The gradient of a position's loss with respect to everything shared across
-candidates equals the gradient of a single pseudo-score in which the
-replaced position's entity block is the candidate-probability-weighted sum
-of entity blocks.
+:func:`group_losses` gives the candidate cross-entropy and its score gradient.
 
-The backward pass is the reverse of :func:`forward_group` over the arrays it
-kept: the pseudo-blocks are pulled back through the contraction kernel, then
-one reverse sweep over each of the prefix and suffix recurrences gives every
-factor's gradient at one product per position.
+The backward pass pulls a given score gradient back through the arrays that
+:func:`forward_group` kept. Everything shared across a position's candidates
+sees one pseudo-score whose replaced entity block is the gradient-weighted
+sum of candidate blocks; the pseudo-blocks are pulled back through the
+contraction kernel, then one reverse sweep over each of the prefix and suffix
+recurrences gives every factor's gradient at one product per position.
 
 :func:`score` and :func:`score_batch_position` read one fact's score and one
 position's full-table scores off a one-fact group, so training, evaluation
@@ -206,32 +205,29 @@ def forward_group(
     )
 
 
-def group_losses(scores: np.ndarray, true_cols: np.ndarray) -> np.ndarray:
-    """Per-fact loss: sum over positions of the candidate cross-entropy.
+def group_losses(scores: np.ndarray, true_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-fact candidate cross-entropy and its gradient with respect to `scores`.
 
-    `scores` is (B, a, C) and `true_cols` (B, a) the true entity's column.
+    `scores` is (B, a, C) and `true_cols` (B, a) the true entity's column. The
+    (B,) losses sum over positions; the (B, a, C) gradient is softmax(scores)
+    minus the true one-hot, from the same max, exp and sum.
     """
-    top = scores.max(axis=-1)
-    lse = top + np.log(np.exp(scores - top[..., None]).sum(axis=-1))
-    true_scores = np.take_along_axis(scores, true_cols[:, :, None], axis=-1)[:, :, 0]
-    return (lse - true_scores).sum(axis=1)
-
-
-def _candidate_softmax_grad(fwd: GroupForward) -> np.ndarray:
-    scores = fwd.scores
     top = scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores - top)
-    p = e / e.sum(axis=-1, keepdims=True)
-    b, a = fwd.true_cols.shape
+    probs = scores - top
+    np.exp(probs, out=probs)
+    total = probs.sum(axis=-1, keepdims=True)
+    at_true = (*np.indices(true_cols.shape, sparse=True), true_cols)
+    losses = (top[..., 0] + np.log(total[..., 0]) - scores[at_true]).sum(axis=1)
+    probs /= total
     # each (fact, position) pair appears once, so a plain indexed subtract
-    p[np.arange(b)[:, None], np.arange(a)[None, :], fwd.true_cols] -= 1.0
-    return p
+    probs[at_true] -= 1.0
+    return losses, probs
 
 
 def backward_group(
-    params: ModelParams, fwd: GroupForward, buf: GradientBuffer, scale: float
+    params: ModelParams, fwd: GroupForward, g: np.ndarray, buf: GradientBuffer
 ) -> None:
-    """Accumulate `scale` times the gradient of the group's summed loss."""
+    """Accumulate into `buf` the pullback of `g`, a gradient shaped like `fwd.scores`."""
     cfg = params.cfg
     spec = fwd.spec
     a = spec.arity
@@ -239,9 +235,7 @@ def backward_group(
     ent_table = params.data[("ent",)]
     n_e, m, _ = ent_table.shape
 
-    g = _candidate_softmax_grad(fwd) * scale  # (B, a, C)
-
-    # candidate-side entity gradients and probability-weighted pseudo blocks
+    # candidate-side entity gradients and gradient-weighted pseudo blocks
     if fwd.candidates is None:
         g_flat = g.reshape(b * a, n_e)
         gather_flat = fwd.gather.reshape(b * a, m * d)

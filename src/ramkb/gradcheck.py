@@ -1,9 +1,11 @@
 """Finite-difference validation of the analytic gradients.
 
-Central differences with a fixed step are compared against the backward
-pass, coordinate by coordinate, over a set of randomly generated toy models
-covering every trainable mode. The comparison only ever calls the
-forward-path loss, so it is independent of the gradient code it checks.
+Central differences with a fixed step are compared against the gradient of
+``training.batch_backward``, coordinate by coordinate, over randomly
+generated toy models covering every trainable mode. The differences only
+call ``training.batch_loss``, which shares the forward step but not the
+backward pass; each call rebuilds the per-fact generators from the same
+keys, so every evaluation sees the same candidates and dropout masks.
 """
 
 from __future__ import annotations
@@ -12,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import GradientBuffer, backward_group, forward_group, split_groups
 from .kb import Fact, Vocabulary
 from .mathcore import make_rng
 from .model import ModelConfig, ModelParams
-from .training import _group_candidates, _group_masks, batch_loss
+from .training import batch_backward, batch_loss
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOL = 1e-4
@@ -65,16 +66,17 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 def check_batch(
     params: ModelParams,
     facts: list[Fact],
-    candidates: dict,
-    masks: dict,
+    negatives: str | int,
+    dropout: float,
+    rng_keys: list[tuple[int, ...]],
     step: float = DEFAULT_STEP,
 ) -> dict[str, float]:
-    """Max relative error per parameter family for one fixed batch."""
-    buf = GradientBuffer(params)
-    for spec in split_groups(params, facts):
-        fwd = forward_group(params, spec, candidates[spec.arity], masks[spec.arity])
-        backward_group(params, fwd, buf, 1.0 / len(facts))
+    """Max relative error per parameter family; `rng_keys` has one key tuple per fact."""
 
+    def fact_rngs() -> list[np.random.Generator]:
+        return [make_rng(*key) for key in rng_keys]
+
+    _, buf = batch_backward(params, facts, negatives, dropout, fact_rngs())
     errors: dict[str, float] = {}
     for key in params.slots():
         array = params.data[key]
@@ -87,9 +89,9 @@ def check_batch(
         for i in range(flat.size):
             original = flat[i]
             flat[i] = original + step
-            up = batch_loss(params, facts, candidates=candidates, masks=masks)
+            up = batch_loss(params, facts, negatives, dropout, fact_rngs())
             flat[i] = original - step
-            down = batch_loss(params, facts, candidates=candidates, masks=masks)
+            down = batch_loss(params, facts, negatives, dropout, fact_rngs())
             flat[i] = original
             numeric_flat[i] = (up - down) / (2 * step)
         family = key[0]
@@ -98,7 +100,9 @@ def check_batch(
     return errors
 
 
-def _random_trial(seed: int, trial: int) -> tuple[ModelParams, list[Fact], dict, dict]:
+def _random_trial(
+    seed: int, trial: int
+) -> tuple[ModelParams, list[Fact], str | int, float, list[tuple[int, ...]]]:
     rng = make_rng(seed, 7, trial)
     modes = ["latent", "latent", "extended", "explicit",
              "preset:DistMult", "preset:SimplE", "preset:ComplEx", "preset:QuatE"]
@@ -153,15 +157,8 @@ def _random_trial(seed: int, trial: int) -> tuple[ModelParams, list[Fact], dict,
     # every second pass through the mode list runs under dropout, so each
     # mode gets dropout trials among the first 2 * len(modes)
     dropout = 0.3 if trial // len(modes) % 2 == 1 else 0.0
-    fact_rngs = [make_rng(seed, 8, trial, i) for i in range(len(facts))]
-    candidates = {}
-    masks = {}
-    for spec in split_groups(params, facts):
-        candidates[spec.arity] = _group_candidates(
-            spec, facts, n_entities, negatives, fact_rngs
-        )
-        masks[spec.arity] = _group_masks(spec, params, dropout, fact_rngs)
-    return params, facts, candidates, masks
+    rng_keys = [(seed, 8, trial, i) for i in range(len(facts))]
+    return params, facts, negatives, dropout, rng_keys
 
 
 def run_gradcheck(
@@ -170,8 +167,8 @@ def run_gradcheck(
     """Compare analytic and numeric gradients over random toy models."""
     reports = []
     for trial in range(trials):
-        params, facts, candidates, masks = _random_trial(seed, trial)
-        errors = check_batch(params, facts, candidates, masks, step)
+        params, facts, negatives, dropout, rng_keys = _random_trial(seed, trial)
+        errors = check_batch(params, facts, negatives, dropout, rng_keys, step)
         dims = (params.cfg.embed_dim, params.cfg.multiplicity, params.cfg.latent_size)
         reports.append(TrialReport(params.cfg.mode_string(), dims, errors))
     return GradcheckReport(reports, tol)

@@ -1,9 +1,13 @@
 """Dense float64 kernels used by every other module.
 
 All functions are pure and operate on (or return) plain numpy arrays. There
-is one softmax, over the last axis, and one pullback for it; a matrix that is
-normalized jointly over all its entries is a softmax over its flattened last
-axes, so callers reshape to ``(n, rows * cols)`` around these two.
+is one softmax of the parameters, over the last axis, and one pullback for
+it; a matrix that is normalized jointly over all its entries is a softmax
+over its flattened last axes, so callers reshape to ``(n, rows * cols)``
+around these two. The softmax of the candidate scores is not one of them:
+``engine.group_losses`` fuses it with the cross-entropy, whose gradient with
+respect to the scores is that softmax minus the true one-hot, so it needs no
+pullback.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ import numpy as np
 
 from .engine import (
     GradientBuffer,
+    GroupForward,
     GroupSpec,
     backward_group,
     forward_group,
@@ -92,7 +93,7 @@ def corrupt(
     position: int,
     n_entities: int,
     negatives: int,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Sampled corruption candidates at one position, excluding the true entity.
 
@@ -103,8 +104,6 @@ def corrupt(
     """
     true = fact.entities[position]
     n = min(int(negatives), n_entities - 1)
-    if rng is None:
-        raise ConfigError("sampled corruption needs an rng")
     draw = rng.choice(n_entities - 1, size=n, replace=False).astype(np.intp)
     draw[draw >= true] += 1
     return draw
@@ -124,8 +123,7 @@ def _group_candidates(
     b, a = spec.ents.shape
     cand = np.empty((b, a, n + 1), dtype=np.intp)
     for row, fact_idx in enumerate(spec.fact_index):
-        fact = facts[fact_idx]
-        rng = fact_rngs[fact_idx] if fact_rngs else None
+        fact, rng = facts[fact_idx], fact_rngs[fact_idx]
         for pos in range(a):
             cand[row, pos, 0] = fact.entities[pos]
             cand[row, pos, 1:] = corrupt(fact, pos, n_entities, negatives, rng)
@@ -145,7 +143,7 @@ def _group_masks(
     1/(1-dropout), so the masked score is an unbiased estimate of the plain
     one. None when there is nothing to drop; evaluation never applies this.
     """
-    if dropout == 0 or fact_rngs is None:
+    if dropout == 0:
         return None
     cfg = params.cfg
     b, a = spec.ents.shape
@@ -157,30 +155,41 @@ def _group_masks(
     return masks
 
 
+def _score_group(
+    params: ModelParams,
+    facts: list[Fact],
+    spec: GroupSpec,
+    negatives: str | int,
+    dropout: float,
+    fact_rngs: Optional[list[np.random.Generator]],
+) -> tuple[GroupForward, np.ndarray, np.ndarray]:
+    """One arity group's forward arrays, per-fact losses and score gradient.
+
+    Candidates and dropout masks come from `fact_rngs`, one generator per fact.
+    """
+    if fact_rngs is None and (negatives != "full" or dropout > 0):
+        raise ConfigError("sampled negatives and dropout need one generator per fact")
+    cand = _group_candidates(spec, facts, params.n_entities, negatives, fact_rngs)
+    mask = _group_masks(spec, params, dropout, fact_rngs)
+    fwd = forward_group(params, spec, cand, mask)
+    return (fwd, *group_losses(fwd.scores, fwd.true_cols))
+
+
 def batch_loss(
     params: ModelParams,
     facts: list[Fact],
     negatives: str | int = "full",
-    candidates: Optional[dict[int, Optional[np.ndarray]]] = None,
-    masks: Optional[dict[int, Optional[np.ndarray]]] = None,
+    dropout: float = 0.0,
     fact_rngs: Optional[list[np.random.Generator]] = None,
 ) -> float:
-    """Mean per-fact loss of a batch (forward only).
+    """Mean per-fact loss of a batch: what :func:`batch_backward` differentiates.
 
-    `candidates`/`masks` may carry pre-built per-arity arrays so that
-    repeated evaluations (for example finite differences) see exactly the
-    same corruption sets and dropout draws.
+    Identically keyed generators give both the same candidates and masks.
     """
     total = 0.0
     for spec in split_groups(params, facts):
-        cand = (
-            candidates[spec.arity]
-            if candidates is not None
-            else _group_candidates(spec, facts, params.n_entities, negatives, fact_rngs)
-        )
-        mask = masks[spec.arity] if masks is not None else None
-        fwd = forward_group(params, spec, cand, mask)
-        total += float(group_losses(fwd.scores, fwd.true_cols).sum())
+        losses = _score_group(params, facts, spec, negatives, dropout, fact_rngs)[1]
+        total += float(losses.sum())
     return total / len(facts)
 
 
@@ -198,11 +207,11 @@ def batch_backward(
     buf = GradientBuffer(params)
     total = 0.0
     for spec in split_groups(params, facts):
-        cand = _group_candidates(spec, facts, params.n_entities, negatives, fact_rngs)
-        mask = _group_masks(spec, params, dropout, fact_rngs)
-        fwd = forward_group(params, spec, cand, mask)
-        total += float(group_losses(fwd.scores, fwd.true_cols).sum())
-        backward_group(params, fwd, buf, scale)
+        fwd, losses, grad = _score_group(params, facts, spec, negatives, dropout, fact_rngs)
+        total += float(losses.sum())
+        grad *= scale
+        backward_group(params, fwd, grad, buf)
+        del fwd, grad  # free this group's arrays before the next group is scored
 
     loss = total * scale
     if not np.isfinite(loss):

@@ -68,3 +68,16 @@ def test_raw_mode_is_rejected_before_anything_is_written(tmp_path):
             "--mode", "raw"]
     assert cli.main(argv) == 2
     assert not (run / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("extra_config,extra_argv", [
+    ("negatives = abc\n", []),
+    ("", ["--arity-filter", "abc"]),
+], ids=["config-negatives", "arity-filter"])
+def test_malformed_value_exits_2_before_anything_is_written(tmp_path, extra_config, extra_argv):
+    data, config = write_dataset(tmp_path)
+    config.write_text(CONFIG + extra_config)
+    run = tmp_path / "run"
+    argv = ["train", "--data-dir", str(data), "--out", str(run), "--config", str(config)]
+    assert cli.main(argv + extra_argv) == 2
+    assert not (run / "manifest.json").exists()

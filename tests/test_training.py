@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import naive_fact_loss, naive_latent_score
-from ramkb.engine import (
-    GradientBuffer,
-    backward_group,
-    forward_group,
-    group_losses,
-    score,
-    split_groups,
-)
+from ramkb.engine import GradientBuffer, forward_group, group_losses, score, split_groups
 from ramkb.errors import ConfigError, NumericError
 from ramkb.gradcheck import _random_trial, check_batch, run_gradcheck
 from ramkb.kb import Fact, KnowledgeBase, Vocabulary, build_kb, parse_tabular
@@ -20,7 +13,6 @@ from ramkb.model import ModelConfig, ModelParams
 from ramkb.training import (
     AdamState,
     TrainConfig,
-    _group_candidates,
     _group_masks,
     batch_backward,
     batch_loss,
@@ -77,7 +69,7 @@ class TestLoss:
         assert batch_loss(params, [fact]) == pytest.approx(expected, rel=1e-9)
 
     def test_dominant_true_score_drives_loss_to_zero(self):
-        loss = group_losses(np.array([[[1000.0, 0.0, -5.0]]]), np.array([[0]]))[0]
+        loss = group_losses(np.array([[[1000.0, 0.0, -5.0]]]), np.array([[0]]))[0][0]
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_naive_composition(self):
@@ -94,8 +86,8 @@ class TestLoss:
         rng = make_rng(4)
         scores = rng.normal(size=12)
         true_cols = np.array([[3]])
-        base = group_losses(scores[None, None], true_cols)[0]
-        shifted = group_losses(scores[None, None] + 123.456, true_cols)[0]
+        base = group_losses(scores[None, None], true_cols)[0][0]
+        shifted = group_losses(scores[None, None] + 123.456, true_cols)[0][0]
         assert shifted == pytest.approx(base, abs=1e-9)
 
     def test_sampled_equals_full_when_clipped_to_whole_vocab(self):
@@ -106,6 +98,26 @@ class TestLoss:
         full = batch_loss(params, kb.train, negatives="full")
         sampled = batch_loss(params, kb.train, negatives=5, fact_rngs=rngs)
         assert sampled == pytest.approx(full, abs=1e-12)
+
+    def test_batch_loss_is_the_loss_batch_backward_returns(self):
+        kb = random_kb(9, (2, 3), n_train=6, seed=24)
+        cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
+        params = randomized_params(cfg, kb.vocab, seed=25)
+
+        def rngs():
+            return [make_rng(26, i) for i in range(len(kb.train))]
+
+        loss, _ = batch_backward(params, kb.train, negatives=3, dropout=0.3, fact_rngs=rngs())
+        again = batch_loss(params, kb.train, negatives=3, dropout=0.3, fact_rngs=rngs())
+        assert again == pytest.approx(loss, rel=1e-12)
+
+    @pytest.mark.parametrize("negatives,dropout", [("full", 0.3), (2, 0.0)])
+    def test_randomness_without_generators_is_rejected(self, negatives, dropout):
+        kb = random_kb(6, (2,), n_train=3, seed=27)
+        params = ModelParams.init(ModelConfig(embed_dim=2), kb.vocab, 0)
+        for loss_fn in (batch_loss, batch_backward):
+            with pytest.raises(ConfigError):
+                loss_fn(params, kb.train, negatives=negatives, dropout=dropout)
 
 
 class TestBackward:
@@ -126,9 +138,8 @@ class TestBackward:
         cfg = ModelConfig(embed_dim=4, multiplicity=2, latent_size=3)
         params = randomized_params(cfg, vocab, seed=7)
         facts = random_facts(vocab, 3, seed=8)
-        candidates = {3: None}
-        masks = {3: None}
-        errors = check_batch(params, facts, candidates, masks)
+        keys = [(8, i) for i in range(len(facts))]
+        errors = check_batch(params, facts, "full", 0.0, keys)
         assert max(errors.values()) <= 1e-4
 
     @pytest.mark.parametrize("mode", ["latent", "extended"])
@@ -148,14 +159,8 @@ class TestBackward:
         params.data[("ent",)] *= 10.0
         params.data[("basis_u",)] *= 10.0
         facts = random_facts(vocab, 4, seed=22)
-        rngs = [make_rng(23, i) for i in range(len(facts))]
-        candidates, masks = {}, {}
-        for spec in split_groups(params, facts):
-            candidates[spec.arity] = _group_candidates(
-                spec, facts, vocab.n_entities, negatives, rngs
-            )
-            masks[spec.arity] = _group_masks(spec, params, dropout, rngs)
-        errors = check_batch(params, facts, candidates, masks)
+        keys = [(23, i) for i in range(len(facts))]
+        errors = check_batch(params, facts, negatives, dropout, keys)
         assert max(errors.values()) <= 1e-4
 
     def test_gradcheck_across_modes(self):
@@ -165,9 +170,9 @@ class TestBackward:
     def test_default_gradcheck_trials_cover_every_mode_under_dropout(self):
         modes, with_dropout = set(), set()
         for trial in range(20):  # `ram gradcheck`'s default trial count
-            params, _, _, masks = _random_trial(0, trial)
+            params, _, _, dropout, _ = _random_trial(0, trial)
             modes.add(params.cfg.mode_string())
-            if any(mask is not None for mask in masks.values()):
+            if dropout > 0:
                 with_dropout.add(params.cfg.mode_string())
         assert with_dropout == modes
 
