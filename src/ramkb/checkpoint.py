@@ -1,9 +1,11 @@
 """Binary checkpoints and CSV exports of learned parameters.
 
 Checkpoint layout: the magic bytes ``RAMCKPT1``, a little-endian uint64
-header length, a UTF-8 JSON header (config, vocabulary, array directory
-with byte offsets), then the raw little-endian float64 arrays in the order
-the header declares them.
+header length, a UTF-8 JSON header, then the raw little-endian float64
+arrays in the order the header declares them. The header holds only what
+cannot be derived: ``config``, ``vocab``, ``holdout`` (the arguments
+``cli.load_dataset`` split the training data with) and ``arrays`` (each
+slot's name, shape and byte offset).
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from .kb import Vocabulary
 from .model import ModelConfig, ModelParams, SlotKey, relation_terms
 
 MAGIC = b"RAMCKPT1"
-_HEADER_KEYS = ("config", "vocab", "n_entities", "rel_arity", "arrays")
+_HEADER_KEYS = ("config", "vocab", "arrays")
+# the holdout of a header that records none: the split evaluation used by default
+DEFAULT_HOLDOUT = {"valid_fraction": 0.2, "seed": 0}
 
 
 def _slot_name(key: SlotKey) -> str:
@@ -37,9 +41,9 @@ def _parse_slot(name: str) -> SlotKey:
         raise DataError(f"bad slot name {name!r} in checkpoint") from None
 
 
-def _is_count(value, least: int = 0) -> bool:
-    """A JSON integer (not a boolean) of at least `least`."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+def _is_count(value) -> bool:
+    """A non-negative JSON integer (not a boolean)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def _header_config(path, data) -> ModelConfig:
@@ -52,7 +56,18 @@ def _header_config(path, data) -> ModelConfig:
         raise DataError(f"{path}: bad model config in checkpoint ({exc})") from None
 
 
-def save_checkpoint(path, params: ModelParams, vocab: Vocabulary) -> None:
+def _header_holdout(path, data) -> dict:
+    fraction = data.get("valid_fraction") if isinstance(data, dict) else None
+    if not (type(fraction) in (int, float) and 0 <= fraction < 1 and _is_count(data.get("seed"))):
+        raise DataError(
+            f"{path}: checkpoint holdout {data!r} needs a valid_fraction in [0, 1) "
+            "and a count as seed"
+        )
+    return {"valid_fraction": fraction, "seed": data["seed"]}
+
+
+def save_checkpoint(path, params: ModelParams, vocab: Vocabulary, holdout=DEFAULT_HOLDOUT):
+    """Write `params` with `vocab` and the `holdout` their training data was split by."""
     entries = []
     payload = io.BytesIO()
     for key in params.slots():
@@ -63,12 +78,8 @@ def save_checkpoint(path, params: ModelParams, vocab: Vocabulary) -> None:
         payload.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
     header = {
         "config": params.cfg.to_dict(),
-        "n_entities": params.n_entities,
-        "n_relations": params.n_relations,
-        "max_arity": max(params.rel_arity) if params.rel_arity else 0,
-        "arities": list(params.arities),
-        "rel_arity": params.rel_arity,
         "vocab": vocab.to_dict(),
+        "holdout": holdout,
         "arrays": entries,
     }
     blob = json.dumps(header).encode("utf-8")
@@ -79,12 +90,16 @@ def save_checkpoint(path, params: ModelParams, vocab: Vocabulary) -> None:
         fh.write(payload.getvalue())
 
 
-def load_checkpoint(path) -> tuple[ModelParams, Vocabulary]:
-    """Read a checkpoint; a truncated or malformed file raises DataError.
+def load_checkpoint(path) -> tuple[ModelParams, Vocabulary, dict]:
+    """Read a checkpoint as (params, vocab, holdout).
 
-    Malformed includes a header field of the wrong type, a config that
-    ModelConfig rejects, and arrays that are not exactly the slots, by name
-    and shape, that the header's config and relations call for.
+    The entity count and relation arities follow from the vocabulary. A
+    header without ``holdout`` reads as DEFAULT_HOLDOUT; other keys are
+    ignored. A truncated or malformed file raises DataError: a header field
+    of the wrong type, a config that ModelConfig rejects, a holdout fraction
+    outside [0, 1), a relation of arity below 2, or arrays that are not
+    exactly the slots, by name and shape, that the config and vocabulary
+    call for.
     """
     raw = Path(path).read_bytes()
     if raw[: len(MAGIC)] != MAGIC:
@@ -108,26 +123,21 @@ def load_checkpoint(path) -> tuple[ModelParams, Vocabulary]:
     if missing:
         raise DataError(f"{path}: checkpoint header lacks {', '.join(missing)}")
     payload = raw[header_start + header_len :]
-    n_entities, rel_arity = header["n_entities"], header["rel_arity"]
-    if not _is_count(n_entities):
-        raise DataError(f"{path}: checkpoint n_entities {n_entities!r} is not a count")
-    if not isinstance(rel_arity, list) or not all(_is_count(a, 2) for a in rel_arity):
-        raise DataError(f"{path}: checkpoint rel_arity {rel_arity!r} is not a list of arities")
     if not isinstance(header["arrays"], list):
         raise DataError(f"{path}: checkpoint arrays {header['arrays']!r} is not a list")
 
     cfg = _header_config(path, header["config"])
+    holdout = _header_holdout(path, header.get("holdout", DEFAULT_HOLDOUT))
     try:
         vocab = Vocabulary.from_dict(header["vocab"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed vocabulary in checkpoint ({exc!r})") from None
-    if n_entities != vocab.n_entities or rel_arity != [a for _, a in vocab.relations]:
-        raise DataError(
-            f"{path}: checkpoint n_entities or rel_arity disagrees with its vocabulary"
-        )
+    rel_arity = [a for _, a in vocab.relations]
+    if any(a < 2 for a in rel_arity):
+        raise DataError(f"{path}: checkpoint relation arities {rel_arity} include one below 2")
     params = ModelParams(
         cfg,
-        n_entities,
+        vocab.n_entities,
         rel_arity,
         rel_roles=dict(vocab.rel_roles),
         n_roles=vocab.n_roles,
@@ -167,7 +177,7 @@ def load_checkpoint(path) -> tuple[ModelParams, Vocabulary]:
     missing = [_slot_name(key) for key in expected if key not in params.data]
     if missing:
         raise DataError(f"{path}: checkpoint lacks arrays {', '.join(sorted(missing))}")
-    return params, vocab
+    return params, vocab, holdout
 
 
 def check_vocab_compatible(vocab: Vocabulary, other: Vocabulary) -> None:

@@ -4,6 +4,8 @@ Subcommands: train, eval, gradcheck, equiv, express, export, subset. Every
 command that scores facts goes through ``engine.forward_group``: training
 and eval directly, ``equiv`` through ``engine.score`` and ``express``
 through ``expressive.verify_separation``.
+``train`` records in the checkpoint the valid fraction and seed it split
+the data with; ``eval`` rebuilds the same splits from them.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric abort.
 The RAM_LOG environment variable sets the log level.
 """
@@ -20,11 +22,9 @@ import time
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from . import checkpoint as ckpt
 from .engine import score
-from .errors import ConfigError, DataError, NumericError, RamError
+from .errors import ConfigError, DataError, NumericError
 from .evaluation import evaluate
 from .expressive import construct, ground_truth_from_json, verify_separation
 from .gradcheck import run_gradcheck
@@ -134,8 +134,11 @@ def load_dataset(
     """Load train/valid/test splits from a directory.
 
     When no validation file exists and `valid_fraction` > 0, that fraction
-    of the training facts is held out deterministically.
+    of the training facts is held out, deterministically in `seed`. A
+    fraction outside [0, 1) raises ConfigError.
     """
+    if not 0 <= valid_fraction < 1:
+        raise ConfigError(f"valid fraction {valid_fraction} is not in [0, 1)")
     data_dir = Path(data_dir)
     if not data_dir.is_dir():
         raise DataError(f"data directory not found: {data_dir}")
@@ -220,7 +223,8 @@ def cmd_train(args) -> int:
     manifest_path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
 
     result = train(kb, model_cfg, train_cfg, progress=True)
-    ckpt.save_checkpoint(ckpt_path, result.params, kb.vocab)
+    holdout = {"valid_fraction": args.valid_fraction, "seed": train_cfg.seed}
+    ckpt.save_checkpoint(ckpt_path, result.params, kb.vocab, holdout)
     write_trace_csv(result.trace, trace_path)
     manifest["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     manifest["best_valid_mrr"] = result.best_valid_mrr
@@ -234,13 +238,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    params, vocab = ckpt.load_checkpoint(args.checkpoint)
-    kb, _ = load_dataset(
-        args.data_dir,
-        explicit_roles=params.cfg.mode == "explicit",
-        valid_fraction=args.valid_fraction,
-        seed=args.seed if args.seed is not None else 0,
-    )
+    params, vocab, holdout = ckpt.load_checkpoint(args.checkpoint)
+    kb, _ = load_dataset(args.data_dir, **holdout)
     ckpt.check_vocab_compatible(vocab, kb.vocab)
     report = evaluate(params, kb, split=args.split)
     print(report.table())
@@ -256,7 +255,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    report = run_gradcheck(trials=args.trials, seed=args.seed or 0, tol=args.tol)
+    report = run_gradcheck(trials=args.trials, seed=args.seed, tol=args.tol)
     for family, err in sorted(report.family_errors.items()):
         print(f"{family:12} max relative error {err:.3e}")
     print(f"overall max {report.max_error:.3e} (tolerance {report.tol:.1e})")
@@ -270,7 +269,7 @@ def cmd_equiv(args) -> int:
     from .kb import Vocabulary
     from .kb import Fact as KFact
 
-    rng = make_rng(args.seed or 0, 11)
+    rng = make_rng(args.seed, 11)
     mode, preset = ModelConfig.parse_mode(f"preset:{args.kind}")
     cfg = ModelConfig(embed_dim=args.dim, mode=mode, preset=preset)
     vocab = Vocabulary()
@@ -310,7 +309,7 @@ def cmd_express(args) -> int:
 
 
 def cmd_export(args) -> int:
-    params, vocab = ckpt.load_checkpoint(args.checkpoint)
+    params, vocab, _ = ckpt.load_checkpoint(args.checkpoint)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     exporters = {
@@ -332,7 +331,7 @@ def cmd_subset(args) -> int:
         kb,
         _arity_predicate(args.arity_filter),
         binary_keep_ratio=1.0 if args.ratio is None else args.ratio,
-        seed=args.seed or 0,
+        seed=args.seed,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -348,20 +347,24 @@ def cmd_subset(args) -> int:
     return 0
 
 
+def _trial_count(text: str) -> int:
+    """argparse type of ``--trials``: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"needs at least 1 trial, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ram", description="Role-aware n-ary relational KB completion"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=False, out_required=False):
-        p.add_argument("--seed", type=int, default=None)
-        if data:
-            p.add_argument("--data-dir", required=True)
-        p.add_argument("--out", required=out_required, default=None)
-
     p_train = sub.add_parser("train", help="train a model, write checkpoint+trace+manifest")
-    common(p_train, data=True, out_required=True)
+    p_train.add_argument("--data-dir", required=True)
+    p_train.add_argument("--out", required=True)
+    p_train.add_argument("--seed", type=int, help="overrides the config file's seed")
     p_train.add_argument("--config", help="key=value config file")
     p_train.add_argument("--mode", help="latent | explicit | extended | preset:<Kind>")
     p_train.add_argument("--ratio", type=float, help="binary training fact keep ratio")
@@ -371,41 +374,43 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a split")
-    common(p_eval, data=True)
+    p_eval.add_argument("--data-dir", required=True)
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--split", default="test", choices=["train", "valid", "test"])
-    p_eval.add_argument("--valid-fraction", type=float, default=0.2)
+    p_eval.add_argument("--out")
     p_eval.set_defaults(func=cmd_eval)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient validation")
-    common(p_grad)
-    p_grad.add_argument("--trials", type=int, default=20)
+    p_grad.add_argument("--seed", type=int, default=0)
+    p_grad.add_argument("--trials", type=_trial_count, default=20)
     p_grad.add_argument("--tol", type=float, default=1e-4)
     p_grad.set_defaults(func=cmd_gradcheck)
 
     p_equiv = sub.add_parser("equiv", help="preset vs reference bilinear scorer")
-    common(p_equiv)
+    p_equiv.add_argument("--seed", type=int, default=0)
     p_equiv.add_argument("--kind", required=True)
-    p_equiv.add_argument("--trials", type=int, default=200)
+    p_equiv.add_argument("--trials", type=_trial_count, default=200)
     p_equiv.add_argument("--dim", type=int, default=8)
     p_equiv.set_defaults(func=cmd_equiv)
 
     p_express = sub.add_parser("express", help="exact-separation construction check")
-    common(p_express)
     p_express.add_argument("--spec", required=True, help="ground-truth JSON file")
+    p_express.add_argument("--out")
     p_express.set_defaults(func=cmd_express)
 
     p_export = sub.add_parser("export", help="CSV export of learned parameters")
-    common(p_export, out_required=True)
     p_export.add_argument("--checkpoint", required=True)
+    p_export.add_argument("--out", required=True)
     p_export.add_argument("--what", default="all",
                           choices=["entity", "role", "pattern", "all"])
     p_export.set_defaults(func=cmd_export)
 
     p_subset = sub.add_parser("subset", help="arity/ratio subsetting of a dataset")
-    common(p_subset, data=True, out_required=True)
-    p_subset.add_argument("--ratio", type=float, default=None)
-    p_subset.add_argument("--arity-filter", default=None)
+    p_subset.add_argument("--data-dir", required=True)
+    p_subset.add_argument("--out", required=True)
+    p_subset.add_argument("--seed", type=int, default=0)
+    p_subset.add_argument("--ratio", type=float)
+    p_subset.add_argument("--arity-filter")
     p_subset.set_defaults(func=cmd_subset)
 
     return parser

@@ -54,22 +54,26 @@ def ground_truth_from_json(text: str) -> GroundTruth:
 
     Expected shape: {"facts": [{"relation": str, "entities": [str, ...]},
     ...], "entities": [str, ...]?} where the optional entity list adds
-    vocabulary entries beyond those appearing in facts.
+    vocabulary entries beyond those appearing in facts. A document of any
+    other shape raises DataError.
     """
-    data = json.loads(text)
-    raw_facts = data.get("facts")
-    if not raw_facts:
-        raise DataError("ground truth JSON needs a non-empty 'facts' list")
-    vocab = Vocabulary()
-    for name in data.get("entities", []):
-        vocab.add_entity(name)
-    facts = []
-    for obj in raw_facts:
-        entities = tuple(obj["entities"])
-        if len(entities) < 2:
-            raise DataError("facts need >= 2 entities")
-        rel = vocab.add_relation(obj["relation"], len(entities))
-        facts.append(Fact(rel, tuple(vocab.add_entity(e) for e in entities)))
+    try:
+        data = json.loads(text)
+        raw_facts = data.get("facts")
+        if not raw_facts:
+            raise DataError("ground truth JSON needs a non-empty 'facts' list")
+        vocab = Vocabulary()
+        for name in data.get("entities", []):
+            vocab.add_entity(name)
+        facts = []
+        for obj in raw_facts:
+            entities = tuple(obj["entities"])
+            if len(entities) < 2:
+                raise DataError("facts need >= 2 entities")
+            rel = vocab.add_relation(obj["relation"], len(entities))
+            facts.append(Fact(rel, tuple(vocab.add_entity(e) for e in entities)))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed ground truth JSON ({exc!r})") from None
     return GroundTruth(tuple(facts), vocab)
 
 

@@ -30,7 +30,7 @@ relation, so only reading and writing them loops over relations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -95,15 +95,7 @@ class ModelConfig:
         return f"preset:{self.preset}" if self.mode == "preset" else self.mode
 
     def to_dict(self) -> dict:
-        return {
-            "embed_dim": self.embed_dim,
-            "multiplicity": self.multiplicity,
-            "latent_size": self.latent_size,
-            "mode": self.mode,
-            "preset": self.preset,
-            "role_multiplicity": self.role_multiplicity,
-            "patterns_per_role": self.patterns_per_role,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -71,17 +71,7 @@ class TrainConfig:
             raise ConfigError("seed must be non-negative")
 
     def to_dict(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "decay_rate": self.decay_rate,
-            "dropout": self.dropout,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "eval_every": self.eval_every,
-            "negatives": self.negatives,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":

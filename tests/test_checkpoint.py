@@ -50,7 +50,7 @@ def test_round_trip_every_trained_mode(tmp_path, mode_str):
     params = randomized_params(cfg, vocab, seed=3)
     path = tmp_path / "model.ramckpt"
     save_checkpoint(path, params, vocab)
-    loaded, loaded_vocab = load_checkpoint(path)
+    loaded, loaded_vocab, _ = load_checkpoint(path)
     assert loaded.cfg == cfg
     check_vocab_compatible(vocab, loaded_vocab)
     assert_same_arrays(params, loaded)
@@ -68,7 +68,7 @@ def test_round_trip_raw_construction_still_separates(tmp_path):
     params = construct(gt)
     path = tmp_path / "raw.ramckpt"
     save_checkpoint(path, params, vocab)
-    loaded, loaded_vocab = load_checkpoint(path)
+    loaded, loaded_vocab, _ = load_checkpoint(path)
     check_vocab_compatible(vocab, loaded_vocab)
     assert_same_arrays(params, loaded)
     assert {key[0] for key in loaded.slots()} == {"ent", "raw_u", "raw_p"}
@@ -137,7 +137,6 @@ def test_malformed_header_is_data_error(tmp_path):
         "empty-object": {},
         "list": [],
         "no-arrays": {k: v for k, v in header.items() if k != "arrays"},
-        "no-rel-arity": {k: v for k, v in header.items() if k != "rel_arity"},
         "entry-without-offset": {
             **header, "arrays": [{"name": entry["name"], "shape": entry["shape"]}]
         },
@@ -156,11 +155,9 @@ def test_malformed_header_is_data_error(tmp_path):
             **header,
             "arrays": [e for e in header["arrays"] if not e["name"].startswith("basis_p")],
         },
-        "n-entities-string": {**header, "n_entities": "5"},
-        "n-entities-float": {**header, "n_entities": 2.5},
-        "n-entities-negative": {**header, "n_entities": -1},
-        "rel-arity-int": {**header, "rel_arity": 7},
-        "rel-arity-string-entry": {**header, "rel_arity": [2, "3"]},
+        "holdout-string": {**header, "holdout": "0.2"},
+        "holdout-fraction-one": {**header, "holdout": {"valid_fraction": 1.0, "seed": 0}},
+        "holdout-seed-negative": {**header, "holdout": {"valid_fraction": 0.2, "seed": -1}},
         "config-int": {**header, "config": 5},
         "config-embed-dim-string": {**header, "config": {**header["config"], "embed_dim": "3"}},
         "config-unknown-mode": {**header, "config": {**header["config"], "mode": "bogus"}},
@@ -182,6 +179,18 @@ def test_malformed_header_is_data_error(tmp_path):
                 for e in header["arrays"] if e["name"].endswith("/0")
             ],
         },
+        # arrays of exactly the shapes a relation of arity 1 would call for
+        "vocab-arity-one": {
+            **header,
+            "vocab": {**header["vocab"], "relations": [["r0", 1]]},
+            "arrays": [
+                {**e, "name": "basis_p/1", "shape": [e["shape"][0], 1, e["shape"][2]]}
+                if e["name"] == "basis_p/2"
+                else {**e, "shape": [1, *e["shape"][1:]]} if e["name"] == "alpha/0"
+                else e
+                for e in header["arrays"]
+            ],
+        },
     }
     for name, bad_header in headers.items():
         blob = json.dumps(bad_header).encode("utf-8")
@@ -193,6 +202,27 @@ def test_malformed_header_is_data_error(tmp_path):
             ["export", "--checkpoint", str(bad), "--out", str(tmp_path / name)]
         )
         assert code == 3, name
+
+
+def test_header_without_holdout_still_loads(tmp_path):
+    """A header in the layout before the holdout was recorded reads as the defaults."""
+    vocab = make_vocab(5, (2, 3))
+    params = randomized_params(ModelConfig(embed_dim=3, latent_size=2), vocab, seed=1)
+    path = tmp_path / "model.ramckpt"
+    save_checkpoint(path, params, vocab, {"valid_fraction": 0.5, "seed": 7})
+    raw = path.read_bytes()
+    header_end = 16 + struct.unpack("<Q", raw[8:16])[0]
+    header = json.loads(raw[16:header_end])
+    assert list(header) == ["config", "vocab", "holdout", "arrays"]
+    assert header["holdout"] == {"valid_fraction": 0.5, "seed": 7}
+    del header["holdout"]
+    header.update(n_entities=5, n_relations=2, max_arity=3, arities=[2, 3], rel_arity=[2, 3])
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + raw[header_end:])
+    loaded, loaded_vocab, holdout = load_checkpoint(path)
+    assert holdout == {"valid_fraction": 0.2, "seed": 0}
+    check_vocab_compatible(vocab, loaded_vocab)
+    assert_same_arrays(params, loaded)
 
 
 def _vocab(entities=("x", "y", "z"), relations=(("r", 2),), roles=()):

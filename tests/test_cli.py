@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from ramkb import cli
+from ramkb.checkpoint import load_checkpoint
+from ramkb.evaluation import evaluate
 
 TRAIN = ["r1 a b c", "r1 b c d", "r2 a d", "r2 c b", "r2 d e", "r3 d a e b", "r1 e a b"]
 VALID = ["r2 b a", "r1 c d e"]
@@ -21,6 +24,22 @@ def write_dataset(root):
     data = root / "data"
     data.mkdir()
     for split, lines in (("train", TRAIN), ("valid", VALID), ("test", TEST)):
+        (data / f"{split}.txt").write_text("\n".join(lines) + "\n")
+    config = root / "run.cfg"
+    config.write_text(CONFIG)
+    return data, config
+
+
+def write_dataset_without_valid(root):
+    """100 training and 20 test facts of arity 2 or 3 over 30 entities; no valid file."""
+    rng = np.random.default_rng(0)
+    data = root / "data"
+    data.mkdir()
+    for split, n_facts in (("train", 100), ("test", 20)):
+        lines = [
+            f"r{arity} " + " ".join(f"e{e}" for e in rng.choice(30, arity, replace=False))
+            for arity in rng.integers(2, 4, n_facts)
+        ]
         (data / f"{split}.txt").write_text("\n".join(lines) + "\n")
     config = root / "run.cfg"
     config.write_text(CONFIG)
@@ -50,6 +69,43 @@ def test_train_eval_export_round_trip(tmp_path):
         assert (tmp_path / "export" / f"{kind}.csv").is_file(), kind
 
 
+def test_eval_rebuilds_the_split_train_held_out(tmp_path):
+    data, config = write_dataset_without_valid(tmp_path)
+    run = tmp_path / "run"
+    assert cli.main(["train", "--data-dir", str(data), "--out", str(run),
+                     "--config", str(config), "--seed", "3"]) == 0
+    ckpt = run / "model.ramckpt"
+    params, _, holdout = load_checkpoint(ckpt)
+    assert holdout == {"valid_fraction": 0.2, "seed": 3}
+    kb, _ = cli.load_dataset(data, valid_fraction=0.2, seed=3)
+    for split in ("test", "valid"):
+        out = tmp_path / f"eval-{split}"
+        assert cli.main(["eval", "--data-dir", str(data), "--checkpoint", str(ckpt),
+                         "--split", split, "--out", str(out)]) == 0
+        report = json.loads((out / f"eval_{split}.json").read_text())
+        assert report["mrr"] == evaluate(params, kb, split).mrr
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--data-dir", "d", "--checkpoint", "c", "--seed", "3"],
+    ["eval", "--data-dir", "d", "--checkpoint", "c", "--valid-fraction", "0.2"],
+    ["export", "--checkpoint", "c", "--out", "o", "--seed", "1"],
+    ["express", "--spec", "s", "--seed", "1"],
+    ["gradcheck", "--out", "x"],
+    ["equiv", "--kind", "DistMult", "--out", "x"],
+    ["gradcheck", "--trials", "0"],
+    ["equiv", "--kind", "DistMult", "--trials", "0"],
+    ["equiv", "--kind", "DistMult", "--trials", "-3"],
+], ids=["eval-seed", "eval-valid-fraction", "export-seed", "express-seed",
+        "gradcheck-out", "equiv-out", "gradcheck-trials-0", "equiv-trials-0",
+        "equiv-trials-negative"])
+def test_unread_flags_and_checks_of_no_trials_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "PASS" not in capsys.readouterr().out
+
+
 def test_threads_is_not_an_option(tmp_path):
     data, config = write_dataset(tmp_path)
     config.write_text(CONFIG + "threads = 2\n")
@@ -73,7 +129,9 @@ def test_raw_mode_is_rejected_before_anything_is_written(tmp_path):
 @pytest.mark.parametrize("extra_config,extra_argv", [
     ("negatives = abc\n", []),
     ("", ["--arity-filter", "abc"]),
-], ids=["config-negatives", "arity-filter"])
+    ("", ["--valid-fraction", "2"]),
+    ("", ["--valid-fraction", "-1"]),
+], ids=["config-negatives", "arity-filter", "valid-fraction-2", "valid-fraction-negative"])
 def test_malformed_value_exits_2_before_anything_is_written(tmp_path, extra_config, extra_argv):
     data, config = write_dataset(tmp_path)
     config.write_text(CONFIG + extra_config)

@@ -101,3 +101,14 @@ def test_express_command_writes_passing_report(tmp_path):
     report = json.loads((out / "separation.json").read_text())
     assert report["passed"] and report["n_true"] == 3
     assert report["n_enumerated"] == 5 ** 2 + 5 ** 3
+
+
+@pytest.mark.parametrize("text", [
+    "{bad",
+    "[1,2]",
+    '{"facts":[{"relation":"r"}]}',
+], ids=["not-json", "not-object", "fact-without-entities"])
+def test_express_command_maps_malformed_spec_to_exit_3(tmp_path, text):
+    spec = tmp_path / "truth.json"
+    spec.write_text(text)
+    assert cli.main(["express", "--spec", str(spec)]) == 3
