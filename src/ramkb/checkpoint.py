@@ -3,9 +3,11 @@
 Checkpoint layout: the magic bytes ``RAMCKPT1``, a little-endian uint64
 header length, a UTF-8 JSON header, then the raw little-endian float64
 arrays in the order the header declares them. The header holds only what
-cannot be derived: ``config``, ``vocab``, ``holdout`` (the arguments
-``cli.load_dataset`` split the training data with) and ``arrays`` (each
-slot's name, shape and byte offset).
+cannot be derived: ``config``, ``vocab`` (the vocabulary the parameters
+own), ``holdout`` (the arguments ``cli.load_dataset`` split the training
+data with) and ``arrays`` (each slot's name, shape and byte offset).
+Saving, loading and the CSV exports read the vocabulary from
+``ModelParams.vocab``; none of them takes a vocabulary of its own.
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ def _header_holdout(path, data) -> dict:
     return {"valid_fraction": fraction, "seed": data["seed"]}
 
 
-def save_checkpoint(path, params: ModelParams, vocab: Vocabulary, holdout=DEFAULT_HOLDOUT):
-    """Write `params` with `vocab` and the `holdout` their training data was split by."""
+def save_checkpoint(path, params: ModelParams, holdout=DEFAULT_HOLDOUT):
+    """Write `params`, their vocabulary, and the `holdout` their training data was split by."""
     entries = []
     payload = io.BytesIO()
     for key in params.slots():
@@ -78,7 +80,7 @@ def save_checkpoint(path, params: ModelParams, vocab: Vocabulary, holdout=DEFAUL
         payload.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
     header = {
         "config": params.cfg.to_dict(),
-        "vocab": vocab.to_dict(),
+        "vocab": params.vocab.to_dict(),
         "holdout": holdout,
         "arrays": entries,
     }
@@ -90,8 +92,8 @@ def save_checkpoint(path, params: ModelParams, vocab: Vocabulary, holdout=DEFAUL
         fh.write(payload.getvalue())
 
 
-def load_checkpoint(path) -> tuple[ModelParams, Vocabulary, dict]:
-    """Read a checkpoint as (params, vocab, holdout).
+def load_checkpoint(path) -> tuple[ModelParams, dict]:
+    """Read a checkpoint as (params, holdout); the params own the header's vocabulary.
 
     The entity count and relation arities follow from the vocabulary. A
     header without ``holdout`` reads as DEFAULT_HOLDOUT; other keys are
@@ -132,16 +134,9 @@ def load_checkpoint(path) -> tuple[ModelParams, Vocabulary, dict]:
         vocab = Vocabulary.from_dict(header["vocab"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed vocabulary in checkpoint ({exc!r})") from None
-    rel_arity = [a for _, a in vocab.relations]
-    if any(a < 2 for a in rel_arity):
-        raise DataError(f"{path}: checkpoint relation arities {rel_arity} include one below 2")
-    params = ModelParams(
-        cfg,
-        vocab.n_entities,
-        rel_arity,
-        rel_roles=dict(vocab.rel_roles),
-        n_roles=vocab.n_roles,
-    )
+    if any(a < 2 for a in vocab.arities):
+        raise DataError(f"{path}: checkpoint relation arities {vocab.arities} include one below 2")
+    params = ModelParams(cfg, vocab)
     expected = params.slot_shapes()
     for entry in header["arrays"]:
         if not (
@@ -177,7 +172,7 @@ def load_checkpoint(path) -> tuple[ModelParams, Vocabulary, dict]:
     missing = [_slot_name(key) for key in expected if key not in params.data]
     if missing:
         raise DataError(f"{path}: checkpoint lacks arrays {', '.join(sorted(missing))}")
-    return params, vocab, holdout
+    return params, holdout
 
 
 def check_vocab_compatible(vocab: Vocabulary, other: Vocabulary) -> None:
@@ -200,20 +195,24 @@ def check_vocab_compatible(vocab: Vocabulary, other: Vocabulary) -> None:
                 )
 
 
-def export_entities_csv(params: ModelParams, vocab: Vocabulary) -> str:
-    """One row per entity: name plus the flattened (m x d) block."""
+def export_entities_csv(params: ModelParams) -> str:
+    """One row per entity of `params.vocab`: name plus the flattened (m x d) block."""
     m, d = params.cfg.multiplicity, params.cfg.embed_dim
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["name"] + [f"v{i}" for i in range(m * d)])
     ent = params.data[("ent",)]
-    for idx, name in enumerate(vocab.entities):
+    for idx, name in enumerate(params.vocab.entities):
         writer.writerow([name] + [repr(x) for x in ent[idx].reshape(-1)])
     return out.getvalue()
 
 
-def export_roles_csv(params: ModelParams, vocab: Vocabulary) -> str:
-    """One row per (relation, role position, role embedding index)."""
+def export_roles_csv(params: ModelParams) -> str:
+    """One row per (relation, role position, role embedding index).
+
+    `role_name` is the explicit role of the slot, empty for data without roles.
+    """
+    vocab = params.vocab
     out = io.StringIO()
     writer = csv.writer(out)
     d = params.cfg.embed_dim
@@ -235,12 +234,13 @@ def export_roles_csv(params: ModelParams, vocab: Vocabulary) -> str:
     return out.getvalue()
 
 
-def export_patterns_csv(params: ModelParams, vocab: Vocabulary) -> str:
-    """One row per pattern matrix, flattened row-major."""
+def export_patterns_csv(params: ModelParams) -> str:
+    """One row per pattern matrix, flattened row-major and padded to the widest arity."""
+    vocab = params.vocab
     out = io.StringIO()
     writer = csv.writer(out)
     m = params.cfg.multiplicity
-    max_arity = max(params.rel_arity) if params.rel_arity else 0
+    max_arity = vocab.max_arity
     writer.writerow(
         ["relation", "arity", "position", "emb_index", "pattern_index"]
         + [f"p{i}" for i in range(max_arity * m)]

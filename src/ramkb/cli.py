@@ -5,7 +5,10 @@ command that scores facts goes through ``engine.forward_group``: training
 and eval directly, ``equiv`` through ``engine.score`` and ``express``
 through ``expressive.verify_separation``.
 ``train`` records in the checkpoint the valid fraction and seed it split
-the data with; ``eval`` rebuilds the same splits from them.
+the data with; ``eval`` rebuilds the same splits from them. To train on a
+subset of a dataset, write it with ``subset`` and then ``train`` on the
+subset's directory, so that ``eval`` on that directory sees the very facts
+``train`` did.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric abort.
 The RAM_LOG environment variable sets the log level.
 """
@@ -195,13 +198,6 @@ def cmd_train(args) -> int:
         valid_fraction=args.valid_fraction,
         seed=train_cfg.seed,
     )
-    if args.arity_filter or args.ratio is not None:
-        kb = subset_by_arity(
-            kb,
-            _arity_predicate(args.arity_filter),
-            binary_keep_ratio=1.0 if args.ratio is None else args.ratio,
-            seed=train_cfg.seed,
-        )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"
@@ -224,7 +220,7 @@ def cmd_train(args) -> int:
 
     result = train(kb, model_cfg, train_cfg, progress=True)
     holdout = {"valid_fraction": args.valid_fraction, "seed": train_cfg.seed}
-    ckpt.save_checkpoint(ckpt_path, result.params, kb.vocab, holdout)
+    ckpt.save_checkpoint(ckpt_path, result.params, holdout)
     write_trace_csv(result.trace, trace_path)
     manifest["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     manifest["best_valid_mrr"] = result.best_valid_mrr
@@ -238,9 +234,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    params, vocab, holdout = ckpt.load_checkpoint(args.checkpoint)
+    params, holdout = ckpt.load_checkpoint(args.checkpoint)
     kb, _ = load_dataset(args.data_dir, **holdout)
-    ckpt.check_vocab_compatible(vocab, kb.vocab)
+    ckpt.check_vocab_compatible(params.vocab, kb.vocab)
     report = evaluate(params, kb, split=args.split)
     print(report.table())
     if args.out:
@@ -309,7 +305,7 @@ def cmd_express(args) -> int:
 
 
 def cmd_export(args) -> int:
-    params, vocab, _ = ckpt.load_checkpoint(args.checkpoint)
+    params, _ = ckpt.load_checkpoint(args.checkpoint)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     exporters = {
@@ -320,7 +316,7 @@ def cmd_export(args) -> int:
     kinds = list(exporters) if args.what == "all" else [args.what]
     for kind in kinds:
         path = out / f"{kind}.csv"
-        path.write_text(exporters[kind](params, vocab), encoding="utf-8")
+        path.write_text(exporters[kind](params), encoding="utf-8")
         print(f"wrote {path}")
     return 0
 
@@ -367,8 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--seed", type=int, help="overrides the config file's seed")
     p_train.add_argument("--config", help="key=value config file")
     p_train.add_argument("--mode", help="latent | explicit | extended | preset:<Kind>")
-    p_train.add_argument("--ratio", type=float, help="binary training fact keep ratio")
-    p_train.add_argument("--arity-filter", help="e.g. '2,4,5' or '>=3' or 'all'")
     p_train.add_argument("--valid-fraction", type=float, default=0.2,
                          help="train fraction held out when no valid split exists")
     p_train.set_defaults(func=cmd_train)
@@ -409,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_subset.add_argument("--data-dir", required=True)
     p_subset.add_argument("--out", required=True)
     p_subset.add_argument("--seed", type=int, default=0)
-    p_subset.add_argument("--ratio", type=float)
-    p_subset.add_argument("--arity-filter")
+    p_subset.add_argument("--ratio", type=float, help="binary training fact keep ratio")
+    p_subset.add_argument("--arity-filter", help="e.g. '2,4,5' or '>=3' or 'all'")
     p_subset.set_defaults(func=cmd_subset)
 
     return parser

@@ -3,8 +3,9 @@
 Facts are processed in groups of equal arity. Within a group every score is
 a sum of multilinear terms; the factor list of a term is the role embedding
 followed by one pattern-weighted entity vector per position. Prefix/suffix
-products over that factor list give both the full product and every
-leave-one-out product without dividing (dropout can zero entries). Where the
+products over that factor list give every leave-one-out product without
+dividing (dropout can zero entries); a fact's own score is the candidate
+score of its true entity, so the full product is never formed. Where the
 role embeddings and pattern matrices come from, and where their gradients
 go, is the business of the mode object (``model.mode_of``); this module
 never looks at the mode. A group asks for the terms of all its relations in
@@ -85,11 +86,12 @@ class GroupSpec:
 
 
 def split_groups(params: ModelParams, facts: list[Fact]) -> list[GroupSpec]:
+    vocab = params.vocab
     by_arity: dict[int, list[int]] = {}
     for i, fact in enumerate(facts):
-        if fact.arity != params.arity_of(fact.relation):
+        if fact.arity != vocab.arity(fact.relation):
             raise DimensionError(
-                f"fact arity {fact.arity} != relation arity {params.arity_of(fact.relation)}"
+                f"fact arity {fact.arity} != relation arity {vocab.arity(fact.relation)}"
             )
         by_arity.setdefault(fact.arity, []).append(i)
     groups = []
@@ -118,11 +120,10 @@ class GroupForward:
     wf: np.ndarray  # (B, T) term weights
     ent_blocks: np.ndarray  # (B, a, m, d)
     masks: Optional[np.ndarray]  # (B, T, a, d) inverted-dropout factors
-    factors: np.ndarray  # (B, T, a+1, d)
-    prefix: np.ndarray  # (B, T, a+2, d)
-    suffix: np.ndarray  # (B, T, a+2, d)
+    factors: np.ndarray  # (B, T, a+1, d) role embedding, then one factor per position
+    prefix: np.ndarray  # (B, T, a+1, d) prefix[q]: product of factors[:q]
+    suffix: np.ndarray  # (B, T, a, d) suffix[pos]: product of factors[pos+2:]
     loo: np.ndarray  # (B, T, a, d) masked leave-one-out products per position
-    phi: np.ndarray  # (B,)
     gather: np.ndarray  # (B, a, m, d) contraction kernel per position
     candidates: Optional[np.ndarray]  # (B, a, C) entity ids, col 0 = true
     cand_blocks: Optional[np.ndarray]  # (B, a, C, m, d)
@@ -155,20 +156,20 @@ def forward_group(
     factors[:, :, 0, :] = uf
     factors[:, :, 1:, :] = weighted
 
-    prefix = np.empty((b, n_terms, a + 2, d))
-    suffix = np.empty((b, n_terms, a + 2, d))
+    # only the partial products that a leave-one-out product or the backward
+    # sweep reads: never the full product, nor a suffix that covers position 0
+    prefix = np.empty((b, n_terms, a + 1, d))
+    suffix = np.empty((b, n_terms, a, d))
     prefix[:, :, 0, :] = 1.0
-    suffix[:, :, a + 1, :] = 1.0
-    for q in range(a + 1):
+    suffix[:, :, a - 1, :] = 1.0
+    for q in range(a):
         prefix[:, :, q + 1, :] = prefix[:, :, q, :] * factors[:, :, q, :]
-    for q in range(a, -1, -1):
-        suffix[:, :, q, :] = factors[:, :, q, :] * suffix[:, :, q + 1, :]
-
-    phi = np.einsum("bt,btd->b", wf, prefix[:, :, a + 1, :], optimize=True)
+    for pos in range(a - 2, -1, -1):
+        suffix[:, :, pos, :] = factors[:, :, pos + 2, :] * suffix[:, :, pos + 1, :]
 
     # leave-one-out products around each position, with the candidate-side
     # dropout factor folded in so substituted entities see the same mask
-    loo = prefix[:, :, 1 : a + 1, :] * suffix[:, :, 2 : a + 2, :]
+    loo = prefix[:, :, 1:, :] * suffix
     if masks is not None:
         loo = loo * masks
     gather = np.einsum("btlm,btld->blmd", pf, wf[:, :, None, None] * loo, optimize=True)
@@ -196,7 +197,6 @@ def forward_group(
         prefix=prefix,
         suffix=suffix,
         loo=loo,
-        phi=phi,
         gather=gather,
         candidates=candidates,
         cand_blocks=cand_blocks,
@@ -256,19 +256,19 @@ def backward_group(
     if fwd.masks is not None:
         grad_loo = grad_loo * fwd.masks
 
-    # loo[l] = prefix[l+1] * suffix[l+2]: one reverse sweep per recurrence
+    # loo[pos] = prefix[pos+1] * suffix[pos]: one reverse sweep per recurrence
     factors, prefix, suffix = fwd.factors, fwd.prefix, fwd.suffix
     grad_factors = np.zeros_like(factors)
     carry = np.zeros((b, n_terms, d))
     for q in range(a - 1, -1, -1):  # prefix[q+1] = prefix[q] * factors[q]
-        carry = carry + grad_loo[:, :, q] * suffix[:, :, q + 2]
+        carry = carry + grad_loo[:, :, q] * suffix[:, :, q]
         grad_factors[:, :, q] += carry * prefix[:, :, q]
         carry = carry * factors[:, :, q]
     carry = np.zeros((b, n_terms, d))
-    for q in range(2, a + 1):  # suffix[q] = factors[q] * suffix[q+1]
-        carry = carry + grad_loo[:, :, q - 2] * prefix[:, :, q - 1]
-        grad_factors[:, :, q] += carry * suffix[:, :, q + 1]
-        carry = carry * factors[:, :, q]
+    for pos in range(a - 1):  # suffix[pos] = factors[pos+2] * suffix[pos+1]
+        carry = carry + grad_loo[:, :, pos] * prefix[:, :, pos + 1]
+        grad_factors[:, :, pos + 2] += carry * suffix[:, :, pos + 1]
+        carry = carry * factors[:, :, pos + 2]
 
     grad_u = grad_factors[:, :, 0]
     grad_weighted = grad_factors[:, :, 1:]
@@ -298,11 +298,12 @@ def backward_group(
 def score(params: ModelParams, fact: Fact) -> float:
     """Plausibility score of one fact under the current parameters.
 
-    Scores a one-fact group whose only candidate is the true entity, so no
-    entity-table-wide product is formed.
+    Scores a one-fact group whose only candidate at each position is the true
+    entity, so no entity-table-wide product is formed; every position then
+    scores the fact itself, and the first is returned.
     """
     spec = split_groups(params, [fact])[0]
-    return float(forward_group(params, spec, candidates=spec.ents[:, :, None]).phi[0])
+    return float(forward_group(params, spec, candidates=spec.ents[:, :, None]).scores[0, 0, 0])
 
 
 def score_batch_position(params: ModelParams, fact: Fact, position: int) -> np.ndarray:

@@ -87,8 +87,7 @@ def construct(gt: GroundTruth) -> ModelParams:
         latent_size=n_facts,
         mode="raw",
     )
-    rel_arity = [a for _, a in gt.vocab.relations]
-    params = ModelParams(cfg, gt.vocab.n_entities, rel_arity)
+    params = ModelParams(cfg, gt.vocab)
     ent = np.zeros((gt.vocab.n_entities, max_arity, n_facts))
     for j, fact in enumerate(gt.facts):
         for i, entity in enumerate(fact.entities):
@@ -98,7 +97,7 @@ def construct(gt: GroundTruth) -> ModelParams:
     rel_columns: dict[int, list[int]] = {}
     for j, fact in enumerate(gt.facts):
         rel_columns.setdefault(fact.relation, []).append(j)
-    for rel, arity in enumerate(rel_arity):
+    for rel, (_, arity) in enumerate(gt.vocab.relations):
         u = np.zeros((arity, n_facts))
         for j in rel_columns.get(rel, []):
             u[:, j] = 1.0

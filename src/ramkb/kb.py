@@ -14,7 +14,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import ConfigError, DataError, ParseError
 from .mathcore import make_rng
 
 log = logging.getLogger("ramkb.kb")
@@ -346,10 +346,12 @@ def subset_by_arity(
     Among binary training facts passing the predicate, a uniformly random
     fraction `binary_keep_ratio` is kept (exact count, rounded), chosen
     deterministically from `seed`. Valid/test are untouched; the truth index
-    is rebuilt over the new training split plus the original valid/test.
+    is rebuilt over the new training split plus the original valid/test. A
+    ratio outside [0, 1] (or NaN) raises ConfigError; an empty result raises
+    DataError.
     """
     if not 0.0 <= binary_keep_ratio <= 1.0:
-        raise DataError(f"binary_keep_ratio must be in [0, 1], got {binary_keep_ratio}")
+        raise ConfigError(f"binary_keep_ratio must be in [0, 1], got {binary_keep_ratio}")
     kept = [i for i, f in enumerate(kb.train) if keep(f.arity)]
     binary = [i for i in kept if kb.train[i].arity == 2]
     n_keep = int(round(binary_keep_ratio * len(binary)))

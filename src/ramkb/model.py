@@ -106,7 +106,12 @@ SlotKey = tuple
 
 
 class ModelParams:
-    """All model arrays, stored per parameter slot.
+    """All model arrays, stored per parameter slot, over one vocabulary.
+
+    The params own `vocab`: it alone fixes the slot layout (the entity count,
+    every relation's arity and the explicit roles), and it is written with
+    the arrays into a checkpoint. A Vocabulary must not change once params
+    are built on it; copies share it.
 
     Slot keys:
 
@@ -128,20 +133,9 @@ class ModelParams:
 
     ROW_SPARSE = ("ent", "role_vec", "role_pat")
 
-    def __init__(
-        self,
-        cfg: ModelConfig,
-        n_entities: int,
-        rel_arity: list[int],
-        rel_roles: Optional[dict[int, tuple[int, ...]]] = None,
-        n_roles: int = 0,
-    ) -> None:
+    def __init__(self, cfg: ModelConfig, vocab: Vocabulary) -> None:
         self.cfg = cfg
-        self.n_entities = n_entities
-        self.rel_arity = list(rel_arity)
-        self.arities = tuple(sorted(set(rel_arity)))
-        self.rel_roles = dict(rel_roles or {})
-        self.n_roles = n_roles
+        self.vocab = vocab
         self.data: dict[SlotKey, np.ndarray] = {}
 
     @classmethod
@@ -151,47 +145,35 @@ class ModelParams:
         Zero mixing weights start every role at the uniform mixture over the
         basis, so no basis vector is preferred before training.
         """
-        params = cls(
-            cfg,
-            vocab.n_entities,
-            [a for _, a in vocab.relations],
-            rel_roles=dict(vocab.rel_roles),
-            n_roles=vocab.n_roles,
-        )
+        params = cls(cfg, vocab)
         rng = make_rng(seed, _STREAM_INIT)
         params._create_slots(lambda *shape: rng.normal(0.0, INIT_STD, size=shape))
         return params
 
     def _create_slots(self, gauss) -> None:
         cfg = self.cfg
-        self.data[("ent",)] = gauss(self.n_entities, cfg.multiplicity, cfg.embed_dim)
+        self.data[("ent",)] = gauss(self.vocab.n_entities, cfg.multiplicity, cfg.embed_dim)
         mode_of(cfg).init(self, gauss)
 
     def slot_shapes(self) -> dict[SlotKey, tuple]:
-        """Shape of every slot that this config and these relations call for."""
-        shell = ModelParams(
-            self.cfg, self.n_entities, self.rel_arity, self.rel_roles, self.n_roles
-        )
+        """Shape of every slot that this config and vocabulary call for."""
+        shell = ModelParams(self.cfg, self.vocab)
         shell._create_slots(lambda *shape: np.broadcast_to(0.0, shape))
         return {key: array.shape for key, array in shell.data.items()}
 
     @property
-    def n_relations(self) -> int:
-        return len(self.rel_arity)
+    def arities(self) -> tuple[int, ...]:
+        """The distinct relation arities, ascending."""
+        return self.vocab.arities
 
     def slots(self) -> list[SlotKey]:
         """Keys of every slot, in a stable order."""
         return sorted(self.data.keys(), key=repr)
 
     def copy(self) -> "ModelParams":
-        dup = ModelParams(
-            self.cfg, self.n_entities, self.rel_arity, self.rel_roles, self.n_roles
-        )
+        dup = ModelParams(self.cfg, self.vocab)
         dup.data = {k: v.copy() for k, v in self.data.items()}
         return dup
-
-    def arity_of(self, rel: int) -> int:
-        return self.rel_arity[rel]
 
 
 @dataclass
@@ -256,14 +238,14 @@ class _Latent:
         params.data[("basis_u",)] = gauss(k, cfg.embed_dim)
         for a in params.arities:
             params.data[("basis_p", a)] = gauss(k, a, cfg.multiplicity)
-        for rel, a in enumerate(params.rel_arity):
+        for rel, (_, a) in enumerate(params.vocab.relations):
             params.data[("alpha", rel)] = np.zeros((a, mg, k))
             if self.extended:
                 params.data[("beta", rel)] = np.zeros((a, mg, npm, k))
                 params.data[("omega", rel)] = np.ones((a, mg, npm))
 
     def terms(self, params: ModelParams, rels) -> RelationTerms:
-        q = normalized_basis(params, params.arity_of(int(rels[0])))  # (K, a, m)
+        q = normalized_basis(params, params.vocab.arity(int(rels[0])))  # (K, a, m)
         k = q.shape[0]
         mix_a = softmax_last_axis(_stacked(params, "alpha", rels))  # (R, a, mg, K)
         mix_b = softmax_last_axis(_stacked(params, "beta", rels)) if self.extended else None
@@ -308,18 +290,19 @@ class _Explicit:
     """Globally named roles, each with a free vector and a raw pattern matrix."""
 
     def init(self, params: ModelParams, gauss) -> None:
-        if params.n_roles == 0:
+        vocab = params.vocab
+        if vocab.n_roles == 0:
             raise ConfigError("explicit mode needs a role-annotated dataset")
-        params.data[("role_vec",)] = gauss(params.n_roles, params.cfg.embed_dim)
+        params.data[("role_vec",)] = gauss(vocab.n_roles, params.cfg.embed_dim)
         for a in params.arities:
-            params.data[("role_pat", a)] = gauss(params.n_roles, a, params.cfg.multiplicity)
-        for rel in range(params.n_relations):
-            if rel not in params.rel_roles:
+            params.data[("role_pat", a)] = gauss(vocab.n_roles, a, params.cfg.multiplicity)
+        for rel in range(vocab.n_relations):
+            if rel not in vocab.rel_roles:
                 raise ConfigError(f"relation {rel} lacks role annotations")
 
     def terms(self, params: ModelParams, rels) -> RelationTerms:
         # init (and so every loaded checkpoint) checks that all relations have roles
-        roles = np.array([params.rel_roles[int(rel)] for rel in rels], dtype=np.intp)
+        roles = np.array([params.vocab.rel_roles[int(rel)] for rel in rels], dtype=np.intp)
         n_rel, a = roles.shape
         role_emb = params.data[("role_vec",)][roles][:, :, None, :]  # (R, a, 1, d)
         raw_pat = params.data[("role_pat", a)][roles]  # (R, a, a, m)
@@ -346,9 +329,9 @@ class _Preset:
         self.signs.flags.writeable = False
 
     def init(self, params: ModelParams, gauss) -> None:
-        if any(a != 2 for a in params.rel_arity):
+        if any(a != 2 for a in params.arities):
             raise ConfigError("preset modes support binary relations only")
-        for rel in range(params.n_relations):
+        for rel in range(params.vocab.n_relations):
             params.data[("preset_u", rel)] = gauss(
                 2, params.cfg.role_multiplicity, params.cfg.embed_dim
             )
@@ -372,7 +355,7 @@ class _Raw:
     def init(self, params: ModelParams, gauss) -> None:
         # the construction sets these values; init only fixes the slots' shapes
         cfg = params.cfg
-        for rel, a in enumerate(params.rel_arity):
+        for rel, (_, a) in enumerate(params.vocab.relations):
             params.data[("raw_u", rel)] = gauss(a, cfg.embed_dim)
             params.data[("raw_p", rel)] = gauss(a, a, cfg.multiplicity)
 
@@ -412,10 +395,9 @@ def relation_terms(params: ModelParams, rels) -> RelationTerms:
 
 
 def _slot_terms(params: ModelParams, rel: int, position: int) -> RelationTerms:
-    if not 0 <= position < params.arity_of(rel):
-        raise DimensionError(
-            f"position {position} out of range for arity {params.arity_of(rel)}"
-        )
+    arity = params.vocab.arity(rel)
+    if not 0 <= position < arity:
+        raise DimensionError(f"position {position} out of range for arity {arity}")
     return relation_terms(params, [rel])
 
 

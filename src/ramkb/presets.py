@@ -46,18 +46,16 @@ _TERM_TABLE = {
 }
 
 
-def preset_patterns(kind: str, arity: int = 2) -> tuple[np.ndarray, np.ndarray]:
+def preset_patterns(kind: str) -> tuple[np.ndarray, np.ndarray]:
     """Fixed pattern matrices and term signs for one preset.
 
     Returns (patterns, signs) with patterns of shape
     (2, role_multiplicity, patterns_per_role, 2, multiplicity) and signs of
-    shape (2, role_multiplicity, patterns_per_role). Only binary relations
-    are supported.
+    shape (2, role_multiplicity, patterns_per_role). The patterns are binary;
+    preset mode rejects a vocabulary with any other arity.
     """
     if kind not in PRESET_KINDS:
         raise ConfigError(f"unknown preset {kind!r}; expected one of {PRESET_KINDS}")
-    if arity != 2:
-        raise ConfigError(f"preset {kind} only applies to binary relations, got arity {arity}")
     m, mg, npm = PRESET_DIMS[kind]
     patterns = np.zeros((2, mg, npm, 2, m))
     signs = np.zeros((2, mg, npm))

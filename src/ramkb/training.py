@@ -73,10 +73,6 @@ class TrainConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        return cls(**{k: data[k] for k in cls.__dataclass_fields__ if k in data})
-
 
 def corrupt(
     fact: Fact,
@@ -159,7 +155,7 @@ def _score_group(
     """
     if fact_rngs is None and (negatives != "full" or dropout > 0):
         raise ConfigError("sampled negatives and dropout need one generator per fact")
-    cand = _group_candidates(spec, facts, params.n_entities, negatives, fact_rngs)
+    cand = _group_candidates(spec, facts, params.vocab.n_entities, negatives, fact_rngs)
     mask = _group_masks(spec, params, dropout, fact_rngs)
     fwd = forward_group(params, spec, cand, mask)
     return (fwd, *group_losses(fwd.scores, fwd.true_cols))

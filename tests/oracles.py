@@ -57,7 +57,7 @@ def naive_pattern_matrix(alpha, basis_matrices):
 
 def naive_latent_score(params, fact):
     """Latent-mode score via loops over the raw parameter arrays."""
-    arity = params.arity_of(fact.relation)
+    arity = params.vocab.arity(fact.relation)
     basis_u = params.data[("basis_u",)]
     basis_p = params.data[("basis_p", arity)]
     alpha = params.data[("alpha", fact.relation)]
@@ -81,7 +81,7 @@ def naive_latent_score(params, fact):
 
 
 def naive_extended_score(params, fact):
-    arity = params.arity_of(fact.relation)
+    arity = params.vocab.arity(fact.relation)
     cfg = params.cfg
     basis_u = params.data[("basis_u",)]
     basis_p = params.data[("basis_p", arity)]
@@ -114,8 +114,8 @@ def naive_extended_score(params, fact):
 
 
 def naive_explicit_score(params, fact):
-    arity = params.arity_of(fact.relation)
-    roles = params.rel_roles[fact.relation]
+    arity = params.vocab.arity(fact.relation)
+    roles = params.vocab.rel_roles[fact.relation]
     role_vec = params.data[("role_vec",)]
     role_pat = params.data[("role_pat", arity)]
     ent = params.data[("ent",)]
@@ -138,7 +138,7 @@ def naive_explicit_score(params, fact):
 
 def naive_raw_score(params, fact):
     """Raw-mode score via loops over the verbatim role and pattern arrays."""
-    arity = params.arity_of(fact.relation)
+    arity = params.vocab.arity(fact.relation)
     role_vecs = params.data[("raw_u", fact.relation)]
     patterns = params.data[("raw_p", fact.relation)]
     ent = params.data[("ent",)]

