@@ -1,9 +1,9 @@
 """Role-aware multilinear embedding models for n-ary relational KBs."""
 
 from .errors import ConfigError, DataError, DimensionError, NumericError, ParseError
-from .engine import score, score_batch_position
+from .engine import score
 from .kb import Fact, KnowledgeBase, Vocabulary, build_kb, subset_by_arity
-from .model import ModelConfig, ModelParams, pattern_matrix, role_embedding
+from .model import ModelConfig, ModelParams
 from .training import TrainConfig, train
 
 __version__ = "0.1.0"
@@ -21,10 +21,7 @@ __all__ = [
     "subset_by_arity",
     "ModelConfig",
     "ModelParams",
-    "pattern_matrix",
-    "role_embedding",
     "score",
-    "score_batch_position",
     "TrainConfig",
     "train",
     "__version__",

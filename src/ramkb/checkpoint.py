@@ -99,9 +99,10 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     header without ``holdout`` reads as DEFAULT_HOLDOUT; other keys are
     ignored. A truncated or malformed file raises DataError: a header field
     of the wrong type, a config that ModelConfig rejects, a holdout fraction
-    outside [0, 1), a relation of arity below 2, or arrays that are not
-    exactly the slots, by name and shape, that the config and vocabulary
-    call for.
+    outside [0, 1), a relation of arity below 2, a relation's roles that are
+    not one role id per position, a vocabulary that the config's mode cannot
+    take, or arrays that are not exactly the slots, by name and shape, that
+    the config and vocabulary call for.
     """
     raw = Path(path).read_bytes()
     if raw[: len(MAGIC)] != MAGIC:
@@ -136,8 +137,21 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         raise DataError(f"{path}: malformed vocabulary in checkpoint ({exc!r})") from None
     if any(a < 2 for a in vocab.arities):
         raise DataError(f"{path}: checkpoint relation arities {vocab.arities} include one below 2")
+    for rel, roles in vocab.rel_roles.items():
+        if not (
+            0 <= rel < vocab.n_relations
+            and len(roles) == vocab.arity(rel)
+            and all(0 <= g < vocab.n_roles for g in roles)
+        ):
+            raise DataError(
+                f"{path}: checkpoint rel_roles entry {rel}: {list(roles)} needs a relation "
+                f"of the vocabulary and one role id in [0, {vocab.n_roles}) per position"
+            )
     params = ModelParams(cfg, vocab)
-    expected = params.slot_shapes()
+    try:
+        expected = params.slot_shapes()
+    except ConfigError as exc:
+        raise DataError(f"{path}: checkpoint vocabulary does not fit its config ({exc})") from None
     for entry in header["arrays"]:
         if not (
             isinstance(entry, dict)

@@ -218,7 +218,7 @@ def cmd_train(args) -> int:
     }
     manifest_path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
 
-    result = train(kb, model_cfg, train_cfg, progress=True)
+    result = train(kb, model_cfg, train_cfg)
     holdout = {"valid_fraction": args.valid_fraction, "seed": train_cfg.seed}
     ckpt.save_checkpoint(ckpt_path, result.params, holdout)
     write_trace_csv(result.trace, trace_path)
@@ -351,6 +351,14 @@ def _trial_count(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type of a command's ``--seed``: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ram", description="Role-aware n-ary relational KB completion"
@@ -375,13 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient validation")
-    p_grad.add_argument("--seed", type=int, default=0)
+    p_grad.add_argument("--seed", type=_seed, default=0)
     p_grad.add_argument("--trials", type=_trial_count, default=20)
     p_grad.add_argument("--tol", type=float, default=1e-4)
     p_grad.set_defaults(func=cmd_gradcheck)
 
     p_equiv = sub.add_parser("equiv", help="preset vs reference bilinear scorer")
-    p_equiv.add_argument("--seed", type=int, default=0)
+    p_equiv.add_argument("--seed", type=_seed, default=0)
     p_equiv.add_argument("--kind", required=True)
     p_equiv.add_argument("--trials", type=_trial_count, default=200)
     p_equiv.add_argument("--dim", type=int, default=8)
@@ -402,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_subset = sub.add_parser("subset", help="arity/ratio subsetting of a dataset")
     p_subset.add_argument("--data-dir", required=True)
     p_subset.add_argument("--out", required=True)
-    p_subset.add_argument("--seed", type=int, default=0)
+    p_subset.add_argument("--seed", type=_seed, default=0)
     p_subset.add_argument("--ratio", type=float, help="binary training fact keep ratio")
     p_subset.add_argument("--arity-filter", help="e.g. '2,4,5' or '>=3' or 'all'")
     p_subset.set_defaults(func=cmd_subset)

@@ -23,9 +23,8 @@ sum of candidate blocks; the pseudo-blocks are pulled back through the
 contraction kernel, then one reverse sweep over each of the prefix and suffix
 recurrences gives every factor's gradient at one product per position.
 
-:func:`score` and :func:`score_batch_position` read one fact's score and one
-position's full-table scores off a one-fact group, so training, evaluation
-and the theoretical checks all run :func:`forward_group`.
+:func:`score` reads one fact's score off a one-fact group, so training,
+evaluation and the theoretical checks all run :func:`forward_group`.
 """
 
 from __future__ import annotations
@@ -304,17 +303,3 @@ def score(params: ModelParams, fact: Fact) -> float:
     """
     spec = split_groups(params, [fact])[0]
     return float(forward_group(params, spec, candidates=spec.ents[:, :, None]).scores[0, 0, 0])
-
-
-def score_batch_position(params: ModelParams, fact: Fact, position: int) -> np.ndarray:
-    """Scores of the fact with the entity at `position` replaced by each entity.
-
-    One row of the full-table scores of a one-fact group; the entry at the
-    fact's own entity equals ``score(params, fact)``. Only the queried slot is
-    replaced, so an entity that also fills another slot keeps it there, and
-    the result is then not linear in that entity's block.
-    """
-    spec = split_groups(params, [fact])[0]
-    if not 0 <= position < spec.arity:
-        raise DimensionError(f"position {position} out of range for arity {spec.arity}")
-    return forward_group(params, spec).scores[0, position]

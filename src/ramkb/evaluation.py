@@ -1,7 +1,7 @@
 """Filtered link-prediction ranking: MRR and Hit@k with per-arity breakdown.
 
 Each arity group's (B, a, n_entities) full-table scores are ranked in one array
-pass (:func:`rank_from_scores`); :func:`rank` is the same path for one fact.
+pass (:func:`rank_from_scores`).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Iterable
 import numpy as np
 
 from .engine import forward_group, split_groups
-from .errors import DataError, DimensionError
+from .errors import DataError
 from .kb import Fact, KnowledgeBase
 from .model import ModelParams
 
@@ -92,15 +92,6 @@ def rank_from_scores(kb: KnowledgeBase, facts: list[Fact], scores: np.ndarray) -
     known_above = scores.reshape(above.size, -1)[query, entity] > true.reshape(-1)[query]
     above -= np.bincount(query[known_above], minlength=above.size)
     return 1 + above.reshape(ents.shape)
-
-
-def rank(params: ModelParams, kb: KnowledgeBase, fact: Fact, position: int) -> int:
-    """Filtered rank of the fact's entity at one position."""
-    spec = split_groups(params, [fact])[0]
-    if not 0 <= position < spec.arity:
-        raise DimensionError(f"position {position} out of range for arity {spec.arity}")
-    scores = forward_group(params, spec).scores
-    return int(rank_from_scores(kb, [fact], scores)[0, position])
 
 
 def report_from_ranks(

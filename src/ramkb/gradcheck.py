@@ -69,7 +69,6 @@ def check_batch(
     negatives: str | int,
     dropout: float,
     rng_keys: list[tuple[int, ...]],
-    step: float = DEFAULT_STEP,
 ) -> dict[str, float]:
     """Max relative error per parameter family; `rng_keys` has one key tuple per fact."""
 
@@ -88,12 +87,12 @@ def check_batch(
         numeric_flat = numeric.reshape(-1)
         for i in range(flat.size):
             original = flat[i]
-            flat[i] = original + step
+            flat[i] = original + DEFAULT_STEP
             up = batch_loss(params, facts, negatives, dropout, fact_rngs())
-            flat[i] = original - step
+            flat[i] = original - DEFAULT_STEP
             down = batch_loss(params, facts, negatives, dropout, fact_rngs())
             flat[i] = original
-            numeric_flat[i] = (up - down) / (2 * step)
+            numeric_flat[i] = (up - down) / (2 * DEFAULT_STEP)
         family = key[0]
         err = relative_error(analytic, numeric)
         errors[family] = max(errors.get(family, 0.0), err)
@@ -161,14 +160,12 @@ def _random_trial(
     return params, facts, negatives, dropout, rng_keys
 
 
-def run_gradcheck(
-    trials: int = 20, seed: int = 0, tol: float = DEFAULT_TOL, step: float = DEFAULT_STEP
-) -> GradcheckReport:
+def run_gradcheck(trials: int = 20, seed: int = 0, tol: float = DEFAULT_TOL) -> GradcheckReport:
     """Compare analytic and numeric gradients over random toy models."""
     reports = []
     for trial in range(trials):
         params, facts, negatives, dropout, rng_keys = _random_trial(seed, trial)
-        errors = check_batch(params, facts, negatives, dropout, rng_keys, step)
+        errors = check_batch(params, facts, negatives, dropout, rng_keys)
         dims = (params.cfg.embed_dim, params.cfg.multiplicity, params.cfg.latent_size)
         reports.append(TrialReport(params.cfg.mode_string(), dims, errors))
     return GradcheckReport(reports, tol)

@@ -180,8 +180,16 @@ def parse_role_json(lines: Iterable[str]) -> list[RawFact]:
     return facts
 
 
+def _is_names(value) -> bool:
+    return isinstance(value, list) and all(isinstance(name, str) for name in value)
+
+
 def parse_normalized(lines: Iterable[str]) -> list[RawFact]:
-    """Parse the normalized JSON-lines export produced by :func:`export_split`."""
+    """Parse the normalized JSON-lines export produced by :func:`export_split`.
+
+    `relation` must be a string, `entities` a list of strings, and `roles`,
+    when present and not null, a list of strings.
+    """
     facts: list[RawFact] = []
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
@@ -191,11 +199,17 @@ def parse_normalized(lines: Iterable[str]) -> list[RawFact]:
         except json.JSONDecodeError as exc:
             raise ParseError(line_no, f"invalid JSON: {exc.msg}") from exc
         try:
-            rel = obj["relation"]
-            entities = tuple(obj["entities"])
+            rel, entities = obj["relation"], obj["entities"]
         except (KeyError, TypeError) as exc:
             raise ParseError(line_no, "missing 'relation' or 'entities'") from exc
-        roles = tuple(obj["roles"]) if obj.get("roles") else None
+        roles = obj.get("roles")
+        if not (isinstance(rel, str) and _is_names(entities)
+                and (roles is None or _is_names(roles))):
+            raise ParseError(
+                line_no, "'relation' must be a string and 'entities' and 'roles' lists of strings"
+            )
+        entities = tuple(entities)
+        roles = tuple(roles) if roles else None
         if len(entities) < 2:
             raise ParseError(line_no, "fact needs >= 2 entities")
         if roles is not None and len(roles) != len(entities):

@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError
 from .kb import Vocabulary
 from .mathcore import make_rng, softmax_last_axis, softmax_vjp
 from .presets import PRESET_DIMS, PRESET_KINDS, preset_patterns
@@ -392,24 +392,3 @@ def relation_terms(params: ModelParams, rels) -> RelationTerms:
     axis over them.
     """
     return mode_of(params.cfg).terms(params, rels)
-
-
-def _slot_terms(params: ModelParams, rel: int, position: int) -> RelationTerms:
-    arity = params.vocab.arity(rel)
-    if not 0 <= position < arity:
-        raise DimensionError(f"position {position} out of range for arity {arity}")
-    return relation_terms(params, [rel])
-
-
-def role_embedding(params: ModelParams, rel: int, position: int) -> np.ndarray:
-    """Embedding of one role slot; convex basis mixture in latent mode."""
-    emb = _slot_terms(params, rel, position).role_emb[0, position]
-    return emb[0] if emb.shape[0] == 1 else emb
-
-
-def pattern_matrix(params: ModelParams, rel: int, position: int) -> np.ndarray:
-    """Pattern matrix of one role slot, shape (arity, multiplicity)."""
-    pat = _slot_terms(params, rel, position).patterns[0, position]
-    if pat.shape[0] == 1 and pat.shape[1] == 1:
-        return pat[0, 0]
-    return pat

@@ -275,18 +275,14 @@ class TrainResult:
     best_valid_mrr: Optional[float]
 
 
-def train(
-    kb: KnowledgeBase,
-    model_cfg: ModelConfig,
-    train_cfg: TrainConfig,
-    progress: bool = False,
-) -> TrainResult:
+def train(kb: KnowledgeBase, model_cfg: ModelConfig, train_cfg: TrainConfig) -> TrainResult:
     """Mini-batch training with per-epoch decay and early stopping.
 
     Facts are reshuffled every epoch; every `eval_every` epochs the filtered
     MRR on the validation split is measured, the best-scoring parameters are
     kept, and training stops after `patience` evaluations without
-    improvement. The returned trace has one row per epoch.
+    improvement. The returned trace has one row per epoch, and each epoch
+    logs one INFO line on the ``ramkb.training`` logger.
 
     The same data, configs and seed give bitwise-identical parameters,
     losses and validation MRRs: initialization, shuffles, corruptions and
@@ -344,13 +340,12 @@ def train(
         trace.append(
             TraceRow(epoch + 1, time.perf_counter() - start, epoch_loss, valid_mrr)
         )
-        if progress:
-            log.info(
-                "epoch %d: loss %.6f%s",
-                epoch + 1,
-                epoch_loss,
-                f", valid MRR {valid_mrr:.4f}" if valid_mrr is not None else "",
-            )
+        log.info(
+            "epoch %d: loss %.6f%s",
+            epoch + 1,
+            epoch_loss,
+            f", valid MRR {valid_mrr:.4f}" if valid_mrr is not None else "",
+        )
         if valid_mrr is not None and evals_since_best >= train_cfg.patience:
             log.info("early stop at epoch %d (best valid MRR %.4f)", epoch + 1, best_mrr)
             break

@@ -11,7 +11,7 @@ from ramkb.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from ramkb.engine import score_batch_position
+from ramkb.engine import forward_group, split_groups
 from ramkb.errors import DataError
 from ramkb.expressive import GroundTruth, construct, verify_separation
 from ramkb.kb import Fact, Vocabulary
@@ -54,12 +54,10 @@ def test_round_trip_every_trained_mode(tmp_path, mode_str):
     assert loaded.cfg == cfg
     check_vocab_compatible(vocab, loaded.vocab)
     assert_same_arrays(params, loaded)
-    for fact in random_facts(vocab, 4, seed=4):
-        for pos in range(fact.arity):
-            np.testing.assert_array_equal(
-                score_batch_position(loaded, fact, pos),
-                score_batch_position(params, fact, pos),
-            )
+    for spec in split_groups(params, random_facts(vocab, 4, seed=4)):
+        np.testing.assert_array_equal(
+            forward_group(loaded, spec).scores, forward_group(params, spec).scores
+        )
 
 
 def test_round_trip_raw_construction_still_separates(tmp_path):
@@ -72,12 +70,10 @@ def test_round_trip_raw_construction_still_separates(tmp_path):
     check_vocab_compatible(vocab, loaded.vocab)
     assert_same_arrays(params, loaded)
     assert {key[0] for key in loaded.slots()} == {"ent", "raw_u", "raw_p"}
-    for fact in gt.facts:
-        for pos in range(fact.arity):
-            np.testing.assert_array_equal(
-                score_batch_position(loaded, fact, pos),
-                score_batch_position(params, fact, pos),
-            )
+    for spec in split_groups(params, list(gt.facts)):
+        np.testing.assert_array_equal(
+            forward_group(loaded, spec).scores, forward_group(params, spec).scores
+        )
     assert verify_separation(gt, loaded).passed
 
 
@@ -124,14 +120,23 @@ def test_array_past_payload_is_data_error(tmp_path):
         load_checkpoint(path)
 
 
-def test_malformed_header_is_data_error(tmp_path):
-    vocab = make_vocab(5, (2,))
-    params = ModelParams.init(ModelConfig(embed_dim=3, latent_size=2), vocab, seed=0)
-    path = tmp_path / "model.ramckpt"
-    save_checkpoint(path, params)
+def saved_header_and_payload(path, cfg, vocab):
+    """Header dict and array payload of a fresh checkpoint written to `path`."""
+    save_checkpoint(path, ModelParams.init(cfg, vocab, seed=0))
     raw = path.read_bytes()
     header_end = 16 + struct.unpack("<Q", raw[8:16])[0]
-    header = json.loads(raw[16:header_end])
+    return json.loads(raw[16:header_end]), raw[header_end:]
+
+
+def test_malformed_header_is_data_error(tmp_path):
+    cfg = ModelConfig(embed_dim=3, latent_size=2)
+    header, payload = saved_header_and_payload(tmp_path / "model.ramckpt", cfg, make_vocab(5, (2,)))
+    # an explicit-mode checkpoint, whose arrays fit a vocabulary with two roles
+    explicit_header, explicit_payload = saved_header_and_payload(
+        tmp_path / "explicit.ramckpt",
+        ModelConfig(embed_dim=3, latent_size=2, mode="explicit"),
+        make_vocab(5, (2,), explicit_roles=True),
+    )
     entry = header["arrays"][0]
     headers = {
         "empty-object": {},
@@ -191,11 +196,25 @@ def test_malformed_header_is_data_error(tmp_path):
                 for e in header["arrays"]
             ],
         },
+        # vocabularies that the config's mode rejects
+        "explicit-without-roles": {**header, "config": {**header["config"], "mode": "explicit"}},
+        "preset-ternary": {
+            **header,
+            "config": {**header["config"], "mode": "preset", "preset": "DistMult"},
+            "vocab": {**header["vocab"], "relations": [["r0", 3]]},
+        },
     }
-    for name, bad_header in headers.items():
+    role_cases = {"rel-roles-id-7-of-2": [0, 7], "rel-roles-too-long": [0, 1, 0],
+                  "rel-roles-id-negative": [0, -1]}
+    assert explicit_header["vocab"]["rel_roles"] == {"0": [0, 1]}
+    bad_files = {name: (bad_header, payload) for name, bad_header in headers.items()}
+    for name, roles in role_cases.items():
+        vocab = {**explicit_header["vocab"], "rel_roles": {"0": roles}}
+        bad_files[name] = ({**explicit_header, "vocab": vocab}, explicit_payload)
+    for name, (bad_header, bad_payload) in bad_files.items():
         blob = json.dumps(bad_header).encode("utf-8")
         bad = tmp_path / f"{name}.ramckpt"
-        bad.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + raw[header_end:])
+        bad.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + bad_payload)
         with pytest.raises(DataError):
             load_checkpoint(bad)
         code = cli.main(

@@ -2,14 +2,22 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_candidates, sort_rank
-from ramkb.engine import score_batch_position
-from ramkb.errors import DataError, DimensionError
-from ramkb.evaluation import EvalReport, evaluate, rank, report_from_ranks
+from ramkb.engine import forward_group, split_groups
+from ramkb.errors import DataError
+from ramkb.evaluation import EvalReport, evaluate, rank_from_scores, report_from_ranks
 from ramkb.kb import Fact, KnowledgeBase, build_kb, parse_tabular
 from ramkb.model import ModelConfig, ModelParams
 
 from conftest import make_vocab, random_kb
 from test_model import randomized_params
+
+
+def group_scores_and_ranks(params, kb, facts):
+    """Full-table scores (B, a, n_entities) and filtered ranks (B, a) of facts of one
+    arity, from one `forward_group` and one `rank_from_scores` call as in `evaluate`."""
+    (spec,) = split_groups(params, facts)
+    scores = forward_group(params, spec).scores
+    return scores, rank_from_scores(kb, facts, scores)
 
 
 def test_rank_one_for_unique_maximum():
@@ -20,16 +28,15 @@ def test_rank_one_for_unique_maximum():
     # the true score and leaves every other candidate's score unchanged.
     fact = next(f for f in kb.train if f.entities[0] not in f.entities[1:])
     true_e = fact.entities[0]
-    scores = score_batch_position(params, fact, 0)
+    scores = group_scores_and_ranks(params, kb, [fact])[0][0, 0]
     true_score = scores[true_e]
     assert true_score != 0.0
     others = np.delete(scores, true_e)
     factor = np.sign(true_score) * (2.0 * np.abs(others).max() / abs(true_score) + 1.0)
     params.data[("ent",)][true_e] *= factor  # dominate every candidate
-    np.testing.assert_allclose(
-        np.delete(score_batch_position(params, fact, 0), true_e), others
-    )
-    assert rank(params, kb, fact, 0) == 1
+    scores, ranks = group_scores_and_ranks(params, kb, [fact])
+    np.testing.assert_allclose(np.delete(scores[0, 0], true_e), others)
+    assert ranks[0, 0] == 1
 
 
 def test_all_ties_rank_one():
@@ -38,29 +45,21 @@ def test_all_ties_rank_one():
     params = ModelParams.init(cfg, kb.vocab, seed=4)
     params.data[("ent",)][:] = params.data[("ent",)][0]
     fact = kb.train[0]
-    assert rank(params, kb, fact, 1) == 1
+    assert group_scores_and_ranks(params, kb, [fact])[1][0, 1] == 1
 
 
 def test_rank_matches_sort_oracle_on_toy_kb():
     kb = random_kb(10, (2, 3), n_train=18, n_test=6, seed=5)
     cfg = ModelConfig(embed_dim=4, multiplicity=2, latent_size=3)
     params = randomized_params(cfg, kb.vocab, seed=6)
-    for fact in kb.test:
-        for pos in range(fact.arity):
-            scores = score_batch_position(params, fact, pos)
-            mask = brute_force_candidates(kb, fact, pos)
-            expected = sort_rank(list(scores), mask, fact.entities[pos])
-            assert rank(params, kb, fact, pos) == expected
-
-
-def test_rank_rejects_bad_position():
-    kb = random_kb(6, (2, 3), n_train=6, n_test=2, seed=5)
-    cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
-    params = ModelParams.init(cfg, kb.vocab, seed=0)
-    fact = kb.train[0]
-    for pos in (-1, fact.arity):
-        with pytest.raises(DimensionError):
-            rank(params, kb, fact, pos)
+    for arity in (2, 3):
+        group = [fact for fact in kb.test if fact.arity == arity]
+        scores, ranks = group_scores_and_ranks(params, kb, group)
+        for row, fact in enumerate(group):
+            for pos in range(fact.arity):
+                mask = brute_force_candidates(kb, fact, pos)
+                expected = sort_rank(list(scores[row, pos]), mask, fact.entities[pos])
+                assert ranks[row, pos] == expected
 
 
 def test_report_hand_case():
@@ -95,8 +94,9 @@ def oracle_ranks(params, kb):
     candidates tie with it."""
     ranks, filtered_above, ties = [], 0, 0
     for fact in kb.test:
+        all_scores = forward_group(params, split_groups(params, [fact])[0]).scores[0]
         for pos in range(fact.arity):
-            scores = score_batch_position(params, fact, pos)
+            scores = all_scores[pos]
             mask = brute_force_candidates(kb, fact, pos)
             true_score = scores[fact.entities[pos]]
             filtered_above += int((scores[~mask] > true_score).sum())
@@ -160,14 +160,16 @@ def test_filter_monotonicity_removing_fact_cannot_improve_rank():
     # Make d outscore a at position 0: d's block is a multiple of a's, with
     # the sign of a's score and a magnitude above 1.
     a, d = (kb_full.vocab.entity_index[name] for name in ("a", "d"))
-    a_score = score_batch_position(params, fact, 0)[a]
+    a_score = group_scores_and_ranks(params, kb_full, [fact])[0][0, 0, a]
     assert a_score != 0.0
     ent = params.data[("ent",)]
     ent[d] = 2.0 * np.sign(a_score) * ent[a]
+    small = group_scores_and_ranks(params, kb_small, [fact])[1][0]
+    full = group_scores_and_ranks(params, kb_full, [fact])[1][0]
     for pos in range(fact.arity):
-        assert rank(params, kb_small, fact, pos) >= rank(params, kb_full, fact, pos)
+        assert small[pos] >= full[pos]
     # position 0 is the slot where removing "r d b" un-filters d
-    assert rank(params, kb_small, fact, 0) > rank(params, kb_full, fact, 0)
+    assert small[0] > full[0]
 
 
 def test_empty_split_rejected():

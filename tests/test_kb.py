@@ -187,6 +187,21 @@ def test_normalized_export_shape():
     }
 
 
+def test_parse_normalized_rejects_values_of_the_wrong_type():
+    lines = [
+        '{"relation": "r", "entities": "ab"}',
+        '{"relation": "r", "entities": [1, 2]}',
+        '{"relation": ["r"], "entities": ["a", "b"]}',
+        '{"relation": "r", "entities": ["a", "b"], "roles": "AB"}',
+    ]
+    for line in lines:
+        with pytest.raises(ParseError) as err:
+            parse_normalized([line])
+        assert err.value.line_no == 1, line
+    null_roles = '{"relation": "r", "entities": ["a", "b"], "roles": null}'
+    assert parse_normalized([null_roles]) == [("r", ("a", "b"), None)]
+
+
 def test_subset_identity_keeps_training_split():
     kb = random_kb(6, (2, 3), n_train=20, seed=7)
     sub = subset_by_arity(kb, binary_keep_ratio=1.0, seed=1)

@@ -9,16 +9,11 @@ from oracles import (
     naive_latent_score,
     naive_softmax_matrix,
 )
-from ramkb.engine import forward_group, score, score_batch_position, split_groups
+from ramkb.engine import forward_group, score, split_groups
 from ramkb.errors import ConfigError, DimensionError
 from ramkb.kb import Fact
 from ramkb.mathcore import make_rng
-from ramkb.model import (
-    ModelConfig,
-    ModelParams,
-    pattern_matrix,
-    role_embedding,
-)
+from ramkb.model import ModelConfig, ModelParams, relation_terms
 
 from conftest import make_vocab, random_facts
 
@@ -59,13 +54,15 @@ class TestModelConfig:
 
 
 class TestRoleEmbedding:
+    """Role embeddings as `relation_terms` gives them: `role_emb[0, position, 0]`."""
+
     def test_uniform_simplex(self):
         vocab = make_vocab(3, (2,))
         cfg = ModelConfig(embed_dim=2, multiplicity=1, latent_size=2)
         params = ModelParams.init(cfg, vocab, seed=0)
         params.data[("basis_u",)] = np.array([[1.0, 0.0], [0.0, 1.0]])
         params.data[("alpha", 0)][:] = 0.0
-        np.testing.assert_allclose(role_embedding(params, 0, 0), [0.5, 0.5])
+        np.testing.assert_allclose(relation_terms(params, [0]).role_emb[0, 0, 0], [0.5, 0.5])
 
     def test_saturated_softmax_picks_one_basis(self):
         vocab = make_vocab(3, (2,))
@@ -73,7 +70,9 @@ class TestRoleEmbedding:
         params = ModelParams.init(cfg, vocab, seed=0)
         params.data[("basis_u",)] = np.array([[1.0, 0.0], [0.0, 1.0]])
         params.data[("alpha", 0)][0, 0] = [40.0, -40.0]
-        np.testing.assert_allclose(role_embedding(params, 0, 0), [1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(
+            relation_terms(params, [0]).role_emb[0, 0, 0], [1.0, 0.0], atol=1e-12
+        )
 
     def test_matches_naive_loop(self):
         from oracles import naive_role_embedding
@@ -81,45 +80,46 @@ class TestRoleEmbedding:
         vocab = make_vocab(3, (3,))
         cfg = ModelConfig(embed_dim=4, multiplicity=2, latent_size=3)
         params = randomized_params(cfg, vocab, seed=2)
+        role_emb = relation_terms(params, [0]).role_emb[0]
         for pos in range(3):
             expected = naive_role_embedding(
                 params.data[("alpha", 0)][pos, 0],
                 [list(b) for b in params.data[("basis_u",)]],
             )
-            np.testing.assert_allclose(role_embedding(params, 0, pos), expected, atol=1e-12)
+            np.testing.assert_allclose(role_emb[pos, 0], expected, atol=1e-12)
 
     def test_convex_hull_membership(self):
         vocab = make_vocab(3, (2,))
         cfg = ModelConfig(embed_dim=3, multiplicity=1, latent_size=4)
         params = randomized_params(cfg, vocab, seed=3)
-        emb = role_embedding(params, 0, 1)
+        emb = relation_terms(params, [0]).role_emb[0, 1, 0]
         basis = params.data[("basis_u",)]
         coeffs, *_ = np.linalg.lstsq(
             np.vstack([basis.T, np.ones(4)]), np.append(emb, 1.0), rcond=None
         )
         assert np.all(coeffs > -1e-9)
 
-    def test_position_out_of_range(self):
-        vocab = make_vocab(3, (2,))
-        params = ModelParams.init(ModelConfig(embed_dim=2), vocab, seed=0)
-        with pytest.raises(DimensionError):
-            role_embedding(params, 0, 2)
-
 
 class TestPatternMatrix:
+    """Pattern matrices as `relation_terms` gives them: `patterns[0, position, 0, 0]`."""
+
     def test_single_basis_is_normalized_basis(self):
         vocab = make_vocab(3, (2,))
         cfg = ModelConfig(embed_dim=2, multiplicity=2, latent_size=1)
         params = randomized_params(cfg, vocab, seed=4)
         expected = naive_softmax_matrix(params.data[("basis_p", 2)][0].tolist())
-        np.testing.assert_allclose(pattern_matrix(params, 0, 0), expected, atol=1e-15)
+        np.testing.assert_allclose(
+            relation_terms(params, [0]).patterns[0, 0, 0, 0], expected, atol=1e-15
+        )
 
     def test_zero_bases_give_uniform_entries(self):
         vocab = make_vocab(3, (2,))
         cfg = ModelConfig(embed_dim=2, multiplicity=2, latent_size=3)
         params = ModelParams.init(cfg, vocab, seed=0)
         params.data[("basis_p", 2)][:] = 0.0
-        np.testing.assert_allclose(pattern_matrix(params, 0, 1), np.full((2, 2), 0.25))
+        np.testing.assert_allclose(
+            relation_terms(params, [0]).patterns[0, 1, 0, 0], np.full((2, 2), 0.25)
+        )
 
     def test_matches_naive_loop(self):
         from oracles import naive_pattern_matrix
@@ -127,22 +127,22 @@ class TestPatternMatrix:
         vocab = make_vocab(3, (3,))
         cfg = ModelConfig(embed_dim=2, multiplicity=2, latent_size=2)
         params = randomized_params(cfg, vocab, seed=5)
+        patterns = relation_terms(params, [0]).patterns[0]
         for pos in range(3):
             expected = naive_pattern_matrix(
                 params.data[("alpha", 0)][pos, 0],
                 [[list(r) for r in b] for b in params.data[("basis_p", 3)]],
             )
-            np.testing.assert_allclose(
-                pattern_matrix(params, 0, pos), expected, atol=1e-12
-            )
+            np.testing.assert_allclose(patterns[pos, 0, 0], expected, atol=1e-12)
 
     def test_entries_positive_and_sum_to_one(self):
         vocab = make_vocab(4, (2, 4))
         cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=5)
         params = randomized_params(cfg, vocab, seed=6)
         for rel in range(2):
+            patterns = relation_terms(params, [rel]).patterns[0]
             for pos in range(vocab.arity(rel)):
-                pat = pattern_matrix(params, rel, pos)
+                pat = patterns[pos, 0, 0]
                 assert np.all(pat > 0)
                 assert pat.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -152,18 +152,18 @@ class TestPatternMatrix:
         params = ModelParams.init(cfg, vocab, seed=0)
         del params.data[("basis_p", 2)]
         with pytest.raises(ConfigError):
-            pattern_matrix(params, 0, 0)
+            relation_terms(params, [0])
 
 
 def test_mixing_weight_shift_invariance():
     vocab = make_vocab(4, (3,))
     cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=4)
     params = randomized_params(cfg, vocab, seed=7)
-    before_u = role_embedding(params, 0, 1)
-    before_p = pattern_matrix(params, 0, 1)
+    before = relation_terms(params, [0])
     params.data[("alpha", 0)] += 3.7
-    np.testing.assert_allclose(role_embedding(params, 0, 1), before_u, atol=1e-12)
-    np.testing.assert_allclose(pattern_matrix(params, 0, 1), before_p, atol=1e-12)
+    after = relation_terms(params, [0])
+    np.testing.assert_allclose(after.role_emb[0, 1], before.role_emb[0, 1], atol=1e-12)
+    np.testing.assert_allclose(after.patterns[0, 1], before.patterns[0, 1], atol=1e-12)
 
 
 class TestScore:
@@ -234,6 +234,8 @@ class TestScore:
 
 
 class TestScoreBatchPosition:
+    """One position's full-table scores: a row of `forward_group`'s scores."""
+
     @pytest.mark.parametrize(
         "mode,kwargs",
         [
@@ -248,22 +250,27 @@ class TestScoreBatchPosition:
             embed_dim=3, multiplicity=2, latent_size=2, mode=mode, **kwargs
         )
         params = randomized_params(cfg, vocab, seed=16)
-        for fact in random_facts(vocab, 4, seed=17):
-            for pos in range(fact.arity):
-                got = score_batch_position(params, fact, pos)
-                for e in range(vocab.n_entities):
-                    entities = list(fact.entities)
-                    entities[pos] = e
-                    expected = score(params, Fact(fact.relation, tuple(entities), fact.roles))
-                    assert got[e] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        facts = random_facts(vocab, 4, seed=17)
+        for spec in split_groups(params, facts):
+            scores = forward_group(params, spec).scores
+            for row, fact_idx in enumerate(spec.fact_index):
+                fact = facts[fact_idx]
+                for pos in range(fact.arity):
+                    got = scores[row, pos]
+                    for e in range(vocab.n_entities):
+                        entities = list(fact.entities)
+                        entities[pos] = e
+                        expected = score(params, Fact(fact.relation, tuple(entities), fact.roles))
+                        assert got[e] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_true_entity_entry_equals_plain_score(self):
         vocab = make_vocab(6, (4,))
         cfg = ModelConfig(embed_dim=5, multiplicity=2, latent_size=3)
         params = randomized_params(cfg, vocab, seed=18)
         fact = Fact(0, (1, 3, 3, 5))
+        scores = forward_group(params, split_groups(params, [fact])[0]).scores[0]
         for pos in range(4):
-            got = score_batch_position(params, fact, pos)
+            got = scores[pos]
             assert got[fact.entities[pos]] == pytest.approx(
                 score(params, fact), rel=1e-12, abs=1e-12
             )
@@ -273,7 +280,8 @@ class TestScoreBatchPosition:
         cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
         params = randomized_params(cfg, vocab, seed=19)
         params.data[("ent",)][:] = params.data[("ent",)][0]
-        got = score_batch_position(params, Fact(0, (0, 1)), 1)
+        spec = split_groups(params, [Fact(0, (0, 1))])[0]
+        got = forward_group(params, spec).scores[0, 1]
         np.testing.assert_allclose(got, got[0], atol=1e-12)
 
 

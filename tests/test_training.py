@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -385,6 +386,21 @@ class TestTrainLoop:
         result = train(kb, mcfg, tcfg)
         report = evaluate(result.params, kb, split="valid")
         assert report.mrr == pytest.approx(result.best_valid_mrr, abs=1e-12)
+
+    def test_logs_one_info_line_per_epoch(self, caplog):
+        kb = random_kb(8, (2, 3), n_train=12, n_valid=4, seed=21)
+        mcfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
+        tcfg = TrainConfig(batch_size=4, max_epochs=3, eval_every=2, seed=4)
+        caplog.set_level(logging.INFO, logger="ramkb.training")
+        result = train(kb, mcfg, tcfg)
+        lines = [(r.levelno, r.getMessage()) for r in caplog.records if r.name == "ramkb.training"]
+        rows = result.trace
+        assert lines == [
+            (logging.INFO, f"epoch 1: loss {rows[0].train_loss:.6f}"),
+            (logging.INFO, f"epoch 2: loss {rows[1].train_loss:.6f}, "
+                           f"valid MRR {rows[1].valid_mrr:.4f}"),
+            (logging.INFO, f"epoch 3: loss {rows[2].train_loss:.6f}"),
+        ]
 
     def test_empty_training_split_rejected(self):
         vocab = make_vocab(3, (2,))
