@@ -39,12 +39,27 @@ from .kb import Fact
 from .model import ModelParams, RelationTerms, SlotKey, mode_of, relation_terms
 
 
+def _scatter_rows(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``out[rows[i]] += values[i]`` for every i, repeated rows included.
+
+    `out` is C-contiguous. The scatter runs on flat 1-D indices, numpy's fast
+    ``add.at`` path; each element still receives its contributions one at a
+    time in the order of `rows`, so the sums are those of the row-wise form
+    bit for bit.
+    """
+    width = out[0].size
+    flat = (rows[:, None] * width + np.arange(width)).reshape(-1)
+    np.add.at(out.reshape(-1), flat, values.reshape(-1))
+
+
 class GradientBuffer:
     """Sparse per-slot gradient accumulator for one mini-batch.
 
     Row-sparse slots (entity table, explicit role tables) store a dense
     gradient array plus a mask of touched rows so the optimizer can update
-    only those rows.
+    only those rows. Contributions to a row sum element by element in the
+    order of the calls, and of the rows within a call, so a batch's gradient
+    is bitwise deterministic.
     """
 
     def __init__(self, params: ModelParams) -> None:
@@ -64,8 +79,7 @@ class GradientBuffer:
         self.grads[key] += value
 
     def add_rows(self, key: SlotKey, rows: np.ndarray, values: np.ndarray) -> None:
-        buf = self._ensure(key)
-        np.add.at(buf, rows, values)
+        _scatter_rows(self._ensure(key), rows, values)
         self.touched[key][rows] = True
 
     def add_all_rows(self, key: SlotKey, values: np.ndarray) -> None:
@@ -287,9 +301,9 @@ def backward_group(
     gu_rel = np.zeros((n_rel,) + grad_u.shape[1:])
     gp_rel = np.zeros((n_rel,) + grad_p.shape[1:])
     gw_rel = np.zeros((n_rel,) + grad_w.shape[1:])
-    np.add.at(gu_rel, fwd.rel_inverse, grad_u)
-    np.add.at(gp_rel, fwd.rel_inverse, grad_p)
-    np.add.at(gw_rel, fwd.rel_inverse, grad_w)
+    _scatter_rows(gu_rel, fwd.rel_inverse, grad_u)
+    _scatter_rows(gp_rel, fwd.rel_inverse, grad_p)
+    _scatter_rows(gw_rel, fwd.rel_inverse, grad_w)
 
     mode_of(cfg).backward(params, fwd.uniq_rels, fwd.terms, gu_rel, gp_rel, gw_rel, buf)
 

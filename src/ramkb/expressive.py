@@ -24,7 +24,7 @@ import numpy as np
 
 from .engine import GroupSpec, forward_group
 from .errors import ConfigError, DataError
-from .kb import Fact, Vocabulary
+from .kb import Fact, Vocabulary, _is_names
 from .model import ModelConfig, ModelParams
 
 ENUMERATION_CAP = 1_000_000
@@ -55,22 +55,29 @@ def ground_truth_from_json(text: str) -> GroundTruth:
     Expected shape: {"facts": [{"relation": str, "entities": [str, ...]},
     ...], "entities": [str, ...]?} where the optional entity list adds
     vocabulary entries beyond those appearing in facts. A document of any
-    other shape raises DataError.
+    other shape, or with a name that is not a string, raises DataError.
     """
     try:
         data = json.loads(text)
         raw_facts = data.get("facts")
         if not raw_facts:
             raise DataError("ground truth JSON needs a non-empty 'facts' list")
+        names = data.get("entities", [])
+        if not _is_names(names):
+            raise DataError("ground truth 'entities' must be a list of strings")
         vocab = Vocabulary()
-        for name in data.get("entities", []):
+        for name in names:
             vocab.add_entity(name)
         facts = []
         for obj in raw_facts:
-            entities = tuple(obj["entities"])
+            relation, entities = obj["relation"], obj["entities"]
+            if not (isinstance(relation, str) and _is_names(entities)):
+                raise DataError(
+                    "a fact's 'relation' must be a string and its 'entities' a list of strings"
+                )
             if len(entities) < 2:
                 raise DataError("facts need >= 2 entities")
-            rel = vocab.add_relation(obj["relation"], len(entities))
+            rel = vocab.add_relation(relation, len(entities))
             facts.append(Fact(rel, tuple(vocab.add_entity(e) for e in entities)))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed ground truth JSON ({exc!r})") from None

@@ -120,16 +120,27 @@ class Vocabulary:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Vocabulary":
+        """Inverse of :meth:`to_dict`.
+
+        An arity or role id that is not an int (a bool, a float, a string)
+        raises TypeError rather than being coerced.
+        """
         vocab = cls()
         for name in data["entities"]:
             vocab.add_entity(name)
         for name, arity in data["relations"]:
-            vocab.add_relation(name, int(arity))
+            vocab.add_relation(name, _json_int(arity, "arity"))
         for name in data.get("roles", []):
             vocab.add_role(name)
         for rel, group in data.get("rel_roles", {}).items():
-            vocab.rel_roles[int(rel)] = tuple(int(g) for g in group)
+            vocab.rel_roles[int(rel)] = tuple(_json_int(g, "role id") for g in group)
         return vocab
+
+
+def _json_int(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} {value!r} is not an int")
+    return value
 
 
 def parse_tabular(lines: Iterable[str]) -> list[RawFact]:

@@ -229,7 +229,15 @@ class AdamState:
 def optimizer_step(
     params: ModelParams, buf: GradientBuffer, state: AdamState, lr: float
 ) -> None:
-    """Sparse Adam update over the slots touched by the buffer."""
+    """Sparse Adam update over the slots touched by the buffer.
+
+    Row-sparse slots follow lazy Adam: only the touched rows advance their
+    moments and their own step counts. Those rows' gradient and moments are
+    gathered once; the gathered copies are updated in place, the moments
+    written back, and the copies then become the bias-corrected step. Every
+    product and quotient keeps the operand order of the textbook form, so
+    the update is bitwise deterministic.
+    """
     for key, grad in buf.grads.items():
         target = params.data[key]
         row_sparse = key in buf.touched
@@ -241,13 +249,26 @@ def optimizer_step(
                 continue
             state.steps[key][rows] += 1
             t = state.steps[key][rows]
-            g = grad[rows]
-            m1[rows] = ADAM_BETA1 * m1[rows] + (1 - ADAM_BETA1) * g
-            m2[rows] = ADAM_BETA2 * m2[rows] + (1 - ADAM_BETA2) * g * g
+            # fancy indexing copies, so the in-place updates below never
+            # reach the state before the write-back
+            g, mu, nu = grad[rows], m1[rows], m2[rows]
+            mu *= ADAM_BETA1
+            nu *= ADAM_BETA2
+            sq = (1 - ADAM_BETA2) * g
+            sq *= g
+            nu += sq
+            g *= 1 - ADAM_BETA1
+            mu += g
+            m1[rows] = mu
+            m2[rows] = nu
             extra = (1,) * (target.ndim - 1)
-            bc1 = (1 - ADAM_BETA1 ** t).reshape(t.shape + extra)
-            bc2 = (1 - ADAM_BETA2 ** t).reshape(t.shape + extra)
-            target[rows] -= lr * (m1[rows] / bc1) / (np.sqrt(m2[rows] / bc2) + ADAM_EPS)
+            mu /= (1 - ADAM_BETA1 ** t).reshape(t.shape + extra)
+            mu *= lr
+            nu /= (1 - ADAM_BETA2 ** t).reshape(t.shape + extra)
+            np.sqrt(nu, out=nu)
+            nu += ADAM_EPS
+            mu /= nu
+            target[rows] -= mu
         else:
             state.steps[key] += 1
             t = state.steps[key]

@@ -199,3 +199,52 @@ def sort_rank(scores, mask, true_entity):
         if value == true_score:
             return idx + 1
     raise AssertionError("true entity's score not found among candidates")
+
+
+def rowwise_scatter(out, rows, values):
+    """``out[rows[i]] += values[i]`` through numpy's row-wise ``add.at``."""
+    np.add.at(out, rows, values)
+
+
+class TextbookAdam:
+    """Lazy Adam (Kingma & Ba, ICLR 2015) in its textbook vectorized form.
+
+    Dense slots advance one step count; row-sparse slots (those in `touched`)
+    advance only their touched rows' moments and per-row step counts. The
+    moments and steps live here, keyed like the parameter slots.
+    """
+
+    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m1, self.m2, self.steps = {}, {}, {}
+
+    def step(self, data, grads, touched, lr):
+        b1, b2, eps = self.beta1, self.beta2, self.eps
+        for key, grad in grads.items():
+            target = data[key]
+            if key not in self.m1:
+                self.m1[key] = np.zeros_like(target)
+                self.m2[key] = np.zeros_like(target)
+                self.steps[key] = (
+                    np.zeros(target.shape[0], dtype=np.int64) if key in touched else 0
+                )
+            m1, m2 = self.m1[key], self.m2[key]
+            if key in touched:
+                rows = np.flatnonzero(touched[key])
+                if rows.size == 0:
+                    continue
+                self.steps[key][rows] += 1
+                t = self.steps[key][rows]
+                g = grad[rows]
+                m1[rows] = b1 * m1[rows] + (1 - b1) * g
+                m2[rows] = b2 * m2[rows] + (1 - b2) * g * g
+                extra = (1,) * (target.ndim - 1)
+                bc1 = (1 - b1 ** t).reshape(t.shape + extra)
+                bc2 = (1 - b2 ** t).reshape(t.shape + extra)
+                target[rows] -= lr * (m1[rows] / bc1) / (np.sqrt(m2[rows] / bc2) + eps)
+            else:
+                self.steps[key] += 1
+                t = self.steps[key]
+                m1[:] = b1 * m1 + (1 - b1) * grad
+                m2[:] = b2 * m2 + (1 - b2) * grad * grad
+                target -= lr * (m1 / (1 - b1 ** t)) / (np.sqrt(m2 / (1 - b2 ** t)) + eps)

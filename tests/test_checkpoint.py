@@ -203,9 +203,13 @@ def test_malformed_header_is_data_error(tmp_path):
             "config": {**header["config"], "mode": "preset", "preset": "DistMult"},
             "vocab": {**header["vocab"], "relations": [["r0", 3]]},
         },
+        # arities that int() would coerce to the saved arity 2 or to 1
+        "vocab-arity-float": {**header, "vocab": {**header["vocab"], "relations": [["r0", 2.9]]}},
+        "vocab-arity-bool": {**header, "vocab": {**header["vocab"], "relations": [["r0", True]]}},
     }
     role_cases = {"rel-roles-id-7-of-2": [0, 7], "rel-roles-too-long": [0, 1, 0],
-                  "rel-roles-id-negative": [0, -1]}
+                  "rel-roles-id-negative": [0, -1], "rel-roles-string": "01",
+                  "rel-roles-id-float": [0, 1.0], "rel-roles-id-bool": [False, True]}
     assert explicit_header["vocab"]["rel_roles"] == {"0": [0, 1]}
     bad_files = {name: (bad_header, payload) for name, bad_header in headers.items()}
     for name, roles in role_cases.items():

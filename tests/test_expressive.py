@@ -107,7 +107,12 @@ def test_express_command_writes_passing_report(tmp_path):
     "{bad",
     "[1,2]",
     '{"facts":[{"relation":"r"}]}',
-], ids=["not-json", "not-object", "fact-without-entities"])
+    '{"facts":[{"relation":"r","entities":"ab"}]}',
+    '{"facts":[{"relation":"r","entities":[1,2]}]}',
+    '{"facts":[{"relation":5,"entities":["a","b"]}]}',
+    '{"facts":[{"relation":"r","entities":["a","b"]}],"entities":"xyz"}',
+], ids=["not-json", "not-object", "fact-without-entities", "entities-string",
+        "entities-ints", "relation-int", "top-level-entities-string"])
 def test_express_command_maps_malformed_spec_to_exit_3(tmp_path, text):
     spec = tmp_path / "truth.json"
     spec.write_text(text)

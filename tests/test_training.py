@@ -4,8 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from oracles import naive_fact_loss, naive_latent_score
-from ramkb.engine import GradientBuffer, forward_group, group_losses, score, split_groups
+from oracles import TextbookAdam, naive_fact_loss, naive_latent_score, rowwise_scatter
+from ramkb.engine import (
+    GradientBuffer,
+    _scatter_rows,
+    forward_group,
+    group_losses,
+    score,
+    split_groups,
+)
 from ramkb.errors import ConfigError, NumericError
 from ramkb.gradcheck import _random_trial, check_batch, run_gradcheck
 from ramkb.kb import Fact, KnowledgeBase, Vocabulary, build_kb, parse_tabular
@@ -322,6 +329,69 @@ class TestOptimizer:
             assert params.data[("ent",)][1, 0, 0] == pytest.approx(theta, rel=1e-12)
         # untouched rows never moved
         np.testing.assert_array_equal(params.data[("ent",)][0], np.ones((1, 2)))
+
+    @staticmethod
+    def _spread_values(rng, shape):
+        """Values from 1e-8 to 1e8 in size, so any change of summation order shows."""
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+
+    @pytest.mark.parametrize("shape", [(7, 5), (4, 2, 3, 2)])
+    def test_row_scatter_sums_like_rowwise_add_at(self, shape):
+        rng = np.random.default_rng(3)
+        rows = rng.integers(0, 3, 60)  # every row repeats many times; the rest stay zero
+        values = self._spread_values(rng, (60,) + shape[1:])
+        got, want = np.zeros(shape), np.zeros(shape)
+        _scatter_rows(got, rows, values)
+        rowwise_scatter(want, rows, values)
+        np.testing.assert_array_equal(got, want)
+
+    def test_buffer_rows_sum_like_rowwise_add_at_across_calls(self):
+        params = self._tiny()
+        key = ("ent",)
+        shape = params.data[key].shape
+        rng = np.random.default_rng(4)
+        first_rows, second_rows = np.array([2, 0, 2, 2]), np.array([0, 2, 1, 0, 0])
+        first = self._spread_values(rng, (4,) + shape[1:])
+        dense = self._spread_values(rng, shape)
+        second = self._spread_values(rng, (5,) + shape[1:])
+        buf, want = GradientBuffer(params), np.zeros(shape)
+        buf.add_rows(key, first_rows, first)
+        rowwise_scatter(want, first_rows, first)
+        np.testing.assert_array_equal(buf.touched[key], [True, False, True])
+        buf.add_all_rows(key, dense)
+        want += dense
+        buf.add_rows(key, second_rows, second)
+        rowwise_scatter(want, second_rows, second)
+        np.testing.assert_array_equal(buf.grads[key], want)
+        assert buf.touched[key].all()
+
+    @pytest.mark.parametrize("mode", ["latent", "explicit"])
+    def test_steps_match_textbook_lazy_adam_bit_for_bit(self, mode):
+        """Sampled batches touch some entity rows, full ones every row."""
+        kb = random_kb(40, (2, 3), n_train=18, seed=21, explicit_roles=mode == "explicit")
+        cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2, mode=mode)
+        params = randomized_params(cfg, kb.vocab, seed=22)
+        oracle_data = {k: v.copy() for k, v in params.data.items()}
+        state, oracle = AdamState(), TextbookAdam()
+        lr = 0.05
+        for step in range(6):
+            batch = kb.train[3 * step : 3 * step + 3]
+            negatives = "full" if step in (2, 5) else 2
+            rngs = [make_rng(0, 2, step, i) for i in range(len(batch))]
+            _, buf = batch_backward(params, batch, negatives=negatives, fact_rngs=rngs)
+            n_touched = int(buf.touched[("ent",)].sum())
+            assert (n_touched == 40) if negatives == "full" else (0 < n_touched < 40)
+            grads = {k: v.copy() for k, v in buf.grads.items()}
+            touched = {k: v.copy() for k, v in buf.touched.items()}
+            optimizer_step(params, buf, state, lr)
+            oracle.step(oracle_data, grads, touched, lr)
+            for key in params.data:
+                np.testing.assert_array_equal(params.data[key], oracle_data[key])
+            for key in oracle.m1:
+                np.testing.assert_array_equal(state.m1[key], oracle.m1[key])
+                np.testing.assert_array_equal(state.m2[key], oracle.m2[key])
+                np.testing.assert_array_equal(state.steps[key], oracle.steps[key])
+        assert len(np.unique(state.steps[("ent",)])) > 1
 
     def test_only_touched_slots_change(self):
         kb = random_kb(10, (2,), n_train=2, seed=16)
