@@ -1,13 +1,17 @@
 """Binary checkpoints and CSV exports of learned parameters.
 
 Checkpoint layout: the magic bytes ``RAMCKPT1``, a little-endian uint64
-header length, a UTF-8 JSON header, then the raw little-endian float64
-arrays in the order the header declares them. The header holds only what
-cannot be derived: ``config``, ``vocab`` (the vocabulary the parameters
-own), ``holdout`` (the arguments ``cli.load_dataset`` split the training
-data with) and ``arrays`` (each slot's name, shape and byte offset).
-Saving, loading and the CSV exports read the vocabulary from
-``ModelParams.vocab``; none of them takes a vocabulary of its own.
+header length, a UTF-8 JSON header, then the payload. The header holds only
+what cannot be derived: ``config``, ``vocab`` (the vocabulary the parameters
+own) and ``holdout`` (the arguments ``cli.load_dataset`` split the training
+data with). The payload is every slot as little-endian float64, one after
+another in ``ModelParams.slots()`` order; the config and vocabulary fix each
+slot's shape (``ModelParams.slot_shapes()``) and so the payload's exact
+length. Files that also carry a table of the arrays, and spell a preset
+model as ``"mode": "preset", "preset": <Kind>``, were written in this same
+slot order and still load. Saving, loading and the CSV exports read the
+vocabulary from ``ModelParams.vocab``; none of them takes a vocabulary of
+its own.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import struct
 from itertools import zip_longest
 from pathlib import Path
@@ -23,24 +28,12 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .kb import Vocabulary
-from .model import ModelConfig, ModelParams, SlotKey, relation_terms
+from .model import ModelConfig, ModelParams, relation_terms
 
 MAGIC = b"RAMCKPT1"
-_HEADER_KEYS = ("config", "vocab", "arrays")
+_HEADER_KEYS = ("config", "vocab")
 # the holdout of a header that records none: the split evaluation used by default
 DEFAULT_HOLDOUT = {"valid_fraction": 0.2, "seed": 0}
-
-
-def _slot_name(key: SlotKey) -> str:
-    return "/".join(str(part) for part in key)
-
-
-def _parse_slot(name: str) -> SlotKey:
-    parts = name.split("/")
-    try:
-        return (parts[0], *[int(p) for p in parts[1:]])
-    except ValueError:
-        raise DataError(f"bad slot name {name!r} in checkpoint") from None
 
 
 def _is_count(value) -> bool:
@@ -52,6 +45,8 @@ def _header_config(path, data) -> ModelConfig:
     int_fields = [f for f in ModelConfig.__dataclass_fields__.values() if f.type == "int"]
     if not isinstance(data, dict) or not all(_is_count(data.get(f.name, 1)) for f in int_fields):
         raise DataError(f"{path}: checkpoint config {data!r} is not a model config")
+    if data.get("mode") == "preset":  # the older spelling of "preset:<Kind>"
+        data = {**data, "mode": f"preset:{data.get('preset')}"}
     try:
         return ModelConfig.from_dict(data)
     except ConfigError as exc:
@@ -70,39 +65,32 @@ def _header_holdout(path, data) -> dict:
 
 def save_checkpoint(path, params: ModelParams, holdout=DEFAULT_HOLDOUT):
     """Write `params`, their vocabulary, and the `holdout` their training data was split by."""
-    entries = []
-    payload = io.BytesIO()
-    for key in params.slots():
-        array = params.data[key]
-        entries.append(
-            {"name": _slot_name(key), "shape": list(array.shape), "offset": payload.tell()}
-        )
-        payload.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
     header = {
         "config": params.cfg.to_dict(),
         "vocab": params.vocab.to_dict(),
         "holdout": holdout,
-        "arrays": entries,
     }
     blob = json.dumps(header).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        fh.write(payload.getvalue())
+        for key in params.slots():
+            fh.write(np.ascontiguousarray(params.data[key], dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """Read a checkpoint as (params, holdout); the params own the header's vocabulary.
 
-    The entity count and relation arities follow from the vocabulary. A
-    header without ``holdout`` reads as DEFAULT_HOLDOUT; other keys are
-    ignored. A truncated or malformed file raises DataError: a header field
-    of the wrong type, a config that ModelConfig rejects, a holdout fraction
-    outside [0, 1), a relation of arity below 2, a relation's roles that are
-    not one role id per position, a vocabulary that the config's mode cannot
-    take, or arrays that are not exactly the slots, by name and shape, that
-    the config and vocabulary call for.
+    The header's config and vocabulary fix every slot's shape, and the
+    payload holds those slots in `ModelParams.slots()` order. A header
+    without ``holdout`` reads as DEFAULT_HOLDOUT; other keys are ignored, so
+    files with the older table of arrays load too. A truncated or malformed
+    file raises DataError: a header field of the wrong type, a config that
+    ModelConfig rejects, a holdout fraction outside [0, 1), a relation of
+    arity below 2, a relation's roles that are not one role id per position,
+    a vocabulary that the config's mode cannot take, or a payload that is
+    not exactly as long as the slots the config and vocabulary call for.
     """
     raw = Path(path).read_bytes()
     if raw[: len(MAGIC)] != MAGIC:
@@ -126,8 +114,6 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     if missing:
         raise DataError(f"{path}: checkpoint header lacks {', '.join(missing)}")
     payload = raw[header_start + header_len :]
-    if not isinstance(header["arrays"], list):
-        raise DataError(f"{path}: checkpoint arrays {header['arrays']!r} is not a list")
 
     cfg = _header_config(path, header["config"])
     holdout = _header_holdout(path, header.get("holdout", DEFAULT_HOLDOUT))
@@ -149,43 +135,20 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             )
     params = ModelParams(cfg, vocab)
     try:
-        expected = params.slot_shapes()
+        shapes = params.slot_shapes()
     except ConfigError as exc:
         raise DataError(f"{path}: checkpoint vocabulary does not fit its config ({exc})") from None
-    for entry in header["arrays"]:
-        if not (
-            isinstance(entry, dict)
-            and isinstance(entry.get("name"), str)
-            and isinstance(entry.get("shape"), list)
-            and all(_is_count(n) for n in entry["shape"])
-            and _is_count(entry.get("offset"))
-        ):
-            raise DataError(
-                f"{path}: array entry {entry!r} needs a string name, a list of counts "
-                "as shape and a count as offset"
-            )
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        if start + 8 * count > len(payload):
-            raise DataError(
-                f"{path}: truncated checkpoint (array {entry['name']!r} needs bytes "
-                f"{start}..{start + 8 * count} of a {len(payload)}-byte payload)"
-            )
-        key = _parse_slot(entry["name"])
-        if expected.get(key) != shape:
-            wanted = f"needs {expected[key]}" if key in expected else "has no such slot"
-            raise DataError(
-                f"{path}: checkpoint array {entry['name']!r} has shape {shape}; "
-                f"the {cfg.mode_string()} model {wanted}"
-            )
-        array = np.frombuffer(
-            payload, dtype="<f8", count=count, offset=start
-        ).reshape(shape).astype(np.float64)
-        params.data[key] = array
-    missing = [_slot_name(key) for key in expected if key not in params.data]
-    if missing:
-        raise DataError(f"{path}: checkpoint lacks arrays {', '.join(sorted(missing))}")
+    counts = [math.prod(shape) for shape in shapes.values()]
+    if 8 * sum(counts) != len(payload):
+        raise DataError(
+            f"{path}: checkpoint payload has {len(payload)} bytes; the {cfg.mode} model "
+            f"over its vocabulary needs {8 * sum(counts)}"
+        )
+    offset = 0
+    for (key, shape), count in zip(shapes.items(), counts):
+        array = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
+        params.data[key] = array.reshape(shape).astype(np.float64)
+        offset += 8 * count
     return params, holdout
 
 
@@ -217,7 +180,7 @@ def export_entities_csv(params: ModelParams) -> str:
     writer.writerow(["name"] + [f"v{i}" for i in range(m * d)])
     ent = params.data[("ent",)]
     for idx, name in enumerate(params.vocab.entities):
-        writer.writerow([name] + [repr(x) for x in ent[idx].reshape(-1)])
+        writer.writerow([name] + [repr(float(x)) for x in ent[idx].reshape(-1)])
     return out.getvalue()
 
 
@@ -243,7 +206,7 @@ def export_roles_csv(params: ModelParams) -> str:
             for j in range(params.cfg.role_multiplicity):
                 writer.writerow(
                     [name, arity, pos, j, role_name]
-                    + [repr(x) for x in role_emb[pos, j]]
+                    + [repr(float(x)) for x in role_emb[pos, j]]
                 )
     return out.getvalue()
 
@@ -265,7 +228,7 @@ def export_patterns_csv(params: ModelParams) -> str:
             for j in range(params.cfg.role_multiplicity):
                 for k in range(params.cfg.patterns_per_role):
                     values = patterns[pos, j, k].reshape(-1)
-                    row = [name, arity, pos, j, k] + [repr(x) for x in values]
+                    row = [name, arity, pos, j, k] + [repr(float(x)) for x in values]
                     row += [""] * (5 + max_arity * m - len(row))
                     writer.writerow(row)
     return out.getvalue()

@@ -88,12 +88,7 @@ def load_configs(config_path: Path | None, overrides: dict) -> tuple[ModelConfig
     model_kwargs: dict = {}
     train_kwargs: dict = {}
     for key, value in raw.items():
-        if key == "mode":
-            mode, preset = ModelConfig.parse_mode(str(value))
-            model_kwargs["mode"] = mode
-            if preset is not None:
-                model_kwargs["preset"] = preset
-        elif key in model_fields:
+        if key in model_fields:
             model_kwargs[key] = _coerce(key, model_fields[key].type, str(value))
         elif key in train_fields:
             train_kwargs[key] = _coerce(key, train_fields[key].type, str(value))
@@ -266,8 +261,7 @@ def cmd_equiv(args) -> int:
     from .kb import Fact as KFact
 
     rng = make_rng(args.seed, 11)
-    mode, preset = ModelConfig.parse_mode(f"preset:{args.kind}")
-    cfg = ModelConfig(embed_dim=args.dim, mode=mode, preset=preset)
+    cfg = ModelConfig(embed_dim=args.dim, mode=f"preset:{args.kind}")
     vocab = Vocabulary()
     vocab.add_entity("h")
     vocab.add_entity("t")

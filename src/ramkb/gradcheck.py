@@ -105,8 +105,7 @@ def _random_trial(
     rng = make_rng(seed, 7, trial)
     modes = ["latent", "latent", "extended", "explicit",
              "preset:DistMult", "preset:SimplE", "preset:ComplEx", "preset:QuatE"]
-    mode_str = modes[trial % len(modes)]
-    mode, preset = ModelConfig.parse_mode(mode_str)
+    mode = modes[trial % len(modes)]
     d = int(rng.integers(2, 6))
     m = int(rng.integers(1, 4))
     k = int(rng.integers(1, 5))
@@ -117,15 +116,13 @@ def _random_trial(
             patterns_per_role=int(rng.integers(1, 3)),
         )
     else:
-        cfg = ModelConfig(
-            embed_dim=d, multiplicity=m, latent_size=k, mode=mode, preset=preset
-        )
+        cfg = ModelConfig(embed_dim=d, multiplicity=m, latent_size=k, mode=mode)
 
     n_entities = int(rng.integers(4, 8))
     vocab = Vocabulary()
     for e in range(n_entities):
         vocab.add_entity(f"e{e}")
-    arity_pool = [2] if mode == "preset" else [2, 3, 4]
+    arity_pool = [2] if mode.startswith("preset:") else [2, 3, 4]
     n_relations = int(rng.integers(1, 4))
     for r in range(n_relations):
         arity = int(rng.choice(arity_pool))
@@ -167,5 +164,5 @@ def run_gradcheck(trials: int = 20, seed: int = 0, tol: float = DEFAULT_TOL) -> 
         params, facts, negatives, dropout, rng_keys = _random_trial(seed, trial)
         errors = check_batch(params, facts, negatives, dropout, rng_keys)
         dims = (params.cfg.embed_dim, params.cfg.multiplicity, params.cfg.latent_size)
-        reports.append(TrialReport(params.cfg.mode_string(), dims, errors))
+        reports.append(TrialReport(params.cfg.mode, dims, errors))
     return GradcheckReport(reports, tol)

@@ -122,13 +122,18 @@ class Vocabulary:
     def from_dict(cls, data: dict) -> "Vocabulary":
         """Inverse of :meth:`to_dict`.
 
-        An arity or role id that is not an int (a bool, a float, a string)
-        raises TypeError rather than being coerced.
+        An entity, relation or role name that is not a string, or an arity or
+        role id that is not an int (a bool, a float, a string), raises
+        TypeError rather than being coerced.
         """
+        if not (_is_names(data["entities"]) and _is_names(data.get("roles", []))):
+            raise TypeError("entity and role names must be lists of strings")
         vocab = cls()
         for name in data["entities"]:
             vocab.add_entity(name)
         for name, arity in data["relations"]:
+            if not isinstance(name, str):
+                raise TypeError(f"relation name {name!r} is not a string")
             vocab.add_relation(name, _json_int(arity, "arity"))
         for name in data.get("roles", []):
             vocab.add_role(name)

@@ -20,9 +20,9 @@ relation, so only reading and writing them loops over relations.
   matrices per role embedding, combined with learnable per-term weights.
 * ``explicit`` - every globally named role owns a free embedding vector and
   a raw pattern matrix that is softmax-normalized at use time.
-* ``preset``   - pattern matrices and term signs are the constants of
-  ``cfg.preset`` that reproduce DistMult / SimplE / ComplEx / QuatE; role
-  embeddings are free vectors.
+* ``preset:<Kind>`` - pattern matrices and term signs are the constants
+  that reproduce the bilinear model ``<Kind>`` (DistMult / SimplE / ComplEx
+  / QuatE, e.g. ``mode = "preset:QuatE"``); role embeddings are free vectors.
 * ``raw``      - role embeddings and pattern matrices are stored in the
   ``("raw_u", r)`` / ``("raw_p", r)`` slots and used verbatim without any
   normalization; set by the expressiveness construction, never trained.
@@ -40,7 +40,7 @@ from .kb import Vocabulary
 from .mathcore import make_rng, softmax_last_axis, softmax_vjp
 from .presets import PRESET_DIMS, PRESET_KINDS, preset_patterns
 
-MODES = ("latent", "explicit", "preset", "extended", "raw")
+MODES = ("latent", "explicit", "extended", "raw", *(f"preset:{k}" for k in PRESET_KINDS))
 
 INIT_STD = 0.1
 _STREAM_INIT = 0
@@ -54,45 +54,25 @@ class ModelConfig:
     multiplicity: int = 2
     latent_size: int = 10
     mode: str = "latent"
-    preset: Optional[str] = None
     role_multiplicity: int = 1
     patterns_per_role: int = 1
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.mode == "preset":
-            if self.preset not in PRESET_KINDS:
-                raise ConfigError(
-                    f"preset mode needs preset in {PRESET_KINDS}, got {self.preset!r}"
-                )
-            m, mg, npm = PRESET_DIMS[self.preset]
-            self.multiplicity = m
-            self.role_multiplicity = mg
-            self.patterns_per_role = npm
-        elif self.preset is not None:
-            raise ConfigError("preset kind given but mode is not 'preset'")
-        if self.mode != "extended" and self.mode != "preset":
-            if self.role_multiplicity != 1 or self.patterns_per_role != 1:
-                raise ConfigError(
-                    "role_multiplicity/patterns_per_role require extended or preset mode"
-                )
+        if self.mode.startswith("preset:"):
+            dims = PRESET_DIMS[self.mode.removeprefix("preset:")]
+            self.multiplicity, self.role_multiplicity, self.patterns_per_role = dims
+        elif self.mode != "extended" and (
+            self.role_multiplicity != 1 or self.patterns_per_role != 1
+        ):
+            raise ConfigError(
+                "role_multiplicity/patterns_per_role require extended or preset mode"
+            )
         if min(self.embed_dim, self.multiplicity, self.latent_size) < 1:
             raise ConfigError("embed_dim, multiplicity and latent_size must be >= 1")
         if min(self.role_multiplicity, self.patterns_per_role) < 1:
             raise ConfigError("role_multiplicity and patterns_per_role must be >= 1")
-
-    @classmethod
-    def parse_mode(cls, text: str) -> tuple[str, Optional[str]]:
-        """Split a mode string like ``preset:QuatE`` into (mode, preset)."""
-        if text.startswith("preset:"):
-            return "preset", text.split(":", 1)[1]
-        if text == "preset":
-            raise ConfigError("preset mode needs a kind, e.g. preset:DistMult")
-        return text, None
-
-    def mode_string(self) -> str:
-        return f"preset:{self.preset}" if self.mode == "preset" else self.mode
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -156,10 +136,10 @@ class ModelParams:
         mode_of(cfg).init(self, gauss)
 
     def slot_shapes(self) -> dict[SlotKey, tuple]:
-        """Shape of every slot that this config and vocabulary call for."""
+        """Shape of every slot that this config and vocabulary call for, in `slots()` order."""
         shell = ModelParams(self.cfg, self.vocab)
         shell._create_slots(lambda *shape: np.broadcast_to(0.0, shape))
-        return {key: array.shape for key, array in shell.data.items()}
+        return {key: shell.data[key].shape for key in shell.slots()}
 
     @property
     def arities(self) -> tuple[int, ...]:
@@ -382,7 +362,7 @@ _MODE_OBJECTS = {
 
 def mode_of(cfg: ModelConfig):
     """The object holding `cfg`'s mode: its init, terms and backward."""
-    return _MODE_OBJECTS[cfg.mode_string()]
+    return _MODE_OBJECTS[cfg.mode]
 
 
 def relation_terms(params: ModelParams, rels) -> RelationTerms:

@@ -52,8 +52,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        for name in ("batch_size", "max_epochs", "patience", "eval_every"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
         if not 0 < self.decay_rate <= 1:
@@ -318,7 +319,7 @@ def train(kb: KnowledgeBase, model_cfg: ModelConfig, train_cfg: TrainConfig) -> 
     lr = train_cfg.learning_rate
     needs_rng = train_cfg.dropout > 0 or train_cfg.negatives != "full"
 
-    best_params = params.copy()
+    best_params = params
     best_mrr: Optional[float] = None
     evals_since_best = 0
     trace: list[TraceRow] = []
@@ -371,8 +372,6 @@ def train(kb: KnowledgeBase, model_cfg: ModelConfig, train_cfg: TrainConfig) -> 
             log.info("early stop at epoch %d (best valid MRR %.4f)", epoch + 1, best_mrr)
             break
 
-    if best_mrr is None:
-        best_params = params
     return TrainResult(best_params, trace, best_mrr)
 
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import struct
 
@@ -8,6 +10,9 @@ from ramkb import cli
 from ramkb.checkpoint import (
     MAGIC,
     check_vocab_compatible,
+    export_entities_csv,
+    export_patterns_csv,
+    export_roles_csv,
     load_checkpoint,
     save_checkpoint,
 )
@@ -15,7 +20,7 @@ from ramkb.engine import forward_group, split_groups
 from ramkb.errors import DataError
 from ramkb.expressive import GroundTruth, construct, verify_separation
 from ramkb.kb import Fact, Vocabulary
-from ramkb.model import ModelConfig, ModelParams
+from ramkb.model import ModelConfig, ModelParams, relation_terms
 
 from conftest import make_vocab, random_facts
 from test_model import randomized_params
@@ -37,17 +42,20 @@ def assert_same_arrays(params, loaded):
         np.testing.assert_array_equal(loaded.data[key], params.data[key])
 
 
+def trained_mode_params(mode):
+    """Randomized params of a `mode` model over a vocabulary that mode can take."""
+    extra = {"role_multiplicity": 2, "patterns_per_role": 2} if mode == "extended" else {}
+    cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2, mode=mode, **extra)
+    vocab = make_vocab(
+        6, (2,) if mode.startswith("preset:") else (2, 3), explicit_roles=(mode == "explicit")
+    )
+    return randomized_params(cfg, vocab, seed=3)
+
+
 @pytest.mark.parametrize("mode_str", TRAINED_MODES)
 def test_round_trip_every_trained_mode(tmp_path, mode_str):
-    mode, preset = ModelConfig.parse_mode(mode_str)
-    extra = {"role_multiplicity": 2, "patterns_per_role": 2} if mode == "extended" else {}
-    cfg = ModelConfig(
-        embed_dim=3, multiplicity=2, latent_size=2, mode=mode, preset=preset, **extra
-    )
-    vocab = make_vocab(
-        6, (2,) if mode == "preset" else (2, 3), explicit_roles=(mode == "explicit")
-    )
-    params = randomized_params(cfg, vocab, seed=3)
+    params = trained_mode_params(mode_str)
+    cfg, vocab = params.cfg, params.vocab
     path = tmp_path / "model.ramckpt"
     save_checkpoint(path, params)
     loaded, _ = load_checkpoint(path)
@@ -105,19 +113,9 @@ def test_truncated_or_malformed_checkpoint_is_data_error(tmp_path):
         assert code == 3, name
 
 
-def test_array_past_payload_is_data_error(tmp_path):
-    vocab = make_vocab(5, (2,))
-    params = ModelParams.init(ModelConfig(embed_dim=3, latent_size=2), vocab, seed=0)
-    path = tmp_path / "model.ramckpt"
-    save_checkpoint(path, params)
-    raw = path.read_bytes()
-    header_end = 16 + struct.unpack("<Q", raw[8:16])[0]
-    header = json.loads(raw[16:header_end])
-    header["arrays"][-1]["shape"][0] += 1  # one row more than was written
+def write_checkpoint(path, header, payload):
     blob = json.dumps(header).encode("utf-8")
-    path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + raw[header_end:])
-    with pytest.raises(DataError, match="truncated"):
-        load_checkpoint(path)
+    path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + payload)
 
 
 def saved_header_and_payload(path, cfg, vocab):
@@ -126,6 +124,40 @@ def saved_header_and_payload(path, cfg, vocab):
     raw = path.read_bytes()
     header_end = 16 + struct.unpack("<Q", raw[8:16])[0]
     return json.loads(raw[16:header_end]), raw[header_end:]
+
+
+def assert_data_error_and_export_exits_3(tmp_path, bad_files, match=None):
+    for name, (bad_header, bad_payload) in bad_files.items():
+        bad = tmp_path / f"{name}.ramckpt"
+        write_checkpoint(bad, bad_header, bad_payload)
+        with pytest.raises(DataError, match=match):
+            load_checkpoint(bad)
+        code = cli.main(
+            ["export", "--checkpoint", str(bad), "--out", str(tmp_path / name)]
+        )
+        assert code == 3, name
+
+
+def test_payload_of_another_size_is_data_error(tmp_path):
+    """The config and vocabulary fix the payload's length, to the byte."""
+    header, payload = saved_header_and_payload(
+        tmp_path / "model.ramckpt", ModelConfig(embed_dim=3, latent_size=2), make_vocab(5, (2,))
+    )
+    cfg, vocab = header["config"], header["vocab"]
+    bad_files = {
+        "one-float-short": (header, payload[:-8]),
+        "one-float-long": (header, payload + struct.pack("<d", 1.0)),
+        "one-entity-fewer": (
+            {**header, "vocab": {**vocab, "entities": vocab["entities"][:-1]}}, payload
+        ),
+        "one-relation-more": (
+            {**header, "vocab": {**vocab, "relations": vocab["relations"] + [["r9", 2]]}}, payload
+        ),
+        "embed-dim-plus-one": (
+            {**header, "config": {**cfg, "embed_dim": cfg["embed_dim"] + 1}}, payload
+        ),
+    }
+    assert_data_error_and_export_exits_3(tmp_path, bad_files, match="payload")
 
 
 def test_malformed_header_is_data_error(tmp_path):
@@ -137,28 +169,13 @@ def test_malformed_header_is_data_error(tmp_path):
         ModelConfig(embed_dim=3, latent_size=2, mode="explicit"),
         make_vocab(5, (2,), explicit_roles=True),
     )
-    entry = header["arrays"][0]
+    ternary_vocab = {**header["vocab"], "relations": [["r0", 3]]}
     headers = {
         "empty-object": {},
         "list": [],
-        "no-arrays": {k: v for k, v in header.items() if k != "arrays"},
-        "entry-without-offset": {
-            **header, "arrays": [{"name": entry["name"], "shape": entry["shape"]}]
-        },
-        "entry-not-object": {**header, "arrays": ["ent"]},
-        "bad-slot-name": {**header, "arrays": [{**entry, "name": "ent/x"}]},
+        "no-config": {k: v for k, v in header.items() if k != "config"},
         "vocab-without-entities": {
             **header, "vocab": {k: v for k, v in header["vocab"].items() if k != "entities"}
-        },
-        "no-arrays-listed": {**header, "arrays": []},
-        "ent-wrong-shape": {
-            **header,
-            "arrays": [{**e, "shape": [1, 3, 3]} if e["name"] == "ent" else e
-                       for e in header["arrays"]],
-        },
-        "no-basis-p": {
-            **header,
-            "arrays": [e for e in header["arrays"] if not e["name"].startswith("basis_p")],
         },
         "holdout-string": {**header, "holdout": "0.2"},
         "holdout-fraction-one": {**header, "holdout": {"valid_fraction": 1.0, "seed": 0}},
@@ -166,65 +183,81 @@ def test_malformed_header_is_data_error(tmp_path):
         "config-int": {**header, "config": 5},
         "config-embed-dim-string": {**header, "config": {**header["config"], "embed_dim": "3"}},
         "config-unknown-mode": {**header, "config": {**header["config"], "mode": "bogus"}},
-        "shape-string": {**header, "arrays": [{**entry, "shape": "ab"}]},
-        "offset-string": {**header, "arrays": [{**entry, "offset": "0"}]},
-        "name-int": {**header, "arrays": [{**entry, "name": 5}]},
-        # well-formed models whose sizes differ from the header's vocabulary
-        "n-entities-not-vocab": {
-            **header,
-            "n_entities": 4,
-            "arrays": [{**e, "shape": [4, *e["shape"][1:]]} if e["name"] == "ent" else e
-                       for e in header["arrays"]],
-        },
-        "rel-arity-not-vocab": {
-            **header,
-            "rel_arity": [2, 2],
-            "arrays": header["arrays"] + [
-                {**e, "name": e["name"].replace("/0", "/1")}
-                for e in header["arrays"] if e["name"].endswith("/0")
-            ],
-        },
-        # arrays of exactly the shapes a relation of arity 1 would call for
-        "vocab-arity-one": {
-            **header,
-            "vocab": {**header["vocab"], "relations": [["r0", 1]]},
-            "arrays": [
-                {**e, "name": "basis_p/1", "shape": [e["shape"][0], 1, e["shape"][2]]}
-                if e["name"] == "basis_p/2"
-                else {**e, "shape": [1, *e["shape"][1:]]} if e["name"] == "alpha/0"
-                else e
-                for e in header["arrays"]
-            ],
-        },
         # vocabularies that the config's mode rejects
         "explicit-without-roles": {**header, "config": {**header["config"], "mode": "explicit"}},
         "preset-ternary": {
             **header,
+            "config": {**header["config"], "mode": "preset:DistMult"},
+            "vocab": ternary_vocab,
+        },
+        "preset-ternary-older-spelling": {
+            **header,
             "config": {**header["config"], "mode": "preset", "preset": "DistMult"},
-            "vocab": {**header["vocab"], "relations": [["r0", 3]]},
+            "vocab": ternary_vocab,
         },
         # arities that int() would coerce to the saved arity 2 or to 1
         "vocab-arity-float": {**header, "vocab": {**header["vocab"], "relations": [["r0", 2.9]]}},
         "vocab-arity-bool": {**header, "vocab": {**header["vocab"], "relations": [["r0", True]]}},
+        # names that are not strings, over a payload of the saved size
+        "vocab-entities-int": {
+            **header, "vocab": {**header["vocab"], "entities": [1, 2, 3, 4, 5]}
+        },
+        "vocab-relation-name-int": {
+            **header, "vocab": {**header["vocab"], "relations": [[5, 2]]}
+        },
     }
     role_cases = {"rel-roles-id-7-of-2": [0, 7], "rel-roles-too-long": [0, 1, 0],
                   "rel-roles-id-negative": [0, -1], "rel-roles-string": "01",
                   "rel-roles-id-float": [0, 1.0], "rel-roles-id-bool": [False, True]}
     assert explicit_header["vocab"]["rel_roles"] == {"0": [0, 1]}
     bad_files = {name: (bad_header, payload) for name, bad_header in headers.items()}
+    # a relation of arity 1 over a payload of exactly the size it would call for:
+    # alpha/0 and basis_p/1 hold half the floats alpha/0 and basis_p/2 do
+    bad_files["vocab-arity-one"] = (
+        {**header, "vocab": {**header["vocab"], "relations": [["r0", 1]]}}, payload[8 * 6 :]
+    )
     for name, roles in role_cases.items():
         vocab = {**explicit_header["vocab"], "rel_roles": {"0": roles}}
         bad_files[name] = ({**explicit_header, "vocab": vocab}, explicit_payload)
-    for name, (bad_header, bad_payload) in bad_files.items():
-        blob = json.dumps(bad_header).encode("utf-8")
-        bad = tmp_path / f"{name}.ramckpt"
-        bad.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + bad_payload)
-        with pytest.raises(DataError):
-            load_checkpoint(bad)
-        code = cli.main(
-            ["export", "--checkpoint", str(bad), "--out", str(tmp_path / name)]
+    bad_files["vocab-roles-int"] = (
+        {**explicit_header, "vocab": {**explicit_header["vocab"], "roles": [0, 1]}},
+        explicit_payload,
+    )
+    assert_data_error_and_export_exits_3(tmp_path, bad_files)
+
+
+def write_older_layout(path, params, holdout):
+    """Write `params` as checkpoints with a table of arrays were written.
+
+    Their header also lists every slot's name, shape and byte offset, and
+    spells a preset model's mode as ``"mode": "preset", "preset": <Kind>``.
+    """
+    config = {**params.cfg.to_dict(), "preset": None}
+    if config["mode"].startswith("preset:"):
+        config.update(mode="preset", preset=config["mode"].removeprefix("preset:"))
+    entries, payload = [], b""
+    for key in params.slots():
+        array = params.data[key]
+        entries.append(
+            {"name": "/".join(str(part) for part in key), "shape": list(array.shape),
+             "offset": len(payload)}
         )
-        assert code == 3, name
+        payload += array.astype("<f8").tobytes()
+    header = {"config": config, "vocab": params.vocab.to_dict(), "holdout": holdout,
+              "arrays": entries}
+    write_checkpoint(path, header, payload)
+
+
+@pytest.mark.parametrize("mode_str", ["latent", "extended", "explicit", "preset:QuatE"])
+def test_older_layout_still_loads(tmp_path, mode_str):
+    params = trained_mode_params(mode_str)
+    path = tmp_path / "model.ramckpt"
+    write_older_layout(path, params, {"valid_fraction": 0.5, "seed": 7})
+    loaded, holdout = load_checkpoint(path)
+    assert holdout == {"valid_fraction": 0.5, "seed": 7}
+    assert loaded.cfg == params.cfg
+    check_vocab_compatible(params.vocab, loaded.vocab)
+    assert_same_arrays(params, loaded)
 
 
 def test_header_without_holdout_still_loads(tmp_path):
@@ -236,16 +269,46 @@ def test_header_without_holdout_still_loads(tmp_path):
     raw = path.read_bytes()
     header_end = 16 + struct.unpack("<Q", raw[8:16])[0]
     header = json.loads(raw[16:header_end])
-    assert list(header) == ["config", "vocab", "holdout", "arrays"]
+    assert list(header) == ["config", "vocab", "holdout"]
     assert header["holdout"] == {"valid_fraction": 0.5, "seed": 7}
     del header["holdout"]
     header.update(n_entities=5, n_relations=2, max_arity=3, arities=[2, 3], rel_arity=[2, 3])
-    blob = json.dumps(header).encode("utf-8")
-    path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + raw[header_end:])
+    write_checkpoint(path, header, raw[header_end:])
     loaded, holdout = load_checkpoint(path)
     assert holdout == {"valid_fraction": 0.2, "seed": 0}
     check_vocab_compatible(vocab, loaded.vocab)
     assert_same_arrays(params, loaded)
+
+
+@pytest.mark.parametrize("mode_str", ["extended", "explicit"])
+def test_exported_values_are_the_parameters_bit_for_bit(mode_str):
+    params = trained_mode_params(mode_str)
+    cfg, vocab = params.cfg, params.vocab
+
+    def value_rows(text, labels):
+        rows = list(csv.reader(io.StringIO(text)))[1:]
+        return [row[labels:] for row in rows]
+
+    def as_bytes(cells):
+        return np.array([float(cell) for cell in cells]).tobytes()
+
+    entity_rows = value_rows(export_entities_csv(params), 1)
+    ent = params.data[("ent",)].reshape(vocab.n_entities, -1)
+    assert [as_bytes(cells) for cells in entity_rows] == [row.tobytes() for row in ent]
+
+    want_roles, want_patterns = [], []
+    for rel, (_, a) in enumerate(vocab.relations):
+        terms = relation_terms(params, [rel])
+        want_roles += list(terms.role_emb[0].reshape(-1, cfg.embed_dim))
+        width = a * cfg.multiplicity
+        want_patterns += [(width, row) for row in terms.patterns[0].reshape(-1, width)]
+    role_rows = value_rows(export_roles_csv(params), 5)
+    assert [as_bytes(cells) for cells in role_rows] == [row.tobytes() for row in want_roles]
+    pattern_rows = value_rows(export_patterns_csv(params), 5)
+    assert len(pattern_rows) == len(want_patterns)
+    for cells, (width, want) in zip(pattern_rows, want_patterns):
+        assert cells[width:] == [""] * (len(cells) - width)  # padding to the widest arity
+        assert as_bytes(cells[:width]) == want.tobytes()
 
 
 def _vocab(entities=("x", "y", "z"), relations=(("r", 2),), roles=()):

@@ -134,9 +134,10 @@ def test_raw_mode_is_rejected_before_anything_is_written(tmp_path):
 
 @pytest.mark.parametrize("extra_config,extra_argv", [
     ("negatives = abc\n", []),
+    ("eval_every = 0\n", []),
     ("", ["--valid-fraction", "2"]),
     ("", ["--valid-fraction", "-1"]),
-], ids=["config-negatives", "valid-fraction-2", "valid-fraction-negative"])
+], ids=["config-negatives", "config-eval-every-0", "valid-fraction-2", "valid-fraction-negative"])
 def test_malformed_value_exits_2_before_anything_is_written(tmp_path, extra_config, extra_argv):
     data, config = write_dataset(tmp_path)
     config.write_text(CONFIG + extra_config)
@@ -144,6 +145,19 @@ def test_malformed_value_exits_2_before_anything_is_written(tmp_path, extra_conf
     argv = ["train", "--data-dir", str(data), "--out", str(run), "--config", str(config)]
     assert cli.main(argv + extra_argv) == 2
     assert not (run / "manifest.json").exists()
+
+
+def test_preset_field_beside_mode_exits_2_before_anything_is_written(tmp_path):
+    """A preset is named only by `mode = preset:<Kind>`; `preset` is no config key."""
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "train.txt").write_text("r a b\nr b c\nr c a\n")
+    config = tmp_path / "run.cfg"
+    config.write_text("mode = preset:QuatE\npreset = DistMult\nmax_epochs = 1\n")
+    run = tmp_path / "run"
+    argv = ["train", "--data-dir", str(data), "--out", str(run), "--config", str(config)]
+    assert cli.main(argv) == 2
+    assert not run.exists()
 
 
 @pytest.mark.parametrize("extra_argv", [

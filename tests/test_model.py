@@ -31,26 +31,23 @@ def randomized_params(cfg, vocab, seed=0, mixing_scale=0.7):
 
 class TestModelConfig:
     def test_preset_forces_dimensions(self):
-        cfg = ModelConfig(mode="preset", preset="QuatE")
+        cfg = ModelConfig(mode="preset:QuatE")
         assert (cfg.multiplicity, cfg.role_multiplicity, cfg.patterns_per_role) == (4, 2, 4)
-        cfg = ModelConfig(mode="preset", preset="ComplEx")
+        cfg = ModelConfig(mode="preset:ComplEx")
         assert (cfg.multiplicity, cfg.role_multiplicity, cfg.patterns_per_role) == (2, 1, 2)
+        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigError):
             ModelConfig(mode="bogus")
         with pytest.raises(ConfigError):
-            ModelConfig(mode="preset", preset="Foo")
+            ModelConfig(mode="preset:Foo")
+        with pytest.raises(ConfigError):
+            ModelConfig(mode="preset")
         with pytest.raises(ConfigError):
             ModelConfig(embed_dim=0)
         with pytest.raises(ConfigError):
             ModelConfig(mode="latent", role_multiplicity=2)
-
-    def test_mode_string_round_trip(self):
-        mode, preset = ModelConfig.parse_mode("preset:SimplE")
-        cfg = ModelConfig(mode=mode, preset=preset)
-        assert cfg.mode_string() == "preset:SimplE"
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
 
 class TestRoleEmbedding:
@@ -176,7 +173,7 @@ class TestScore:
 
     def test_distmult_hand_case(self):
         vocab = make_vocab(2, (2,))
-        cfg = ModelConfig(embed_dim=2, mode="preset", preset="DistMult")
+        cfg = ModelConfig(embed_dim=2, mode="preset:DistMult")
         params = ModelParams.init(cfg, vocab, seed=0)
         params.data[("preset_u", 0)][:] = np.array([[[1.0, 1.0]], [[1.0, 1.0]]])
         params.data[("ent",)][0] = np.array([[2.0, 0.0], [0.0, 3.0]])
@@ -292,12 +289,10 @@ def test_batched_phi_matches_per_fact_score(toy_kb):
     cases = [(ModelParams.init(cfg, toy_kb.vocab, seed=20), toy_kb.train)]
     # groups that stack several relations, each with its own mixing weights
     arities = (2, 2, 3, 3, 3)
-    for mode_str in ("latent", "extended", "explicit", "preset:ComplEx"):
-        mode, preset = ModelConfig.parse_mode(mode_str)
+    for mode in ("latent", "extended", "explicit", "preset:ComplEx"):
         extra = {"role_multiplicity": 2, "patterns_per_role": 2} if mode == "extended" else {}
-        cfg = ModelConfig(embed_dim=4, multiplicity=2, latent_size=3, mode=mode,
-                          preset=preset, **extra)
-        vocab = make_vocab(8, (2, 2, 2) if preset else arities,
+        cfg = ModelConfig(embed_dim=4, multiplicity=2, latent_size=3, mode=mode, **extra)
+        vocab = make_vocab(8, (2, 2, 2) if mode.startswith("preset:") else arities,
                            explicit_roles=mode == "explicit")
         cases.append((randomized_params(cfg, vocab, seed=21), random_facts(vocab, 30, seed=22)))
     vocab = make_vocab(8, arities)

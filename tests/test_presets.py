@@ -25,8 +25,7 @@ def pair_vocab():
 
 
 def random_preset_params(kind, d, rng):
-    mode, preset = ModelConfig.parse_mode(f"preset:{kind}")
-    cfg = ModelConfig(embed_dim=d, mode=mode, preset=preset)
+    cfg = ModelConfig(embed_dim=d, mode=f"preset:{kind}")
     params = ModelParams.init(cfg, pair_vocab(), seed=0)
     params.data[("ent",)] = rng.normal(0, 1, params.data[("ent",)].shape)
     params.data[("preset_u", 0)] = rng.normal(0, 1, params.data[("preset_u", 0)].shape)
@@ -89,7 +88,7 @@ def test_preset_rejects_non_binary():
     vocab.add_entity("c")
     vocab.add_relation("r", 3)
     with pytest.raises(ConfigError):
-        ModelParams.init(ModelConfig(mode="preset", preset="QuatE"), vocab, seed=0)
+        ModelParams.init(ModelConfig(mode="preset:QuatE"), vocab, seed=0)
 
 
 def test_unknown_kind_rejected():

@@ -49,6 +49,10 @@ class TestTrainConfig:
             TrainConfig(negatives="some")
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=0.0)
+        for name in ("max_epochs", "patience", "eval_every"):
+            for value in (0, -1, -3):
+                with pytest.raises(ConfigError, match=name):
+                    TrainConfig(**{name: value})
 
 
 class TestCorrupt:
@@ -179,9 +183,9 @@ class TestBackward:
         modes, with_dropout = set(), set()
         for trial in range(20):  # `ram gradcheck`'s default trial count
             params, _, _, dropout, _ = _random_trial(0, trial)
-            modes.add(params.cfg.mode_string())
+            modes.add(params.cfg.mode)
             if dropout > 0:
-                with_dropout.add(params.cfg.mode_string())
+                with_dropout.add(params.cfg.mode)
         assert with_dropout == modes
 
     def test_independent_finite_difference_via_naive_loss(self):
@@ -220,7 +224,7 @@ class TestBackward:
 
     def test_preset_buffer_has_no_pattern_slots(self):
         vocab = make_vocab(4, (2,))
-        cfg = ModelConfig(embed_dim=3, mode="preset", preset="SimplE")
+        cfg = ModelConfig(embed_dim=3, mode="preset:SimplE")
         params = ModelParams.init(cfg, vocab, seed=0)
         _, buf = batch_backward(params, [Fact(0, (0, 1))])
         families = {key[0] for key in buf.grads}
