@@ -193,6 +193,9 @@ def cmd_train(args) -> int:
         valid_fraction=args.valid_fraction,
         seed=train_cfg.seed,
     )
+    # the mode's slot checks (e.g. presets take binary relations only) run
+    # before anything is written
+    ModelParams(model_cfg, kb.vocab).slot_shapes()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"

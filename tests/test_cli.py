@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ramkb import cli
-from ramkb.checkpoint import load_checkpoint
+from ramkb.checkpoint import load_checkpoint, save_checkpoint
 from ramkb.evaluation import evaluate
 
 TRAIN = ["r1 a b c", "r1 b c d", "r2 a d", "r2 c b", "r2 d e", "r3 d a e b", "r1 e a b"]
@@ -158,6 +158,30 @@ def test_preset_field_beside_mode_exits_2_before_anything_is_written(tmp_path):
     argv = ["train", "--data-dir", str(data), "--out", str(run), "--config", str(config)]
     assert cli.main(argv) == 2
     assert not run.exists()
+
+
+def test_preset_on_ternary_data_exits_2_before_anything_is_written(tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "train.txt").write_text("r a b\nr b c\nq a b c\nr c a\n")
+    run = tmp_path / "run"
+    argv = ["train", "--data-dir", str(data), "--out", str(run), "--mode", "preset:QuatE"]
+    assert cli.main(argv) == 2
+    assert not run.exists()
+
+
+def test_eval_of_non_finite_parameters_exits_4(tmp_path, capsys):
+    data, config = write_dataset(tmp_path)
+    run = tmp_path / "run"
+    assert cli.main(["train", "--data-dir", str(data), "--out", str(run),
+                     "--config", str(config), "--seed", "3"]) == 0
+    ckpt = run / "model.ramckpt"
+    params, holdout = load_checkpoint(ckpt)
+    params.data[("ent",)][2, 0, 1] = np.nan
+    save_checkpoint(ckpt, params, holdout)
+    capsys.readouterr()
+    assert cli.main(["eval", "--data-dir", str(data), "--checkpoint", str(ckpt)]) == 4
+    assert params.vocab.entities[2] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra_argv", [

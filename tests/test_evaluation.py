@@ -3,21 +3,34 @@ import pytest
 
 from oracles import brute_force_candidates, sort_rank
 from ramkb.engine import forward_group, split_groups
-from ramkb.errors import DataError
-from ramkb.evaluation import EvalReport, evaluate, rank_from_scores, report_from_ranks
+from ramkb.errors import DataError, NumericError
+from ramkb.evaluation import (
+    EvalReport,
+    entity_table,
+    evaluate,
+    rank_from_scores,
+    report_from_ranks,
+)
 from ramkb.kb import Fact, KnowledgeBase, build_kb, parse_tabular
+from ramkb.mathcore import make_rng
 from ramkb.model import ModelConfig, ModelParams
 
 from conftest import make_vocab, random_kb
 from test_model import randomized_params
 
 
-def group_scores_and_ranks(params, kb, facts):
-    """Full-table scores (B, a, n_entities) and filtered ranks (B, a) of facts of one
-    arity, from one `forward_group` and one `rank_from_scores` call as in `evaluate`."""
+def group_ranks(params, kb, facts):
+    """Filtered ranks (B, a) of facts of one arity, from one `forward_group` and one
+    `rank_from_scores` call as in `evaluate`."""
     (spec,) = split_groups(params, facts)
-    scores = forward_group(params, spec).scores
-    return scores, rank_from_scores(kb, facts, scores)
+    gather = forward_group(params, spec, candidates=spec.ents[:, :, None]).gather
+    return rank_from_scores(kb, facts, gather.reshape(spec.ents.size, -1), entity_table(params))
+
+
+def group_scores_and_ranks(params, kb, facts):
+    """Float64 full-table scores (B, a, n_entities) and the ranks `evaluate` gives."""
+    (spec,) = split_groups(params, facts)
+    return forward_group(params, spec).scores, group_ranks(params, kb, facts)
 
 
 def test_rank_one_for_unique_maximum():
@@ -89,20 +102,39 @@ def test_evaluate_counts_all_positions_per_arity():
 
 
 def oracle_ranks(params, kb):
-    """Per-query (arity, rank) by sorting each filtered candidate list, plus
-    how many filtered-out entities outscore a true one and how many
-    candidates tie with it."""
+    """Per-fact lists of ranks from sorting each filtered candidate list of
+    float64 full-table scores, plus how many filtered-out entities outscore
+    a true one and how many candidates tie with it."""
     ranks, filtered_above, ties = [], 0, 0
     for fact in kb.test:
         all_scores = forward_group(params, split_groups(params, [fact])[0]).scores[0]
+        fact_ranks = []
         for pos in range(fact.arity):
             scores = all_scores[pos]
             mask = brute_force_candidates(kb, fact, pos)
             true_score = scores[fact.entities[pos]]
             filtered_above += int((scores[~mask] > true_score).sum())
             ties += int((scores[mask] == true_score).sum()) - 1
-            ranks.append((fact.arity, sort_rank(list(scores), mask, fact.entities[pos])))
+            fact_ranks.append(sort_rank(list(scores), mask, fact.entities[pos]))
+        ranks.append(fact_ranks)
     return ranks, filtered_above, ties
+
+
+def assert_ranks_match_oracle(params, kb):
+    """Every test query's rank, from `rank_from_scores` and from `evaluate`,
+    equals the float64 sort oracle's; returns the oracle's filter and tie counts."""
+    expected, filtered_above, ties = oracle_ranks(params, kb)
+    for arity in sorted({fact.arity for fact in kb.test}):
+        index = [i for i, fact in enumerate(kb.test) if fact.arity == arity]
+        got = group_ranks(params, kb, [kb.test[i] for i in index])
+        assert got.tolist() == [expected[i] for i in index], arity
+    report = evaluate(params, kb, split="test")
+    want = report_from_ranks(
+        (fact.arity, r) for fact, ranks in zip(kb.test, expected) for r in ranks
+    )
+    assert report.mrr == pytest.approx(want.mrr, abs=1e-12)
+    assert report.hits == want.hits
+    return filtered_above, ties
 
 
 def test_evaluate_matches_per_query_rank():
@@ -118,15 +150,162 @@ def test_evaluate_matches_per_query_rank():
         "dense-ties": (dense, tied),
     }
     for name, (kb, params) in cases.items():
-        ranks, filtered_above, ties = oracle_ranks(params, kb)
+        filtered_above, ties = assert_ranks_match_oracle(params, kb)
         if name != "sparse":
             assert filtered_above > 0, name  # the filter changes some ranks
         if name == "dense-ties":
             assert ties > 0
-        report = evaluate(params, kb, split="test")
-        expected = report_from_ranks(ranks)
-        assert report.mrr == pytest.approx(expected.mrr, abs=1e-12), name
-        assert report.hits == expected.hits, name
+
+
+def _coordinate_scoring(g, x0, target):
+    """A value x near x0 whose float64 product g * x is exactly `target`."""
+    for direction in (np.inf, -np.inf):
+        x = x0
+        for _ in range(64):
+            x = np.nextafter(x, direction)
+            if g * x == target:
+                return x
+    raise AssertionError(f"no x near {x0!r} gives {g!r} * x == {target!r}")
+
+
+def near_tie_case(filter_neighbours):
+    """A KB and params where the first test query's candidates sit around its
+    true score t: 1 float64 ulp above and below, within one float32 ulp
+    (2**-30 and 2**-40 relative) on either side, and one exact tie.
+
+    Every entity block is zero but for coordinate (0, 0), so each score is
+    the one float64 product g * x of the kernel's and the entity's value
+    there, rounded once under any summation order. With
+    `filter_neighbours`, every second neighbour is also a known-true entity
+    of that query, so filtered entities fall inside the float32 band.
+    """
+    kb = random_kb(16, (2, 3), n_train=12, n_test=6, seed=21)
+    cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
+    params = randomized_params(cfg, kb.vocab, seed=22)
+    ent = params.data[("ent",)]
+    values = make_rng(23, 1).normal(0.0, 1.0, len(ent))
+    ent[:] = 0.0
+    ent[:, 0, 0] = values
+    fact = next(f for f in kb.test if len(set(f.entities)) == f.arity)
+    true_e = fact.entities[0]
+    (spec,) = split_groups(params, [fact])
+    g = forward_group(params, spec, candidates=spec.ents[:, :, None]).gather[0, 0, 0, 0]
+    # the query's kernel does not read the queried entity. With a mantissa
+    # near 2, one ulp of x moves g * x by less than one ulp of the product
+    # (unless g's mantissa is below 1.0005), so stepping x ulp by ulp
+    # reaches each product value
+    x0 = ent[true_e, 0, 0] = 1.999
+    t = g * x0
+    neighbours = [
+        _coordinate_scoring(g, x0, np.nextafter(t, np.inf)),
+        _coordinate_scoring(g, x0, np.nextafter(t, -np.inf)),
+        x0 * (1 + 2.0**-30), x0 * (1 - 2.0**-30),
+        x0 * (1 + 2.0**-40), x0 * (1 - 2.0**-40),
+        x0,
+    ]
+    free = [e for e in range(len(ent)) if e not in fact.entities]
+    extra = []
+    for i, (e, x) in enumerate(zip(free, neighbours)):
+        ent[e, 0, 0] = x
+        if filter_neighbours and i % 2 == 0:
+            extra.append(Fact(fact.relation, (e,) + fact.entities[1:]))
+    scores = group_scores_and_ranks(params, kb, [fact])[0][0, 0]
+    assert sorted(scores[free[:2]].tolist()) == [
+        np.nextafter(t, -np.inf), np.nextafter(t, np.inf)]
+    assert scores[true_e] == t and scores[free[len(neighbours) - 1]] == t
+    return KnowledgeBase(kb.vocab, kb.train + extra, kb.valid, kb.test), params
+
+
+@pytest.mark.parametrize("filter_neighbours", [False, True], ids=["open", "filtered"])
+def test_candidates_inside_float32_error_band_rank_as_in_float64(filter_neighbours):
+    kb, params = near_tie_case(filter_neighbours)
+    filtered_above, ties = assert_ranks_match_oracle(params, kb)
+    assert ties > 0
+    if filter_neighbours:
+        assert filtered_above > 0
+
+
+@pytest.mark.parametrize("scale", [1e15, 1e-30], ids=["1e15", "1e-30"])
+def test_scaled_entity_table_ranks_as_in_float64(scale):
+    """Scores past the float32 range and scores that underflow it."""
+    cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
+    dense = random_kb(6, (2, 3), n_train=40, n_test=20, seed=17)
+    cases = [(dense, randomized_params(cfg, dense.vocab, seed=18)),
+             near_tie_case(filter_neighbours=True)]
+    f32 = np.finfo(np.float32)
+    for kb, params in cases:
+        params.data[("ent",)] *= scale
+        assert_ranks_match_oracle(params, kb)
+        (ternary,) = [f for f in kb.test if f.arity == 3][:1]
+        scores = np.abs(group_scores_and_ranks(params, kb, [ternary])[0])
+        if scale > 1:
+            assert scores.max() > f32.max  # such rows are decided in float64
+        else:
+            assert 0.0 < scores[scores > 0].min() and scores.max() < f32.smallest_subnormal
+
+
+def test_hand_built_kernels_rank_as_in_float64():
+    """Accumulated float32 rounding, rows past the float32 range, and
+    filtered entities inside the band, on kernels and blocks set by hand.
+
+    Query 0's kernel is all ones: e2's six terms sum to 1 + 35 * 2**-27 in
+    float64, above e0's true 1 + 32 * 2**-27, but each float32 partial sum
+    of 1 and 7 * 2**-27 rounds back to 1, several float32 ulps below the
+    true score. Query 1's kernel holds 1e39, which float32 cannot hold: its
+    scores there are NaN (inf * 0) or inf, and filtered e5 must still count.
+    """
+    kb = build_kb(parse_tabular(["r e6 e1", "r e0 e5", "q e2 e3", "q e4 e4"]),
+                  test=parse_tabular(["r e0 e1"]))
+    cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=1)
+    params = ModelParams.init(cfg, kb.vocab)
+    rows = params.data[("ent",)].reshape(kb.vocab.n_entities, -1)
+    small = 7 * 2.0**-27
+    blocks = {
+        "e0": [1 + 32 * 2.0**-27, 0, 0, 0, 0, 0],
+        "e1": [0, 0.5, 0, 0, 0, 0],
+        "e2": [1] + [small] * 5,
+        "e3": [0, 0.75, 0, 0, 0, 0],
+        "e4": [0, 0.25, 0, 0, 0, 0],
+        "e5": [0, 0.9, 0, 0, 0, 0],
+        "e6": [1 + 48 * 2.0**-27, 0, 0, 0, 0, 0],
+    }
+    for name, block in blocks.items():
+        rows[kb.vocab.entity_index[name]] = block
+    kernels = np.array([[1.0] * 6, [1e39, 1, 0, 0, 0, 0]])
+    (fact,) = kb.test
+    got = rank_from_scores(kb, [fact], kernels, entity_table(params))
+    scores = kernels @ rows.T
+    want = [sort_rank(list(scores[pos]), brute_force_candidates(kb, fact, pos),
+                      fact.entities[pos]) for pos in range(2)]
+    assert want == [2, 5]  # e2 above e0; e0, e2, e3, e6 above e1, with e5 filtered
+    assert got.tolist() == [want]
+
+
+def test_non_finite_entity_table_is_numeric_error():
+    kb = random_kb(9, (2, 3), n_train=12, n_test=5, seed=9)
+    cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
+    params = randomized_params(cfg, kb.vocab, seed=10)
+    params.data[("ent",)][:] = np.nan
+    with pytest.raises(NumericError, match="entity 'e0'"):
+        evaluate(params, kb, split="test")
+    params = randomized_params(cfg, kb.vocab, seed=10)
+    params.data[("ent",)][4, 1, 2] = np.nan
+    with pytest.raises(NumericError, match="entity 'e4'"):
+        evaluate(params, kb, split="test")
+
+
+def test_non_finite_true_score_is_numeric_error():
+    kb = random_kb(9, (2, 3), n_train=12, n_test=5, seed=9)
+    cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
+    params = randomized_params(cfg, kb.vocab, seed=10)
+    params.data[("basis_u",)][0, 1] = np.inf
+    with pytest.raises(NumericError, match=r"non-finite score") as exc:
+        evaluate(params, kb, split="test")
+    named = {
+        f"{kb.vocab.relations[f.relation][0]}({', '.join(kb.vocab.entities[e] for e in f.entities)})"
+        for f in kb.test
+    }
+    assert str(exc.value).split(" of fact ")[1] in named
 
 
 def test_evaluate_deterministic():
