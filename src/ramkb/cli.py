@@ -125,7 +125,6 @@ def _find_split(data_dir: Path, split: str) -> Path | None:
 
 def load_dataset(
     data_dir: str | Path,
-    explicit_roles: bool = False,
     valid_fraction: float = 0.2,
     seed: int = 0,
 ) -> tuple[KnowledgeBase, dict]:
@@ -155,7 +154,7 @@ def load_dataset(
         raw["valid"] = [f for i, f in enumerate(raw["train"]) if i in hold]
         raw["train"] = [f for i, f in enumerate(raw["train"]) if i not in hold]
         log.info("held out %d training facts as validation", n_valid)
-    kb = build_kb(raw["train"], raw["valid"], raw["test"], explicit_roles=explicit_roles)
+    kb = build_kb(raw["train"], raw["valid"], raw["test"])
     checksums = {
         split: hashlib.sha256(path.read_bytes()).hexdigest()
         for split, path in paths.items()
@@ -189,7 +188,6 @@ def cmd_train(args) -> int:
     )
     kb, data_info = load_dataset(
         args.data_dir,
-        explicit_roles=model_cfg.mode == "explicit",
         valid_fraction=args.valid_fraction,
         seed=train_cfg.seed,
     )

@@ -1,16 +1,16 @@
 """The one scorer: vectorized forward pass and manual reverse-mode gradients.
 
 Facts are processed in groups of equal arity. Within a group every score is
-a sum of multilinear terms; the factor list of a term is the role embedding
-followed by one pattern-weighted entity vector per position. Prefix/suffix
-products over that factor list give every leave-one-out product without
-dividing (dropout can zero entries); a fact's own score is the candidate
-score of its true entity, so the full product is never formed. Where the
-role embeddings and pattern matrices come from, and where their gradients
-go, is the business of the mode object (``model.mode_of``); this module
-never looks at the mode. A group asks for the terms of all its relations in
-one ``relation_terms`` call and hands their gradients back in one call to
-the mode's ``backward``, stacked on a leading relation axis.
+a sum of multilinear terms, each the role embedding times one
+pattern-weighted entity vector per position. Prefix products that start at
+the role embedding, times suffix products, give every leave-one-out product
+without dividing (dropout can zero entries); a fact's own score is the
+candidate score of its true entity, so the full product is never formed.
+Where the role embeddings and pattern matrices come from, and where their
+gradients go, is the business of the mode object (``model.mode_of``); this
+module never looks at the mode. A group asks for the terms of all its
+relations in one ``relation_terms`` call and hands their gradients back in
+one call to the mode's ``backward``, stacked on a leading relation axis.
 
 Candidate scoring replaces one position: the product of all other factors is
 contracted once against the entity table (or a gathered candidate table).
@@ -55,11 +55,11 @@ def _scatter_rows(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None
 class GradientBuffer:
     """Sparse per-slot gradient accumulator for one mini-batch.
 
-    Row-sparse slots (entity table, explicit role tables) store a dense
-    gradient array plus a mask of touched rows so the optimizer can update
-    only those rows. Contributions to a row sum element by element in the
-    order of the calls, and of the rows within a call, so a batch's gradient
-    is bitwise deterministic.
+    Slots written by rows (:meth:`add_rows`, :meth:`add_all_rows`) are
+    row-sparse: they keep a mask of touched rows beside the dense gradient
+    array, so the optimizer can update only those rows. Contributions to a row
+    sum element by element in the order of the calls, and of the rows within a
+    call, so a batch's gradient is bitwise deterministic.
     """
 
     def __init__(self, params: ModelParams) -> None:
@@ -70,9 +70,12 @@ class GradientBuffer:
     def _ensure(self, key: SlotKey) -> np.ndarray:
         if key not in self.grads:
             self.grads[key] = np.zeros(self._shapes[key])
-            if key[0] in ModelParams.ROW_SPARSE:
-                self.touched[key] = np.zeros(self._shapes[key][0], dtype=bool)
         return self.grads[key]
+
+    def _touched(self, key: SlotKey) -> np.ndarray:
+        if key not in self.touched:
+            self.touched[key] = np.zeros(self._shapes[key][0], dtype=bool)
+        return self.touched[key]
 
     def add(self, key: SlotKey, value: np.ndarray) -> None:
         self._ensure(key)
@@ -80,12 +83,12 @@ class GradientBuffer:
 
     def add_rows(self, key: SlotKey, rows: np.ndarray, values: np.ndarray) -> None:
         _scatter_rows(self._ensure(key), rows, values)
-        self.touched[key][rows] = True
+        self._touched(key)[rows] = True
 
     def add_all_rows(self, key: SlotKey, values: np.ndarray) -> None:
         buf = self._ensure(key)
         buf += values
-        self.touched[key][:] = True
+        self._touched(key)[:] = True
 
 
 @dataclass
@@ -133,9 +136,9 @@ class GroupForward:
     wf: np.ndarray  # (B, T) term weights
     ent_blocks: np.ndarray  # (B, a, m, d)
     masks: Optional[np.ndarray]  # (B, T, a, d) inverted-dropout factors
-    factors: np.ndarray  # (B, T, a+1, d) role embedding, then one factor per position
-    prefix: np.ndarray  # (B, T, a+1, d) prefix[q]: product of factors[:q]
-    suffix: np.ndarray  # (B, T, a, d) suffix[pos]: product of factors[pos+2:]
+    weighted: np.ndarray  # (B, T, a, d) masked pattern-weighted entity vectors
+    prefix: np.ndarray  # (B, T, a, d) prefix[pos]: role embedding times weighted[:pos]
+    suffix: np.ndarray  # (B, T, a, d) suffix[pos]: product of weighted[pos+1:]
     loo: np.ndarray  # (B, T, a, d) masked leave-one-out products per position
     gather: np.ndarray  # (B, a, m, d) contraction kernel per position
     candidates: Optional[np.ndarray]  # (B, a, C) entity ids, col 0 = true
@@ -165,24 +168,20 @@ def forward_group(
     if masks is not None:
         weighted = weighted * masks
 
-    factors = np.empty((b, n_terms, a + 1, d))
-    factors[:, :, 0, :] = uf
-    factors[:, :, 1:, :] = weighted
-
     # only the partial products that a leave-one-out product or the backward
     # sweep reads: never the full product, nor a suffix that covers position 0
-    prefix = np.empty((b, n_terms, a + 1, d))
+    prefix = np.empty((b, n_terms, a, d))
     suffix = np.empty((b, n_terms, a, d))
-    prefix[:, :, 0, :] = 1.0
+    prefix[:, :, 0, :] = uf
     suffix[:, :, a - 1, :] = 1.0
-    for q in range(a):
-        prefix[:, :, q + 1, :] = prefix[:, :, q, :] * factors[:, :, q, :]
+    for pos in range(a - 1):
+        prefix[:, :, pos + 1, :] = prefix[:, :, pos, :] * weighted[:, :, pos, :]
     for pos in range(a - 2, -1, -1):
-        suffix[:, :, pos, :] = factors[:, :, pos + 2, :] * suffix[:, :, pos + 1, :]
+        suffix[:, :, pos, :] = weighted[:, :, pos + 1, :] * suffix[:, :, pos + 1, :]
 
     # leave-one-out products around each position, with the candidate-side
     # dropout factor folded in so substituted entities see the same mask
-    loo = prefix[:, :, 1:, :] * suffix
+    loo = prefix * suffix
     if masks is not None:
         loo = loo * masks
     gather = np.einsum("btlm,btld->blmd", pf, wf[:, :, None, None] * loo, optimize=True)
@@ -206,7 +205,7 @@ def forward_group(
         wf=wf,
         ent_blocks=ent_blocks,
         masks=masks,
-        factors=factors,
+        weighted=weighted,
         prefix=prefix,
         suffix=suffix,
         loo=loo,
@@ -244,7 +243,7 @@ def backward_group(
     cfg = params.cfg
     spec = fwd.spec
     a = spec.arity
-    b, n_terms, _, d = fwd.factors.shape
+    b, n_terms, _, d = fwd.weighted.shape
     ent_table = params.data[("ent",)]
     n_e, m, _ = ent_table.shape
 
@@ -269,22 +268,21 @@ def backward_group(
     if fwd.masks is not None:
         grad_loo = grad_loo * fwd.masks
 
-    # loo[pos] = prefix[pos+1] * suffix[pos]: one reverse sweep per recurrence
-    factors, prefix, suffix = fwd.factors, fwd.prefix, fwd.suffix
-    grad_factors = np.zeros_like(factors)
+    # loo[pos] = prefix[pos] * suffix[pos]: one reverse sweep per recurrence
+    weighted, prefix, suffix = fwd.weighted, fwd.prefix, fwd.suffix
+    grad_weighted = np.zeros(weighted.shape)  # C order: einsum sums in layout order
     carry = np.zeros((b, n_terms, d))
-    for q in range(a - 1, -1, -1):  # prefix[q+1] = prefix[q] * factors[q]
-        carry = carry + grad_loo[:, :, q] * suffix[:, :, q]
-        grad_factors[:, :, q] += carry * prefix[:, :, q]
-        carry = carry * factors[:, :, q]
+    for pos in range(a - 1, 0, -1):  # prefix[pos] = prefix[pos-1] * weighted[pos-1]
+        carry = carry + grad_loo[:, :, pos] * suffix[:, :, pos]
+        grad_weighted[:, :, pos - 1] += carry * prefix[:, :, pos - 1]
+        carry = carry * weighted[:, :, pos - 1]
+    grad_u = carry + grad_loo[:, :, 0] * suffix[:, :, 0]  # prefix[0] is the role embedding
     carry = np.zeros((b, n_terms, d))
-    for pos in range(a - 1):  # suffix[pos] = factors[pos+2] * suffix[pos+1]
-        carry = carry + grad_loo[:, :, pos] * prefix[:, :, pos + 1]
-        grad_factors[:, :, pos + 2] += carry * suffix[:, :, pos + 1]
-        carry = carry * factors[:, :, pos + 2]
+    for pos in range(a - 1):  # suffix[pos] = weighted[pos+1] * suffix[pos+1]
+        carry = carry + grad_loo[:, :, pos] * prefix[:, :, pos]
+        grad_weighted[:, :, pos + 1] += carry * suffix[:, :, pos + 1]
+        carry = carry * weighted[:, :, pos + 1]
 
-    grad_u = grad_factors[:, :, 0]
-    grad_weighted = grad_factors[:, :, 1:]
     if fwd.masks is not None:
         grad_weighted = grad_weighted * fwd.masks
     grad_p += np.einsum("blmd,btld->btlm", fwd.ent_blocks, grad_weighted, optimize=True)

@@ -322,7 +322,6 @@ def build_kb(
     train: list[RawFact],
     valid: list[RawFact] | None = None,
     test: list[RawFact] | None = None,
-    explicit_roles: bool = False,
 ) -> KnowledgeBase:
     """Index raw facts into a KnowledgeBase.
 
@@ -341,10 +340,6 @@ def build_kb(
     for raw_split in (train, valid, test):
         facts: list[Fact] = []
         for name, entities, roles in raw_split:
-            if explicit_roles and roles is None:
-                raise DataError(
-                    f"relation {name!r} has no role annotations but explicit roles were requested"
-                )
             arity = len(entities)
             if arity < 2:
                 raise DataError(f"relation {name!r}: facts need >= 2 entities")

@@ -108,10 +108,10 @@ class ModelParams:
     * ``("raw_p", r)``        verbatim raw-mode pattern matrices, (a_r, a_r, m)
 
     ``("ent",)``, ``("role_vec",)`` and ``("role_pat", a)`` are row-sparse:
-    the optimizer updates only rows touched by a batch.
+    their gradients are written by rows (the entity table's by the engine,
+    the role tables' by the explicit mode), and the optimizer updates only
+    the rows a batch touched.
     """
-
-    ROW_SPARSE = ("ent", "role_vec", "role_pat")
 
     def __init__(self, cfg: ModelConfig, vocab: Vocabulary) -> None:
         self.cfg = cfg
@@ -278,7 +278,7 @@ class _Explicit:
             params.data[("role_pat", a)] = gauss(vocab.n_roles, a, params.cfg.multiplicity)
         for rel in range(vocab.n_relations):
             if rel not in vocab.rel_roles:
-                raise ConfigError(f"relation {rel} lacks role annotations")
+                raise ConfigError(f"relation {vocab.relations[rel][0]!r} lacks role annotations")
 
     def terms(self, params: ModelParams, rels) -> RelationTerms:
         # init (and so every loaded checkpoint) checks that all relations have roles

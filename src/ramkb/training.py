@@ -76,20 +76,18 @@ class TrainConfig:
 
 
 def corrupt(
-    fact: Fact,
-    position: int,
+    true: int,
     n_entities: int,
     negatives: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Sampled corruption candidates at one position, excluding the true entity.
+    """Sampled corruption candidates for one slot, excluding its true entity.
 
     Draws the requested number of distinct entities uniformly (clipped to
     n_entities - 1). Candidates that happen to form true facts are not
     removed: the loss trains against all corruptions. Full negatives never
     come here; the engine scores them against the whole entity table.
     """
-    true = fact.entities[position]
     n = min(int(negatives), n_entities - 1)
     draw = rng.choice(n_entities - 1, size=n, replace=False).astype(np.intp)
     draw[draw >= true] += 1
@@ -98,7 +96,6 @@ def corrupt(
 
 def _group_candidates(
     spec: GroupSpec,
-    facts: list[Fact],
     n_entities: int,
     negatives: str | int,
     fact_rngs: Optional[list[np.random.Generator]],
@@ -109,11 +106,11 @@ def _group_candidates(
     n = min(int(negatives), n_entities - 1)
     b, a = spec.ents.shape
     cand = np.empty((b, a, n + 1), dtype=np.intp)
+    cand[:, :, 0] = spec.ents
     for row, fact_idx in enumerate(spec.fact_index):
-        fact, rng = facts[fact_idx], fact_rngs[fact_idx]
+        rng = fact_rngs[fact_idx]
         for pos in range(a):
-            cand[row, pos, 0] = fact.entities[pos]
-            cand[row, pos, 1:] = corrupt(fact, pos, n_entities, negatives, rng)
+            cand[row, pos, 1:] = corrupt(spec.ents[row, pos], n_entities, negatives, rng)
     return cand
 
 
@@ -144,7 +141,6 @@ def _group_masks(
 
 def _score_group(
     params: ModelParams,
-    facts: list[Fact],
     spec: GroupSpec,
     negatives: str | int,
     dropout: float,
@@ -156,7 +152,7 @@ def _score_group(
     """
     if fact_rngs is None and (negatives != "full" or dropout > 0):
         raise ConfigError("sampled negatives and dropout need one generator per fact")
-    cand = _group_candidates(spec, facts, params.vocab.n_entities, negatives, fact_rngs)
+    cand = _group_candidates(spec, params.vocab.n_entities, negatives, fact_rngs)
     mask = _group_masks(spec, params, dropout, fact_rngs)
     fwd = forward_group(params, spec, cand, mask)
     return (fwd, *group_losses(fwd.scores, fwd.true_cols))
@@ -175,7 +171,7 @@ def batch_loss(
     """
     total = 0.0
     for spec in split_groups(params, facts):
-        losses = _score_group(params, facts, spec, negatives, dropout, fact_rngs)[1]
+        losses = _score_group(params, spec, negatives, dropout, fact_rngs)[1]
         total += float(losses.sum())
     return total / len(facts)
 
@@ -194,7 +190,7 @@ def batch_backward(
     buf = GradientBuffer(params)
     total = 0.0
     for spec in split_groups(params, facts):
-        fwd, losses, grad = _score_group(params, facts, spec, negatives, dropout, fact_rngs)
+        fwd, losses, grad = _score_group(params, spec, negatives, dropout, fact_rngs)
         total += float(losses.sum())
         grad *= scale
         backward_group(params, fwd, grad, buf)
@@ -202,12 +198,22 @@ def batch_backward(
 
     loss = total * scale
     if not np.isfinite(loss):
-        norms = {repr(k): float(np.linalg.norm(v)) for k, v in params.data.items()}
         raise NumericError(
             f"non-finite loss {loss} on batch of {len(facts)} facts; "
-            f"first fact {facts[0]}; parameter norms {norms}"
+            f"first fact {facts[0]}; {_blame_slots(params)}"
         )
     return loss, buf
+
+
+def _blame_slots(params: ModelParams) -> str:
+    """Parameter norms of the slots holding a non-finite entry, or, when every
+    entry is finite and so the loss overflowed, of the largest slot."""
+    norms = {key: float(np.linalg.norm(value)) for key, value in params.data.items()}
+    broken = {key: n for key, n in norms.items() if not np.isfinite(params.data[key]).all()}
+    if broken:
+        return f"parameter norms of the slots with non-finite entries {broken}"
+    top = max(norms, key=norms.get)
+    return f"every parameter is finite; largest of the parameter norms {top}: {norms[top]}"
 
 
 class AdamState:

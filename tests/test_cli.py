@@ -170,6 +170,24 @@ def test_preset_on_ternary_data_exits_2_before_anything_is_written(tmp_path):
     assert not run.exists()
 
 
+@pytest.mark.parametrize("roles,message", [
+    (False, "explicit mode needs a role-annotated dataset"),
+    (True, "relation 'r' lacks role annotations"),
+], ids=["no-roles", "some-roles"])
+def test_explicit_mode_on_data_without_roles_exits_2_before_anything_is_written(
+        tmp_path, capsys, roles, message):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "train.txt").write_text("r a b\nr b c\nr c a\n")
+    if roles:  # role-annotated test facts of another relation
+        (data / "test.jsonl").write_text('{"actor": "a", "movie": "b"}\n')
+    run = tmp_path / "run"
+    argv = ["train", "--data-dir", str(data), "--out", str(run), "--mode", "explicit"]
+    assert cli.main(argv) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not run.exists()
+
+
 def test_eval_of_non_finite_parameters_exits_4(tmp_path, capsys):
     data, config = write_dataset(tmp_path)
     run = tmp_path / "run"

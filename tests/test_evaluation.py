@@ -294,6 +294,7 @@ def test_non_finite_entity_table_is_numeric_error():
         evaluate(params, kb, split="test")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_true_score_is_numeric_error():
     kb = random_kb(9, (2, 3), n_train=12, n_test=5, seed=9)
     cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)

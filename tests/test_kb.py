@@ -248,11 +248,6 @@ def test_subset_leaves_valid_test_untouched_and_rebuilds_truth():
     assert sub.true_entities_at(valid_fact, 1) == {d}
 
 
-def test_build_kb_explicit_roles_requires_annotations():
-    with pytest.raises(DataError):
-        build_kb(parse_tabular(["r a b"]), explicit_roles=True)
-
-
 def test_fb_auto_style_statistics_shape():
     kb = random_kb(20, (2, 4, 5), n_train=50, seed=21)
     stats = kb.stats()

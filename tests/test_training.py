@@ -60,14 +60,14 @@ class TestCorrupt:
         fact = Fact(0, (1, 2))
         rng1 = make_rng(9)
         rng2 = make_rng(9)
-        a = corrupt(fact, 0, 50, negatives=2, rng=rng1)
-        b = corrupt(fact, 0, 50, negatives=2, rng=rng2)
+        a = corrupt(fact.entities[0], 50, negatives=2, rng=rng1)
+        b = corrupt(fact.entities[0], 50, negatives=2, rng=rng2)
         np.testing.assert_array_equal(a, b)
         assert len(set(a)) == 2 and 1 not in a
 
     def test_sampled_clips_to_population(self):
         fact = Fact(0, (0, 3))
-        out = corrupt(fact, 1, n_entities=5, negatives=10, rng=make_rng(1))
+        out = corrupt(fact.entities[1], n_entities=5, negatives=10, rng=make_rng(1))
         assert sorted(out) == [0, 1, 2, 4]
 
 
@@ -154,22 +154,22 @@ class TestBackward:
         errors = check_batch(params, facts, "full", 0.0, keys)
         assert max(errors.values()) <= 1e-4
 
-    @pytest.mark.parametrize("mode", ["latent", "extended"])
+    @pytest.mark.parametrize("mode", ["latent", "extended", "explicit"])
     @pytest.mark.parametrize("arities", [(5,), (6,), (2, 5, 6)])
     @pytest.mark.parametrize("negatives,dropout", [("full", 0.0), (3, 0.3)])
     def test_finite_differences_at_high_arity(self, mode, arities, negatives, dropout):
         # the reverse sweep loops over the arity; the random gradcheck trials
         # stop at arity 4, the planted benchmark data reach 6. Entity blocks
-        # and basis vectors are scaled to unit size: at the 0.1 init scale a
+        # and role vectors are scaled to unit size: at the 0.1 init scale a
         # product of seven factors sits below the comparison floor
         extra = {}
         if mode == "extended":
             extra = {"role_multiplicity": 2, "patterns_per_role": 2}
         cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2, mode=mode, **extra)
-        vocab = make_vocab(7, arities)
+        vocab = make_vocab(7, arities, explicit_roles=mode == "explicit")
         params = randomized_params(cfg, vocab, seed=21)
         params.data[("ent",)] *= 10.0
-        params.data[("basis_u",)] *= 10.0
+        params.data[("role_vec",) if mode == "explicit" else ("basis_u",)] *= 10.0
         facts = random_facts(vocab, 4, seed=22)
         keys = [(23, i) for i in range(len(facts))]
         errors = check_batch(params, facts, negatives, dropout, keys)
@@ -239,14 +239,38 @@ class TestBackward:
         with pytest.raises(ConfigError):
             batch_backward(params, [Fact(0, (0, 1))])
 
-    def test_non_finite_loss_aborts_with_diagnostics(self):
+    def _abort_message(self, plant):
         kb = random_kb(4, (2,), n_train=2, seed=13)
         cfg = ModelConfig(embed_dim=2, multiplicity=1, latent_size=1)
         params = ModelParams.init(cfg, kb.vocab, seed=0)
-        params.data[("ent",)][0, 0, 0] = np.nan
+        plant(params.data[("ent",)])
         with pytest.raises(NumericError) as err:
             batch_backward(params, kb.train)
-        assert "parameter norms" in str(err.value)
+        return params, str(err.value)
+
+    def test_non_finite_loss_aborts_with_diagnostics(self):
+        def plant(ent):
+            ent[0, 0, 0] = np.nan
+
+        _, message = self._abort_message(plant)
+        assert "parameter norms" in message
+
+    def test_non_finite_abort_names_only_the_broken_slot(self):
+        def plant(ent):
+            ent[1, 0, 1] = np.nan
+
+        params, message = self._abort_message(plant)
+        assert "('ent',): nan" in message
+        assert not any(repr(key) in message for key in params.data if key != ("ent",))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_abort_names_the_largest_slot(self):
+        def plant(ent):
+            ent *= 1e200
+
+        params, message = self._abort_message(plant)
+        assert all(np.isfinite(value).all() for value in params.data.values())
+        assert "every parameter is finite; largest of the parameter norms ('ent',)" in message
 
 
 class TestDropout:
