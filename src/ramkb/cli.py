@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: train, eval, gradcheck, equiv, express, export, subset. Every
-command that scores facts goes through ``engine.forward_group``: training
-and eval directly, ``equiv`` through ``engine.score`` and ``express``
-through ``expressive.verify_separation``.
+command that scores facts builds its contraction kernels with
+``engine.forward_group``. ``eval`` ranks the kernels directly. ``train``
+scores them with an ``engine`` candidate scorer, as do ``equiv`` (through
+``engine.score``) and ``express`` (through ``expressive.verify_separation``).
 ``train`` records in the checkpoint the valid fraction and seed it split
 the data with; ``eval`` rebuilds the same splits from them. To train on a
 subset of a dataset, write it with ``subset`` and then ``train`` on the
@@ -130,9 +131,10 @@ def load_dataset(
 ) -> tuple[KnowledgeBase, dict]:
     """Load train/valid/test splits from a directory.
 
-    When no validation file exists and `valid_fraction` > 0, that fraction
-    of the training facts is held out, deterministically in `seed`. A
-    fraction outside [0, 1) raises ConfigError.
+    When the validation split has no facts (there is no validation file, or
+    it holds none) and `valid_fraction` > 0, that fraction of the training
+    facts is held out, deterministically in `seed`. A fraction outside
+    [0, 1) raises ConfigError.
     """
     if not 0 <= valid_fraction < 1:
         raise ConfigError(f"valid fraction {valid_fraction} is not in [0, 1)")
@@ -346,6 +348,14 @@ def _trial_count(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of ``--tol``: a finite number above 0."""
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and > 0, got {value}")
+    return value
+
+
 def _seed(text: str) -> int:
     """argparse type of a command's ``--seed``: a non-negative integer."""
     value = int(text)
@@ -380,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient validation")
     p_grad.add_argument("--seed", type=_seed, default=0)
     p_grad.add_argument("--trials", type=_trial_count, default=20)
-    p_grad.add_argument("--tol", type=float, default=1e-4)
+    p_grad.add_argument("--tol", type=_tolerance, default=1e-4)
     p_grad.set_defaults(func=cmd_gradcheck)
 
     p_equiv = sub.add_parser("equiv", help="preset vs reference bilinear scorer")

@@ -12,19 +12,19 @@ module never looks at the mode. A group asks for the terms of all its
 relations in one ``relation_terms`` call and hands their gradients back in
 one call to the mode's ``backward``, stacked on a leading relation axis.
 
-Candidate scoring replaces one position: the product of all other factors is
-contracted once against the entity table (or a gathered candidate table).
-:func:`group_losses` gives the candidate cross-entropy and its score gradient.
+The score is multilinear, so entity e scores ``<gather[p], e>`` at position
+p. :func:`forward_group` builds those contraction kernels, and a candidate
+scorer owns scoring and its pullback: :class:`TableCandidates` over the whole
+entity table, :class:`SampledCandidates` over per-(fact, position) ids.
+Ranking reads the kernels alone. :func:`group_losses` gives the candidate
+cross-entropy and its score gradient.
 
-The backward pass pulls a given score gradient back through the arrays that
-:func:`forward_group` kept. Everything shared across a position's candidates
-sees one pseudo-score whose replaced entity block is the gradient-weighted
-sum of candidate blocks; the pseudo-blocks are pulled back through the
-contraction kernel, then one reverse sweep over each of the prefix and suffix
-recurrences gives every factor's gradient at one product per position.
-
-:func:`score` reads one fact's score off a one-fact group, so training,
-evaluation and the theoretical checks all run :func:`forward_group`.
+A scorer's ``pullback`` adds the candidates' entity-table gradient to the
+buffer and returns the kernels' gradient, one gradient-weighted sum of
+candidate blocks per kernel. :func:`backward_group` pulls that back through
+the arrays :func:`forward_group` kept; one reverse sweep over each of the
+prefix and suffix recurrences gives every factor's gradient at one product
+per position.
 """
 
 from __future__ import annotations
@@ -125,8 +125,8 @@ def split_groups(params: ModelParams, facts: list[Fact]) -> list[GroupSpec]:
 
 
 @dataclass
-class GroupForward:
-    """Everything the backward pass needs about one scored group."""
+class GroupKernels:
+    """One group's contraction kernels and what the backward pass needs of them."""
 
     spec: GroupSpec
     uniq_rels: np.ndarray
@@ -141,29 +141,19 @@ class GroupForward:
     suffix: np.ndarray  # (B, T, a, d) suffix[pos]: product of weighted[pos+1:]
     loo: np.ndarray  # (B, T, a, d) masked leave-one-out products per position
     gather: np.ndarray  # (B, a, m, d) contraction kernel per position
-    candidates: Optional[np.ndarray]  # (B, a, C) entity ids, col 0 = true
-    cand_blocks: Optional[np.ndarray]  # (B, a, C, m, d)
-    scores: np.ndarray  # (B, a, C) or (B, a, n_entities)
-    true_cols: np.ndarray  # (B, a) column of the true entity in `scores`
 
 
 def forward_group(
-    params: ModelParams,
-    spec: GroupSpec,
-    candidates: Optional[np.ndarray] = None,
-    masks: Optional[np.ndarray] = None,
-) -> GroupForward:
+    params: ModelParams, spec: GroupSpec, masks: Optional[np.ndarray] = None
+) -> GroupKernels:
     a = spec.arity
-    b = len(spec.rels)
-    ent_table = params.data[("ent",)]
-    n_e, m, d = ent_table.shape
-
     uniq, inverse = np.unique(spec.rels, return_inverse=True)
     terms = relation_terms(params, uniq)
     uf, pf, wf = (x[inverse] for x in terms.flat())  # (B, T, d), (B, T, a, m), (B, T)
     n_terms = uf.shape[1]
 
-    ent_blocks = ent_table[spec.ents]  # (B, a, m, d)
+    ent_blocks = params.data[("ent",)][spec.ents]  # (B, a, m, d)
+    b, _, _, d = ent_blocks.shape
     weighted = np.einsum("btlm,blmd->btld", pf, ent_blocks, optimize=True)
     if masks is not None:
         weighted = weighted * masks
@@ -186,35 +176,49 @@ def forward_group(
         loo = loo * masks
     gather = np.einsum("btlm,btld->blmd", pf, wf[:, :, None, None] * loo, optimize=True)
 
-    if candidates is None:
-        flat_gather = gather.reshape(b * a, m * d)
-        scores = (flat_gather @ ent_table.reshape(n_e, m * d).T).reshape(b, a, n_e)
-        cand_blocks = None
-        true_cols = spec.ents
-    else:
-        cand_blocks = ent_table[candidates]  # (B, a, C, m, d)
-        scores = np.einsum("blcmd,blmd->blc", cand_blocks, gather, optimize=True)
-        true_cols = np.zeros((b, a), dtype=np.intp)
+    return GroupKernels(spec, uniq, inverse, terms, pf, wf, ent_blocks, masks,
+                        weighted, prefix, suffix, loo, gather)
 
-    return GroupForward(
-        spec=spec,
-        uniq_rels=uniq,
-        rel_inverse=inverse,
-        terms=terms,
-        pf=pf,
-        wf=wf,
-        ent_blocks=ent_blocks,
-        masks=masks,
-        weighted=weighted,
-        prefix=prefix,
-        suffix=suffix,
-        loo=loo,
-        gather=gather,
-        candidates=candidates,
-        cand_blocks=cand_blocks,
-        scores=scores,
-        true_cols=true_cols,
-    )
+
+class TableCandidates:
+    """Every entity is a candidate at every position (full negatives, exhaustive
+    checks); the true entities `true_ents` (B, a) are their own columns."""
+
+    def __init__(self, params: ModelParams, true_ents: np.ndarray) -> None:
+        ent_table = params.data[("ent",)]
+        self.rows = ent_table.reshape(len(ent_table), -1)  # (n_entities, m*d)
+        self.true_cols = true_ents
+
+    def scores(self, gather: np.ndarray) -> np.ndarray:
+        b, a = gather.shape[:2]
+        return (gather.reshape(b * a, -1) @ self.rows.T).reshape(b, a, -1)
+
+    def pullback(self, gather: np.ndarray, g: np.ndarray, buf: GradientBuffer) -> np.ndarray:
+        """Add the score gradient `g`'s entity-table part to `buf`; return dL/d`gather`."""
+        b, a, m, d = gather.shape
+        g_flat = g.reshape(b * a, -1)
+        buf.add_all_rows(("ent",), (g_flat.T @ gather.reshape(b * a, -1)).reshape(-1, m, d))
+        return (g_flat @ self.rows).reshape(gather.shape)
+
+
+class SampledCandidates:
+    """Each (fact, position) scores its own entity ids (B, a, C), column 0 the
+    true one. :meth:`scores` gathers the candidate blocks for :meth:`pullback`."""
+
+    def __init__(self, params: ModelParams, ids: np.ndarray) -> None:
+        self.table = params.data[("ent",)]
+        self.ids = ids
+        self.true_cols = np.zeros(ids.shape[:2], dtype=np.intp)
+
+    def scores(self, gather: np.ndarray) -> np.ndarray:
+        self.blocks = self.table[self.ids]  # (B, a, C, m, d)
+        return np.einsum("blcmd,blmd->blc", self.blocks, gather, optimize=True)
+
+    def pullback(self, gather: np.ndarray, g: np.ndarray, buf: GradientBuffer) -> np.ndarray:
+        _, _, m, d = gather.shape
+        contrib = g[:, :, :, None, None] * gather[:, :, None, :, :]
+        buf.add_rows(("ent",), self.ids.reshape(-1), contrib.reshape(-1, m, d))
+        return np.einsum("blc,blcmd->blmd", g, self.blocks, optimize=True)
 
 
 def group_losses(scores: np.ndarray, true_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,39 +241,26 @@ def group_losses(scores: np.ndarray, true_cols: np.ndarray) -> tuple[np.ndarray,
 
 
 def backward_group(
-    params: ModelParams, fwd: GroupForward, g: np.ndarray, buf: GradientBuffer
+    params: ModelParams, kern: GroupKernels, pseudo: np.ndarray, buf: GradientBuffer
 ) -> None:
-    """Accumulate into `buf` the pullback of `g`, a gradient shaped like `fwd.scores`."""
+    """Accumulate into `buf` the pullback of `pseudo`, a gradient shaped like `kern.gather`."""
     cfg = params.cfg
-    spec = fwd.spec
+    spec = kern.spec
     a = spec.arity
-    b, n_terms, _, d = fwd.weighted.shape
-    ent_table = params.data[("ent",)]
-    n_e, m, _ = ent_table.shape
-
-    # candidate-side entity gradients and gradient-weighted pseudo blocks
-    if fwd.candidates is None:
-        g_flat = g.reshape(b * a, n_e)
-        gather_flat = fwd.gather.reshape(b * a, m * d)
-        buf.add_all_rows(("ent",), (g_flat.T @ gather_flat).reshape(n_e, m, d))
-        pseudo = (g_flat @ ent_table.reshape(n_e, m * d)).reshape(b, a, m, d)
-    else:
-        contrib = g[:, :, :, None, None] * fwd.gather[:, :, None, :, :]
-        buf.add_rows(("ent",), fwd.candidates.reshape(-1),
-                     contrib.reshape(-1, m, d))
-        pseudo = np.einsum("blc,blcmd->blmd", g, fwd.cand_blocks, optimize=True)
+    b, n_terms, _, d = kern.weighted.shape
+    m = kern.pf.shape[3]
 
     # pull `pseudo` back through gather = sum_t pf * (w * loo)
-    w_col = fwd.wf[:, :, None, None]
-    pseudo_v = np.einsum("btlm,blmd->btld", fwd.pf, pseudo, optimize=True)
-    grad_w = (pseudo_v * fwd.loo).sum(axis=(2, 3))
-    grad_p = np.einsum("blmd,btld->btlm", pseudo, w_col * fwd.loo, optimize=True)
+    w_col = kern.wf[:, :, None, None]
+    pseudo_v = np.einsum("btlm,blmd->btld", kern.pf, pseudo, optimize=True)
+    grad_w = (pseudo_v * kern.loo).sum(axis=(2, 3))
+    grad_p = np.einsum("blmd,btld->btlm", pseudo, w_col * kern.loo, optimize=True)
     grad_loo = w_col * pseudo_v  # with respect to the products before masking
-    if fwd.masks is not None:
-        grad_loo = grad_loo * fwd.masks
+    if kern.masks is not None:
+        grad_loo = grad_loo * kern.masks
 
     # loo[pos] = prefix[pos] * suffix[pos]: one reverse sweep per recurrence
-    weighted, prefix, suffix = fwd.weighted, fwd.prefix, fwd.suffix
+    weighted, prefix, suffix = kern.weighted, kern.prefix, kern.suffix
     grad_weighted = np.zeros(weighted.shape)  # C order: einsum sums in layout order
     carry = np.zeros((b, n_terms, d))
     for pos in range(a - 1, 0, -1):  # prefix[pos] = prefix[pos-1] * weighted[pos-1]
@@ -283,10 +274,10 @@ def backward_group(
         grad_weighted[:, :, pos + 1] += carry * suffix[:, :, pos + 1]
         carry = carry * weighted[:, :, pos + 1]
 
-    if fwd.masks is not None:
-        grad_weighted = grad_weighted * fwd.masks
-    grad_p += np.einsum("blmd,btld->btlm", fwd.ent_blocks, grad_weighted, optimize=True)
-    grad_e = np.einsum("btlm,btld->blmd", fwd.pf, grad_weighted, optimize=True)
+    if kern.masks is not None:
+        grad_weighted = grad_weighted * kern.masks
+    grad_p += np.einsum("blmd,btld->btlm", kern.ent_blocks, grad_weighted, optimize=True)
+    grad_e = np.einsum("btlm,btld->blmd", kern.pf, grad_weighted, optimize=True)
     buf.add_rows(("ent",), spec.ents.reshape(-1), grad_e.reshape(-1, m, d))
 
     # fold term-major gradients back to (arity, role_multiplicity, patterns) axes
@@ -295,15 +286,15 @@ def backward_group(
     grad_p = grad_p.reshape(b, a, mg, npm, a, m)
     grad_w = grad_w.reshape(b, a, mg, npm)
 
-    n_rel = len(fwd.uniq_rels)
+    n_rel = len(kern.uniq_rels)
     gu_rel = np.zeros((n_rel,) + grad_u.shape[1:])
     gp_rel = np.zeros((n_rel,) + grad_p.shape[1:])
     gw_rel = np.zeros((n_rel,) + grad_w.shape[1:])
-    _scatter_rows(gu_rel, fwd.rel_inverse, grad_u)
-    _scatter_rows(gp_rel, fwd.rel_inverse, grad_p)
-    _scatter_rows(gw_rel, fwd.rel_inverse, grad_w)
+    _scatter_rows(gu_rel, kern.rel_inverse, grad_u)
+    _scatter_rows(gp_rel, kern.rel_inverse, grad_p)
+    _scatter_rows(gw_rel, kern.rel_inverse, grad_w)
 
-    mode_of(cfg).backward(params, fwd.uniq_rels, fwd.terms, gu_rel, gp_rel, gw_rel, buf)
+    mode_of(cfg).backward(params, kern.uniq_rels, kern.terms, gu_rel, gp_rel, gw_rel, buf)
 
 
 def score(params: ModelParams, fact: Fact) -> float:
@@ -314,4 +305,5 @@ def score(params: ModelParams, fact: Fact) -> float:
     scores the fact itself, and the first is returned.
     """
     spec = split_groups(params, [fact])[0]
-    return float(forward_group(params, spec, candidates=spec.ents[:, :, None]).scores[0, 0, 0])
+    own = SampledCandidates(params, spec.ents[:, :, None])
+    return float(own.scores(forward_group(params, spec).gather)[0, 0, 0])

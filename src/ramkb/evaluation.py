@@ -259,9 +259,7 @@ def evaluate(params: ModelParams, kb: KnowledgeBase, split: str = "test") -> Eva
         batch = facts[lo : lo + EVAL_BATCH]
         for spec in split_groups(params, batch):
             group = [batch[i] for i in spec.fact_index]
-            # the true entity as the only candidate: the kernels, no table-wide product
-            gather = forward_group(params, spec, candidates=spec.ents[:, :, None]).gather
-            kernels = gather.reshape(spec.ents.size, -1)
+            kernels = forward_group(params, spec).gather.reshape(spec.ents.size, -1)
             group_ranks = rank_from_scores(kb, group, kernels, table)
             ranks.extend((spec.arity, r) for r in group_ranks.ravel().tolist())
     return report_from_ranks(ranks, seconds=time.perf_counter() - start)

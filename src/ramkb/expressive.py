@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import GroupSpec, forward_group
+from .engine import GroupSpec, TableCandidates, forward_group
 from .errors import ConfigError, DataError
 from .kb import Fact, Vocabulary, _is_names
 from .model import ModelConfig, ModelParams
@@ -148,7 +148,8 @@ def _relation_scores(params: ModelParams, rel: int, arity: int, n_entities: int)
         ents[:, :-1] = chunk
         spec = GroupSpec(arity, np.full(len(chunk), rel, dtype=np.intp), ents,
                          np.arange(len(chunk), dtype=np.intp))
-        out[lo : lo + len(chunk)] = forward_group(params, spec).scores[:, arity - 1, :]
+        scores = TableCandidates(params, ents).scores(forward_group(params, spec).gather)
+        out[lo : lo + len(chunk)] = scores[:, arity - 1, :]
     return out.reshape((n_entities,) * arity)
 
 

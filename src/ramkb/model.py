@@ -2,14 +2,16 @@
 
 A fact is scored as a sum of multilinear terms. Each term couples one role
 embedding with the pattern-weighted embedding blocks of every entity in the
-fact; ``engine.forward_group`` evaluates that score for every mode. The modes
-differ only in where role embeddings and pattern matrices come from, and each
-mode is one object below with ``init`` (create its parameter slots),
-``terms`` (derive the role embeddings, pattern matrices and term weights of
-all the relations of one arity group at once, stacked on a leading relation
-axis) and ``backward`` (pull the group's stacked per-relation gradients back
-onto its slots, one contraction per parameter family). Slots stay per
-relation, so only reading and writing them loops over relations.
+fact. For every mode, ``engine.forward_group`` builds each position's
+contraction kernel from these terms, and a candidate scorer of ``engine``
+turns the kernels into scores. The modes differ only in where role
+embeddings and pattern matrices come from, and each mode is one object below
+with ``init`` (create its parameter slots), ``terms`` (derive the role
+embeddings, pattern matrices and term weights of all the relations of one
+arity group at once, stacked on a leading relation axis) and ``backward``
+(pull the group's stacked per-relation gradients back onto its slots, one
+contraction per parameter family). Slots stay per relation, so only reading
+and writing them loops over relations.
 :func:`mode_of` picks the object for a config:
 
 * ``latent``   - role embeddings are convex combinations of shared basis

@@ -11,8 +11,10 @@ import numpy as np
 
 from .engine import (
     GradientBuffer,
-    GroupForward,
+    GroupKernels,
     GroupSpec,
+    SampledCandidates,
+    TableCandidates,
     backward_group,
     forward_group,
     group_losses,
@@ -95,14 +97,16 @@ def corrupt(
 
 
 def _group_candidates(
+    params: ModelParams,
     spec: GroupSpec,
-    n_entities: int,
     negatives: str | int,
     fact_rngs: Optional[list[np.random.Generator]],
-) -> Optional[np.ndarray]:
-    """Candidate id array (B, a, 1 + n_neg) with column 0 the true entity."""
+) -> TableCandidates | SampledCandidates:
+    """The group's candidate scorer: the whole entity table for full negatives,
+    else sampled ids (B, a, 1 + n_neg) with column 0 the true entity."""
     if negatives == "full":
-        return None
+        return TableCandidates(params, spec.ents)
+    n_entities = params.vocab.n_entities
     n = min(int(negatives), n_entities - 1)
     b, a = spec.ents.shape
     cand = np.empty((b, a, n + 1), dtype=np.intp)
@@ -111,7 +115,7 @@ def _group_candidates(
         rng = fact_rngs[fact_idx]
         for pos in range(a):
             cand[row, pos, 1:] = corrupt(spec.ents[row, pos], n_entities, negatives, rng)
-    return cand
+    return SampledCandidates(params, cand)
 
 
 def _group_masks(
@@ -145,17 +149,17 @@ def _score_group(
     negatives: str | int,
     dropout: float,
     fact_rngs: Optional[list[np.random.Generator]],
-) -> tuple[GroupForward, np.ndarray, np.ndarray]:
-    """One arity group's forward arrays, per-fact losses and score gradient.
+) -> tuple[GroupKernels, TableCandidates | SampledCandidates, np.ndarray, np.ndarray]:
+    """One arity group's kernels, candidate scorer, per-fact losses and score gradient.
 
     Candidates and dropout masks come from `fact_rngs`, one generator per fact.
     """
     if fact_rngs is None and (negatives != "full" or dropout > 0):
         raise ConfigError("sampled negatives and dropout need one generator per fact")
-    cand = _group_candidates(spec, params.vocab.n_entities, negatives, fact_rngs)
+    cand = _group_candidates(params, spec, negatives, fact_rngs)
     mask = _group_masks(spec, params, dropout, fact_rngs)
-    fwd = forward_group(params, spec, cand, mask)
-    return (fwd, *group_losses(fwd.scores, fwd.true_cols))
+    kern = forward_group(params, spec, mask)
+    return (kern, cand, *group_losses(cand.scores(kern.gather), cand.true_cols))
 
 
 def batch_loss(
@@ -171,7 +175,7 @@ def batch_loss(
     """
     total = 0.0
     for spec in split_groups(params, facts):
-        losses = _score_group(params, spec, negatives, dropout, fact_rngs)[1]
+        losses = _score_group(params, spec, negatives, dropout, fact_rngs)[2]
         total += float(losses.sum())
     return total / len(facts)
 
@@ -190,11 +194,11 @@ def batch_backward(
     buf = GradientBuffer(params)
     total = 0.0
     for spec in split_groups(params, facts):
-        fwd, losses, grad = _score_group(params, spec, negatives, dropout, fact_rngs)
+        kern, cand, losses, grad = _score_group(params, spec, negatives, dropout, fact_rngs)
         total += float(losses.sum())
         grad *= scale
-        backward_group(params, fwd, grad, buf)
-        del fwd, grad  # free this group's arrays before the next group is scored
+        backward_group(params, kern, cand.pullback(kern.gather, grad, buf), buf)
+        del kern, cand, grad  # free this group's arrays before the next group is scored
 
     loss = total * scale
     if not np.isfinite(loss):

@@ -1,8 +1,20 @@
 import numpy as np
 import pytest
 
+from ramkb.engine import SampledCandidates, TableCandidates, forward_group
 from ramkb.kb import Fact, KnowledgeBase, Vocabulary, build_kb, parse_tabular
 from ramkb.mathcore import make_rng
+
+
+def table_scores(params, spec):
+    """Float64 scores (B, a, n_entities) of every entity at every position of a group."""
+    return TableCandidates(params, spec.ents).scores(forward_group(params, spec).gather)
+
+
+def own_scores(params, spec, masks=None):
+    """Scores (B, a, 1) of each fact's own entity at every position: its own score."""
+    own = SampledCandidates(params, spec.ents[:, :, None])
+    return own.scores(forward_group(params, spec, masks).gather)
 
 
 @pytest.fixture

@@ -16,13 +16,13 @@ from ramkb.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from ramkb.engine import forward_group, split_groups
+from ramkb.engine import split_groups
 from ramkb.errors import DataError
 from ramkb.expressive import GroundTruth, construct, verify_separation
 from ramkb.kb import Fact, Vocabulary
 from ramkb.model import ModelConfig, ModelParams, relation_terms
 
-from conftest import make_vocab, random_facts
+from conftest import make_vocab, random_facts, table_scores
 from test_model import randomized_params
 
 TRAINED_MODES = [
@@ -64,7 +64,7 @@ def test_round_trip_every_trained_mode(tmp_path, mode_str):
     assert_same_arrays(params, loaded)
     for spec in split_groups(params, random_facts(vocab, 4, seed=4)):
         np.testing.assert_array_equal(
-            forward_group(loaded, spec).scores, forward_group(params, spec).scores
+            table_scores(loaded, spec), table_scores(params, spec)
         )
 
 
@@ -80,7 +80,7 @@ def test_round_trip_raw_construction_still_separates(tmp_path):
     assert {key[0] for key in loaded.slots()} == {"ent", "raw_u", "raw_p"}
     for spec in split_groups(params, list(gt.facts)):
         np.testing.assert_array_equal(
-            forward_group(loaded, spec).scores, forward_group(params, spec).scores
+            table_scores(loaded, spec), table_scores(params, spec)
         )
     assert verify_separation(gt, loaded).passed
 

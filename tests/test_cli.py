@@ -101,10 +101,15 @@ def test_eval_rebuilds_the_split_train_held_out(tmp_path):
     ["gradcheck", "--seed", "-1"],
     ["equiv", "--kind", "DistMult", "--seed", "-1"],
     ["subset", "--data-dir", "d", "--out", "o", "--ratio", "0.5", "--seed", "-1"],
+    ["gradcheck", "--tol", "nan"],
+    ["gradcheck", "--tol", "0"],
+    ["gradcheck", "--tol", "-1"],
+    ["gradcheck", "--tol", "inf"],
 ], ids=["eval-seed", "eval-valid-fraction", "export-seed", "express-seed",
         "gradcheck-out", "equiv-out", "gradcheck-trials-0", "equiv-trials-0",
         "equiv-trials-negative", "train-ratio", "train-arity-filter",
-        "gradcheck-seed-negative", "equiv-seed-negative", "subset-seed-negative"])
+        "gradcheck-seed-negative", "equiv-seed-negative", "subset-seed-negative",
+        "gradcheck-tol-nan", "gradcheck-tol-0", "gradcheck-tol-negative", "gradcheck-tol-inf"])
 def test_unread_flags_and_checks_of_no_trials_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)

@@ -15,7 +15,7 @@ from ramkb.kb import Fact, KnowledgeBase, build_kb, parse_tabular
 from ramkb.mathcore import make_rng
 from ramkb.model import ModelConfig, ModelParams
 
-from conftest import make_vocab, random_kb
+from conftest import make_vocab, random_kb, table_scores
 from test_model import randomized_params
 
 
@@ -23,14 +23,14 @@ def group_ranks(params, kb, facts):
     """Filtered ranks (B, a) of facts of one arity, from one `forward_group` and one
     `rank_from_scores` call as in `evaluate`."""
     (spec,) = split_groups(params, facts)
-    gather = forward_group(params, spec, candidates=spec.ents[:, :, None]).gather
+    gather = forward_group(params, spec).gather
     return rank_from_scores(kb, facts, gather.reshape(spec.ents.size, -1), entity_table(params))
 
 
 def group_scores_and_ranks(params, kb, facts):
     """Float64 full-table scores (B, a, n_entities) and the ranks `evaluate` gives."""
     (spec,) = split_groups(params, facts)
-    return forward_group(params, spec).scores, group_ranks(params, kb, facts)
+    return table_scores(params, spec), group_ranks(params, kb, facts)
 
 
 def test_rank_one_for_unique_maximum():
@@ -107,7 +107,7 @@ def oracle_ranks(params, kb):
     a true one and how many candidates tie with it."""
     ranks, filtered_above, ties = [], 0, 0
     for fact in kb.test:
-        all_scores = forward_group(params, split_groups(params, [fact])[0]).scores[0]
+        all_scores = table_scores(params, split_groups(params, [fact])[0])[0]
         fact_ranks = []
         for pos in range(fact.arity):
             scores = all_scores[pos]
@@ -189,7 +189,7 @@ def near_tie_case(filter_neighbours):
     fact = next(f for f in kb.test if len(set(f.entities)) == f.arity)
     true_e = fact.entities[0]
     (spec,) = split_groups(params, [fact])
-    g = forward_group(params, spec, candidates=spec.ents[:, :, None]).gather[0, 0, 0, 0]
+    g = forward_group(params, spec).gather[0, 0, 0, 0]
     # the query's kernel does not read the queried entity. With a mantissa
     # near 2, one ulp of x moves g * x by less than one ulp of the product
     # (unless g's mantissa is below 1.0005), so stepping x ulp by ulp

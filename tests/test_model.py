@@ -9,13 +9,13 @@ from oracles import (
     naive_latent_score,
     naive_softmax_matrix,
 )
-from ramkb.engine import forward_group, score, split_groups
+from ramkb.engine import score, split_groups
 from ramkb.errors import ConfigError, DimensionError
 from ramkb.kb import Fact
 from ramkb.mathcore import make_rng
 from ramkb.model import ModelConfig, ModelParams, relation_terms
 
-from conftest import make_vocab, random_facts
+from conftest import make_vocab, own_scores, random_facts, table_scores
 
 
 def randomized_params(cfg, vocab, seed=0, mixing_scale=0.7):
@@ -231,7 +231,7 @@ class TestScore:
 
 
 class TestScoreBatchPosition:
-    """One position's full-table scores: a row of `forward_group`'s scores."""
+    """One position's full-table scores: a row of the table scorer's scores."""
 
     @pytest.mark.parametrize(
         "mode,kwargs",
@@ -249,7 +249,7 @@ class TestScoreBatchPosition:
         params = randomized_params(cfg, vocab, seed=16)
         facts = random_facts(vocab, 4, seed=17)
         for spec in split_groups(params, facts):
-            scores = forward_group(params, spec).scores
+            scores = table_scores(params, spec)
             for row, fact_idx in enumerate(spec.fact_index):
                 fact = facts[fact_idx]
                 for pos in range(fact.arity):
@@ -265,7 +265,7 @@ class TestScoreBatchPosition:
         cfg = ModelConfig(embed_dim=5, multiplicity=2, latent_size=3)
         params = randomized_params(cfg, vocab, seed=18)
         fact = Fact(0, (1, 3, 3, 5))
-        scores = forward_group(params, split_groups(params, [fact])[0]).scores[0]
+        scores = table_scores(params, split_groups(params, [fact])[0])[0]
         for pos in range(4):
             got = scores[pos]
             assert got[fact.entities[pos]] == pytest.approx(
@@ -278,7 +278,7 @@ class TestScoreBatchPosition:
         params = randomized_params(cfg, vocab, seed=19)
         params.data[("ent",)][:] = params.data[("ent",)][0]
         spec = split_groups(params, [Fact(0, (0, 1))])[0]
-        got = forward_group(params, spec).scores[0, 1]
+        got = table_scores(params, spec)[0, 1]
         np.testing.assert_allclose(got, got[0], atol=1e-12)
 
 
@@ -305,7 +305,7 @@ def test_batched_phi_matches_per_fact_score(toy_kb):
     for params, facts in cases:
         for spec in split_groups(params, facts):
             # a fact's score is the candidate score of its own entity
-            phi = forward_group(params, spec, candidates=spec.ents[:, :, None]).scores[:, 0, 0]
+            phi = own_scores(params, spec)[:, 0, 0]
             for row, fact_idx in enumerate(spec.fact_index):
                 fact = facts[fact_idx]
                 assert phi[row] == pytest.approx(score(params, fact), abs=1e-15)
@@ -321,12 +321,12 @@ def test_scoring_time_roughly_linear_in_embedding_dim():
         facts = random_facts(vocab, 128, seed=d)
         specs = split_groups(params, facts)
         for spec in specs:
-            forward_group(params, spec)
+            table_scores(params, spec)
         times = []
         for _ in range(5):
             t0 = time.perf_counter()
             for spec in specs:
-                forward_group(params, spec)
+                table_scores(params, spec)
             times.append(time.perf_counter() - t0)
         return float(np.median(times)) / len(facts)
 

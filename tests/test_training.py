@@ -7,6 +7,8 @@ import pytest
 from oracles import TextbookAdam, naive_fact_loss, naive_latent_score, rowwise_scatter
 from ramkb.engine import (
     GradientBuffer,
+    SampledCandidates,
+    TableCandidates,
     _scatter_rows,
     forward_group,
     group_losses,
@@ -29,7 +31,7 @@ from ramkb.training import (
     train,
 )
 
-from conftest import make_vocab, random_facts, random_kb
+from conftest import make_vocab, own_scores, random_facts, random_kb
 from test_model import randomized_params
 
 
@@ -273,6 +275,35 @@ class TestBackward:
         assert "every parameter is finite; largest of the parameter norms ('ent',)" in message
 
 
+class TestCandidateScorers:
+    @pytest.mark.parametrize("mode", ["latent", "explicit", "preset:ComplEx"])
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_sampled_scorer_over_the_whole_table_matches_table_scorer(self, mode, dropout):
+        # every entity as the candidates of every (fact, position), in table
+        # order: the sampled scorer then computes what the table scorer does
+        cfg = ModelConfig(embed_dim=4, multiplicity=2, latent_size=3, mode=mode)
+        arities = (2, 2) if mode.startswith("preset:") else (2, 3)
+        vocab = make_vocab(7, arities, explicit_roles=mode == "explicit")
+        params = randomized_params(cfg, vocab, seed=24)
+        facts = random_facts(vocab, 6, seed=25)
+        rngs = [make_rng(26, i) for i in range(len(facts))]
+        n_e = vocab.n_entities
+        for spec in split_groups(params, facts):
+            kern = forward_group(params, spec, _group_masks(spec, params, dropout, rngs))
+            every = np.tile(np.arange(n_e), spec.ents.shape + (1,))
+            table, sampled = TableCandidates(params, spec.ents), SampledCandidates(params, every)
+            np.testing.assert_allclose(sampled.scores(kern.gather), table.scores(kern.gather),
+                                       rtol=1e-12, atol=1e-15)
+            g = make_rng(27, spec.arity).normal(size=spec.ents.shape + (n_e,))
+            bufs = GradientBuffer(params), GradientBuffer(params)
+            pseudo = [cand.pullback(kern.gather, g, buf)
+                      for cand, buf in zip((sampled, table), bufs)]
+            np.testing.assert_allclose(pseudo[0], pseudo[1], rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(bufs[0].grads[("ent",)], bufs[1].grads[("ent",)],
+                                       rtol=1e-12, atol=1e-15)
+            np.testing.assert_array_equal(bufs[0].touched[("ent",)], bufs[1].touched[("ent",)])
+
+
 class TestDropout:
     def _group(self, n_copies=1, seed=14):
         vocab = make_vocab(5, (3,))
@@ -284,9 +315,7 @@ class TestDropout:
         params, spec = self._group()
         masks = _group_masks(spec, params, 0.0, [make_rng(1)])
         assert masks is None
-        own = spec.ents[:, :, None]
-        assert (forward_group(params, spec, own, masks).scores[0, 0, 0]
-                == forward_group(params, spec, own).scores[0, 0, 0])
+        assert own_scores(params, spec, masks)[0, 0, 0] == own_scores(params, spec)[0, 0, 0]
 
     def test_fixed_seed_masks_deterministic_and_scaled(self):
         params, spec = self._group()
@@ -301,7 +330,7 @@ class TestDropout:
         params, spec = self._group(n_copies=n_draws, seed=15)
         base = score(params, Fact(0, (0, 1, 2)))
         masks = _group_masks(spec, params, 0.3, [make_rng(3)] * n_draws)
-        draws = forward_group(params, spec, spec.ents[:, :, None], masks).scores[:, 0, 0]
+        draws = own_scores(params, spec, masks)[:, 0, 0]
         stderr = draws.std(ddof=1) / math.sqrt(len(draws))
         assert abs(draws.mean() - base) <= 3 * stderr
 
