@@ -5,11 +5,14 @@ command that scores facts builds its contraction kernels with
 ``engine.forward_group``. ``eval`` ranks the kernels directly. ``train``
 scores them with an ``engine`` candidate scorer, as do ``equiv`` (through
 ``engine.score``) and ``express`` (through ``expressive.verify_separation``).
+A data directory holds ``train``, ``valid`` and ``test`` splits in one of the
+two distribution formats, chosen by suffix: tabular lines (``.txt``,
+``.tsv``) or role-annotated JSON lines (``.jsonl``, ``.json``).
 ``train`` records in the checkpoint the valid fraction and seed it split
 the data with; ``eval`` rebuilds the same splits from them. To train on a
-subset of a dataset, write it with ``subset`` and then ``train`` on the
-subset's directory, so that ``eval`` on that directory sees the very facts
-``train`` did.
+subset of a dataset, write it with ``subset``, which writes each split in
+one of those two formats, and then ``train`` on the subset's directory, so
+that ``eval`` on that directory sees the very facts ``train`` did.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric abort.
 The RAM_LOG environment variable sets the log level.
 """
@@ -34,9 +37,9 @@ from .expressive import construct, ground_truth_from_json, verify_separation
 from .gradcheck import run_gradcheck
 from .kb import (
     KnowledgeBase,
+    RawFact,
     build_kb,
     export_split,
-    parse_normalized,
     parse_role_json,
     parse_tabular,
     subset_by_arity,
@@ -101,23 +104,22 @@ def load_configs(config_path: Path | None, overrides: dict) -> tuple[ModelConfig
     return model_cfg, TrainConfig(**train_kwargs)
 
 
-def _sniff_and_parse(path: Path):
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if path.suffix in (".json", ".jsonl"):
-        first = next((ln for ln in lines if ln.strip()), "")
-        try:
-            probe = json.loads(first) if first else {}
-        except json.JSONDecodeError:
-            probe = {}
-        if isinstance(probe, dict) and "relation" in probe and "entities" in probe:
-            return parse_normalized(lines)
-        return parse_role_json(lines)
-    return parse_tabular(lines)
+SPLIT_SUFFIXES = (".txt", ".tsv", ".jsonl", ".json")
+
+
+def _read_split(path: Path) -> tuple[list[RawFact], str]:
+    """Parse a split file by its suffix; also return the sha256 of the bytes parsed."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    parse = parse_role_json if path.suffix in (".json", ".jsonl") else parse_tabular
+    return parse(text.splitlines()), hashlib.sha256(data).hexdigest()
 
 
 def _find_split(data_dir: Path, split: str) -> Path | None:
-    for ext in (".txt", ".tsv", ".jsonl", ".json"):
+    for ext in SPLIT_SUFFIXES:
         path = data_dir / f"{split}{ext}"
         if path.exists():
             return path
@@ -131,10 +133,13 @@ def load_dataset(
 ) -> tuple[KnowledgeBase, dict]:
     """Load train/valid/test splits from a directory.
 
-    When the validation split has no facts (there is no validation file, or
-    it holds none) and `valid_fraction` > 0, that fraction of the training
-    facts is held out, deterministically in `seed`. A fraction outside
-    [0, 1) raises ConfigError.
+    Each split is the first of ``<split>.txt``, ``.tsv``, ``.jsonl`` and
+    ``.json`` that exists, parsed by its suffix; a file that is not UTF-8
+    raises DataError. The returned info names each file read and the sha256
+    of the very bytes parsed. When the validation split has no facts (there
+    is no validation file, or it holds none) and `valid_fraction` > 0, that
+    fraction of the training facts is held out, deterministically in `seed`.
+    A fraction outside [0, 1) raises ConfigError.
     """
     if not 0 <= valid_fraction < 1:
         raise ConfigError(f"valid fraction {valid_fraction} is not in [0, 1)")
@@ -144,10 +149,11 @@ def load_dataset(
     paths = {split: _find_split(data_dir, split) for split in ("train", "valid", "test")}
     if paths["train"] is None:
         raise DataError(f"no train split found under {data_dir}")
-    raw = {
-        split: _sniff_and_parse(path) if path else []
-        for split, path in paths.items()
-    }
+    paths = {split: path for split, path in paths.items() if path}
+    raw = {"train": [], "valid": [], "test": []}
+    checksums = {}
+    for split, path in paths.items():
+        raw[split], checksums[split] = _read_split(path)
     if not raw["valid"] and valid_fraction > 0 and raw["train"]:
         rng = make_rng(seed, 3)
         n_valid = int(valid_fraction * len(raw["train"]))
@@ -157,12 +163,7 @@ def load_dataset(
         raw["train"] = [f for i, f in enumerate(raw["train"]) if i not in hold]
         log.info("held out %d training facts as validation", n_valid)
     kb = build_kb(raw["train"], raw["valid"], raw["test"])
-    checksums = {
-        split: hashlib.sha256(path.read_bytes()).hexdigest()
-        for split, path in paths.items()
-        if path
-    }
-    return kb, {"paths": {s: str(p) for s, p in paths.items() if p}, "sha256": checksums}
+    return kb, {"paths": {s: str(p) for s, p in paths.items()}, "sha256": checksums}
 
 
 def _arity_predicate(spec: str | None):
@@ -327,12 +328,16 @@ def cmd_subset(args) -> int:
         seed=args.seed,
     )
     out = Path(args.out)
+    exports = {split: export_split(sub, split) for split in ("train", "valid", "test")}
+    # a split file that load_dataset reads first would shadow the one written
+    for split, (suffix, _) in exports.items():
+        found = _find_split(out, split)
+        if found and SPLIT_SUFFIXES.index(found.suffix) < SPLIT_SUFFIXES.index(suffix):
+            raise ConfigError(f"{found} would be read instead of {split}{suffix}")
     out.mkdir(parents=True, exist_ok=True)
-    for split in ("train", "valid", "test"):
-        path = out / f"{split}.jsonl"
-        path.write_text(
-            "".join(line + "\n" for line in export_split(sub, split)), encoding="utf-8"
-        )
+    for split, (suffix, lines) in exports.items():
+        path = out / f"{split}{suffix}"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         print(f"wrote {path}")
     (out / "stats.json").write_text(
         json.dumps(sub.stats(), indent=2), encoding="utf-8"

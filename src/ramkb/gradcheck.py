@@ -137,8 +137,7 @@ def _random_trial(
         rel = int(rng.integers(0, vocab.n_relations))
         arity = vocab.arity(rel)
         ents = tuple(int(e) for e in rng.integers(0, n_entities, size=arity))
-        roles = vocab.rel_roles.get(rel)
-        facts.append(Fact(rel, ents, roles))
+        facts.append(Fact(rel, ents))
 
     params = ModelParams.init(cfg, vocab, seed=seed + trial)
     # random mixing weights exercise both softmax pullbacks away from uniform

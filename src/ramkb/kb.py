@@ -1,8 +1,11 @@
 """Datasets of n-ary relational facts.
 
-Parses the two distribution formats (tabular and role-annotated JSON lines),
-builds dense vocabularies over the union of splits, and owns the known-true
-index used by filtered ranking.
+A dataset comes in one of two distribution formats: tabular lines
+(``relation entity...``) and role-annotated JSON lines (``{role: entity}``).
+This module parses both, builds dense vocabularies over the union of
+splits, owns the known-true index used by filtered ranking, and writes a
+split back in whichever of the two formats holds it, so a written subset
+reads back as the same facts.
 """
 
 from __future__ import annotations
@@ -27,13 +30,12 @@ RawFact = tuple[str, tuple[str, ...], tuple[str, ...] | None]
 class Fact:
     """One n-ary fact: a relation plus its ordered entity slots.
 
-    `roles` carries global role indices for role-annotated datasets and is
-    None otherwise. When present it has the same length as `entities`.
+    The role each slot plays belongs to the relation, in
+    ``Vocabulary.rel_roles``.
     """
 
     relation: int
     entities: tuple[int, ...]
-    roles: tuple[int, ...] | None = None
 
     @property
     def arity(self) -> int:
@@ -200,40 +202,6 @@ def _is_names(value) -> bool:
     return isinstance(value, list) and all(isinstance(name, str) for name in value)
 
 
-def parse_normalized(lines: Iterable[str]) -> list[RawFact]:
-    """Parse the normalized JSON-lines export produced by :func:`export_split`.
-
-    `relation` must be a string, `entities` a list of strings, and `roles`,
-    when present and not null, a list of strings.
-    """
-    facts: list[RawFact] = []
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(line_no, f"invalid JSON: {exc.msg}") from exc
-        try:
-            rel, entities = obj["relation"], obj["entities"]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(line_no, "missing 'relation' or 'entities'") from exc
-        roles = obj.get("roles")
-        if not (isinstance(rel, str) and _is_names(entities)
-                and (roles is None or _is_names(roles))):
-            raise ParseError(
-                line_no, "'relation' must be a string and 'entities' and 'roles' lists of strings"
-            )
-        entities = tuple(entities)
-        roles = tuple(roles) if roles else None
-        if len(entities) < 2:
-            raise ParseError(line_no, "fact needs >= 2 entities")
-        if roles is not None and len(roles) != len(entities):
-            raise ParseError(line_no, "roles and entities differ in length")
-        facts.append((rel, entities, roles))
-    return facts
-
-
 TruthKey = tuple[int, int, tuple[int, ...]]
 
 
@@ -345,7 +313,6 @@ def build_kb(
                 raise DataError(f"relation {name!r}: facts need >= 2 entities")
             rel = vocab.add_relation(name, arity)
             ent_ids = tuple(vocab.add_entity(e) for e in entities)
-            role_ids = None
             if roles is not None:
                 role_ids = tuple(vocab.add_role(r) for r in roles)
                 seen = vocab.rel_roles.setdefault(rel, role_ids)
@@ -353,7 +320,7 @@ def build_kb(
                     raise DataError(
                         f"relation {name!r} used with inconsistent role lists"
                     )
-            facts.append(Fact(rel, ent_ids, role_ids))
+            facts.append(Fact(rel, ent_ids))
         splits.append(facts)
     kb = KnowledgeBase(vocab, *splits)
     log.info("loaded KB: %s", kb.stats())
@@ -393,16 +360,28 @@ def subset_by_arity(
     return KnowledgeBase(kb.vocab, new_train, kb.valid, kb.test)
 
 
-def export_split(kb: KnowledgeBase, split: str) -> Iterable[str]:
-    """Render a split in the normalized JSON-lines format."""
+def export_split(kb: KnowledgeBase, split: str) -> tuple[str, list[str]]:
+    """Render a split in a distribution format, returning (suffix, lines).
+
+    When every fact's relation has roles the lines are role-annotated JSON
+    (suffix ".jsonl"), otherwise tab-separated ``relation entity...`` lines
+    (suffix ".txt"); an empty split takes the format of the training split.
+    Parsing the lines by their suffix and indexing them with :func:`build_kb`
+    gives back the split of a KB loaded from those formats: the same facts in
+    the same order, relation names and roles included.
+    """
     vocab = kb.vocab
-    for fact in kb.split(split):
-        name, arity = vocab.relations[fact.relation]
-        obj: dict = {
-            "relation": name,
-            "arity": arity,
-            "entities": [vocab.entities[e] for e in fact.entities],
-        }
-        if fact.roles is not None:
-            obj["roles"] = [vocab.roles[r] for r in fact.roles]
-        yield json.dumps(obj, ensure_ascii=False)
+    facts = kb.split(split)
+    if all(f.relation in vocab.rel_roles for f in facts or kb.train):
+        return ".jsonl", [
+            json.dumps(
+                {vocab.roles[r]: vocab.entities[e]
+                 for r, e in zip(vocab.rel_roles[f.relation], f.entities)},
+                ensure_ascii=False,
+            )
+            for f in facts
+        ]
+    return ".txt", [
+        "\t".join([vocab.relations[f.relation][0], *(vocab.entities[e] for e in f.entities)])
+        for f in facts
+    ]

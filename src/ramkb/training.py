@@ -57,8 +57,8 @@ class TrainConfig:
         for name in ("batch_size", "max_epochs", "patience", "eval_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < float("inf"):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0 < self.decay_rate <= 1:
             raise ConfigError("decay_rate must be in (0, 1]")
         if not 0 <= self.dropout < 1:

@@ -53,7 +53,7 @@ def random_facts(vocab, n_facts, seed=0):
         rel = int(rng.integers(0, vocab.n_relations))
         arity = vocab.arity(rel)
         ents = tuple(int(e) for e in rng.integers(0, vocab.n_entities, arity))
-        facts.append(Fact(rel, ents, vocab.rel_roles.get(rel)))
+        facts.append(Fact(rel, ents))
     return facts
 
 

@@ -166,7 +166,7 @@ def naive_fact_loss(score_fn, params, fact, n_entities):
         for e in range(n_entities):
             entities = list(fact.entities)
             entities[pos] = e
-            candidate = type(fact)(fact.relation, tuple(entities), fact.roles)
+            candidate = type(fact)(fact.relation, tuple(entities))
             denom += math.exp(score_fn(params, candidate))
         total += -math.log(math.exp(true_score) / denom)
     return total

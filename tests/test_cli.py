@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from ramkb import cli
 from ramkb.checkpoint import load_checkpoint, save_checkpoint
+from ramkb.errors import DataError
 from ramkb.evaluation import evaluate
 
 TRAIN = ["r1 a b c", "r1 b c d", "r2 a d", "r2 c b", "r2 d e", "r3 d a e b", "r1 e a b"]
@@ -140,9 +142,12 @@ def test_raw_mode_is_rejected_before_anything_is_written(tmp_path):
 @pytest.mark.parametrize("extra_config,extra_argv", [
     ("negatives = abc\n", []),
     ("eval_every = 0\n", []),
+    ("learning_rate = nan\n", []),
+    ("learning_rate = inf\n", []),
     ("", ["--valid-fraction", "2"]),
     ("", ["--valid-fraction", "-1"]),
-], ids=["config-negatives", "config-eval-every-0", "valid-fraction-2", "valid-fraction-negative"])
+], ids=["config-negatives", "config-eval-every-0", "config-learning-rate-nan",
+        "config-learning-rate-inf", "valid-fraction-2", "valid-fraction-negative"])
 def test_malformed_value_exits_2_before_anything_is_written(tmp_path, extra_config, extra_argv):
     data, config = write_dataset(tmp_path)
     config.write_text(CONFIG + extra_config)
@@ -233,3 +238,81 @@ def test_train_on_a_subset_evaluates_the_split_it_trained_on(tmp_path):
                      "--split", "valid", "--out", str(out)]) == 0
     report = json.loads((out / "eval_valid.json").read_text())
     assert report["mrr"] == manifest["best_valid_mrr"]
+
+
+def test_split_file_is_read_once_and_hashed_as_parsed(tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    content = b"r a b\r\nr b c\r\n"
+    (data / "train.txt").write_bytes(content)
+    kb, info = cli.load_dataset(data, valid_fraction=0.0)
+    names = [[kb.vocab.entities[e] for e in f.entities] for f in kb.train]
+    assert names == [["a", "b"], ["b", "c"]]
+    assert info["sha256"] == {"train": hashlib.sha256(content).hexdigest()}
+
+
+@pytest.mark.parametrize("command", ["subset", "train"])
+def test_split_file_that_is_not_utf8_exits_3_naming_it(tmp_path, capsys, command):
+    data, config = write_dataset(tmp_path)
+    bad = data / "train.txt"
+    bad.write_bytes(b"r1 a b\n\xff\xfe c d\n")
+    with pytest.raises(DataError, match="train.txt"):
+        cli.load_dataset(data)
+    assert cli.main([command, "--data-dir", str(data), "--out", str(tmp_path / "out")]) == 3
+    assert str(bad) in capsys.readouterr().err
+
+
+def test_subset_in_place_is_what_load_dataset_reads(tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "train.txt").write_text("r a b\nr b c\nq a b c\nr c a\nq b c d\nq c d a\n")
+    assert cli.main(["subset", "--data-dir", str(data), "--out", str(data),
+                     "--arity-filter", "3"]) == 0
+    kb, _ = cli.load_dataset(data, valid_fraction=0.0)
+    assert len(kb.train) == 3 and kb.vocab.arities == (3,)
+
+
+def test_subset_that_a_stale_split_file_would_shadow_exits_2_before_writing(tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "train.jsonl").write_text('{"actor": "a", "movie": "b"}\n{"actor": "c", "movie": "b"}\n')
+    out = tmp_path / "sub"
+    out.mkdir()
+    (out / "train.txt").write_text("r a b\n")
+    assert cli.main(["subset", "--data-dir", str(data), "--out", str(out)]) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["train.txt"]
+
+
+def test_subset_of_role_annotated_data_trains_explicit_roles(tmp_path):
+    rng = np.random.default_rng(1)
+    data = tmp_path / "data"
+    data.mkdir()
+    for split, n_facts in (("train", 60), ("test", 10)):
+        lines = []
+        for kind in rng.integers(0, 2, n_facts):
+            fact = {"actor": f"p {rng.integers(12)}", "movie": f"m{rng.integers(8)}"}
+            if kind:
+                fact["award"] = f"a{rng.integers(3)}"
+            lines.append(json.dumps(fact))
+        (data / f"{split}.jsonl").write_text("\n".join(lines) + "\n")
+    config = tmp_path / "run.cfg"
+    config.write_text(CONFIG + "mode = explicit\nnegatives = 3\n")
+    sub, run = tmp_path / "sub", tmp_path / "run"
+    assert cli.main(["subset", "--data-dir", str(data), "--out", str(sub),
+                     "--ratio", "0.5", "--seed", "3"]) == 0
+    assert sorted(p.name for p in sub.glob("*.jsonl")) == [
+        "test.jsonl", "train.jsonl", "valid.jsonl"]
+
+    def roles_by_relation(data_dir):
+        vocab = cli.load_dataset(data_dir, valid_fraction=0.0)[0].vocab
+        return {vocab.relations[r]: [vocab.roles[g] for g in group]
+                for r, group in vocab.rel_roles.items()}
+
+    assert roles_by_relation(sub) == roles_by_relation(data) == {
+        ("actor|movie", 2): ["actor", "movie"],
+        ("actor|award|movie", 3): ["actor", "award", "movie"],
+    }
+    assert cli.main(["train", "--data-dir", str(sub), "--out", str(run),
+                     "--config", str(config), "--seed", "3"]) == 0
+    assert cli.main(["eval", "--data-dir", str(sub), "--checkpoint",
+                     str(run / "model.ramckpt")]) == 0

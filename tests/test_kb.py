@@ -12,7 +12,6 @@ from ramkb.kb import (
     Fact,
     build_kb,
     export_split,
-    parse_normalized,
     parse_role_json,
     parse_tabular,
     subset_by_arity,
@@ -158,48 +157,58 @@ def test_filtered_candidates_exhaustive_small_kbs(seed, n_facts, n_entities):
     assert_masks_match_brute_force(kb)
 
 
-def _multiset(kb, split):
-    return sorted(
-        (kb.vocab.relations[f.relation], tuple(kb.vocab.entities[e] for e in f.entities))
-        for f in kb.split(split)
-    )
+SPLITS = ("train", "valid", "test")
+PARSERS = {".txt": parse_tabular, ".jsonl": parse_role_json}
 
 
-def test_normalized_export_round_trips():
-    kb = random_kb(7, (2, 3, 4), n_train=12, n_valid=4, n_test=4, seed=3)
-    rebuilt = build_kb(
-        parse_normalized(export_split(kb, "train")),
-        parse_normalized(export_split(kb, "valid")),
-        parse_normalized(export_split(kb, "test")),
-    )
-    for split in ("train", "valid", "test"):
-        assert _multiset(kb, split) == _multiset(rebuilt, split)
-
-
-def test_normalized_export_shape():
-    kb = build_kb(parse_role_json(['{"A": "x", "B": "y"}']))
-    line = json.loads(next(iter(export_split(kb, "train"))))
-    assert line == {
-        "relation": "A|B",
-        "arity": 2,
-        "entities": ["x", "y"],
-        "roles": ["A", "B"],
+def tabular_kb():
+    rng = np.random.default_rng(3)
+    lines = {
+        split: [
+            f"r{arity} " + " ".join(f"e{e}" for e in rng.integers(0, 7, arity))
+            for arity in rng.integers(2, 5, n_facts)
+        ]
+        for split, n_facts in zip(SPLITS, (12, 4, 4))
     }
+    return build_kb(*(parse_tabular(lines[split]) for split in SPLITS))
 
 
-def test_parse_normalized_rejects_values_of_the_wrong_type():
-    lines = [
-        '{"relation": "r", "entities": "ab"}',
-        '{"relation": "r", "entities": [1, 2]}',
-        '{"relation": ["r"], "entities": ["a", "b"]}',
-        '{"relation": "r", "entities": ["a", "b"], "roles": "AB"}',
+def role_kb():
+    train = [
+        {"Actor": "Arnold Schwarzenegger", "Character": "T-800", "Movie": "Terminator 2"},
+        {"Director": "James Cameron", "Movie": "Terminator 2"},
+        {"Actor": "Linda Hamilton", "Character": "Sarah Connor", "Movie": "Terminator 2"},
+        {"Director": "Luc Besson", "Movie": "Léon"},
     ]
-    for line in lines:
-        with pytest.raises(ParseError) as err:
-            parse_normalized([line])
-        assert err.value.line_no == 1, line
-    null_roles = '{"relation": "r", "entities": ["a", "b"], "roles": null}'
-    assert parse_normalized([null_roles]) == [("r", ("a", "b"), None)]
+    test = [{"Actor": "Jean Reno", "Character": "Léon", "Movie": "Léon"}]
+    return build_kb(
+        parse_role_json(json.dumps(fact) for fact in train),
+        test=parse_role_json(json.dumps(fact) for fact in test),
+    )
+
+
+def named(kb):
+    """A KB's splits, relations and per-relation roles, all by name."""
+    v = kb.vocab
+    facts = {
+        split: [(v.relations[f.relation], [v.entities[e] for e in f.entities])
+                for f in kb.split(split)]
+        for split in SPLITS
+    }
+    roles = {v.relations[r]: [v.roles[g] for g in group] for r, group in v.rel_roles.items()}
+    return facts, v.relations, roles
+
+
+@pytest.mark.parametrize("make_kb,suffix", [(tabular_kb, ".txt"), (role_kb, ".jsonl")],
+                         ids=["tabular", "role-annotated"])
+def test_export_split_round_trips(make_kb, suffix):
+    """Each split, an empty one included, reads back as the same facts in the same order."""
+    kb = make_kb()
+    exported = [export_split(kb, split) for split in SPLITS]
+    assert [s for s, _ in exported] == [suffix] * 3
+    rebuilt = build_kb(*(PARSERS[s](lines) for s, lines in exported))
+    assert bool(kb.vocab.rel_roles) == (suffix == ".jsonl")
+    assert named(rebuilt) == named(kb)
 
 
 def test_subset_identity_keeps_training_split():

@@ -257,7 +257,7 @@ class TestScoreBatchPosition:
                     for e in range(vocab.n_entities):
                         entities = list(fact.entities)
                         entities[pos] = e
-                        expected = score(params, Fact(fact.relation, tuple(entities), fact.roles))
+                        expected = score(params, Fact(fact.relation, tuple(entities)))
                         assert got[e] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_true_entity_entry_equals_plain_score(self):

@@ -49,8 +49,9 @@ class TestTrainConfig:
             TrainConfig(dropout=1.0)
         with pytest.raises(ConfigError):
             TrainConfig(negatives="some")
-        with pytest.raises(ConfigError):
-            TrainConfig(learning_rate=0.0)
+        for value in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="learning_rate"):
+                TrainConfig(learning_rate=value)
         for name in ("max_epochs", "patience", "eval_every"):
             for value in (0, -1, -3):
                 with pytest.raises(ConfigError, match=name):
