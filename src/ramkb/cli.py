@@ -108,14 +108,24 @@ SPLIT_SUFFIXES = (".txt", ".tsv", ".jsonl", ".json")
 
 
 def _read_split(path: Path) -> tuple[list[RawFact], str]:
-    """Parse a split file by its suffix; also return the sha256 of the bytes parsed."""
-    data = path.read_bytes()
+    """Parse a split file by its suffix; also return the sha256 of the bytes parsed.
+
+    Every DataError it raises begins with the file's path.
+    """
+    try:
+        data = path.read_bytes()
+    except IsADirectoryError:
+        raise DataError(f"{path}: is a directory, not a split file") from None
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     parse = parse_role_json if path.suffix in (".json", ".jsonl") else parse_tabular
-    return parse(text.splitlines()), hashlib.sha256(data).hexdigest()
+    try:
+        facts = parse(text.splitlines())
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    return facts, hashlib.sha256(data).hexdigest()
 
 
 def _find_split(data_dir: Path, split: str) -> Path | None:

@@ -25,12 +25,18 @@ candidate blocks per kernel. :func:`backward_group` pulls that back through
 the arrays :func:`forward_group` kept; one reverse sweep over each of the
 prefix and suffix recurrences gives every factor's gradient at one product
 per position.
+
+Every contraction is a batched ``matmul`` over (fact, position) pairs, laid
+out as numpy lowers the equivalent ``einsum``, so results match it bit for
+bit. A :class:`GradientBuffer` keeps row-written gradients as the parts
+passed to it and sums them into a block of the touched rows only when the
+optimizer reads them; a sampled batch never allocates the entity table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -52,25 +58,77 @@ def _scatter_rows(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None
     np.add.at(out.reshape(-1), flat, values.reshape(-1))
 
 
-class GradientBuffer:
-    """Sparse per-slot gradient accumulator for one mini-batch.
+# The contractions as batched matmuls over (fact, position) pairs. Each is
+# laid out as numpy 2.x lowers the same ``einsum(..., optimize=True)``
+# (``bmm_einsum``): the einsum's second operand on the left, the same
+# transposed and fused copies, the same output view. The products therefore
+# sum in the einsum's order, bit for bit, without re-planning the path on
+# every call. The layout also decides how BLAS sums, so the operand order
+# must not be "simplified" to the natural one.
 
-    Slots written by rows (:meth:`add_rows`, :meth:`add_all_rows`) are
-    row-sparse: they keep a mask of touched rows beside the dense gradient
-    array, so the optimizer can update only those rows. Contributions to a row
-    sum element by element in the order of the calls, and of the rows within a
-    call, so a batch's gradient is bitwise deterministic.
+
+def _weigh(pf: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """``einsum('btlm,blmd->btld', pf, blocks)``: one (d, m) @ (m, T) product
+    per (fact, position), returned as a (B, T, a, d) view."""
+    b, t, a, m = pf.shape
+    d = blocks.shape[3]
+    lhs = blocks.transpose(0, 1, 3, 2).reshape(b * a, d, m)
+    rhs = pf.transpose(0, 2, 3, 1).reshape(b * a, m, t)
+    return (lhs @ rhs).reshape(b, a, d, t).transpose(0, 3, 1, 2)
+
+
+def _fold_terms(pf: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``einsum('btlm,btld->blmd', pf, x)``: one (d, T) @ (T, m) product per
+    (fact, position), returned as a (B, a, m, d) view."""
+    b, t, a, m = pf.shape
+    d = x.shape[3]
+    lhs = x.transpose(0, 2, 3, 1).reshape(b * a, d, t)
+    rhs = pf.transpose(0, 2, 1, 3).reshape(b * a, t, m)
+    return (lhs @ rhs).reshape(b, a, d, m).transpose(0, 1, 3, 2)
+
+
+def _pattern_grad(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``einsum('blmd,btld->btlm', blocks, x)``: one (T, d) @ (d, m) product
+    per (fact, position), returned as a (B, T, a, m) view."""
+    b, a, m, d = blocks.shape
+    t = x.shape[1]
+    lhs = x.transpose(0, 2, 1, 3).reshape(b * a, t, d)
+    rhs = blocks.transpose(0, 1, 3, 2).reshape(b * a, d, m)
+    return (lhs @ rhs).reshape(b, a, t, m).transpose(0, 2, 1, 3)
+
+
+class GradientBuffer:
+    """Per-slot gradient accumulator for one mini-batch.
+
+    Slots written by :meth:`add` are dense. Slots written by rows are
+    row-sparse: ``touched[key]`` masks the rows written, and the buffer keeps
+    each :meth:`add_rows` call's rows and values as they were passed, so a
+    batch that writes a few thousand rows of a large table never allocates
+    the table. :meth:`summed` adds them up, in call order, into a compact
+    block of the touched rows. A slot that receives :meth:`add_all_rows`
+    (every row, as with full negatives) sums into a full-table array at once
+    and keeps no parts. Either way each element sums its contributions in
+    the order of the calls, and of the rows within a call, so a batch's
+    gradient is bitwise deterministic.
     """
 
     def __init__(self, params: ModelParams) -> None:
         self._shapes = {key: params.data[key].shape for key in params.data}
-        self.grads: dict[SlotKey, np.ndarray] = {}
+        # a full-shape array, or a row slot's (rows, values) parts; one dict,
+        # so slots keep the order of their first write
+        self._slots: dict[SlotKey, np.ndarray | list[tuple[np.ndarray, np.ndarray]]] = {}
         self.touched: dict[SlotKey, np.ndarray] = {}
 
-    def _ensure(self, key: SlotKey) -> np.ndarray:
-        if key not in self.grads:
-            self.grads[key] = np.zeros(self._shapes[key])
-        return self.grads[key]
+    def _table(self, key: SlotKey) -> np.ndarray:
+        """The slot's full-shape gradient, with any row parts summed into it."""
+        slot = self._slots.get(key, ())
+        if isinstance(slot, np.ndarray):
+            return slot
+        table = np.zeros(self._shapes[key])
+        for rows, values in slot:
+            _scatter_rows(table, rows, values)
+        self._slots[key] = table
+        return table
 
     def _touched(self, key: SlotKey) -> np.ndarray:
         if key not in self.touched:
@@ -78,17 +136,55 @@ class GradientBuffer:
         return self.touched[key]
 
     def add(self, key: SlotKey, value: np.ndarray) -> None:
-        self._ensure(key)
-        self.grads[key] += value
+        table = self._table(key)
+        table += value
 
     def add_rows(self, key: SlotKey, rows: np.ndarray, values: np.ndarray) -> None:
-        _scatter_rows(self._ensure(key), rows, values)
+        """``grad[rows[i]] += values[i]``. Until the slot is summed or folded
+        the buffer keeps `rows` and `values` themselves, not copies."""
+        slot = self._slots.setdefault(key, [])
+        if isinstance(slot, list):
+            slot.append((rows, values))
+        else:
+            _scatter_rows(slot, rows, values)
         self._touched(key)[rows] = True
 
     def add_all_rows(self, key: SlotKey, values: np.ndarray) -> None:
-        buf = self._ensure(key)
-        buf += values
+        table = self._table(key)
+        table += values
         self._touched(key)[:] = True
+
+    def summed(self) -> Iterator[tuple[SlotKey, Optional[np.ndarray], np.ndarray]]:
+        """Each written slot's summed gradient, in the order of first writes.
+
+        A dense slot gives ``(key, None, grad)``. A row-sparse slot gives
+        ``(key, rows, grad)``: `rows` its touched rows in ascending order and
+        ``grad[i]`` the gradient of row ``rows[i]``.
+        """
+        for key, slot in self._slots.items():
+            if key not in self.touched:
+                yield key, None, slot
+                continue
+            rows = np.flatnonzero(self.touched[key])
+            if isinstance(slot, list):
+                index = np.empty(len(self.touched[key]), dtype=np.intp)  # table row -> block row
+                index[rows] = np.arange(rows.size)
+                block = np.zeros(rows.shape + self._shapes[key][1:])
+                for part_rows, values in slot:
+                    _scatter_rows(block, index[part_rows], values)
+                slot = block
+            yield key, rows, slot
+
+    def dense(self) -> dict[SlotKey, np.ndarray]:
+        """:meth:`summed` as full-shape arrays, untouched rows zero."""
+        out = {}
+        for key, rows, grad in self.summed():
+            if rows is None:
+                out[key] = grad
+            else:
+                out[key] = np.zeros(self._shapes[key])
+                out[key][rows] = grad
+        return out
 
 
 @dataclass
@@ -154,7 +250,7 @@ def forward_group(
 
     ent_blocks = params.data[("ent",)][spec.ents]  # (B, a, m, d)
     b, _, _, d = ent_blocks.shape
-    weighted = np.einsum("btlm,blmd->btld", pf, ent_blocks, optimize=True)
+    weighted = _weigh(pf, ent_blocks)
     if masks is not None:
         weighted = weighted * masks
 
@@ -174,7 +270,7 @@ def forward_group(
     loo = prefix * suffix
     if masks is not None:
         loo = loo * masks
-    gather = np.einsum("btlm,btld->blmd", pf, wf[:, :, None, None] * loo, optimize=True)
+    gather = _fold_terms(pf, wf[:, :, None, None] * loo)
 
     return GroupKernels(spec, uniq, inverse, terms, pf, wf, ent_blocks, masks,
                         weighted, prefix, suffix, loo, gather)
@@ -203,7 +299,8 @@ class TableCandidates:
 
 class SampledCandidates:
     """Each (fact, position) scores its own entity ids (B, a, C), column 0 the
-    true one. :meth:`scores` gathers the candidate blocks for :meth:`pullback`."""
+    true one. :meth:`scores` gathers the candidate blocks, transposed to the
+    (B*a, m*d, C) operand of its matmul and of :meth:`pullback`'s."""
 
     def __init__(self, params: ModelParams, ids: np.ndarray) -> None:
         self.table = params.data[("ent",)]
@@ -211,14 +308,17 @@ class SampledCandidates:
         self.true_cols = np.zeros(ids.shape[:2], dtype=np.intp)
 
     def scores(self, gather: np.ndarray) -> np.ndarray:
-        self.blocks = self.table[self.ids]  # (B, a, C, m, d)
-        return np.einsum("blcmd,blmd->blc", self.blocks, gather, optimize=True)
+        b, a, c = self.ids.shape
+        blocks = self.table.reshape(len(self.table), -1)[self.ids]  # (B, a, C, m*d)
+        self.blocks_t = blocks.transpose(0, 1, 3, 2).reshape(b * a, -1, c)
+        return (gather.reshape(b * a, 1, -1) @ self.blocks_t).reshape(b, a, c)
 
     def pullback(self, gather: np.ndarray, g: np.ndarray, buf: GradientBuffer) -> np.ndarray:
         _, _, m, d = gather.shape
-        contrib = g[:, :, :, None, None] * gather[:, :, None, :, :]
+        # C order, so the scatter reads the values in place
+        contrib = np.multiply(g[:, :, :, None, None], gather[:, :, None, :, :], order="C")
         buf.add_rows(("ent",), self.ids.reshape(-1), contrib.reshape(-1, m, d))
-        return np.einsum("blc,blcmd->blmd", g, self.blocks, optimize=True)
+        return (self.blocks_t @ g.reshape(len(self.blocks_t), -1, 1)).reshape(gather.shape)
 
 
 def group_losses(scores: np.ndarray, true_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -252,16 +352,17 @@ def backward_group(
 
     # pull `pseudo` back through gather = sum_t pf * (w * loo)
     w_col = kern.wf[:, :, None, None]
-    pseudo_v = np.einsum("btlm,blmd->btld", kern.pf, pseudo, optimize=True)
+    pseudo_v = _weigh(kern.pf, pseudo)
     grad_w = (pseudo_v * kern.loo).sum(axis=(2, 3))
-    grad_p = np.einsum("blmd,btld->btlm", pseudo, w_col * kern.loo, optimize=True)
+    grad_p = _pattern_grad(pseudo, w_col * kern.loo)
     grad_loo = w_col * pseudo_v  # with respect to the products before masking
     if kern.masks is not None:
         grad_loo = grad_loo * kern.masks
 
     # loo[pos] = prefix[pos] * suffix[pos]: one reverse sweep per recurrence
     weighted, prefix, suffix = kern.weighted, kern.prefix, kern.suffix
-    grad_weighted = np.zeros(weighted.shape)  # C order: einsum sums in layout order
+    # C order: a matmul operand's layout decides how BLAS sums it
+    grad_weighted = np.zeros(weighted.shape)
     carry = np.zeros((b, n_terms, d))
     for pos in range(a - 1, 0, -1):  # prefix[pos] = prefix[pos-1] * weighted[pos-1]
         carry = carry + grad_loo[:, :, pos] * suffix[:, :, pos]
@@ -276,8 +377,8 @@ def backward_group(
 
     if kern.masks is not None:
         grad_weighted = grad_weighted * kern.masks
-    grad_p += np.einsum("blmd,btld->btlm", kern.ent_blocks, grad_weighted, optimize=True)
-    grad_e = np.einsum("btlm,btld->blmd", kern.pf, grad_weighted, optimize=True)
+    grad_p += _pattern_grad(kern.ent_blocks, grad_weighted)
+    grad_e = _fold_terms(kern.pf, grad_weighted)
     buf.add_rows(("ent",), spec.ents.reshape(-1), grad_e.reshape(-1, m, d))
 
     # fold term-major gradients back to (arity, role_multiplicity, patterns) axes

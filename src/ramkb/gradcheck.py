@@ -75,11 +75,12 @@ def check_batch(
     def fact_rngs() -> list[np.random.Generator]:
         return [make_rng(*key) for key in rng_keys]
 
-    _, buf = batch_backward(params, facts, negatives, dropout, fact_rngs())
+    # the summed gradient optimizer_step reads, as full-shape arrays
+    grads = batch_backward(params, facts, negatives, dropout, fact_rngs())[1].dense()
     errors: dict[str, float] = {}
     for key in params.slots():
         array = params.data[key]
-        analytic = buf.grads.get(key)
+        analytic = grads.get(key)
         if analytic is None:
             analytic = np.zeros_like(array)
         numeric = np.zeros_like(array)

@@ -33,6 +33,10 @@ _STREAM_FACT = 2
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# rows per lazy Adam block, the fastest of 64 to 2048 in a measurement: at
+# m*d = 50 a block's gathered moments and temporaries (~200 kB each) stay in
+# a 2 MB L2 cache
+ADAM_BLOCK_ROWS = 512
 
 
 @dataclass
@@ -240,47 +244,21 @@ class AdamState:
 def optimizer_step(
     params: ModelParams, buf: GradientBuffer, state: AdamState, lr: float
 ) -> None:
-    """Sparse Adam update over the slots touched by the buffer.
+    """Sparse Adam update over the slots the buffer's gradient touches.
 
     Row-sparse slots follow lazy Adam: only the touched rows advance their
-    moments and their own step counts. Those rows' gradient and moments are
-    gathered once; the gathered copies are updated in place, the moments
-    written back, and the copies then become the bias-corrected step. Every
-    product and quotient keeps the operand order of the textbook form, so
-    the update is bitwise deterministic.
+    moments and their own step counts. The buffer sums their gradient into a
+    compact block of those rows (:meth:`GradientBuffer.summed`), which is
+    read in place, ADAM_BLOCK_ROWS rows at a time, so that each block's
+    gathered moments and temporaries stay in cache. Every product and
+    quotient keeps the operand order of the textbook form, so the update is
+    bitwise deterministic.
     """
-    for key, grad in buf.grads.items():
+    for key, rows, grad in buf.summed():
         target = params.data[key]
-        row_sparse = key in buf.touched
-        state._ensure(key, target, row_sparse)
+        state._ensure(key, target, rows is not None)
         m1, m2 = state.m1[key], state.m2[key]
-        if row_sparse:
-            rows = np.flatnonzero(buf.touched[key])
-            if rows.size == 0:
-                continue
-            state.steps[key][rows] += 1
-            t = state.steps[key][rows]
-            # fancy indexing copies, so the in-place updates below never
-            # reach the state before the write-back
-            g, mu, nu = grad[rows], m1[rows], m2[rows]
-            mu *= ADAM_BETA1
-            nu *= ADAM_BETA2
-            sq = (1 - ADAM_BETA2) * g
-            sq *= g
-            nu += sq
-            g *= 1 - ADAM_BETA1
-            mu += g
-            m1[rows] = mu
-            m2[rows] = nu
-            extra = (1,) * (target.ndim - 1)
-            mu /= (1 - ADAM_BETA1 ** t).reshape(t.shape + extra)
-            mu *= lr
-            nu /= (1 - ADAM_BETA2 ** t).reshape(t.shape + extra)
-            np.sqrt(nu, out=nu)
-            nu += ADAM_EPS
-            mu /= nu
-            target[rows] -= mu
-        else:
+        if rows is None:
             state.steps[key] += 1
             t = state.steps[key]
             m1 *= ADAM_BETA1
@@ -290,6 +268,31 @@ def optimizer_step(
             bc1 = 1 - ADAM_BETA1 ** t
             bc2 = 1 - ADAM_BETA2 ** t
             target -= lr * (m1 / bc1) / (np.sqrt(m2 / bc2) + ADAM_EPS)
+            continue
+        state.steps[key][rows] += 1
+        steps = state.steps[key][rows].reshape(rows.shape + (1,) * (target.ndim - 1))
+        for lo in range(0, rows.size, ADAM_BLOCK_ROWS):
+            block = slice(lo, lo + ADAM_BLOCK_ROWS)
+            r, g, t = rows[block], grad[block], steps[block]
+            # fancy indexing copies, so the in-place updates below never
+            # reach the state before the write-back
+            mu, nu = m1[r], m2[r]
+            mu *= ADAM_BETA1
+            nu *= ADAM_BETA2
+            tmp = (1 - ADAM_BETA2) * g
+            tmp *= g
+            nu += tmp
+            np.multiply(g, 1 - ADAM_BETA1, out=tmp)
+            mu += tmp
+            m1[r] = mu
+            m2[r] = nu
+            mu /= 1 - ADAM_BETA1 ** t
+            mu *= lr
+            nu /= 1 - ADAM_BETA2 ** t
+            np.sqrt(nu, out=nu)
+            nu += ADAM_EPS
+            mu /= nu
+            target[r] -= mu
 
 
 @dataclass

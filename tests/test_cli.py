@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -251,15 +252,35 @@ def test_split_file_is_read_once_and_hashed_as_parsed(tmp_path):
     assert info["sha256"] == {"train": hashlib.sha256(content).hexdigest()}
 
 
+def _not_utf8(data):
+    path = data / "train.txt"
+    path.write_bytes(b"r1 a b\n\xff\xfe c d\n")
+    return path, "not UTF-8 text"
+
+
+def _malformed_line(data):
+    path = data / "valid.txt"
+    path.write_text("r2 b a\nr1 c\n")
+    return path, "line 2: expected relation plus >= 2 entities"
+
+
+def _directory(data):
+    path = data / "train.txt"
+    path.unlink()
+    path.mkdir()
+    return path, "is a directory"
+
+
 @pytest.mark.parametrize("command", ["subset", "train"])
-def test_split_file_that_is_not_utf8_exits_3_naming_it(tmp_path, capsys, command):
-    data, config = write_dataset(tmp_path)
-    bad = data / "train.txt"
-    bad.write_bytes(b"r1 a b\n\xff\xfe c d\n")
-    with pytest.raises(DataError, match="train.txt"):
+@pytest.mark.parametrize("spoil", [_not_utf8, _malformed_line, _directory])
+def test_unreadable_split_file_exits_3_naming_it(tmp_path, capsys, command, spoil):
+    # three split files, one of them spoiled: the message says which
+    data, _ = write_dataset(tmp_path)
+    bad, reason = spoil(data)
+    with pytest.raises(DataError, match=re.escape(f"{bad}: {reason}")):
         cli.load_dataset(data)
     assert cli.main([command, "--data-dir", str(data), "--out", str(tmp_path / "out")]) == 3
-    assert str(bad) in capsys.readouterr().err
+    assert f"{bad}: {reason}" in capsys.readouterr().err
 
 
 def test_subset_in_place_is_what_load_dataset_reads(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import logging
 import math
 
@@ -9,18 +10,23 @@ from ramkb.engine import (
     GradientBuffer,
     SampledCandidates,
     TableCandidates,
+    _fold_terms,
+    _pattern_grad,
     _scatter_rows,
+    _weigh,
     forward_group,
     group_losses,
     score,
     split_groups,
 )
 from ramkb.errors import ConfigError, NumericError
+from ramkb.evaluation import evaluate
 from ramkb.gradcheck import _random_trial, check_batch, run_gradcheck
 from ramkb.kb import Fact, KnowledgeBase, Vocabulary, build_kb, parse_tabular
 from ramkb.mathcore import make_rng
 from ramkb.model import ModelConfig, ModelParams
 from ramkb.training import (
+    ADAM_BLOCK_ROWS,
     AdamState,
     TrainConfig,
     _group_masks,
@@ -144,7 +150,7 @@ class TestBackward:
         params = ModelParams.init(cfg, vocab, seed=0)
         loss, buf = batch_backward(params, [Fact(0, (0, 0))])
         assert loss == pytest.approx(0.0, abs=1e-12)
-        largest = max(float(np.abs(g).max()) for g in buf.grads.values())
+        largest = max(float(np.abs(g).max()) for g in buf.dense().values())
         assert largest == pytest.approx(0.0, abs=1e-15)
 
     def test_finite_differences_on_toy_model(self):
@@ -207,7 +213,7 @@ class TestBackward:
                 for f in facts
             ) / len(facts)
 
-        _, buf = batch_backward(params, facts)
+        grads = batch_backward(params, facts)[1].dense()
         h = 1e-5
         rng = make_rng(10)
         for key in params.slots():
@@ -222,7 +228,7 @@ class TestBackward:
                 down = loss_fn()
                 flat[i] = orig
                 numeric = (up - down) / (2 * h)
-                analytic = buf.grads[key].reshape(-1)[i]
+                analytic = grads[key].reshape(-1)[i]
                 assert analytic == pytest.approx(numeric, rel=1e-4, abs=1e-7)
 
     def test_preset_buffer_has_no_pattern_slots(self):
@@ -230,7 +236,7 @@ class TestBackward:
         cfg = ModelConfig(embed_dim=3, mode="preset:SimplE")
         params = ModelParams.init(cfg, vocab, seed=0)
         _, buf = batch_backward(params, [Fact(0, (0, 1))])
-        families = {key[0] for key in buf.grads}
+        families = {key[0] for key in buf.dense()}
         assert families == {"ent", "preset_u"}
 
     def test_raw_mode_not_trainable(self):
@@ -300,9 +306,56 @@ class TestCandidateScorers:
             pseudo = [cand.pullback(kern.gather, g, buf)
                       for cand, buf in zip((sampled, table), bufs)]
             np.testing.assert_allclose(pseudo[0], pseudo[1], rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(bufs[0].grads[("ent",)], bufs[1].grads[("ent",)],
+            np.testing.assert_allclose(bufs[0].dense()[("ent",)], bufs[1].dense()[("ent",)],
                                        rtol=1e-12, atol=1e-15)
             np.testing.assert_array_equal(bufs[0].touched[("ent",)], bufs[1].touched[("ent",)])
+
+
+class TestContractions:
+    """The engine's batched-matmul contractions against ``np.einsum``."""
+
+    # (B, T, m, d, C); the second row makes every size-1 axis that can be one
+    SIZES = [(3, 5, 2, 4, 6), (1, 1, 1, 3, 1)]
+
+    @pytest.mark.parametrize("arity", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("b,t,m,d,c", SIZES)
+    def test_matmuls_equal_einsum(self, arity, b, t, m, d, c):
+        # positive values: no cancellation, so the relative tolerance holds
+        rng = np.random.default_rng(arity)
+        pf = rng.uniform(0.5, 1.5, (b, t, arity, m))
+        blocks = rng.uniform(0.5, 1.5, (b, arity, m, d))
+        x = rng.uniform(0.5, 1.5, (b, t, arity, d))
+        close = functools.partial(np.testing.assert_allclose, rtol=1e-12)
+        close(_weigh(pf, blocks), np.einsum("btlm,blmd->btld", pf, blocks))
+        close(_fold_terms(pf, x), np.einsum("btlm,btld->blmd", pf, x))
+        close(_pattern_grad(blocks, x), np.einsum("blmd,btld->btlm", blocks, x))
+
+        params = ModelParams.init(ModelConfig(embed_dim=d, multiplicity=m, latent_size=1),
+                                  make_vocab(9, (arity,)))
+        table = params.data[("ent",)] = rng.uniform(0.5, 1.5, params.data[("ent",)].shape)
+        ids = rng.integers(0, 9, (b, arity, c))
+        g = rng.uniform(0.5, 1.5, (b, arity, c))
+        sampled = SampledCandidates(params, ids)
+        close(sampled.scores(blocks), np.einsum("blcmd,blmd->blc", table[ids], blocks))
+        close(sampled.pullback(blocks, g, GradientBuffer(params)),
+              np.einsum("blc,blcmd->blmd", g, table[ids]))
+
+    @pytest.mark.parametrize("mode", ["latent", "extended", "explicit"])
+    def test_training_and_ranking_call_no_einsum(self, mode, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.einsum called")
+
+        kb = random_kb(20, (2, 3, 6), n_train=9, n_test=4, seed=30,
+                       explicit_roles=mode == "explicit")
+        extra = {"role_multiplicity": 2, "patterns_per_role": 2} if mode == "extended" else {}
+        cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2, mode=mode, **extra)
+        params = randomized_params(cfg, kb.vocab, seed=31)
+        monkeypatch.setattr(np, "einsum", refuse)
+        for negatives in ("full", 4):
+            rngs = [make_rng(32, i) for i in range(len(kb.train))]
+            _, buf = batch_backward(params, kb.train, negatives, dropout=0.2, fact_rngs=rngs)
+            optimizer_step(params, buf, AdamState(), lr=0.01)
+        assert evaluate(params, kb, split="test").n_queries > 0
 
 
 class TestDropout:
@@ -408,25 +461,33 @@ class TestOptimizer:
         key = ("ent",)
         shape = params.data[key].shape
         rng = np.random.default_rng(4)
-        first_rows, second_rows = np.array([2, 0, 2, 2]), np.array([0, 2, 1, 0, 0])
-        first = self._spread_values(rng, (4,) + shape[1:])
-        dense = self._spread_values(rng, shape)
-        second = self._spread_values(rng, (5,) + shape[1:])
+        # two parts on rows 0 and 2 only, each row many times, then every row
+        # at once, then one more part
+        calls = [rng.choice([0, 2], 30), rng.choice([0, 2], 30), None, rng.integers(0, 3, 30)]
         buf, want = GradientBuffer(params), np.zeros(shape)
-        buf.add_rows(key, first_rows, first)
-        rowwise_scatter(want, first_rows, first)
-        np.testing.assert_array_equal(buf.touched[key], [True, False, True])
-        buf.add_all_rows(key, dense)
-        want += dense
-        buf.add_rows(key, second_rows, second)
-        rowwise_scatter(want, second_rows, second)
-        np.testing.assert_array_equal(buf.grads[key], want)
-        assert buf.touched[key].all()
+        for i, rows in enumerate(calls):
+            if rows is None:  # every row, as full negatives write the entity table
+                values = self._spread_values(rng, shape)
+                buf.add_all_rows(key, values)
+                want += values
+            else:
+                values = self._spread_values(rng, rows.shape + shape[1:])
+                buf.add_rows(key, rows, values)
+                rowwise_scatter(want, rows, values)
+            ((got_key, got_rows, got),) = buf.summed()
+            want_rows = [0, 2] if i < 2 else [0, 1, 2]  # compact block, then the full table
+            assert got_key == key
+            np.testing.assert_array_equal(got_rows, want_rows)
+            np.testing.assert_array_equal(got, want[want_rows])
+            np.testing.assert_array_equal(buf.touched[key], np.isin(range(3), want_rows))
+            np.testing.assert_array_equal(buf.dense()[key], want)
 
     @pytest.mark.parametrize("mode", ["latent", "explicit"])
-    def test_steps_match_textbook_lazy_adam_bit_for_bit(self, mode):
-        """Sampled batches touch some entity rows, full ones every row."""
-        kb = random_kb(40, (2, 3), n_train=18, seed=21, explicit_roles=mode == "explicit")
+    @pytest.mark.parametrize("n_entities,n_sampled", [(40, 2), (2 * ADAM_BLOCK_ROWS + 300, 600)])
+    def test_steps_match_textbook_lazy_adam_bit_for_bit(self, mode, n_entities, n_sampled):
+        """Sampled batches touch some entity rows, full ones every row. On the
+        larger table the touched rows span three Adam blocks, the last partial."""
+        kb = random_kb(n_entities, (2, 3), n_train=18, seed=21, explicit_roles=mode == "explicit")
         cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2, mode=mode)
         params = randomized_params(cfg, kb.vocab, seed=22)
         oracle_data = {k: v.copy() for k, v in params.data.items()}
@@ -434,12 +495,16 @@ class TestOptimizer:
         lr = 0.05
         for step in range(6):
             batch = kb.train[3 * step : 3 * step + 3]
-            negatives = "full" if step in (2, 5) else 2
+            negatives = "full" if step in (2, 5) else n_sampled
             rngs = [make_rng(0, 2, step, i) for i in range(len(batch))]
             _, buf = batch_backward(params, batch, negatives=negatives, fact_rngs=rngs)
             n_touched = int(buf.touched[("ent",)].sum())
-            assert (n_touched == 40) if negatives == "full" else (0 < n_touched < 40)
-            grads = {k: v.copy() for k, v in buf.grads.items()}
+            if negatives == "full":
+                assert n_touched == n_entities
+            else:
+                assert 0 < n_touched < n_entities
+                assert n_entities < 100 or n_touched > 2 * ADAM_BLOCK_ROWS
+            grads = buf.dense()
             touched = {k: v.copy() for k, v in buf.touched.items()}
             optimizer_step(params, buf, state, lr)
             oracle.step(oracle_data, grads, touched, lr)
@@ -503,8 +568,6 @@ class TestTrainLoop:
             assert np.array_equal(first.params.data[key], second.params.data[key]), key
 
     def test_best_params_correspond_to_best_valid_mrr(self):
-        from ramkb.evaluation import evaluate
-
         kb = random_kb(8, (2,), n_train=15, n_valid=5, seed=20)
         mcfg = ModelConfig(embed_dim=4, multiplicity=2, latent_size=2)
         tcfg = TrainConfig(
