@@ -13,6 +13,9 @@ the data with; ``eval`` rebuilds the same splits from them. To train on a
 subset of a dataset, write it with ``subset``, which writes each split in
 one of those two formats, and then ``train`` on the subset's directory, so
 that ``eval`` on that directory sees the very facts ``train`` did.
+``express`` reads its ground truth from one split file in either format;
+a fact listed twice is one true fact. An ``--out`` that cannot be made a
+directory is a configuration error.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric abort.
 The RAM_LOG environment variable sets the log level.
 """
@@ -26,14 +29,14 @@ import logging
 import os
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import checkpoint as ckpt
 from .engine import score
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import evaluate
-from .expressive import construct, ground_truth_from_json, verify_separation
+from .expressive import construct, verify_separation
 from .gradcheck import run_gradcheck
 from .kb import (
     KnowledgeBase,
@@ -128,6 +131,16 @@ def _read_split(path: Path) -> tuple[list[RawFact], str]:
     return facts, hashlib.sha256(data).hexdigest()
 
 
+def _out_dir(path: str) -> Path:
+    """Make the output directory ``path``; a path that cannot be one raises ConfigError."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out}: {exc.strerror}") from None
+    return out
+
+
 def _find_split(data_dir: Path, split: str) -> Path | None:
     for ext in SPLIT_SUFFIXES:
         path = data_dir / f"{split}{ext}"
@@ -207,8 +220,7 @@ def cmd_train(args) -> int:
     # the mode's slot checks (e.g. presets take binary relations only) run
     # before anything is written
     ModelParams(model_cfg, kb.vocab).slot_shapes()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     manifest_path = out / "manifest.json"
     ckpt_path = out / "model.ramckpt"
     trace_path = out / "trace.csv"
@@ -246,11 +258,10 @@ def cmd_eval(args) -> int:
     params, holdout = ckpt.load_checkpoint(args.checkpoint)
     kb, _ = load_dataset(args.data_dir, **holdout)
     ckpt.check_vocab_compatible(params.vocab, kb.vocab)
+    out = _out_dir(args.out) if args.out else None
     report = evaluate(params, kb, split=args.split)
     print(report.table())
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         (out / f"eval_{args.split}.json").write_text(report.to_json(), encoding="utf-8")
         (out / f"eval_{args.split}_per_arity.csv").write_text(
             report.per_arity_csv(), encoding="utf-8"
@@ -300,22 +311,24 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_express(args) -> int:
-    gt = ground_truth_from_json(Path(args.spec).read_text(encoding="utf-8"))
-    params = construct(gt)
-    report = verify_separation(gt, params)
-    text = json.dumps(report.to_dict(), indent=2)
+    spec = Path(args.spec)
+    raw, _ = _read_split(spec)
+    if not raw:
+        raise DataError(f"{spec}: holds no facts")
+    kb = build_kb(raw)
+    facts = list(dict.fromkeys(kb.train))
+    out = _out_dir(args.out) if args.out else None
+    report = verify_separation(kb.vocab, facts, construct(kb.vocab, facts))
+    text = json.dumps(asdict(report), indent=2)
     print(text)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         (out / "separation.json").write_text(text, encoding="utf-8")
     return 0 if report.passed else 1
 
 
 def cmd_export(args) -> int:
     params, _ = ckpt.load_checkpoint(args.checkpoint)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     exporters = {
         "entity": ckpt.export_entities_csv,
         "role": ckpt.export_roles_csv,
@@ -344,7 +357,7 @@ def cmd_subset(args) -> int:
         found = _find_split(out, split)
         if found and SPLIT_SUFFIXES.index(found.suffix) < SPLIT_SUFFIXES.index(suffix):
             raise ConfigError(f"{found} would be read instead of {split}{suffix}")
-    out.mkdir(parents=True, exist_ok=True)
+    _out_dir(args.out)
     for split, (suffix, lines) in exports.items():
         path = out / f"{split}{suffix}"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
@@ -416,7 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_equiv.set_defaults(func=cmd_equiv)
 
     p_express = sub.add_parser("express", help="exact-separation construction check")
-    p_express.add_argument("--spec", required=True, help="ground-truth JSON file")
+    p_express.add_argument("--spec", required=True,
+                           help="ground-truth split file: tabular lines (.txt, .tsv) "
+                                "or role-annotated JSON lines (.jsonl, .json)")
     p_express.add_argument("--out")
     p_express.set_defaults(func=cmd_express)
 

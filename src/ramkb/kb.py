@@ -172,6 +172,7 @@ def parse_role_json(lines: Iterable[str]) -> list[RawFact]:
     relation; the relation name is the sorted role names joined with "|".
     Facts with a multi-valued role or a non-string value are dropped with a
     logged warning since the model scores fixed-length role-entity tuples.
+    A fact with fewer than two roles raises ParseError.
     """
     facts: list[RawFact] = []
     dropped = 0
@@ -184,12 +185,12 @@ def parse_role_json(lines: Iterable[str]) -> list[RawFact]:
             raise ParseError(line_no, f"invalid JSON: {exc.msg}") from exc
         if not isinstance(obj, dict):
             raise ParseError(line_no, "expected a JSON object per line")
-        if not obj:
-            raise ParseError(line_no, "empty fact")
         if any(not isinstance(v, str) for v in obj.values()):
             dropped += 1
             log.warning("line %d: dropped fact with multi-valued or literal role", line_no)
             continue
+        if len(obj) < 2:
+            raise ParseError(line_no, f"expected >= 2 roles, got {len(obj)}")
         roles = tuple(sorted(obj.keys()))
         entities = tuple(obj[r] for r in roles)
         facts.append(("|".join(roles), entities, roles))

@@ -18,7 +18,7 @@ from ramkb.checkpoint import (
 )
 from ramkb.engine import split_groups
 from ramkb.errors import DataError
-from ramkb.expressive import GroundTruth, construct, verify_separation
+from ramkb.expressive import construct, verify_separation
 from ramkb.kb import Fact, Vocabulary
 from ramkb.model import ModelConfig, ModelParams, relation_terms
 
@@ -70,19 +70,19 @@ def test_round_trip_every_trained_mode(tmp_path, mode_str):
 
 def test_round_trip_raw_construction_still_separates(tmp_path):
     vocab = make_vocab(4, (2, 3))
-    gt = GroundTruth((Fact(0, (0, 1)), Fact(1, (1, 2, 3)), Fact(1, (3, 3, 0))), vocab)
-    params = construct(gt)
+    facts = [Fact(0, (0, 1)), Fact(1, (1, 2, 3)), Fact(1, (3, 3, 0))]
+    params = construct(vocab, facts)
     path = tmp_path / "raw.ramckpt"
     save_checkpoint(path, params)
     loaded, _ = load_checkpoint(path)
     check_vocab_compatible(vocab, loaded.vocab)
     assert_same_arrays(params, loaded)
     assert {key[0] for key in loaded.slots()} == {"ent", "raw_u", "raw_p"}
-    for spec in split_groups(params, list(gt.facts)):
+    for spec in split_groups(params, facts):
         np.testing.assert_array_equal(
             table_scores(loaded, spec), table_scores(params, spec)
         )
-    assert verify_separation(gt, loaded).passed
+    assert verify_separation(vocab, facts, loaded).passed
 
 
 def test_truncated_or_malformed_checkpoint_is_data_error(tmp_path):

@@ -252,6 +252,36 @@ def test_split_file_is_read_once_and_hashed_as_parsed(tmp_path):
     assert info["sha256"] == {"train": hashlib.sha256(content).hexdigest()}
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+@pytest.mark.parametrize("command", ["train", "eval", "export", "subset", "express"])
+def test_out_that_cannot_be_a_directory_exits_2_before_anything_is_written(
+        tmp_path, capsys, command, below):
+    data, config = write_dataset(tmp_path)
+    ckpt = tmp_path / "run" / "model.ramckpt"
+    if command in ("eval", "export"):
+        assert cli.main(["train", "--data-dir", str(data), "--out", str(ckpt.parent),
+                         "--config", str(config)]) == 0
+    spec = tmp_path / "truth.txt"
+    spec.write_text("r a b\n")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    out = blocker / "out" if below else blocker
+    argv = {
+        "train": ["train", "--data-dir", str(data), "--config", str(config)],
+        "eval": ["eval", "--data-dir", str(data), "--checkpoint", str(ckpt)],
+        "export": ["export", "--checkpoint", str(ckpt)],
+        "subset": ["subset", "--data-dir", str(data)],
+        "express": ["express", "--spec", str(spec)],
+    }[command]
+    before = {path: path.read_bytes() if path.is_file() else None
+              for path in tmp_path.rglob("*")}
+    capsys.readouterr()
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert f"config error: cannot make output directory {out}" in capsys.readouterr().err
+    assert {path: path.read_bytes() if path.is_file() else None
+            for path in tmp_path.rglob("*")} == before
+
+
 def _not_utf8(data):
     path = data / "train.txt"
     path.write_bytes(b"r1 a b\n\xff\xfe c d\n")
@@ -271,8 +301,15 @@ def _directory(data):
     return path, "is a directory"
 
 
+def _one_role(data):
+    (data / "test.txt").unlink()
+    path = data / "test.jsonl"
+    path.write_text('{"actor": "p1", "movie": "m1"}\n{"actor": "p2"}\n')
+    return path, "line 2: expected >= 2 roles, got 1"
+
+
 @pytest.mark.parametrize("command", ["subset", "train"])
-@pytest.mark.parametrize("spoil", [_not_utf8, _malformed_line, _directory])
+@pytest.mark.parametrize("spoil", [_not_utf8, _malformed_line, _directory, _one_role])
 def test_unreadable_split_file_exits_3_naming_it(tmp_path, capsys, command, spoil):
     # three split files, one of them spoiled: the message says which
     data, _ = write_dataset(tmp_path)

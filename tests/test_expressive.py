@@ -6,13 +6,14 @@ import pytest
 from oracles import naive_raw_score
 from ramkb import cli
 from ramkb.errors import ConfigError
-from ramkb.expressive import ENUMERATION_CAP, GroundTruth, construct, verify_separation
+from ramkb.expressive import ENUMERATION_CAP, construct, verify_separation
 from ramkb.kb import Fact, Vocabulary
 from ramkb.mathcore import make_rng
 
 
 def random_ground_truth(seed, n_entities=4, n_facts=6):
-    """Mixed arity 2-3 facts over `n_entities` entities plus one unused entity."""
+    """(vocab, facts): distinct mixed arity 2-3 facts over `n_entities` entities
+    plus one unused entity."""
     rng = make_rng(seed, 21)
     vocab = Vocabulary()
     for e in range(n_entities + 1):
@@ -25,17 +26,17 @@ def random_ground_truth(seed, n_entities=4, n_facts=6):
         ents = tuple(int(e) for e in rng.integers(0, n_entities, vocab.arity(rel)))
         if Fact(rel, ents) not in facts:
             facts.append(Fact(rel, ents))
-    return GroundTruth(tuple(facts), vocab)
+    return vocab, facts
 
 
-def per_tuple_report(gt, params):
+def per_tuple_report(vocab, facts, params):
     """(n_enumerated, min_true_score, max_false_score) by scoring one tuple at a time."""
-    true_set = set(gt.facts)
+    true_set = set(facts)
     n_enumerated = 0
     min_true = float("inf")
     max_false = float("-inf")
-    for rel, (_, arity) in enumerate(gt.vocab.relations):
-        for ents in itertools.product(range(gt.vocab.n_entities), repeat=arity):
+    for rel, (_, arity) in enumerate(vocab.relations):
+        for ents in itertools.product(range(vocab.n_entities), repeat=arity):
             fact = Fact(rel, ents)
             value = naive_raw_score(params, fact)
             n_enumerated += 1
@@ -48,30 +49,31 @@ def per_tuple_report(gt, params):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_construct_separates_random_ground_truths(seed):
-    gt = random_ground_truth(seed)
-    report = verify_separation(gt, construct(gt))
-    assert report.passed, report.to_dict()
-    assert report.n_true == len(gt.facts)
+    vocab, facts = random_ground_truth(seed)
+    report = verify_separation(vocab, facts, construct(vocab, facts))
+    assert report.passed, report
+    assert report.n_true == len(facts)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_batched_report_equals_per_tuple_loop(seed):
-    gt = random_ground_truth(seed)
-    params = construct(gt)
-    report = verify_separation(gt, params)
-    expected = per_tuple_report(gt, params)
+    vocab, facts = random_ground_truth(seed)
+    params = construct(vocab, facts)
+    report = verify_separation(vocab, facts, params)
+    expected = per_tuple_report(vocab, facts, params)
     assert (report.n_enumerated, report.min_true_score, report.max_false_score) == expected
 
 
 def test_perturbed_entity_block_fails():
-    gt = random_ground_truth(0)
-    params = construct(gt)
-    entity = gt.facts[0].entities[0]
+    vocab, facts = random_ground_truth(0)
+    params = construct(vocab, facts)
+    entity = facts[0].entities[0]
     params.data[("ent",)][entity] += 1e-3
-    report = verify_separation(gt, params)
+    report = verify_separation(vocab, facts, params)
     assert not report.passed
     assert report.max_false_score > 0.0
-    assert report.max_false_score == pytest.approx(per_tuple_report(gt, params)[2], rel=1e-12)
+    assert report.max_false_score == pytest.approx(
+        per_tuple_report(vocab, facts, params)[2], rel=1e-12)
 
 
 def test_ground_truth_over_enumeration_cap_rejected():
@@ -80,40 +82,79 @@ def test_ground_truth_over_enumeration_cap_rejected():
     for e in range(n_entities):
         vocab.add_entity(f"e{e}")
     vocab.add_relation("r", 3)
-    gt = GroundTruth((Fact(0, (0, 1, 2)),), vocab)
+    facts = [Fact(0, (0, 1, 2))]
     assert n_entities ** 3 > ENUMERATION_CAP
     with pytest.raises(ConfigError):
-        verify_separation(gt, construct(gt))
+        verify_separation(vocab, facts, construct(vocab, facts))
 
 
 def test_express_command_writes_passing_report(tmp_path):
-    spec = tmp_path / "truth.json"
-    spec.write_text(json.dumps({
-        "facts": [
-            {"relation": "r", "entities": ["a", "b"]},
-            {"relation": "s", "entities": ["a", "b", "c"]},
-            {"relation": "s", "entities": ["c", "c", "d"]},
-        ],
-        "entities": ["unused"],
-    }))
+    spec = tmp_path / "truth.txt"
+    spec.write_text("r a b\ns a b c\ns c c d\n")
     out = tmp_path / "out"
     assert cli.main(["express", "--spec", str(spec), "--out", str(out)]) == 0
     report = json.loads((out / "separation.json").read_text())
+    assert report == {"passed": True, "min_true_score": 2.0, "max_false_score": 0.0,
+                      "n_true": 3, "n_enumerated": 4 ** 2 + 4 ** 3}
+
+
+def express_report(spec, capsys):
+    assert cli.main(["express", "--spec", str(spec)]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_tabular_and_role_json_specs_give_equal_reports(tmp_path, capsys):
+    # a binary and a ternary relation; role keys sort to the tabular order
+    facts = [("r", "a", "b"), ("r", "b", "c"), ("s", "a", "b", "c"), ("s", "d", "d", "a")]
+    tabular = tmp_path / "truth.tsv"
+    tabular.write_text("".join("\t".join(fact) + "\n" for fact in facts))
+    roles = {2: ("p1", "p2"), 3: ("q1", "q2", "q3")}
+    role_json = tmp_path / "truth.jsonl"
+    role_json.write_text("".join(
+        json.dumps(dict(zip(roles[len(ents)], ents))) + "\n" for _, *ents in facts))
+    report = express_report(tabular, capsys)
+    assert report == express_report(role_json, capsys)
+    assert report["passed"] and report["n_true"] == 4
+    assert report["n_enumerated"] == 4 ** 2 + 4 ** 3
+
+
+def test_fact_listed_twice_is_one_true_fact(tmp_path, capsys):
+    spec = tmp_path / "truth.txt"
+    spec.write_text("r a b\ns a b c\nr a b\nr b a\n")
+    report = express_report(spec, capsys)
     assert report["passed"] and report["n_true"] == 3
-    assert report["n_enumerated"] == 5 ** 2 + 5 ** 3
 
 
-@pytest.mark.parametrize("text", [
-    "{bad",
-    "[1,2]",
-    '{"facts":[{"relation":"r"}]}',
-    '{"facts":[{"relation":"r","entities":"ab"}]}',
-    '{"facts":[{"relation":"r","entities":[1,2]}]}',
-    '{"facts":[{"relation":5,"entities":["a","b"]}]}',
-    '{"facts":[{"relation":"r","entities":["a","b"]}],"entities":"xyz"}',
-], ids=["not-json", "not-object", "fact-without-entities", "entities-string",
-        "entities-ints", "relation-int", "top-level-entities-string"])
-def test_express_command_maps_malformed_spec_to_exit_3(tmp_path, text):
+def _malformed_spec(tmp_path):
+    spec = tmp_path / "truth.txt"
+    spec.write_text("r a b\nr c\n")
+    return spec, "line 2: expected relation plus >= 2 entities"
+
+
+def _directory_spec(tmp_path):
+    spec = tmp_path / "truth.txt"
+    spec.mkdir()
+    return spec, "is a directory"
+
+
+def _empty_spec(tmp_path):
+    spec = tmp_path / "truth.txt"
+    spec.write_text("\n")
+    return spec, "holds no facts"
+
+
+def _old_json_spec(tmp_path):
+    # the retired {"facts": [...], "entities": [...]} document on one line:
+    # role-JSON reads it as one multi-valued fact and drops it
     spec = tmp_path / "truth.json"
-    spec.write_text(text)
+    spec.write_text(json.dumps({"facts": [{"relation": "r", "entities": ["a", "b"]}],
+                                "entities": ["a", "b"]}))
+    return spec, "holds no facts"
+
+
+@pytest.mark.parametrize("spoil", [_malformed_spec, _directory_spec, _empty_spec,
+                                   _old_json_spec])
+def test_unreadable_spec_exits_3_naming_it(tmp_path, capsys, spoil):
+    spec, reason = spoil(tmp_path)
     assert cli.main(["express", "--spec", str(spec)]) == 3
+    assert f"data error: {spec}: {reason}" in capsys.readouterr().err

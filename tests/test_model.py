@@ -283,7 +283,7 @@ class TestScoreBatchPosition:
 
 
 def test_batched_phi_matches_per_fact_score(toy_kb):
-    from ramkb.expressive import GroundTruth, construct
+    from ramkb.expressive import construct
 
     cfg = ModelConfig(embed_dim=4, multiplicity=2, latent_size=3)
     cases = [(ModelParams.init(cfg, toy_kb.vocab, seed=20), toy_kb.train)]
@@ -297,7 +297,7 @@ def test_batched_phi_matches_per_fact_score(toy_kb):
         cases.append((randomized_params(cfg, vocab, seed=21), random_facts(vocab, 30, seed=22)))
     vocab = make_vocab(8, arities)
     facts = random_facts(vocab, 12, seed=23)
-    cases.append((construct(GroundTruth(tuple(facts), vocab)), facts))
+    cases.append((construct(vocab, facts), facts))
 
     for params, facts in cases[1:]:
         specs = split_groups(params, facts)

@@ -240,11 +240,10 @@ class TestBackward:
         assert families == {"ent", "preset_u"}
 
     def test_raw_mode_not_trainable(self):
-        from ramkb.expressive import GroundTruth, construct
+        from ramkb.expressive import construct
 
         vocab = make_vocab(3, (2,))
-        gt = GroundTruth((Fact(0, (0, 1)),), vocab)
-        params = construct(gt)
+        params = construct(vocab, [Fact(0, (0, 1))])
         with pytest.raises(ConfigError):
             batch_backward(params, [Fact(0, (0, 1))])
 
