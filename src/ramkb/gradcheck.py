@@ -4,8 +4,9 @@ Central differences with a fixed step are compared against the gradient of
 ``training.batch_backward``, coordinate by coordinate, over randomly
 generated toy models covering every trainable mode. The differences only
 call ``training.batch_loss``, which shares the forward step but not the
-backward pass; each call rebuilds the per-fact generators from the same
-keys, so every evaluation sees the same candidates and dropout masks.
+backward pass; each call rebuilds the generators from the same keys, so
+every evaluation draws the same candidates and dropout masks (each arity
+group from the generator of its first fact).
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ def check_batch(
     dropout: float,
     rng_keys: list[tuple[int, ...]],
 ) -> dict[str, float]:
-    """Max relative error per parameter family; `rng_keys` has one key tuple per fact."""
+    """Max relative error per parameter family; `rng_keys` has one key tuple per
+    fact, and each arity group draws from its first fact's generator."""
 
     def fact_rngs() -> list[np.random.Generator]:
         return [make_rng(*key) for key in rng_keys]

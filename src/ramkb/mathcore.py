@@ -19,7 +19,7 @@ def make_rng(*keys: int) -> np.random.Generator:
     """Deterministic generator keyed by a tuple of non-negative integers.
 
     The same key tuple always yields the same stream, and distinct tuples
-    yield statistically independent streams, so per-epoch / per-fact
+    yield statistically independent streams, so per-epoch / per-batch
     generators can be derived without threading a single stateful RNG
     through the whole program.
     """

@@ -28,7 +28,7 @@ from .model import ModelConfig, ModelParams
 log = logging.getLogger("ramkb.training")
 
 _STREAM_SHUFFLE = 1
-_STREAM_FACT = 2
+_STREAM_BATCH = 2
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -82,22 +82,34 @@ class TrainConfig:
 
 
 def corrupt(
-    true: int,
-    n_entities: int,
-    negatives: int,
-    rng: np.random.Generator,
+    true_ents: np.ndarray, n_entities: int, negatives: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Sampled corruption candidates for one slot, excluding its true entity.
+    """Sampled corruption candidates (..., n) for every slot of `true_ents`.
 
-    Draws the requested number of distinct entities uniformly (clipped to
-    n_entities - 1). Candidates that happen to form true facts are not
-    removed: the loss trains against all corruptions. Full negatives never
-    come here; the engine scores them against the whole entity table.
+    Each slot gets a uniformly random set of n = min(negatives, n_entities - 1)
+    distinct entities other than its true one, in ascending order. Candidates
+    that happen to form true facts are not removed: the loss trains against
+    all corruptions. Full negatives never come here; the engine scores them
+    against the whole entity table.
     """
-    n = min(int(negatives), n_entities - 1)
-    draw = rng.choice(n_entities - 1, size=n, replace=False).astype(np.intp)
-    draw[draw >= true] += 1
-    return draw
+    others = n_entities - 1
+    n = min(int(negatives), others)
+    # draw with replacement and redraw repeats, which leaves every set equally
+    # likely; past half the population the repeats would take ever more
+    # rounds, so draw the set left out instead
+    k = min(n, others - n)
+    draw = np.sort(rng.integers(others, size=(true_ents.size, k)), axis=1)
+    repeat = draw[:, 1:] == draw[:, :-1]
+    while repeat.any():
+        draw[:, 1:][repeat] = rng.integers(others, size=int(repeat.sum()))
+        draw.sort(axis=1)
+        repeat = draw[:, 1:] == draw[:, :-1]
+    if k < n:
+        kept = np.ones((true_ents.size, others), dtype=bool)
+        np.put_along_axis(kept, draw, False, axis=1)
+        draw = np.nonzero(kept)[1].reshape(-1, n)
+    draw += draw >= true_ents.reshape(-1, 1)
+    return draw.reshape(true_ents.shape + (n,))
 
 
 def _group_candidates(
@@ -107,19 +119,12 @@ def _group_candidates(
     fact_rngs: Optional[list[np.random.Generator]],
 ) -> TableCandidates | SampledCandidates:
     """The group's candidate scorer: the whole entity table for full negatives,
-    else sampled ids (B, a, 1 + n_neg) with column 0 the true entity."""
+    else sampled ids (B, a, 1 + n_neg) with column 0 the true entity, drawn
+    at once from the generator of the group's first fact."""
     if negatives == "full":
         return TableCandidates(params, spec.ents)
-    n_entities = params.vocab.n_entities
-    n = min(int(negatives), n_entities - 1)
-    b, a = spec.ents.shape
-    cand = np.empty((b, a, n + 1), dtype=np.intp)
-    cand[:, :, 0] = spec.ents
-    for row, fact_idx in enumerate(spec.fact_index):
-        rng = fact_rngs[fact_idx]
-        for pos in range(a):
-            cand[row, pos, 1:] = corrupt(spec.ents[row, pos], n_entities, negatives, rng)
-    return SampledCandidates(params, cand)
+    neg = corrupt(spec.ents, params.vocab.n_entities, negatives, fact_rngs[spec.fact_index[0]])
+    return SampledCandidates(params, np.concatenate([spec.ents[:, :, None], neg], axis=2))
 
 
 def _group_masks(
@@ -130,21 +135,18 @@ def _group_masks(
 ) -> Optional[np.ndarray]:
     """Inverted-dropout factors (B, T, a, d) for the pattern-weighted entity vectors.
 
-    Entries are zeroed independently with probability `dropout`, each fact
-    drawing from its own generator, and the survivors are scaled by
-    1/(1-dropout), so the masked score is an unbiased estimate of the plain
-    one. None when there is nothing to drop; evaluation never applies this.
+    Entries are zeroed independently with probability `dropout`, drawn at
+    once from the generator of the group's first fact, and the survivors are
+    scaled by 1/(1-dropout), so the masked score is an unbiased estimate of
+    the plain one. None when there is nothing to drop; evaluation never uses this.
     """
     if dropout == 0:
         return None
     cfg = params.cfg
     b, a = spec.ents.shape
     n_terms = a * cfg.role_multiplicity * cfg.patterns_per_role
-    masks = np.empty((b, n_terms, a, cfg.embed_dim))
-    for row, fact_idx in enumerate(spec.fact_index):
-        keep = fact_rngs[fact_idx].random((n_terms, a, cfg.embed_dim)) >= dropout
-        masks[row] = keep.astype(np.float64) / (1.0 - dropout)
-    return masks
+    keep = fact_rngs[spec.fact_index[0]].random((b, n_terms, a, cfg.embed_dim)) >= dropout
+    return keep / (1.0 - dropout)
 
 
 def _score_group(
@@ -156,7 +158,8 @@ def _score_group(
 ) -> tuple[GroupKernels, TableCandidates | SampledCandidates, np.ndarray, np.ndarray]:
     """One arity group's kernels, candidate scorer, per-fact losses and score gradient.
 
-    Candidates and dropout masks come from `fact_rngs`, one generator per fact.
+    Candidates, then dropout masks, are drawn from the generator that
+    `fact_rngs` holds for the group's first fact.
     """
     if fact_rngs is None and (negatives != "full" or dropout > 0):
         raise ConfigError("sampled negatives and dropout need one generator per fact")
@@ -322,6 +325,9 @@ def train(kb: KnowledgeBase, model_cfg: ModelConfig, train_cfg: TrainConfig) -> 
     The same data, configs and seed give bitwise-identical parameters,
     losses and validation MRRs: initialization, shuffles, corruptions and
     dropout masks all draw from generators keyed by the seed (`make_rng`).
+    Each batch has one generator, keyed by (seed, epoch, batch index); its
+    arity groups draw from it in ascending arity order, each group drawing
+    its candidates before its dropout masks.
     """
     from .evaluation import evaluate  # local import to avoid a cycle
 
@@ -330,7 +336,6 @@ def train(kb: KnowledgeBase, model_cfg: ModelConfig, train_cfg: TrainConfig) -> 
     params = ModelParams.init(model_cfg, kb.vocab, seed=train_cfg.seed)
     state = AdamState()
     lr = train_cfg.learning_rate
-    needs_rng = train_cfg.dropout > 0 or train_cfg.negatives != "full"
 
     best_params = params
     best_mrr: Optional[float] = None
@@ -342,20 +347,11 @@ def train(kb: KnowledgeBase, model_cfg: ModelConfig, train_cfg: TrainConfig) -> 
     for epoch in range(train_cfg.max_epochs):
         order = make_rng(train_cfg.seed, _STREAM_SHUFFLE, epoch).permutation(len(facts))
         epoch_loss = 0.0
-        for lo in range(0, len(order), train_cfg.batch_size):
-            idx = order[lo : lo + train_cfg.batch_size]
-            batch = [facts[i] for i in idx]
-            rngs = None
-            if needs_rng:
-                rngs = [
-                    make_rng(train_cfg.seed, _STREAM_FACT, epoch, int(i)) for i in idx
-                ]
+        for n_batch, lo in enumerate(range(0, len(order), train_cfg.batch_size)):
+            batch = [facts[i] for i in order[lo : lo + train_cfg.batch_size]]
+            rngs = [make_rng(train_cfg.seed, _STREAM_BATCH, epoch, n_batch)] * len(batch)
             loss, buf = batch_backward(
-                params,
-                batch,
-                negatives=train_cfg.negatives,
-                dropout=train_cfg.dropout,
-                fact_rngs=rngs,
+                params, batch, train_cfg.negatives, train_cfg.dropout, fact_rngs=rngs
             )
             optimizer_step(params, buf, state, lr)
             epoch_loss += loss * len(batch)

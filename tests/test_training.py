@@ -1,6 +1,7 @@
 import functools
 import logging
 import math
+import time
 
 import numpy as np
 import pytest
@@ -65,19 +66,61 @@ class TestTrainConfig:
 
 
 class TestCorrupt:
+    """The group-wide sampler: one (B, a, n) draw of distinct non-true entities per slot."""
+
+    # 3 of 11 other entities draws them with repeats redrawn; 8 of 11 draws
+    # the 3 it leaves out
+    FEW_AND_MOST = (3, 8)
+
     def test_sampled_deterministic_and_distinct(self):
-        fact = Fact(0, (1, 2))
-        rng1 = make_rng(9)
-        rng2 = make_rng(9)
-        a = corrupt(fact.entities[0], 50, negatives=2, rng=rng1)
-        b = corrupt(fact.entities[0], 50, negatives=2, rng=rng2)
-        np.testing.assert_array_equal(a, b)
-        assert len(set(a)) == 2 and 1 not in a
+        true = make_rng(8).integers(0, 12, (20, 3))
+        for negatives in self.FEW_AND_MOST:
+            a = corrupt(true, 12, negatives, make_rng(9))
+            b = corrupt(true, 12, negatives, make_rng(9))
+            np.testing.assert_array_equal(a, b)
+            assert a.shape == (20, 3, negatives)
+            for slot, cands in zip(true.reshape(-1), a.reshape(-1, negatives)):
+                assert len(set(cands)) == negatives and slot not in cands
+                assert 0 <= cands.min() and cands.max() < 12
 
     def test_sampled_clips_to_population(self):
-        fact = Fact(0, (0, 3))
-        out = corrupt(fact.entities[1], n_entities=5, negatives=10, rng=make_rng(1))
-        assert sorted(out) == [0, 1, 2, 4]
+        true = np.array([[0, 3], [4, 4]])
+        for negatives in (4, 10):
+            out = corrupt(true, n_entities=5, negatives=negatives, rng=make_rng(1))
+            assert out.shape == (2, 2, 4)
+            for slot, cands in zip(true.reshape(-1), out.reshape(-1, 4)):
+                assert sorted(cands) == [e for e in range(5) if e != slot]
+
+    @pytest.mark.parametrize("negatives", FEW_AND_MOST)
+    def test_every_other_entity_is_drawn_at_a_uniform_rate(self, negatives):
+        n_e, per_true = 12, 500
+        true = np.arange(n_e * per_true).reshape(-1, 3) % n_e
+        cands = corrupt(true, n_e, negatives, make_rng(10))
+        counts = np.zeros((n_e, n_e))
+        np.add.at(counts, (np.repeat(true.reshape(-1), negatives), cands.reshape(-1)), 1)
+        assert not counts.diagonal().any()
+        # a slot's n of the M = n_e - 1 others are drawn without replacement,
+        # so each true entity's M counts, scaled by (M - 1) / M, give a
+        # chi-square statistic with M - 1 degrees of freedom
+        m = n_e - 1
+        p = negatives / m
+        off = ~np.eye(n_e, dtype=bool)
+        stat = ((counts[off] - per_true * p) ** 2).sum() / (per_true * p * (1 - p)) * (m - 1) / m
+        dof = n_e * (m - 1)
+        # the 0.999 quantile of chi-square(dof), Wilson-Hilferty approximation
+        bound = dof * (1 - 2 / (9 * dof) + 3.09 * math.sqrt(2 / (9 * dof))) ** 3
+        assert stat < bound
+
+    @pytest.mark.parametrize("negatives", [1000, 2000])
+    def test_near_population_draws_are_fast(self, negatives):
+        # 1000 of 2000 others is the most the redraw path takes; 2000 of 2000
+        # would redraw repeats for ever without drawing the set left out
+        true = make_rng(11).integers(0, 2001, (64, 3))
+        start = time.perf_counter()
+        out = corrupt(true, 2001, negatives, make_rng(12))
+        assert time.perf_counter() - start < 1.0
+        assert out.shape == (64, 3, negatives)
+        assert (np.diff(out, axis=2) > 0).all() and not (out == true[:, :, None]).any()
 
 
 class TestLoss:
@@ -130,6 +173,34 @@ class TestLoss:
 
         loss, _ = batch_backward(params, kb.train, negatives=3, dropout=0.3, fact_rngs=rngs())
         again = batch_loss(params, kb.train, negatives=3, dropout=0.3, fact_rngs=rngs())
+        assert again == pytest.approx(loss, rel=1e-12)
+
+    def test_groups_draw_only_from_their_first_facts_generator(self):
+        kb = random_kb(9, (2, 3, 4), n_train=12, seed=28)
+        cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
+        params = randomized_params(cfg, kb.vocab, seed=29)
+        firsts = {int(spec.fact_index[0]) for spec in split_groups(params, kb.train)}
+        assert len(firsts) == 3
+
+        def rngs(other_key):
+            return [make_rng(26, i) if i in firsts else make_rng(other_key, i)
+                    for i in range(len(kb.train))]
+
+        runs = [batch_backward(params, kb.train, 3, 0.3, rngs(key)) for key in (26, 27)]
+        assert runs[0][0] == runs[1][0]
+        for key, grad in runs[0][1].dense().items():
+            np.testing.assert_array_equal(grad, runs[1][1].dense()[key])
+        assert batch_loss(params, kb.train, 3, 0.3, rngs(26)) == batch_loss(
+            params, kb.train, 3, 0.3, rngs(27))
+
+    def test_one_shared_generator_gives_batch_backward_its_loss(self):
+        # train passes one generator for every fact of a batch
+        kb = random_kb(9, (2, 3, 4), n_train=12, seed=30)
+        cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
+        params = randomized_params(cfg, kb.vocab, seed=31)
+        shared = [make_rng(32)] * len(kb.train)
+        loss, _ = batch_backward(params, kb.train, 3, 0.3, shared)
+        again = batch_loss(params, kb.train, 3, 0.3, [make_rng(32)] * len(kb.train))
         assert again == pytest.approx(loss, rel=1e-12)
 
     @pytest.mark.parametrize("negatives,dropout", [("full", 0.3), (2, 0.0)])
