@@ -1,14 +1,17 @@
 """Filtered link-prediction ranking: MRR and Hit@k with per-arity breakdown.
 
-Each arity group is ranked in one pass (:func:`rank_from_scores`). Its
-contraction kernels are multiplied with the whole entity table in float32,
-a screen that decides every entity whose float32 score lies outside a
-proven error band around the true score. Only the entities inside the band,
-and the filtered known-true entities that fall there, are scored again in
-float64. So the ranks are those of float64 scores, ties included, while the
-table-wide product runs at float32 speed and memory. The bound and its
-derivation are in :func:`rank_from_scores`'s docstring; training, gradcheck
-and the oracles score in float64 only.
+Each batch of EVAL_BATCH facts is ranked in one call
+(:func:`rank_from_scores`), all arities together: the contraction kernels
+of every (fact, slot) query are stacked and the entity table is walked
+once, in blocks of at most SCORE_BLOCK_CELLS float32 scores. That screen
+decides every entity whose float32 score lies outside a proven error band
+around the true score, and is counted per block with no loop over queries.
+Only the entities inside the band, and the filtered known-true entities,
+are scored again in float64. So the ranks are those of float64 scores,
+ties included, while the table-wide product runs at float32 speed and no
+(queries, n_entities) score matrix is held. The bound and its derivation
+are in :func:`rank_from_scores`'s docstring; training, gradcheck and the
+oracles score in float64 only.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ from .kb import Fact, KnowledgeBase
 from .model import ModelParams
 
 HIT_LEVELS = (1, 3, 10)
-EVAL_BATCH = 256  # facts scored per batch; each arity group's scores span the whole table
+EVAL_BATCH = 512  # facts ranked per rank_from_scores call, all arities together
+SCORE_BLOCK_CELLS = 2**19  # float32 (entity, query) scores per block of the table walk: 2 MB
+COUNT_CHUNK = 255  # entities per uint8 count: the most a uint8 holds
 F32_UNIT = 2.0**-24  # unit roundoff of float32
 F32_TINY = 2.0**-126  # smallest normal float32: bounds one underflow's absolute error
 F32_LIMIT = float(np.finfo(np.float32).max) / 2  # below this a float32 dot cannot overflow
@@ -126,25 +131,70 @@ def _round_out(x: np.ndarray, up: bool) -> np.ndarray:
     return np.where(inward, np.nextafter(y, np.float32(np.inf if up else -np.inf)), y)
 
 
+def _screen(
+    table: EntityTable, kernels32: np.ndarray, hi: np.ndarray, lo: np.ndarray,
+    own: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walk the table in blocks of SCORE_BLOCK_CELLS float32 scores.
+
+    Returns each query's count of entities whose float32 score is above its
+    `hi`, and the (query, entity) pairs inside its band ``[lo, hi]`` other
+    than the query's own entity `own`.
+    """
+    n_entities = table.rows32.shape[0]
+    n_rows = kernels32.shape[0]
+    block = min(n_entities, max(1, SCORE_BLOCK_CELLS // n_rows))
+    # one (block, n_rows) buffer: a fresh product per block would briefly
+    # hold two blocks, the previous one until the new one is assigned
+    buffer = np.empty((block, n_rows), dtype=np.float32)
+    above = np.zeros(n_rows, dtype=np.intp)
+    band_q, band_e = [], []
+    for start in range(0, n_entities, block):
+        rows32 = table.rows32[start : start + block]
+        scores = np.matmul(rows32, kernels32.T, out=buffer[: len(rows32)])
+        for offset in range(0, len(scores), COUNT_CHUNK):
+            chunk = scores[offset : offset + COUNT_CHUNK]
+            first = start + offset  # the chunk's first entity
+            over = chunk > hi
+            reach = chunk >= lo
+            n_over = over.view(np.uint8).sum(axis=0, dtype=np.uint8)
+            above += n_over
+            n_band = reach.view(np.uint8).sum(axis=0, dtype=np.uint8) - n_over
+            # the own entity is in its row's band: look only at rows with more
+            mine = (own >= first) & (own < first + len(chunk))
+            rows = np.flatnonzero(n_band > mine)
+            if rows.size:
+                ent, col = np.nonzero(reach[:, rows] & ~over[:, rows])
+                query, ent = rows[col], ent + first
+                keep = ent != own[query]
+                band_q.append(query[keep])
+                band_e.append(ent[keep])
+    empty = np.zeros(0, dtype=np.intp)
+    return above, np.concatenate(band_q or [empty]), np.concatenate(band_e or [empty])
+
+
 def rank_from_scores(
     kb: KnowledgeBase, facts: list[Fact], kernels: np.ndarray, table: EntityTable
 ) -> np.ndarray:
-    """Optimistic filtered ranks (B, a) of facts of one arity, exactly as float64 gives them.
+    """Optimistic filtered ranks (n_queries,) of facts of any arities, as float64 gives them.
 
-    `kernels` (B*a, m*d) are the facts' contraction kernels (row ``i * a + p``
-    is slot p of ``facts[i]``), so a query's score of entity e is
-    ``kernels[q] . table.rows[e]``. A rank is 1 plus the number of entities
-    scoring strictly above the true one, less the known-true entities
-    filtered out of that query that do, where every score that decides a
-    comparison is the float64 one (:func:`_row_dots`).
+    Fact i's queries are rows ``start_i + p`` of `kernels` (n_queries, m*d),
+    one per slot p, where ``start_i`` sums the arities of the facts before
+    it; so a query's score of entity e is ``kernels[q] . table.rows[e]``. A
+    rank is 1 plus the number of entities scoring strictly above the true
+    one, less the known-true entities filtered out of that query that do,
+    where every score that decides a comparison is the float64 one
+    (:func:`_row_dots`).
 
-    The whole table is scored once in float32 and that screen decides every
-    entity far from the true score t: above if its float32 score is above
-    ``t + tol``, not above if below ``t - tol``. Only the band between is
-    scored again in float64. ``tol`` bounds the float32 error. The inputs
-    are rounded to float32 (two relative errors) and a K = m*d term dot
-    product is summed in float32 in any order (Higham 2002, section 3.1), so
-    with u = 2**-24, gamma_n = n*u / (1 - n*u) and g = kernels[q]:
+    The table is walked once in blocks of at most SCORE_BLOCK_CELLS float32
+    scores, and that screen decides every entity far from the true score t:
+    above if its float32 score is above ``t + tol``, not above if below
+    ``t - tol``. The entities inside the band between, and every filtered
+    entity, are scored again in float64. ``tol`` bounds the float32 error.
+    The inputs are rounded to float32 (two relative errors) and a K = m*d
+    term dot product is summed in float32 in any order (Higham 2002,
+    section 3.1), so with u = 2**-24, gamma_n = n*u / (1 - n*u) and
+    g = kernels[q]:
 
         |s32_e - g . e| <= gamma_{K+2} * sum_k |g_k| |e_k| + abs_err
                         <= gamma_{K+2} * (|g| @ col_max)   + abs_err.
@@ -157,27 +207,30 @@ def rank_from_scores(
     ``|g| @ col_max`` are all below K * 2**-52 relative to that same scale.
     ``t +- tol`` is then rounded outward to float32. A row that could
     overflow float32 (``|g| @ col_max`` or an input at or above half the
-    float32 maximum) gets an infinite ``tol``: its hi and lo are not finite
-    float32s, and it is decided wholly in float64. So the screen never
-    changes a comparison, and ties rank as they do in float64.
+    float32 maximum) gets an infinite ``tol``: it is left out of the screen
+    and decided wholly in float64. So the screen never changes a
+    comparison, and ties rank as they do in float64.
 
-    Two counts per row find the rows to rescore: ``s32 > hi`` and
-    ``s32 >= lo``. The true entity is always in its own band, so a band
-    count of 1 needs no float64 work.
+    Each block's ``s32 > hi`` and ``s32 >= lo`` are counted per query in
+    uint8 sums over at most COUNT_CHUNK entities. The true entity is always
+    in its own band, so only a query whose band count in a chunk exceeds
+    that is searched for band members.
     """
-    n_rows, width = kernels.shape
-    ents = np.array([fact.entities for fact in facts], dtype=np.intp)
-    arity = ents.shape[1]
-    true = _row_dots(kernels, table.rows[ents.reshape(-1)])
+    arity = np.array([fact.arity for fact in facts], dtype=np.intp)
+    starts = np.cumsum(arity) - arity
+    ents = np.array([e for fact in facts for e in fact.entities], dtype=np.intp)
+    true = _row_dots(kernels, table.rows[ents])
     if not np.isfinite(true).all():
         q = int(np.flatnonzero(~np.isfinite(true))[0])
-        fact = facts[q // arity]
+        i = int(np.searchsorted(starts, q, side="right")) - 1
+        fact = facts[i]
         raise NumericError(
-            f"non-finite score {true[q]} at slot {q % arity} of fact "
+            f"non-finite score {true[q]} at slot {q - starts[i]} of fact "
             f"{kb.vocab.relations[fact.relation][0]}"
             f"({', '.join(kb.vocab.entities[e] for e in fact.entities)})"
         )
 
+    width = kernels.shape[1]
     abs_k = np.abs(kernels)
     scale = abs_k @ table.col_max
     terms = width + 3
@@ -189,33 +242,20 @@ def rank_from_scores(
     tol[reach >= F32_LIMIT] = np.inf
     hi = _round_out(true + tol, up=True)
     lo = _round_out(true - tol, up=False)
-    screened = np.isfinite(hi) & np.isfinite(lo)
+    unscreened = np.flatnonzero(~(np.isfinite(hi) & np.isfinite(lo)))
+    hi[unscreened] = lo[unscreened] = np.nan  # any comparison with NaN is false: they count nothing
 
     with np.errstate(over="ignore", invalid="ignore"):  # only in rows left to float64
-        scores = kernels.astype(np.float32) @ table.rows32.T  # (B*a, n_entities)
-    above = np.zeros(n_rows, dtype=np.intp)
-    for q in range(n_rows):
-        if screened[q]:
-            row = scores[q]
-            # per-row counts: count_nonzero(axis=) over the block is ~2x slower
-            above[q] = np.count_nonzero(row > hi[q])
-            if np.count_nonzero(row >= lo[q]) - above[q] <= 1:
-                continue
-            band = np.flatnonzero((row >= lo[q]) & (row <= hi[q]))
-            above[q] += np.count_nonzero(_row_dots(kernels[q], table.rows[band]) > true[q])
-        else:
-            above[q] = np.count_nonzero(_row_dots(kernels[q], table.rows) > true[q])
+        above, band_q, band_e = _screen(table, kernels.astype(np.float32), hi, lo, ents)
+    for q in unscreened:
+        above[q] = np.count_nonzero(_row_dots(kernels[q], table.rows) > true[q])
+    band_above = _row_dots(kernels[band_q], table.rows[band_e]) > true[band_q]
+    above += np.bincount(band_q[band_above], minlength=above.size)
 
     query, entity = kb.filtered_candidates(facts)
-    known = scores[query, entity]
-    known_above = known > hi[query]
-    # in the band, or in a row decided in float64: there hi and lo are
-    # infinite and a float32 score may be NaN, which `known < lo` leaves in
-    recheck = ~known_above & ~(known < lo[query])
-    q_re = query[recheck]
-    known_above[recheck] = _row_dots(kernels[q_re], table.rows[entity[recheck]]) > true[q_re]
-    above -= np.bincount(query[known_above], minlength=n_rows)
-    return 1 + above.reshape(ents.shape)
+    known_above = _row_dots(kernels[query], table.rows[entity]) > true[query]
+    above -= np.bincount(query[known_above], minlength=above.size)
+    return 1 + above
 
 
 def report_from_ranks(
@@ -257,9 +297,11 @@ def evaluate(params: ModelParams, kb: KnowledgeBase, split: str = "test") -> Eva
     ranks: list[tuple[int, int]] = []
     for lo in range(0, len(facts), EVAL_BATCH):
         batch = facts[lo : lo + EVAL_BATCH]
-        for spec in split_groups(params, batch):
-            group = [batch[i] for i in spec.fact_index]
-            kernels = forward_group(params, spec).gather.reshape(spec.ents.size, -1)
-            group_ranks = rank_from_scores(kb, group, kernels, table)
-            ranks.extend((spec.arity, r) for r in group_ranks.ravel().tolist())
+        specs = split_groups(params, batch)
+        kernels = np.concatenate(
+            [forward_group(params, spec).gather.reshape(spec.ents.size, -1) for spec in specs]
+        )
+        ordered = [batch[i] for spec in specs for i in spec.fact_index]
+        arity = np.repeat([spec.arity for spec in specs], [spec.ents.size for spec in specs])
+        ranks.extend(zip(arity.tolist(), rank_from_scores(kb, ordered, kernels, table).tolist()))
     return report_from_ranks(ranks, seconds=time.perf_counter() - start)

@@ -247,19 +247,22 @@ class KnowledgeBase:
         return self.truth.get(_truth_key(fact, position), set())
 
     def filtered_candidates(self, facts: list[Fact]) -> tuple[np.ndarray, np.ndarray]:
-        """Entities filtered out of the ranking queries of facts of one arity.
+        """Entities filtered out of the ranking queries of facts of any arities.
 
-        Query ``i * a + p`` is slot p of ``facts[i]``. Returns flat (query,
-        entity) index arrays of every entity known true at a query's slot (in
-        any split) other than the queried fact's own entity there; every
-        other entity is a ranking candidate.
+        Fact i's queries are numbered ``start_i + p``, one per slot p, where
+        ``start_i`` sums the arities of the facts before it. Returns flat
+        (query, entity) index arrays of every entity known true at a query's
+        slot (in any split) other than the queried fact's own entity there;
+        every other entity is a ranking candidate.
         """
         queries, entities = [], []
-        for i, fact in enumerate(facts):
+        query = 0
+        for fact in facts:
             for pos, own in enumerate(fact.entities):
                 known = self.true_entities_at(fact, pos) - {own}
-                queries.extend([i * fact.arity + pos] * len(known))
+                queries.extend([query] * len(known))
                 entities.extend(known)
+                query += 1
         return np.array(queries, dtype=np.intp), np.array(entities, dtype=np.intp)
 
     def stats(self) -> dict:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_candidates, sort_rank
+from ramkb import evaluation
 from ramkb.engine import forward_group, split_groups
 from ramkb.errors import DataError, NumericError
 from ramkb.evaluation import (
@@ -19,18 +20,22 @@ from conftest import make_vocab, random_kb, table_scores
 from test_model import randomized_params
 
 
-def group_ranks(params, kb, facts):
-    """Filtered ranks (B, a) of facts of one arity, from one `forward_group` and one
-    `rank_from_scores` call as in `evaluate`."""
-    (spec,) = split_groups(params, facts)
-    gather = forward_group(params, spec).gather
-    return rank_from_scores(kb, facts, gather.reshape(spec.ents.size, -1), entity_table(params))
+def batch_ranks(params, kb, facts):
+    """Filtered ranks of facts of any arities, one per slot in fact order, from
+    one `rank_from_scores` call; each fact's kernels come from its own
+    `forward_group` call, as in the oracle."""
+    kernels = np.concatenate([
+        forward_group(params, spec).gather.reshape(fact.arity, -1)
+        for fact in facts for spec in split_groups(params, [fact])
+    ])
+    return rank_from_scores(kb, facts, kernels, entity_table(params))
 
 
 def group_scores_and_ranks(params, kb, facts):
-    """Float64 full-table scores (B, a, n_entities) and the ranks `evaluate` gives."""
+    """Float64 full-table scores (B, a, n_entities) and filtered ranks (B, a)
+    of facts of one arity."""
     (spec,) = split_groups(params, facts)
-    return table_scores(params, spec), group_ranks(params, kb, facts)
+    return table_scores(params, spec), batch_ranks(params, kb, facts).reshape(spec.ents.shape)
 
 
 def test_rank_one_for_unique_maximum():
@@ -121,13 +126,12 @@ def oracle_ranks(params, kb):
 
 
 def assert_ranks_match_oracle(params, kb):
-    """Every test query's rank, from `rank_from_scores` and from `evaluate`,
-    equals the float64 sort oracle's; returns the oracle's filter and tie counts."""
+    """Every test query's rank, from one `rank_from_scores` call over the test
+    split's mixed arities in split order and from `evaluate`, equals the
+    float64 sort oracle's; returns the oracle's filter and tie counts."""
     expected, filtered_above, ties = oracle_ranks(params, kb)
-    for arity in sorted({fact.arity for fact in kb.test}):
-        index = [i for i, fact in enumerate(kb.test) if fact.arity == arity]
-        got = group_ranks(params, kb, [kb.test[i] for i in index])
-        assert got.tolist() == [expected[i] for i in index], arity
+    got = batch_ranks(params, kb, kb.test)
+    assert got.tolist() == [r for ranks in expected for r in ranks]
     report = evaluate(params, kb, split="test")
     want = report_from_ranks(
         (fact.arity, r) for fact, ranks in zip(kb.test, expected) for r in ranks
@@ -218,11 +222,20 @@ def near_tie_case(filter_neighbours):
 
 @pytest.mark.parametrize("filter_neighbours", [False, True], ids=["open", "filtered"])
 def test_candidates_inside_float32_error_band_rank_as_in_float64(filter_neighbours):
+    """The test split mixes arities, so with `filter_neighbours` the filtered
+    band members sit in a mixed-arity batch."""
     kb, params = near_tie_case(filter_neighbours)
+    assert {fact.arity for fact in kb.test} == {2, 3}
     filtered_above, ties = assert_ranks_match_oracle(params, kb)
     assert ties > 0
     if filter_neighbours:
         assert filtered_above > 0
+
+
+@pytest.mark.parametrize("filter_neighbours", [False, True], ids=["open", "filtered"])
+def test_band_members_split_across_one_entity_blocks(filter_neighbours, monkeypatch):
+    monkeypatch.setattr(evaluation, "SCORE_BLOCK_CELLS", 1)
+    test_candidates_inside_float32_error_band_rank_as_in_float64(filter_neighbours)
 
 
 @pytest.mark.parametrize("scale", [1e15, 1e-30], ids=["1e15", "1e-30"])
@@ -246,16 +259,19 @@ def test_scaled_entity_table_ranks_as_in_float64(scale):
 
 def test_hand_built_kernels_rank_as_in_float64():
     """Accumulated float32 rounding, rows past the float32 range, and
-    filtered entities inside the band, on kernels and blocks set by hand.
+    filtered entities inside the band, on kernels and blocks set by hand,
+    in one call over a ternary and a binary fact.
 
-    Query 0's kernel is all ones: e2's six terms sum to 1 + 35 * 2**-27 in
-    float64, above e0's true 1 + 32 * 2**-27, but each float32 partial sum
-    of 1 and 7 * 2**-27 rounds back to 1, several float32 ulps below the
-    true score. Query 1's kernel holds 1e39, which float32 cannot hold: its
-    scores there are NaN (inf * 0) or inf, and filtered e5 must still count.
+    The binary fact's slot 0 kernel is all ones: e2's six terms sum to
+    1 + 35 * 2**-27 in float64, above e0's true 1 + 32 * 2**-27, but each
+    float32 partial sum of 1 and 7 * 2**-27 rounds back to 1, several
+    float32 ulps below the true score. Its slot 1 kernel holds 1e39, which
+    float32 cannot hold: its scores there are NaN (inf * 0) or inf, and
+    filtered e5 must still count. The ternary fact's rows come first, so
+    the binary fact's queries are rows 3 and 4.
     """
-    kb = build_kb(parse_tabular(["r e6 e1", "r e0 e5", "q e2 e3", "q e4 e4"]),
-                  test=parse_tabular(["r e0 e1"]))
+    kb = build_kb(parse_tabular(["r e6 e1", "r e0 e5", "q e2 e3", "q e4 e4", "t e5 e0 e1"]),
+                  test=parse_tabular(["t e3 e0 e1", "r e0 e1"]))
     cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=1)
     params = ModelParams.init(cfg, kb.vocab)
     rows = params.data[("ent",)].reshape(kb.vocab.n_entities, -1)
@@ -271,14 +287,45 @@ def test_hand_built_kernels_rank_as_in_float64():
     }
     for name, block in blocks.items():
         rows[kb.vocab.entity_index[name]] = block
-    kernels = np.array([[1.0] * 6, [1e39, 1, 0, 0, 0, 0]])
-    (fact,) = kb.test
-    got = rank_from_scores(kb, [fact], kernels, entity_table(params))
+    kernels = np.array([[1e39, 0.5, 0, 0, 0, 0], [1.0] * 6, [0, 1, 0, 0, 0, 0],
+                        [1.0] * 6, [1e39, 1, 0, 0, 0, 0]])
+    got = rank_from_scores(kb, kb.test, kernels, entity_table(params))
     scores = kernels @ rows.T
-    want = [sort_rank(list(scores[pos]), brute_force_candidates(kb, fact, pos),
-                      fact.entities[pos]) for pos in range(2)]
-    assert want == [2, 5]  # e2 above e0; e0, e2, e3, e6 above e1, with e5 filtered
-    assert got.tolist() == [want]
+    want = [sort_rank(list(scores[q]), brute_force_candidates(kb, fact, pos), fact.entities[pos])
+            for q, (fact, pos) in enumerate((f, p) for f in kb.test for p in range(f.arity))]
+    assert want[3:] == [2, 5]  # e2 above e0; e0, e2, e3, e6 above e1, with e5 filtered
+    assert got.tolist() == want
+
+
+def test_more_than_a_uint8_of_entities_above_in_one_block():
+    """600 entities in one block, all but the last two scoring above the true
+    one, the last: the walk's first two count chunks are all above it."""
+    true_e, other = 599, 598
+    fact = Fact(0, (true_e, other))
+    kb = KnowledgeBase(make_vocab(600, (2,)), [fact], [], [fact])
+    cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
+    params = randomized_params(cfg, kb.vocab, seed=25)
+    ent = params.data[("ent",)]
+    ent[:] = 0.0
+    ent[:, 0, 0] = 1.0 + np.arange(len(ent))
+    (spec,) = split_groups(params, [fact])
+    g = forward_group(params, spec).gather[0, 0, 0, 0]  # slot 0's kernel does not read true_e
+    assert g != 0.0
+    ent[:, 0, 0] *= np.sign(g)
+    ent[other, 0, 0] = 1.0 + np.arange(len(ent))[other]  # keeps slot 0's kernel as it was
+    ent[true_e, 0, 0] = 0.5 * np.sign(g)
+    assert forward_group(params, spec).gather[0, 0, 0, 0] == g
+    assert_ranks_match_oracle(params, kb)
+    assert batch_ranks(params, kb, [fact])[0] >= 599
+
+
+@pytest.mark.parametrize("cells", [2**20, 64, 1])
+@pytest.mark.parametrize("n_entities", [1, 255, 256, 511])
+def test_table_sizes_around_count_chunks_rank_as_in_float64(n_entities, cells, monkeypatch):
+    monkeypatch.setattr(evaluation, "SCORE_BLOCK_CELLS", cells)
+    kb = random_kb(n_entities, (2, 3), n_train=30, n_test=6, seed=n_entities)
+    cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
+    assert_ranks_match_oracle(randomized_params(cfg, kb.vocab, seed=26), kb)
 
 
 def test_non_finite_entity_table_is_numeric_error():
@@ -307,6 +354,28 @@ def test_non_finite_true_score_is_numeric_error():
         for f in kb.test
     }
     assert str(exc.value).split(" of fact ")[1] in named
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_true_score_names_its_fact_in_a_mixed_batch():
+    """Only ternary relation r2's scores are non-finite, and facts of r0
+    (binary) and r1 (ternary) come before its first fact: the error names
+    that fact, whether the rows are in `evaluate`'s group order or in split
+    order."""
+    kb = random_kb(9, (2, 3, 3), n_train=12, n_test=8, seed=0)
+    cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
+    params = randomized_params(cfg, kb.vocab, seed=10)
+    params.data[("alpha", kb.vocab.relation_index[("r2", 3)])][:] = np.inf
+    rels = [kb.vocab.relations[f.relation][0] for f in kb.test]
+    first = rels.index("r2")
+    assert {"r0", "r1"} <= set(rels[:first])
+    fact = kb.test[first]
+    name = f"r2({', '.join(kb.vocab.entities[e] for e in fact.entities)})"
+    for rank in (lambda: evaluate(params, kb, split="test"),
+                 lambda: batch_ranks(params, kb, kb.test)):
+        with pytest.raises(NumericError, match=r"non-finite score") as exc:
+            rank()
+        assert str(exc.value).endswith(f"at slot 0 of fact {name}")
 
 
 def test_evaluate_deterministic():

@@ -111,8 +111,9 @@ def slot_mask(kb, facts, index, position):
     """Candidate mask of slot `position` of ``facts[index]``, read off the
     (query, entity) pairs that ``filtered_candidates(facts)`` filters out."""
     query, entity = kb.filtered_candidates(facts)
+    start = sum(fact.arity for fact in facts[:index])  # queries number slots in fact order
     mask = np.ones(kb.vocab.n_entities, dtype=bool)
-    mask[entity[query == index * facts[index].arity + position]] = False
+    mask[entity[query == start + position]] = False
     return mask
 
 
@@ -131,10 +132,11 @@ def test_filtered_candidates_single_fact_everything_allowed():
 
 
 def assert_masks_match_brute_force(kb):
-    for arity in kb.vocab.arities:
-        facts = [f for f in kb.train if f.arity == arity]
+    """Per arity group, and on the train split's mixed-arity list as it is."""
+    groups = [[f for f in kb.train if f.arity == arity] for arity in kb.vocab.arities]
+    for facts in groups + [kb.train]:
         for i, fact in enumerate(facts):
-            for pos in range(arity):
+            for pos in range(fact.arity):
                 np.testing.assert_array_equal(
                     slot_mask(kb, facts, i, pos),
                     brute_force_candidates(kb, fact, pos),
@@ -143,6 +145,7 @@ def assert_masks_match_brute_force(kb):
 
 def test_filtered_candidates_matches_brute_force_on_random_kb():
     kb = random_kb(9, (2, 3), n_train=20, seed=5)
+    assert {f.arity for f in kb.train} == {2, 3}  # the mixed list has both
     assert_masks_match_brute_force(kb)
 
 
