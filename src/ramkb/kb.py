@@ -3,9 +3,15 @@
 A dataset comes in one of two distribution formats: tabular lines
 (``relation entity...``) and role-annotated JSON lines (``{role: entity}``).
 This module parses both, builds dense vocabularies over the union of
-splits, owns the known-true index used by filtered ranking, and writes a
-split back in whichever of the two formats holds it, so a written subset
-reads back as the same facts.
+splits, and writes a split back in whichever of the two formats holds it,
+so a written subset reads back as the same facts.
+
+It also owns the known-true index of filtered ranking (Bordes et al., NIPS
+2013): for every (relation, position, other entities) key met in any split,
+the entities known true at that slot. :class:`KnowledgeBase` builds it once,
+as sorted int64 arrays, in a few whole-array passes with no per-slot Python,
+and :meth:`KnowledgeBase.filtered_candidates` looks a batch of facts up in
+it with one ``searchsorted`` per key column.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable
 
 import numpy as np
@@ -203,15 +210,35 @@ def _is_names(value) -> bool:
     return isinstance(value, list) and all(isinstance(name, str) for name in value)
 
 
-TruthKey = tuple[int, int, tuple[int, ...]]
+# Key codes are int64; every code is below n_ids * (n_entities + 1).
+CODE_LIMIT = 2**63
 
 
 class KnowledgeBase:
-    """A dataset plus its ground-truth oracle.
+    """A dataset plus its known-true index for filtered ranking.
 
-    `truth` maps (relation, position, other entities in order) to the set of
-    entity indices known true at that slot in any split. Instances are
-    immutable after construction and safe to share across parallel readers.
+    The index lists, for every key (relation, position, the other entities
+    in order) met in any split, the distinct entities known true at that
+    slot. ``__init__`` builds it as sorted int64 arrays:
+
+    - every (fact, position) of every split is one key row
+      ``[relation * A + position, other entities...]``, where A is the
+      vocabulary's largest arity and a fact of lower arity pads its other
+      entities with ``n_entities``;
+    - the rows are encoded into dense ids one column at a time: column j's
+      code is ``id * (n_entities + 1) + entity``, where ``id`` numbers the
+      distinct prefixes of columns before j, and ``np.unique`` turns the
+      codes into the next ids. ``_levels[j]`` keeps column j's sorted
+      distinct codes, so a lookup is one ``searchsorted`` per column;
+    - a CSR table maps each key id to its distinct true entities in
+      increasing order: ``_true[_offsets[k]:_offsets[k + 1]]``.
+
+    The codes are exact int64 while the number of distinct ids at every
+    column times ``n_entities + 1`` stays below 2**63 (``CODE_LIMIT``); a KB
+    past that raises DataError. Instances are immutable after construction
+    and safe to share across parallel readers. A shallow copy with a
+    replaced split shares the index, so it still filters by the whole KB it
+    was copied from.
     """
 
     def __init__(
@@ -225,12 +252,21 @@ class KnowledgeBase:
         self.train = train
         self.valid = valid
         self.test = test
-        self.truth: dict[TruthKey, set[int]] = {}
-        for fact in self.all_facts():
-            for pos in range(fact.arity):
-                self.truth.setdefault(_truth_key(fact, pos), set()).add(
-                    fact.entities[pos]
-                )
+        self._width = vocab.max_arity
+        self._base = vocab.n_entities + 1
+        columns, own = _key_columns(list(self.all_facts()), self._width, vocab.n_entities)
+        self._levels: list[np.ndarray] = []
+        # column 0 follows the one empty prefix, so its codes are its values
+        ids, n_ids = np.zeros(own.size, dtype=np.int64), 1
+        for column in columns:
+            levels, ids = np.unique(
+                _encode(ids, n_ids, column, self._base), return_inverse=True
+            )
+            self._levels.append(levels)
+            n_ids = levels.size
+        pairs = np.unique(_encode(ids, n_ids, own, self._base))
+        self._true = (pairs % self._base).astype(np.intp)
+        self._offsets = np.searchsorted(pairs // self._base, np.arange(n_ids + 1))
 
     def all_facts(self) -> Iterable[Fact]:
         yield from self.train
@@ -243,9 +279,6 @@ class KnowledgeBase:
         except KeyError:
             raise DataError(f"unknown split {name!r}") from None
 
-    def true_entities_at(self, fact: Fact, position: int) -> set[int]:
-        return self.truth.get(_truth_key(fact, position), set())
-
     def filtered_candidates(self, facts: list[Fact]) -> tuple[np.ndarray, np.ndarray]:
         """Entities filtered out of the ranking queries of facts of any arities.
 
@@ -253,17 +286,26 @@ class KnowledgeBase:
         ``start_i`` sums the arities of the facts before it. Returns flat
         (query, entity) index arrays of every entity known true at a query's
         slot (in any split) other than the queried fact's own entity there;
-        every other entity is a ranking candidate.
+        every other entity is a ranking candidate. Pairs come grouped by
+        query, entities increasing within a query.
         """
-        queries, entities = [], []
-        query = 0
-        for fact in facts:
-            for pos, own in enumerate(fact.entities):
-                known = self.true_entities_at(fact, pos) - {own}
-                queries.extend([query] * len(known))
-                entities.extend(known)
-                query += 1
-        return np.array(queries, dtype=np.intp), np.array(entities, dtype=np.intp)
+        if not self._true.size:
+            return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+        columns, own = _key_columns(facts, self._width, self._base - 1)
+        ids = np.zeros(own.size, dtype=np.int64)
+        found = np.ones(own.size, dtype=bool)
+        for levels, column in zip(self._levels, columns):
+            code = ids * self._base + column
+            ids = np.minimum(np.searchsorted(levels, code), levels.size - 1)
+            found &= levels[ids] == code
+        lo = self._offsets[ids]
+        count = np.where(found, self._offsets[ids + 1] - lo, 0)
+        query = np.repeat(np.arange(own.size), count)
+        # the pairs of query q read _true[lo[q] : lo[q] + count[q]]
+        start = np.cumsum(count) - count
+        entity = self._true[np.arange(query.size) + np.repeat(lo - start, count)]
+        keep = entity != own[query]
+        return query[keep], entity[keep]
 
     def stats(self) -> dict:
         arity_hist: dict[int, int] = {}
@@ -285,9 +327,43 @@ class KnowledgeBase:
         }
 
 
-def _truth_key(fact: Fact, position: int) -> TruthKey:
-    others = fact.entities[:position] + fact.entities[position + 1 :]
-    return (fact.relation, position, others)
+def _key_columns(
+    facts: list[Fact], width: int, pad: int
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The key columns and own entity of every (fact, position) of facts.
+
+    Rows are in query order, fact i's slot p at row ``start_i + p``, and
+    ``own`` holds the entity at each slot. Column 0 is ``relation * width +
+    position``; column j >= 1 is the slot's j-th other entity, or `pad` past
+    the fact's arity.
+    """
+    n = len(facts)
+    arity = np.fromiter((len(f.entities) for f in facts), dtype=np.int64, count=n)
+    relation = np.fromiter((f.relation for f in facts), dtype=np.int64, count=n)
+    own = np.fromiter(
+        chain.from_iterable(f.entities for f in facts), dtype=np.int64, count=int(arity.sum())
+    )
+    fact = np.repeat(np.arange(n), arity)
+    position = np.arange(own.size) - np.repeat(np.cumsum(arity) - arity, arity)
+    padded = np.full((n, width), pad, dtype=np.int64)
+    padded[np.arange(width) < arity[:, None]] = own
+    # the j-th other entity of slot p sits at column j, or j + 1 from p on
+    others = [padded[fact, j + (position <= j)] for j in range(width - 1)]
+    return [relation[fact] * width + position, *others], own
+
+
+def _encode(ids: np.ndarray, n_ids: int, column: np.ndarray, base: int) -> np.ndarray:
+    """``ids * base + column``, distinct per (id, column value) pair.
+
+    Raises DataError when ``n_ids * base`` reaches ``CODE_LIMIT``, past
+    which int64 codes could wrap.
+    """
+    if n_ids * base >= CODE_LIMIT:
+        raise DataError(
+            f"known-true index: {n_ids} distinct key prefixes times {base} "
+            f"entity codes reaches 2**63; the KB is too large to index"
+        )
+    return ids * base + column
 
 
 def build_kb(
@@ -327,7 +403,8 @@ def build_kb(
             facts.append(Fact(rel, ent_ids))
         splits.append(facts)
     kb = KnowledgeBase(vocab, *splits)
-    log.info("loaded KB: %s", kb.stats())
+    if log.isEnabledFor(logging.INFO):
+        log.info("loaded KB: %s", kb.stats())
     return kb
 
 
@@ -341,10 +418,10 @@ def subset_by_arity(
 
     Among binary training facts passing the predicate, a uniformly random
     fraction `binary_keep_ratio` is kept (exact count, rounded), chosen
-    deterministically from `seed`. Valid/test are untouched; the truth index
-    is rebuilt over the new training split plus the original valid/test. A
-    ratio outside [0, 1] (or NaN) raises ConfigError; an empty result raises
-    DataError.
+    deterministically from `seed`. Valid/test are untouched; the known-true
+    index is rebuilt over the new training split plus the original
+    valid/test. A ratio outside [0, 1] (or NaN) raises ConfigError; an empty
+    result raises DataError.
     """
     if not 0.0 <= binary_keep_ratio <= 1.0:
         raise ConfigError(f"binary_keep_ratio must be in [0, 1], got {binary_keep_ratio}")

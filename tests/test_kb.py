@@ -1,3 +1,4 @@
+import copy
 import json
 import logging
 
@@ -9,7 +10,11 @@ from hypothesis import strategies as st
 from oracles import brute_force_candidates
 from ramkb.errors import DataError, ParseError
 from ramkb.kb import (
+    CODE_LIMIT,
     Fact,
+    KnowledgeBase,
+    Vocabulary,
+    _encode,
     build_kb,
     export_split,
     parse_role_json,
@@ -17,7 +22,7 @@ from ramkb.kb import (
     subset_by_arity,
 )
 
-from conftest import random_kb
+from conftest import make_vocab, random_facts, random_kb
 
 
 def test_parse_tabular_tabs_and_spaces():
@@ -93,20 +98,6 @@ def test_build_kb_vocab_spans_all_splits():
     assert kb.stats()["relations_outside_train"] == 1
 
 
-def test_truth_index_complete_for_every_split_and_position():
-    kb = random_kb(8, (2, 3, 4), n_train=15, n_valid=5, n_test=5, seed=11)
-    for fact in kb.all_facts():
-        for pos in range(fact.arity):
-            assert fact.entities[pos] in kb.true_entities_at(fact, pos)
-
-
-def test_truth_index_single_fact_both_positions():
-    kb = build_kb(parse_tabular(["r a b"]))
-    fact = kb.train[0]
-    assert kb.true_entities_at(fact, 0) == {fact.entities[0]}
-    assert kb.true_entities_at(fact, 1) == {fact.entities[1]}
-
-
 def slot_mask(kb, facts, index, position):
     """Candidate mask of slot `position` of ``facts[index]``, read off the
     (query, entity) pairs that ``filtered_candidates(facts)`` filters out."""
@@ -115,6 +106,45 @@ def slot_mask(kb, facts, index, position):
     mask = np.ones(kb.vocab.n_entities, dtype=bool)
     mask[entity[query == start + position]] = False
     return mask
+
+
+def known_true(kb, fact, position):
+    """Every entity known true at a slot of `fact`. A query filters all of
+    them but its own entity, so two probes with different own entities at
+    the slot (0 and 1) filter the whole set between them."""
+    known = set()
+    for probe in (0, 1):
+        entities = fact.entities[:position] + (probe,) + fact.entities[position + 1 :]
+        mask = slot_mask(kb, [Fact(fact.relation, entities)], 0, position)
+        known |= {int(e) for e in np.flatnonzero(~mask)}
+    return known
+
+
+def test_build_kb_computes_stats_only_for_an_info_log(monkeypatch, caplog):
+    calls = []
+    stats = KnowledgeBase.stats
+    monkeypatch.setattr(KnowledgeBase, "stats", lambda kb: calls.append(1) or stats(kb))
+    with caplog.at_level(logging.WARNING, logger="ramkb.kb"):
+        build_kb(parse_tabular(["r a b"]))
+    assert calls == []
+    with caplog.at_level(logging.INFO, logger="ramkb.kb"):
+        build_kb(parse_tabular(["r a b"]))
+    assert calls == [1]
+    assert any(rec.message.startswith("loaded KB: ") for rec in caplog.records)
+
+
+def test_truth_index_complete_for_every_split_and_position():
+    kb = random_kb(8, (2, 3, 4), n_train=15, n_valid=5, n_test=5, seed=11)
+    for fact in kb.all_facts():
+        for pos in range(fact.arity):
+            assert fact.entities[pos] in known_true(kb, fact, pos)
+
+
+def test_truth_index_single_fact_both_positions():
+    kb = build_kb(parse_tabular(["r a b"]))
+    fact = kb.train[0]
+    assert known_true(kb, fact, 0) == {fact.entities[0]}
+    assert known_true(kb, fact, 1) == {fact.entities[1]}
 
 
 def test_filtered_candidates_excludes_other_true_entities():
@@ -131,16 +161,20 @@ def test_filtered_candidates_single_fact_everything_allowed():
     assert mask.all()
 
 
+def assert_facts_match_brute_force(kb, facts):
+    for i, fact in enumerate(facts):
+        for pos in range(fact.arity):
+            np.testing.assert_array_equal(
+                slot_mask(kb, facts, i, pos),
+                brute_force_candidates(kb, fact, pos),
+            )
+
+
 def assert_masks_match_brute_force(kb):
     """Per arity group, and on the train split's mixed-arity list as it is."""
     groups = [[f for f in kb.train if f.arity == arity] for arity in kb.vocab.arities]
     for facts in groups + [kb.train]:
-        for i, fact in enumerate(facts):
-            for pos in range(fact.arity):
-                np.testing.assert_array_equal(
-                    slot_mask(kb, facts, i, pos),
-                    brute_force_candidates(kb, fact, pos),
-                )
+        assert_facts_match_brute_force(kb, facts)
 
 
 def test_filtered_candidates_matches_brute_force_on_random_kb():
@@ -158,6 +192,113 @@ def test_filtered_candidates_matches_brute_force_on_random_kb():
 def test_filtered_candidates_exhaustive_small_kbs(seed, n_facts, n_entities):
     kb = random_kb(n_entities, (2, 3), n_train=n_facts, seed=seed)
     assert_masks_match_brute_force(kb)
+
+
+def test_filtered_candidates_facts_not_in_kb_match_brute_force():
+    kb = random_kb(6, (2, 3), n_train=25, n_valid=5, n_test=5, seed=13)
+    probes = random_facts(kb.vocab, 60, seed=77)
+    stored = set(kb.all_facts())
+    assert any(p not in stored for p in probes)
+    assert_facts_match_brute_force(kb, probes)
+
+
+def test_filtered_candidates_lists_a_fact_repeated_across_splits_once():
+    kb = build_kb(
+        parse_tabular(["r a b", "r a b"]),
+        valid=parse_tabular(["r a b"]),
+        test=parse_tabular(["r a b", "r c b"]),
+    )
+    a, c = kb.vocab.entity_index["a"], kb.vocab.entity_index["c"]
+    query, entity = kb.filtered_candidates([kb.test[1]])
+    assert list(zip(query.tolist(), entity.tolist())) == [(0, a)]
+    query, entity = kb.filtered_candidates([kb.test[0]])
+    assert list(zip(query.tolist(), entity.tolist())) == [(0, c)]
+
+
+def test_filtered_candidates_arities_two_to_six_in_one_call():
+    rng = np.random.default_rng(17)
+    names = {2: "r", 3: "r", 4: "s", 5: "t", 6: "u"}  # "r" at two arities
+    lines = [
+        f"{names[arity]} " + " ".join(f"e{e}" for e in rng.integers(0, 4, arity))
+        for arity in rng.integers(2, 7, 120)
+    ]
+    kb = build_kb(parse_tabular(lines[:80]), test=parse_tabular(lines[80:]))
+    assert kb.vocab.arities == (2, 3, 4, 5, 6)
+    assert ("r", 2) in kb.vocab.relations and ("r", 3) in kb.vocab.relations
+    mixed = kb.test + random_facts(kb.vocab, 30, seed=3)
+    assert {f.arity for f in mixed} == {2, 3, 4, 5, 6}
+    assert_facts_match_brute_force(kb, mixed)
+
+
+def test_filtered_candidates_empty_fact_list():
+    kb = random_kb(5, (2, 3), n_train=10, seed=1)
+    query, entity = kb.filtered_candidates([])
+    assert query.shape == entity.shape == (0,)
+    assert query.dtype == entity.dtype == np.intp
+
+
+@pytest.mark.parametrize("test_facts", [[Fact(0, (0, 1))], []], ids=["empty-train", "no-facts"])
+def test_filtered_candidates_kb_with_empty_splits(test_facts):
+    kb = KnowledgeBase(make_vocab(3, (2,)), [], [], test_facts)
+    probes = [Fact(0, (0, 1)), Fact(0, (2, 1)), Fact(0, (0, 2))]
+    assert_facts_match_brute_force(kb, probes)
+    query, entity = kb.filtered_candidates(probes)
+    assert query.dtype == entity.dtype == np.intp
+
+
+def test_filtered_candidates_largest_entity_id():
+    vocab = make_vocab(7, (2, 3))
+    top = vocab.n_entities - 1
+    facts = [Fact(0, (top, top)), Fact(0, (2, top)), Fact(1, (top, 0, top)),
+             Fact(1, (top, 1, top))]
+    probes = [Fact(0, (1, top)), Fact(1, (top, top, top))]
+    kb = KnowledgeBase(vocab, facts, [], [])
+    _, entity = kb.filtered_candidates(probes)
+    assert top in entity.tolist()
+    assert_facts_match_brute_force(kb, facts + probes)
+
+
+def test_filtered_candidates_shallow_copy_filters_by_whole_kb():
+    """A copy with a replaced test split, as a benchmark's ranking chunk is,
+    keeps filtering by every split of the KB it was copied from."""
+    kb = random_kb(5, (2, 3), n_train=20, n_valid=5, n_test=30, seed=4)
+    chunk = copy.copy(kb)
+    chunk.test = kb.test[:3]
+    for facts in (chunk.test, kb.test):
+        for got, want in zip(chunk.filtered_candidates(facts), kb.filtered_candidates(facts)):
+            np.testing.assert_array_equal(got, want)
+    assert_facts_match_brute_force(kb, kb.test)
+
+
+def test_encode_rejects_codes_past_int64():
+    """Synthetic sizes: the check reads only the id count and the base."""
+    none = np.zeros(0, dtype=np.int64)
+    base = 2**31 + 1  # n_entities + 1 for 2**31 entities
+    assert _encode(none, (CODE_LIMIT - 1) // base, none, base).size == 0
+    with pytest.raises(DataError, match="2\\*\\*63"):
+        _encode(none, CODE_LIMIT // base + 1, none, base)
+    with pytest.raises(DataError):
+        _encode(none, 2, none, CODE_LIMIT // 2)
+    # the largest code allowed is exact in int64
+    base = 2**62 - 1
+    top = _encode(np.array([1]), 2, np.array([base - 1]), base)
+    assert int(top[0]) == 2 * base - 1
+
+
+def test_kb_past_the_code_bound_raises_data_error():
+    """Over 2**61 (synthetic) entities, one binary fact's two keys stay
+    below the bound and two facts' four keys reach it."""
+
+    class Huge(Vocabulary):
+        @property
+        def n_entities(self):
+            return 2**61
+
+    vocab = Huge()
+    vocab.add_relation("r", 2)
+    KnowledgeBase(vocab, [Fact(0, (0, 1))], [], [])
+    with pytest.raises(DataError, match="too large"):
+        KnowledgeBase(vocab, [Fact(0, (0, 1)), Fact(0, (2, 3))], [], [])
 
 
 SPLITS = ("train", "valid", "test")
@@ -252,12 +393,12 @@ def test_subset_leaves_valid_test_untouched_and_rebuilds_truth():
     assert all(f.arity == 3 for f in sub.train)
     for fact in sub.all_facts():
         for pos in range(fact.arity):
-            assert fact.entities[pos] in sub.true_entities_at(fact, pos)
+            assert fact.entities[pos] in known_true(sub, fact, pos)
     # dropped binary train facts no longer pollute the rebuilt index: the
     # valid fact (r, a, d) now only competes with itself at the tail slot
     valid_fact = sub.valid[0]
     d = kb.vocab.entity_index["d"]
-    assert sub.true_entities_at(valid_fact, 1) == {d}
+    assert known_true(sub, valid_fact, 1) == {d}
 
 
 def test_fb_auto_style_statistics_shape():
