@@ -17,7 +17,8 @@ p. :func:`forward_group` builds those contraction kernels, and a candidate
 scorer owns scoring and its pullback: :class:`TableCandidates` over the whole
 entity table, :class:`SampledCandidates` over per-(fact, position) ids.
 Ranking reads the kernels alone. :func:`group_losses` gives the candidate
-cross-entropy and its score gradient.
+cross-entropy and its score gradient, which it computes in the score array
+itself, so a training batch allocates one candidate-score array per group.
 
 A scorer's ``pullback`` adds the candidates' entity-table gradient to the
 buffer and returns the kernels' gradient, one gradient-weighted sum of
@@ -324,20 +325,23 @@ class SampledCandidates:
 def group_losses(scores: np.ndarray, true_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-fact candidate cross-entropy and its gradient with respect to `scores`.
 
-    `scores` is (B, a, C) and `true_cols` (B, a) the true entity's column. The
-    (B,) losses sum over positions; the (B, a, C) gradient is softmax(scores)
-    minus the true one-hot, from the same max, exp and sum.
+    `scores` is a C-contiguous (B, a, C) array and `true_cols` (B, a) the true
+    entity's column. The (B,) losses sum over positions; the (B, a, C)
+    gradient is softmax(scores) minus the true one-hot, from the same max,
+    exp and sum. The gradient is computed in place: `scores` is overwritten
+    and returned as the gradient, so a batch holds one (B, a, C) array.
     """
     top = scores.max(axis=-1, keepdims=True)
-    probs = scores - top
-    np.exp(probs, out=probs)
-    total = probs.sum(axis=-1, keepdims=True)
     at_true = (*np.indices(true_cols.shape, sparse=True), true_cols)
-    losses = (top[..., 0] + np.log(total[..., 0]) - scores[at_true]).sum(axis=1)
-    probs /= total
+    true_scores = scores[at_true]  # a copy, read before the array is overwritten
+    scores -= top
+    np.exp(scores, out=scores)
+    total = scores.sum(axis=-1, keepdims=True)
+    losses = (top[..., 0] + np.log(total[..., 0]) - true_scores).sum(axis=1)
+    scores /= total
     # each (fact, position) pair appears once, so a plain indexed subtract
-    probs[at_true] -= 1.0
-    return losses, probs
+    scores[at_true] -= 1.0
+    return losses, scores
 
 
 def backward_group(

@@ -244,20 +244,45 @@ class AdamState:
             )
 
 
+def _check_gradients(params: ModelParams, summed: list) -> None:
+    """Raise NumericError on the first slot of `summed` (:meth:`GradientBuffer.summed`'s
+    triples) whose gradient holds a non-finite entry, naming the slot and, for
+    the entity table, the first entity with a non-finite row."""
+    for key, rows, grad in summed:
+        if np.isfinite(grad).all():
+            continue
+        where = ""
+        if key == ("ent",):
+            bad = int(np.flatnonzero(~np.isfinite(grad.reshape(len(grad), -1)).all(axis=1))[0])
+            entity = bad if rows is None else int(rows[bad])
+            where = f" at entity {params.vocab.entities[entity]!r} (row {entity})"
+        raise NumericError(f"non-finite gradient in slot {key}{where}; no parameter was updated")
+
+
 def optimizer_step(
     params: ModelParams, buf: GradientBuffer, state: AdamState, lr: float
 ) -> None:
     """Sparse Adam update over the slots the buffer's gradient touches.
 
+    Every slot's summed gradient is checked first: if any entry is not
+    finite, NumericError is raised before any parameter or Adam state
+    changes.
+
     Row-sparse slots follow lazy Adam: only the touched rows advance their
     moments and their own step counts. The buffer sums their gradient into a
     compact block of those rows (:meth:`GradientBuffer.summed`), which is
     read in place, ADAM_BLOCK_ROWS rows at a time, so that each block's
-    gathered moments and temporaries stay in cache. Every product and
-    quotient keeps the operand order of the textbook form, so the update is
-    bitwise deterministic.
+    moments and temporaries stay in cache. The per-row bias corrections are
+    computed once per slot. When the touched rows form one contiguous run,
+    as every entity row does under full negatives, each block updates the
+    moments and parameters through slice views; other rows are gathered
+    into copies and written back. Every product and quotient keeps the
+    operand order of the textbook form, so the update is bitwise
+    deterministic and the same on either path.
     """
-    for key, rows, grad in buf.summed():
+    summed = list(buf.summed())
+    _check_gradients(params, summed)
+    for key, rows, grad in summed:
         target = params.data[key]
         state._ensure(key, target, rows is not None)
         m1, m2 = state.m1[key], state.m2[key]
@@ -272,30 +297,42 @@ def optimizer_step(
             bc2 = 1 - ADAM_BETA2 ** t
             target -= lr * (m1 / bc1) / (np.sqrt(m2 / bc2) + ADAM_EPS)
             continue
-        state.steps[key][rows] += 1
-        steps = state.steps[key][rows].reshape(rows.shape + (1,) * (target.ndim - 1))
+        # rows ascend, so they are one run exactly when they span rows.size rows
+        run = rows.size > 0 and rows[-1] - rows[0] + 1 == rows.size
+        first = int(rows[0]) if run else 0
+        touched = slice(first, first + rows.size) if run else rows
+        state.steps[key][touched] += 1
+        t = state.steps[key][touched].reshape(rows.shape + (1,) * (target.ndim - 1))
+        bc1 = 1 - ADAM_BETA1 ** t
+        bc2 = 1 - ADAM_BETA2 ** t
+        # two temporaries for the slot, reused by every block
+        work = np.empty((2, min(rows.size, ADAM_BLOCK_ROWS)) + grad.shape[1:])
         for lo in range(0, rows.size, ADAM_BLOCK_ROWS):
             block = slice(lo, lo + ADAM_BLOCK_ROWS)
-            r, g, t = rows[block], grad[block], steps[block]
-            # fancy indexing copies, so the in-place updates below never
-            # reach the state before the write-back
+            g = grad[block]
+            tmp, den = work[:, : len(g)]
+            # a slice gives views into the state, row indices give copies
+            r = slice(first + lo, first + lo + len(g)) if run else rows[block]
             mu, nu = m1[r], m2[r]
             mu *= ADAM_BETA1
             nu *= ADAM_BETA2
-            tmp = (1 - ADAM_BETA2) * g
+            np.multiply(1 - ADAM_BETA2, g, out=tmp)
             tmp *= g
             nu += tmp
             np.multiply(g, 1 - ADAM_BETA1, out=tmp)
             mu += tmp
-            m1[r] = mu
-            m2[r] = nu
-            mu /= 1 - ADAM_BETA1 ** t
-            mu *= lr
-            nu /= 1 - ADAM_BETA2 ** t
-            np.sqrt(nu, out=nu)
-            nu += ADAM_EPS
-            mu /= nu
-            target[r] -= mu
+            if not run:
+                # write the copies back; the step may then overwrite them
+                m1[r], m2[r] = mu, nu
+                tmp, den = mu, nu
+            np.divide(mu, bc1[block], out=tmp)
+            tmp *= lr
+            np.divide(nu, bc2[block], out=den)
+            np.sqrt(den, out=den)
+            den += ADAM_EPS
+            tmp /= den
+            # on a slice, numpy skips the write-back of the updated view
+            target[r] -= tmp
 
 
 @dataclass

@@ -172,6 +172,25 @@ def naive_fact_loss(score_fn, params, fact, n_entities):
     return total
 
 
+def copy_cross_entropy(scores, true_cols):
+    """Candidate cross-entropy in log-sum-exp form, every step a fresh array.
+
+    `scores` (B, a, C) is left as it is. Returns the (B,) losses summed over
+    positions and the (B, a, C) gradient softmax(scores) minus the one-hot.
+    """
+    top = scores.max(axis=-1, keepdims=True)
+    exps = np.exp(scores - top)
+    total = exps.sum(axis=-1, keepdims=True)
+    b, a = true_cols.shape
+    true = np.array([[scores[i, p, true_cols[i, p]] for p in range(a)] for i in range(b)])
+    losses = (top[..., 0] + np.log(total[..., 0]) - true).sum(axis=1)
+    grad = exps / total
+    for i in range(b):
+        for p in range(a):
+            grad[i, p, true_cols[i, p]] -= 1.0
+    return losses, grad
+
+
 def brute_force_candidates(kb, fact, position):
     """Filtered-candidate mask recomputed by scanning every stored fact."""
     mask = np.ones(kb.vocab.n_entities, dtype=bool)

@@ -1,3 +1,4 @@
+import copy
 import functools
 import logging
 import math
@@ -6,7 +7,13 @@ import time
 import numpy as np
 import pytest
 
-from oracles import TextbookAdam, naive_fact_loss, naive_latent_score, rowwise_scatter
+from oracles import (
+    TextbookAdam,
+    copy_cross_entropy,
+    naive_fact_loss,
+    naive_latent_score,
+    rowwise_scatter,
+)
 from ramkb.engine import (
     GradientBuffer,
     SampledCandidates,
@@ -40,6 +47,11 @@ from ramkb.training import (
 
 from conftest import make_vocab, own_scores, random_facts, random_kb
 from test_model import randomized_params
+
+
+def spread_values(rng, shape):
+    """Values from 1e-8 to 1e8 in size, so any change of summation order shows."""
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
 
 
 class TestTrainConfig:
@@ -150,9 +162,28 @@ class TestLoss:
         rng = make_rng(4)
         scores = rng.normal(size=12)
         true_cols = np.array([[3]])
-        base = group_losses(scores[None, None], true_cols)[0][0]
+        # group_losses overwrites its scores, so each call gets its own copy
+        base = group_losses(scores[None, None].copy(), true_cols)[0][0]
         shifted = group_losses(scores[None, None] + 123.456, true_cols)[0][0]
         assert shifted == pytest.approx(base, abs=1e-9)
+
+    def test_gradient_is_computed_in_the_score_array(self):
+        scores = make_rng(5).normal(size=(4, 3, 9))
+        _, grad = group_losses(scores, np.zeros((4, 3), dtype=np.intp))
+        assert np.shares_memory(grad, scores) and grad.shape == scores.shape
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6])
+    def test_in_place_equals_copy_based_reference_bit_for_bit(self, scale):
+        # spread values span 16 decades, so at scale 1 most rows are one-hot;
+        # at 1e-6 the softmax spreads over many columns
+        rng = np.random.default_rng(6)
+        scores = spread_values(rng, (5, 3, 40)) * scale
+        true_cols = rng.integers(0, 40, (5, 3))
+        want_losses, want_grad = copy_cross_entropy(scores, true_cols)
+        losses, grad = group_losses(scores.copy(), true_cols)
+        for got, want in ((losses, want_losses), (grad, want_grad)):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.isfinite(want_losses).all() and np.abs(want_grad).max() > 0.01
 
     def test_sampled_equals_full_when_clipped_to_whole_vocab(self):
         kb = random_kb(3, (2,), n_train=4, seed=5)
@@ -511,16 +542,11 @@ class TestOptimizer:
         # untouched rows never moved
         np.testing.assert_array_equal(params.data[("ent",)][0], np.ones((1, 2)))
 
-    @staticmethod
-    def _spread_values(rng, shape):
-        """Values from 1e-8 to 1e8 in size, so any change of summation order shows."""
-        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
-
     @pytest.mark.parametrize("shape", [(7, 5), (4, 2, 3, 2)])
     def test_row_scatter_sums_like_rowwise_add_at(self, shape):
         rng = np.random.default_rng(3)
         rows = rng.integers(0, 3, 60)  # every row repeats many times; the rest stay zero
-        values = self._spread_values(rng, (60,) + shape[1:])
+        values = spread_values(rng, (60,) + shape[1:])
         got, want = np.zeros(shape), np.zeros(shape)
         _scatter_rows(got, rows, values)
         rowwise_scatter(want, rows, values)
@@ -537,11 +563,11 @@ class TestOptimizer:
         buf, want = GradientBuffer(params), np.zeros(shape)
         for i, rows in enumerate(calls):
             if rows is None:  # every row, as full negatives write the entity table
-                values = self._spread_values(rng, shape)
+                values = spread_values(rng, shape)
                 buf.add_all_rows(key, values)
                 want += values
             else:
-                values = self._spread_values(rng, rows.shape + shape[1:])
+                values = spread_values(rng, rows.shape + shape[1:])
                 buf.add_rows(key, rows, values)
                 rowwise_scatter(want, rows, values)
             ((got_key, got_rows, got),) = buf.summed()
@@ -557,6 +583,20 @@ class TestOptimizer:
     def test_steps_match_textbook_lazy_adam_bit_for_bit(self, mode, n_entities, n_sampled):
         """Sampled batches touch some entity rows, full ones every row. On the
         larger table the touched rows span three Adam blocks, the last partial."""
+        steps = self._train_beside_textbook(mode, n_entities, n_sampled, full_steps=(2, 5))
+        assert len(np.unique(steps)) > 1
+
+    @pytest.mark.parametrize("mode", ["latent", "explicit"])
+    def test_full_batches_match_textbook_lazy_adam_bit_for_bit(self, mode):
+        """Full batches only: every entity row is one run over three Adam
+        blocks, and every row steps alike."""
+        steps = self._train_beside_textbook(mode, 2 * ADAM_BLOCK_ROWS + 300, None, range(6))
+        assert (steps == 6).all()
+
+    def _train_beside_textbook(self, mode, n_entities, n_sampled, full_steps):
+        """Six 3-fact batches, full negatives at `full_steps`, else `n_sampled`
+        sampled ones; after each step the parameters and Adam state equal the
+        textbook's. Returns the entity rows' step counts."""
         kb = random_kb(n_entities, (2, 3), n_train=18, seed=21, explicit_roles=mode == "explicit")
         cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2, mode=mode)
         params = randomized_params(cfg, kb.vocab, seed=22)
@@ -565,7 +605,7 @@ class TestOptimizer:
         lr = 0.05
         for step in range(6):
             batch = kb.train[3 * step : 3 * step + 3]
-            negatives = "full" if step in (2, 5) else n_sampled
+            negatives = "full" if step in full_steps else n_sampled
             rngs = [make_rng(0, 2, step, i) for i in range(len(batch))]
             _, buf = batch_backward(params, batch, negatives=negatives, fact_rngs=rngs)
             n_touched = int(buf.touched[("ent",)].sum())
@@ -574,17 +614,80 @@ class TestOptimizer:
             else:
                 assert 0 < n_touched < n_entities
                 assert n_entities < 100 or n_touched > 2 * ADAM_BLOCK_ROWS
-            grads = buf.dense()
-            touched = {k: v.copy() for k, v in buf.touched.items()}
-            optimizer_step(params, buf, state, lr)
-            oracle.step(oracle_data, grads, touched, lr)
-            for key in params.data:
-                np.testing.assert_array_equal(params.data[key], oracle_data[key])
-            for key in oracle.m1:
-                np.testing.assert_array_equal(state.m1[key], oracle.m1[key])
-                np.testing.assert_array_equal(state.m2[key], oracle.m2[key])
-                np.testing.assert_array_equal(state.steps[key], oracle.steps[key])
-        assert len(np.unique(state.steps[("ent",)])) > 1
+            self._step_both(params, buf, state, oracle_data, oracle, lr)
+        return state.steps[("ent",)]
+
+    @staticmethod
+    def _step_both(params, buf, state, oracle_data, oracle, lr):
+        """One optimizer_step and one textbook step; both must agree bit for bit."""
+        grads = buf.dense()
+        touched = {k: v.copy() for k, v in buf.touched.items()}
+        optimizer_step(params, buf, state, lr)
+        oracle.step(oracle_data, grads, touched, lr)
+        for key in params.data:
+            np.testing.assert_array_equal(params.data[key], oracle_data[key])
+        for key in oracle.m1:
+            np.testing.assert_array_equal(state.m1[key], oracle.m1[key])
+            np.testing.assert_array_equal(state.m2[key], oracle.m2[key])
+            np.testing.assert_array_equal(state.steps[key], oracle.steps[key])
+
+    def test_runs_of_rows_past_row_zero_match_textbook_lazy_adam_bit_for_bit(self):
+        """Touched rows that form one run, not starting at row 0, step through
+        slices of the state; scattered rows, between them, through copies."""
+        n = 3 * ADAM_BLOCK_ROWS + 40
+        vocab = make_vocab(n, (2,))
+        params = randomized_params(ModelConfig(embed_dim=3, multiplicity=1), vocab, seed=7)
+        oracle_data = {k: v.copy() for k, v in params.data.items()}
+        state, oracle = AdamState(), TextbookAdam()
+        rng = np.random.default_rng(8)
+        shape = params.data[("ent",)].shape[1:]
+        schedule = [
+            np.arange(5, 5 + 2 * ADAM_BLOCK_ROWS + 100),  # three blocks, the last partial
+            np.unique(rng.integers(0, n, 700)),
+            np.arange(ADAM_BLOCK_ROWS + 3, n),  # up to the last row
+            np.arange(17, 18),  # a single row
+            np.arange(5, 5 + 2 * ADAM_BLOCK_ROWS + 100),
+        ]
+        for rows in schedule:
+            buf = GradientBuffer(params)
+            buf.add_rows(("ent",), rows, spread_values(rng, rows.shape + shape) * 1e-4)
+            self._step_both(params, buf, state, oracle_data, oracle, lr=0.05)
+
+    @pytest.mark.parametrize("bad_key,match", [
+        (("ent",), r"slot \('ent',\) at entity 'e2' \(row 2\)"),
+        (("basis_u",), r"slot \('basis_u',\)"),
+    ], ids=["entity", "dense"])
+    def test_non_finite_gradient_aborts_before_any_update(self, bad_key, match):
+        vocab = make_vocab(5, (2,))
+        params = randomized_params(ModelConfig(embed_dim=3, multiplicity=1), vocab, seed=9)
+        state = AdamState()
+        shape = params.data[("ent",)].shape[1:]
+        buf = GradientBuffer(params)
+        buf.add(("basis_u",), np.ones_like(params.data[("basis_u",)]))
+        buf.add_rows(("ent",), np.array([1, 3]), np.ones((2,) + shape))
+        optimizer_step(params, buf, state, lr=0.1)  # so the Adam state is not empty
+        before = copy.deepcopy((params.data, state.m1, state.m2, state.steps))
+
+        # basis_u is written first: in the entity case a finite slot that
+        # comes before the bad one must not change either
+        buf = GradientBuffer(params)
+        buf.add(("basis_u",), np.ones_like(params.data[("basis_u",)]))
+        rows = np.array([0, 2, 3])
+        values = np.ones((3,) + shape)
+        if bad_key == ("ent",):
+            values[1] = np.inf  # the whole row of entity 2
+        else:
+            nan = np.zeros_like(params.data[("basis_u",)])
+            nan[0, -1] = np.nan
+            buf.add(("basis_u",), nan)
+        buf.add_rows(("ent",), rows, values)
+        with pytest.raises(NumericError, match=match):
+            optimizer_step(params, buf, state, lr=0.1)
+        after = (params.data, state.m1, state.m2, state.steps)
+        for want, got in zip(before, after):
+            assert want.keys() == got.keys()
+            for key in want:
+                np.testing.assert_array_equal(got[key], want[key])
 
     def test_only_touched_slots_change(self):
         kb = random_kb(10, (2,), n_train=2, seed=16)
