@@ -12,12 +12,21 @@ ties included, while the table-wide product runs at float32 speed and no
 (queries, n_entities) score matrix is held. The bound and its derivation
 are in :func:`rank_from_scores`'s docstring; training, gradcheck and the
 oracles score in float64 only.
+
+The walk is split by entity range over a thread pool, one run of whole
+blocks per CPU the process may use, when BLAS runs one thread
+(``OPENBLAS_NUM_THREADS``, or if unset ``OMP_NUM_THREADS``, is ``1``) and
+the table spans two blocks or more; otherwise it runs on the calling
+thread. Either way the ranks are the same, bit for bit, whatever the CPU
+count: the counts are integers and the parts walk the serial walk's blocks.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -30,11 +39,53 @@ from .model import ModelParams
 
 HIT_LEVELS = (1, 3, 10)
 EVAL_BATCH = 512  # facts ranked per rank_from_scores call, all arities together
-SCORE_BLOCK_CELLS = 2**19  # float32 (entity, query) scores per block of the table walk: 2 MB
+# float32 (entity, query) scores per block of the table walk: 2 MB. Each
+# part of the walk holds one block plus two (COUNT_CHUNK, n_queries) bool
+# compares, so the walk holds at most _WORKERS times that, all allocated on
+# the calling thread: buffers made on pool threads raised peak RSS
+SCORE_BLOCK_CELLS = 2**19
 COUNT_CHUNK = 255  # entities per uint8 count: the most a uint8 holds
+ROWS_PER_REDUCE = 32  # table rows per inner loop of entity_table's column extremes
 F32_UNIT = 2.0**-24  # unit roundoff of float32
 F32_TINY = 2.0**-126  # smallest normal float32: bounds one underflow's absolute error
 F32_LIMIT = float(np.finfo(np.float32).max) / 2  # below this a float32 dot cannot overflow
+
+
+def _walk_workers() -> int:
+    """Parts of the table walk: the CPUs this process may use, if BLAS runs one thread.
+
+    BLAS threads would compete with the walk's own and slow it down, so
+    otherwise the walk stays on the calling thread.
+    """
+    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    if blas_threads != "1":
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+_WORKERS = _walk_workers()
+_pool: ThreadPoolExecutor | None = None  # made by the first walk split in parts
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The walk's pool; the calling thread walks one part itself."""
+    global _pool
+    if _pool is None:
+        _pool = ThreadPoolExecutor(max_workers=_WORKERS - 1, thread_name_prefix="ramkb-walk")
+    return _pool
+
+
+def _forget_pool() -> None:
+    """A forked child has none of the pool's threads: its first walk makes a new pool."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @dataclass
@@ -105,7 +156,7 @@ def entity_table(params: ModelParams) -> EntityTable:
     """The params' entity table for ranking; NumericError if any entry is not finite."""
     ent = params.data[("ent",)]
     rows = ent.reshape(ent.shape[0], -1)
-    col_max = np.abs(rows).max(axis=0)
+    col_max = _column_abs_max(rows)
     if not np.isfinite(col_max).all():
         bad = int(np.flatnonzero(~np.isfinite(rows).all(axis=1))[0])
         raise NumericError(
@@ -113,6 +164,24 @@ def entity_table(params: ModelParams) -> EntityTable:
             f"its block is {ent[bad].tolist()}"
         )
     return EntityTable(rows, rows.astype(np.float32), col_max)
+
+
+def _column_abs_max(rows: np.ndarray) -> np.ndarray:
+    """``np.abs(rows).max(axis=0)``, bit for bit, without a table-sized temporary.
+
+    A column's largest magnitude is that of its maximum or of its minimum.
+    Both are reduced over ROWS_PER_REDUCE rows side by side, so numpy's
+    inner loops run over that many rows' columns, not over one row's.
+    """
+    n_rows, width = rows.shape
+    whole = n_rows - n_rows % ROWS_PER_REDUCE
+    wide = rows[:whole].reshape(-1, ROWS_PER_REDUCE * width)
+    top = wide.max(axis=0, initial=-np.inf).reshape(-1, width).max(axis=0)
+    bottom = wide.min(axis=0, initial=np.inf).reshape(-1, width).min(axis=0)
+    if whole < n_rows:
+        top = np.maximum(top, rows[whole:].max(axis=0))
+        bottom = np.minimum(bottom, rows[whole:].min(axis=0))
+    return np.maximum(np.abs(top), np.abs(bottom))
 
 
 def _row_dots(kernels: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -139,38 +208,72 @@ def _screen(
 
     Returns each query's count of entities whose float32 score is above its
     `hi`, and the (query, entity) pairs inside its band ``[lo, hi]`` other
-    than the query's own entity `own`.
+    than the query's own entity `own`, in entity order.
+
+    The blocks are dealt out in at most _WORKERS parts, runs of whole
+    blocks, and the calling thread walks the first part while the pool walks
+    the others. Every part walks the blocks and chunks the serial walk
+    would, so its pairs are the serial walk's over its range, and the parts'
+    pairs joined in order are the serial ones.
     """
     n_entities = table.rows32.shape[0]
     n_rows = kernels32.shape[0]
     block = min(n_entities, max(1, SCORE_BLOCK_CELLS // n_rows))
-    # one (block, n_rows) buffer: a fresh product per block would briefly
-    # hold two blocks, the previous one until the new one is assigned
-    buffer = np.empty((block, n_rows), dtype=np.float32)
-    above = np.zeros(n_rows, dtype=np.intp)
-    band_q, band_e = [], []
-    for start in range(0, n_entities, block):
-        rows32 = table.rows32[start : start + block]
-        scores = np.matmul(rows32, kernels32.T, out=buffer[: len(rows32)])
-        for offset in range(0, len(scores), COUNT_CHUNK):
-            chunk = scores[offset : offset + COUNT_CHUNK]
-            first = start + offset  # the chunk's first entity
-            over = chunk > hi
-            reach = chunk >= lo
-            n_over = over.view(np.uint8).sum(axis=0, dtype=np.uint8)
-            above += n_over
-            n_band = reach.view(np.uint8).sum(axis=0, dtype=np.uint8) - n_over
-            # the own entity is in its row's band: look only at rows with more
-            mine = (own >= first) & (own < first + len(chunk))
-            rows = np.flatnonzero(n_band > mine)
-            if rows.size:
-                ent, col = np.nonzero(reach[:, rows] & ~over[:, rows])
-                query, ent = rows[col], ent + first
-                keep = ent != own[query]
-                band_q.append(query[keep])
-                band_e.append(ent[keep])
-    empty = np.zeros(0, dtype=np.intp)
-    return above, np.concatenate(band_q or [empty]), np.concatenate(band_e or [empty])
+    n_blocks = -(-n_entities // block)
+    n_parts = min(_WORKERS, n_blocks)
+    cuts = [min(n_entities, n_blocks * i // n_parts * block) for i in range(n_parts + 1)]
+    # every buffer of the walk is made here, on the calling thread, and each
+    # part's apart, so none outgrows the serial walk's (glibc's mmap
+    # threshold rises to the largest block freed). One (block, n_rows)
+    # buffer per part: a fresh product per block would briefly hold two
+    # blocks, the previous one until the new one is assigned
+    above = np.zeros((n_parts, n_rows), dtype=np.intp)
+    buffers = [
+        (np.empty((block, n_rows), dtype=np.float32),
+         np.empty((COUNT_CHUNK, n_rows), dtype=bool),
+         np.empty((COUNT_CHUNK, n_rows), dtype=bool),
+         np.empty((2, n_rows), dtype=np.uint8))
+        for _ in range(n_parts)
+    ]
+
+    def walk(part: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        band_q, band_e = [], []
+        product, over_buf, reach_buf, (n_over, n_band) = buffers[part]
+        # numpy's error state is per thread: rows left to float64 overflow here
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(cuts[part], cuts[part + 1], block):
+                rows32 = table.rows32[start : start + block]
+                scores = np.matmul(rows32, kernels32.T, out=product[: len(rows32)])
+                for offset in range(0, len(scores), COUNT_CHUNK):
+                    chunk = scores[offset : offset + COUNT_CHUNK]
+                    first = start + offset  # the chunk's first entity
+                    over = np.greater(chunk, hi, out=over_buf[: len(chunk)])
+                    reach = np.greater_equal(chunk, lo, out=reach_buf[: len(chunk)])
+                    over.view(np.uint8).sum(axis=0, dtype=np.uint8, out=n_over)
+                    above[part] += n_over
+                    reach.view(np.uint8).sum(axis=0, dtype=np.uint8, out=n_band)
+                    n_band -= n_over
+                    # the own entity is in its row's band: look only at rows with more
+                    mine = (own >= first) & (own < first + len(chunk))
+                    rows = np.flatnonzero(n_band > mine)
+                    if rows.size:
+                        ent, col = np.nonzero(reach[:, rows] & ~over[:, rows])
+                        query, ent = rows[col], ent + first
+                        keep = ent != own[query]
+                        band_q.append(query[keep])
+                        band_e.append(ent[keep])
+        return band_q, band_e
+
+    if n_parts == 1:
+        found = [walk(0)]
+    else:
+        pool = _executor()
+        futures = [pool.submit(walk, part) for part in range(1, n_parts)]
+        found = [walk(0)] + [future.result() for future in futures]
+    empty = [np.zeros(0, dtype=np.intp)]
+    band_q = np.concatenate([q for part_q, _ in found for q in part_q] or empty)
+    band_e = np.concatenate([e for _, part_e in found for e in part_e] or empty)
+    return above.sum(axis=0), band_q, band_e
 
 
 def rank_from_scores(
@@ -215,6 +318,13 @@ def rank_from_scores(
     uint8 sums over at most COUNT_CHUNK entities. The true entity is always
     in its own band, so only a query whose band count in a chunk exceeds
     that is searched for band members.
+
+    When BLAS runs one thread and the table spans two blocks or more, the
+    walk is split into one run of whole blocks per CPU the process may use
+    (:func:`_screen`), walked at once on a thread pool. The walk then holds
+    one block and two (COUNT_CHUNK, n_queries) bool buffers per part. The
+    ranks do not depend on the CPU count: the counts are exact integer
+    sums, and the band pairs come out in the serial walk's order.
     """
     arity = np.array([fact.arity for fact in facts], dtype=np.intp)
     starts = np.cumsum(arity) - arity

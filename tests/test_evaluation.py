@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -326,6 +329,137 @@ def test_table_sizes_around_count_chunks_rank_as_in_float64(n_entities, cells, m
     kb = random_kb(n_entities, (2, 3), n_train=30, n_test=6, seed=n_entities)
     cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
     assert_ranks_match_oracle(randomized_params(cfg, kb.vocab, seed=26), kb)
+
+
+def pooled_walk_case():
+    """Four mixed-arity test facts over 100 entities, their kernels, and the
+    SCORE_BLOCK_CELLS that makes the walk 15 blocks of 7 entities, the last 2.
+
+    Split in 2 parts the walk is cut at entity 49, in 3 at 35 and 70, and
+    the facts' own entities sit on both sides of those cuts. Entities 10 and
+    90 copy true entity 49's block, so they tie its queries exactly in
+    float64 and fall in its float32 band; training facts make both known
+    true at query 0, in different parts. One kernel entry is F32_LIMIT, so
+    that row is left to float64; entity 95's matching entry is 4, so the
+    row's float32 product overflows in the walk's last part, on a pool thread.
+    """
+    vocab = make_vocab(100, (2, 3))
+    test = [Fact(0, (49, 48)), Fact(1, (35, 34, 70)), Fact(1, (69, 49, 3)), Fact(0, (97, 0))]
+    train = [Fact(0, (10, 48)), Fact(0, (90, 48)), Fact(1, (5, 34, 70))]
+    kb = KnowledgeBase(vocab, train, [], test)
+    cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
+    params = randomized_params(cfg, vocab, seed=27)
+    ent = params.data[("ent",)]
+    ent[[10, 90]] = ent[49]
+    ent[95, 0, 0] = 4.0
+    kernels = np.concatenate([
+        forward_group(params, spec).gather.reshape(fact.arity, -1)
+        for fact in test for spec in split_groups(params, [fact])
+    ])
+    kernels[5, 0] = evaluation.F32_LIMIT  # fact 2's slot 0: decided wholly in float64
+    return kb, params, kernels, 7 * len(kernels)
+
+
+def test_ranks_and_band_pairs_do_not_depend_on_the_worker_count(monkeypatch):
+    kb, params, kernels, cells = pooled_walk_case()
+    monkeypatch.setattr(evaluation, "SCORE_BLOCK_CELLS", cells)
+    rows = params.data[("ent",)].reshape(100, -1)
+    scores = (kernels[:, None, :] * rows[None]).sum(axis=-1)  # float64 (query, entity)
+    want = [sort_rank(list(scores[q]), brute_force_candidates(kb, fact, pos), fact.entities[pos])
+            for q, (fact, pos) in enumerate((f, p) for f in kb.test for p in range(f.arity))]
+    screen, executor = evaluation._screen, evaluation._executor
+    walks, pools = [], []
+
+    def recording(*args):
+        found = screen(*args)
+        walks.append([a.copy() for a in found])  # the caller adds to `above` in place
+        return found
+
+    monkeypatch.setattr(evaluation, "_screen", recording)
+    monkeypatch.setattr(evaluation, "_executor", lambda: pools.append(1) or executor())
+    ranks = {}
+    for workers in (1, 2, 3, 4, 50):  # 50: more workers than the walk has blocks
+        monkeypatch.setattr(evaluation, "_WORKERS", workers)
+        ranks[workers] = rank_from_scores(kb, kb.test, kernels, entity_table(params))
+        assert len(pools) == (workers > 1)  # the pool walks some parts
+        pools.clear()
+    assert ranks[1].tolist() == want
+    above, band_q, band_e = walks[0]
+    assert above[5] == 0 and 5 not in band_q and want[5] > 1  # row 5 is not screened
+    assert {(0, 10), (0, 90)} <= set(zip(band_q.tolist(), band_e.tolist()))  # the exact ties
+    for workers, walk in zip(ranks, walks):
+        assert ranks[workers].tolist() == want, workers
+        for got, serial in zip(walk, walks[0]):
+            assert got.dtype == serial.dtype and got.tolist() == serial.tolist(), workers
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_evaluate_on_a_pooled_walk_ranks_as_in_float64(workers, monkeypatch):
+    kb = random_kb(40, (2, 3, 4), n_train=60, n_test=12, seed=28)
+    assert {fact.arity for fact in kb.test} == {2, 3, 4}
+    cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
+    params = randomized_params(cfg, kb.vocab, seed=29)
+    monkeypatch.setattr(evaluation, "SCORE_BLOCK_CELLS", 64)  # a walk of many small blocks
+    serial = evaluate(params, kb, split="test").to_dict()
+    monkeypatch.setattr(evaluation, "_WORKERS", workers)
+    executor, pools = evaluation._executor, []
+    monkeypatch.setattr(evaluation, "_executor", lambda: pools.append(1) or executor())
+    assert_ranks_match_oracle(params, kb)
+    pooled = evaluate(params, kb, split="test").to_dict()
+    assert pools  # the pool walked some parts
+    assert {**pooled, "seconds": 0} == {**serial, "seconds": 0}
+
+
+def _ranks_in_child(send, params, kb):
+    send.send((evaluate(params, kb, split="test").mrr, batch_ranks(params, kb, kb.test).tolist()))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")  # the pool's threads at fork
+def test_evaluate_in_a_forked_child_ranks_on_a_pool_of_its_own(monkeypatch):
+    """The child inherits the parent's pool object but none of its threads:
+    a task handed to that pool would never run."""
+    kb = random_kb(40, (2, 3), n_train=30, n_test=8, seed=30)
+    cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
+    params = randomized_params(cfg, kb.vocab, seed=31)
+    monkeypatch.setattr(evaluation, "SCORE_BLOCK_CELLS", 64)
+    monkeypatch.setattr(evaluation, "_WORKERS", 2)
+    want = (evaluate(params, kb, split="test").mrr, batch_ranks(params, kb, kb.test).tolist())
+    assert evaluation._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_ranks_in_child, args=(send, params, kb))
+    child.start()
+    try:
+        assert receive.poll(60), "the forked child's evaluate did not return"
+        assert receive.recv() == want
+        child.join(60)
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()
+
+
+def test_entity_table_equals_abs_max_and_float32_copy():
+    """Bit for bit, over tables with and without a partial reduce chunk and
+    with signed zeros, including a column of mixed-sign zeros."""
+    rng = make_rng(32, 1)
+    for n_entities in (1, 31, 32, 33, 100):
+        vocab = make_vocab(n_entities, (2,))
+        params = ModelParams.init(ModelConfig(embed_dim=3, multiplicity=2, latent_size=1), vocab)
+        ent = params.data[("ent",)]
+        ent[:] = rng.normal(0.0, 10.0, ent.shape)
+        ent[:, 1, 1] = np.where(np.arange(n_entities) % 2, 0.0, -0.0)
+        ent[:, 0, 2] = -0.0
+        ent[-1, 1, 0] = -evaluation.F32_LIMIT
+        rows = ent.reshape(n_entities, -1)
+        table = entity_table(params)
+        assert np.shares_memory(table.rows, ent) and table.rows.tobytes() == rows.tobytes()
+        for got, want in ((table.rows32, rows.astype(np.float32)),
+                          (table.col_max, np.abs(rows).max(axis=0))):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_non_finite_entity_table_is_numeric_error():
