@@ -48,7 +48,7 @@ from .kb import (
     subset_by_arity,
 )
 from .mathcore import make_rng
-from .model import ModelConfig, ModelParams
+from .model import ModelConfig, ModelParams, relation_terms
 from .presets import PRESET_KINDS, reference_score
 from .training import TrainConfig, train, write_trace_csv
 
@@ -295,11 +295,12 @@ def cmd_equiv(args) -> int:
     max_rel = 0.0
     for _ in range(args.trials):
         params = ModelParams.init(cfg, vocab, seed=0)
-        params.data[("ent",)] = rng.normal(0, 1, params.data[("ent",)].shape)
-        params.data[("preset_u", 0)] = rng.normal(0, 1, params.data[("preset_u", 0)].shape)
+        for key in params.slots():
+            params.data[key] = rng.normal(0, 1, params.data[key].shape)
         got = score(params, KFact(0, (0, 1)))
         ent = params.data[("ent",)]
-        want = reference_score(args.kind, params.data[("preset_u", 0)], ent[0], ent[1])
+        role_emb = relation_terms(params, [0]).role_emb[0]
+        want = reference_score(args.kind, role_emb, ent[0], ent[1])
         diff = abs(got - want)
         max_abs = max(max_abs, diff)
         max_rel = max(max_rel, diff / max(abs(want), 1e-300))

@@ -7,10 +7,11 @@ the role embedding, times suffix products, give every leave-one-out product
 without dividing (dropout can zero entries); a fact's own score is the
 candidate score of its true entity, so the full product is never formed.
 Where the role embeddings and pattern matrices come from, and where their
-gradients go, is the business of the mode object (``model.mode_of``); this
-module never looks at the mode. A group asks for the terms of all its
-relations in one ``relation_terms`` call and hands their gradients back in
-one call to the mode's ``backward``, stacked on a leading relation axis.
+gradients go, is the business of ``model.relation_terms``; this module never
+looks at the mode. A group asks for the terms of its facts' relations in one
+``relation_terms`` call, one row per fact, reads them in the term-major
+layout of ``RelationTerms.flat`` and hands their gradients, in that layout,
+to the terms' ``pullback``.
 
 The score is multilinear, so entity e scores ``<gather[p], e>`` at position
 p. :func:`forward_group` builds those contraction kernels, and a candidate
@@ -43,20 +44,8 @@ import numpy as np
 
 from .errors import DimensionError
 from .kb import Fact
-from .model import ModelParams, RelationTerms, SlotKey, mode_of, relation_terms
-
-
-def _scatter_rows(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
-    """``out[rows[i]] += values[i]`` for every i, repeated rows included.
-
-    `out` is C-contiguous. The scatter runs on flat 1-D indices, numpy's fast
-    ``add.at`` path; each element still receives its contributions one at a
-    time in the order of `rows`, so the sums are those of the row-wise form
-    bit for bit.
-    """
-    width = out[0].size
-    flat = (rows[:, None] * width + np.arange(width)).reshape(-1)
-    np.add.at(out.reshape(-1), flat, values.reshape(-1))
+from .mathcore import scatter_rows
+from .model import ModelParams, RelationTerms, SlotKey, relation_terms
 
 
 # The contractions as batched matmuls over (fact, position) pairs. Each is
@@ -127,7 +116,7 @@ class GradientBuffer:
             return slot
         table = np.zeros(self._shapes[key])
         for rows, values in slot:
-            _scatter_rows(table, rows, values)
+            scatter_rows(table, rows, values)
         self._slots[key] = table
         return table
 
@@ -147,7 +136,7 @@ class GradientBuffer:
         if isinstance(slot, list):
             slot.append((rows, values))
         else:
-            _scatter_rows(slot, rows, values)
+            scatter_rows(slot, rows, values)
         self._touched(key)[rows] = True
 
     def add_all_rows(self, key: SlotKey, values: np.ndarray) -> None:
@@ -172,7 +161,7 @@ class GradientBuffer:
                 index[rows] = np.arange(rows.size)
                 block = np.zeros(rows.shape + self._shapes[key][1:])
                 for part_rows, values in slot:
-                    _scatter_rows(block, index[part_rows], values)
+                    scatter_rows(block, index[part_rows], values)
                 slot = block
             yield key, rows, slot
 
@@ -226,9 +215,7 @@ class GroupKernels:
     """One group's contraction kernels and what the backward pass needs of them."""
 
     spec: GroupSpec
-    uniq_rels: np.ndarray
-    rel_inverse: np.ndarray
-    terms: RelationTerms  # stacked over uniq_rels
+    terms: RelationTerms  # one row per fact
     pf: np.ndarray  # (B, T, a, m) pattern matrices per term
     wf: np.ndarray  # (B, T) term weights
     ent_blocks: np.ndarray  # (B, a, m, d)
@@ -244,9 +231,8 @@ def forward_group(
     params: ModelParams, spec: GroupSpec, masks: Optional[np.ndarray] = None
 ) -> GroupKernels:
     a = spec.arity
-    uniq, inverse = np.unique(spec.rels, return_inverse=True)
-    terms = relation_terms(params, uniq)
-    uf, pf, wf = (x[inverse] for x in terms.flat())  # (B, T, d), (B, T, a, m), (B, T)
+    terms = relation_terms(params, spec.rels)
+    uf, pf, wf = terms.flat()  # (B, T, d), (B, T, a, m), (B, T)
     n_terms = uf.shape[1]
 
     ent_blocks = params.data[("ent",)][spec.ents]  # (B, a, m, d)
@@ -273,7 +259,7 @@ def forward_group(
         loo = loo * masks
     gather = _fold_terms(pf, wf[:, :, None, None] * loo)
 
-    return GroupKernels(spec, uniq, inverse, terms, pf, wf, ent_blocks, masks,
+    return GroupKernels(spec, terms, pf, wf, ent_blocks, masks,
                         weighted, prefix, suffix, loo, gather)
 
 
@@ -344,11 +330,8 @@ def group_losses(scores: np.ndarray, true_cols: np.ndarray) -> tuple[np.ndarray,
     return losses, scores
 
 
-def backward_group(
-    params: ModelParams, kern: GroupKernels, pseudo: np.ndarray, buf: GradientBuffer
-) -> None:
+def backward_group(kern: GroupKernels, pseudo: np.ndarray, buf: GradientBuffer) -> None:
     """Accumulate into `buf` the pullback of `pseudo`, a gradient shaped like `kern.gather`."""
-    cfg = params.cfg
     spec = kern.spec
     a = spec.arity
     b, n_terms, _, d = kern.weighted.shape
@@ -385,21 +368,7 @@ def backward_group(
     grad_e = _fold_terms(kern.pf, grad_weighted)
     buf.add_rows(("ent",), spec.ents.reshape(-1), grad_e.reshape(-1, m, d))
 
-    # fold term-major gradients back to (arity, role_multiplicity, patterns) axes
-    mg, npm = cfg.role_multiplicity, cfg.patterns_per_role
-    grad_u = grad_u.reshape(b, a, mg, npm, d).sum(axis=3)
-    grad_p = grad_p.reshape(b, a, mg, npm, a, m)
-    grad_w = grad_w.reshape(b, a, mg, npm)
-
-    n_rel = len(kern.uniq_rels)
-    gu_rel = np.zeros((n_rel,) + grad_u.shape[1:])
-    gp_rel = np.zeros((n_rel,) + grad_p.shape[1:])
-    gw_rel = np.zeros((n_rel,) + grad_w.shape[1:])
-    _scatter_rows(gu_rel, kern.rel_inverse, grad_u)
-    _scatter_rows(gp_rel, kern.rel_inverse, grad_p)
-    _scatter_rows(gw_rel, kern.rel_inverse, grad_w)
-
-    mode_of(cfg).backward(params, kern.uniq_rels, kern.terms, gu_rel, gp_rel, gw_rel, buf)
+    kern.terms.pullback(grad_u, grad_p, grad_w, buf)
 
 
 def score(params: ModelParams, fact: Fact) -> float:

@@ -7,7 +7,8 @@ over its flattened last axes, so callers reshape to ``(n, rows * cols)``
 around these two. The softmax of the candidate scores is not one of them:
 ``engine.group_losses`` fuses it with the cross-entropy, whose gradient with
 respect to the scores is that softmax minus the true one-hot, so it needs no
-pullback.
+pullback. :func:`scatter_rows` is the one row scatter-add, for gradients
+whose rows repeat.
 """
 
 from __future__ import annotations
@@ -46,3 +47,16 @@ def softmax_vjp(s: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """
     inner = (s * grad).sum(axis=-1, keepdims=True)
     return s * (grad - inner)
+
+
+def scatter_rows(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``out[rows[i]] += values[i]`` for every i, repeated rows included.
+
+    `out` is C-contiguous. The scatter runs on flat 1-D indices, numpy's fast
+    ``add.at`` path; each element still receives its contributions one at a
+    time in the order of `rows`, so the sums are those of the row-wise form
+    bit for bit.
+    """
+    width = out[0].size
+    flat = (rows[:, None] * width + np.arange(width)).reshape(-1)
+    np.add.at(out.reshape(-1), flat, values.reshape(-1))

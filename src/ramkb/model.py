@@ -6,13 +6,17 @@ fact. For every mode, ``engine.forward_group`` builds each position's
 contraction kernel from these terms, and a candidate scorer of ``engine``
 turns the kernels into scores. The modes differ only in where role
 embeddings and pattern matrices come from, and each mode is one object below
-with ``init`` (create its parameter slots), ``terms`` (derive the role
-embeddings, pattern matrices and term weights of all the relations of one
-arity group at once, stacked on a leading relation axis) and ``backward``
-(pull the group's stacked per-relation gradients back onto its slots, one
-contraction per parameter family). Slots stay per relation, so only reading
-and writing them loops over relations.
-:func:`mode_of` picks the object for a config:
+with ``init`` (create its parameter slots) and ``terms``. ``terms`` derives
+the role embeddings, pattern matrices and term weights of distinct relations
+of one arity at once, stacked on a leading relation axis, and returns with
+them their backward: a closure over the softmax outputs it made that pulls
+per-relation gradients back onto the mode's slots, one contraction per
+parameter family. Slots stay per relation, so only reading and writing them
+loops over relations. :func:`relation_terms` is the one way in: it takes the
+relation id of every fact of a group, gives the mode each relation once, and
+returns one row per fact with a pullback that sums each relation's rows
+before the mode's backward sees them. :func:`mode_of` picks the object for a
+config:
 
 * ``latent``   - role embeddings are convex combinations of shared basis
   vectors, pattern matrices are convex combinations of the (jointly
@@ -33,13 +37,13 @@ and writing them loops over relations.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError
 from .kb import Vocabulary
-from .mathcore import make_rng, softmax_last_axis, softmax_vjp
+from .mathcore import make_rng, scatter_rows, softmax_last_axis, softmax_vjp
 from .presets import PRESET_DIMS, PRESET_KINDS, preset_patterns
 
 MODES = ("latent", "explicit", "extended", "raw", *(f"preset:{k}" for k in PRESET_KINDS))
@@ -160,23 +164,21 @@ class ModelParams:
 
 @dataclass
 class RelationTerms:
-    """Derived quantities of one arity group's relations, consumed by the scorer.
+    """The terms of every fact of one arity group, as :func:`relation_terms` gives them.
 
-    Every array has a leading relation axis R: `role_emb` is (R, a, mg, d),
-    `patterns` is (R, a, mg, npm, a, m) and `weights` is (R, a, mg, npm). The
-    softmax outputs that produced them are kept for the backward pass.
+    Every array has one row per fact: `role_emb` is (B, a, mg, d), `patterns`
+    is (B, a, mg, npm, a, m) and `weights` is (B, a, mg, npm).
+    ``pullback(gu, gp, gw, buf)`` adds to the gradient buffer `buf` the
+    slots' gradient, given the gradients of the three :meth:`flat` views.
     """
 
     role_emb: np.ndarray
     patterns: np.ndarray
     weights: np.ndarray
-    mix_alpha: Optional[np.ndarray] = None  # softmax(alpha): (R, a, mg, K)
-    mix_beta: Optional[np.ndarray] = None  # softmax(beta): (R, a, mg, npm, K)
-    norm_basis: Optional[np.ndarray] = None  # softmaxed basis matrices: (K, a, m)
-    role_ids: Optional[np.ndarray] = None  # explicit mode: (R, a)
+    pullback: Callable[[np.ndarray, np.ndarray, np.ndarray, object], None]
 
     def flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Term-major views: (R, T, d), (R, T, a, m), (R, T) with T = a * mg * npm."""
+        """Term-major views: (B, T, d), (B, T, a, m), (B, T) with T = a * mg * npm."""
         r, a, mg, npm = self.weights.shape
         d = self.role_emb.shape[-1]
         m = self.patterns.shape[-1]
@@ -201,11 +203,11 @@ def _stacked(params: ModelParams, family: str, rels) -> np.ndarray:
     return np.stack([params.data[(family, int(rel))] for rel in rels])
 
 
-# Every mode's `terms` receives the relations of one arity group (`rels`);
-# its `backward` receives those relations, their `terms`, and the group's
-# gradients stacked per relation: role embeddings `gu` (R, a, mg, d),
-# pattern matrices `gp` (R, a, mg, npm, a, m) and term weights
-# `gw` (R, a, mg, npm).
+# Every mode's `terms` receives distinct relation ids `rels` of one arity and
+# returns their role embeddings (R, a, mg, d), pattern matrices
+# (R, a, mg, npm, a, m) and term weights (R, a, mg, npm), stacked on a leading
+# relation axis, and a `backward(gu, gp, gw, buf)` that pulls gradients of
+# that shape back onto the mode's slots, one contraction per parameter family.
 
 
 class _Latent:
@@ -226,46 +228,38 @@ class _Latent:
                 params.data[("beta", rel)] = np.zeros((a, mg, npm, k))
                 params.data[("omega", rel)] = np.ones((a, mg, npm))
 
-    def terms(self, params: ModelParams, rels) -> RelationTerms:
+    def terms(self, params: ModelParams, rels):
         q = normalized_basis(params, params.vocab.arity(int(rels[0])))  # (K, a, m)
         k = q.shape[0]
+        q_flat = q.reshape(k, -1)
+        basis_u = params.data[("basis_u",)]
         mix_a = softmax_last_axis(_stacked(params, "alpha", rels))  # (R, a, mg, K)
         mix_b = softmax_last_axis(_stacked(params, "beta", rels)) if self.extended else None
         mix_p = mix_a[:, :, :, None] if mix_b is None else mix_b  # (R, a, mg, npm, K)
-        patterns = (mix_p @ q.reshape(k, -1)).reshape(mix_p.shape[:-1] + q.shape[1:])
-        return RelationTerms(
-            mix_a @ params.data[("basis_u",)],
-            patterns,
-            _stacked(params, "omega", rels) if self.extended else np.ones(mix_p.shape[:-1]),
-            mix_alpha=mix_a,
-            mix_beta=mix_b,
-            norm_basis=q,
-        )
+        patterns = (mix_p @ q_flat).reshape(mix_p.shape[:-1] + q.shape[1:])
 
-    def backward(self, params, rels, terms, gu, gp, gw, buf) -> None:
-        a, d = gu.shape[1], gu.shape[-1]
-        q = terms.norm_basis
-        k = q.shape[0]
-        q_flat = q.reshape(k, -1)
-        mix_a = terms.mix_alpha
-        mix_p = mix_a[:, :, :, None] if terms.mix_beta is None else terms.mix_beta
-        gp = gp.reshape(mix_p.shape[:-1] + (-1,))  # (R, a, mg, npm, a * m)
-        buf.add(("basis_u",), mix_a.reshape(-1, k).T @ gu.reshape(-1, d))
-        grad_q = mix_p.reshape(-1, k).T @ gp.reshape(-1, q_flat.shape[1])
-        buf.add(("basis_p", a), softmax_vjp(q_flat, grad_q).reshape(q.shape))
-        grad_mix_a = gu @ params.data[("basis_u",)].T
-        grad_mix_p = gp @ q_flat.T
-        if self.extended:
-            grad_beta = softmax_vjp(terms.mix_beta, grad_mix_p)
-        else:
-            grad_mix_a += grad_mix_p[:, :, :, 0]
-        grad_alpha = softmax_vjp(mix_a, grad_mix_a)
-        for r, rel in enumerate(rels):
-            rel = int(rel)
-            buf.add(("alpha", rel), grad_alpha[r])
+        def backward(gu, gp, gw, buf) -> None:
+            a, d = gu.shape[1], gu.shape[-1]
+            gp = gp.reshape(mix_p.shape[:-1] + (-1,))  # (R, a, mg, npm, a * m)
+            buf.add(("basis_u",), mix_a.reshape(-1, k).T @ gu.reshape(-1, d))
+            grad_q = mix_p.reshape(-1, k).T @ gp.reshape(-1, q_flat.shape[1])
+            buf.add(("basis_p", a), softmax_vjp(q_flat, grad_q).reshape(q.shape))
+            grad_mix_a = gu @ basis_u.T
+            grad_mix_p = gp @ q_flat.T
             if self.extended:
-                buf.add(("beta", rel), grad_beta[r])
-                buf.add(("omega", rel), gw[r])
+                grad_beta = softmax_vjp(mix_b, grad_mix_p)
+            else:
+                grad_mix_a += grad_mix_p[:, :, :, 0]
+            grad_alpha = softmax_vjp(mix_a, grad_mix_a)
+            for r, rel in enumerate(rels):
+                rel = int(rel)
+                buf.add(("alpha", rel), grad_alpha[r])
+                if self.extended:
+                    buf.add(("beta", rel), grad_beta[r])
+                    buf.add(("omega", rel), gw[r])
+
+        weights = _stacked(params, "omega", rels) if self.extended else np.ones(mix_p.shape[:-1])
+        return mix_a @ basis_u, patterns, weights, backward
 
 
 class _Explicit:
@@ -282,24 +276,22 @@ class _Explicit:
             if rel not in vocab.rel_roles:
                 raise ConfigError(f"relation {vocab.relations[rel][0]!r} lacks role annotations")
 
-    def terms(self, params: ModelParams, rels) -> RelationTerms:
+    def terms(self, params: ModelParams, rels):
         # init (and so every loaded checkpoint) checks that all relations have roles
         roles = np.array([params.vocab.rel_roles[int(rel)] for rel in rels], dtype=np.intp)
         n_rel, a = roles.shape
         role_emb = params.data[("role_vec",)][roles][:, :, None, :]  # (R, a, 1, d)
         raw_pat = params.data[("role_pat", a)][roles]  # (R, a, a, m)
         patterns = softmax_last_axis(raw_pat.reshape(n_rel, a, -1)).reshape(raw_pat.shape)
-        return RelationTerms(
-            role_emb, patterns[:, :, None, None], np.ones((n_rel, a, 1, 1)), role_ids=roles
-        )
 
-    def backward(self, params, rels, terms, gu, gp, gw, buf) -> None:
-        n_rel, a, m = gp.shape[0], gp.shape[1], gp.shape[-1]
-        roles = terms.role_ids.reshape(-1)
-        raw = softmax_vjp(terms.patterns[:, :, 0, 0].reshape(n_rel * a, -1),
-                          gp[:, :, 0, 0].reshape(n_rel * a, -1))
-        buf.add_rows(("role_vec",), roles, gu[:, :, 0].reshape(n_rel * a, -1))
-        buf.add_rows(("role_pat", a), roles, raw.reshape(n_rel * a, a, m))
+        def backward(gu, gp, gw, buf) -> None:
+            m = gp.shape[-1]
+            raw = softmax_vjp(patterns.reshape(n_rel * a, -1),
+                              gp[:, :, 0, 0].reshape(n_rel * a, -1))
+            buf.add_rows(("role_vec",), roles.reshape(-1), gu[:, :, 0].reshape(n_rel * a, -1))
+            buf.add_rows(("role_pat", a), roles.reshape(-1), raw.reshape(n_rel * a, a, m))
+
+        return role_emb, patterns[:, :, None, None], np.ones((n_rel, a, 1, 1)), backward
 
 
 class _Preset:
@@ -318,17 +310,19 @@ class _Preset:
                 2, params.cfg.role_multiplicity, params.cfg.embed_dim
             )
 
-    def terms(self, params: ModelParams, rels) -> RelationTerms:
+    def terms(self, params: ModelParams, rels):
         n_rel = len(rels)
-        return RelationTerms(
+
+        def backward(gu, gp, gw, buf) -> None:
+            for r, rel in enumerate(rels):
+                buf.add(("preset_u", int(rel)), gu[r])
+
+        return (
             _stacked(params, "preset_u", rels),
             np.broadcast_to(self.patterns, (n_rel,) + self.patterns.shape),
             np.broadcast_to(self.signs, (n_rel,) + self.signs.shape),
+            backward,
         )
-
-    def backward(self, params, rels, terms, gu, gp, gw, buf) -> None:
-        for r, rel in enumerate(rels):
-            buf.add(("preset_u", int(rel)), gu[r])
 
 
 class _Raw:
@@ -341,16 +335,18 @@ class _Raw:
             params.data[("raw_u", rel)] = gauss(a, cfg.embed_dim)
             params.data[("raw_p", rel)] = gauss(a, a, cfg.multiplicity)
 
-    def terms(self, params: ModelParams, rels) -> RelationTerms:
+    def terms(self, params: ModelParams, rels):
         raw_u = _stacked(params, "raw_u", rels)  # (R, a, d)
-        return RelationTerms(
+
+        def backward(gu, gp, gw, buf) -> None:
+            raise ConfigError("raw mode is a fixed construction and cannot be trained")
+
+        return (
             raw_u[:, :, None, :],
             _stacked(params, "raw_p", rels)[:, :, None, None],
             np.ones(raw_u.shape[:2] + (1, 1)),
+            backward,
         )
-
-    def backward(self, params, rels, terms, gu, gp, gw, buf) -> None:
-        raise ConfigError("raw mode is a fixed construction and cannot be trained")
 
 
 _MODE_OBJECTS = {
@@ -363,14 +359,32 @@ _MODE_OBJECTS = {
 
 
 def mode_of(cfg: ModelConfig):
-    """The object holding `cfg`'s mode: its init, terms and backward."""
+    """The object holding `cfg`'s mode: its init and terms."""
     return _MODE_OBJECTS[cfg.mode]
 
 
 def relation_terms(params: ModelParams, rels) -> RelationTerms:
-    """Stacked role embeddings, pattern matrices and term weights of `rels`.
+    """The terms of the relation ids `rels` of one arity, one row per id.
 
-    `rels` are relation ids of one arity; every returned array has a leading
-    axis over them.
+    Ids may repeat, as in the relation ids of a group's facts; each distinct
+    relation's terms are derived once. The returned ``pullback`` undoes
+    :meth:`RelationTerms.flat`, sums each relation's rows in the order of
+    `rels` and hands those sums to the mode.
     """
-    return mode_of(params.cfg).terms(params, rels)
+    uniq, inverse = np.unique(rels, return_inverse=True)
+    role_emb, patterns, weights, backward = mode_of(params.cfg).terms(params, uniq)
+
+    def pullback(gu, gp, gw, buf) -> None:
+        n_rel, a, mg, npm = weights.shape
+        b = len(inverse)
+        folded = (
+            gu.reshape(b, a, mg, npm, -1).sum(axis=3),
+            gp.reshape(b, a, mg, npm, a, -1),
+            gw.reshape(b, a, mg, npm),
+        )
+        sums = [np.zeros((n_rel,) + g.shape[1:]) for g in folded]
+        for out, g in zip(sums, folded):
+            scatter_rows(out, inverse, g)
+        backward(*sums, buf)
+
+    return RelationTerms(role_emb[inverse], patterns[inverse], weights[inverse], pullback)

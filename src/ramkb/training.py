@@ -116,14 +116,14 @@ def _group_candidates(
     params: ModelParams,
     spec: GroupSpec,
     negatives: str | int,
-    fact_rngs: Optional[list[np.random.Generator]],
+    rng: Optional[np.random.Generator],
 ) -> TableCandidates | SampledCandidates:
     """The group's candidate scorer: the whole entity table for full negatives,
     else sampled ids (B, a, 1 + n_neg) with column 0 the true entity, drawn
-    at once from the generator of the group's first fact."""
+    at once from `rng`."""
     if negatives == "full":
         return TableCandidates(params, spec.ents)
-    neg = corrupt(spec.ents, params.vocab.n_entities, negatives, fact_rngs[spec.fact_index[0]])
+    neg = corrupt(spec.ents, params.vocab.n_entities, negatives, rng)
     return SampledCandidates(params, np.concatenate([spec.ents[:, :, None], neg], axis=2))
 
 
@@ -131,21 +131,21 @@ def _group_masks(
     spec: GroupSpec,
     params: ModelParams,
     dropout: float,
-    fact_rngs: Optional[list[np.random.Generator]],
+    rng: Optional[np.random.Generator],
 ) -> Optional[np.ndarray]:
     """Inverted-dropout factors (B, T, a, d) for the pattern-weighted entity vectors.
 
     Entries are zeroed independently with probability `dropout`, drawn at
-    once from the generator of the group's first fact, and the survivors are
-    scaled by 1/(1-dropout), so the masked score is an unbiased estimate of
-    the plain one. None when there is nothing to drop; evaluation never uses this.
+    once from `rng`, and the survivors are scaled by 1/(1-dropout), so the
+    masked score is an unbiased estimate of the plain one. None when there is
+    nothing to drop; evaluation never uses this.
     """
     if dropout == 0:
         return None
     cfg = params.cfg
     b, a = spec.ents.shape
     n_terms = a * cfg.role_multiplicity * cfg.patterns_per_role
-    keep = fact_rngs[spec.fact_index[0]].random((b, n_terms, a, cfg.embed_dim)) >= dropout
+    keep = rng.random((b, n_terms, a, cfg.embed_dim)) >= dropout
     return keep / (1.0 - dropout)
 
 
@@ -163,8 +163,9 @@ def _score_group(
     """
     if fact_rngs is None and (negatives != "full" or dropout > 0):
         raise ConfigError("sampled negatives and dropout need one generator per fact")
-    cand = _group_candidates(params, spec, negatives, fact_rngs)
-    mask = _group_masks(spec, params, dropout, fact_rngs)
+    rng = None if fact_rngs is None else fact_rngs[spec.fact_index[0]]
+    cand = _group_candidates(params, spec, negatives, rng)
+    mask = _group_masks(spec, params, dropout, rng)
     kern = forward_group(params, spec, mask)
     return (kern, cand, *group_losses(cand.scores(kern.gather), cand.true_cols))
 
@@ -204,7 +205,7 @@ def batch_backward(
         kern, cand, losses, grad = _score_group(params, spec, negatives, dropout, fact_rngs)
         total += float(losses.sum())
         grad *= scale
-        backward_group(params, kern, cand.pullback(kern.gather, grad, buf), buf)
+        backward_group(kern, cand.pullback(kern.gather, grad, buf), buf)
         del kern, cand, grad  # free this group's arrays before the next group is scored
 
     loss = total * scale

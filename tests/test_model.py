@@ -9,7 +9,7 @@ from oracles import (
     naive_latent_score,
     naive_softmax_matrix,
 )
-from ramkb.engine import score, split_groups
+from ramkb.engine import GradientBuffer, score, split_groups
 from ramkb.errors import ConfigError, DimensionError
 from ramkb.kb import Fact
 from ramkb.mathcore import make_rng
@@ -161,6 +161,59 @@ def test_mixing_weight_shift_invariance():
     after = relation_terms(params, [0])
     np.testing.assert_allclose(after.role_emb[0, 1], before.role_emb[0, 1], atol=1e-12)
     np.testing.assert_allclose(after.patterns[0, 1], before.patterns[0, 1], atol=1e-12)
+
+
+class TestRelationTermsContract:
+    """`relation_terms` gives one row per id, repeats allowed, and its pullback
+    sums each relation's rows before the mode pulls them back."""
+
+    MODES = [
+        ("latent", {}),
+        ("extended", {"role_multiplicity": 2, "patterns_per_role": 2}),
+        ("explicit", {}),
+        ("preset:ComplEx", {}),
+    ]
+    IDS = np.array([1, 0, 1, 1])
+
+    @staticmethod
+    def _params(mode, extra):
+        cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=3, mode=mode, **extra)
+        arities = (2, 2) if mode.startswith("preset:") else (3, 3)
+        vocab = make_vocab(5, arities, explicit_roles=mode == "explicit")
+        return randomized_params(cfg, vocab, seed=31)
+
+    @pytest.mark.parametrize("mode,extra", MODES)
+    def test_each_row_is_its_relations_terms(self, mode, extra):
+        params = self._params(mode, extra)
+        terms = relation_terms(params, self.IDS)
+        for row, rel in enumerate(self.IDS):
+            one = relation_terms(params, [rel])
+            for name in ("role_emb", "patterns", "weights"):
+                np.testing.assert_array_equal(getattr(terms, name)[row], getattr(one, name)[0])
+
+    @pytest.mark.parametrize("mode,extra", MODES)
+    def test_pullback_of_repeated_ids_sums_their_rows(self, mode, extra):
+        params = self._params(mode, extra)
+        terms = relation_terms(params, self.IDS)
+        rng = make_rng(32)
+        grads = [rng.normal(size=x.shape) for x in terms.flat()]
+        repeated = GradientBuffer(params)
+        terms.pullback(*grads, repeated)
+        summed = [np.stack([g[self.IDS == rel].sum(axis=0) for rel in (0, 1)]) for g in grads]
+        distinct = GradientBuffer(params)
+        relation_terms(params, [0, 1]).pullback(*summed, distinct)
+        got, want = repeated.dense(), distinct.dense()
+        assert got.keys() == want.keys() and want
+        for key in want:
+            np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-12, err_msg=key)
+
+    def test_raw_pullback_is_config_error(self):
+        vocab = make_vocab(4, (2, 2))
+        params = ModelParams.init(ModelConfig(embed_dim=3, mode="raw"), vocab, seed=0)
+        terms = relation_terms(params, self.IDS)
+        grads = [np.ones(x.shape) for x in terms.flat()]
+        with pytest.raises(ConfigError):
+            terms.pullback(*grads, GradientBuffer(params))
 
 
 class TestScore:

@@ -20,7 +20,6 @@ from ramkb.engine import (
     TableCandidates,
     _fold_terms,
     _pattern_grad,
-    _scatter_rows,
     _weigh,
     forward_group,
     group_losses,
@@ -31,7 +30,7 @@ from ramkb.errors import ConfigError, NumericError
 from ramkb.evaluation import evaluate
 from ramkb.gradcheck import _random_trial, check_batch, run_gradcheck
 from ramkb.kb import Fact, KnowledgeBase, Vocabulary, build_kb, parse_tabular
-from ramkb.mathcore import make_rng
+from ramkb.mathcore import make_rng, scatter_rows
 from ramkb.model import ModelConfig, ModelParams
 from ramkb.training import (
     ADAM_BLOCK_ROWS,
@@ -397,7 +396,8 @@ class TestCandidateScorers:
         rngs = [make_rng(26, i) for i in range(len(facts))]
         n_e = vocab.n_entities
         for spec in split_groups(params, facts):
-            kern = forward_group(params, spec, _group_masks(spec, params, dropout, rngs))
+            masks = _group_masks(spec, params, dropout, rngs[spec.fact_index[0]])
+            kern = forward_group(params, spec, masks)
             every = np.tile(np.arange(n_e), spec.ents.shape + (1,))
             table, sampled = TableCandidates(params, spec.ents), SampledCandidates(params, every)
             np.testing.assert_allclose(sampled.scores(kern.gather), table.scores(kern.gather),
@@ -468,14 +468,14 @@ class TestDropout:
 
     def test_zero_probability_is_identity(self):
         params, spec = self._group()
-        masks = _group_masks(spec, params, 0.0, [make_rng(1)])
+        masks = _group_masks(spec, params, 0.0, make_rng(1))
         assert masks is None
         assert own_scores(params, spec, masks)[0, 0, 0] == own_scores(params, spec)[0, 0, 0]
 
     def test_fixed_seed_masks_deterministic_and_scaled(self):
         params, spec = self._group()
-        a = _group_masks(spec, params, 0.5, [make_rng(2)])
-        b = _group_masks(spec, params, 0.5, [make_rng(2)])
+        a = _group_masks(spec, params, 0.5, make_rng(2))
+        b = _group_masks(spec, params, 0.5, make_rng(2))
         np.testing.assert_array_equal(a, b)
         assert set(np.unique(a)) <= {0.0, 2.0}
 
@@ -484,7 +484,7 @@ class TestDropout:
         n_draws = 10_000
         params, spec = self._group(n_copies=n_draws, seed=15)
         base = score(params, Fact(0, (0, 1, 2)))
-        masks = _group_masks(spec, params, 0.3, [make_rng(3)] * n_draws)
+        masks = _group_masks(spec, params, 0.3, make_rng(3))
         draws = own_scores(params, spec, masks)[:, 0, 0]
         stderr = draws.std(ddof=1) / math.sqrt(len(draws))
         assert abs(draws.mean() - base) <= 3 * stderr
@@ -548,7 +548,7 @@ class TestOptimizer:
         rows = rng.integers(0, 3, 60)  # every row repeats many times; the rest stay zero
         values = spread_values(rng, (60,) + shape[1:])
         got, want = np.zeros(shape), np.zeros(shape)
-        _scatter_rows(got, rows, values)
+        scatter_rows(got, rows, values)
         rowwise_scatter(want, rows, values)
         np.testing.assert_array_equal(got, want)
 
