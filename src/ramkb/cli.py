@@ -351,6 +351,8 @@ def cmd_subset(args) -> int:
         binary_keep_ratio=1.0 if args.ratio is None else args.ratio,
         seed=args.seed,
     )
+    if kb.test and not sub.test:
+        raise DataError(f"no test fact passes the arity filter {args.arity_filter!r}")
     out = Path(args.out)
     exports = {split: export_split(sub, split) for split in ("train", "valid", "test")}
     # a split file that load_dataset reads first would shadow the one written

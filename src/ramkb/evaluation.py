@@ -13,25 +13,24 @@ ties included, while the table-wide product runs at float32 speed and no
 are in :func:`rank_from_scores`'s docstring; training, gradcheck and the
 oracles score in float64 only.
 
-The walk is split by entity range over a thread pool, one run of whole
-blocks per CPU the process may use, when BLAS runs one thread
-(``OPENBLAS_NUM_THREADS``, or if unset ``OMP_NUM_THREADS``, is ``1``) and
-the table spans two blocks or more; otherwise it runs on the calling
-thread. Either way the ranks are the same, bit for bit, whatever the CPU
-count: the counts are integers and the parts walk the serial walk's blocks.
+The walk is split by entity range over the package's thread pool
+(:mod:`ramkb.pool`), one run of whole blocks per CPU the process may use,
+when BLAS runs one thread and the table spans two blocks or more; otherwise
+it runs on the calling thread. Either way the ranks are the same, bit for
+bit, whatever the CPU count: the counts are integers and the parts walk the
+serial walk's blocks.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from . import pool
 from .engine import forward_group, split_groups
 from .errors import DataError, NumericError
 from .kb import Fact, KnowledgeBase
@@ -41,51 +40,14 @@ HIT_LEVELS = (1, 3, 10)
 EVAL_BATCH = 512  # facts ranked per rank_from_scores call, all arities together
 # float32 (entity, query) scores per block of the table walk: 2 MB. Each
 # part of the walk holds one block plus two (COUNT_CHUNK, n_queries) bool
-# compares, so the walk holds at most _WORKERS times that, all allocated on
-# the calling thread: buffers made on pool threads raised peak RSS
+# compares, so the walk holds at most pool.WORKERS times that, all allocated
+# on the calling thread: buffers made on pool threads raised peak RSS
 SCORE_BLOCK_CELLS = 2**19
 COUNT_CHUNK = 255  # entities per uint8 count: the most a uint8 holds
 ROWS_PER_REDUCE = 32  # table rows per inner loop of entity_table's column extremes
 F32_UNIT = 2.0**-24  # unit roundoff of float32
 F32_TINY = 2.0**-126  # smallest normal float32: bounds one underflow's absolute error
 F32_LIMIT = float(np.finfo(np.float32).max) / 2  # below this a float32 dot cannot overflow
-
-
-def _walk_workers() -> int:
-    """Parts of the table walk: the CPUs this process may use, if BLAS runs one thread.
-
-    BLAS threads would compete with the walk's own and slow it down, so
-    otherwise the walk stays on the calling thread.
-    """
-    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
-    if blas_threads != "1":
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
-_WORKERS = _walk_workers()
-_pool: ThreadPoolExecutor | None = None  # made by the first walk split in parts
-
-
-def _executor() -> ThreadPoolExecutor:
-    """The walk's pool; the calling thread walks one part itself."""
-    global _pool
-    if _pool is None:
-        _pool = ThreadPoolExecutor(max_workers=_WORKERS - 1, thread_name_prefix="ramkb-walk")
-    return _pool
-
-
-def _forget_pool() -> None:
-    """A forked child has none of the pool's threads: its first walk makes a new pool."""
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @dataclass
@@ -210,7 +172,7 @@ def _screen(
     `hi`, and the (query, entity) pairs inside its band ``[lo, hi]`` other
     than the query's own entity `own`, in entity order.
 
-    The blocks are dealt out in at most _WORKERS parts, runs of whole
+    The blocks are dealt out in at most pool.WORKERS parts, runs of whole
     blocks, and the calling thread walks the first part while the pool walks
     the others. Every part walks the blocks and chunks the serial walk
     would, so its pairs are the serial walk's over its range, and the parts'
@@ -220,7 +182,7 @@ def _screen(
     n_rows = kernels32.shape[0]
     block = min(n_entities, max(1, SCORE_BLOCK_CELLS // n_rows))
     n_blocks = -(-n_entities // block)
-    n_parts = min(_WORKERS, n_blocks)
+    n_parts = min(pool.WORKERS, n_blocks)
     cuts = [min(n_entities, n_blocks * i // n_parts * block) for i in range(n_parts + 1)]
     # every buffer of the walk is made here, on the calling thread, and each
     # part's apart, so none outgrows the serial walk's (glibc's mmap
@@ -264,12 +226,7 @@ def _screen(
                         band_e.append(ent[keep])
         return band_q, band_e
 
-    if n_parts == 1:
-        found = [walk(0)]
-    else:
-        pool = _executor()
-        futures = [pool.submit(walk, part) for part in range(1, n_parts)]
-        found = [walk(0)] + [future.result() for future in futures]
+    found = pool.in_parts(walk, n_parts)
     empty = [np.zeros(0, dtype=np.intp)]
     band_q = np.concatenate([q for part_q, _ in found for q in part_q] or empty)
     band_e = np.concatenate([e for _, part_e in found for e in part_e] or empty)

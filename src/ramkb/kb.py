@@ -414,14 +414,16 @@ def subset_by_arity(
     binary_keep_ratio: float = 1.0,
     seed: int = 0,
 ) -> KnowledgeBase:
-    """Filter the training split by arity and downsample binary facts.
+    """Keep the facts of every split whose arity passes `keep`, and downsample
+    binary training facts.
 
-    Among binary training facts passing the predicate, a uniformly random
-    fraction `binary_keep_ratio` is kept (exact count, rounded), chosen
-    deterministically from `seed`. Valid/test are untouched; the known-true
-    index is rebuilt over the new training split plus the original
-    valid/test. A ratio outside [0, 1] (or NaN) raises ConfigError; an empty
-    result raises DataError.
+    The predicate applies to all three splits, so the subset's relations are
+    those of the kept arities. Among binary training facts passing it, a
+    uniformly random fraction `binary_keep_ratio` is kept (exact count,
+    rounded), chosen deterministically from `seed`; valid and test keep all
+    of theirs. The known-true index is rebuilt over the kept facts. A ratio
+    outside [0, 1] (or NaN) raises ConfigError; an empty training split
+    raises DataError.
     """
     if not 0.0 <= binary_keep_ratio <= 1.0:
         raise ConfigError(f"binary_keep_ratio must be in [0, 1], got {binary_keep_ratio}")
@@ -438,7 +440,8 @@ def subset_by_arity(
     new_train = [kb.train[i] for i in sorted(selected)]
     if not new_train:
         raise DataError("empty training split after arity/ratio subsetting")
-    return KnowledgeBase(kb.vocab, new_train, kb.valid, kb.test)
+    valid, test = ([f for f in facts if keep(f.arity)] for facts in (kb.valid, kb.test))
+    return KnowledgeBase(kb.vocab, new_train, valid, test)
 
 
 def export_split(kb: KnowledgeBase, split: str) -> tuple[str, list[str]]:

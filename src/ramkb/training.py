@@ -9,6 +9,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import engine, pool
 from .engine import (
     GradientBuffer,
     GroupKernels,
@@ -37,6 +38,11 @@ ADAM_EPS = 1e-8
 # m*d = 50 a block's gathered moments and temporaries (~200 kB each) stay in
 # a 2 MB L2 cache
 ADAM_BLOCK_ROWS = 512
+# candidate scores (sum of B * a * C over a batch's arity groups) from which
+# the groups are scored and pulled back on the thread pool. Full negatives
+# over a few thousand entities are far above it; sampled batches (C = 51 at
+# 64 facts: ~10k) stay below, where pooling them gained nothing
+POOL_MIN_CELLS = 2**16
 
 
 @dataclass
@@ -149,14 +155,14 @@ def _group_masks(
     return keep / (1.0 - dropout)
 
 
-def _score_group(
+def _draw_and_forward(
     params: ModelParams,
     spec: GroupSpec,
     negatives: str | int,
     dropout: float,
     fact_rngs: Optional[list[np.random.Generator]],
-) -> tuple[GroupKernels, TableCandidates | SampledCandidates, np.ndarray, np.ndarray]:
-    """One arity group's kernels, candidate scorer, per-fact losses and score gradient.
+) -> tuple[GroupKernels, TableCandidates | SampledCandidates]:
+    """One arity group's kernels and candidate scorer.
 
     Candidates, then dropout masks, are drawn from the generator that
     `fact_rngs` holds for the group's first fact.
@@ -166,8 +172,93 @@ def _score_group(
     rng = None if fact_rngs is None else fact_rngs[spec.fact_index[0]]
     cand = _group_candidates(params, spec, negatives, rng)
     mask = _group_masks(spec, params, dropout, rng)
-    kern = forward_group(params, spec, mask)
-    return (kern, cand, *group_losses(cand.scores(kern.gather), cand.true_cols))
+    return forward_group(params, spec, mask), cand
+
+
+def _pull_group(
+    kern: GroupKernels,
+    cand: TableCandidates | SampledCandidates,
+    scale: float,
+    buf,
+    losses_of,
+    backward,
+) -> np.ndarray:
+    """Score one group, add its gradient, times `scale`, to `buf`; return its per-fact losses.
+
+    `buf` is a GradientBuffer or a _GroupRecord. `losses_of` and `backward`
+    are :func:`group_losses` and :func:`backward_group`, passed in so that
+    the calling thread can use this module's names and a pool thread the
+    engine's: a tracer that wraps this module's names then records spans on
+    the calling thread only.
+    """
+    losses, grad = losses_of(cand.scores(kern.gather), cand.true_cols)
+    grad *= scale
+    backward(kern, cand.pullback(kern.gather, grad, buf), buf)
+    return losses
+
+
+class _GroupRecord:
+    """The add, add_rows and add_all_rows calls a group makes on a gradient
+    buffer, kept in order so that :meth:`replay` makes them on one later."""
+
+    def __init__(self) -> None:
+        self.calls: list[tuple[str, tuple]] = []
+
+    def add(self, key, value) -> None:
+        self.calls.append(("add", (key, value)))
+
+    def add_rows(self, key, rows, values) -> None:
+        self.calls.append(("add_rows", (key, rows, values)))
+
+    def add_all_rows(self, key, values) -> None:
+        self.calls.append(("add_all_rows", (key, values)))
+
+    def replay(self, buf: GradientBuffer) -> None:
+        for name, args in self.calls:
+            getattr(buf, name)(*args)
+
+
+def _candidate_cells(params: ModelParams, specs: list[GroupSpec], negatives: str | int) -> int:
+    """Candidate scores of a batch: the sum of B * a * C over its groups."""
+    n_entities = params.vocab.n_entities
+    n_cand = n_entities if negatives == "full" else 1 + min(int(negatives), n_entities - 1)
+    return sum(spec.ents.size for spec in specs) * n_cand
+
+
+def _pooled_groups(
+    params: ModelParams,
+    specs: list[GroupSpec],
+    negatives: str | int,
+    dropout: float,
+    fact_rngs: Optional[list[np.random.Generator]],
+    scale: float,
+    buf: GradientBuffer,
+) -> list[np.ndarray]:
+    """:func:`_pull_group` of every group, spread over the thread pool; the
+    groups' per-fact losses in ascending arity order.
+
+    The calling thread draws and forwards every group in ascending arity
+    order and hands each to the pool as soon as it is forwarded. Then it
+    pulls back itself, from the last group down, every group that no pool
+    thread has started. Each group writes to a _GroupRecord of its own, and
+    the records are replayed into `buf` in ascending arity order, so `buf`
+    receives the serial loop's calls with the same values.
+    """
+    executor, jobs, futures = pool.executor(), [], []
+    for spec in specs:
+        kern, cand = _draw_and_forward(params, spec, negatives, dropout, fact_rngs)
+        jobs.append((kern, cand, scale, _GroupRecord()))
+        futures.append(executor.submit(_pull_group, *jobs[-1],
+                                       engine.group_losses, engine.backward_group))
+    losses: list[Optional[np.ndarray]] = [None] * len(jobs)
+    for i in reversed(range(len(jobs))):
+        if futures[i].cancel():
+            losses[i] = _pull_group(*jobs[i], group_losses, backward_group)
+    for i, (future, job) in enumerate(zip(futures, jobs)):
+        if losses[i] is None:
+            losses[i] = future.result()
+        job[-1].replay(buf)
+    return losses
 
 
 def batch_loss(
@@ -183,7 +274,8 @@ def batch_loss(
     """
     total = 0.0
     for spec in split_groups(params, facts):
-        losses = _score_group(params, spec, negatives, dropout, fact_rngs)[2]
+        kern, cand = _draw_and_forward(params, spec, negatives, dropout, fact_rngs)
+        losses, _ = group_losses(cand.scores(kern.gather), cand.true_cols)
         total += float(losses.sum())
     return total / len(facts)
 
@@ -195,18 +287,29 @@ def batch_backward(
     dropout: float = 0.0,
     fact_rngs: Optional[list[np.random.Generator]] = None,
 ) -> tuple[float, GradientBuffer]:
-    """Mean batch loss and its exact gradient for every learnable slot."""
+    """Mean batch loss and its exact gradient for every learnable slot.
+
+    A batch of at least POOL_MIN_CELLS candidate scores is spread over the
+    thread pool (:func:`_pooled_groups`) when the pool has two workers or
+    more; the loss and gradient are the same, bit for bit.
+    """
     if not facts:
         raise ConfigError("empty batch")
     scale = 1.0 / len(facts)
     buf = GradientBuffer(params)
+    specs = split_groups(params, facts)
+    if pool.WORKERS > 1 and _candidate_cells(params, specs, negatives) >= POOL_MIN_CELLS:
+        group_loss = _pooled_groups(params, specs, negatives, dropout, fact_rngs, scale, buf)
+    else:
+        # one group at a time: each group's arrays are freed before the next is scored
+        group_loss = (
+            _pull_group(*_draw_and_forward(params, spec, negatives, dropout, fact_rngs), scale, buf,
+                        group_losses, backward_group)
+            for spec in specs
+        )
     total = 0.0
-    for spec in split_groups(params, facts):
-        kern, cand, losses, grad = _score_group(params, spec, negatives, dropout, fact_rngs)
+    for losses in group_loss:
         total += float(losses.sum())
-        grad *= scale
-        backward_group(kern, cand.pullback(kern.gather, grad, buf), buf)
-        del kern, cand, grad  # free this group's arrays before the next group is scored
 
     loss = total * scale
     if not np.isfinite(loss):
@@ -280,6 +383,10 @@ def optimizer_step(
     into copies and written back. Every product and quotient keeps the
     operand order of the textbook form, so the update is bitwise
     deterministic and the same on either path.
+
+    A run of two blocks or more is dealt out over the thread pool, one run
+    of whole blocks per part (:func:`pool.in_parts`). Every element steps
+    on its own, so the split changes no bit.
     """
     summed = list(buf.summed())
     _check_gradients(params, summed)
@@ -306,34 +413,43 @@ def optimizer_step(
         t = state.steps[key][touched].reshape(rows.shape + (1,) * (target.ndim - 1))
         bc1 = 1 - ADAM_BETA1 ** t
         bc2 = 1 - ADAM_BETA2 ** t
-        # two temporaries for the slot, reused by every block
-        work = np.empty((2, min(rows.size, ADAM_BLOCK_ROWS)) + grad.shape[1:])
-        for lo in range(0, rows.size, ADAM_BLOCK_ROWS):
-            block = slice(lo, lo + ADAM_BLOCK_ROWS)
-            g = grad[block]
-            tmp, den = work[:, : len(g)]
-            # a slice gives views into the state, row indices give copies
-            r = slice(first + lo, first + lo + len(g)) if run else rows[block]
-            mu, nu = m1[r], m2[r]
-            mu *= ADAM_BETA1
-            nu *= ADAM_BETA2
-            np.multiply(1 - ADAM_BETA2, g, out=tmp)
-            tmp *= g
-            nu += tmp
-            np.multiply(g, 1 - ADAM_BETA1, out=tmp)
-            mu += tmp
-            if not run:
-                # write the copies back; the step may then overwrite them
-                m1[r], m2[r] = mu, nu
-                tmp, den = mu, nu
-            np.divide(mu, bc1[block], out=tmp)
-            tmp *= lr
-            np.divide(nu, bc2[block], out=den)
-            np.sqrt(den, out=den)
-            den += ADAM_EPS
-            tmp /= den
-            # on a slice, numpy skips the write-back of the updated view
-            target[r] -= tmp
+        n_blocks = -(-rows.size // ADAM_BLOCK_ROWS)
+        # a run's blocks are dealt out in parts, runs of whole blocks; every
+        # part's two temporaries, reused by each of its blocks, are made here
+        n_parts = min(pool.WORKERS, n_blocks) if run else 1
+        cuts = [n_blocks * i // n_parts * ADAM_BLOCK_ROWS for i in range(n_parts + 1)]
+        works = [np.empty((2, min(rows.size, ADAM_BLOCK_ROWS)) + grad.shape[1:])
+                 for _ in range(n_parts)]
+
+        def step(part: int) -> None:
+            for lo in range(cuts[part], cuts[part + 1], ADAM_BLOCK_ROWS):
+                block = slice(lo, lo + ADAM_BLOCK_ROWS)
+                g = grad[block]
+                tmp, den = works[part][:, : len(g)]
+                # a slice gives views into the state, row indices give copies
+                r = slice(first + lo, first + lo + len(g)) if run else rows[block]
+                mu, nu = m1[r], m2[r]
+                mu *= ADAM_BETA1
+                nu *= ADAM_BETA2
+                np.multiply(1 - ADAM_BETA2, g, out=tmp)
+                tmp *= g
+                nu += tmp
+                np.multiply(g, 1 - ADAM_BETA1, out=tmp)
+                mu += tmp
+                if not run:
+                    # write the copies back; the step may then overwrite them
+                    m1[r], m2[r] = mu, nu
+                    tmp, den = mu, nu
+                np.divide(mu, bc1[block], out=tmp)
+                tmp *= lr
+                np.divide(nu, bc2[block], out=den)
+                np.sqrt(den, out=den)
+                den += ADAM_EPS
+                tmp /= den
+                # on a slice, numpy skips the write-back of the updated view
+                target[r] -= tmp
+
+        pool.in_parts(step, n_parts)
 
 
 @dataclass
@@ -361,11 +477,15 @@ def train(kb: KnowledgeBase, model_cfg: ModelConfig, train_cfg: TrainConfig) -> 
     logs one INFO line on the ``ramkb.training`` logger.
 
     The same data, configs and seed give bitwise-identical parameters,
-    losses and validation MRRs: initialization, shuffles, corruptions and
+    losses and validation MRRs on the same numpy and BLAS build with the
+    same BLAS thread count: initialization, shuffles, corruptions and
     dropout masks all draw from generators keyed by the seed (`make_rng`).
     Each batch has one generator, keyed by (seed, epoch, batch index); its
     arity groups draw from it in ascending arity order, each group drawing
-    its candidates before its dropout masks.
+    its candidates before its dropout masks. The bits do not depend on the
+    CPU count or the thread pool (:func:`batch_backward`,
+    :func:`optimizer_step`), but they do depend on the BLAS thread count,
+    which orders the sums of a product.
     """
     from .evaluation import evaluate  # local import to avoid a cycle
 

@@ -330,6 +330,34 @@ def test_subset_in_place_is_what_load_dataset_reads(tmp_path):
     assert len(kb.train) == 3 and kb.vocab.arities == (3,)
 
 
+def test_binary_subset_of_mixed_data_trains_a_preset(tmp_path, capsys):
+    """The filter applies to every split, so no n-ary relation is left for
+    the preset mode to refuse."""
+    data, config = write_dataset(tmp_path)
+    sub, run = tmp_path / "sub", tmp_path / "run"
+    assert cli.main(["subset", "--data-dir", str(data), "--out", str(sub),
+                     "--arity-filter", "2"]) == 0
+    kb, _ = cli.load_dataset(sub, valid_fraction=0.0)
+    assert kb.vocab.arities == (2,)
+    assert [len(kb.split(s)) for s in ("train", "valid", "test")] == [3, 1, 1]
+    capsys.readouterr()
+    assert cli.main(["train", "--data-dir", str(sub), "--out", str(run), "--config", str(config),
+                     "--mode", "preset:ComplEx", "--seed", "3"]) == 0, capsys.readouterr().err
+    assert cli.main(["eval", "--data-dir", str(sub), "--checkpoint",
+                     str(run / "model.ramckpt")]) == 0
+
+
+def test_subset_that_leaves_no_test_fact_exits_3_naming_the_filter(tmp_path, capsys):
+    data, _ = write_dataset(tmp_path)
+    (data / "test.txt").write_text("r2 e c\nr3 a b c d\n")
+    out = tmp_path / "sub"
+    capsys.readouterr()
+    assert cli.main(["subset", "--data-dir", str(data), "--out", str(out),
+                     "--arity-filter", "3"]) == 3
+    assert "no test fact passes the arity filter '3'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_subset_that_a_stale_split_file_would_shadow_exits_2_before_writing(tmp_path):
     data = tmp_path / "data"
     data.mkdir()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_candidates, sort_rank
-from ramkb import evaluation
+from ramkb import evaluation, pool
 from ramkb.engine import forward_group, split_groups
 from ramkb.errors import DataError, NumericError
 from ramkb.evaluation import (
@@ -367,7 +367,7 @@ def test_ranks_and_band_pairs_do_not_depend_on_the_worker_count(monkeypatch):
     scores = (kernels[:, None, :] * rows[None]).sum(axis=-1)  # float64 (query, entity)
     want = [sort_rank(list(scores[q]), brute_force_candidates(kb, fact, pos), fact.entities[pos])
             for q, (fact, pos) in enumerate((f, p) for f in kb.test for p in range(f.arity))]
-    screen, executor = evaluation._screen, evaluation._executor
+    screen, executor = evaluation._screen, pool.executor
     walks, pools = [], []
 
     def recording(*args):
@@ -376,10 +376,10 @@ def test_ranks_and_band_pairs_do_not_depend_on_the_worker_count(monkeypatch):
         return found
 
     monkeypatch.setattr(evaluation, "_screen", recording)
-    monkeypatch.setattr(evaluation, "_executor", lambda: pools.append(1) or executor())
+    monkeypatch.setattr(pool, "executor", lambda: pools.append(1) or executor())
     ranks = {}
     for workers in (1, 2, 3, 4, 50):  # 50: more workers than the walk has blocks
-        monkeypatch.setattr(evaluation, "_WORKERS", workers)
+        monkeypatch.setattr(pool, "WORKERS", workers)
         ranks[workers] = rank_from_scores(kb, kb.test, kernels, entity_table(params))
         assert len(pools) == (workers > 1)  # the pool walks some parts
         pools.clear()
@@ -401,9 +401,9 @@ def test_evaluate_on_a_pooled_walk_ranks_as_in_float64(workers, monkeypatch):
     params = randomized_params(cfg, kb.vocab, seed=29)
     monkeypatch.setattr(evaluation, "SCORE_BLOCK_CELLS", 64)  # a walk of many small blocks
     serial = evaluate(params, kb, split="test").to_dict()
-    monkeypatch.setattr(evaluation, "_WORKERS", workers)
-    executor, pools = evaluation._executor, []
-    monkeypatch.setattr(evaluation, "_executor", lambda: pools.append(1) or executor())
+    monkeypatch.setattr(pool, "WORKERS", workers)
+    executor, pools = pool.executor, []
+    monkeypatch.setattr(pool, "executor", lambda: pools.append(1) or executor())
     assert_ranks_match_oracle(params, kb)
     pooled = evaluate(params, kb, split="test").to_dict()
     assert pools  # the pool walked some parts
@@ -423,9 +423,9 @@ def test_evaluate_in_a_forked_child_ranks_on_a_pool_of_its_own(monkeypatch):
     cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
     params = randomized_params(cfg, kb.vocab, seed=31)
     monkeypatch.setattr(evaluation, "SCORE_BLOCK_CELLS", 64)
-    monkeypatch.setattr(evaluation, "_WORKERS", 2)
+    monkeypatch.setattr(pool, "WORKERS", 2)
     want = (evaluate(params, kb, split="test").mrr, batch_ranks(params, kb, kb.test).tolist())
-    assert evaluation._pool is not None
+    assert pool._pool is not None
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_ranks_in_child, args=(send, params, kb))

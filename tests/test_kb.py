@@ -382,15 +382,19 @@ def test_subset_deterministic_under_seed():
     assert len(third.train) == len(first.train)
 
 
-def test_subset_leaves_valid_test_untouched_and_rebuilds_truth():
+def test_subset_filters_every_split_and_rebuilds_truth():
     kb = build_kb(
         parse_tabular(["r a b", "r a c", "s a b d"]),
-        valid=parse_tabular(["r a d"]),
-        test=parse_tabular(["s b c d"]),
+        valid=parse_tabular(["r a d", "s a c d"]),
+        test=parse_tabular(["s b c d", "r c d"]),
     )
-    sub = subset_by_arity(kb, keep=lambda a: a == 3, seed=0)
+    ternary = subset_by_arity(kb, keep=lambda a: a == 3, seed=0)
+    assert ternary.train == kb.train[2:]
+    assert ternary.valid == kb.valid[1:] and ternary.test == kb.test[:1]
+    # the ratio thins binary training facts only: valid and test keep theirs
+    sub = subset_by_arity(kb, binary_keep_ratio=0.0, seed=0)
+    assert sub.train == kb.train[2:]
     assert sub.valid == kb.valid and sub.test == kb.test
-    assert all(f.arity == 3 for f in sub.train)
     for fact in sub.all_facts():
         for pos in range(fact.arity):
             assert fact.entities[pos] in known_true(sub, fact, pos)
