@@ -55,8 +55,14 @@ def scatter_rows(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
     `out` is C-contiguous. The scatter runs on flat 1-D indices, numpy's fast
     ``add.at`` path; each element still receives its contributions one at a
     time in the order of `rows`, so the sums are those of the row-wise form
-    bit for bit.
+    bit for bit. A float64 row of even width is scattered as complex128
+    pairs, on half as many indices: a complex add is two float adds, one per
+    element.
     """
     width = out[0].size
+    if out.dtype == values.dtype == np.float64 and width % 2 == 0:
+        out = out.reshape(len(out), width).view(np.complex128)
+        values = np.ascontiguousarray(values).reshape(len(values), width).view(np.complex128)
+        width //= 2
     flat = (rows[:, None] * width + np.arange(width)).reshape(-1)
     np.add.at(out.reshape(-1), flat, values.reshape(-1))

@@ -379,14 +379,16 @@ def optimizer_step(
     moments and temporaries stay in cache. The per-row bias corrections are
     computed once per slot. When the touched rows form one contiguous run,
     as every entity row does under full negatives, each block updates the
-    moments and parameters through slice views; other rows are gathered
-    into copies and written back. Every product and quotient keeps the
-    operand order of the textbook form, so the update is bitwise
-    deterministic and the same on either path.
+    moments and parameters through slice views; other rows, as sampled
+    negatives touch them, are gathered into copies and written back. Every
+    product and quotient keeps the operand order of the textbook form, so
+    the update is bitwise deterministic and the same on either path.
 
-    A run of two blocks or more is dealt out over the thread pool, one run
-    of whole blocks per part (:func:`pool.in_parts`). Every element steps
-    on its own, so the split changes no bit.
+    Touched rows of two blocks or more, a run or scattered, are dealt out
+    over the thread pool, one run of whole blocks per part
+    (:func:`pool.in_parts`). The rows ascend, so each part gathers, steps
+    and writes back rows of its own, and every element steps on its own:
+    the split changes no bit. Dense slots step on the calling thread.
     """
     summed = list(buf.summed())
     _check_gradients(params, summed)
@@ -414,9 +416,9 @@ def optimizer_step(
         bc1 = 1 - ADAM_BETA1 ** t
         bc2 = 1 - ADAM_BETA2 ** t
         n_blocks = -(-rows.size // ADAM_BLOCK_ROWS)
-        # a run's blocks are dealt out in parts, runs of whole blocks; every
+        # the blocks are dealt out in parts, runs of whole blocks; every
         # part's two temporaries, reused by each of its blocks, are made here
-        n_parts = min(pool.WORKERS, n_blocks) if run else 1
+        n_parts = min(pool.WORKERS, max(n_blocks, 1))
         cuts = [n_blocks * i // n_parts * ADAM_BLOCK_ROWS for i in range(n_parts + 1)]
         works = [np.empty((2, min(rows.size, ADAM_BLOCK_ROWS)) + grad.shape[1:])
                  for _ in range(n_parts)]

@@ -142,11 +142,14 @@ def test_sampled_planted_batches_stay_serial():
     np.arange(2 * ADAM_BLOCK_ROWS),  # two blocks
     np.arange(7, 7 + 3 * ADAM_BLOCK_ROWS),  # three blocks, past row 0
     np.arange(3, 3 + 2 * ADAM_BLOCK_ROWS + 100),  # a ragged last block
-], ids=["1 block", "2 blocks", "3 blocks", "ragged"])
+    np.arange(1, 1 + 6 * ADAM_BLOCK_ROWS, 2),  # every other row, three blocks of them
+    np.unique(np.random.default_rng(45).integers(0, 6 * ADAM_BLOCK_ROWS, 1500)),  # sampled rows
+], ids=["1 block", "2 blocks", "3 blocks", "ragged", "every other row", "random rows"])
 def test_adam_block_split_equals_the_serial_loop(rows, monkeypatch):
     """Each step's parameters and Adam state equal the serial step's, bit for
-    bit, and a run of two blocks or more is dealt out to the pool."""
-    vocab = make_vocab(3 * ADAM_BLOCK_ROWS + 20, (2,))
+    bit, and touched rows of two blocks or more, a run or scattered, are
+    dealt out to the pool."""
+    vocab = make_vocab(6 * ADAM_BLOCK_ROWS + 20, (2,))
     params = randomized_params(ModelConfig(embed_dim=3, multiplicity=2), vocab, seed=46)
     rng = np.random.default_rng(47)
     shape = params.data[("ent",)].shape[1:]
@@ -172,40 +175,31 @@ def test_adam_block_split_equals_the_serial_loop(rows, monkeypatch):
                 np.testing.assert_array_equal(part[key], want[key], err_msg=f"{workers} {key}")
 
 
-def test_scattered_rows_step_on_the_calling_thread(monkeypatch):
-    vocab = make_vocab(3 * ADAM_BLOCK_ROWS, (2,))
-    params = randomized_params(ModelConfig(embed_dim=3, multiplicity=2), vocab, seed=48)
-    rows = np.arange(0, 3 * ADAM_BLOCK_ROWS, 2)  # 1.5 blocks of rows, not one run
-    buf = GradientBuffer(params)
-    buf.add_rows(("ent",), rows, np.ones(rows.shape + params.data[("ent",)].shape[1:]))
-    monkeypatch.setattr(pool, "WORKERS", 2)
-    calls = counting_executor(monkeypatch)
-    optimizer_step(params, buf, AdamState(), lr=0.05)
-    assert not calls
-
-
 def test_training_on_more_pool_threads_than_cores_keeps_every_bit(monkeypatch):
     """Four pool threads, switching after every few bytecodes: the trained
-    parameters and losses are still the serial ones."""
+    parameters and losses are still the serial ones, under full negatives
+    and under sampled ones, whose batches touch some 800 scattered entity
+    rows, two Adam blocks."""
     kb = random_kb(2 * ADAM_BLOCK_ROWS + 10, (2, 3, 4), n_train=60, seed=51)
     cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
-    train_cfg = TrainConfig(batch_size=20, max_epochs=2, seed=7)
-    monkeypatch.setattr(pool, "WORKERS", 1)
-    serial = train(kb, cfg, train_cfg)
-    monkeypatch.setattr(pool, "WORKERS", 5)
-    monkeypatch.setattr(pool, "_pool", None)  # a pool of WORKERS - 1 threads of its own
-    monkeypatch.setattr(training, "POOL_MIN_CELLS", 0)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        pooled = train(kb, cfg, train_cfg)
-    finally:
-        sys.setswitchinterval(interval)
-        if pool._pool is not None:
-            pool._pool.shutdown()
-    assert [r.train_loss for r in pooled.trace] == [r.train_loss for r in serial.trace]
-    for key, value in serial.params.data.items():
-        np.testing.assert_array_equal(pooled.params.data[key], value, err_msg=str(key))
+    for negatives in ("full", 30):
+        train_cfg = TrainConfig(batch_size=20, max_epochs=2, negatives=negatives, seed=7)
+        monkeypatch.setattr(pool, "WORKERS", 1)
+        serial = train(kb, cfg, train_cfg)
+        monkeypatch.setattr(pool, "WORKERS", 5)
+        monkeypatch.setattr(pool, "_pool", None)  # a pool of WORKERS - 1 threads of its own
+        monkeypatch.setattr(training, "POOL_MIN_CELLS", 0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = train(kb, cfg, train_cfg)
+        finally:
+            sys.setswitchinterval(interval)
+            if pool._pool is not None:
+                pool._pool.shutdown()
+        assert [r.train_loss for r in pooled.trace] == [r.train_loss for r in serial.trace]
+        for key, value in serial.params.data.items():
+            np.testing.assert_array_equal(pooled.params.data[key], value, err_msg=f"{negatives} {key}")
 
 
 def perfbench_targets():

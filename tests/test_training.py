@@ -48,6 +48,11 @@ from conftest import make_vocab, own_scores, random_facts, random_kb
 from test_model import randomized_params
 
 
+def assert_same_bits(got, want):
+    """`got` and `want` hold the same float64 bits: signed zeros and NaN payloads too."""
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def spread_values(rng, shape):
     """Values from 1e-8 to 1e8 in size, so any change of summation order shows."""
     return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
@@ -542,15 +547,49 @@ class TestOptimizer:
         # untouched rows never moved
         np.testing.assert_array_equal(params.data[("ent",)][0], np.ones((1, 2)))
 
-    @pytest.mark.parametrize("shape", [(7, 5), (4, 2, 3, 2)])
+    @pytest.mark.parametrize("shape", [(7, 5), (4, 2, 3, 2), (5, 1), (6, 2, 3)])
     def test_row_scatter_sums_like_rowwise_add_at(self, shape):
+        """Even widths scatter as complex pairs, odd ones (5 and 1) as floats;
+        both sum each element in the order of `rows`, as the row-wise form does."""
         rng = np.random.default_rng(3)
         rows = rng.integers(0, 3, 60)  # every row repeats many times; the rest stay zero
         values = spread_values(rng, (60,) + shape[1:])
         got, want = np.zeros(shape), np.zeros(shape)
         scatter_rows(got, rows, values)
         rowwise_scatter(want, rows, values)
-        np.testing.assert_array_equal(got, want)
+        assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("width", [6, 5])
+    def test_row_scatter_keeps_signed_zeros_infinities_and_nans(self, width):
+        """-0.0 + -0.0 stays -0.0, inf + -inf is NaN and a NaN keeps its bits,
+        on the pair path and on the float one."""
+        rng = np.random.default_rng(5)
+        rows = rng.integers(0, 8, 24)  # three parts per row, on average
+        specials = np.array([-0.0, -0.0, -0.0, 0.0, np.inf, -np.inf, np.nan, 1.5])
+        values = rng.choice(specials, (24, width))
+        got, want = np.full((8, width), -0.0), np.full((8, width), -0.0)
+        with np.errstate(invalid="ignore"):  # inf + -inf warns on either path
+            scatter_rows(got, rows, values)
+            rowwise_scatter(want, rows, values)
+        assert_same_bits(got, want)
+        zero = got == 0
+        assert np.signbit(got[zero]).any() and not np.signbit(got[zero]).all()
+        assert np.isnan(got).any() and np.isinf(got).any()
+
+    @pytest.mark.parametrize("m,d", [(2, 3), (3, 3)], ids=["pairs", "odd width"])
+    def test_row_scatter_of_a_folded_gradient_into_a_block_slice(self, m, d):
+        """Values as backward_group passes the entity gradient, a transposed
+        view, scattered into a slice of a block's rows: the rows outside the
+        slice stay as they were."""
+        rng = np.random.default_rng(6)
+        values = spread_values(rng, (4, 3, d, m)).transpose(0, 1, 3, 2).reshape(-1, m, d)
+        assert not values.flags.c_contiguous
+        rows = rng.integers(0, 4, len(values))
+        block = spread_values(rng, (9, m, d))
+        want = block.copy()
+        scatter_rows(block[3:7], rows, values)
+        rowwise_scatter(want[3:7], rows, values)
+        assert_same_bits(block, want)
 
     def test_buffer_rows_sum_like_rowwise_add_at_across_calls(self):
         params = self._tiny()
