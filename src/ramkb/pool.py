@@ -9,12 +9,11 @@ threads. It is made by the first step split in parts, and a forked child
 makes its own.
 
 Three steps are split: the ranking walk over the entity table, the arity
-groups of a training batch with wide candidate scores, and the lazy Adam
-step of a slot's touched rows, contiguous or scattered, in runs of whole
-blocks. The gradient scatter stays on the calling thread: ``np.add.at``
-gains little from a second one: on a 2-vCPU VM, two threads that each
-scattered a sampled batch's entity gradient took 1.5 times as long as one
-thread scattering one.
+groups of every training batch, and the lazy Adam step of a slot's touched
+rows, contiguous or scattered, in runs of whole blocks. The gradient
+scatter stays on the calling thread: ``np.add.at`` gains little from a
+second one: on a 2-vCPU VM, two threads that each scattered a sampled
+batch's entity gradient took 1.5 times as long as one thread scattering one.
 
 No split changes a bit. A part runs whole numpy calls, and a whole matmul
 gives the same bits on any thread; a part never runs a share of one
@@ -24,7 +23,7 @@ matmul, whose sums BLAS orders by the shape it is given.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, TypeVar
 
 T = TypeVar("T")
@@ -55,12 +54,21 @@ def executor() -> ThreadPoolExecutor:
 
 def in_parts(part: Callable[[int], T], n_parts: int) -> list[T]:
     """``[part(0), ..., part(n_parts - 1)]``: part 0 runs on the calling
-    thread while the pool runs the others."""
+    thread while the pool runs the others.
+
+    Every part has finished when this returns or raises, so no part still
+    writes to what the caller goes on to use; the first failed part's
+    exception is raised.
+    """
     if n_parts == 1:
         return [part(0)]
     pool = executor()
     futures = [pool.submit(part, i) for i in range(1, n_parts)]
-    return [part(0)] + [future.result() for future in futures]
+    try:
+        first = part(0)
+    finally:
+        wait(futures)
+    return [first] + [future.result() for future in futures]
 
 
 def _forget_pool() -> None:

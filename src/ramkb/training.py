@@ -38,11 +38,6 @@ ADAM_EPS = 1e-8
 # m*d = 50 a block's gathered moments and temporaries (~200 kB each) stay in
 # a 2 MB L2 cache
 ADAM_BLOCK_ROWS = 512
-# candidate scores (sum of B * a * C over a batch's arity groups) from which
-# the groups are scored and pulled back on the thread pool. Full negatives
-# over a few thousand entities are far above it; sampled batches (C = 51 at
-# 64 facts: ~10k) stay below, where pooling them gained nothing
-POOL_MIN_CELLS = 2**16
 
 
 @dataclass
@@ -218,13 +213,6 @@ class _GroupRecord:
             getattr(buf, name)(*args)
 
 
-def _candidate_cells(params: ModelParams, specs: list[GroupSpec], negatives: str | int) -> int:
-    """Candidate scores of a batch: the sum of B * a * C over its groups."""
-    n_entities = params.vocab.n_entities
-    n_cand = n_entities if negatives == "full" else 1 + min(int(negatives), n_entities - 1)
-    return sum(spec.ents.size for spec in specs) * n_cand
-
-
 def _pooled_groups(
     params: ModelParams,
     specs: list[GroupSpec],
@@ -289,19 +277,20 @@ def batch_backward(
 ) -> tuple[float, GradientBuffer]:
     """Mean batch loss and its exact gradient for every learnable slot.
 
-    A batch of at least POOL_MIN_CELLS candidate scores is spread over the
-    thread pool (:func:`_pooled_groups`) when the pool has two workers or
-    more; the loss and gradient are the same, bit for bit.
+    The batch's groups are spread over the thread pool
+    (:func:`_pooled_groups`) when the pool has two workers or more; the loss
+    and gradient are the same, bit for bit.
     """
     if not facts:
         raise ConfigError("empty batch")
     scale = 1.0 / len(facts)
     buf = GradientBuffer(params)
     specs = split_groups(params, facts)
-    if pool.WORKERS > 1 and _candidate_cells(params, specs, negatives) >= POOL_MIN_CELLS:
+    if pool.WORKERS > 1:
         group_loss = _pooled_groups(params, specs, negatives, dropout, fact_rngs, scale, buf)
     else:
-        # one group at a time: each group's arrays are freed before the next is scored
+        # one group at a time: each group's gradient, under full negatives a
+        # whole entity table, is added to buf and freed before the next is scored
         group_loss = (
             _pull_group(*_draw_and_forward(params, spec, negatives, dropout, fact_rngs), scale, buf,
                         group_losses, backward_group)

@@ -5,13 +5,14 @@ import multiprocessing
 import os
 import sys
 import threading
+import time
 from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ramkb import pool, training
+from ramkb import pool
 from ramkb.engine import GradientBuffer
 from ramkb.mathcore import make_rng
 from ramkb.model import ModelConfig
@@ -105,7 +106,6 @@ def test_pooled_batch_backward_equals_serial_at_any_worker_count(mode, dropout, 
     monkeypatch.setattr(pool, "WORKERS", 1)
     serial = {name: backward(params, facts, negatives, dropout)
               for name, facts in batches(kb).items()}
-    monkeypatch.setattr(training, "POOL_MIN_CELLS", 0)  # every batch is wide enough
     for make in (None, RunAtOnce):
         calls = counting_executor(monkeypatch, make)
         for workers in (1, 2, 3, 5):
@@ -116,25 +116,25 @@ def test_pooled_batch_backward_equals_serial_at_any_worker_count(mode, dropout, 
                 calls.clear()
 
 
-def test_only_wide_batches_take_the_pool(monkeypatch):
-    """The test is the sum of B * a * C candidate scores over the groups."""
-    kb = random_kb(30, (2, 3), n_train=8, seed=44)
-    params = randomized_params(ModelConfig(embed_dim=3, multiplicity=2), kb.vocab, seed=45)
-    n_slots = sum(fact.arity for fact in kb.train)
-    monkeypatch.setattr(pool, "WORKERS", 2)
-    calls = counting_executor(monkeypatch)
-    for negatives, n_cand in (("full", 30), (4, 5), (100, 30)):  # sampled clips to 29 others
-        for cells, pooled in ((n_slots * n_cand, True), (n_slots * n_cand + 1, False)):
-            monkeypatch.setattr(training, "POOL_MIN_CELLS", cells)
-            backward(params, kb.train, negatives, 0.2)
-            assert bool(calls) == pooled, (negatives, cells)
-            calls.clear()
+def test_in_parts_waits_for_every_part_before_it_raises(monkeypatch):
+    """A part that fails must not leave another still writing to what the
+    caller goes on to use: the exception arrives after every part is done."""
+    monkeypatch.setattr(pool, "WORKERS", 3)
+    monkeypatch.setattr(pool, "_pool", None)
+    done = [threading.Event() for _ in range(3)]
 
+    def part(i):
+        if i == 0:
+            raise ValueError("part 0 failed")
+        time.sleep(0.2 * i)
+        done[i].set()
 
-def test_sampled_planted_batches_stay_serial():
-    """64 facts of arity 2 to 6 with 50 sampled negatives each fall below the
-    pool's threshold; full negatives over 3,000 entities are far above it."""
-    assert 64 * 6 * 51 < training.POOL_MIN_CELLS < 64 * 2 * 3000
+    try:
+        with pytest.raises(ValueError, match="part 0 failed"):
+            pool.in_parts(part, 3)
+        assert done[1].is_set() and done[2].is_set()
+    finally:
+        pool._pool.shutdown()
 
 
 @pytest.mark.parametrize("rows", [
@@ -188,7 +188,6 @@ def test_training_on_more_pool_threads_than_cores_keeps_every_bit(monkeypatch):
         serial = train(kb, cfg, train_cfg)
         monkeypatch.setattr(pool, "WORKERS", 5)
         monkeypatch.setattr(pool, "_pool", None)  # a pool of WORKERS - 1 threads of its own
-        monkeypatch.setattr(training, "POOL_MIN_CELLS", 0)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -230,7 +229,6 @@ def test_no_benchmark_wrap_target_runs_off_the_calling_thread(monkeypatch):
 
         monkeypatch.setattr(owner, attr, functools.wraps(original)(recording))
     monkeypatch.setattr(pool, "WORKERS", 2)
-    monkeypatch.setattr(training, "POOL_MIN_CELLS", 0)
     calls = counting_executor(monkeypatch)
     kb = random_kb(2 * ADAM_BLOCK_ROWS + 10, (2, 3, 4), n_train=40, n_test=6, seed=49)
     cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
@@ -257,7 +255,6 @@ def test_training_in_a_forked_child_runs_on_a_pool_of_its_own(monkeypatch):
     cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
     train_cfg = TrainConfig(batch_size=10, max_epochs=1, seed=6)
     monkeypatch.setattr(pool, "WORKERS", 2)
-    monkeypatch.setattr(training, "POOL_MIN_CELLS", 0)
     params = train(kb, cfg, train_cfg).params
     want = {key: value.tobytes() for key, value in params.data.items()}
     assert pool._pool is not None
