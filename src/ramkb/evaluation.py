@@ -173,10 +173,10 @@ def _screen(
     than the query's own entity `own`, in entity order.
 
     The blocks are dealt out in at most pool.WORKERS parts, runs of whole
-    blocks, and the calling thread walks the first part while the pool walks
-    the others. Every part walks the blocks and chunks the serial walk
-    would, so its pairs are the serial walk's over its range, and the parts'
-    pairs joined in order are the serial ones.
+    blocks, which the pool walks (:func:`pool.in_parts`); the calling thread
+    walks each part no pool thread has started. Every part walks the blocks
+    and chunks the serial walk would, so its pairs are the serial walk's over
+    its range, and the parts' pairs joined in order are the serial ones.
     """
     n_entities = table.rows32.shape[0]
     n_rows = kernels32.shape[0]

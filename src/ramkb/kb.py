@@ -131,9 +131,10 @@ class Vocabulary:
     def from_dict(cls, data: dict) -> "Vocabulary":
         """Inverse of :meth:`to_dict`.
 
-        An entity, relation or role name that is not a string, or an arity or
-        role id that is not an int (a bool, a float, a string), raises
-        TypeError rather than being coerced.
+        An entity, relation or role name that is not a string, an arity or
+        role id that is not an int (a bool, a float, a string), or a
+        `rel_roles` that is not an object raises TypeError rather than being
+        coerced.
         """
         if not (_is_names(data["entities"]) and _is_names(data.get("roles", []))):
             raise TypeError("entity and role names must be lists of strings")
@@ -146,7 +147,10 @@ class Vocabulary:
             vocab.add_relation(name, _json_int(arity, "arity"))
         for name in data.get("roles", []):
             vocab.add_role(name)
-        for rel, group in data.get("rel_roles", {}).items():
+        rel_roles = data.get("rel_roles", {})
+        if not isinstance(rel_roles, dict):
+            raise TypeError(f"rel_roles {rel_roles!r} is not an object")
+        for rel, group in rel_roles.items():
             vocab.rel_roles[int(rel)] = tuple(_json_int(g, "role id") for g in group)
         return vocab
 

@@ -133,19 +133,27 @@ class ModelParams:
         """
         params = cls(cfg, vocab)
         rng = make_rng(seed, _STREAM_INIT)
-        params._create_slots(lambda *shape: rng.normal(0.0, INIT_STD, size=shape))
+
+        def make(*shape, fill=None):
+            return rng.normal(0.0, INIT_STD, size=shape) if fill is None else np.full(shape, fill)
+
+        params._create_slots(make)
         return params
 
-    def _create_slots(self, gauss) -> None:
+    def _create_slots(self, make) -> None:
+        """Every slot, each from ``make(*shape)`` (Gaussian entries) or, for a
+        slot that starts at a constant, ``make(*shape, fill=value)``."""
         cfg = self.cfg
-        self.data[("ent",)] = gauss(self.vocab.n_entities, cfg.multiplicity, cfg.embed_dim)
-        mode_of(cfg).init(self, gauss)
+        self.data[("ent",)] = make(self.vocab.n_entities, cfg.multiplicity, cfg.embed_dim)
+        mode_of(cfg).init(self, make)
 
     def slot_shapes(self) -> dict[SlotKey, tuple]:
-        """Shape of every slot that this config and vocabulary call for, in `slots()` order."""
+        """Shape of every slot that this config and vocabulary call for, in
+        `slots()` order. Nothing is allocated, so a vocabulary whose slots
+        would not fit in memory, or not in a numpy array, gives its shapes too."""
         shell = ModelParams(self.cfg, self.vocab)
-        shell._create_slots(lambda *shape: np.broadcast_to(0.0, shape))
-        return {key: shell.data[key].shape for key in shell.slots()}
+        shell._create_slots(lambda *shape, fill=None: shape)
+        return {key: shell.data[key] for key in shell.slots()}
 
     @property
     def arities(self) -> tuple[int, ...]:
@@ -216,17 +224,17 @@ class _Latent:
     def __init__(self, extended: bool) -> None:
         self.extended = extended
 
-    def init(self, params: ModelParams, gauss) -> None:
+    def init(self, params: ModelParams, make) -> None:
         cfg = params.cfg
         k, mg, npm = cfg.latent_size, cfg.role_multiplicity, cfg.patterns_per_role
-        params.data[("basis_u",)] = gauss(k, cfg.embed_dim)
+        params.data[("basis_u",)] = make(k, cfg.embed_dim)
         for a in params.arities:
-            params.data[("basis_p", a)] = gauss(k, a, cfg.multiplicity)
+            params.data[("basis_p", a)] = make(k, a, cfg.multiplicity)
         for rel, (_, a) in enumerate(params.vocab.relations):
-            params.data[("alpha", rel)] = np.zeros((a, mg, k))
+            params.data[("alpha", rel)] = make(a, mg, k, fill=0.0)
             if self.extended:
-                params.data[("beta", rel)] = np.zeros((a, mg, npm, k))
-                params.data[("omega", rel)] = np.ones((a, mg, npm))
+                params.data[("beta", rel)] = make(a, mg, npm, k, fill=0.0)
+                params.data[("omega", rel)] = make(a, mg, npm, fill=1.0)
 
     def terms(self, params: ModelParams, rels):
         q = normalized_basis(params, params.vocab.arity(int(rels[0])))  # (K, a, m)
@@ -265,13 +273,13 @@ class _Latent:
 class _Explicit:
     """Globally named roles, each with a free vector and a raw pattern matrix."""
 
-    def init(self, params: ModelParams, gauss) -> None:
+    def init(self, params: ModelParams, make) -> None:
         vocab = params.vocab
         if vocab.n_roles == 0:
             raise ConfigError("explicit mode needs a role-annotated dataset")
-        params.data[("role_vec",)] = gauss(vocab.n_roles, params.cfg.embed_dim)
+        params.data[("role_vec",)] = make(vocab.n_roles, params.cfg.embed_dim)
         for a in params.arities:
-            params.data[("role_pat", a)] = gauss(vocab.n_roles, a, params.cfg.multiplicity)
+            params.data[("role_pat", a)] = make(vocab.n_roles, a, params.cfg.multiplicity)
         for rel in range(vocab.n_relations):
             if rel not in vocab.rel_roles:
                 raise ConfigError(f"relation {vocab.relations[rel][0]!r} lacks role annotations")
@@ -302,11 +310,11 @@ class _Preset:
         self.patterns.flags.writeable = False
         self.signs.flags.writeable = False
 
-    def init(self, params: ModelParams, gauss) -> None:
+    def init(self, params: ModelParams, make) -> None:
         if any(a != 2 for a in params.arities):
             raise ConfigError("preset modes support binary relations only")
         for rel in range(params.vocab.n_relations):
-            params.data[("preset_u", rel)] = gauss(
+            params.data[("preset_u", rel)] = make(
                 2, params.cfg.role_multiplicity, params.cfg.embed_dim
             )
 
@@ -328,12 +336,12 @@ class _Preset:
 class _Raw:
     """Verbatim role vectors and pattern matrices from the construction."""
 
-    def init(self, params: ModelParams, gauss) -> None:
+    def init(self, params: ModelParams, make) -> None:
         # the construction sets these values; init only fixes the slots' shapes
         cfg = params.cfg
         for rel, (_, a) in enumerate(params.vocab.relations):
-            params.data[("raw_u", rel)] = gauss(a, cfg.embed_dim)
-            params.data[("raw_p", rel)] = gauss(a, a, cfg.multiplicity)
+            params.data[("raw_u", rel)] = make(a, cfg.embed_dim)
+            params.data[("raw_p", rel)] = make(a, a, cfg.multiplicity)
 
     def terms(self, params: ModelParams, rels):
         raw_u = _stacked(params, "raw_u", rels)  # (R, a, d)

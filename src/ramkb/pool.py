@@ -1,30 +1,34 @@
-"""The one thread pool that training and ranking split their table-wide work on.
+"""The one thread pool that training and ranking split their work on.
 
-A pooled step is cut into at most WORKERS parts: the CPUs this process may
-use, when BLAS runs one thread (``OPENBLAS_NUM_THREADS``, or if unset
-``OMP_NUM_THREADS``, is ``1``). Otherwise WORKERS is 1 and every step runs
-on the calling thread, because BLAS's own threads would compete with the
-parts. The calling thread runs one part itself, so the pool has WORKERS - 1
-threads. It is made by the first step split in parts, and a forked child
-makes its own.
+Work reaches the pool in one way, :func:`spread`, as jobs: each a pair of
+callables that do the same work, one for a pool thread and one for the
+calling thread. WORKERS counts the CPUs this process may use when BLAS runs
+one thread (``OPENBLAS_NUM_THREADS``, or if unset ``OMP_NUM_THREADS``, is
+``1``); otherwise it is 1, because BLAS's own threads would compete with
+the pool's. At WORKERS == 1 each job runs on the calling thread as soon as
+it is made. Otherwise the calling thread works too, so the pool has
+WORKERS - 1 threads. It is made by the first job handed to it, and a forked
+child makes its own.
 
-Three steps are split: the ranking walk over the entity table, the arity
-groups of every training batch, and the lazy Adam step of a slot's touched
-rows, contiguous or scattered, in runs of whole blocks. The gradient
-scatter stays on the calling thread: ``np.add.at`` gains little from a
-second one: on a 2-vCPU VM, two threads that each scattered a sampled
-batch's entity gradient took 1.5 times as long as one thread scattering one.
+Three steps are spread: the arity groups of every training batch, and, as
+runs of whole blocks cut by :func:`in_parts`, the ranking walk over the
+entity table and the lazy Adam step of a slot's touched rows, contiguous
+or scattered. The gradient scatter stays on the calling thread: ``np.add.at``
+gains little from a second one: on a 2-vCPU VM, two threads that each
+scattered a sampled batch's entity gradient took 1.5 times as long as one
+thread scattering one.
 
-No split changes a bit. A part runs whole numpy calls, and a whole matmul
-gives the same bits on any thread; a part never runs a share of one
-matmul, whose sums BLAS orders by the shape it is given.
+No split changes a bit. A job runs whole numpy calls, and a whole matmul
+gives the same bits on any thread; a job never runs a share of one matmul,
+whose sums BLAS orders by the shape it is given.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from typing import Callable, TypeVar
+from functools import partial
+from typing import Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 
@@ -52,23 +56,47 @@ def executor() -> ThreadPoolExecutor:
     return _pool
 
 
-def in_parts(part: Callable[[int], T], n_parts: int) -> list[T]:
-    """``[part(0), ..., part(n_parts - 1)]``: part 0 runs on the calling
-    thread while the pool runs the others.
+def spread(jobs: Iterable[tuple[Callable[[], T], Callable[[], T]]]) -> Iterator[T]:
+    """The result of every job of `jobs`, in job order.
 
-    Every part has finished when this returns or raises, so no part still
-    writes to what the caller goes on to use; the first failed part's
-    exception is raised.
+    A job is a pair ``(on_pool, on_caller)`` of callables that do the same
+    work, the first on a pool thread, the second on the calling thread. At
+    WORKERS == 1 each job runs on the calling thread as soon as it is made
+    and is released before the next is made. Otherwise each job is handed
+    to the pool as it is made; then the calling thread pulls back, from the
+    last job down, every job that no pool thread has started and runs it
+    itself. Each result is yielded as soon as it and every result before it
+    are in.
+
+    Every job has finished before an exception leaves: no job still writes
+    to what the caller goes on to use.
     """
-    if n_parts == 1:
-        return [part(0)]
-    pool = executor()
-    futures = [pool.submit(part, i) for i in range(1, n_parts)]
+    if WORKERS == 1:
+        for job in jobs:
+            result = job[1]()
+            del job  # what the job holds goes before the next job is made
+            yield result
+        return
+    pool, futures, callers = executor(), [], []
     try:
-        first = part(0)
+        for on_pool, on_caller in jobs:
+            futures.append(pool.submit(on_pool))
+            callers.append(on_caller)
+        pulled = {i: callers[i]() for i in reversed(range(len(futures))) if futures[i].cancel()}
+        for i, future in enumerate(futures):
+            yield pulled.pop(i) if i in pulled else future.result()
     finally:
         wait(futures)
-    return [first] + [future.result() for future in futures]
+
+
+def in_parts(part: Callable[[int], T], n_parts: int) -> list[T]:
+    """``[part(0), ..., part(n_parts - 1)]``, the parts spread over the pool
+    as jobs (:func:`spread`): the calling thread runs, from the last part
+    down, every part no pool thread has started. Every part has finished
+    when this returns or raises."""
+    if n_parts == 1:
+        return [part(0)]
+    return list(spread((partial(part, i),) * 2 for i in range(n_parts)))
 
 
 def _forget_pool() -> None:

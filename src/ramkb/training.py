@@ -5,7 +5,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -170,28 +170,6 @@ def _draw_and_forward(
     return forward_group(params, spec, mask), cand
 
 
-def _pull_group(
-    kern: GroupKernels,
-    cand: TableCandidates | SampledCandidates,
-    scale: float,
-    buf,
-    losses_of,
-    backward,
-) -> np.ndarray:
-    """Score one group, add its gradient, times `scale`, to `buf`; return its per-fact losses.
-
-    `buf` is a GradientBuffer or a _GroupRecord. `losses_of` and `backward`
-    are :func:`group_losses` and :func:`backward_group`, passed in so that
-    the calling thread can use this module's names and a pool thread the
-    engine's: a tracer that wraps this module's names then records spans on
-    the calling thread only.
-    """
-    losses, grad = losses_of(cand.scores(kern.gather), cand.true_cols)
-    grad *= scale
-    backward(kern, cand.pullback(kern.gather, grad, buf), buf)
-    return losses
-
-
 class _GroupRecord:
     """The add, add_rows and add_all_rows calls a group makes on a gradient
     buffer, kept in order so that :meth:`replay` makes them on one later."""
@@ -209,44 +187,40 @@ class _GroupRecord:
         self.calls.append(("add_all_rows", (key, values)))
 
     def replay(self, buf: GradientBuffer) -> None:
-        for name, args in self.calls:
+        """Make the recorded calls on `buf`, and drop them."""
+        calls, self.calls = self.calls, []
+        for name, args in calls:
             getattr(buf, name)(*args)
 
 
-def _pooled_groups(
+def _group_job(
     params: ModelParams,
-    specs: list[GroupSpec],
+    spec: GroupSpec,
     negatives: str | int,
     dropout: float,
     fact_rngs: Optional[list[np.random.Generator]],
     scale: float,
-    buf: GradientBuffer,
-) -> list[np.ndarray]:
-    """:func:`_pull_group` of every group, spread over the thread pool; the
-    groups' per-fact losses in ascending arity order.
+) -> tuple[Callable[[], tuple], Callable[[], tuple]]:
+    """One arity group, drawn and forwarded on the calling thread, as a
+    :func:`pool.spread` job.
 
-    The calling thread draws and forwards every group in ascending arity
-    order and hands each to the pool as soon as it is forwarded. Then it
-    pulls back itself, from the last group down, every group that no pool
-    thread has started. Each group writes to a _GroupRecord of its own, and
-    the records are replayed into `buf` in ascending arity order, so `buf`
-    receives the serial loop's calls with the same values.
+    The job scores the group, records its gradient, times `scale`, in a
+    _GroupRecord, and returns its per-fact losses and the record. On a pool
+    thread it calls the engine's :func:`group_losses` and :func:`backward_group`,
+    on the calling thread this module's names, so that a tracer wrapping
+    this module's names records spans on the calling thread only.
     """
-    executor, jobs, futures = pool.executor(), [], []
-    for spec in specs:
-        kern, cand = _draw_and_forward(params, spec, negatives, dropout, fact_rngs)
-        jobs.append((kern, cand, scale, _GroupRecord()))
-        futures.append(executor.submit(_pull_group, *jobs[-1],
-                                       engine.group_losses, engine.backward_group))
-    losses: list[Optional[np.ndarray]] = [None] * len(jobs)
-    for i in reversed(range(len(jobs))):
-        if futures[i].cancel():
-            losses[i] = _pull_group(*jobs[i], group_losses, backward_group)
-    for i, (future, job) in enumerate(zip(futures, jobs)):
-        if losses[i] is None:
-            losses[i] = future.result()
-        job[-1].replay(buf)
-    return losses
+    kern, cand = _draw_and_forward(params, spec, negatives, dropout, fact_rngs)
+    record = _GroupRecord()
+
+    def pull(losses_of, backward):
+        losses, grad = losses_of(cand.scores(kern.gather), cand.true_cols)
+        grad *= scale
+        backward(kern, cand.pullback(kern.gather, grad, record), record)
+        return losses, record
+
+    return (lambda: pull(engine.group_losses, engine.backward_group),
+            lambda: pull(group_losses, backward_group))
 
 
 def batch_loss(
@@ -277,28 +251,24 @@ def batch_backward(
 ) -> tuple[float, GradientBuffer]:
     """Mean batch loss and its exact gradient for every learnable slot.
 
-    The batch's groups are spread over the thread pool
-    (:func:`_pooled_groups`) when the pool has two workers or more; the loss
-    and gradient are the same, bit for bit.
+    The calling thread draws and forwards the arity groups in ascending
+    arity order, and each group is scored and pulled back as a job of
+    :func:`pool.spread`: on the thread pool, or, when the pool has one
+    worker, on the calling thread as soon as it is made. Each group records
+    its gradient, and the records are replayed into the buffer in ascending
+    arity order, so the loss and gradient are the same, bit for bit, on any
+    CPU count.
     """
     if not facts:
         raise ConfigError("empty batch")
     scale = 1.0 / len(facts)
     buf = GradientBuffer(params)
-    specs = split_groups(params, facts)
-    if pool.WORKERS > 1:
-        group_loss = _pooled_groups(params, specs, negatives, dropout, fact_rngs, scale, buf)
-    else:
-        # one group at a time: each group's gradient, under full negatives a
-        # whole entity table, is added to buf and freed before the next is scored
-        group_loss = (
-            _pull_group(*_draw_and_forward(params, spec, negatives, dropout, fact_rngs), scale, buf,
-                        group_losses, backward_group)
-            for spec in specs
-        )
+    jobs = (_group_job(params, spec, negatives, dropout, fact_rngs, scale)
+            for spec in split_groups(params, facts))
     total = 0.0
-    for losses in group_loss:
+    for losses, record in pool.spread(jobs):
         total += float(losses.sum())
+        record.replay(buf)
 
     loss = total * scale
     if not np.isfinite(loss):

@@ -205,6 +205,13 @@ def test_malformed_header_is_data_error(tmp_path):
         "vocab-relation-name-int": {
             **header, "vocab": {**header["vocab"], "relations": [[5, 2]]}
         },
+        # rel_roles that is not an object of relation ids
+        **{f"vocab-rel-roles-{kind}": {**header, "vocab": {**header["vocab"], "rel_roles": roles}}
+           for kind, roles in (("list", [[0, 1]]), ("string", "01"), ("number", 5))},
+        # arities whose slots would not fit in memory, or not in a numpy array
+        **{f"vocab-arity-1e{exp}": {
+            **header, "vocab": {**header["vocab"], "relations": [["r0", 10**exp]]}
+        } for exp in (9, 18)},
     }
     role_cases = {"rel-roles-id-7-of-2": [0, 7], "rel-roles-too-long": [0, 1, 0],
                   "rel-roles-id-negative": [0, -1], "rel-roles-string": "01",

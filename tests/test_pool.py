@@ -1,4 +1,8 @@
-"""Training on the thread pool gives the serial bits, at any worker count."""
+"""Every job reaches the thread pool through `pool.spread`, and training
+takes one path at any worker count: in a one-CPU process each batch's arity
+groups run on the calling thread as they are made, otherwise on the pool.
+Either way a batch's gradient and the trained parameters are the same, bit
+for bit."""
 
 import functools
 import multiprocessing
@@ -6,13 +10,14 @@ import os
 import sys
 import threading
 import time
+import weakref
 from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ramkb import pool
+from ramkb import engine, pool
 from ramkb.engine import GradientBuffer
 from ramkb.mathcore import make_rng
 from ramkb.model import ModelConfig
@@ -48,6 +53,29 @@ class RunAtOnce:
         thread.start()
         thread.join(60)
         assert future.done(), "a task did not finish"
+        return future
+
+
+class StartAtOnce:
+    """An executor that starts each task on a thread of its own and returns
+    while it runs: every task is running, so none is pulled back, and none
+    has finished when `submit` returns."""
+
+    def __init__(self):
+        self.threads = []
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_running_or_notify_cancel()
+
+        def run():
+            try:
+                future.set_result(fn(*args))
+            except BaseException as exc:
+                future.set_exception(exc)
+
+        self.threads.append(threading.Thread(target=run))
+        self.threads[-1].start()
         return future
 
 
@@ -133,6 +161,104 @@ def test_in_parts_waits_for_every_part_before_it_raises(monkeypatch):
         with pytest.raises(ValueError, match="part 0 failed"):
             pool.in_parts(part, 3)
         assert done[1].is_set() and done[2].is_set()
+    finally:
+        pool._pool.shutdown()
+
+
+def test_pooled_batch_waits_for_every_group_before_it_raises(monkeypatch):
+    """A group that fails must not leave another still recording its
+    gradient: batch_backward raises after every group is done."""
+    kb, params = mode_case("latent")
+    facts = [f for f in kb.train if f.arity == 2][:3] + [f for f in kb.train if f.arity == 3][:3]
+    executor, done = StartAtOnce(), threading.Event()
+    monkeypatch.setattr(pool, "WORKERS", 2)
+    monkeypatch.setattr(pool, "executor", lambda: executor)
+    original = engine.backward_group
+
+    def backward_group(kern, grad, buf):
+        if kern.spec.arity == 2:
+            raise ValueError("arity 2 failed")
+        time.sleep(0.3)
+        original(kern, grad, buf)
+        done.set()
+
+    monkeypatch.setattr(engine, "backward_group", backward_group)
+    try:
+        with pytest.raises(ValueError, match="arity 2 failed"):
+            backward(params, facts, "full", 0.0)
+        assert done.is_set()
+    finally:
+        for thread in executor.threads:
+            thread.join(60)
+    assert not any(thread.is_alive() for thread in executor.threads)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_spread_yields_results_in_job_order(workers, monkeypatch):
+    """Later jobs finish sooner, and the results still come in job order."""
+    monkeypatch.setattr(pool, "WORKERS", workers)
+    monkeypatch.setattr(pool, "_pool", None)
+
+    def job(i):
+        def run():
+            time.sleep(0.01 * (6 - i))
+            return i
+
+        return run, run
+
+    try:
+        assert list(pool.spread(job(i) for i in range(6))) == list(range(6))
+    finally:
+        if pool._pool is not None:
+            pool._pool.shutdown()
+
+
+def test_spread_on_one_worker_runs_and_releases_each_job_before_the_next_is_made(monkeypatch):
+    """In a one-CPU process what a job holds, a batch group's kernels and
+    candidates, is gone before the next job is made: a full-negative batch
+    holds one group's entity table at a time."""
+    monkeypatch.setattr(pool, "WORKERS", 1)
+
+    class Held:
+        pass
+
+    ran, held = [], []
+
+    def job(i):
+        assert ran == list(range(i))
+        assert [ref() for ref in held] == [None] * i
+        thing = Held()
+        held.append(weakref.ref(thing))
+
+        def run(thing=thing):
+            ran.append(i)
+            return i
+
+        return run, run
+
+    assert list(pool.spread(job(i) for i in range(4))) == [0, 1, 2, 3]
+
+
+def test_spread_raises_a_pulled_back_jobs_exception_after_every_pool_job(monkeypatch):
+    """The one pool thread runs job 0; the calling thread pulls back job 1,
+    which fails, and the exception arrives only after job 0 is done."""
+    monkeypatch.setattr(pool, "WORKERS", 2)
+    monkeypatch.setattr(pool, "_pool", None)
+    done, failed_on = threading.Event(), []
+
+    def slow():
+        time.sleep(0.3)
+        done.set()
+
+    def fail():
+        failed_on.append(threading.current_thread())
+        raise ValueError("job 1 failed")
+
+    try:
+        with pytest.raises(ValueError, match="job 1 failed"):
+            list(pool.spread([(slow, slow), (fail, fail)]))
+        assert done.is_set()
+        assert failed_on == [threading.current_thread()]
     finally:
         pool._pool.shutdown()
 
