@@ -26,6 +26,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -207,6 +208,22 @@ def _arity_predicate(spec: str | None):
     return lambda arity: arity in allowed
 
 
+def _check_slot_sizes(shapes: dict) -> None:
+    """Raise ConfigError when the float64 slots of `shapes` together need more
+    bytes than this machine's memory, naming the largest slot and its shape."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no such count on this platform
+        memory = sys.maxsize  # the largest numpy array
+    sizes = {key: 8 * math.prod(shape) for key, shape in shapes.items()}
+    if sum(sizes.values()) > memory:
+        key = max(sizes, key=sizes.get)
+        raise ConfigError(
+            f"the parameters need {sum(sizes.values()) / 2**30:.1f} GiB, more than the "
+            f"{memory / 2**30:.1f} GiB of memory; the largest slot, {key}, has shape {shapes[key]}"
+        )
+
+
 def cmd_train(args) -> int:
     overrides = {"seed": args.seed, "mode": args.mode}
     model_cfg, train_cfg = load_configs(
@@ -217,9 +234,9 @@ def cmd_train(args) -> int:
         valid_fraction=args.valid_fraction,
         seed=train_cfg.seed,
     )
-    # the mode's slot checks (e.g. presets take binary relations only) run
-    # before anything is written
-    ModelParams(model_cfg, kb.vocab).slot_shapes()
+    # the mode's slot checks (e.g. presets take binary relations only) and
+    # the check that the slots fit in memory run before anything is written
+    _check_slot_sizes(ModelParams(model_cfg, kb.vocab).slot_shapes())
     out = _out_dir(args.out)
     manifest_path = out / "manifest.json"
     ckpt_path = out / "model.ramckpt"

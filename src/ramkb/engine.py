@@ -14,16 +14,20 @@ layout of ``RelationTerms.flat`` and hands their gradients, in that layout,
 to the terms' ``pullback``.
 
 The score is multilinear, so entity e scores ``<gather[p], e>`` at position
-p. :func:`forward_group` builds those contraction kernels, and a candidate
-scorer owns scoring and its pullback: :class:`TableCandidates` over the whole
-entity table, :class:`SampledCandidates` over per-(fact, position) ids.
-Ranking reads the kernels alone. :func:`group_losses` gives the candidate
-cross-entropy and its score gradient, which it computes in the score array
-itself, so a training batch allocates one candidate-score array per group.
+p, whatever the fact's arity. :func:`forward_group` builds those contraction
+kernels, and a candidate scorer owns scoring and its pullback over kernel
+rows of any arity, (..., m, d): :class:`TableCandidates` over the whole
+entity table, :class:`SampledCandidates` over per-row entity ids. So
+training stacks a batch's kernel rows, every arity group's, and scores
+them in fixed chunks of rows (``training``). Ranking reads the kernels
+alone. :func:`group_losses` gives the candidate cross-entropy and its score
+gradient, which it computes in the score array itself.
 
-A scorer's ``pullback`` adds the candidates' entity-table gradient to the
-buffer and returns the kernels' gradient, one gradient-weighted sum of
-candidate blocks per kernel. :func:`backward_group` pulls that back through
+A scorer's ``pullback`` returns the kernels' gradient, one
+gradient-weighted sum of candidate blocks per kernel row. The entity
+table's gradient is the table scorer's ``table_grad``, one product over
+every row of a batch, or the sampled scorer's ``row_grads``, one row per
+candidate. :func:`backward_group` pulls the kernels' gradient back through
 the arrays :func:`forward_group` kept; one reverse sweep over each of the
 prefix and suffix recurrences gives every factor's gradient at one product
 per position.
@@ -264,48 +268,64 @@ def forward_group(
 
 
 class TableCandidates:
-    """Every entity is a candidate at every position (full negatives, exhaustive
-    checks); the true entities `true_ents` (B, a) are their own columns."""
+    """Every entity is a candidate of every kernel row (full negatives,
+    exhaustive checks); the true entities `true_ents` are their own columns.
+
+    A kernel row is one (fact, position) contraction kernel, (m, d); kernels
+    come as an array (..., m, d) of them, with `true_ents` shaped (...).
+    """
 
     def __init__(self, params: ModelParams, true_ents: np.ndarray) -> None:
         ent_table = params.data[("ent",)]
+        self.shape = ent_table.shape
         self.rows = ent_table.reshape(len(ent_table), -1)  # (n_entities, m*d)
         self.true_cols = true_ents
 
-    def scores(self, gather: np.ndarray) -> np.ndarray:
-        b, a = gather.shape[:2]
-        return (gather.reshape(b * a, -1) @ self.rows.T).reshape(b, a, -1)
+    def scores(self, kernels: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Scores (..., n_entities), one product with the table; `out`, if
+        given, is a C-contiguous (n, n_entities) array for them."""
+        flat = kernels.reshape(-1, self.rows.shape[1])
+        return np.matmul(flat, self.rows.T, out=out).reshape(kernels.shape[:-2] + (-1,))
 
-    def pullback(self, gather: np.ndarray, g: np.ndarray, buf: GradientBuffer) -> np.ndarray:
-        """Add the score gradient `g`'s entity-table part to `buf`; return dL/d`gather`."""
-        b, a, m, d = gather.shape
-        g_flat = g.reshape(b * a, -1)
-        buf.add_all_rows(("ent",), (g_flat.T @ gather.reshape(b * a, -1)).reshape(-1, m, d))
-        return (g_flat @ self.rows).reshape(gather.shape)
+    def pullback(self, g: np.ndarray) -> np.ndarray:
+        """dL/d`kernels` (..., m, d) of the score gradient `g` (..., n_entities)."""
+        return (g.reshape(-1, len(self.rows)) @ self.rows).reshape(g.shape[:-1] + self.shape[1:])
+
+    def table_grad(self, kernels: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """dL/d(entity table) (n_entities, m, d) of the score gradient `g`
+        (n, n_entities) of the kernel rows `kernels` (n, m, d): one product."""
+        return (g.T @ kernels.reshape(len(kernels), -1)).reshape(self.shape)
 
 
 class SampledCandidates:
-    """Each (fact, position) scores its own entity ids (B, a, C), column 0 the
-    true one. :meth:`scores` gathers the candidate blocks, transposed to the
-    (B*a, m*d, C) operand of its matmul and of :meth:`pullback`'s."""
+    """Each kernel row scores its own entity ids (..., C), column 0 the true
+    one. :meth:`scores` gathers the candidate blocks, transposed to the
+    (n, m*d, C) operand of its matmul and of :meth:`pullback`'s."""
 
     def __init__(self, params: ModelParams, ids: np.ndarray) -> None:
-        self.table = params.data[("ent",)]
+        ent_table = params.data[("ent",)]
+        self.rows = ent_table.reshape(len(ent_table), -1)
+        self.block = ent_table.shape[1:]
         self.ids = ids
-        self.true_cols = np.zeros(ids.shape[:2], dtype=np.intp)
+        self.true_cols = np.zeros(ids.shape[:-1], dtype=np.intp)
 
-    def scores(self, gather: np.ndarray) -> np.ndarray:
-        b, a, c = self.ids.shape
-        blocks = self.table.reshape(len(self.table), -1)[self.ids]  # (B, a, C, m*d)
-        self.blocks_t = blocks.transpose(0, 1, 3, 2).reshape(b * a, -1, c)
-        return (gather.reshape(b * a, 1, -1) @ self.blocks_t).reshape(b, a, c)
+    def scores(self, kernels: np.ndarray) -> np.ndarray:
+        c = self.ids.shape[-1]
+        blocks = self.rows[self.ids.reshape(-1, c)]  # (n, C, m*d)
+        self.blocks_t = blocks.transpose(0, 2, 1)
+        flat = kernels.reshape(len(blocks), 1, -1)
+        return (flat @ self.blocks_t).reshape(self.ids.shape)
 
-    def pullback(self, gather: np.ndarray, g: np.ndarray, buf: GradientBuffer) -> np.ndarray:
-        _, _, m, d = gather.shape
-        # C order, so the scatter reads the values in place
-        contrib = np.multiply(g[:, :, :, None, None], gather[:, :, None, :, :], order="C")
-        buf.add_rows(("ent",), self.ids.reshape(-1), contrib.reshape(-1, m, d))
-        return (self.blocks_t @ g.reshape(len(self.blocks_t), -1, 1)).reshape(gather.shape)
+    def pullback(self, g: np.ndarray) -> np.ndarray:
+        """dL/d`kernels` (..., m, d) of the score gradient `g` (..., C)."""
+        grad = self.blocks_t @ g.reshape(len(self.blocks_t), -1, 1)
+        return grad.reshape(g.shape[:-1] + self.block)
+
+    def row_grads(self, kernels: np.ndarray, g: np.ndarray,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+        """dL/d(entity row) (..., C, m, d) of each candidate, given the score
+        gradient `g` (..., C); candidate j of a kernel row is entity ``ids[..., j]``."""
+        return np.multiply(g[..., None, None], kernels[..., None, :, :], out=out)
 
 
 def group_losses(scores: np.ndarray, true_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -315,7 +335,7 @@ def group_losses(scores: np.ndarray, true_cols: np.ndarray) -> tuple[np.ndarray,
     entity's column. The (B,) losses sum over positions; the (B, a, C)
     gradient is softmax(scores) minus the true one-hot, from the same max,
     exp and sum. The gradient is computed in place: `scores` is overwritten
-    and returned as the gradient, so a batch holds one (B, a, C) array.
+    and returned as the gradient, so scores and gradient share one array.
     """
     top = scores.max(axis=-1, keepdims=True)
     at_true = (*np.indices(true_cols.shape, sparse=True), true_cols)

@@ -10,17 +10,21 @@ it is made. Otherwise the calling thread works too, so the pool has
 WORKERS - 1 threads. It is made by the first job handed to it, and a forked
 child makes its own.
 
-Three steps are spread: the arity groups of every training batch, and, as
-runs of whole blocks cut by :func:`in_parts`, the ranking walk over the
-entity table and the lazy Adam step of a slot's touched rows, contiguous
-or scattered. The gradient scatter stays on the calling thread: ``np.add.at``
-gains little from a second one: on a 2-vCPU VM, two threads that each
-scattered a sampled batch's entity gradient took 1.5 times as long as one
-thread scattering one.
+Four steps are spread: the candidate pass of every training batch, one
+job per fixed chunk of its stacked kernel rows; a full-negative batch's
+entity-table gradient, one product run :func:`beside` the calling thread's
+pull-back of the batch's groups; and, as runs of whole blocks cut by
+:func:`in_parts`, the ranking walk over the entity table and the lazy Adam
+step of a slot's touched rows, contiguous or scattered. The gradient
+scatter stays on the calling thread: ``np.add.at`` gains little from a
+second one: on a 2-vCPU VM, two threads that each scattered a sampled
+batch's entity gradient took 1.5 times as long as one thread scattering one.
 
 No split changes a bit. A job runs whole numpy calls, and a whole matmul
 gives the same bits on any thread; a job never runs a share of one matmul,
-whose sums BLAS orders by the shape it is given.
+whose sums BLAS orders by the shape it is given. Where a job's shape is cut
+from a larger one, as the candidate pass's chunks are, the cut is fixed,
+not set by the CPU count.
 """
 
 from __future__ import annotations
@@ -87,6 +91,20 @@ def spread(jobs: Iterable[tuple[Callable[[], T], Callable[[], T]]]) -> Iterator[
             yield pulled.pop(i) if i in pulled else future.result()
     finally:
         wait(futures)
+
+
+def beside(job: tuple[Callable[[], T], Callable[[], T]], work: Callable[[], None]) -> T:
+    """The result of `job`, a pair as :func:`spread` takes, run on the pool
+    while the calling thread runs `work()`. At WORKERS == 1 the calling
+    thread runs the job first; when no pool thread has started it by the
+    time `work()` returns, the calling thread runs it then. Both have
+    finished when this returns or raises."""
+    def jobs():
+        yield job
+        work()
+
+    [result] = spread(jobs())  # unpacking runs the generator to its end
+    return result
 
 
 def in_parts(part: Callable[[int], T], n_parts: int) -> list[T]:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -38,6 +39,11 @@ ADAM_EPS = 1e-8
 # m*d = 50 a block's gathered moments and temporaries (~200 kB each) stay in
 # a 2 MB L2 cache
 ADAM_BLOCK_ROWS = 512
+# stacked (fact, slot) kernel rows per candidate job. A batch's rows are cut
+# at fixed multiples of it, so every job runs the same numpy calls at any CPU
+# count. Of 16, 32, 64 and 200, a planted3k full-negative batch took 6.08,
+# 5.55, 5.58 and 6.76 ms on a 2-vCPU VM (medians of 5 runs)
+CHUNK_ROWS = 32
 
 
 @dataclass
@@ -118,14 +124,15 @@ def _group_candidates(
     spec: GroupSpec,
     negatives: str | int,
     rng: Optional[np.random.Generator],
-) -> TableCandidates | SampledCandidates:
-    """The group's candidate scorer: the whole entity table for full negatives,
-    else sampled ids (B, a, 1 + n_neg) with column 0 the true entity, drawn
-    at once from `rng`."""
+) -> np.ndarray:
+    """The group's candidates per (fact, slot): for full negatives the whole
+    entity table, given as the true entities (B, a), their own columns; else
+    sampled ids (B, a, 1 + n_neg) with column 0 the true entity, drawn at
+    once from `rng`."""
     if negatives == "full":
-        return TableCandidates(params, spec.ents)
+        return spec.ents
     neg = corrupt(spec.ents, params.vocab.n_entities, negatives, rng)
-    return SampledCandidates(params, np.concatenate([spec.ents[:, :, None], neg], axis=2))
+    return np.concatenate([spec.ents[:, :, None], neg], axis=2)
 
 
 def _group_masks(
@@ -156,8 +163,8 @@ def _draw_and_forward(
     negatives: str | int,
     dropout: float,
     fact_rngs: Optional[list[np.random.Generator]],
-) -> tuple[GroupKernels, TableCandidates | SampledCandidates]:
-    """One arity group's kernels and candidate scorer.
+) -> tuple[GroupKernels, np.ndarray]:
+    """One arity group's kernels and candidates.
 
     Candidates, then dropout masks, are drawn from the generator that
     `fact_rngs` holds for the group's first fact.
@@ -165,62 +172,124 @@ def _draw_and_forward(
     if fact_rngs is None and (negatives != "full" or dropout > 0):
         raise ConfigError("sampled negatives and dropout need one generator per fact")
     rng = None if fact_rngs is None else fact_rngs[spec.fact_index[0]]
-    cand = _group_candidates(params, spec, negatives, rng)
+    cands = _group_candidates(params, spec, negatives, rng)
     mask = _group_masks(spec, params, dropout, rng)
-    return forward_group(params, spec, mask), cand
+    return forward_group(params, spec, mask), cands
 
 
-class _GroupRecord:
-    """The add, add_rows and add_all_rows calls a group makes on a gradient
-    buffer, kept in order so that :meth:`replay` makes them on one later."""
+class _CandidatePass:
+    """A batch's candidates, scored in one pass over its stacked kernel rows.
 
-    def __init__(self) -> None:
-        self.calls: list[tuple[str, tuple]] = []
-
-    def add(self, key, value) -> None:
-        self.calls.append(("add", (key, value)))
-
-    def add_rows(self, key, rows, values) -> None:
-        self.calls.append(("add_rows", (key, rows, values)))
-
-    def add_all_rows(self, key, values) -> None:
-        self.calls.append(("add_all_rows", (key, values)))
-
-    def replay(self, buf: GradientBuffer) -> None:
-        """Make the recorded calls on `buf`, and drop them."""
-        calls, self.calls = self.calls, []
-        for name, args in calls:
-            getattr(buf, name)(*args)
-
-
-def _group_job(
-    params: ModelParams,
-    spec: GroupSpec,
-    negatives: str | int,
-    dropout: float,
-    fact_rngs: Optional[list[np.random.Generator]],
-    scale: float,
-) -> tuple[Callable[[], tuple], Callable[[], tuple]]:
-    """One arity group, drawn and forwarded on the calling thread, as a
-    :func:`pool.spread` job.
-
-    The job scores the group, records its gradient, times `scale`, in a
-    _GroupRecord, and returns its per-fact losses and the record. On a pool
-    thread it calls the engine's :func:`group_losses` and :func:`backward_group`,
-    on the calling thread this module's names, so that a tracer wrapping
-    this module's names records spans on the calling thread only.
+    The arity groups' (fact, slot) kernel rows, and their candidates, stack
+    in ascending arity order, and the rows are cut into jobs of CHUNK_ROWS
+    rows each (:meth:`chunk`). A job scores its rows and takes their losses;
+    with a `scale`, it also scales their score gradient and pulls it back to
+    their kernels. A job writes only its own rows of the pass's arrays and
+    calls only the engine's names, so it may run on any thread.
     """
-    kern, cand = _draw_and_forward(params, spec, negatives, dropout, fact_rngs)
-    record = _GroupRecord()
 
-    def pull(losses_of, backward):
-        losses, grad = losses_of(cand.scores(kern.gather), cand.true_cols)
-        grad *= scale
-        backward(kern, cand.pullback(kern.gather, grad, record), record)
-        return losses, record
+    def __init__(self, params: ModelParams, facts: list[Fact], negatives: str | int,
+                 dropout: float, fact_rngs: Optional[list[np.random.Generator]],
+                 scale: Optional[float] = None) -> None:
+        self.params, self.negatives = params, negatives
+        self.dropout, self.fact_rngs, self.scale = dropout, fact_rngs, scale
+        self.full = negatives == "full"
+        self.groups = split_groups(params, facts)
+        self.spans, self.n_rows = [], 0
+        for spec in self.groups:
+            self.spans.append(slice(self.n_rows, self.n_rows + spec.ents.size))
+            self.n_rows += spec.ents.size
+        self.block = params.data[("ent",)].shape[1:]  # (m, d)
+        self.kernels = np.empty((self.n_rows,) + self.block)
+        self.losses = np.empty(self.n_rows)
+        if scale is not None:
+            self.pseudo = np.empty_like(self.kernels)  # dL/d kernels
+        self.forwarded: list[GroupKernels] = []  # kept when there is a gradient to pull back
 
-    return (lambda: pull(engine.group_losses, engine.backward_group),
-            lambda: pull(group_losses, backward_group))
+    def _stack(self, rows: slice, cands: np.ndarray) -> None:
+        """Put a group's candidates at `rows`; the first group's give the
+        candidate count, and so the arrays' shapes."""
+        if rows.start == 0:
+            self.cands = np.empty((self.n_rows,) + cands.shape[2:], dtype=np.intp)
+            if self.scale is not None:
+                # what the entity table's gradient is made of: the score
+                # gradient of every row under full negatives, else the row
+                # gradient of every sampled candidate
+                width = ((self.params.vocab.n_entities,) if self.full
+                         else self.cands.shape[1:] + self.block)
+                self.grads = np.empty((self.n_rows,) + width)
+        self.cands[rows] = cands.reshape(self.cands[rows].shape)
+
+    def jobs(self) -> Iterator[tuple[Callable[[], None], Callable[[], None]]]:
+        """Draw and forward each group on the calling thread, in ascending
+        arity order, and make each chunk's job, a :func:`pool.spread` pair,
+        as soon as the groups its rows come from are forwarded."""
+        made = 0
+        for spec, rows in zip(self.groups, self.spans):
+            kern, cands = _draw_and_forward(self.params, spec, self.negatives, self.dropout,
+                                            self.fact_rngs)
+            self.kernels[rows] = kern.gather.reshape((-1,) + self.block)
+            self._stack(rows, cands)
+            if self.scale is not None:
+                self.forwarded.append(kern)
+            while made < rows.stop and min(made + CHUNK_ROWS, self.n_rows) <= rows.stop:
+                chunk = slice(made, min(made + CHUNK_ROWS, self.n_rows))
+                yield (partial(self.chunk, chunk, engine.group_losses),
+                       partial(self.chunk, chunk, group_losses))
+                made = chunk.stop
+
+    def chunk(self, rows: slice, losses_of: Callable) -> None:
+        """Score the kernel rows `rows`, as :meth:`jobs` cuts them, with
+        `losses_of` (:func:`group_losses`)."""
+        scorer = TableCandidates if self.full else SampledCandidates
+        cand = scorer(self.params, self.cands[rows])
+        kernels = self.kernels[rows]
+        if self.full and self.scale is not None:
+            scores = cand.scores(kernels, out=self.grads[rows])
+        else:
+            scores = cand.scores(kernels)
+        losses, g = losses_of(scores[:, None], cand.true_cols[:, None])
+        self.losses[rows] = losses
+        if self.scale is None:
+            return
+        g = g[:, 0]
+        g *= self.scale
+        self.pseudo[rows] = cand.pullback(g)
+        if not self.full:
+            cand.row_grads(kernels, g, out=self.grads[rows])
+
+    def run(self) -> float:
+        """Score every chunk over the pool, and return the batch's summed
+        loss, added up per group in ascending arity order."""
+        for _ in pool.spread(self.jobs()):
+            pass
+        total = 0.0
+        for spec, rows in zip(self.groups, self.spans):
+            total += float(self.losses[rows].reshape(-1, spec.arity).sum(axis=1).sum())
+        return total
+
+    def pull_back(self, buf: GradientBuffer) -> None:
+        """Add the batch's gradient to `buf`, pulling each group back on the
+        calling thread in ascending arity order.
+
+        Sampled candidates' rows go in group by group, each group's before
+        its :func:`backward_group` rows. Under full negatives the entity
+        table's gradient is one product over every row, run on the pool
+        (:func:`pool.beside`) while the groups are pulled back, and added last.
+        """
+        def pull_groups() -> None:
+            for kern, rows in zip(self.forwarded, self.spans):
+                if not self.full:
+                    buf.add_rows(("ent",), self.cands[rows].reshape(-1),
+                                 self.grads[rows].reshape((-1,) + self.block))
+                backward_group(kern, self.pseudo[rows].reshape(kern.gather.shape), buf)
+
+        if not self.full:
+            pull_groups()
+            return
+        table = TableCandidates(self.params, self.cands)
+        job = partial(table.table_grad, self.kernels, self.grads)
+        buf.add_all_rows(("ent",), pool.beside((job, job), pull_groups))
 
 
 def batch_loss(
@@ -232,14 +301,10 @@ def batch_loss(
 ) -> float:
     """Mean per-fact loss of a batch: what :func:`batch_backward` differentiates.
 
-    Identically keyed generators give both the same candidates and masks.
+    Identically keyed generators give both the same candidates and masks,
+    and both score them in the same candidate pass.
     """
-    total = 0.0
-    for spec in split_groups(params, facts):
-        kern, cand = _draw_and_forward(params, spec, negatives, dropout, fact_rngs)
-        losses, _ = group_losses(cand.scores(kern.gather), cand.true_cols)
-        total += float(losses.sum())
-    return total / len(facts)
+    return _CandidatePass(params, facts, negatives, dropout, fact_rngs).run() / len(facts)
 
 
 def batch_backward(
@@ -252,30 +317,28 @@ def batch_backward(
     """Mean batch loss and its exact gradient for every learnable slot.
 
     The calling thread draws and forwards the arity groups in ascending
-    arity order, and each group is scored and pulled back as a job of
-    :func:`pool.spread`: on the thread pool, or, when the pool has one
-    worker, on the calling thread as soon as it is made. Each group records
-    its gradient, and the records are replayed into the buffer in ascending
-    arity order, so the loss and gradient are the same, bit for bit, on any
-    CPU count.
+    arity order, and stacks their (fact, slot) kernel rows. The candidates
+    of every CHUNK_ROWS rows are scored as one :func:`pool.spread` job,
+    handed to the pool as soon as those rows are in: on the thread pool, or,
+    when the pool has one worker, on the calling thread as soon as it is
+    made. The calling thread then pulls each group back in ascending arity
+    order (:meth:`_CandidatePass.pull_back`). The rows are cut at fixed
+    multiples of CHUNK_ROWS, so every job runs the same numpy calls on any
+    CPU count, and the loss and gradient are the same, bit for bit; the
+    chunk size, not the CPU count, fixes the bits.
     """
     if not facts:
         raise ConfigError("empty batch")
     scale = 1.0 / len(facts)
-    buf = GradientBuffer(params)
-    jobs = (_group_job(params, spec, negatives, dropout, fact_rngs, scale)
-            for spec in split_groups(params, facts))
-    total = 0.0
-    for losses, record in pool.spread(jobs):
-        total += float(losses.sum())
-        record.replay(buf)
-
-    loss = total * scale
+    scored = _CandidatePass(params, facts, negatives, dropout, fact_rngs, scale)
+    loss = scored.run() * scale
     if not np.isfinite(loss):
         raise NumericError(
             f"non-finite loss {loss} on batch of {len(facts)} facts; "
             f"first fact {facts[0]}; {_blame_slots(params)}"
         )
+    buf = GradientBuffer(params)
+    scored.pull_back(buf)
     return loss, buf
 
 
@@ -446,7 +509,10 @@ def train(kb: KnowledgeBase, model_cfg: ModelConfig, train_cfg: TrainConfig) -> 
     its candidates before its dropout masks. The bits do not depend on the
     CPU count or the thread pool (:func:`batch_backward`,
     :func:`optimizer_step`), but they do depend on the BLAS thread count,
-    which orders the sums of a product.
+    which orders the sums of a product, and on CHUNK_ROWS, which cuts each
+    batch's candidate products. Under full negatives a batch's entity
+    gradient is one product over all its stacked rows; sampled candidates'
+    rows are added group by group (:meth:`_CandidatePass.pull_back`).
     """
     from .evaluation import evaluate  # local import to avoid a cycle
 

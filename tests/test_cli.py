@@ -147,15 +147,20 @@ def test_raw_mode_is_rejected_before_anything_is_written(tmp_path):
     ("learning_rate = inf\n", []),
     ("", ["--valid-fraction", "2"]),
     ("", ["--valid-fraction", "-1"]),
+    ("embed_dim = 1000000000000\n", []),
 ], ids=["config-negatives", "config-eval-every-0", "config-learning-rate-nan",
-        "config-learning-rate-inf", "valid-fraction-2", "valid-fraction-negative"])
-def test_malformed_value_exits_2_before_anything_is_written(tmp_path, extra_config, extra_argv):
+        "config-learning-rate-inf", "valid-fraction-2", "valid-fraction-negative",
+        "config-embed-dim-too-large"])
+def test_malformed_value_exits_2_before_anything_is_written(tmp_path, capsys, extra_config,
+                                                            extra_argv):
     data, config = write_dataset(tmp_path)
     config.write_text(CONFIG + extra_config)
     run = tmp_path / "run"
     argv = ["train", "--data-dir", str(data), "--out", str(run), "--config", str(config)]
     assert cli.main(argv + extra_argv) == 2
     assert not (run / "manifest.json").exists()
+    if "embed_dim" in extra_config:  # 5 entities, multiplicity 2
+        assert "slot, ('ent',), has shape (5, 2, 1000000000000)" in capsys.readouterr().err
 
 
 def test_preset_field_beside_mode_exits_2_before_anything_is_written(tmp_path):

@@ -1,8 +1,8 @@
 """Every job reaches the thread pool through `pool.spread`, and training
-takes one path at any worker count: in a one-CPU process each batch's arity
-groups run on the calling thread as they are made, otherwise on the pool.
-Either way a batch's gradient and the trained parameters are the same, bit
-for bit."""
+takes one path at any worker count: in a one-CPU process each chunk of a
+batch's stacked candidate rows runs on the calling thread as it is made,
+otherwise on the pool. Either way a batch's gradient and the trained
+parameters are the same, bit for bit."""
 
 import functools
 import multiprocessing
@@ -13,16 +13,19 @@ import time
 import weakref
 from concurrent.futures import Future
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ramkb import engine, pool
-from ramkb.engine import GradientBuffer
+from ramkb.engine import GradientBuffer, split_groups
+from ramkb.gradcheck import check_batch
 from ramkb.mathcore import make_rng
 from ramkb.model import ModelConfig
 from ramkb.training import (
     ADAM_BLOCK_ROWS,
+    CHUNK_ROWS,
     AdamState,
     TrainConfig,
     batch_backward,
@@ -86,6 +89,19 @@ def counting_executor(monkeypatch, make=None):
     return calls
 
 
+def counting_submits(monkeypatch, make):
+    """Patch pool.executor to hand each task to `make()`, an executor, and
+    keep a list of the tasks submitted."""
+    submitted = []
+
+    def submit(fn, *args):
+        submitted.append(fn)
+        return make().submit(fn, *args)
+
+    monkeypatch.setattr(pool, "executor", lambda: SimpleNamespace(submit=submit))
+    return submitted
+
+
 def mode_case(mode):
     """A KB of 30 entities in arities 2, 3 and 4 (2 only for presets) and randomized params."""
     arities = (2,) if mode.startswith("preset:") else (2, 3, 4)
@@ -95,7 +111,9 @@ def mode_case(mode):
 
 
 def batches(kb):
-    """Batches of mixed arities; of one arity; and of one fact per arity but one."""
+    """Batches of mixed arities; of one arity; of one fact per arity but one;
+    and of every training fact, whose stacked rows span more than two
+    chunks, with an arity group that crosses a chunk boundary."""
     by_arity = {}
     for fact in kb.train:
         by_arity.setdefault(fact.arity, []).append(fact)
@@ -105,7 +123,16 @@ def batches(kb):
         "one group": by_arity[2][:6],
         "one-fact groups": by_arity[2][:5] + firsts[1:],
         "one fact": kb.train[:1],
+        "across chunks": kb.train,
     }
+
+
+def crosses_chunks(params, facts):
+    """Whether the batch's stacked rows span more than two chunks and some
+    arity group's rows lie in two chunks or more."""
+    ends = np.cumsum([spec.ents.size for spec in split_groups(params, facts)])
+    starts = ends - np.diff(ends, prepend=0)
+    return ends[-1] > 2 * CHUNK_ROWS and bool(np.any(starts // CHUNK_ROWS != (ends - 1) // CHUNK_ROWS))
 
 
 def backward(params, facts, negatives, dropout):
@@ -131,17 +158,33 @@ def assert_same_gradient(got, want):
 def test_pooled_batch_backward_equals_serial_at_any_worker_count(mode, dropout, negatives,
                                                                   monkeypatch):
     kb, params = mode_case(mode)
+    assert crosses_chunks(params, batches(kb)["across chunks"])
     monkeypatch.setattr(pool, "WORKERS", 1)
     serial = {name: backward(params, facts, negatives, dropout)
               for name, facts in batches(kb).items()}
-    for make in (None, RunAtOnce):
-        calls = counting_executor(monkeypatch, make)
+    for make in (pool.executor, RunAtOnce):
+        submitted = counting_submits(monkeypatch, make)
         for workers in (1, 2, 3, 5):
             monkeypatch.setattr(pool, "WORKERS", workers)
             for name, facts in batches(kb).items():
                 assert_same_gradient(backward(params, facts, negatives, dropout), serial[name])
-                assert len(calls) == (workers > 1), (workers, name)
-                calls.clear()
+                # one job per chunk of stacked rows, and the entity table's
+                # product under full negatives
+                n_chunks = -(-sum(fact.arity for fact in facts) // CHUNK_ROWS)
+                want = n_chunks + (negatives == "full") if workers > 1 else 0
+                assert len(submitted) == want, (workers, name)
+                submitted.clear()
+
+
+def test_gradcheck_on_a_batch_whose_group_crosses_a_chunk_boundary():
+    """An off-by-one in the chunk rows of the kernel gradient, or of the
+    entity table's product, moves a gradient that finite differences see."""
+    kb, params = mode_case("latent")
+    facts = batches(kb)["across chunks"]
+    assert crosses_chunks(params, facts)
+    params.data[("ent",)] *= 3.0  # above the comparison floor after three factors
+    errors = check_batch(params, facts, "full", 0.3, [(44, i) for i in range(len(facts))])
+    assert max(errors.values()) <= 1e-4, errors
 
 
 def test_in_parts_waits_for_every_part_before_it_raises(monkeypatch):
@@ -166,23 +209,27 @@ def test_in_parts_waits_for_every_part_before_it_raises(monkeypatch):
 
 
 def test_pooled_batch_waits_for_every_group_before_it_raises(monkeypatch):
-    """A group that fails must not leave another still recording its
-    gradient: batch_backward raises after every group is done."""
+    """A chunk that fails must not leave another still writing its rows:
+    batch_backward raises after every chunk is done."""
     kb, params = mode_case("latent")
-    facts = [f for f in kb.train if f.arity == 2][:3] + [f for f in kb.train if f.arity == 3][:3]
+    # 12 binary and 4 ternary facts: 36 rows, the first chunk holding every
+    # binary one, the second the last 4 ternary ones
+    facts = [f for f in kb.train if f.arity == 2][:12] + [f for f in kb.train if f.arity == 3][:4]
+    assert sum(f.arity for f in facts) == CHUNK_ROWS + 4
     executor, done = StartAtOnce(), threading.Event()
     monkeypatch.setattr(pool, "WORKERS", 2)
     monkeypatch.setattr(pool, "executor", lambda: executor)
-    original = engine.backward_group
+    original = engine.group_losses
 
-    def backward_group(kern, grad, buf):
-        if kern.spec.arity == 2:
+    def group_losses(scores, true_cols):
+        if len(scores) == CHUNK_ROWS:
             raise ValueError("arity 2 failed")
         time.sleep(0.3)
-        original(kern, grad, buf)
+        out = original(scores, true_cols)
         done.set()
+        return out
 
-    monkeypatch.setattr(engine, "backward_group", backward_group)
+    monkeypatch.setattr(engine, "group_losses", group_losses)
     try:
         with pytest.raises(ValueError, match="arity 2 failed"):
             backward(params, facts, "full", 0.0)

@@ -408,10 +408,14 @@ class TestCandidateScorers:
             np.testing.assert_allclose(sampled.scores(kern.gather), table.scores(kern.gather),
                                        rtol=1e-12, atol=1e-15)
             g = make_rng(27, spec.arity).normal(size=spec.ents.shape + (n_e,))
+            np.testing.assert_allclose(sampled.pullback(g), table.pullback(g),
+                                       rtol=1e-12, atol=1e-15)
+            # every candidate's row gradient, scattered, is the one table product
             bufs = GradientBuffer(params), GradientBuffer(params)
-            pseudo = [cand.pullback(kern.gather, g, buf)
-                      for cand, buf in zip((sampled, table), bufs)]
-            np.testing.assert_allclose(pseudo[0], pseudo[1], rtol=1e-12, atol=1e-15)
+            bufs[0].add_rows(("ent",), every.reshape(-1),
+                             sampled.row_grads(kern.gather, g).reshape((-1,) + table.shape[1:]))
+            kernels = kern.gather.reshape((-1,) + table.shape[1:])
+            bufs[1].add_all_rows(("ent",), table.table_grad(kernels, g.reshape(len(kernels), -1)))
             np.testing.assert_allclose(bufs[0].dense()[("ent",)], bufs[1].dense()[("ent",)],
                                        rtol=1e-12, atol=1e-15)
             np.testing.assert_array_equal(bufs[0].touched[("ent",)], bufs[1].touched[("ent",)])
@@ -443,8 +447,8 @@ class TestContractions:
         g = rng.uniform(0.5, 1.5, (b, arity, c))
         sampled = SampledCandidates(params, ids)
         close(sampled.scores(blocks), np.einsum("blcmd,blmd->blc", table[ids], blocks))
-        close(sampled.pullback(blocks, g, GradientBuffer(params)),
-              np.einsum("blc,blcmd->blmd", g, table[ids]))
+        close(sampled.pullback(g), np.einsum("blc,blcmd->blmd", g, table[ids]))
+        close(sampled.row_grads(blocks, g), np.einsum("blc,blmd->blcmd", g, blocks))
 
     @pytest.mark.parametrize("mode", ["latent", "extended", "explicit"])
     def test_training_and_ranking_call_no_einsum(self, mode, monkeypatch):
