@@ -1,17 +1,31 @@
 """Filtered link-prediction ranking: MRR and Hit@k with per-arity breakdown.
 
+A query is one slot of one fact. Among its candidates, every entity but
+the known-true ones filtered out (Bordes et al., NIPS 2013), let A score
+strictly above the true entity and E other entities score exactly as it
+does. The query counts its reciprocal rank and Hit@k as expected under a
+uniformly random tie-break (Sun et al., ACL 2020; Berrendorf et al., 2020):
+
+    RR = (H(A+E+1) - H(A)) / (E+1),    Hit@k = min(1, max(0, (k-A) / (E+1))),
+
+where H is the harmonic number; with no tie they are ``1 / (A+1)`` and
+``A < k``. So a model that scores every entity alike ranks no better than
+chance, rather than first. :class:`EvalReport` counts the ties.
+
 Each batch of EVAL_BATCH facts is ranked in one call
 (:func:`rank_from_scores`), all arities together: the contraction kernels
-of every (fact, slot) query are stacked and the entity table is walked
+of every (fact, slot) query are stacked, and so are the query's own
+entities, read off the batch's arity groups. The entity table is walked
 once, in blocks of at most SCORE_BLOCK_CELLS float32 scores. That screen
 decides every entity whose float32 score lies outside a proven error band
 around the true score, and is counted per block with no loop over queries.
 Only the entities inside the band, and the filtered known-true entities,
-are scored again in float64. So the ranks are those of float64 scores,
-ties included, while the table-wide product runs at float32 speed and no
-(queries, n_entities) score matrix is held. The bound and its derivation
-are in :func:`rank_from_scores`'s docstring; training, gradcheck and the
-oracles score in float64 only.
+are scored again in float64. So A and E are those of float64 scores, while
+the table-wide product runs at float32 speed and no (queries, n_entities)
+score matrix is held. The bound and its derivation are in
+:func:`rank_from_scores`'s docstring; training, gradcheck and the oracles
+score in float64 only. :func:`report_from_ranks` then aggregates the
+split's (arity, rank, ties) arrays in numpy.
 
 The walk is split by entity range over the package's thread pool
 (:mod:`ramkb.pool`), one run of whole blocks per CPU the process may use,
@@ -26,7 +40,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +77,7 @@ class EvalReport:
     hits: dict[int, float]
     per_arity: dict[int, ArityStats]
     n_queries: int
+    ties: int  # candidates that score exactly a true score, summed over queries
     seconds: float
 
     def to_dict(self) -> dict:
@@ -70,6 +85,7 @@ class EvalReport:
             "mrr": self.mrr,
             "hits": {str(k): v for k, v in self.hits.items()},
             "n_queries": self.n_queries,
+            "ties": self.ties,
             "seconds": self.seconds,
             "per_arity": {
                 str(a): {
@@ -103,6 +119,7 @@ class EvalReport:
                 + " ".join(f"{stats.hits[k]:8.4f}" for k in HIT_LEVELS)
                 + f"  ({stats.n_queries} queries)"
             )
+        rows.append(f"{'ties':8}{self.ties:8d}")
         return "\n".join(rows)
 
 
@@ -234,17 +251,25 @@ def _screen(
 
 
 def rank_from_scores(
-    kb: KnowledgeBase, facts: list[Fact], kernels: np.ndarray, table: EntityTable
-) -> np.ndarray:
-    """Optimistic filtered ranks (n_queries,) of facts of any arities, as float64 gives them.
+    kb: KnowledgeBase, facts: list[Fact], kernels: np.ndarray, table: EntityTable,
+    own: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Filtered ranks and tie counts (n_queries,) of facts of any arities, as float64 gives them.
 
-    Fact i's queries are rows ``start_i + p`` of `kernels` (n_queries, m*d),
-    one per slot p, where ``start_i`` sums the arities of the facts before
-    it; so a query's score of entity e is ``kernels[q] . table.rows[e]``. A
-    rank is 1 plus the number of entities scoring strictly above the true
-    one, less the known-true entities filtered out of that query that do,
-    where every score that decides a comparison is the float64 one
-    (:func:`_row_dots`).
+    Fact i's queries are rows ``start_i + p`` of `kernels` (n_queries, m*d)
+    and of `own` (n_queries,), one per slot p, where ``start_i`` sums the
+    arities of the facts before it; ``own[q]`` is the entity fact i holds at
+    that slot. So a query's score of entity e is
+    ``kernels[q] . table.rows[e]``, and its true score is that of
+    ``own[q]``. Returns the
+    optimistic ranks, 1 plus the number of entities scoring strictly above
+    the true score, and the ties, the number of entities other than
+    ``own[q]`` scoring exactly the true score, each less the known-true
+    entities filtered out of that query that do; every score that decides
+    a comparison is the float64 one (:func:`_row_dots`). `facts` is read
+    only to look up its known-true entities
+    (:meth:`KnowledgeBase.filtered_candidates`) and to name the fact of a
+    non-finite true score.
 
     The table is walked once in blocks of at most SCORE_BLOCK_CELLS float32
     scores, and that screen decides every entity far from the true score t:
@@ -269,7 +294,9 @@ def rank_from_scores(
     overflow float32 (``|g| @ col_max`` or an input at or above half the
     float32 maximum) gets an infinite ``tol``: it is left out of the screen
     and decided wholly in float64. So the screen never changes a
-    comparison, and ties rank as they do in float64.
+    comparison. An entity that ties t in float64 lies inside the band, so
+    the float64 rescoring of the band counts ``== t`` beside ``> t``, and a
+    row decided wholly in float64 counts both over the whole table.
 
     Each block's ``s32 > hi`` and ``s32 >= lo`` are counted per query in
     uint8 sums over at most COUNT_CHUNK entities. The true entity is always
@@ -281,14 +308,14 @@ def rank_from_scores(
     (:func:`_screen`), walked at once on a thread pool. The walk then holds
     one block and two (COUNT_CHUNK, n_queries) bool buffers per part. The
     ranks do not depend on the CPU count: the counts are exact integer
-    sums, and the band pairs come out in the serial walk's order.
+    sums, and the band pairs of every part, ties among them, come out in
+    the serial walk's order.
     """
-    arity = np.array([fact.arity for fact in facts], dtype=np.intp)
-    starts = np.cumsum(arity) - arity
-    ents = np.array([e for fact in facts for e in fact.entities], dtype=np.intp)
-    true = _row_dots(kernels, table.rows[ents])
+    true = _row_dots(kernels, table.rows[own])
     if not np.isfinite(true).all():
         q = int(np.flatnonzero(~np.isfinite(true))[0])
+        arity = np.array([fact.arity for fact in facts], dtype=np.intp)
+        starts = np.cumsum(arity) - arity
         i = int(np.searchsorted(starts, q, side="right")) - 1
         fact = facts[i]
         raise NumericError(
@@ -313,45 +340,66 @@ def rank_from_scores(
     hi[unscreened] = lo[unscreened] = np.nan  # any comparison with NaN is false: they count nothing
 
     with np.errstate(over="ignore", invalid="ignore"):  # only in rows left to float64
-        above, band_q, band_e = _screen(table, kernels.astype(np.float32), hi, lo, ents)
+        above, band_q, band_e = _screen(table, kernels.astype(np.float32), hi, lo, own)
+    band = _row_dots(kernels[band_q], table.rows[band_e])
+    above += np.bincount(band_q[band > true[band_q]], minlength=above.size)
+    ties = np.bincount(band_q[band == true[band_q]], minlength=above.size)
     for q in unscreened:
-        above[q] = np.count_nonzero(_row_dots(kernels[q], table.rows) > true[q])
-    band_above = _row_dots(kernels[band_q], table.rows[band_e]) > true[band_q]
-    above += np.bincount(band_q[band_above], minlength=above.size)
+        scores = _row_dots(kernels[q], table.rows)
+        above[q] = np.count_nonzero(scores > true[q])
+        # own[q]'s score is true[q] bit for bit (_row_dots): it is no tie
+        ties[q] = np.count_nonzero(scores == true[q]) - 1
 
     query, entity = kb.filtered_candidates(facts)
-    known_above = _row_dots(kernels[query], table.rows[entity]) > true[query]
-    above -= np.bincount(query[known_above], minlength=above.size)
-    return 1 + above
+    known = _row_dots(kernels[query], table.rows[entity])
+    above -= np.bincount(query[known > true[query]], minlength=above.size)
+    ties -= np.bincount(query[known == true[query]], minlength=above.size)
+    return 1 + above, ties
 
 
 def report_from_ranks(
-    arity_ranks: Iterable[tuple[int, int]], seconds: float = 0.0
+    arity: np.ndarray, ranks: np.ndarray, ties: np.ndarray, seconds: float = 0.0
 ) -> EvalReport:
-    """Aggregate (arity, rank) query results into a report."""
-    per_arity_ranks: dict[int, list[int]] = {}
-    for arity, r in arity_ranks:
-        per_arity_ranks.setdefault(arity, []).append(r)
-    all_ranks = np.array([r for ranks in per_arity_ranks.values() for r in ranks])
-    if all_ranks.size == 0:
+    """Aggregate per-query arities, optimistic ranks (1 + A) and ties (E) into a report.
+
+    A query's reciprocal rank and Hit@k are their expectations under a
+    uniformly random tie-break (module docstring); with no tie they are
+    ``1.0 / rank`` and ``rank <= k`` exactly. The overall means sum the
+    arities in the order they are first met, each arity's queries in their
+    given order, so a report equals that of the same ranks aggregated
+    arity by arity.
+    """
+    if ranks.size == 0:
         raise DataError("no queries to aggregate")
+    # one row per measure: the reciprocal rank, then Hit@k for each k
+    values = np.empty((1 + len(HIT_LEVELS), ranks.size))
+    np.divide(1.0, ranks, out=values[0])
+    for q in np.flatnonzero(ties):
+        values[0, q] = (1.0 / np.arange(ranks[q], ranks[q] + ties[q] + 1)).mean()
+    for row, k in enumerate(HIT_LEVELS, start=1):
+        np.clip((k + 1 - ranks) / (ties + 1), 0.0, 1.0, out=values[row])
 
-    def stats(ranks: np.ndarray) -> tuple[float, dict[int, float]]:
-        mrr = float((1.0 / ranks).mean())
-        hits = {k: float((ranks <= k).mean()) for k in HIT_LEVELS}
-        return mrr, hits
+    def stats(select: np.ndarray) -> tuple[float, dict[int, float]]:
+        # a C-contiguous take: each row is summed pairwise in `select` order,
+        # as its own 1-d array would be (values[:, select] is not contiguous)
+        mrr, *hits = np.take(values, select, axis=1).mean(axis=1).tolist()
+        return mrr, dict(zip(HIT_LEVELS, hits))
 
-    mrr, hits = stats(all_ranks)
+    arities, first, group = np.unique(arity, return_index=True, return_inverse=True)
+    mrr, hits = stats(np.argsort(first[group], kind="stable"))
     per_arity = {}
-    for arity, ranks in sorted(per_arity_ranks.items()):
-        arr = np.array(ranks)
-        a_mrr, a_hits = stats(arr)
-        per_arity[arity] = ArityStats(a_mrr, a_hits, int(arr.size))
-    return EvalReport(mrr, hits, per_arity, int(all_ranks.size), seconds)
+    for i, a in enumerate(arities.tolist()):
+        select = np.flatnonzero(group == i)
+        a_mrr, a_hits = stats(select)
+        per_arity[a] = ArityStats(a_mrr, a_hits, int(select.size))
+    return EvalReport(mrr, hits, per_arity, int(ranks.size), int(ties.sum()), seconds)
 
 
 def evaluate(params: ModelParams, kb: KnowledgeBase, split: str = "test") -> EvalReport:
     """Filtered MRR / Hit@k over every position of every fact in a split.
+
+    Each batch's queries are its arity groups' slots, group by group: their
+    own entities and arities come from the groups' arrays.
 
     Raises NumericError if an entity's parameters or a query's true score
     are not finite: no rank is meaningful then.
@@ -361,7 +409,7 @@ def evaluate(params: ModelParams, kb: KnowledgeBase, split: str = "test") -> Eva
         raise DataError(f"split {split!r} is empty")
     start = time.perf_counter()
     table = entity_table(params)
-    ranks: list[tuple[int, int]] = []
+    arity, ranks, ties = [], [], []
     for lo in range(0, len(facts), EVAL_BATCH):
         batch = facts[lo : lo + EVAL_BATCH]
         specs = split_groups(params, batch)
@@ -369,6 +417,12 @@ def evaluate(params: ModelParams, kb: KnowledgeBase, split: str = "test") -> Eva
             [forward_group(params, spec).gather.reshape(spec.ents.size, -1) for spec in specs]
         )
         ordered = [batch[i] for spec in specs for i in spec.fact_index]
-        arity = np.repeat([spec.arity for spec in specs], [spec.ents.size for spec in specs])
-        ranks.extend(zip(arity.tolist(), rank_from_scores(kb, ordered, kernels, table).tolist()))
-    return report_from_ranks(ranks, seconds=time.perf_counter() - start)
+        own = np.concatenate([spec.ents.reshape(-1) for spec in specs])
+        batch_ranks, batch_ties = rank_from_scores(kb, ordered, kernels, table, own)
+        arity.append(np.repeat([spec.arity for spec in specs], [spec.ents.size for spec in specs]))
+        ranks.append(batch_ranks)
+        ties.append(batch_ties)
+    return report_from_ranks(
+        np.concatenate(arity), np.concatenate(ranks), np.concatenate(ties),
+        seconds=time.perf_counter() - start,
+    )

@@ -11,7 +11,7 @@ It also owns the known-true index of filtered ranking (Bordes et al., NIPS
 the entities known true at that slot. :class:`KnowledgeBase` builds it once,
 as sorted int64 arrays, in a few whole-array passes with no per-slot Python,
 and :meth:`KnowledgeBase.filtered_candidates` looks a batch of facts up in
-it with one ``searchsorted`` per key column.
+it with one ``searchsorted`` per level of packed key columns.
 """
 
 from __future__ import annotations
@@ -214,7 +214,8 @@ def _is_names(value) -> bool:
     return isinstance(value, list) and all(isinstance(name, str) for name in value)
 
 
-# Key codes are int64; every code is below n_ids * (n_entities + 1).
+# Key codes are int64; every code of a level is below its distinct prefixes
+# times the product of its column widths, which stays below this.
 CODE_LIMIT = 2**63
 
 
@@ -228,21 +229,27 @@ class KnowledgeBase:
     - every (fact, position) of every split is one key row
       ``[relation * A + position, other entities...]``, where A is the
       vocabulary's largest arity and a fact of lower arity pads its other
-      entities with ``n_entities``;
-    - the rows are encoded into dense ids one column at a time: column j's
-      code is ``id * (n_entities + 1) + entity``, where ``id`` numbers the
-      distinct prefixes of columns before j, and ``np.unique`` turns the
-      codes into the next ids. ``_levels[j]`` keeps column j's sorted
-      distinct codes, so a lookup is one ``searchsorted`` per column;
+      entities with ``n_entities``. Column 0 is ``n_relations * A`` wide and
+      every other column ``n_entities + 1``;
+    - the rows are encoded into dense ids one level at a time. A level packs
+      consecutive columns into one code, ``id`` first and then each column
+      as ``code * width + value``, where ``id`` numbers the distinct
+      prefixes of the columns before the level. It takes columns for as long
+      as that number times the product of their widths stays below
+      ``CODE_LIMIT`` (2**63), so every code is exact in int64, and
+      ``np.unique`` turns its codes into the next level's ids. ``_levels``
+      keeps each level's end column and sorted distinct codes, so a lookup
+      is one ``searchsorted`` per level. On the benchmark's planted KBs
+      (3k and 30k entities, arities up to 6) the six columns pack into two
+      levels;
     - a CSR table maps each key id to its distinct true entities in
       increasing order: ``_true[_offsets[k]:_offsets[k + 1]]``.
 
-    The codes are exact int64 while the number of distinct ids at every
-    column times ``n_entities + 1`` stays below 2**63 (``CODE_LIMIT``); a KB
-    past that raises DataError. Instances are immutable after construction
-    and safe to share across parallel readers. A shallow copy with a
-    replaced split shares the index, so it still filters by the whole KB it
-    was copied from.
+    A KB with a column that does not fit a level on its own, or whose key
+    ids times ``n_entities + 1`` reach 2**63, raises DataError. Instances
+    are immutable after construction and safe to share across parallel
+    readers. A shallow copy with a replaced split shares the index, so it
+    still filters by the whole KB it was copied from.
     """
 
     def __init__(
@@ -258,16 +265,18 @@ class KnowledgeBase:
         self.test = test
         self._width = vocab.max_arity
         self._base = vocab.n_entities + 1
+        self._widths = [vocab.n_relations * self._width] + [self._base] * (self._width - 1)
         columns, own = _key_columns(list(self.all_facts()), self._width, vocab.n_entities)
-        self._levels: list[np.ndarray] = []
-        # column 0 follows the one empty prefix, so its codes are its values
-        ids, n_ids = np.zeros(own.size, dtype=np.int64), 1
-        for column in columns:
-            levels, ids = np.unique(
-                _encode(ids, n_ids, column, self._base), return_inverse=True
+        self._levels: list[tuple[int, np.ndarray]] = []
+        # the first level follows the one empty prefix
+        ids, n_ids, first = np.zeros(own.size, dtype=np.int64), 1, 0
+        while first < len(columns):
+            end = _level_end(n_ids, self._widths, first)
+            codes, ids = np.unique(
+                _pack(ids, columns[first:end], self._widths[first:end]), return_inverse=True
             )
-            self._levels.append(levels)
-            n_ids = levels.size
+            self._levels.append((end, codes))
+            n_ids, first = codes.size, end
         pairs = np.unique(_encode(ids, n_ids, own, self._base))
         self._true = (pairs % self._base).astype(np.intp)
         self._offsets = np.searchsorted(pairs // self._base, np.arange(n_ids + 1))
@@ -296,12 +305,13 @@ class KnowledgeBase:
         if not self._true.size:
             return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
         columns, own = _key_columns(facts, self._width, self._base - 1)
-        ids = np.zeros(own.size, dtype=np.int64)
+        ids, first = np.zeros(own.size, dtype=np.int64), 0
         found = np.ones(own.size, dtype=bool)
-        for levels, column in zip(self._levels, columns):
-            code = ids * self._base + column
-            ids = np.minimum(np.searchsorted(levels, code), levels.size - 1)
-            found &= levels[ids] == code
+        for end, codes in self._levels:
+            code = _pack(ids, columns[first:end], self._widths[first:end])
+            ids = np.minimum(np.searchsorted(codes, code), codes.size - 1)
+            found &= codes[ids] == code
+            first = end
         lo = self._offsets[ids]
         count = np.where(found, self._offsets[ids + 1] - lo, 0)
         query = np.repeat(np.arange(own.size), count)
@@ -354,6 +364,33 @@ def _key_columns(
     # the j-th other entity of slot p sits at column j, or j + 1 from p on
     others = [padded[fact, j + (position <= j)] for j in range(width - 1)]
     return [relation[fact] * width + position, *others], own
+
+
+def _level_end(n_ids: int, widths: list[int], first: int) -> int:
+    """One past the last column of the level that starts at column `first`,
+    after `n_ids` distinct prefixes: it takes columns while `n_ids` times
+    the product of their `widths` stays below CODE_LIMIT.
+
+    Raises DataError when column `first` alone reaches CODE_LIMIT.
+    """
+    end, span = first, n_ids
+    while end < len(widths) and span * widths[end] < CODE_LIMIT:
+        span *= widths[end]
+        end += 1
+    if end == first:
+        raise DataError(
+            f"known-true index: {n_ids} distinct key prefixes times {widths[first]} "
+            f"codes of column {first} reaches 2**63; the KB is too large to index"
+        )
+    return end
+
+
+def _pack(ids: np.ndarray, columns: list[np.ndarray], widths: list[int]) -> np.ndarray:
+    """One code per row: `ids`, then each column as ``code * width + value``."""
+    code = ids
+    for column, width in zip(columns, widths):
+        code = code * width + column
+    return code
 
 
 def _encode(ids: np.ndarray, n_ids: int, column: np.ndarray, base: int) -> np.ndarray:

@@ -4,8 +4,9 @@ Work reaches the pool in one way, :func:`spread`, as jobs: each a pair of
 callables that do the same work, one for a pool thread and one for the
 calling thread. WORKERS counts the CPUs this process may use when BLAS runs
 one thread (``OPENBLAS_NUM_THREADS``, or if unset ``OMP_NUM_THREADS``, is
-``1``); otherwise it is 1, because BLAS's own threads would compete with
-the pool's. At WORKERS == 1 each job runs on the calling thread as soon as
+``1``, as importing :mod:`ramkb` sets it when the user set neither);
+otherwise it is 1, because BLAS's own threads would compete with the
+pool's. At WORKERS == 1 each job runs on the calling thread as soon as
 it is made. Otherwise the calling thread works too, so the pool has
 WORKERS - 1 threads. It is made by the first job handed to it, and a forked
 child makes its own.

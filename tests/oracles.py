@@ -220,6 +220,45 @@ def sort_rank(scores, mask, true_entity):
     raise AssertionError("true entity's score not found among candidates")
 
 
+def sort_ties(scores, mask, true_entity):
+    """How many masked candidates other than the true entity score exactly as it does."""
+    true_score = scores[true_entity]
+    return sum(
+        1 for e in range(len(scores))
+        if mask[e] and e != true_entity and scores[e] == true_score
+    )
+
+
+def list_report(queries, hit_levels=(1, 3, 10)):
+    """(mrr, hits, {arity: (mrr, hits, n_queries)}, ties) of (arity, rank, ties) triples.
+
+    A query's reciprocal rank and Hit@k are averaged over the E + 1 places a
+    uniformly random tie-break can give it among its E ties, from its
+    optimistic rank on, with plain Python sums. Queries are grouped into
+    per-arity lists in the order the arities are first met, and each
+    mean is the numpy mean of one list, as a report of lists computes it.
+    """
+    per_arity = {}
+    ties = 0
+    for arity, rank, tied in queries:
+        places = range(rank, rank + tied + 1)
+        rr = 1.0 / rank if tied == 0 else sum(1.0 / place for place in places) / (tied + 1)
+        hits = [sum(1 for place in places if place <= k) / (tied + 1) for k in hit_levels]
+        per_arity.setdefault(arity, []).append([rr] + hits)
+        ties += tied
+    if not per_arity:
+        raise ValueError("no queries")
+
+    def means(rows):
+        columns = list(zip(*rows))
+        mrr = float(np.array(columns[0]).mean())
+        return mrr, {k: float(np.array(c).mean()) for k, c in zip(hit_levels, columns[1:])}
+
+    mrr, hits = means([row for rows in per_arity.values() for row in rows])
+    by_arity = {a: (*means(rows), len(rows)) for a, rows in sorted(per_arity.items())}
+    return mrr, hits, by_arity, ties
+
+
 def rowwise_scatter(out, rows, values):
     """``out[rows[i]] += values[i]`` through numpy's row-wise ``add.at``."""
     np.add.at(out, rows, values)

@@ -1,10 +1,11 @@
+import math
 import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
-from oracles import brute_force_candidates, sort_rank
+from oracles import brute_force_candidates, list_report, sort_rank, sort_ties
 from ramkb import evaluation, pool
 from ramkb.engine import forward_group, split_groups
 from ramkb.errors import DataError, NumericError
@@ -23,22 +24,34 @@ from conftest import make_vocab, random_kb, table_scores
 from test_model import randomized_params
 
 
+def own_entities(facts):
+    """Every slot's entity, in fact order: the queries' own entities."""
+    return np.array([e for fact in facts for e in fact.entities], dtype=np.intp)
+
+
 def batch_ranks(params, kb, facts):
-    """Filtered ranks of facts of any arities, one per slot in fact order, from
-    one `rank_from_scores` call; each fact's kernels come from its own
-    `forward_group` call, as in the oracle."""
+    """Filtered ranks and tie counts of facts of any arities, one per slot in
+    fact order, from one `rank_from_scores` call; each fact's kernels come
+    from its own `forward_group` call, as in the oracle."""
     kernels = np.concatenate([
         forward_group(params, spec).gather.reshape(fact.arity, -1)
         for fact in facts for spec in split_groups(params, [fact])
     ])
-    return rank_from_scores(kb, facts, kernels, entity_table(params))
+    return rank_from_scores(kb, facts, kernels, entity_table(params), own_entities(facts))
 
 
 def group_scores_and_ranks(params, kb, facts):
     """Float64 full-table scores (B, a, n_entities) and filtered ranks (B, a)
     of facts of one arity."""
     (spec,) = split_groups(params, facts)
-    return table_scores(params, spec), batch_ranks(params, kb, facts).reshape(spec.ents.shape)
+    ranks = batch_ranks(params, kb, facts)[0]
+    return table_scores(params, spec), ranks.reshape(spec.ents.shape)
+
+
+def report_of(queries):
+    """report_from_ranks of (arity, rank, ties) triples."""
+    arity, ranks, ties = (np.array(column, dtype=np.intp) for column in zip(*queries))
+    return report_from_ranks(arity, ranks, ties)
 
 
 def test_rank_one_for_unique_maximum():
@@ -60,13 +73,30 @@ def test_rank_one_for_unique_maximum():
     assert ranks[0, 0] == 1
 
 
-def test_all_ties_rank_one():
-    kb = random_kb(6, (2,), n_train=4, seed=3)
+@pytest.mark.parametrize("fill", ["zero", "one", "first-row"])
+def test_all_equal_entity_table_ranks_as_chance(fill):
+    """Every entity scores alike, so each query's N' candidates all tie: its
+    expected reciprocal rank is H(N') / N' (~0.003 at 3000), not 1."""
+    kb = random_kb(3000, (2, 3), n_train=400, n_test=12, seed=3)
+    # the first test facts' slot 0 also holds entities 1 to 3 in training facts
+    known = [Fact(f.relation, (e,) + f.entities[1:]) for f in kb.test[:3] for e in (1, 2, 3)]
+    kb = KnowledgeBase(kb.vocab, kb.train + known, [], kb.test)
     cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
     params = ModelParams.init(cfg, kb.vocab, seed=4)
-    params.data[("ent",)][:] = params.data[("ent",)][0]
-    fact = kb.train[0]
-    assert group_scores_and_ranks(params, kb, [fact])[1][0, 1] == 1
+    ent = params.data[("ent",)]
+    ent[:] = {"zero": 0.0, "one": 1.0, "first-row": ent[0].copy()}[fill]
+    n_candidates = [int(brute_force_candidates(kb, fact, pos).sum())
+                    for fact in kb.test for pos in range(fact.arity)]
+    assert min(n_candidates) < 3000  # the filter removes some candidates
+    ranks, ties = batch_ranks(params, kb, kb.test)
+    assert ranks.tolist() == [1] * len(n_candidates)
+    assert ties.tolist() == [n - 1 for n in n_candidates]
+    report = evaluate(params, kb, split="test")
+    harmonic = [math.fsum(1.0 / i for i in range(1, n + 1)) for n in n_candidates]
+    want = sum(h / n for h, n in zip(harmonic, n_candidates)) / len(n_candidates)
+    assert report.mrr == pytest.approx(want, rel=1e-12) and report.mrr < 0.003
+    assert report.hits[10] == pytest.approx(sum(10 / n for n in n_candidates) / len(n_candidates))
+    assert report.ties == sum(n_candidates) - len(n_candidates)
 
 
 def test_rank_matches_sort_oracle_on_toy_kb():
@@ -84,18 +114,76 @@ def test_rank_matches_sort_oracle_on_toy_kb():
 
 
 def test_report_hand_case():
-    report = report_from_ranks([(2, 1), (2, 4)])
+    report = report_of([(2, 1, 0), (2, 4, 0)])
     assert report.mrr == pytest.approx((1 + 0.25) / 2)
     assert report.hits[1] == pytest.approx(0.5)
     assert report.hits[3] == pytest.approx(0.5)
     assert report.hits[10] == pytest.approx(1.0)
     assert report.n_queries == 2
+    assert report.ties == 0
+
+
+def test_report_hand_case_with_ties():
+    """Rank 1 tied with one other: places 1 and 2. Rank 3 tied with two
+    others: places 3, 4 and 5. Rank 9 tied with three: places 9 to 12."""
+    report = report_of([(2, 1, 1), (3, 3, 2), (3, 9, 3)])
+    rr = [(1 + 1 / 2) / 2, (1 / 3 + 1 / 4 + 1 / 5) / 3, (1 / 9 + 1 / 10 + 1 / 11 + 1 / 12) / 4]
+    assert report.mrr == pytest.approx(sum(rr) / 3, rel=1e-15)
+    assert report.hits == {1: pytest.approx(0.5 / 3), 3: pytest.approx((1 + 1 / 3) / 3),
+                           10: pytest.approx((1 + 1 + 2 / 4) / 3)}
+    assert report.per_arity[3].mrr == pytest.approx((rr[1] + rr[2]) / 2, rel=1e-15)
+    assert report.per_arity[3].hits[10] == pytest.approx((1 + 2 / 4) / 2)
+    assert report.ties == 6
 
 
 def test_all_rank_one_gives_perfect_report():
-    report = report_from_ranks([(2, 1), (3, 1), (3, 1)])
+    report = report_of([(2, 1, 0), (3, 1, 0), (3, 1, 0)])
     assert report.mrr == 1.0
     assert all(v == 1.0 for v in report.hits.values())
+
+
+def assert_report_is(report, want):
+    mrr, hits, per_arity, ties = want
+    assert (repr(report.mrr), repr(report.hits), report.ties) == (repr(mrr), repr(hits), ties)
+    got = {a: (s.mrr, s.hits, s.n_queries) for a, s in report.per_arity.items()}
+    assert repr(got) == repr(per_arity)
+    assert report.n_queries == sum(n for _, _, n in per_arity.values())
+
+
+def test_array_report_equals_the_list_report_bit_for_bit():
+    """Random interleaved arities and tie-free ranks from 1 to 10**6:
+    repr-equal, every mean summed in the list report's order. Some of the
+    runs sum to other bits in query order or in sorted arity order, so the
+    check tells those orders apart."""
+    other_orders = set()
+    for seed in range(8):
+        rng = make_rng(40, seed)
+        n = int(rng.integers(1000, 4000))
+        arity = rng.choice([2, 3, 4, 5, 6], size=n, p=[0.4, 0.3, 0.15, 0.1, 0.05])
+        ranks = (10.0 ** rng.uniform(0, 6, size=n)).astype(np.intp)
+        queries = list(zip(arity.tolist(), ranks.tolist(), [0] * n))
+        want = list_report(queries)
+        assert_report_is(report_of(queries), want)
+        for name, order in (("query", slice(None)), ("sorted", np.argsort(arity, kind="stable"))):
+            if repr(float((1.0 / ranks[order]).mean())) != repr(want[0]):
+                other_orders.add(name)
+    assert other_orders == {"query", "sorted"}
+
+
+def test_array_report_with_ties_equals_the_list_report():
+    rng = make_rng(41, 1)
+    n = 500
+    queries = list(zip(rng.choice([2, 3, 4], size=n).tolist(), rng.integers(1, 40, n).tolist(),
+                       (rng.integers(0, 30, n) * (rng.random(n) < 0.3)).tolist()))
+    report = report_of(queries)
+    mrr, hits, per_arity, ties = list_report(queries)
+    assert report.mrr == pytest.approx(mrr, rel=1e-13) and report.ties == ties > 0
+    assert report.hits == pytest.approx(hits, rel=1e-13)
+    for arity, (a_mrr, a_hits, n_queries) in per_arity.items():
+        stats = report.per_arity[arity]
+        assert stats.n_queries == n_queries
+        assert stats.mrr == pytest.approx(a_mrr, rel=1e-13)
+        assert stats.hits == pytest.approx(a_hits, rel=1e-13)
 
 
 def test_evaluate_counts_all_positions_per_arity():
@@ -110,38 +198,37 @@ def test_evaluate_counts_all_positions_per_arity():
 
 
 def oracle_ranks(params, kb):
-    """Per-fact lists of ranks from sorting each filtered candidate list of
-    float64 full-table scores, plus how many filtered-out entities outscore
-    a true one and how many candidates tie with it."""
-    ranks, filtered_above, ties = [], 0, 0
+    """(arity, rank, ties) of every test query in split order, from sorting
+    each filtered candidate list of float64 full-table scores, plus how many
+    filtered-out entities outscore a true one."""
+    queries, filtered_above = [], 0
     for fact in kb.test:
         all_scores = table_scores(params, split_groups(params, [fact])[0])[0]
-        fact_ranks = []
         for pos in range(fact.arity):
-            scores = all_scores[pos]
+            scores = list(all_scores[pos])
             mask = brute_force_candidates(kb, fact, pos)
-            true_score = scores[fact.entities[pos]]
-            filtered_above += int((scores[~mask] > true_score).sum())
-            ties += int((scores[mask] == true_score).sum()) - 1
-            fact_ranks.append(sort_rank(list(scores), mask, fact.entities[pos]))
-        ranks.append(fact_ranks)
-    return ranks, filtered_above, ties
+            true_e = fact.entities[pos]
+            filtered_above += int((all_scores[pos][~mask] > scores[true_e]).sum())
+            queries.append((fact.arity, sort_rank(scores, mask, true_e),
+                            sort_ties(scores, mask, true_e)))
+    return queries, filtered_above
 
 
 def assert_ranks_match_oracle(params, kb):
-    """Every test query's rank, from one `rank_from_scores` call over the test
-    split's mixed arities in split order and from `evaluate`, equals the
-    float64 sort oracle's; returns the oracle's filter and tie counts."""
-    expected, filtered_above, ties = oracle_ranks(params, kb)
-    got = batch_ranks(params, kb, kb.test)
-    assert got.tolist() == [r for ranks in expected for r in ranks]
+    """Every test query's rank and tie count, from one `rank_from_scores`
+    call over the test split's mixed arities in split order, equal the
+    float64 sort oracle's, and `evaluate`'s report equals the list report
+    of the oracle's; returns the oracle's filter and total tie counts."""
+    queries, filtered_above = oracle_ranks(params, kb)
+    ranks, ties = batch_ranks(params, kb, kb.test)
+    assert list(zip(ranks.tolist(), ties.tolist())) == [(r, t) for _, r, t in queries]
     report = evaluate(params, kb, split="test")
-    want = report_from_ranks(
-        (fact.arity, r) for fact, ranks in zip(kb.test, expected) for r in ranks
-    )
-    assert report.mrr == pytest.approx(want.mrr, abs=1e-12)
-    assert report.hits == want.hits
-    return filtered_above, ties
+    mrr, hits, _, n_ties = list_report(queries)
+    assert report.mrr == pytest.approx(mrr, abs=1e-12)
+    # tie-free hits are counts over n, exact in any order; tied ones are fractions
+    assert report.hits == (hits if n_ties == 0 else pytest.approx(hits, abs=1e-12))
+    assert report.ties == n_ties
+    return filtered_above, n_ties
 
 
 def test_evaluate_matches_per_query_rank():
@@ -292,12 +379,16 @@ def test_hand_built_kernels_rank_as_in_float64():
         rows[kb.vocab.entity_index[name]] = block
     kernels = np.array([[1e39, 0.5, 0, 0, 0, 0], [1.0] * 6, [0, 1, 0, 0, 0, 0],
                         [1.0] * 6, [1e39, 1, 0, 0, 0, 0]])
-    got = rank_from_scores(kb, kb.test, kernels, entity_table(params))
+    got = rank_from_scores(kb, kb.test, kernels, entity_table(params), own_entities(kb.test))
     scores = kernels @ rows.T
-    want = [sort_rank(list(scores[q]), brute_force_candidates(kb, fact, pos), fact.entities[pos])
-            for q, (fact, pos) in enumerate((f, p) for f in kb.test for p in range(f.arity))]
+    slots = [(f, p) for f in kb.test for p in range(f.arity)]
+    masks = [brute_force_candidates(kb, fact, pos) for fact, pos in slots]
+    want = [sort_rank(list(scores[q]), masks[q], fact.entities[pos])
+            for q, (fact, pos) in enumerate(slots)]
     assert want[3:] == [2, 5]  # e2 above e0; e0, e2, e3, e6 above e1, with e5 filtered
-    assert got.tolist() == want
+    assert got[0].tolist() == want
+    assert got[1].tolist() == [sort_ties(list(scores[q]), masks[q], fact.entities[pos])
+                               for q, (fact, pos) in enumerate(slots)]
 
 
 def test_more_than_a_uint8_of_entities_above_in_one_block():
@@ -319,7 +410,7 @@ def test_more_than_a_uint8_of_entities_above_in_one_block():
     ent[true_e, 0, 0] = 0.5 * np.sign(g)
     assert forward_group(params, spec).gather[0, 0, 0, 0] == g
     assert_ranks_match_oracle(params, kb)
-    assert batch_ranks(params, kb, [fact])[0] >= 599
+    assert batch_ranks(params, kb, [fact])[0][0] >= 599
 
 
 @pytest.mark.parametrize("cells", [2**20, 64, 1])
@@ -338,10 +429,12 @@ def pooled_walk_case():
     Split in 2 parts the walk is cut at entity 49, in 3 at 35 and 70, and
     the facts' own entities sit on both sides of those cuts. Entities 10 and
     90 copy true entity 49's block, so they tie its queries exactly in
-    float64 and fall in its float32 band; training facts make both known
-    true at query 0, in different parts. One kernel entry is F32_LIMIT, so
-    that row is left to float64; entity 95's matching entry is 4, so the
-    row's float32 product overflows in the walk's last part, on a pool thread.
+    float64 and fall in its float32 band, in different parts: training
+    facts make both known true at query 0, and at query 6 both are ties.
+    One kernel entry is F32_LIMIT, so that row (query 5, own entity 69) is
+    left to float64, where entities 20 and 80, copies of 69, tie it; entity
+    95's matching entry is 4, so the row's float32 product overflows in the
+    walk's last part, on a pool thread.
     """
     vocab = make_vocab(100, (2, 3))
     test = [Fact(0, (49, 48)), Fact(1, (35, 34, 70)), Fact(1, (69, 49, 3)), Fact(0, (97, 0))]
@@ -351,6 +444,7 @@ def pooled_walk_case():
     params = randomized_params(cfg, vocab, seed=27)
     ent = params.data[("ent",)]
     ent[[10, 90]] = ent[49]
+    ent[[20, 80]] = ent[69]
     ent[95, 0, 0] = 4.0
     kernels = np.concatenate([
         forward_group(params, spec).gather.reshape(fact.arity, -1)
@@ -365,8 +459,12 @@ def test_ranks_and_band_pairs_do_not_depend_on_the_worker_count(monkeypatch):
     monkeypatch.setattr(evaluation, "SCORE_BLOCK_CELLS", cells)
     rows = params.data[("ent",)].reshape(100, -1)
     scores = (kernels[:, None, :] * rows[None]).sum(axis=-1)  # float64 (query, entity)
-    want = [sort_rank(list(scores[q]), brute_force_candidates(kb, fact, pos), fact.entities[pos])
-            for q, (fact, pos) in enumerate((f, p) for f in kb.test for p in range(f.arity))]
+    slots = [(f, p) for f in kb.test for p in range(f.arity)]
+    masks = [brute_force_candidates(kb, fact, pos) for fact, pos in slots]
+    want = [(sort_rank(list(scores[q]), masks[q], fact.entities[pos]),
+             sort_ties(list(scores[q]), masks[q], fact.entities[pos]))
+            for q, (fact, pos) in enumerate(slots)]
+    assert [ties for _, ties in want] == [0] * 5 + [2, 2] + [0] * 3
     screen, executor = evaluation._screen, pool.executor
     walks, pools = [], []
 
@@ -380,15 +478,16 @@ def test_ranks_and_band_pairs_do_not_depend_on_the_worker_count(monkeypatch):
     ranks = {}
     for workers in (1, 2, 3, 4, 50):  # 50: more workers than the walk has blocks
         monkeypatch.setattr(pool, "WORKERS", workers)
-        ranks[workers] = rank_from_scores(kb, kb.test, kernels, entity_table(params))
+        got = rank_from_scores(kb, kb.test, kernels, entity_table(params), own_entities(kb.test))
+        ranks[workers] = list(zip(*(column.tolist() for column in got)))
         assert len(pools) == (workers > 1)  # the pool walks some parts
         pools.clear()
-    assert ranks[1].tolist() == want
     above, band_q, band_e = walks[0]
-    assert above[5] == 0 and 5 not in band_q and want[5] > 1  # row 5 is not screened
-    assert {(0, 10), (0, 90)} <= set(zip(band_q.tolist(), band_e.tolist()))  # the exact ties
+    assert above[5] == 0 and 5 not in band_q and want[5][0] > 1  # row 5 is not screened
+    pairs = set(zip(band_q.tolist(), band_e.tolist()))
+    assert {(0, 10), (0, 90), (6, 10), (6, 90)} <= pairs  # the exact ties
     for workers, walk in zip(ranks, walks):
-        assert ranks[workers].tolist() == want, workers
+        assert ranks[workers] == want, workers
         for got, serial in zip(walk, walks[0]):
             assert got.dtype == serial.dtype and got.tolist() == serial.tolist(), workers
 
@@ -411,7 +510,7 @@ def test_evaluate_on_a_pooled_walk_ranks_as_in_float64(workers, monkeypatch):
 
 
 def _ranks_in_child(send, params, kb):
-    send.send((evaluate(params, kb, split="test").mrr, batch_ranks(params, kb, kb.test).tolist()))
+    send.send((evaluate(params, kb, split="test").mrr, batch_ranks(params, kb, kb.test)[0].tolist()))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -424,7 +523,7 @@ def test_evaluate_in_a_forked_child_ranks_on_a_pool_of_its_own(monkeypatch):
     params = randomized_params(cfg, kb.vocab, seed=31)
     monkeypatch.setattr(evaluation, "SCORE_BLOCK_CELLS", 64)
     monkeypatch.setattr(pool, "WORKERS", 2)
-    want = (evaluate(params, kb, split="test").mrr, batch_ranks(params, kb, kb.test).tolist())
+    want = (evaluate(params, kb, split="test").mrr, batch_ranks(params, kb, kb.test)[0].tolist())
     assert pool._pool is not None
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
@@ -564,9 +663,11 @@ def test_empty_split_rejected():
 
 
 def test_report_serialization_shapes():
-    report = report_from_ranks([(2, 1), (2, 4), (3, 2)], seconds=1.5)
+    report = report_from_ranks(np.array([2, 2, 3]), np.array([1, 4, 2]), np.array([0, 2, 0]),
+                               seconds=1.5)
     data = report.to_dict()
-    assert set(data) == {"mrr", "hits", "n_queries", "seconds", "per_arity"}
+    assert set(data) == {"mrr", "hits", "n_queries", "ties", "seconds", "per_arity"}
+    assert data["ties"] == 2
     csv_text = report.per_arity_csv()
     lines = csv_text.strip().splitlines()
     assert lines[0] == "arity,n_queries,mrr,hit1,hit3,hit10"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_candidates
+from ramkb import kb as kb_module
 from ramkb.errors import DataError, ParseError
 from ramkb.kb import (
     CODE_LIMIT,
@@ -285,20 +286,60 @@ def test_encode_rejects_codes_past_int64():
     assert int(top[0]) == 2 * base - 1
 
 
+class Huge(Vocabulary):
+    """A vocabulary of 2**61 (synthetic) entities."""
+
+    @property
+    def n_entities(self):
+        return 2**61
+
+
 def test_kb_past_the_code_bound_raises_data_error():
-    """Over 2**61 (synthetic) entities, one binary fact's two keys stay
-    below the bound and two facts' four keys reach it."""
-
-    class Huge(Vocabulary):
-        @property
-        def n_entities(self):
-            return 2**61
-
+    """One binary fact's two keys stay below the bound and two facts' four
+    keys reach it."""
     vocab = Huge()
     vocab.add_relation("r", 2)
     KnowledgeBase(vocab, [Fact(0, (0, 1))], [], [])
     with pytest.raises(DataError, match="too large"):
         KnowledgeBase(vocab, [Fact(0, (0, 1)), Fact(0, (2, 3))], [], [])
+
+
+def test_kb_with_a_column_past_the_code_bound_raises_data_error():
+    """A ternary relation's columns 0 and 1 pack into one level: 3 * (2**61
+    + 1) codes. Column 2 fits after one fact's 3 prefixes, but not after
+    two facts' 6, so it cannot be encoded even in a level of its own."""
+    vocab = Huge()
+    vocab.add_relation("r", 3)
+    kb = KnowledgeBase(vocab, [Fact(0, (0, 1, 2))], [], [])
+    assert [end for end, _ in kb._levels] == [2, 3]
+    with pytest.raises(DataError, match="6 distinct key prefixes .* column 2 .* too large"):
+        KnowledgeBase(vocab, [Fact(0, (0, 1, 2)), Fact(0, (3, 4, 5))], [], [])
+
+
+@pytest.mark.parametrize(
+    "arities, limit, ends",
+    [
+        # column 0 is 3 relations * 4 positions wide, the others 10: columns
+        # 0 to 2 pack (12 * 10 * 10 codes), then column 3 alone
+        ((2, 3, 4), 2000, [3, 4]),
+        # column 0 is 60 * 4 wide and fills a level alone, and so does each
+        # column after it
+        ((2, 3, 4) * 20, 2400, [1, 2, 3, 4]),
+    ],
+    ids=["packed", "one-column-levels"],
+)
+def test_filtered_candidates_on_packed_levels_match_brute_force(arities, limit, ends, monkeypatch):
+    """A smaller code bound, so 9 entities' keys need several levels."""
+    monkeypatch.setattr(kb_module, "CODE_LIMIT", limit)
+    kb = random_kb(9, arities, n_train=40, n_valid=5, n_test=5, seed=19)
+    assert [end for end, _ in kb._levels] == ends
+    assert_masks_match_brute_force(kb)
+    probes = random_facts(kb.vocab, 40, seed=78)
+    assert any(p not in set(kb.all_facts()) for p in probes)
+    assert_facts_match_brute_force(kb, list(kb.all_facts()) + probes)
+    monkeypatch.setattr(kb_module, "CODE_LIMIT", 100)  # a bound some column cannot fit
+    with pytest.raises(DataError, match="too large"):
+        random_kb(9, arities, n_train=40, n_valid=5, n_test=5, seed=19)
 
 
 SPLITS = ("train", "valid", "test")

@@ -4,9 +4,11 @@ batch's stacked candidate rows runs on the calling thread as it is made,
 otherwise on the pool. Either way a batch's gradient and the trained
 parameters are the same, bit for bit."""
 
+import ast
 import functools
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -185,6 +187,31 @@ def test_gradcheck_on_a_batch_whose_group_crosses_a_chunk_boundary():
     params.data[("ent",)] *= 3.0  # above the comparison floor after three factors
     errors = check_batch(params, facts, "full", 0.3, [(44, i) for i in range(len(facts))])
     assert max(errors.values()) <= 1e-4, errors
+
+
+@pytest.mark.parametrize(
+    "env, want",
+    [
+        ({}, ("1", None, "all")),
+        ({"OPENBLAS_NUM_THREADS": "2"}, ("2", None, 1)),
+        ({"OMP_NUM_THREADS": "3"}, (None, "3", 1)),
+        ({"OMP_NUM_THREADS": "1"}, (None, "1", "all")),
+    ],
+    ids=["unset", "openblas-2", "omp-3", "omp-1"],
+)
+def test_importing_ramkb_pins_blas_to_one_thread_unless_the_user_set_it(env, want):
+    """In a fresh interpreter that has not loaded numpy: the BLAS variables
+    after `import ramkb`, and the pool's worker count (all CPUs, or 1)."""
+    clean = {k: v for k, v in os.environ.items()
+             if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = str(Path(pool.__file__).resolve().parents[1])
+    code = ("import os, ramkb; from ramkb import pool; print(repr((os.environ.get("
+            "'OPENBLAS_NUM_THREADS'), os.environ.get('OMP_NUM_THREADS'), pool.WORKERS)))")
+    out = subprocess.run([sys.executable, "-c", code], env={**clean, **env, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=60, check=True).stdout
+    openblas, omp, workers = ast.literal_eval(out)
+    assert (openblas, omp) == want[:2]
+    assert workers == (len(os.sched_getaffinity(0)) if want[2] == "all" else 1)
 
 
 def test_in_parts_waits_for_every_part_before_it_raises(monkeypatch):
