@@ -21,7 +21,8 @@ entity table, :class:`SampledCandidates` over per-row entity ids. So
 training stacks a batch's kernel rows, every arity group's, and scores
 them in fixed chunks of rows (``training``). Ranking reads the kernels
 alone. :func:`group_losses` gives the candidate cross-entropy and its score
-gradient, which it computes in the score array itself.
+gradient, already scaled by the batch's 1/B, which it computes in the score
+array itself.
 
 A scorer's ``pullback`` returns the kernels' gradient, one
 gradient-weighted sum of candidate blocks per kernel row. The entity
@@ -36,7 +37,10 @@ Every contraction is a batched ``matmul`` over (fact, position) pairs, laid
 out as numpy lowers the equivalent ``einsum``, so results match it bit for
 bit. A :class:`GradientBuffer` keeps row-written gradients as the parts
 passed to it and sums them into a block of the touched rows only when the
-optimizer reads them; a sampled batch never allocates the entity table.
+optimizer reads them; a sampled batch never allocates the entity table. A
+full-negative batch's table product becomes the entity slot's array itself
+(:meth:`GradientBuffer.add_all_rows`), so no batch allocates a table of its
+own either.
 """
 
 from __future__ import annotations
@@ -100,9 +104,11 @@ class GradientBuffer:
     batch that writes a few thousand rows of a large table never allocates
     the table. :meth:`summed` adds them up, in call order, into a compact
     block of the touched rows. A slot that receives :meth:`add_all_rows`
-    (every row, as with full negatives) sums into a full-table array at once
-    and keeps no parts. Either way each element sums its contributions in
-    the order of the calls, and of the rows within a call, so a batch's
+    (every row, as with full negatives) takes the array passed as its own
+    gradient, adds the parts recorded before into it as one block, and
+    keeps no parts. Each element sums its earlier parts in the order of the
+    calls, and of the rows within a call, then adds a full-table array, then
+    its later parts in call order; float addition commutes, so a batch's
     gradient is bitwise deterministic.
     """
 
@@ -144,9 +150,30 @@ class GradientBuffer:
         self._touched(key)[rows] = True
 
     def add_all_rows(self, key: SlotKey, values: np.ndarray) -> None:
-        table = self._table(key)
-        table += values
+        """``grad += values`` over every row. The buffer takes `values`, of
+        the slot's full shape, as the slot's gradient array and writes into
+        it: the caller must not use it again. Parts recorded before are
+        summed into a block of their rows and added into ``values[rows]``."""
+        slot = self._slots.get(key, [])
+        if isinstance(slot, np.ndarray):
+            values += slot
+        elif slot:
+            rows, block = self._block(key, slot)
+            values[rows] += block
+        self._slots[key] = values
         self._touched(key)[:] = True
+
+    def _block(self, key: SlotKey, parts: list[tuple[np.ndarray, np.ndarray]]
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """The touched rows of a row slot, ascending, and its `parts` summed
+        in call order into a compact block of those rows."""
+        rows = np.flatnonzero(self.touched[key])
+        index = np.empty(len(self.touched[key]), dtype=np.intp)  # table row -> block row
+        index[rows] = np.arange(rows.size)
+        block = np.zeros(rows.shape + self._shapes[key][1:])
+        for part_rows, values in parts:
+            scatter_rows(block, index[part_rows], values)
+        return rows, block
 
     def summed(self) -> Iterator[tuple[SlotKey, Optional[np.ndarray], np.ndarray]]:
         """Each written slot's summed gradient, in the order of first writes.
@@ -159,15 +186,10 @@ class GradientBuffer:
             if key not in self.touched:
                 yield key, None, slot
                 continue
-            rows = np.flatnonzero(self.touched[key])
             if isinstance(slot, list):
-                index = np.empty(len(self.touched[key]), dtype=np.intp)  # table row -> block row
-                index[rows] = np.arange(rows.size)
-                block = np.zeros(rows.shape + self._shapes[key][1:])
-                for part_rows, values in slot:
-                    scatter_rows(block, index[part_rows], values)
-                slot = block
-            yield key, rows, slot
+                yield (key, *self._block(key, slot))
+            else:
+                yield key, np.flatnonzero(self.touched[key]), slot
 
     def dense(self) -> dict[SlotKey, np.ndarray]:
         """:meth:`summed` as full-shape arrays, untouched rows zero."""
@@ -328,14 +350,19 @@ class SampledCandidates:
         return np.multiply(g[..., None, None], kernels[..., None, :, :], out=out)
 
 
-def group_losses(scores: np.ndarray, true_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def group_losses(scores: np.ndarray, true_cols: np.ndarray,
+                 scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Per-fact candidate cross-entropy and its gradient with respect to `scores`.
 
     `scores` is a C-contiguous (B, a, C) array and `true_cols` (B, a) the true
     entity's column. The (B,) losses sum over positions; the (B, a, C)
-    gradient is softmax(scores) minus the true one-hot, from the same max,
-    exp and sum. The gradient is computed in place: `scores` is overwritten
-    and returned as the gradient, so scores and gradient share one array.
+    gradient is `scale` times softmax(scores) minus the true one-hot, from
+    the same max, exp and sum. The gradient is computed in place: `scores`
+    is overwritten and returned as the gradient, so scores and gradient
+    share one array. `scale` (a batch's 1/B) is folded into the
+    normalization, ``exp * (scale / sum)``, so the array is swept once; the
+    gradient is within 2 ulp of ``scale * (softmax - onehot)`` (of `scale`
+    at the true column), and the losses do not depend on `scale`.
     """
     top = scores.max(axis=-1, keepdims=True)
     at_true = (*np.indices(true_cols.shape, sparse=True), true_cols)
@@ -344,9 +371,10 @@ def group_losses(scores: np.ndarray, true_cols: np.ndarray) -> tuple[np.ndarray,
     np.exp(scores, out=scores)
     total = scores.sum(axis=-1, keepdims=True)
     losses = (top[..., 0] + np.log(total[..., 0]) - true_scores).sum(axis=1)
-    scores /= total
+    np.divide(scale, total, out=total)
+    scores *= total
     # each (fact, position) pair appears once, so a plain indexed subtract
-    scores[at_true] -= 1.0
+    scores[at_true] -= scale
     return losses, scores
 
 

@@ -58,6 +58,11 @@ EVAL_BATCH = 512  # facts ranked per rank_from_scores call, all arities together
 # on the calling thread: buffers made on pool threads raised peak RSS
 SCORE_BLOCK_CELLS = 2**19
 COUNT_CHUNK = 255  # entities per uint8 count: the most a uint8 holds
+# band members other than the own entity above which a query's chunk is
+# crowded: the query collects no pairs and is decided wholly in float64, so
+# a batch holds at most this many pairs per query and chunk
+CROWDED_BAND = 16
+BAND_SLICE = 2**13  # band pairs rescored per float64 product: (8192, m*d) temporaries
 ROWS_PER_REDUCE = 32  # table rows per inner loop of entity_table's column extremes
 F32_UNIT = 2.0**-24  # unit roundoff of float32
 F32_TINY = 2.0**-126  # smallest normal float32: bounds one underflow's absolute error
@@ -186,14 +191,20 @@ def _screen(
     """Walk the table in blocks of SCORE_BLOCK_CELLS float32 scores.
 
     Returns each query's count of entities whose float32 score is above its
-    `hi`, and the (query, entity) pairs inside its band ``[lo, hi]`` other
-    than the query's own entity `own`, in entity order.
+    `hi`, the (query, entity) pairs inside its band ``[lo, hi]`` other than
+    the query's own entity `own`, in entity order, and a mask of the crowded
+    queries. A query is crowded when, in some COUNT_CHUNK chunk, its band
+    holds more than CROWDED_BAND entities other than its own, as on a
+    collapsed table where every score ties: it has no pairs, and its count
+    is meaningless, so the caller decides it wholly in float64.
 
     The blocks are dealt out in at most pool.WORKERS parts, runs of whole
     blocks, which the pool walks (:func:`pool.in_parts`); the calling thread
     walks each part no pool thread has started. Every part walks the blocks
     and chunks the serial walk would, so its pairs are the serial walk's over
-    its range, and the parts' pairs joined in order are the serial ones.
+    its range, and the parts' pairs joined in order are the serial ones. The
+    crowded queries are the union over those chunks, so they, and the pairs
+    left once theirs are dropped, are the serial walk's too.
     """
     n_entities = table.rows32.shape[0]
     n_rows = kernels32.shape[0]
@@ -207,6 +218,7 @@ def _screen(
     # buffer per part: a fresh product per block would briefly hold two
     # blocks, the previous one until the new one is assigned
     above = np.zeros((n_parts, n_rows), dtype=np.intp)
+    crowded = np.zeros((n_parts, n_rows), dtype=bool)
     buffers = [
         (np.empty((block, n_rows), dtype=np.float32),
          np.empty((COUNT_CHUNK, n_rows), dtype=bool),
@@ -235,6 +247,10 @@ def _screen(
                     # the own entity is in its row's band: look only at rows with more
                     mine = (own >= first) & (own < first + len(chunk))
                     rows = np.flatnonzero(n_band > mine)
+                    if rows.size and n_band.max() > CROWDED_BAND:
+                        wide = n_band[rows] > mine[rows] + CROWDED_BAND
+                        crowded[part, rows[wide]] = True
+                        rows = rows[~wide]
                     if rows.size:
                         ent, col = np.nonzero(reach[:, rows] & ~over[:, rows])
                         query, ent = rows[col], ent + first
@@ -247,7 +263,9 @@ def _screen(
     empty = [np.zeros(0, dtype=np.intp)]
     band_q = np.concatenate([q for part_q, _ in found for q in part_q] or empty)
     band_e = np.concatenate([e for _, part_e in found for e in part_e] or empty)
-    return above.sum(axis=0), band_q, band_e
+    crowded = crowded.any(axis=0)
+    kept = ~crowded[band_q]  # a crowded query's pairs from its other chunks
+    return above.sum(axis=0), band_q[kept], band_e[kept], crowded
 
 
 def rank_from_scores(
@@ -301,7 +319,10 @@ def rank_from_scores(
     Each block's ``s32 > hi`` and ``s32 >= lo`` are counted per query in
     uint8 sums over at most COUNT_CHUNK entities. The true entity is always
     in its own band, so only a query whose band count in a chunk exceeds
-    that is searched for band members.
+    that is searched for band members. A query whose band holds more than
+    CROWDED_BAND other entities in a chunk is decided wholly in float64
+    instead, so the band pairs of a batch stay few even when most of the
+    table ties; they are rescored BAND_SLICE pairs at a time.
 
     When BLAS runs one thread and the table spans two blocks or more, the
     walk is split into one run of whole blocks per CPU the process may use
@@ -336,15 +357,18 @@ def rank_from_scores(
     tol[reach >= F32_LIMIT] = np.inf
     hi = _round_out(true + tol, up=True)
     lo = _round_out(true - tol, up=False)
-    unscreened = np.flatnonzero(~(np.isfinite(hi) & np.isfinite(lo)))
+    unscreened = ~(np.isfinite(hi) & np.isfinite(lo))
     hi[unscreened] = lo[unscreened] = np.nan  # any comparison with NaN is false: they count nothing
 
     with np.errstate(over="ignore", invalid="ignore"):  # only in rows left to float64
-        above, band_q, band_e = _screen(table, kernels.astype(np.float32), hi, lo, own)
-    band = _row_dots(kernels[band_q], table.rows[band_e])
+        above, band_q, band_e, crowded = _screen(table, kernels.astype(np.float32), hi, lo, own)
+    band = np.empty(band_q.size)
+    for start in range(0, band_q.size, BAND_SLICE):
+        pairs = slice(start, start + BAND_SLICE)
+        band[pairs] = _row_dots(kernels[band_q[pairs]], table.rows[band_e[pairs]])
     above += np.bincount(band_q[band > true[band_q]], minlength=above.size)
     ties = np.bincount(band_q[band == true[band_q]], minlength=above.size)
-    for q in unscreened:
+    for q in np.flatnonzero(unscreened | crowded):
         scores = _row_dots(kernels[q], table.rows)
         above[q] = np.count_nonzero(scores > true[q])
         # own[q]'s score is true[q] bit for bit (_row_dots): it is no tie

@@ -183,9 +183,10 @@ class _CandidatePass:
     The arity groups' (fact, slot) kernel rows, and their candidates, stack
     in ascending arity order, and the rows are cut into jobs of CHUNK_ROWS
     rows each (:meth:`chunk`). A job scores its rows and takes their losses;
-    with a `scale`, it also scales their score gradient and pulls it back to
-    their kernels. A job writes only its own rows of the pass's arrays and
-    calls only the engine's names, so it may run on any thread.
+    with a `scale`, it also takes their score gradient, scaled within
+    :func:`group_losses`, and pulls it back to their kernels. A job writes
+    only its own rows of the pass's arrays and calls only the engine's
+    names, so it may run on any thread.
     """
 
     def __init__(self, params: ModelParams, facts: list[Fact], negatives: str | int,
@@ -248,12 +249,12 @@ class _CandidatePass:
             scores = cand.scores(kernels, out=self.grads[rows])
         else:
             scores = cand.scores(kernels)
-        losses, g = losses_of(scores[:, None], cand.true_cols[:, None])
+        scale = 1.0 if self.scale is None else self.scale
+        losses, g = losses_of(scores[:, None], cand.true_cols[:, None], scale)
         self.losses[rows] = losses
         if self.scale is None:
             return
         g = g[:, 0]
-        g *= self.scale
         self.pseudo[rows] = cand.pullback(g)
         if not self.full:
             cand.row_grads(kernels, g, out=self.grads[rows])
@@ -275,7 +276,9 @@ class _CandidatePass:
         Sampled candidates' rows go in group by group, each group's before
         its :func:`backward_group` rows. Under full negatives the entity
         table's gradient is one product over every row, run on the pool
-        (:func:`pool.beside`) while the groups are pulled back, and added last.
+        (:func:`pool.beside`) while the groups are pulled back; the buffer
+        then takes it as the entity slot's gradient and adds the groups'
+        rows into it (:meth:`GradientBuffer.add_all_rows`).
         """
         def pull_groups() -> None:
             for kern, rows in zip(self.forwarded, self.spans):
@@ -512,7 +515,11 @@ def train(kb: KnowledgeBase, model_cfg: ModelConfig, train_cfg: TrainConfig) -> 
     which orders the sums of a product, and on CHUNK_ROWS, which cuts each
     batch's candidate products. Under full negatives a batch's entity
     gradient is one product over all its stacked rows; sampled candidates'
-    rows are added group by group (:meth:`_CandidatePass.pull_back`).
+    rows are added group by group (:meth:`_CandidatePass.pull_back`). The
+    score gradient takes the batch's 1/B inside the softmax normalization
+    (:func:`group_losses`), so checkpoints of versions that scaled it in a
+    second pass differ from today's in the last bits, for full and sampled
+    negatives alike.
     """
     from .evaluation import evaluate  # local import to avoid a cycle
 

@@ -172,11 +172,12 @@ def naive_fact_loss(score_fn, params, fact, n_entities):
     return total
 
 
-def copy_cross_entropy(scores, true_cols):
+def copy_cross_entropy(scores, true_cols, scale=1.0):
     """Candidate cross-entropy in log-sum-exp form, every step a fresh array.
 
     `scores` (B, a, C) is left as it is. Returns the (B,) losses summed over
-    positions and the (B, a, C) gradient softmax(scores) minus the one-hot.
+    positions and the (B, a, C) gradient `scale` times softmax(scores) minus
+    the one-hot, as ``exps * (scale / total)`` less `scale` at the true column.
     """
     top = scores.max(axis=-1, keepdims=True)
     exps = np.exp(scores - top)
@@ -184,10 +185,10 @@ def copy_cross_entropy(scores, true_cols):
     b, a = true_cols.shape
     true = np.array([[scores[i, p, true_cols[i, p]] for p in range(a)] for i in range(b)])
     losses = (top[..., 0] + np.log(total[..., 0]) - true).sum(axis=1)
-    grad = exps / total
+    grad = exps * (scale / total)
     for i in range(b):
         for p in range(a):
-            grad[i, p, true_cols[i, p]] -= 1.0
+            grad[i, p, true_cols[i, p]] -= scale
     return losses, grad
 
 

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,15 +30,20 @@ def own_entities(facts):
     return np.array([e for fact in facts for e in fact.entities], dtype=np.intp)
 
 
-def batch_ranks(params, kb, facts):
-    """Filtered ranks and tie counts of facts of any arities, one per slot in
-    fact order, from one `rank_from_scores` call; each fact's kernels come
+def fact_kernels(params, facts):
+    """Every slot's kernel (n_queries, m*d), in fact order; each fact's come
     from its own `forward_group` call, as in the oracle."""
-    kernels = np.concatenate([
+    return np.concatenate([
         forward_group(params, spec).gather.reshape(fact.arity, -1)
         for fact in facts for spec in split_groups(params, [fact])
     ])
-    return rank_from_scores(kb, facts, kernels, entity_table(params), own_entities(facts))
+
+
+def batch_ranks(params, kb, facts):
+    """Filtered ranks and tie counts of facts of any arities, one per slot in
+    fact order, from one `rank_from_scores` call."""
+    return rank_from_scores(kb, facts, fact_kernels(params, facts), entity_table(params),
+                            own_entities(facts))
 
 
 def group_scores_and_ranks(params, kb, facts):
@@ -97,6 +103,78 @@ def test_all_equal_entity_table_ranks_as_chance(fill):
     assert report.mrr == pytest.approx(want, rel=1e-12) and report.mrr < 0.003
     assert report.hits[10] == pytest.approx(sum(10 / n for n in n_candidates) / len(n_candidates))
     assert report.ties == sum(n_candidates) - len(n_candidates)
+
+
+@pytest.fixture(scope="module")
+def full_batch_case():
+    """A full EVAL_BATCH of mixed-arity test facts on 300 entities, their
+    kernels' params (m*d = 16) and each query's filtered candidate count."""
+    kb = random_kb(300, (2, 3), n_train=100, n_test=evaluation.EVAL_BATCH, seed=3)
+    cfg = ModelConfig(embed_dim=8, multiplicity=2, latent_size=2)
+    params = ModelParams.init(cfg, kb.vocab, seed=4)
+    n_candidates = [int(brute_force_candidates(kb, fact, pos).sum())
+                    for fact in kb.test for pos in range(fact.arity)]
+    return kb, params, n_candidates
+
+
+# tracemalloc peak of ranking the collapsed full batch; a walk that kept every
+# tied pair held ~160 MB of (pairs, m*d) float64 temporaries
+COLLAPSED_PEAK_BYTES = 8 * 2**20
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fill", ["zero", "one", "first-row"])
+def test_collapsed_table_ranks_a_full_batch_as_in_float64_in_bounded_memory(
+        full_batch_case, fill, workers, monkeypatch):
+    """Every query's band holds the whole table: each query is decided in
+    float64, its candidates all tie, and no pair of the band is kept."""
+    kb, params, n_candidates = full_batch_case
+    params = params.copy()
+    ent = params.data[("ent",)]
+    ent[:] = {"zero": 0.0, "one": 1.0, "first-row": ent[0].copy()}[fill]
+    kernels, table, own = fact_kernels(params, kb.test), entity_table(params), own_entities(kb.test)
+    # blocks of 130 entities: the walk has three, so two workers share it
+    monkeypatch.setattr(evaluation, "SCORE_BLOCK_CELLS", 130 * len(kernels))
+    monkeypatch.setattr(pool, "WORKERS", workers)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ranks, ties = rank_from_scores(kb, kb.test, kernels, table, own)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert ranks.tolist() == [1] * len(n_candidates)
+    assert ties.tolist() == [n - 1 for n in n_candidates]
+    assert peak < COLLAPSED_PEAK_BYTES, peak
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_crowded_queries_drop_their_band_pairs_from_every_chunk(workers, monkeypatch):
+    """Entities 0 and 200-299 share one row, so a query on any of them has a
+    crowded band in the block of 130-259. A query on one of 200-299 also
+    has one band pair, entity 0, in the first block, which is dropped; the
+    ranks equal the float64 oracle's."""
+    kb = random_kb(300, (2, 3), n_train=60, n_test=40, seed=5)
+    params = randomized_params(ModelConfig(embed_dim=3, multiplicity=2, latent_size=2),
+                               kb.vocab, seed=6)
+    ent = params.data[("ent",)]
+    ent[200:] = ent[0]
+    n_queries = sum(fact.arity for fact in kb.test)
+    monkeypatch.setattr(evaluation, "SCORE_BLOCK_CELLS", 130 * n_queries)
+    monkeypatch.setattr(pool, "WORKERS", workers)
+    screen, walks = evaluation._screen, []
+
+    def recording(*args):
+        found = screen(*args)
+        walks.append([a.copy() for a in found])
+        return found
+
+    monkeypatch.setattr(evaluation, "_screen", recording)
+    assert_ranks_match_oracle(params, kb)
+    _, band_q, _, crowded = walks[0]
+    own = own_entities(kb.test)
+    assert crowded.tolist() == ((own == 0) | (own >= 200)).tolist()
+    assert crowded.any() and not crowded[band_q].any()
 
 
 def test_rank_matches_sort_oracle_on_toy_kb():
@@ -446,10 +524,7 @@ def pooled_walk_case():
     ent[[10, 90]] = ent[49]
     ent[[20, 80]] = ent[69]
     ent[95, 0, 0] = 4.0
-    kernels = np.concatenate([
-        forward_group(params, spec).gather.reshape(fact.arity, -1)
-        for fact in test for spec in split_groups(params, [fact])
-    ])
+    kernels = fact_kernels(params, test)
     kernels[5, 0] = evaluation.F32_LIMIT  # fact 2's slot 0: decided wholly in float64
     return kb, params, kernels, 7 * len(kernels)
 
@@ -482,7 +557,8 @@ def test_ranks_and_band_pairs_do_not_depend_on_the_worker_count(monkeypatch):
         ranks[workers] = list(zip(*(column.tolist() for column in got)))
         assert len(pools) == (workers > 1)  # the pool walks some parts
         pools.clear()
-    above, band_q, band_e = walks[0]
+    above, band_q, band_e, crowded = walks[0]
+    assert not crowded.any()
     assert above[5] == 0 and 5 not in band_q and want[5][0] > 1  # row 5 is not screened
     pairs = set(zip(band_q.tolist(), band_e.tolist()))
     assert {(0, 10), (0, 90), (6, 10), (6, 90)} <= pairs  # the exact ties

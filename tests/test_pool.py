@@ -248,11 +248,11 @@ def test_pooled_batch_waits_for_every_group_before_it_raises(monkeypatch):
     monkeypatch.setattr(pool, "executor", lambda: executor)
     original = engine.group_losses
 
-    def group_losses(scores, true_cols):
+    def group_losses(scores, true_cols, scale):
         if len(scores) == CHUNK_ROWS:
             raise ValueError("arity 2 failed")
         time.sleep(0.3)
-        out = original(scores, true_cols)
+        out = original(scores, true_cols, scale)
         done.set()
         return out
 

@@ -176,18 +176,41 @@ class TestLoss:
         _, grad = group_losses(scores, np.zeros((4, 3), dtype=np.intp))
         assert np.shares_memory(grad, scores) and grad.shape == scores.shape
 
-    @pytest.mark.parametrize("scale", [1.0, 1e-6])
-    def test_in_place_equals_copy_based_reference_bit_for_bit(self, scale):
-        # spread values span 16 decades, so at scale 1 most rows are one-hot;
+    @staticmethod
+    def _spread_scores(spread):
+        # spread values span 16 decades, so at spread 1 most rows are one-hot;
         # at 1e-6 the softmax spreads over many columns
         rng = np.random.default_rng(6)
-        scores = spread_values(rng, (5, 3, 40)) * scale
-        true_cols = rng.integers(0, 40, (5, 3))
-        want_losses, want_grad = copy_cross_entropy(scores, true_cols)
-        losses, grad = group_losses(scores.copy(), true_cols)
-        for got, want in ((losses, want_losses), (grad, want_grad)):
-            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert np.isfinite(want_losses).all() and np.abs(want_grad).max() > 0.01
+        return spread_values(rng, (5, 3, 40)) * spread, rng.integers(0, 40, (5, 3))
+
+    @pytest.mark.parametrize("spread", [1.0, 1e-6])
+    def test_in_place_equals_copy_based_reference_bit_for_bit(self, spread):
+        scores, true_cols = self._spread_scores(spread)
+        for scale in (1.0, 1 / 64, 1 / 3):
+            want_losses, want_grad = copy_cross_entropy(scores, true_cols, scale)
+            losses, grad = group_losses(scores.copy(), true_cols, scale)
+            for got, want in ((losses, want_losses), (grad, want_grad)):
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.isfinite(want_losses).all() and np.abs(want_grad).max() > 0.01 * scale
+
+    @pytest.mark.parametrize("scale", [1 / 64, 1 / 3, 1e-3])
+    @pytest.mark.parametrize("spread", [1.0, 1e-6])
+    def test_scale_leaves_losses_bit_equal_and_scales_the_gradient(self, spread, scale):
+        """The losses are those of scale 1, bit for bit. The gradient is
+        within 2 ulp of ``scale * (softmax - onehot)``, the ulp of `scale`
+        at the true column, whose subtraction may cancel."""
+        scores, true_cols = self._spread_scores(spread)
+        plain, _ = group_losses(scores.copy(), true_cols)
+        losses, grad = group_losses(scores.copy(), true_cols, scale)
+        np.testing.assert_array_equal(losses.view(np.uint64), plain.view(np.uint64))
+        exps = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        onehot = np.zeros(scores.shape, dtype=bool)
+        np.put_along_axis(onehot, true_cols[:, :, None], True, axis=2)
+        want = scale * (exps / exps.sum(axis=-1, keepdims=True) - onehot)
+        ulp = np.spacing(np.where(onehot, scale, np.abs(want)))
+        assert (np.abs(grad - want) <= 2 * ulp).all()
+        if spread < 1:  # a spread softmax: the two differ in the last bits
+            assert (grad != want).any()
 
     def test_sampled_equals_full_when_clipped_to_whole_vocab(self):
         kb = random_kb(3, (2,), n_train=4, seed=5)
@@ -601,14 +624,18 @@ class TestOptimizer:
         shape = params.data[key].shape
         rng = np.random.default_rng(4)
         # two parts on rows 0 and 2 only, each row many times, then every row
-        # at once, then one more part
-        calls = [rng.choice([0, 2], 30), rng.choice([0, 2], 30), None, rng.integers(0, 3, 30)]
+        # at once, then one more part, then every row again
+        calls = [rng.choice([0, 2], 30), rng.choice([0, 2], 30), None, rng.integers(0, 3, 30),
+                 None]
         buf, want = GradientBuffer(params), np.zeros(shape)
         for i, rows in enumerate(calls):
             if rows is None:  # every row, as full negatives write the entity table
                 values = spread_values(rng, shape)
-                buf.add_all_rows(key, values)
+                # the buffer then writes into `values`: earlier parts summed
+                # as one block, (p1 + p2) + values, and later parts into it
                 want += values
+                buf.add_all_rows(key, values)
+                adopted = values
             else:
                 values = spread_values(rng, rows.shape + shape[1:])
                 buf.add_rows(key, rows, values)
@@ -620,6 +647,8 @@ class TestOptimizer:
             np.testing.assert_array_equal(got, want[want_rows])
             np.testing.assert_array_equal(buf.touched[key], np.isin(range(3), want_rows))
             np.testing.assert_array_equal(buf.dense()[key], want)
+            if i >= 2:  # the last full-table array passed is the slot's gradient
+                assert got is adopted
 
     @pytest.mark.parametrize("mode", ["latent", "explicit"])
     @pytest.mark.parametrize("n_entities,n_sampled", [(40, 2), (2 * ADAM_BLOCK_ROWS + 300, 600)])
