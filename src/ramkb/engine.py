@@ -1,8 +1,9 @@
 """The one scorer: vectorized forward pass and manual reverse-mode gradients.
 
-Facts are processed in groups of equal arity. Within a group every score is
-a sum of multilinear terms, each the role embedding times one
-pattern-weighted entity vector per position. Prefix products that start at
+Facts are processed in the groups of equal arity that ``kb.split_groups``
+reads off a fact list. Within a group every score is a sum of multilinear
+terms, each the role embedding times one pattern-weighted entity vector per
+position. Prefix products that start at
 the role embedding, times suffix products, give every leave-one-out product
 without dividing (dropout can zero entries); a fact's own score is the
 candidate score of its true entity, so the full product is never formed.
@@ -18,9 +19,11 @@ p, whatever the fact's arity. :func:`forward_group` builds those contraction
 kernels, and a candidate scorer owns scoring and its pullback over kernel
 rows of any arity, (..., m, d): :class:`TableCandidates` over the whole
 entity table, :class:`SampledCandidates` over per-row entity ids. So
-training stacks a batch's kernel rows, every arity group's, and scores
-them in fixed chunks of rows (``training``). Ranking reads the kernels
-alone. :func:`group_losses` gives the candidate cross-entropy and its score
+training stacks a batch's kernel rows, every arity group's, in the groups'
+stacked row order (group by group, fact by fact, slot by slot; each
+group's ``rows``), and scores them in fixed chunks of rows (``training``).
+Ranking stacks them in the same order and reads the kernels alone.
+:func:`group_losses` gives the candidate cross-entropy and its score
 gradient, already scaled by the batch's 1/B, which it computes in the score
 array itself.
 
@@ -38,9 +41,9 @@ out as numpy lowers the equivalent ``einsum``, so results match it bit for
 bit. A :class:`GradientBuffer` keeps row-written gradients as the parts
 passed to it and sums them into a block of the touched rows only when the
 optimizer reads them; a sampled batch never allocates the entity table. A
-full-negative batch's table product becomes the entity slot's array itself
-(:meth:`GradientBuffer.add_all_rows`), so no batch allocates a table of its
-own either.
+full-negative batch's table product, passed after the rows, becomes the
+entity slot's array itself (:meth:`GradientBuffer.add_all_rows`), so no
+batch allocates a table of its own either.
 """
 
 from __future__ import annotations
@@ -50,8 +53,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import DimensionError
-from .kb import Fact
+from .kb import Fact, GroupSpec, split_groups
 from .mathcore import scatter_rows
 from .model import ModelParams, RelationTerms, SlotKey, relation_terms
 
@@ -103,65 +105,49 @@ class GradientBuffer:
     each :meth:`add_rows` call's rows and values as they were passed, so a
     batch that writes a few thousand rows of a large table never allocates
     the table. :meth:`summed` adds them up, in call order, into a compact
-    block of the touched rows. A slot that receives :meth:`add_all_rows`
-    (every row, as with full negatives) takes the array passed as its own
-    gradient, adds the parts recorded before into it as one block, and
-    keeps no parts. Each element sums its earlier parts in the order of the
-    calls, and of the rows within a call, then adds a full-table array, then
-    its later parts in call order; float addition commutes, so a batch's
-    gradient is bitwise deterministic.
+    block of the touched rows. A row slot takes its writes in the order
+    training makes them: row parts, then at most one full-table array
+    (:meth:`add_all_rows`, every row, as with full negatives), which becomes
+    the slot's gradient with the parts added into it as one block. Each
+    element sums its parts in the order of the calls, and of the rows within
+    a call, then adds the full-table array; float addition commutes, so a
+    batch's gradient is bitwise deterministic.
     """
 
     def __init__(self, params: ModelParams) -> None:
         self._shapes = {key: params.data[key].shape for key in params.data}
-        # a full-shape array, or a row slot's (rows, values) parts; one dict,
-        # so slots keep the order of their first write
+        # a dense slot's array, a row slot's (rows, values) parts, or the
+        # full-table array that ended them; one dict, so slots keep the order
+        # of their first write
         self._slots: dict[SlotKey, np.ndarray | list[tuple[np.ndarray, np.ndarray]]] = {}
         self.touched: dict[SlotKey, np.ndarray] = {}
 
-    def _table(self, key: SlotKey) -> np.ndarray:
-        """The slot's full-shape gradient, with any row parts summed into it."""
-        slot = self._slots.get(key, ())
-        if isinstance(slot, np.ndarray):
-            return slot
-        table = np.zeros(self._shapes[key])
-        for rows, values in slot:
-            scatter_rows(table, rows, values)
-        self._slots[key] = table
-        return table
-
-    def _touched(self, key: SlotKey) -> np.ndarray:
-        if key not in self.touched:
-            self.touched[key] = np.zeros(self._shapes[key][0], dtype=bool)
-        return self.touched[key]
-
     def add(self, key: SlotKey, value: np.ndarray) -> None:
-        table = self._table(key)
-        table += value
+        """``grad += value`` over a dense slot."""
+        if key not in self._slots:
+            self._slots[key] = np.zeros(self._shapes[key])
+        self._slots[key] += value
 
     def add_rows(self, key: SlotKey, rows: np.ndarray, values: np.ndarray) -> None:
-        """``grad[rows[i]] += values[i]``. Until the slot is summed or folded
-        the buffer keeps `rows` and `values` themselves, not copies."""
-        slot = self._slots.setdefault(key, [])
-        if isinstance(slot, list):
-            slot.append((rows, values))
-        else:
-            scatter_rows(slot, rows, values)
-        self._touched(key)[rows] = True
+        """``grad[rows[i]] += values[i]``. Until the slot is summed the
+        buffer keeps `rows` and `values` themselves, not copies."""
+        self._slots.setdefault(key, []).append((rows, values))
+        if key not in self.touched:
+            self.touched[key] = np.zeros(self._shapes[key][0], dtype=bool)
+        self.touched[key][rows] = True
 
     def add_all_rows(self, key: SlotKey, values: np.ndarray) -> None:
-        """``grad += values`` over every row. The buffer takes `values`, of
-        the slot's full shape, as the slot's gradient array and writes into
-        it: the caller must not use it again. Parts recorded before are
-        summed into a block of their rows and added into ``values[rows]``."""
-        slot = self._slots.get(key, [])
-        if isinstance(slot, np.ndarray):
-            values += slot
-        elif slot:
-            rows, block = self._block(key, slot)
+        """``grad += values`` over every row, once, after the slot's row
+        parts. The buffer takes `values`, of the slot's full shape, as the
+        slot's gradient array and writes into it: the caller must not use
+        it again. The parts are summed into a block of their rows and added
+        into ``values[rows]``."""
+        parts = self._slots.get(key, [])
+        if parts:
+            rows, block = self._block(key, parts)
             values[rows] += block
         self._slots[key] = values
-        self._touched(key)[:] = True
+        self.touched[key] = np.ones(self._shapes[key][0], dtype=bool)
 
     def _block(self, key: SlotKey, parts: list[tuple[np.ndarray, np.ndarray]]
                ) -> tuple[np.ndarray, np.ndarray]:
@@ -201,39 +187,6 @@ class GradientBuffer:
                 out[key] = np.zeros(self._shapes[key])
                 out[key][rows] = grad
         return out
-
-
-@dataclass
-class GroupSpec:
-    """Facts of one arity stacked into index arrays."""
-
-    arity: int
-    rels: np.ndarray  # (B,)
-    ents: np.ndarray  # (B, a)
-    fact_index: np.ndarray  # positions in the original batch list
-
-
-def split_groups(params: ModelParams, facts: list[Fact]) -> list[GroupSpec]:
-    vocab = params.vocab
-    by_arity: dict[int, list[int]] = {}
-    for i, fact in enumerate(facts):
-        if fact.arity != vocab.arity(fact.relation):
-            raise DimensionError(
-                f"fact arity {fact.arity} != relation arity {vocab.arity(fact.relation)}"
-            )
-        by_arity.setdefault(fact.arity, []).append(i)
-    groups = []
-    for arity in sorted(by_arity):
-        idx = by_arity[arity]
-        groups.append(
-            GroupSpec(
-                arity,
-                rels=np.array([facts[i].relation for i in idx], dtype=np.intp),
-                ents=np.array([facts[i].entities for i in idx], dtype=np.intp),
-                fact_index=np.array(idx, dtype=np.intp),
-            )
-        )
-    return groups
 
 
 @dataclass
@@ -426,6 +379,6 @@ def score(params: ModelParams, fact: Fact) -> float:
     entity, so no entity-table-wide product is formed; every position then
     scores the fact itself, and the first is returned.
     """
-    spec = split_groups(params, [fact])[0]
+    spec = split_groups(params.vocab, [fact])[0]
     own = SampledCandidates(params, spec.ents[:, :, None])
     return float(own.scores(forward_group(params, spec).gather)[0, 0, 0])

@@ -13,9 +13,12 @@ where H is the harmonic number; with no tie they are ``1 / (A+1)`` and
 chance, rather than first. :class:`EvalReport` counts the ties.
 
 Each batch of EVAL_BATCH facts is ranked in one call
-(:func:`rank_from_scores`), all arities together: the contraction kernels
-of every (fact, slot) query are stacked, and so are the query's own
-entities, read off the batch's arity groups. The entity table is walked
+(:func:`rank_from_scores`), all arities together. The batch is read once,
+into its arity groups (``kb.split_groups``), and a query is one (fact,
+slot) row of them: the contraction kernels of every query are stacked in
+the groups' row order, group by group in ascending arity, fact by fact,
+slot by slot, and the own entities, the known-true entities and the ranks
+follow that order. The entity table is walked
 once, in blocks of at most SCORE_BLOCK_CELLS float32 scores. That screen
 decides every entity whose float32 score lies outside a proven error band
 around the true score, and is counted per block with no loop over queries.
@@ -45,9 +48,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import pool
-from .engine import forward_group, split_groups
+from .engine import forward_group
 from .errors import DataError, NumericError
-from .kb import Fact, KnowledgeBase
+from .kb import GroupSpec, KnowledgeBase, split_groups
 from .model import ModelParams
 
 HIT_LEVELS = (1, 3, 10)
@@ -269,25 +272,23 @@ def _screen(
 
 
 def rank_from_scores(
-    kb: KnowledgeBase, facts: list[Fact], kernels: np.ndarray, table: EntityTable,
-    own: np.ndarray,
+    kb: KnowledgeBase, groups: list[GroupSpec], kernels: np.ndarray, table: EntityTable,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Filtered ranks and tie counts (n_queries,) of facts of any arities, as float64 gives them.
+    """Filtered ranks and tie counts (n_queries,) of arity groups' queries, as float64 gives them.
 
-    Fact i's queries are rows ``start_i + p`` of `kernels` (n_queries, m*d)
-    and of `own` (n_queries,), one per slot p, where ``start_i`` sums the
-    arities of the facts before it; ``own[q]`` is the entity fact i holds at
-    that slot. So a query's score of entity e is
-    ``kernels[q] . table.rows[e]``, and its true score is that of
-    ``own[q]``. Returns the
-    optimistic ranks, 1 plus the number of entities scoring strictly above
-    the true score, and the ties, the number of entities other than
-    ``own[q]`` scoring exactly the true score, each less the known-true
-    entities filtered out of that query that do; every score that decides
-    a comparison is the float64 one (:func:`_row_dots`). `facts` is read
-    only to look up its known-true entities
-    (:meth:`KnowledgeBase.filtered_candidates`) and to name the fact of a
-    non-finite true score.
+    A query is one (fact, slot) row of `groups` (:func:`split_groups`), in
+    their stacked row order: group by group, fact by fact, slot by slot.
+    Row q of `kernels` (n_queries, m*d) is query q's kernel, and its own
+    entity is the one its fact holds at its slot. So a query's score of
+    entity e is ``kernels[q] . table.rows[e]``, and its true score is that
+    of its own entity. Returns the optimistic ranks, 1 plus the number of
+    entities scoring strictly above the true score, and the ties, the number
+    of entities other than the own one scoring exactly the true score, each
+    less the known-true entities filtered out of that query that do; every
+    score that decides a comparison is the float64 one (:func:`_row_dots`).
+    `groups` give the own entities, the known-true entities
+    (:meth:`KnowledgeBase.filtered_candidates`) and the fact named when a
+    true score is not finite.
 
     The table is walked once in blocks of at most SCORE_BLOCK_CELLS float32
     scores, and that screen decides every entity far from the true score t:
@@ -332,17 +333,16 @@ def rank_from_scores(
     sums, and the band pairs of every part, ties among them, come out in
     the serial walk's order.
     """
+    own = np.concatenate([spec.ents.reshape(-1) for spec in groups])
     true = _row_dots(kernels, table.rows[own])
     if not np.isfinite(true).all():
         q = int(np.flatnonzero(~np.isfinite(true))[0])
-        arity = np.array([fact.arity for fact in facts], dtype=np.intp)
-        starts = np.cumsum(arity) - arity
-        i = int(np.searchsorted(starts, q, side="right")) - 1
-        fact = facts[i]
+        spec = next(spec for spec in groups if q < spec.rows.stop)
+        i, slot = divmod(q - spec.rows.start, spec.arity)
         raise NumericError(
-            f"non-finite score {true[q]} at slot {q - starts[i]} of fact "
-            f"{kb.vocab.relations[fact.relation][0]}"
-            f"({', '.join(kb.vocab.entities[e] for e in fact.entities)})"
+            f"non-finite score {true[q]} at slot {slot} of fact "
+            f"{kb.vocab.relations[spec.rels[i]][0]}"
+            f"({', '.join(kb.vocab.entities[e] for e in spec.ents[i])})"
         )
 
     width = kernels.shape[1]
@@ -374,7 +374,7 @@ def rank_from_scores(
         # own[q]'s score is true[q] bit for bit (_row_dots): it is no tie
         ties[q] = np.count_nonzero(scores == true[q]) - 1
 
-    query, entity = kb.filtered_candidates(facts)
+    query, entity = kb.filtered_candidates(groups)
     known = _row_dots(kernels[query], table.rows[entity])
     above -= np.bincount(query[known > true[query]], minlength=above.size)
     ties -= np.bincount(query[known == true[query]], minlength=above.size)
@@ -422,8 +422,9 @@ def report_from_ranks(
 def evaluate(params: ModelParams, kb: KnowledgeBase, split: str = "test") -> EvalReport:
     """Filtered MRR / Hit@k over every position of every fact in a split.
 
-    Each batch's queries are its arity groups' slots, group by group: their
-    own entities and arities come from the groups' arrays.
+    Each batch's queries are the (fact, slot) rows of its arity groups, in
+    their stacked row order: their kernels, own entities, known-true
+    entities and arities all come from the groups.
 
     Raises NumericError if an entity's parameters or a query's true score
     are not finite: no rank is meaningful then.
@@ -435,15 +436,12 @@ def evaluate(params: ModelParams, kb: KnowledgeBase, split: str = "test") -> Eva
     table = entity_table(params)
     arity, ranks, ties = [], [], []
     for lo in range(0, len(facts), EVAL_BATCH):
-        batch = facts[lo : lo + EVAL_BATCH]
-        specs = split_groups(params, batch)
+        groups = split_groups(params.vocab, facts[lo : lo + EVAL_BATCH])
         kernels = np.concatenate(
-            [forward_group(params, spec).gather.reshape(spec.ents.size, -1) for spec in specs]
+            [forward_group(params, spec).gather.reshape(spec.ents.size, -1) for spec in groups]
         )
-        ordered = [batch[i] for spec in specs for i in spec.fact_index]
-        own = np.concatenate([spec.ents.reshape(-1) for spec in specs])
-        batch_ranks, batch_ties = rank_from_scores(kb, ordered, kernels, table, own)
-        arity.append(np.repeat([spec.arity for spec in specs], [spec.ents.size for spec in specs]))
+        batch_ranks, batch_ties = rank_from_scores(kb, groups, kernels, table)
+        arity.append(np.repeat([spec.arity for spec in groups], [spec.ents.size for spec in groups]))
         ranks.append(batch_ranks)
         ties.append(batch_ties)
     return report_from_ranks(

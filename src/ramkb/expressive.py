@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import GroupSpec, TableCandidates, forward_group
+from .engine import TableCandidates, forward_group
 from .errors import ConfigError
-from .kb import Fact, Vocabulary
+from .kb import Fact, GroupSpec, Vocabulary
 from .model import ModelConfig, ModelParams
 
 ENUMERATION_CAP = 1_000_000
@@ -89,7 +89,7 @@ def _relation_scores(params: ModelParams, rel: int, arity: int, n_entities: int)
         ents = np.zeros((len(chunk), arity), dtype=np.intp)
         ents[:, :-1] = chunk
         spec = GroupSpec(arity, np.full(len(chunk), rel, dtype=np.intp), ents,
-                         np.arange(len(chunk), dtype=np.intp))
+                         np.arange(len(chunk), dtype=np.intp), slice(0, ents.size))
         scores = TableCandidates(params, ents).scores(forward_group(params, spec).gather)
         out[lo : lo + len(chunk)] = scores[:, arity - 1, :]
     return out.reshape((n_entities,) * arity)

@@ -6,12 +6,19 @@ This module parses both, builds dense vocabularies over the union of
 splits, and writes a split back in whichever of the two formats holds it,
 so a written subset reads back as the same facts.
 
-It also owns the known-true index of filtered ranking (Bordes et al., NIPS
-2013): for every (relation, position, other entities) key met in any split,
-the entities known true at that slot. :class:`KnowledgeBase` builds it once,
-as sorted int64 arrays, in a few whole-array passes with no per-slot Python,
-and :meth:`KnowledgeBase.filtered_candidates` looks a batch of facts up in
-it with one ``searchsorted`` per level of packed key columns.
+:func:`split_groups` is the one reader that turns a list of facts into
+arrays: one :class:`GroupSpec` per arity, in ascending arity, each holding
+its facts in list order. It also fixes the one row order that training,
+ranking and the known-true index share. A (fact, slot) pair is one row,
+and the rows stack group by group, fact by fact, slot by slot.
+
+This module also owns the known-true index of filtered ranking (Bordes et
+al., NIPS 2013): for every (relation, position, other entities) key met in
+any split, the entities known true at that slot. :class:`KnowledgeBase`
+builds it once, as sorted int64 arrays, in a few whole-array passes with no
+per-slot Python, and :meth:`KnowledgeBase.filtered_candidates` looks the
+rows of a batch's arity groups up in it with one ``searchsorted`` per level
+of packed key columns.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParseError
+from .errors import ConfigError, DataError, DimensionError, ParseError
 from .mathcore import make_rng
 
 log = logging.getLogger("ramkb.kb")
@@ -214,6 +221,46 @@ def _is_names(value) -> bool:
     return isinstance(value, list) and all(isinstance(name, str) for name in value)
 
 
+@dataclass
+class GroupSpec:
+    """The facts of one arity of a fact list, stacked into index arrays."""
+
+    arity: int
+    rels: np.ndarray  # (B,)
+    ents: np.ndarray  # (B, a)
+    fact_index: np.ndarray  # positions in the fact list
+    rows: slice  # the group's (fact, slot) rows in the list's stacked row order
+
+
+def split_groups(vocab: Vocabulary, facts: list[Fact]) -> list[GroupSpec]:
+    """The arity groups of `facts`, in ascending arity, each with its facts
+    in list order.
+
+    This fixes the stacked row order: group by group, fact by fact, slot by
+    slot, so slot p of a group's i-th fact is row ``rows.start + i * arity +
+    p``. Raises DimensionError at the first fact whose arity is not its
+    relation's in `vocab`.
+    """
+    n = len(facts)
+    rels = np.fromiter((f.relation for f in facts), dtype=np.intp, count=n)
+    arity = np.fromiter((len(f.entities) for f in facts), dtype=np.intp, count=n)
+    ents = np.fromiter(chain.from_iterable(f.entities for f in facts), dtype=np.intp,
+                       count=int(arity.sum()))
+    want = np.array([a for _, a in vocab.relations], dtype=np.intp)[rels]
+    bad = np.flatnonzero(arity != want)
+    if bad.size:
+        raise DimensionError(f"fact arity {arity[bad[0]]} != relation arity {want[bad[0]]}")
+    starts = np.cumsum(arity) - arity
+    groups, row = [], 0
+    for a in np.unique(arity).tolist():
+        index = np.flatnonzero(arity == a)
+        rows = slice(row, row + index.size * a)
+        groups.append(GroupSpec(a, rels[index], ents[starts[index, None] + np.arange(a)],
+                                index, rows))
+        row = rows.stop
+    return groups
+
+
 # Key codes are int64; every code of a level is below its distinct prefixes
 # times the product of its column widths, which stays below this.
 CODE_LIMIT = 2**63
@@ -227,7 +274,8 @@ class KnowledgeBase:
     slot. ``__init__`` builds it as sorted int64 arrays:
 
     - every (fact, position) of every split is one key row
-      ``[relation * A + position, other entities...]``, where A is the
+      ``[relation * A + position, other entities...]``, in the stacked row
+      order of the splits' arity groups (:func:`split_groups`), where A is the
       vocabulary's largest arity and a fact of lower arity pads its other
       entities with ``n_entities``. Column 0 is ``n_relations * A`` wide and
       every other column ``n_entities + 1``;
@@ -266,7 +314,8 @@ class KnowledgeBase:
         self._width = vocab.max_arity
         self._base = vocab.n_entities + 1
         self._widths = [vocab.n_relations * self._width] + [self._base] * (self._width - 1)
-        columns, own = _key_columns(list(self.all_facts()), self._width, vocab.n_entities)
+        groups = split_groups(vocab, train + valid + test)
+        columns, own = _key_columns(groups, self._width, vocab.n_entities)
         self._levels: list[tuple[int, np.ndarray]] = []
         # the first level follows the one empty prefix
         ids, n_ids, first = np.zeros(own.size, dtype=np.int64), 1, 0
@@ -292,19 +341,20 @@ class KnowledgeBase:
         except KeyError:
             raise DataError(f"unknown split {name!r}") from None
 
-    def filtered_candidates(self, facts: list[Fact]) -> tuple[np.ndarray, np.ndarray]:
-        """Entities filtered out of the ranking queries of facts of any arities.
+    def filtered_candidates(self, groups: list[GroupSpec]) -> tuple[np.ndarray, np.ndarray]:
+        """Entities filtered out of the ranking queries of a fact list's arity groups.
 
-        Fact i's queries are numbered ``start_i + p``, one per slot p, where
-        ``start_i`` sums the arities of the facts before it. Returns flat
-        (query, entity) index arrays of every entity known true at a query's
-        slot (in any split) other than the queried fact's own entity there;
-        every other entity is a ranking candidate. Pairs come grouped by
-        query, entities increasing within a query.
+        A query is one (fact, slot) row of `groups` (:func:`split_groups`),
+        numbered in their stacked row order: group by group, fact by fact,
+        slot by slot. Returns flat (query, entity) index arrays of every
+        entity known true at a query's slot (in any split) other than the
+        queried fact's own entity there; every other entity is a ranking
+        candidate. Pairs come grouped by query, entities increasing within a
+        query.
         """
         if not self._true.size:
             return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-        columns, own = _key_columns(facts, self._width, self._base - 1)
+        columns, own = _key_columns(groups, self._width, self._base - 1)
         ids, first = np.zeros(own.size, dtype=np.int64), 0
         found = np.ones(own.size, dtype=bool)
         for end, codes in self._levels:
@@ -342,28 +392,26 @@ class KnowledgeBase:
 
 
 def _key_columns(
-    facts: list[Fact], width: int, pad: int
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """The key columns and own entity of every (fact, position) of facts.
+    groups: list[GroupSpec], width: int, pad: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The key columns (width, n_rows) and own entities (n_rows,) of the
+    groups' (fact, slot) rows, in their stacked row order.
 
-    Rows are in query order, fact i's slot p at row ``start_i + p``, and
-    ``own`` holds the entity at each slot. Column 0 is ``relation * width +
-    position``; column j >= 1 is the slot's j-th other entity, or `pad` past
-    the fact's arity.
+    Column 0 is ``relation * width + position``; column j >= 1 is the slot's
+    j-th other entity, or `pad` past the fact's arity.
     """
-    n = len(facts)
-    arity = np.fromiter((len(f.entities) for f in facts), dtype=np.int64, count=n)
-    relation = np.fromiter((f.relation for f in facts), dtype=np.int64, count=n)
-    own = np.fromiter(
-        chain.from_iterable(f.entities for f in facts), dtype=np.int64, count=int(arity.sum())
-    )
-    fact = np.repeat(np.arange(n), arity)
-    position = np.arange(own.size) - np.repeat(np.cumsum(arity) - arity, arity)
-    padded = np.full((n, width), pad, dtype=np.int64)
-    padded[np.arange(width) < arity[:, None]] = own
-    # the j-th other entity of slot p sits at column j, or j + 1 from p on
-    others = [padded[fact, j + (position <= j)] for j in range(width - 1)]
-    return [relation[fact] * width + position, *others], own
+    n_rows = sum(spec.ents.size for spec in groups)
+    columns = np.full((width, n_rows), pad, dtype=np.int64)
+    own = np.empty(n_rows, dtype=np.int64)
+    for spec in groups:
+        b, a = spec.ents.shape
+        block = columns[:, spec.rows].reshape(width, b, a)  # a view: rows is a slice
+        block[0] = spec.rels[:, None] * width + np.arange(a)
+        # the j-th other entity of slot p sits at column j, or j + 1 from p on
+        for j in range(a - 1):
+            block[j + 1] = spec.ents[:, j + (np.arange(a) <= j)]
+        own[spec.rows] = spec.ents.reshape(-1)
+    return columns, own
 
 
 def _level_end(n_ids: int, widths: list[int], first: int) -> int:

@@ -14,16 +14,14 @@ from . import engine, pool
 from .engine import (
     GradientBuffer,
     GroupKernels,
-    GroupSpec,
     SampledCandidates,
     TableCandidates,
     backward_group,
     forward_group,
     group_losses,
-    split_groups,
 )
 from .errors import ConfigError, NumericError
-from .kb import Fact, KnowledgeBase
+from .kb import Fact, GroupSpec, KnowledgeBase, split_groups
 from .mathcore import make_rng
 from .model import ModelConfig, ModelParams
 
@@ -181,12 +179,14 @@ class _CandidatePass:
     """A batch's candidates, scored in one pass over its stacked kernel rows.
 
     The arity groups' (fact, slot) kernel rows, and their candidates, stack
-    in ascending arity order, and the rows are cut into jobs of CHUNK_ROWS
-    rows each (:meth:`chunk`). A job scores its rows and takes their losses;
-    with a `scale`, it also takes their score gradient, scaled within
-    :func:`group_losses`, and pulls it back to their kernels. A job writes
-    only its own rows of the pass's arrays and calls only the engine's
-    names, so it may run on any thread.
+    in the groups' row order (:func:`split_groups`: group by group in
+    ascending arity, fact by fact, slot by slot; each group's ``rows``), and
+    the rows are cut into jobs of CHUNK_ROWS rows each (:meth:`chunk`). A
+    job scores its rows and takes their losses; with a `scale`, it also
+    takes their score gradient, scaled within :func:`group_losses`, and
+    pulls it back to their kernels. A job writes only its own rows of the
+    pass's arrays and calls only the engine's names, so it may run on any
+    thread.
     """
 
     def __init__(self, params: ModelParams, facts: list[Fact], negatives: str | int,
@@ -195,11 +195,8 @@ class _CandidatePass:
         self.params, self.negatives = params, negatives
         self.dropout, self.fact_rngs, self.scale = dropout, fact_rngs, scale
         self.full = negatives == "full"
-        self.groups = split_groups(params, facts)
-        self.spans, self.n_rows = [], 0
-        for spec in self.groups:
-            self.spans.append(slice(self.n_rows, self.n_rows + spec.ents.size))
-            self.n_rows += spec.ents.size
+        self.groups = split_groups(params.vocab, facts)
+        self.n_rows = self.groups[-1].rows.stop
         self.block = params.data[("ent",)].shape[1:]  # (m, d)
         self.kernels = np.empty((self.n_rows,) + self.block)
         self.losses = np.empty(self.n_rows)
@@ -226,7 +223,8 @@ class _CandidatePass:
         arity order, and make each chunk's job, a :func:`pool.spread` pair,
         as soon as the groups its rows come from are forwarded."""
         made = 0
-        for spec, rows in zip(self.groups, self.spans):
+        for spec in self.groups:
+            rows = spec.rows
             kern, cands = _draw_and_forward(self.params, spec, self.negatives, self.dropout,
                                             self.fact_rngs)
             self.kernels[rows] = kern.gather.reshape((-1,) + self.block)
@@ -265,8 +263,8 @@ class _CandidatePass:
         for _ in pool.spread(self.jobs()):
             pass
         total = 0.0
-        for spec, rows in zip(self.groups, self.spans):
-            total += float(self.losses[rows].reshape(-1, spec.arity).sum(axis=1).sum())
+        for spec in self.groups:
+            total += float(self.losses[spec.rows].reshape(-1, spec.arity).sum(axis=1).sum())
         return total
 
     def pull_back(self, buf: GradientBuffer) -> None:
@@ -281,7 +279,8 @@ class _CandidatePass:
         rows into it (:meth:`GradientBuffer.add_all_rows`).
         """
         def pull_groups() -> None:
-            for kern, rows in zip(self.forwarded, self.spans):
+            for kern in self.forwarded:
+                rows = kern.spec.rows
                 if not self.full:
                     buf.add_rows(("ent",), self.cands[rows].reshape(-1),
                                  self.grads[rows].reshape((-1,) + self.block))

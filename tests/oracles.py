@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+from ramkb.errors import DimensionError
+
 
 def naive_softmax(values):
     exps = [math.exp(v) for v in values]
@@ -190,6 +192,32 @@ def copy_cross_entropy(scores, true_cols, scale=1.0):
         for p in range(a):
             grad[i, p, true_cols[i, p]] -= scale
     return losses, grad
+
+
+def loop_split_groups(vocab, facts):
+    """Arity groups of `facts`, built one fact at a time: an (arity, rels,
+    ents, fact_index, rows) tuple per arity, ascending. Each group keeps its
+    facts in list order, and its rows follow the rows of the groups before
+    it, `arity` per fact."""
+    by_arity = {}
+    for i, fact in enumerate(facts):
+        if fact.arity != vocab.arity(fact.relation):
+            raise DimensionError(
+                f"fact arity {fact.arity} != relation arity {vocab.arity(fact.relation)}"
+            )
+        by_arity.setdefault(fact.arity, []).append(i)
+    groups, row = [], 0
+    for arity in sorted(by_arity):
+        idx = by_arity[arity]
+        groups.append((
+            arity,
+            np.array([facts[i].relation for i in idx], dtype=np.intp),
+            np.array([facts[i].entities for i in idx], dtype=np.intp),
+            np.array(idx, dtype=np.intp),
+            slice(row, row + len(idx) * arity),
+        ))
+        row += len(idx) * arity
+    return groups
 
 
 def brute_force_candidates(kb, fact, position):

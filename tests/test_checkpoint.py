@@ -16,10 +16,9 @@ from ramkb.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from ramkb.engine import split_groups
 from ramkb.errors import DataError
 from ramkb.expressive import construct, verify_separation
-from ramkb.kb import Fact, Vocabulary
+from ramkb.kb import Fact, Vocabulary, split_groups
 from ramkb.model import ModelConfig, ModelParams, relation_terms
 
 from conftest import make_vocab, random_facts, table_scores
@@ -62,7 +61,7 @@ def test_round_trip_every_trained_mode(tmp_path, mode_str):
     assert loaded.cfg == cfg
     check_vocab_compatible(vocab, loaded.vocab)
     assert_same_arrays(params, loaded)
-    for spec in split_groups(params, random_facts(vocab, 4, seed=4)):
+    for spec in split_groups(params.vocab, random_facts(vocab, 4, seed=4)):
         np.testing.assert_array_equal(
             table_scores(loaded, spec), table_scores(params, spec)
         )
@@ -78,7 +77,7 @@ def test_round_trip_raw_construction_still_separates(tmp_path):
     check_vocab_compatible(vocab, loaded.vocab)
     assert_same_arrays(params, loaded)
     assert {key[0] for key in loaded.slots()} == {"ent", "raw_u", "raw_p"}
-    for spec in split_groups(params, facts):
+    for spec in split_groups(params.vocab, facts):
         np.testing.assert_array_equal(
             table_scores(loaded, spec), table_scores(params, spec)
         )

@@ -8,7 +8,7 @@ import pytest
 
 from oracles import brute_force_candidates, list_report, sort_rank, sort_ties
 from ramkb import evaluation, pool
-from ramkb.engine import forward_group, split_groups
+from ramkb.engine import forward_group
 from ramkb.errors import DataError, NumericError
 from ramkb.evaluation import (
     EvalReport,
@@ -17,7 +17,7 @@ from ramkb.evaluation import (
     rank_from_scores,
     report_from_ranks,
 )
-from ramkb.kb import Fact, KnowledgeBase, build_kb, parse_tabular
+from ramkb.kb import Fact, KnowledgeBase, build_kb, parse_tabular, split_groups
 from ramkb.mathcore import make_rng
 from ramkb.model import ModelConfig, ModelParams
 
@@ -25,31 +25,36 @@ from conftest import make_vocab, random_kb, table_scores
 from test_model import randomized_params
 
 
-def own_entities(facts):
-    """Every slot's entity, in fact order: the queries' own entities."""
-    return np.array([e for fact in facts for e in fact.entities], dtype=np.intp)
+def query_slots(groups, facts):
+    """The (fact, slot) pair of every query of the facts' arity groups, in
+    their stacked row order: group by group, fact by fact, slot by slot."""
+    return [(facts[i], p) for spec in groups for i in spec.fact_index for p in range(spec.arity)]
 
 
-def fact_kernels(params, facts):
-    """Every slot's kernel (n_queries, m*d), in fact order; each fact's come
-    from its own `forward_group` call, as in the oracle."""
+def query_kernels(params, groups, facts):
+    """Every query's kernel (n_queries, m*d), in the groups' stacked row
+    order; each fact's come from its own `forward_group` call, as in the
+    oracle."""
     return np.concatenate([
-        forward_group(params, spec).gather.reshape(fact.arity, -1)
-        for fact in facts for spec in split_groups(params, [fact])
+        forward_group(params, one).gather.reshape(one.arity, -1)
+        for spec in groups for i in spec.fact_index
+        for one in split_groups(params.vocab, [facts[i]])
     ])
 
 
 def batch_ranks(params, kb, facts):
-    """Filtered ranks and tie counts of facts of any arities, one per slot in
-    fact order, from one `rank_from_scores` call."""
-    return rank_from_scores(kb, facts, fact_kernels(params, facts), entity_table(params),
-                            own_entities(facts))
+    """Filtered ranks and tie counts of facts of any arities, one per query
+    in their arity groups' stacked row order, from one `rank_from_scores`
+    call."""
+    groups = split_groups(params.vocab, facts)
+    return rank_from_scores(kb, groups, query_kernels(params, groups, facts),
+                            entity_table(params))
 
 
 def group_scores_and_ranks(params, kb, facts):
     """Float64 full-table scores (B, a, n_entities) and filtered ranks (B, a)
     of facts of one arity."""
-    (spec,) = split_groups(params, facts)
+    (spec,) = split_groups(params.vocab, facts)
     ranks = batch_ranks(params, kb, facts)[0]
     return table_scores(params, spec), ranks.reshape(spec.ents.shape)
 
@@ -92,7 +97,7 @@ def test_all_equal_entity_table_ranks_as_chance(fill):
     ent = params.data[("ent",)]
     ent[:] = {"zero": 0.0, "one": 1.0, "first-row": ent[0].copy()}[fill]
     n_candidates = [int(brute_force_candidates(kb, fact, pos).sum())
-                    for fact in kb.test for pos in range(fact.arity)]
+                    for fact, pos in query_slots(split_groups(kb.vocab, kb.test), kb.test)]
     assert min(n_candidates) < 3000  # the filter removes some candidates
     ranks, ties = batch_ranks(params, kb, kb.test)
     assert ranks.tolist() == [1] * len(n_candidates)
@@ -113,7 +118,7 @@ def full_batch_case():
     cfg = ModelConfig(embed_dim=8, multiplicity=2, latent_size=2)
     params = ModelParams.init(cfg, kb.vocab, seed=4)
     n_candidates = [int(brute_force_candidates(kb, fact, pos).sum())
-                    for fact in kb.test for pos in range(fact.arity)]
+                    for fact, pos in query_slots(split_groups(kb.vocab, kb.test), kb.test)]
     return kb, params, n_candidates
 
 
@@ -132,14 +137,15 @@ def test_collapsed_table_ranks_a_full_batch_as_in_float64_in_bounded_memory(
     params = params.copy()
     ent = params.data[("ent",)]
     ent[:] = {"zero": 0.0, "one": 1.0, "first-row": ent[0].copy()}[fill]
-    kernels, table, own = fact_kernels(params, kb.test), entity_table(params), own_entities(kb.test)
+    groups = split_groups(kb.vocab, kb.test)
+    kernels, table = query_kernels(params, groups, kb.test), entity_table(params)
     # blocks of 130 entities: the walk has three, so two workers share it
     monkeypatch.setattr(evaluation, "SCORE_BLOCK_CELLS", 130 * len(kernels))
     monkeypatch.setattr(pool, "WORKERS", workers)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        ranks, ties = rank_from_scores(kb, kb.test, kernels, table, own)
+        ranks, ties = rank_from_scores(kb, groups, kernels, table)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -172,7 +178,7 @@ def test_crowded_queries_drop_their_band_pairs_from_every_chunk(workers, monkeyp
     monkeypatch.setattr(evaluation, "_screen", recording)
     assert_ranks_match_oracle(params, kb)
     _, band_q, _, crowded = walks[0]
-    own = own_entities(kb.test)
+    own = np.concatenate([spec.ents.reshape(-1) for spec in split_groups(kb.vocab, kb.test)])
     assert crowded.tolist() == ((own == 0) | (own >= 200)).tolist()
     assert crowded.any() and not crowded[band_q].any()
 
@@ -276,25 +282,25 @@ def test_evaluate_counts_all_positions_per_arity():
 
 
 def oracle_ranks(params, kb):
-    """(arity, rank, ties) of every test query in split order, from sorting
-    each filtered candidate list of float64 full-table scores, plus how many
-    filtered-out entities outscore a true one."""
+    """(arity, rank, ties) of every test query in the stacked row order of
+    the test split's arity groups, from sorting each filtered candidate list
+    of float64 full-table scores, plus how many filtered-out entities
+    outscore a true one."""
     queries, filtered_above = [], 0
-    for fact in kb.test:
-        all_scores = table_scores(params, split_groups(params, [fact])[0])[0]
-        for pos in range(fact.arity):
-            scores = list(all_scores[pos])
-            mask = brute_force_candidates(kb, fact, pos)
-            true_e = fact.entities[pos]
-            filtered_above += int((all_scores[pos][~mask] > scores[true_e]).sum())
-            queries.append((fact.arity, sort_rank(scores, mask, true_e),
-                            sort_ties(scores, mask, true_e)))
+    for fact, pos in query_slots(split_groups(kb.vocab, kb.test), kb.test):
+        all_scores = table_scores(params, split_groups(params.vocab, [fact])[0])[0, pos]
+        scores = list(all_scores)
+        mask = brute_force_candidates(kb, fact, pos)
+        true_e = fact.entities[pos]
+        filtered_above += int((all_scores[~mask] > scores[true_e]).sum())
+        queries.append((fact.arity, sort_rank(scores, mask, true_e),
+                        sort_ties(scores, mask, true_e)))
     return queries, filtered_above
 
 
 def assert_ranks_match_oracle(params, kb):
     """Every test query's rank and tie count, from one `rank_from_scores`
-    call over the test split's mixed arities in split order, equal the
+    call over the test split's mixed-arity groups, equal the
     float64 sort oracle's, and `evaluate`'s report equals the list report
     of the oracle's; returns the oracle's filter and total tie counts."""
     queries, filtered_above = oracle_ranks(params, kb)
@@ -360,7 +366,7 @@ def near_tie_case(filter_neighbours):
     ent[:, 0, 0] = values
     fact = next(f for f in kb.test if len(set(f.entities)) == f.arity)
     true_e = fact.entities[0]
-    (spec,) = split_groups(params, [fact])
+    (spec,) = split_groups(params.vocab, [fact])
     g = forward_group(params, spec).gather[0, 0, 0, 0]
     # the query's kernel does not read the queried entity. With a mantissa
     # near 2, one ulp of x moves g * x by less than one ulp of the product
@@ -435,8 +441,8 @@ def test_hand_built_kernels_rank_as_in_float64():
     float32 partial sum of 1 and 7 * 2**-27 rounds back to 1, several
     float32 ulps below the true score. Its slot 1 kernel holds 1e39, which
     float32 cannot hold: its scores there are NaN (inf * 0) or inf, and
-    filtered e5 must still count. The ternary fact's rows come first, so
-    the binary fact's queries are rows 3 and 4.
+    filtered e5 must still count. The binary fact comes second in the
+    split but its group comes first, so its queries are rows 0 and 1.
     """
     kb = build_kb(parse_tabular(["r e6 e1", "r e0 e5", "q e2 e3", "q e4 e4", "t e5 e0 e1"]),
                   test=parse_tabular(["t e3 e0 e1", "r e0 e1"]))
@@ -455,15 +461,17 @@ def test_hand_built_kernels_rank_as_in_float64():
     }
     for name, block in blocks.items():
         rows[kb.vocab.entity_index[name]] = block
-    kernels = np.array([[1e39, 0.5, 0, 0, 0, 0], [1.0] * 6, [0, 1, 0, 0, 0, 0],
-                        [1.0] * 6, [1e39, 1, 0, 0, 0, 0]])
-    got = rank_from_scores(kb, kb.test, kernels, entity_table(params), own_entities(kb.test))
+    kernels = np.array([[1.0] * 6, [1e39, 1, 0, 0, 0, 0], [1e39, 0.5, 0, 0, 0, 0],
+                        [1.0] * 6, [0, 1, 0, 0, 0, 0]])
+    groups = split_groups(kb.vocab, kb.test)
+    got = rank_from_scores(kb, groups, kernels, entity_table(params))
     scores = kernels @ rows.T
-    slots = [(f, p) for f in kb.test for p in range(f.arity)]
+    slots = query_slots(groups, kb.test)
     masks = [brute_force_candidates(kb, fact, pos) for fact, pos in slots]
     want = [sort_rank(list(scores[q]), masks[q], fact.entities[pos])
             for q, (fact, pos) in enumerate(slots)]
-    assert want[3:] == [2, 5]  # e2 above e0; e0, e2, e3, e6 above e1, with e5 filtered
+    assert slots[0] == (kb.test[1], 0)
+    assert want[:2] == [2, 5]  # e2 above e0; e0, e2, e3, e6 above e1, with e5 filtered
     assert got[0].tolist() == want
     assert got[1].tolist() == [sort_ties(list(scores[q]), masks[q], fact.entities[pos])
                                for q, (fact, pos) in enumerate(slots)]
@@ -480,7 +488,7 @@ def test_more_than_a_uint8_of_entities_above_in_one_block():
     ent = params.data[("ent",)]
     ent[:] = 0.0
     ent[:, 0, 0] = 1.0 + np.arange(len(ent))
-    (spec,) = split_groups(params, [fact])
+    (spec,) = split_groups(params.vocab, [fact])
     g = forward_group(params, spec).gather[0, 0, 0, 0]  # slot 0's kernel does not read true_e
     assert g != 0.0
     ent[:, 0, 0] *= np.sign(g)
@@ -505,14 +513,16 @@ def pooled_walk_case():
     SCORE_BLOCK_CELLS that makes the walk 15 blocks of 7 entities, the last 2.
 
     Split in 2 parts the walk is cut at entity 49, in 3 at 35 and 70, and
-    the facts' own entities sit on both sides of those cuts. Entities 10 and
-    90 copy true entity 49's block, so they tie its queries exactly in
-    float64 and fall in its float32 band, in different parts: training
-    facts make both known true at query 0, and at query 6 both are ties.
-    One kernel entry is F32_LIMIT, so that row (query 5, own entity 69) is
-    left to float64, where entities 20 and 80, copies of 69, tie it; entity
-    95's matching entry is 4, so the row's float32 product overflows in the
-    walk's last part, on a pool thread.
+    the facts' own entities sit on both sides of those cuts. The binary
+    facts' group comes first, so the queries are rows 0-1 and 2-3 (facts 0
+    and 3), then 4-6 and 7-9 (facts 1 and 2). Entities 10 and 90 copy true
+    entity 49's block, so they tie its queries exactly in float64 and fall
+    in its float32 band, in different parts: training facts make both known
+    true at query 0, and at query 8 both are ties. One kernel entry is
+    F32_LIMIT, so that row (query 7, own entity 69) is left to float64,
+    where entities 20 and 80, copies of 69, tie it; entity 95's matching
+    entry is 4, so the row's float32 product overflows in the walk's last
+    part, on a pool thread.
     """
     vocab = make_vocab(100, (2, 3))
     test = [Fact(0, (49, 48)), Fact(1, (35, 34, 70)), Fact(1, (69, 49, 3)), Fact(0, (97, 0))]
@@ -524,8 +534,8 @@ def pooled_walk_case():
     ent[[10, 90]] = ent[49]
     ent[[20, 80]] = ent[69]
     ent[95, 0, 0] = 4.0
-    kernels = fact_kernels(params, test)
-    kernels[5, 0] = evaluation.F32_LIMIT  # fact 2's slot 0: decided wholly in float64
+    kernels = query_kernels(params, split_groups(vocab, test), test)
+    kernels[7, 0] = evaluation.F32_LIMIT  # fact 2's slot 0: decided wholly in float64
     return kb, params, kernels, 7 * len(kernels)
 
 
@@ -534,12 +544,13 @@ def test_ranks_and_band_pairs_do_not_depend_on_the_worker_count(monkeypatch):
     monkeypatch.setattr(evaluation, "SCORE_BLOCK_CELLS", cells)
     rows = params.data[("ent",)].reshape(100, -1)
     scores = (kernels[:, None, :] * rows[None]).sum(axis=-1)  # float64 (query, entity)
-    slots = [(f, p) for f in kb.test for p in range(f.arity)]
+    groups = split_groups(kb.vocab, kb.test)
+    slots = query_slots(groups, kb.test)
     masks = [brute_force_candidates(kb, fact, pos) for fact, pos in slots]
     want = [(sort_rank(list(scores[q]), masks[q], fact.entities[pos]),
              sort_ties(list(scores[q]), masks[q], fact.entities[pos]))
             for q, (fact, pos) in enumerate(slots)]
-    assert [ties for _, ties in want] == [0] * 5 + [2, 2] + [0] * 3
+    assert [ties for _, ties in want] == [0] * 7 + [2, 2] + [0]
     screen, executor = evaluation._screen, pool.executor
     walks, pools = [], []
 
@@ -553,15 +564,15 @@ def test_ranks_and_band_pairs_do_not_depend_on_the_worker_count(monkeypatch):
     ranks = {}
     for workers in (1, 2, 3, 4, 50):  # 50: more workers than the walk has blocks
         monkeypatch.setattr(pool, "WORKERS", workers)
-        got = rank_from_scores(kb, kb.test, kernels, entity_table(params), own_entities(kb.test))
+        got = rank_from_scores(kb, groups, kernels, entity_table(params))
         ranks[workers] = list(zip(*(column.tolist() for column in got)))
         assert len(pools) == (workers > 1)  # the pool walks some parts
         pools.clear()
     above, band_q, band_e, crowded = walks[0]
     assert not crowded.any()
-    assert above[5] == 0 and 5 not in band_q and want[5][0] > 1  # row 5 is not screened
+    assert above[7] == 0 and 7 not in band_q and want[7][0] > 1  # row 7 is not screened
     pairs = set(zip(band_q.tolist(), band_e.tolist()))
-    assert {(0, 10), (0, 90), (6, 10), (6, 90)} <= pairs  # the exact ties
+    assert {(0, 10), (0, 90), (8, 10), (8, 90)} <= pairs  # the exact ties
     for workers, walk in zip(ranks, walks):
         assert ranks[workers] == want, workers
         for got, serial in zip(walk, walks[0]):
@@ -669,8 +680,8 @@ def test_non_finite_true_score_is_numeric_error():
 def test_non_finite_true_score_names_its_fact_in_a_mixed_batch():
     """Only ternary relation r2's scores are non-finite, and facts of r0
     (binary) and r1 (ternary) come before its first fact: the error names
-    that fact, whether the rows are in `evaluate`'s group order or in split
-    order."""
+    that fact, whether `evaluate` ranks it or one `rank_from_scores` call
+    over the split's groups does."""
     kb = random_kb(9, (2, 3, 3), n_train=12, n_test=8, seed=0)
     cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
     params = randomized_params(cfg, kb.vocab, seed=10)

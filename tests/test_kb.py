@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_candidates
+from oracles import brute_force_candidates, loop_split_groups
 from ramkb import kb as kb_module
-from ramkb.errors import DataError, ParseError
+from ramkb.errors import DataError, DimensionError, ParseError
 from ramkb.kb import (
     CODE_LIMIT,
     Fact,
@@ -20,6 +20,7 @@ from ramkb.kb import (
     export_split,
     parse_role_json,
     parse_tabular,
+    split_groups,
     subset_by_arity,
 )
 
@@ -99,13 +100,22 @@ def test_build_kb_vocab_spans_all_splits():
     assert kb.stats()["relations_outside_train"] == 1
 
 
+def candidates(kb, facts):
+    """``filtered_candidates`` of the facts' arity groups."""
+    return kb.filtered_candidates(split_groups(kb.vocab, facts))
+
+
 def slot_mask(kb, facts, index, position):
     """Candidate mask of slot `position` of ``facts[index]``, read off the
-    (query, entity) pairs that ``filtered_candidates(facts)`` filters out."""
-    query, entity = kb.filtered_candidates(facts)
-    start = sum(fact.arity for fact in facts[:index])  # queries number slots in fact order
+    (query, entity) pairs that ``filtered_candidates`` filters out of the
+    facts' arity groups."""
+    groups = split_groups(kb.vocab, facts)
+    query, entity = kb.filtered_candidates(groups)
+    (spec,) = [spec for spec in groups if index in spec.fact_index]
+    # queries number the groups' rows: group by group, fact by fact, slot by slot
+    row = spec.rows.start + spec.fact_index.tolist().index(index) * spec.arity + position
     mask = np.ones(kb.vocab.n_entities, dtype=bool)
-    mask[entity[query == start + position]] = False
+    mask[entity[query == row]] = False
     return mask
 
 
@@ -119,6 +129,56 @@ def known_true(kb, fact, position):
         mask = slot_mask(kb, [Fact(fact.relation, entities)], 0, position)
         known |= {int(e) for e in np.flatnonzero(~mask)}
     return known
+
+
+def assert_groups_match_loop(vocab, facts):
+    """split_groups gives the per-fact loop's groups, or raises its error."""
+    try:
+        want = loop_split_groups(vocab, facts)
+    except DimensionError as loop_error:
+        with pytest.raises(DimensionError) as error:
+            split_groups(vocab, facts)
+        assert str(error.value) == str(loop_error)
+        return
+    got = split_groups(vocab, facts)
+    assert [(spec.arity, spec.rows) for spec in got] == [(g[0], g[4]) for g in want]
+    for spec, (_, rels, ents, fact_index, _) in zip(got, want):
+        for array, oracle in ((spec.rels, rels), (spec.ents, ents), (spec.fact_index, fact_index)):
+            assert array.dtype == oracle.dtype and array.shape == oracle.shape
+            np.testing.assert_array_equal(array, oracle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    arities=st.lists(st.integers(2, 6), min_size=1, max_size=6),
+    n_facts=st.integers(0, 40),
+    seed=st.integers(0, 10_000),
+    wrong=st.one_of(st.none(), st.tuples(st.integers(0, 39), st.sampled_from([-1, 1]))),
+)
+def test_split_groups_matches_the_per_fact_loop(arities, n_facts, seed, wrong):
+    """Random mixed-arity fact lists; with `wrong`, one fact (if the list
+    reaches it) gets one entity fewer or more than its relation's arity."""
+    vocab = make_vocab(7, tuple(arities))
+    facts = random_facts(vocab, n_facts, seed=seed)
+    if wrong is not None and wrong[0] < n_facts:
+        i, change = wrong
+        entities = facts[i].entities
+        facts[i] = Fact(facts[i].relation, entities[:-1] if change < 0 else entities + (0,))
+    assert_groups_match_loop(vocab, facts)
+
+
+def test_split_groups_of_no_fact_one_fact_and_a_wrong_arity():
+    vocab = make_vocab(4, (3, 2))
+    assert split_groups(vocab, []) == []
+    assert_groups_match_loop(vocab, [])
+    (spec,) = split_groups(vocab, [Fact(0, (3, 1, 3))])
+    assert spec.rows == slice(0, 3) and spec.ents.tolist() == [[3, 1, 3]]
+    assert_groups_match_loop(vocab, [Fact(0, (3, 1, 3))])
+    # the first fact of a wrong arity is named, after a right one
+    facts = [Fact(1, (0, 1)), Fact(0, (0, 1)), Fact(1, (0, 1, 2))]
+    with pytest.raises(DimensionError, match=r"^fact arity 2 != relation arity 3$"):
+        split_groups(vocab, facts)
+    assert_groups_match_loop(vocab, facts)
 
 
 def test_build_kb_computes_stats_only_for_an_info_log(monkeypatch, caplog):
@@ -210,9 +270,9 @@ def test_filtered_candidates_lists_a_fact_repeated_across_splits_once():
         test=parse_tabular(["r a b", "r c b"]),
     )
     a, c = kb.vocab.entity_index["a"], kb.vocab.entity_index["c"]
-    query, entity = kb.filtered_candidates([kb.test[1]])
+    query, entity = candidates(kb, [kb.test[1]])
     assert list(zip(query.tolist(), entity.tolist())) == [(0, a)]
-    query, entity = kb.filtered_candidates([kb.test[0]])
+    query, entity = candidates(kb, [kb.test[0]])
     assert list(zip(query.tolist(), entity.tolist())) == [(0, c)]
 
 
@@ -228,7 +288,21 @@ def test_filtered_candidates_arities_two_to_six_in_one_call():
     assert ("r", 2) in kb.vocab.relations and ("r", 3) in kb.vocab.relations
     mixed = kb.test + random_facts(kb.vocab, 30, seed=3)
     assert {f.arity for f in mixed} == {2, 3, 4, 5, 6}
+    assert [f.arity for f in mixed] != sorted(f.arity for f in mixed)
     assert_facts_match_brute_force(kb, mixed)
+    # one call over every group: the pairs of query 0, 1, ..., numbered in
+    # the stacked row order, each query's entities increasing
+    groups = split_groups(kb.vocab, mixed)
+    want = [
+        (row, e)
+        for row, (i, p) in enumerate(
+            (i, p) for spec in groups for i in spec.fact_index.tolist() for p in range(spec.arity)
+        )
+        for e in np.flatnonzero(~brute_force_candidates(kb, mixed[i], p)).tolist()
+    ]
+    query, entity = kb.filtered_candidates(groups)
+    assert len(want) > len(mixed)
+    assert list(zip(query.tolist(), entity.tolist())) == want
 
 
 def test_filtered_candidates_empty_fact_list():
@@ -243,7 +317,7 @@ def test_filtered_candidates_kb_with_empty_splits(test_facts):
     kb = KnowledgeBase(make_vocab(3, (2,)), [], [], test_facts)
     probes = [Fact(0, (0, 1)), Fact(0, (2, 1)), Fact(0, (0, 2))]
     assert_facts_match_brute_force(kb, probes)
-    query, entity = kb.filtered_candidates(probes)
+    query, entity = candidates(kb, probes)
     assert query.dtype == entity.dtype == np.intp
 
 
@@ -254,7 +328,7 @@ def test_filtered_candidates_largest_entity_id():
              Fact(1, (top, 1, top))]
     probes = [Fact(0, (1, top)), Fact(1, (top, top, top))]
     kb = KnowledgeBase(vocab, facts, [], [])
-    _, entity = kb.filtered_candidates(probes)
+    _, entity = candidates(kb, probes)
     assert top in entity.tolist()
     assert_facts_match_brute_force(kb, facts + probes)
 
@@ -266,7 +340,8 @@ def test_filtered_candidates_shallow_copy_filters_by_whole_kb():
     chunk = copy.copy(kb)
     chunk.test = kb.test[:3]
     for facts in (chunk.test, kb.test):
-        for got, want in zip(chunk.filtered_candidates(facts), kb.filtered_candidates(facts)):
+        groups = split_groups(kb.vocab, facts)
+        for got, want in zip(chunk.filtered_candidates(groups), kb.filtered_candidates(groups)):
             np.testing.assert_array_equal(got, want)
     assert_facts_match_brute_force(kb, kb.test)
 

@@ -9,9 +9,9 @@ from oracles import (
     naive_latent_score,
     naive_softmax_matrix,
 )
-from ramkb.engine import GradientBuffer, score, split_groups
+from ramkb.engine import GradientBuffer, score
 from ramkb.errors import ConfigError, DimensionError
-from ramkb.kb import Fact
+from ramkb.kb import Fact, split_groups
 from ramkb.mathcore import make_rng
 from ramkb.model import ModelConfig, ModelParams, relation_terms
 
@@ -301,7 +301,7 @@ class TestScoreBatchPosition:
         )
         params = randomized_params(cfg, vocab, seed=16)
         facts = random_facts(vocab, 4, seed=17)
-        for spec in split_groups(params, facts):
+        for spec in split_groups(params.vocab, facts):
             scores = table_scores(params, spec)
             for row, fact_idx in enumerate(spec.fact_index):
                 fact = facts[fact_idx]
@@ -318,7 +318,7 @@ class TestScoreBatchPosition:
         cfg = ModelConfig(embed_dim=5, multiplicity=2, latent_size=3)
         params = randomized_params(cfg, vocab, seed=18)
         fact = Fact(0, (1, 3, 3, 5))
-        scores = table_scores(params, split_groups(params, [fact])[0])[0]
+        scores = table_scores(params, split_groups(params.vocab, [fact])[0])[0]
         for pos in range(4):
             got = scores[pos]
             assert got[fact.entities[pos]] == pytest.approx(
@@ -330,7 +330,7 @@ class TestScoreBatchPosition:
         cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
         params = randomized_params(cfg, vocab, seed=19)
         params.data[("ent",)][:] = params.data[("ent",)][0]
-        spec = split_groups(params, [Fact(0, (0, 1))])[0]
+        spec = split_groups(params.vocab, [Fact(0, (0, 1))])[0]
         got = table_scores(params, spec)[0, 1]
         np.testing.assert_allclose(got, got[0], atol=1e-12)
 
@@ -353,10 +353,10 @@ def test_batched_phi_matches_per_fact_score(toy_kb):
     cases.append((construct(vocab, facts), facts))
 
     for params, facts in cases[1:]:
-        specs = split_groups(params, facts)
+        specs = split_groups(params.vocab, facts)
         assert max(len(np.unique(spec.rels)) for spec in specs) > 1, params.cfg.mode
     for params, facts in cases:
-        for spec in split_groups(params, facts):
+        for spec in split_groups(params.vocab, facts):
             # a fact's score is the candidate score of its own entity
             phi = own_scores(params, spec)[:, 0, 0]
             for row, fact_idx in enumerate(spec.fact_index):
@@ -372,7 +372,7 @@ def test_scoring_time_roughly_linear_in_embedding_dim():
             ModelConfig(embed_dim=d, multiplicity=2, latent_size=8), vocab, seed=0
         )
         facts = random_facts(vocab, 128, seed=d)
-        specs = split_groups(params, facts)
+        specs = split_groups(params.vocab, facts)
         for spec in specs:
             table_scores(params, spec)
         times = []

@@ -21,8 +21,9 @@ import numpy as np
 import pytest
 
 from ramkb import engine, pool
-from ramkb.engine import GradientBuffer, split_groups
+from ramkb.engine import GradientBuffer
 from ramkb.gradcheck import check_batch
+from ramkb.kb import split_groups
 from ramkb.mathcore import make_rng
 from ramkb.model import ModelConfig
 from ramkb.training import (
@@ -132,7 +133,7 @@ def batches(kb):
 def crosses_chunks(params, facts):
     """Whether the batch's stacked rows span more than two chunks and some
     arity group's rows lie in two chunks or more."""
-    ends = np.cumsum([spec.ents.size for spec in split_groups(params, facts)])
+    ends = np.cumsum([spec.ents.size for spec in split_groups(params.vocab, facts)])
     starts = ends - np.diff(ends, prepend=0)
     return ends[-1] > 2 * CHUNK_ROWS and bool(np.any(starts // CHUNK_ROWS != (ends - 1) // CHUNK_ROWS))
 

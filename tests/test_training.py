@@ -24,12 +24,11 @@ from ramkb.engine import (
     forward_group,
     group_losses,
     score,
-    split_groups,
 )
 from ramkb.errors import ConfigError, NumericError
 from ramkb.evaluation import evaluate
 from ramkb.gradcheck import _random_trial, check_batch, run_gradcheck
-from ramkb.kb import Fact, KnowledgeBase, Vocabulary, build_kb, parse_tabular
+from ramkb.kb import Fact, KnowledgeBase, Vocabulary, build_kb, parse_tabular, split_groups
 from ramkb.mathcore import make_rng, scatter_rows
 from ramkb.model import ModelConfig, ModelParams
 from ramkb.training import (
@@ -237,7 +236,7 @@ class TestLoss:
         kb = random_kb(9, (2, 3, 4), n_train=12, seed=28)
         cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
         params = randomized_params(cfg, kb.vocab, seed=29)
-        firsts = {int(spec.fact_index[0]) for spec in split_groups(params, kb.train)}
+        firsts = {int(spec.fact_index[0]) for spec in split_groups(params.vocab, kb.train)}
         assert len(firsts) == 3
 
         def rngs(other_key):
@@ -423,7 +422,7 @@ class TestCandidateScorers:
         facts = random_facts(vocab, 6, seed=25)
         rngs = [make_rng(26, i) for i in range(len(facts))]
         n_e = vocab.n_entities
-        for spec in split_groups(params, facts):
+        for spec in split_groups(params.vocab, facts):
             masks = _group_masks(spec, params, dropout, rngs[spec.fact_index[0]])
             kern = forward_group(params, spec, masks)
             every = np.tile(np.arange(n_e), spec.ents.shape + (1,))
@@ -496,7 +495,7 @@ class TestDropout:
         vocab = make_vocab(5, (3,))
         cfg = ModelConfig(embed_dim=4, multiplicity=2, latent_size=2)
         params = randomized_params(cfg, vocab, seed=seed)
-        return params, split_groups(params, [Fact(0, (0, 1, 2))] * n_copies)[0]
+        return params, split_groups(params.vocab, [Fact(0, (0, 1, 2))] * n_copies)[0]
 
     def test_zero_probability_is_identity(self):
         params, spec = self._group()
@@ -619,36 +618,33 @@ class TestOptimizer:
         assert_same_bits(block, want)
 
     def test_buffer_rows_sum_like_rowwise_add_at_across_calls(self):
+        """The writes in training's order: row parts, then one full-table array."""
         params = self._tiny()
         key = ("ent",)
         shape = params.data[key].shape
         rng = np.random.default_rng(4)
-        # two parts on rows 0 and 2 only, each row many times, then every row
-        # at once, then one more part, then every row again
-        calls = [rng.choice([0, 2], 30), rng.choice([0, 2], 30), None, rng.integers(0, 3, 30),
-                 None]
+        # two parts on rows 0 and 2 only, each row many times, then every row at once
+        calls = [rng.choice([0, 2], 30), rng.choice([0, 2], 30), None]
         buf, want = GradientBuffer(params), np.zeros(shape)
         for i, rows in enumerate(calls):
             if rows is None:  # every row, as full negatives write the entity table
                 values = spread_values(rng, shape)
-                # the buffer then writes into `values`: earlier parts summed
-                # as one block, (p1 + p2) + values, and later parts into it
+                # the buffer then writes into `values`: the parts summed as
+                # one block, (p1 + p2) + values
                 want += values
                 buf.add_all_rows(key, values)
-                adopted = values
             else:
                 values = spread_values(rng, rows.shape + shape[1:])
                 buf.add_rows(key, rows, values)
                 rowwise_scatter(want, rows, values)
             ((got_key, got_rows, got),) = buf.summed()
-            want_rows = [0, 2] if i < 2 else [0, 1, 2]  # compact block, then the full table
+            want_rows = [0, 2] if rows is not None else [0, 1, 2]  # compact block, then the table
             assert got_key == key
             np.testing.assert_array_equal(got_rows, want_rows)
             np.testing.assert_array_equal(got, want[want_rows])
             np.testing.assert_array_equal(buf.touched[key], np.isin(range(3), want_rows))
             np.testing.assert_array_equal(buf.dense()[key], want)
-            if i >= 2:  # the last full-table array passed is the slot's gradient
-                assert got is adopted
+        assert got is values  # the full-table array passed is the slot's gradient
 
     @pytest.mark.parametrize("mode", ["latent", "explicit"])
     @pytest.mark.parametrize("n_entities,n_sampled", [(40, 2), (2 * ADAM_BLOCK_ROWS + 300, 600)])
