@@ -17,18 +17,20 @@ Each batch of EVAL_BATCH facts is ranked in one call
 into its arity groups (``kb.split_groups``), and a query is one (fact,
 slot) row of them: the contraction kernels of every query are stacked in
 the groups' row order, group by group in ascending arity, fact by fact,
-slot by slot, and the own entities, the known-true entities and the ranks
-follow that order. The entity table is walked
-once, in blocks of at most SCORE_BLOCK_CELLS float32 scores. That screen
-decides every entity whose float32 score lies outside a proven error band
-around the true score, and is counted per block with no loop over queries.
-Only the entities inside the band, and the filtered known-true entities,
-are scored again in float64. So A and E are those of float64 scores, while
-the table-wide product runs at float32 speed and no (queries, n_entities)
-score matrix is held. The bound and its derivation are in
-:func:`rank_from_scores`'s docstring; training, gradcheck and the oracles
-score in float64 only. :func:`report_from_ranks` then aggregates the
-split's (arity, rank, ties) arrays in numpy.
+slot by slot, and the own entities, the non-candidates and the ranks
+follow that order. A query's non-candidates, its own entity and the
+known-true ones, are decided once, by ``KnowledgeBase.filtered_candidates``,
+and masked out of the walk: no candidate is counted that must later be
+subtracted. The entity table is walked once, in blocks of at most
+SCORE_BLOCK_CELLS float32 scores. That screen decides every candidate
+whose float32 score lies outside a proven error band around the true
+score, and is counted per block with no loop over queries. Only the
+candidates inside the band are scored again in float64. So A and E are
+those of float64 scores, while the table-wide product runs at float32
+speed and no (queries, n_entities) score matrix is held. The bound and its
+derivation are in :func:`rank_from_scores`'s docstring; training,
+gradcheck and the oracles score in float64 only. :func:`report_from_ranks`
+then aggregates the split's (arity, rank, ties) arrays in numpy.
 
 The walk is split by entity range over the package's thread pool
 (:mod:`ramkb.pool`), one run of whole blocks per CPU the process may use,
@@ -61,9 +63,9 @@ EVAL_BATCH = 512  # facts ranked per rank_from_scores call, all arities together
 # on the calling thread: buffers made on pool threads raised peak RSS
 SCORE_BLOCK_CELLS = 2**19
 COUNT_CHUNK = 255  # entities per uint8 count: the most a uint8 holds
-# band members other than the own entity above which a query's chunk is
-# crowded: the query collects no pairs and is decided wholly in float64, so
-# a batch holds at most this many pairs per query and chunk
+# band candidates above which a query's chunk is crowded: the query collects
+# no pairs and is decided wholly in float64, so a batch holds at most this
+# many pairs per query and chunk
 CROWDED_BAND = 16
 BAND_SLICE = 2**13  # band pairs rescored per float64 product: (8192, m*d) temporaries
 ROWS_PER_REDUCE = 32  # table rows per inner loop of entity_table's column extremes
@@ -189,17 +191,24 @@ def _round_out(x: np.ndarray, up: bool) -> np.ndarray:
 
 def _screen(
     table: EntityTable, kernels32: np.ndarray, hi: np.ndarray, lo: np.ndarray,
-    own: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    query: np.ndarray, entity: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Walk the table in blocks of SCORE_BLOCK_CELLS float32 scores.
 
-    Returns each query's count of entities whose float32 score is above its
-    `hi`, the (query, entity) pairs inside its band ``[lo, hi]`` other than
-    the query's own entity `own`, in entity order, and a mask of the crowded
-    queries. A query is crowded when, in some COUNT_CHUNK chunk, its band
-    holds more than CROWDED_BAND entities other than its own, as on a
-    collapsed table where every score ties: it has no pairs, and its count
-    is meaningless, so the caller decides it wholly in float64.
+    (`query`, `entity`) are the non-candidate pairs, in entity order
+    (:meth:`KnowledgeBase.filtered_candidates`). Each block's pairs are
+    found with one ``searchsorted`` and their float32 scores set to NaN
+    before the compares: a comparison with NaN is false, so a non-candidate
+    counts neither above nor in the band, as every entity of a row left
+    out of the screen (NaN `hi` and `lo`) does.
+
+    Returns each query's count of candidates whose float32 score is above
+    its `hi`, the (query, entity) candidate pairs inside its band
+    ``[lo, hi]``, in entity order, and a mask of the crowded queries. A
+    query is crowded when, in some COUNT_CHUNK chunk, its band holds more
+    than CROWDED_BAND candidates, as on a collapsed table where every score
+    ties: it has no pairs, and its count is meaningless, so the caller
+    decides it wholly in float64.
 
     The blocks are dealt out in at most pool.WORKERS parts, runs of whole
     blocks, which the pool walks (:func:`pool.in_parts`); the calling thread
@@ -238,6 +247,8 @@ def _screen(
             for start in range(cuts[part], cuts[part + 1], block):
                 rows32 = table.rows32[start : start + block]
                 scores = np.matmul(rows32, kernels32.T, out=product[: len(rows32)])
+                pairs = slice(*np.searchsorted(entity, [start, start + len(rows32)]))
+                scores[entity[pairs] - start, query[pairs]] = np.nan
                 for offset in range(0, len(scores), COUNT_CHUNK):
                     chunk = scores[offset : offset + COUNT_CHUNK]
                     first = start + offset  # the chunk's first entity
@@ -247,19 +258,15 @@ def _screen(
                     above[part] += n_over
                     reach.view(np.uint8).sum(axis=0, dtype=np.uint8, out=n_band)
                     n_band -= n_over
-                    # the own entity is in its row's band: look only at rows with more
-                    mine = (own >= first) & (own < first + len(chunk))
-                    rows = np.flatnonzero(n_band > mine)
+                    rows = np.flatnonzero(n_band)
                     if rows.size and n_band.max() > CROWDED_BAND:
-                        wide = n_band[rows] > mine[rows] + CROWDED_BAND
+                        wide = n_band[rows] > CROWDED_BAND
                         crowded[part, rows[wide]] = True
                         rows = rows[~wide]
                     if rows.size:
                         ent, col = np.nonzero(reach[:, rows] & ~over[:, rows])
-                        query, ent = rows[col], ent + first
-                        keep = ent != own[query]
-                        band_q.append(query[keep])
-                        band_e.append(ent[keep])
+                        band_q.append(rows[col])
+                        band_e.append(ent + first)
         return band_q, band_e
 
     found = pool.in_parts(walk, n_parts)
@@ -281,20 +288,22 @@ def rank_from_scores(
     Row q of `kernels` (n_queries, m*d) is query q's kernel, and its own
     entity is the one its fact holds at its slot. So a query's score of
     entity e is ``kernels[q] . table.rows[e]``, and its true score is that
-    of its own entity. Returns the optimistic ranks, 1 plus the number of
-    entities scoring strictly above the true score, and the ties, the number
-    of entities other than the own one scoring exactly the true score, each
-    less the known-true entities filtered out of that query that do; every
-    score that decides a comparison is the float64 one (:func:`_row_dots`).
-    `groups` give the own entities, the known-true entities
-    (:meth:`KnowledgeBase.filtered_candidates`) and the fact named when a
-    true score is not finite.
+    of its own entity. Its candidates are every entity but its
+    non-candidates, its own entity and the known-true ones
+    (:meth:`KnowledgeBase.filtered_candidates`), which are taken out before
+    anything is counted: nothing is subtracted afterwards. Returns the
+    optimistic ranks, 1 plus the number of candidates scoring strictly
+    above the true score, and the ties, the number of candidates scoring
+    exactly the true score; every score that decides a comparison is the
+    float64 one (:func:`_row_dots`). `groups` also give the fact named when
+    a true score is not finite.
 
     The table is walked once in blocks of at most SCORE_BLOCK_CELLS float32
-    scores, and that screen decides every entity far from the true score t:
-    above if its float32 score is above ``t + tol``, not above if below
-    ``t - tol``. The entities inside the band between, and every filtered
-    entity, are scored again in float64. ``tol`` bounds the float32 error.
+    scores, each block's non-candidates masked (:func:`_screen`), and that
+    screen decides every candidate far from the true score t: above if its
+    float32 score is above ``t + tol``, not above if below ``t - tol``. The
+    candidates inside the band between are scored again in float64.
+    ``tol`` bounds the float32 error.
     The inputs are rounded to float32 (two relative errors) and a K = m*d
     term dot product is summed in float32 in any order (Higham 2002,
     section 3.1), so with u = 2**-24, gamma_n = n*u / (1 - n*u) and
@@ -313,17 +322,18 @@ def rank_from_scores(
     overflow float32 (``|g| @ col_max`` or an input at or above half the
     float32 maximum) gets an infinite ``tol``: it is left out of the screen
     and decided wholly in float64. So the screen never changes a
-    comparison. An entity that ties t in float64 lies inside the band, so
+    comparison. A candidate that ties t in float64 lies inside the band, so
     the float64 rescoring of the band counts ``== t`` beside ``> t``, and a
-    row decided wholly in float64 counts both over the whole table.
+    row decided wholly in float64 counts both over the whole table, its
+    non-candidates' scores set to NaN.
 
     Each block's ``s32 > hi`` and ``s32 >= lo`` are counted per query in
-    uint8 sums over at most COUNT_CHUNK entities. The true entity is always
-    in its own band, so only a query whose band count in a chunk exceeds
-    that is searched for band members. A query whose band holds more than
-    CROWDED_BAND other entities in a chunk is decided wholly in float64
-    instead, so the band pairs of a batch stay few even when most of the
-    table ties; they are rescored BAND_SLICE pairs at a time.
+    uint8 sums over at most COUNT_CHUNK entities, so only a query with a
+    band candidate in a chunk is searched for them. A query whose band holds
+    more than CROWDED_BAND candidates in a chunk is decided wholly in
+    float64 instead, so the band pairs of a batch stay few even when most of
+    the table ties; they are rescored BAND_SLICE pairs at a time. No array
+    is built per non-candidate pair beyond the index pairs themselves.
 
     When BLAS runs one thread and the table spans two blocks or more, the
     walk is split into one run of whole blocks per CPU the process may use
@@ -360,24 +370,28 @@ def rank_from_scores(
     unscreened = ~(np.isfinite(hi) & np.isfinite(lo))
     hi[unscreened] = lo[unscreened] = np.nan  # any comparison with NaN is false: they count nothing
 
+    query, entity = kb.filtered_candidates(groups)
     with np.errstate(over="ignore", invalid="ignore"):  # only in rows left to float64
-        above, band_q, band_e, crowded = _screen(table, kernels.astype(np.float32), hi, lo, own)
+        above, band_q, band_e, crowded = _screen(
+            table, kernels.astype(np.float32), hi, lo, query, entity
+        )
     band = np.empty(band_q.size)
     for start in range(0, band_q.size, BAND_SLICE):
         pairs = slice(start, start + BAND_SLICE)
         band[pairs] = _row_dots(kernels[band_q[pairs]], table.rows[band_e[pairs]])
     above += np.bincount(band_q[band > true[band_q]], minlength=above.size)
     ties = np.bincount(band_q[band == true[band_q]], minlength=above.size)
-    for q in np.flatnonzero(unscreened | crowded):
+    fallback = unscreened | crowded
+    rows = np.flatnonzero(fallback)
+    row_pairs = np.flatnonzero(fallback[query])
+    row_pairs = row_pairs[np.argsort(query[row_pairs])]  # grouped by query
+    # each row has a pair, its own entity: one piece of row_pairs per row
+    pieces = np.split(entity[row_pairs], np.searchsorted(query[row_pairs], rows[1:]))
+    for q, masked in zip(rows, pieces):
         scores = _row_dots(kernels[q], table.rows)
+        scores[masked] = np.nan
         above[q] = np.count_nonzero(scores > true[q])
-        # own[q]'s score is true[q] bit for bit (_row_dots): it is no tie
-        ties[q] = np.count_nonzero(scores == true[q]) - 1
-
-    query, entity = kb.filtered_candidates(groups)
-    known = _row_dots(kernels[query], table.rows[entity])
-    above -= np.bincount(query[known > true[query]], minlength=above.size)
-    ties -= np.bincount(query[known == true[query]], minlength=above.size)
+        ties[q] = np.count_nonzero(scores == true[q])
     return 1 + above, ties
 
 
@@ -423,8 +437,8 @@ def evaluate(params: ModelParams, kb: KnowledgeBase, split: str = "test") -> Eva
     """Filtered MRR / Hit@k over every position of every fact in a split.
 
     Each batch's queries are the (fact, slot) rows of its arity groups, in
-    their stacked row order: their kernels, own entities, known-true
-    entities and arities all come from the groups.
+    their stacked row order: their kernels, own entities, non-candidates
+    and arities all come from the groups.
 
     Raises NumericError if an entity's parameters or a query's true score
     are not finite: no rank is meaningful then.

@@ -16,9 +16,10 @@ This module also owns the known-true index of filtered ranking (Bordes et
 al., NIPS 2013): for every (relation, position, other entities) key met in
 any split, the entities known true at that slot. :class:`KnowledgeBase`
 builds it once, as sorted int64 arrays, in a few whole-array passes with no
-per-slot Python, and :meth:`KnowledgeBase.filtered_candidates` looks the
-rows of a batch's arity groups up in it with one ``searchsorted`` per level
-of packed key columns.
+per-slot Python. :meth:`KnowledgeBase.filtered_candidates` looks the rows
+of a batch's arity groups up in it with one ``searchsorted`` per level of
+packed key columns, and is the one place that decides which entities a
+query does not rank against: its own and the known-true ones.
 """
 
 from __future__ import annotations
@@ -330,11 +331,6 @@ class KnowledgeBase:
         self._true = (pairs % self._base).astype(np.intp)
         self._offsets = np.searchsorted(pairs // self._base, np.arange(n_ids + 1))
 
-    def all_facts(self) -> Iterable[Fact]:
-        yield from self.train
-        yield from self.valid
-        yield from self.test
-
     def split(self, name: str) -> list[Fact]:
         try:
             return {"train": self.train, "valid": self.valid, "test": self.test}[name]
@@ -342,34 +338,39 @@ class KnowledgeBase:
             raise DataError(f"unknown split {name!r}") from None
 
     def filtered_candidates(self, groups: list[GroupSpec]) -> tuple[np.ndarray, np.ndarray]:
-        """Entities filtered out of the ranking queries of a fact list's arity groups.
+        """Every non-candidate of the ranking queries of a fact list's arity groups.
 
         A query is one (fact, slot) row of `groups` (:func:`split_groups`),
         numbered in their stacked row order: group by group, fact by fact,
-        slot by slot. Returns flat (query, entity) index arrays of every
-        entity known true at a query's slot (in any split) other than the
-        queried fact's own entity there; every other entity is a ranking
-        candidate. Pairs come grouped by query, entities increasing within a
-        query.
+        slot by slot. Returns flat (query, entity) index arrays of each
+        query's own entity, the one its fact holds at its slot, and of every
+        entity known true at that slot in any split, each pair once. Every
+        other entity is a ranking candidate. Pairs come in entity order, and
+        by query within an entity: the order in which the ranking walks the
+        entity table.
         """
-        if not self._true.size:
-            return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
         columns, own = _key_columns(groups, self._width, self._base - 1)
-        ids, first = np.zeros(own.size, dtype=np.int64), 0
-        found = np.ones(own.size, dtype=bool)
-        for end, codes in self._levels:
-            code = _pack(ids, columns[first:end], self._widths[first:end])
-            ids = np.minimum(np.searchsorted(codes, code), codes.size - 1)
-            found &= codes[ids] == code
-            first = end
-        lo = self._offsets[ids]
-        count = np.where(found, self._offsets[ids + 1] - lo, 0)
-        query = np.repeat(np.arange(own.size), count)
-        # the pairs of query q read _true[lo[q] : lo[q] + count[q]]
-        start = np.cumsum(count) - count
-        entity = self._true[np.arange(query.size) + np.repeat(lo - start, count)]
-        keep = entity != own[query]
-        return query[keep], entity[keep]
+        query, entity = np.arange(own.size), own
+        if self._true.size:
+            ids, first = np.zeros(own.size, dtype=np.int64), 0
+            found = np.ones(own.size, dtype=bool)
+            for end, codes in self._levels:
+                code = _pack(ids, columns[first:end], self._widths[first:end])
+                ids = np.minimum(np.searchsorted(codes, code), codes.size - 1)
+                found &= codes[ids] == code
+                first = end
+            lo = self._offsets[ids]
+            count = np.where(found, self._offsets[ids + 1] - lo, 0)
+            # the known-true entities of query q are _true[lo[q] : lo[q] + count[q]]
+            start = np.cumsum(count) - count
+            known = self._true[np.arange(count.sum()) + np.repeat(lo - start, count)]
+            query = np.concatenate([query, np.repeat(query, count)])
+            entity = np.concatenate([entity, known])
+        # one sort orders the pairs; a pair met twice, an own entity that is
+        # also known true, is kept once
+        code = np.sort(entity * own.size + query)
+        entity, query = np.divmod(code[np.diff(code, prepend=-1) != 0], own.size)
+        return query, entity
 
     def stats(self) -> dict:
         arity_hist: dict[int, int] = {}

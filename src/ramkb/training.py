@@ -182,25 +182,28 @@ class _CandidatePass:
     in the groups' row order (:func:`split_groups`: group by group in
     ascending arity, fact by fact, slot by slot; each group's ``rows``), and
     the rows are cut into jobs of CHUNK_ROWS rows each (:meth:`chunk`). A
-    job scores its rows and takes their losses; with a `scale`, it also
-    takes their score gradient, scaled within :func:`group_losses`, and
-    pulls it back to their kernels. A job writes only its own rows of the
-    pass's arrays and calls only the engine's names, so it may run on any
-    thread.
+    job scores its rows and takes their losses; for a `backward` pass, it
+    also takes their score gradient, scaled by 1 / len(facts) within
+    :func:`group_losses`, and pulls it back to their kernels. A job writes
+    only its own rows of the pass's arrays and calls only the engine's
+    names, so it may run on any thread. An empty batch raises ConfigError.
     """
 
     def __init__(self, params: ModelParams, facts: list[Fact], negatives: str | int,
                  dropout: float, fact_rngs: Optional[list[np.random.Generator]],
-                 scale: Optional[float] = None) -> None:
+                 backward: bool = False) -> None:
+        if not facts:
+            raise ConfigError("empty batch")
         self.params, self.negatives = params, negatives
-        self.dropout, self.fact_rngs, self.scale = dropout, fact_rngs, scale
+        self.dropout, self.fact_rngs = dropout, fact_rngs
+        self.scale = 1.0 / len(facts) if backward else None
         self.full = negatives == "full"
         self.groups = split_groups(params.vocab, facts)
         self.n_rows = self.groups[-1].rows.stop
         self.block = params.data[("ent",)].shape[1:]  # (m, d)
         self.kernels = np.empty((self.n_rows,) + self.block)
         self.losses = np.empty(self.n_rows)
-        if scale is not None:
+        if backward:
             self.pseudo = np.empty_like(self.kernels)  # dL/d kernels
         self.forwarded: list[GroupKernels] = []  # kept when there is a gradient to pull back
 
@@ -329,11 +332,8 @@ def batch_backward(
     CPU count, and the loss and gradient are the same, bit for bit; the
     chunk size, not the CPU count, fixes the bits.
     """
-    if not facts:
-        raise ConfigError("empty batch")
-    scale = 1.0 / len(facts)
-    scored = _CandidatePass(params, facts, negatives, dropout, fact_rngs, scale)
-    loss = scored.run() * scale
+    scored = _CandidatePass(params, facts, negatives, dropout, fact_rngs, backward=True)
+    loss = scored.run() * scored.scale
     if not np.isfinite(loss):
         raise NumericError(
             f"non-finite loss {loss} on batch of {len(facts)} facts; "

@@ -223,7 +223,7 @@ def loop_split_groups(vocab, facts):
 def brute_force_candidates(kb, fact, position):
     """Filtered-candidate mask recomputed by scanning every stored fact."""
     mask = np.ones(kb.vocab.n_entities, dtype=bool)
-    for other in kb.all_facts():
+    for other in kb.train + kb.valid + kb.test:
         if other.relation != fact.relation:
             continue
         rest_match = all(

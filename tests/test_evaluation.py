@@ -183,6 +183,35 @@ def test_crowded_queries_drop_their_band_pairs_from_every_chunk(workers, monkeyp
     assert crowded.any() and not crowded[band_q].any()
 
 
+# tracemalloc peak of evaluating the hub KB below; a pass that rescored every
+# known-true pair in float64 held ~545 MB of (pairs, m*d) temporaries
+HUB_PEAK_BYTES = 100 * 2**20
+
+
+def test_hub_slot_ranks_as_in_float64_in_bounded_memory():
+    """n people share one gender slot, gender(?, male), and so do 512 test
+    facts: each test query at that slot has ~900 known-true entities to
+    filter out, 460k non-candidate pairs in one batch."""
+    n = 400
+    train = [f"gender p{i} male" for i in range(n)] + [f"knows p{i} p{i + 1}" for i in range(n)]
+    test = [f"gender q{j} male" for j in range(evaluation.EVAL_BATCH)]
+    kb = build_kb(parse_tabular(train), test=parse_tabular(test))
+    cfg = ModelConfig(embed_dim=25, multiplicity=2, latent_size=4)
+    params = randomized_params(cfg, kb.vocab, seed=8)
+    (spec,) = split_groups(kb.vocab, kb.test)
+    query, _ = kb.filtered_candidates([spec])
+    assert np.bincount(query)[0] == n + len(test)  # the hub slot's known-true entities
+    assert_ranks_match_oracle(params, kb)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        evaluate(params, kb, split="test")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < HUB_PEAK_BYTES, peak
+
+
 def test_rank_matches_sort_oracle_on_toy_kb():
     kb = random_kb(10, (2, 3), n_train=18, n_test=6, seed=5)
     cfg = ModelConfig(embed_dim=4, multiplicity=2, latent_size=3)
@@ -552,11 +581,12 @@ def test_ranks_and_band_pairs_do_not_depend_on_the_worker_count(monkeypatch):
             for q, (fact, pos) in enumerate(slots)]
     assert [ties for _, ties in want] == [0] * 7 + [2, 2] + [0]
     screen, executor = evaluation._screen, pool.executor
-    walks, pools = [], []
+    walks, pools, masked = [], [], []
 
-    def recording(*args):
-        found = screen(*args)
+    def recording(table, kernels32, hi, lo, query, entity):
+        found = screen(table, kernels32, hi, lo, query, entity)
         walks.append([a.copy() for a in found])  # the caller adds to `above` in place
+        masked.append(set(zip(query.tolist(), entity.tolist())))
         return found
 
     monkeypatch.setattr(evaluation, "_screen", recording)
@@ -571,8 +601,14 @@ def test_ranks_and_band_pairs_do_not_depend_on_the_worker_count(monkeypatch):
     above, band_q, band_e, crowded = walks[0]
     assert not crowded.any()
     assert above[7] == 0 and 7 not in band_q and want[7][0] > 1  # row 7 is not screened
+    # the walk masks every non-candidate: the own entities and query 0's
+    # known-true copies of its true entity are in no band
+    non_candidates = {(q, e) for q, mask in enumerate(masks) for e in np.flatnonzero(~mask)}
+    non_candidates |= {(q, fact.entities[pos]) for q, (fact, pos) in enumerate(slots)}
+    assert {(0, 49), (0, 10), (0, 90)} <= non_candidates
+    assert all(pairs == non_candidates for pairs in masked)
     pairs = set(zip(band_q.tolist(), band_e.tolist()))
-    assert {(0, 10), (0, 90), (8, 10), (8, 90)} <= pairs  # the exact ties
+    assert {(8, 10), (8, 90)} <= pairs and not pairs & non_candidates  # the exact ties
     for workers, walk in zip(ranks, walks):
         assert ranks[workers] == want, workers
         for got, serial in zip(walk, walks[0]):

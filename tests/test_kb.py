@@ -100,9 +100,27 @@ def test_build_kb_vocab_spans_all_splits():
     assert kb.stats()["relations_outside_train"] == 1
 
 
+def non_candidates(kb, groups):
+    """``filtered_candidates`` of arity groups, checked to list each pair
+    once, in entity order and by query within an entity."""
+    query, entity = kb.filtered_candidates(groups)
+    assert query.dtype == entity.dtype == np.intp
+    order = np.lexsort((query, entity))
+    assert order.tolist() == list(range(query.size))
+    assert not ((np.diff(query) == 0) & (np.diff(entity) == 0)).any()
+    return query, entity
+
+
 def candidates(kb, facts):
     """``filtered_candidates`` of the facts' arity groups."""
-    return kb.filtered_candidates(split_groups(kb.vocab, facts))
+    return non_candidates(kb, split_groups(kb.vocab, facts))
+
+
+def brute_force_mask(kb, fact, position):
+    """The brute-force candidate mask of a slot, its own entity taken out."""
+    mask = brute_force_candidates(kb, fact, position)
+    mask[fact.entities[position]] = False
+    return mask
 
 
 def slot_mask(kb, facts, index, position):
@@ -110,7 +128,7 @@ def slot_mask(kb, facts, index, position):
     (query, entity) pairs that ``filtered_candidates`` filters out of the
     facts' arity groups."""
     groups = split_groups(kb.vocab, facts)
-    query, entity = kb.filtered_candidates(groups)
+    query, entity = non_candidates(kb, groups)
     (spec,) = [spec for spec in groups if index in spec.fact_index]
     # queries number the groups' rows: group by group, fact by fact, slot by slot
     row = spec.rows.start + spec.fact_index.tolist().index(index) * spec.arity + position
@@ -121,13 +139,14 @@ def slot_mask(kb, facts, index, position):
 
 def known_true(kb, fact, position):
     """Every entity known true at a slot of `fact`. A query filters all of
-    them but its own entity, so two probes with different own entities at
-    the slot (0 and 1) filter the whole set between them."""
-    known = set()
+    them and its own entity, so two probes with different own entities at
+    the slot (0 and 1) both filter the whole set and nothing else."""
+    known = None
     for probe in (0, 1):
         entities = fact.entities[:position] + (probe,) + fact.entities[position + 1 :]
         mask = slot_mask(kb, [Fact(fact.relation, entities)], 0, position)
-        known |= {int(e) for e in np.flatnonzero(~mask)}
+        filtered = {int(e) for e in np.flatnonzero(~mask)}
+        known = filtered if known is None else known & filtered
     return known
 
 
@@ -196,7 +215,7 @@ def test_build_kb_computes_stats_only_for_an_info_log(monkeypatch, caplog):
 
 def test_truth_index_complete_for_every_split_and_position():
     kb = random_kb(8, (2, 3, 4), n_train=15, n_valid=5, n_test=5, seed=11)
-    for fact in kb.all_facts():
+    for fact in kb.train + kb.valid + kb.test:
         for pos in range(fact.arity):
             assert fact.entities[pos] in known_true(kb, fact, pos)
 
@@ -212,14 +231,14 @@ def test_filtered_candidates_excludes_other_true_entities():
     kb = build_kb(parse_tabular(["r a b", "r c b"]))
     a, b, c = (kb.vocab.entity_index[x] for x in "abc")
     mask = slot_mask(kb, kb.train, 0, 0)
-    assert mask[a] and not mask[c]
-    assert mask.sum() == kb.vocab.n_entities - 1
+    assert not mask[a] and not mask[c]  # its own entity, and the other true one
+    assert mask.sum() == kb.vocab.n_entities - 2
 
 
 def test_filtered_candidates_single_fact_everything_allowed():
     kb = build_kb(parse_tabular(["r a b", "s c d"]))
     mask = slot_mask(kb, kb.train, 0, 1)
-    assert mask.all()
+    assert np.flatnonzero(~mask).tolist() == [kb.vocab.entity_index["b"]]  # its own entity only
 
 
 def assert_facts_match_brute_force(kb, facts):
@@ -227,7 +246,7 @@ def assert_facts_match_brute_force(kb, facts):
         for pos in range(fact.arity):
             np.testing.assert_array_equal(
                 slot_mask(kb, facts, i, pos),
-                brute_force_candidates(kb, fact, pos),
+                brute_force_mask(kb, fact, pos),
             )
 
 
@@ -258,7 +277,7 @@ def test_filtered_candidates_exhaustive_small_kbs(seed, n_facts, n_entities):
 def test_filtered_candidates_facts_not_in_kb_match_brute_force():
     kb = random_kb(6, (2, 3), n_train=25, n_valid=5, n_test=5, seed=13)
     probes = random_facts(kb.vocab, 60, seed=77)
-    stored = set(kb.all_facts())
+    stored = set(kb.train + kb.valid + kb.test)
     assert any(p not in stored for p in probes)
     assert_facts_match_brute_force(kb, probes)
 
@@ -270,10 +289,11 @@ def test_filtered_candidates_lists_a_fact_repeated_across_splits_once():
         test=parse_tabular(["r a b", "r c b"]),
     )
     a, c = kb.vocab.entity_index["a"], kb.vocab.entity_index["c"]
-    query, entity = candidates(kb, [kb.test[1]])
-    assert list(zip(query.tolist(), entity.tolist())) == [(0, a)]
-    query, entity = candidates(kb, [kb.test[0]])
-    assert list(zip(query.tolist(), entity.tolist())) == [(0, c)]
+    assert a < c
+    # slot 0's own entity once, though the index holds it three times
+    for fact in kb.test:
+        query, entity = candidates(kb, [fact])
+        assert entity[query == 0].tolist() == [a, c]
 
 
 def test_filtered_candidates_arities_two_to_six_in_one_call():
@@ -290,19 +310,19 @@ def test_filtered_candidates_arities_two_to_six_in_one_call():
     assert {f.arity for f in mixed} == {2, 3, 4, 5, 6}
     assert [f.arity for f in mixed] != sorted(f.arity for f in mixed)
     assert_facts_match_brute_force(kb, mixed)
-    # one call over every group: the pairs of query 0, 1, ..., numbered in
-    # the stacked row order, each query's entities increasing
+    # one call over every group: its queries numbered in the stacked row
+    # order, its pairs in entity order and by query within an entity
     groups = split_groups(kb.vocab, mixed)
-    want = [
-        (row, e)
+    want = sorted(
+        (e, row)
         for row, (i, p) in enumerate(
             (i, p) for spec in groups for i in spec.fact_index.tolist() for p in range(spec.arity)
         )
-        for e in np.flatnonzero(~brute_force_candidates(kb, mixed[i], p)).tolist()
-    ]
+        for e in np.flatnonzero(~brute_force_mask(kb, mixed[i], p)).tolist()
+    )
     query, entity = kb.filtered_candidates(groups)
-    assert len(want) > len(mixed)
-    assert list(zip(query.tolist(), entity.tolist())) == want
+    assert len(want) > sum(fact.arity for fact in mixed)  # more than the own entities
+    assert list(zip(entity.tolist(), query.tolist())) == want
 
 
 def test_filtered_candidates_empty_fact_list():
@@ -317,8 +337,9 @@ def test_filtered_candidates_kb_with_empty_splits(test_facts):
     kb = KnowledgeBase(make_vocab(3, (2,)), [], [], test_facts)
     probes = [Fact(0, (0, 1)), Fact(0, (2, 1)), Fact(0, (0, 2))]
     assert_facts_match_brute_force(kb, probes)
-    query, entity = candidates(kb, probes)
-    assert query.dtype == entity.dtype == np.intp
+    _, entity = candidates(kb, probes)
+    if not test_facts:  # a KB with no facts filters the own entities only
+        assert entity.tolist() == sorted(e for fact in probes for e in fact.entities)
 
 
 def test_filtered_candidates_largest_entity_id():
@@ -410,8 +431,8 @@ def test_filtered_candidates_on_packed_levels_match_brute_force(arities, limit, 
     assert [end for end, _ in kb._levels] == ends
     assert_masks_match_brute_force(kb)
     probes = random_facts(kb.vocab, 40, seed=78)
-    assert any(p not in set(kb.all_facts()) for p in probes)
-    assert_facts_match_brute_force(kb, list(kb.all_facts()) + probes)
+    assert any(p not in set(kb.train + kb.valid + kb.test) for p in probes)
+    assert_facts_match_brute_force(kb, kb.train + kb.valid + kb.test + probes)
     monkeypatch.setattr(kb_module, "CODE_LIMIT", 100)  # a bound some column cannot fit
     with pytest.raises(DataError, match="too large"):
         random_kb(9, arities, n_train=40, n_valid=5, n_test=5, seed=19)
@@ -511,7 +532,7 @@ def test_subset_filters_every_split_and_rebuilds_truth():
     sub = subset_by_arity(kb, binary_keep_ratio=0.0, seed=0)
     assert sub.train == kb.train[2:]
     assert sub.valid == kb.valid and sub.test == kb.test
-    for fact in sub.all_facts():
+    for fact in sub.train + sub.valid + sub.test:
         for pos in range(fact.arity):
             assert fact.entities[pos] in known_true(sub, fact, pos)
     # dropped binary train facts no longer pollute the rebuilt index: the

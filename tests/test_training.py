@@ -268,6 +268,16 @@ class TestLoss:
             with pytest.raises(ConfigError):
                 loss_fn(params, kb.train, negatives=negatives, dropout=dropout)
 
+    def test_batch_loss_of_an_empty_batch_is_rejected(self):
+        params = ModelParams.init(ModelConfig(embed_dim=2), make_vocab(3, (2,)), 0)
+        with pytest.raises(ConfigError, match="empty batch"):
+            batch_loss(params, [])
+
+    def test_batch_backward_of_an_empty_batch_is_rejected(self):
+        params = ModelParams.init(ModelConfig(embed_dim=2), make_vocab(3, (2,)), 0)
+        with pytest.raises(ConfigError, match="empty batch"):
+            batch_backward(params, [])
+
 
 class TestBackward:
     def test_single_candidate_means_zero_gradients(self):
