@@ -64,11 +64,15 @@ def _header_holdout(path, data) -> dict:
 
 
 def save_checkpoint(path, params: ModelParams, holdout=DEFAULT_HOLDOUT):
-    """Write `params`, their vocabulary, and the `holdout` their training data was split by."""
+    """Write `params`, their vocabulary, and the `holdout` their training data was split by.
+
+    A holdout that :func:`load_checkpoint` would refuse raises its DataError
+    before the file is opened.
+    """
     header = {
         "config": params.cfg.to_dict(),
         "vocab": params.vocab.to_dict(),
-        "holdout": holdout,
+        "holdout": _header_holdout(path, holdout),
     }
     blob = json.dumps(header).encode("utf-8")
     with open(path, "wb") as fh:

@@ -24,20 +24,23 @@ and masked out of the walk: no candidate is counted that must later be
 subtracted. The entity table is walked once, in blocks of at most
 SCORE_BLOCK_CELLS float32 scores. That screen decides every candidate
 whose float32 score lies outside a proven error band around the true
-score, and is counted per block with no loop over queries. Only the
-candidates inside the band are scored again in float64. So A and E are
-those of float64 scores, while the table-wide product runs at float32
-speed and no (queries, n_entities) score matrix is held. The bound and its
-derivation are in :func:`rank_from_scores`'s docstring; training,
-gradcheck and the oracles score in float64 only. :func:`report_from_ranks`
-then aggregates the split's (arity, rank, ties) arrays in numpy.
+score, and is counted per block with no loop over queries. The walk
+scores the candidates inside the band again in float64, chunk by chunk,
+where it meets them; a row that could overflow float32 has an infinite
+band, so all its candidates are scored so. Every candidate is thus
+decided in one place, A and E are those of float64 scores, the
+table-wide product runs at float32 speed, and no (queries, n_entities)
+score matrix is held. The bound and its derivation are in
+:func:`rank_from_scores`'s docstring; training, gradcheck and the oracles
+score in float64 only. :func:`report_from_ranks` then aggregates the
+split's (arity, rank, ties) arrays in numpy.
 
 The walk is split by entity range over the package's thread pool
 (:mod:`ramkb.pool`), one run of whole blocks per CPU the process may use,
 when BLAS runs one thread and the table spans two blocks or more; otherwise
 it runs on the calling thread. Either way the ranks are the same, bit for
 bit, whatever the CPU count: the counts are integers and the parts walk the
-serial walk's blocks.
+serial walk's blocks and chunks, each rescoring its own band.
 """
 
 from __future__ import annotations
@@ -58,16 +61,18 @@ from .model import ModelParams
 HIT_LEVELS = (1, 3, 10)
 EVAL_BATCH = 512  # facts ranked per rank_from_scores call, all arities together
 # float32 (entity, query) scores per block of the table walk: 2 MB. Each
-# part of the walk holds one block plus two (COUNT_CHUNK, n_queries) bool
-# compares, so the walk holds at most pool.WORKERS times that, all allocated
-# on the calling thread: buffers made on pool threads raised peak RSS
+# part of the walk holds one block, two (COUNT_CHUNK, n_queries) bool
+# compares and one rescoring buffer (BAND_SLICE), so the walk holds at most
+# pool.WORKERS times that, all allocated on the calling thread: buffers made
+# on pool threads raised peak RSS
 SCORE_BLOCK_CELLS = 2**19
 COUNT_CHUNK = 255  # entities per uint8 count: the most a uint8 holds
-# band candidates above which a query's chunk is crowded: the query collects
-# no pairs and is decided wholly in float64, so a batch holds at most this
-# many pairs per query and chunk
-CROWDED_BAND = 16
-BAND_SLICE = 2**13  # band pairs rescored per float64 product: (8192, m*d) temporaries
+# (query, entity) pairs per float64 rescoring product: a chunk's band is
+# rescored BAND_SLICE // COUNT_CHUNK queries at a time into one (32, 255,
+# m*d) buffer per part, so a collapsed table, all band, stays in bounded
+# memory; a fresh product per slice faulted its pages in anew (1.4M minor
+# faults ranking an all-zero 3k-entity table)
+BAND_SLICE = 2**13
 ROWS_PER_REDUCE = 32  # table rows per inner loop of entity_table's column extremes
 F32_UNIT = 2.0**-24  # unit roundoff of float32
 F32_TINY = 2.0**-126  # smallest normal float32: bounds one underflow's absolute error
@@ -173,13 +178,14 @@ def _column_abs_max(rows: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(top), np.abs(bottom))
 
 
-def _row_dots(kernels: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """float64 scores ``kernels[i] . rows[i]`` (broadcast on the leading axis).
+def _row_dots(kernels: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """float64 scores ``kernels[i] . rows[i]`` (broadcast on the leading axes).
 
     Each score is one pairwise sum over its own contiguous row of products,
-    so a (kernel, entity) pair gets the same bits whichever batch it is in.
+    held in `out` if given (C-contiguous, of the broadcast shape), so a
+    (kernel, entity) pair gets the same bits whichever batch it is in.
     """
-    return (kernels * rows).sum(axis=-1)
+    return np.multiply(kernels, rows, out=out).sum(axis=-1)
 
 
 def _round_out(x: np.ndarray, up: bool) -> np.ndarray:
@@ -190,36 +196,40 @@ def _round_out(x: np.ndarray, up: bool) -> np.ndarray:
 
 
 def _screen(
-    table: EntityTable, kernels32: np.ndarray, hi: np.ndarray, lo: np.ndarray,
+    table: EntityTable, kernels: np.ndarray, true: np.ndarray, hi: np.ndarray, lo: np.ndarray,
     query: np.ndarray, entity: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Walk the table in blocks of SCORE_BLOCK_CELLS float32 scores.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each query's count of candidates above its true score, and of ties.
 
+    The table is walked in blocks of SCORE_BLOCK_CELLS float32 scores.
     (`query`, `entity`) are the non-candidate pairs, in entity order
     (:meth:`KnowledgeBase.filtered_candidates`). Each block's pairs are
     found with one ``searchsorted`` and their float32 scores set to NaN
     before the compares: a comparison with NaN is false, so a non-candidate
-    counts neither above nor in the band, as every entity of a row left
-    out of the screen (NaN `hi` and `lo`) does.
+    counts neither above its query's `hi` nor in its band ``[lo, hi]``.
+    A blind row, one whose band is infinite (``hi = +inf``, ``lo = -inf``),
+    has its float32 product zeroed first, as it may hold NaN or inf: all its
+    candidates, and none of its non-candidates, then fall in its band.
 
-    Returns each query's count of candidates whose float32 score is above
-    its `hi`, the (query, entity) candidate pairs inside its band
-    ``[lo, hi]``, in entity order, and a mask of the crowded queries. A
-    query is crowded when, in some COUNT_CHUNK chunk, its band holds more
-    than CROWDED_BAND candidates, as on a collapsed table where every score
-    ties: it has no pairs, and its count is meaningless, so the caller
-    decides it wholly in float64.
+    Per COUNT_CHUNK chunk of entities, a candidate above `hi` counts as
+    above. The queries whose band holds a candidate in the chunk are taken
+    BAND_SLICE // COUNT_CHUNK at a time, and each scores in float64
+    (:func:`_row_dots`) every entity of the chunk that lies in some of
+    their bands; among its own band candidates those above `true` count as
+    above, those equal to it as ties. No band pair outlives its chunk.
 
     The blocks are dealt out in at most pool.WORKERS parts, runs of whole
     blocks, which the pool walks (:func:`pool.in_parts`); the calling thread
     walks each part no pool thread has started. Every part walks the blocks
-    and chunks the serial walk would, so its pairs are the serial walk's over
-    its range, and the parts' pairs joined in order are the serial ones. The
-    crowded queries are the union over those chunks, so they, and the pairs
-    left once theirs are dropped, are the serial walk's too.
+    and chunks the serial walk would and its counts are integers, so their
+    sums are the serial walk's.
     """
     n_entities = table.rows32.shape[0]
-    n_rows = kernels32.shape[0]
+    n_rows = kernels.shape[0]
+    with np.errstate(over="ignore"):  # a blind row's kernel may exceed float32
+        kernels32 = kernels.astype(np.float32)
+    blind = np.flatnonzero(hi == np.inf)
+    per_slice = BAND_SLICE // COUNT_CHUNK
     block = min(n_entities, max(1, SCORE_BLOCK_CELLS // n_rows))
     n_blocks = -(-n_entities // block)
     n_parts = min(pool.WORKERS, n_blocks)
@@ -230,28 +240,29 @@ def _screen(
     # buffer per part: a fresh product per block would briefly hold two
     # blocks, the previous one until the new one is assigned
     above = np.zeros((n_parts, n_rows), dtype=np.intp)
-    crowded = np.zeros((n_parts, n_rows), dtype=bool)
+    ties = np.zeros((n_parts, n_rows), dtype=np.intp)
     buffers = [
         (np.empty((block, n_rows), dtype=np.float32),
          np.empty((COUNT_CHUNK, n_rows), dtype=bool),
          np.empty((COUNT_CHUNK, n_rows), dtype=bool),
-         np.empty((2, n_rows), dtype=np.uint8))
+         np.empty((2, n_rows), dtype=np.uint8),
+         np.empty(per_slice * COUNT_CHUNK * kernels.shape[1]))
         for _ in range(n_parts)
     ]
 
-    def walk(part: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        band_q, band_e = [], []
-        product, over_buf, reach_buf, (n_over, n_band) = buffers[part]
-        # numpy's error state is per thread: rows left to float64 overflow here
+    def walk(part: int) -> None:
+        product, over_buf, reach_buf, (n_over, n_band), products = buffers[part]
+        # numpy's error state is per thread: blind rows overflow here
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(cuts[part], cuts[part + 1], block):
                 rows32 = table.rows32[start : start + block]
                 scores = np.matmul(rows32, kernels32.T, out=product[: len(rows32)])
+                if blind.size:  # zeroed before the non-candidates' NaNs are written
+                    scores[:, blind] = 0.0
                 pairs = slice(*np.searchsorted(entity, [start, start + len(rows32)]))
                 scores[entity[pairs] - start, query[pairs]] = np.nan
                 for offset in range(0, len(scores), COUNT_CHUNK):
                     chunk = scores[offset : offset + COUNT_CHUNK]
-                    first = start + offset  # the chunk's first entity
                     over = np.greater(chunk, hi, out=over_buf[: len(chunk)])
                     reach = np.greater_equal(chunk, lo, out=reach_buf[: len(chunk)])
                     over.view(np.uint8).sum(axis=0, dtype=np.uint8, out=n_over)
@@ -259,23 +270,19 @@ def _screen(
                     reach.view(np.uint8).sum(axis=0, dtype=np.uint8, out=n_band)
                     n_band -= n_over
                     rows = np.flatnonzero(n_band)
-                    if rows.size and n_band.max() > CROWDED_BAND:
-                        wide = n_band[rows] > CROWDED_BAND
-                        crowded[part, rows[wide]] = True
-                        rows = rows[~wide]
-                    if rows.size:
-                        ent, col = np.nonzero(reach[:, rows] & ~over[:, rows])
-                        band_q.append(rows[col])
-                        band_e.append(ent + first)
-        return band_q, band_e
+                    for first in range(0, rows.size, per_slice):
+                        q = rows[first : first + per_slice]
+                        band = reach[:, q] ^ over[:, q]  # hi >= lo: over lies within reach
+                        met = np.flatnonzero(band.any(axis=1))  # entities in some band
+                        entities = table.rows[start + offset + met]
+                        out = products[: q.size * entities.size].reshape(q.size, *entities.shape)
+                        exact = _row_dots(kernels[q][:, None, :], entities, out=out).T
+                        band = band[met]
+                        above[part, q] += (band & (exact > true[q])).sum(axis=0)
+                        ties[part, q] += (band & (exact == true[q])).sum(axis=0)
 
-    found = pool.in_parts(walk, n_parts)
-    empty = [np.zeros(0, dtype=np.intp)]
-    band_q = np.concatenate([q for part_q, _ in found for q in part_q] or empty)
-    band_e = np.concatenate([e for _, part_e in found for e in part_e] or empty)
-    crowded = crowded.any(axis=0)
-    kept = ~crowded[band_q]  # a crowded query's pairs from its other chunks
-    return above.sum(axis=0), band_q[kept], band_e[kept], crowded
+    pool.in_parts(walk, n_parts)
+    return above.sum(axis=0), ties.sum(axis=0)
 
 
 def rank_from_scores(
@@ -302,8 +309,8 @@ def rank_from_scores(
     scores, each block's non-candidates masked (:func:`_screen`), and that
     screen decides every candidate far from the true score t: above if its
     float32 score is above ``t + tol``, not above if below ``t - tol``. The
-    candidates inside the band between are scored again in float64.
-    ``tol`` bounds the float32 error.
+    candidates inside the band between are scored again in float64 within
+    the walk. ``tol`` bounds the float32 error.
     The inputs are rounded to float32 (two relative errors) and a K = m*d
     term dot product is summed in float32 in any order (Higham 2002,
     section 3.1), so with u = 2**-24, gamma_n = n*u / (1 - n*u) and
@@ -320,28 +327,24 @@ def rank_from_scores(
     ``|g| @ col_max`` are all below K * 2**-52 relative to that same scale.
     ``t +- tol`` is then rounded outward to float32. A row that could
     overflow float32 (``|g| @ col_max`` or an input at or above half the
-    float32 maximum) gets an infinite ``tol``: it is left out of the screen
-    and decided wholly in float64. So the screen never changes a
-    comparison. A candidate that ties t in float64 lies inside the band, so
-    the float64 rescoring of the band counts ``== t`` beside ``> t``, and a
-    row decided wholly in float64 counts both over the whole table, its
-    non-candidates' scores set to NaN.
+    float32 maximum) gets an infinite ``tol``: a blind row, whose every
+    candidate lies in its band. So the screen never changes a comparison. A
+    candidate that ties t in float64 lies inside the band, so the float64
+    rescoring counts ``== t`` beside ``> t``.
 
-    Each block's ``s32 > hi`` and ``s32 >= lo`` are counted per query in
+    Each chunk's ``s32 > hi`` and ``s32 >= lo`` are counted per query in
     uint8 sums over at most COUNT_CHUNK entities, so only a query with a
-    band candidate in a chunk is searched for them. A query whose band holds
-    more than CROWDED_BAND candidates in a chunk is decided wholly in
-    float64 instead, so the band pairs of a batch stay few even when most of
-    the table ties; they are rescored BAND_SLICE pairs at a time. No array
-    is built per non-candidate pair beyond the index pairs themselves.
+    band candidate in a chunk is rescored there. The rescoring's float64
+    products span BAND_SLICE scores' worth of (query, entity) pairs, so the
+    walk's memory stays bounded even when every score ties, and no array is
+    built per non-candidate pair beyond the index pairs themselves.
 
     When BLAS runs one thread and the table spans two blocks or more, the
     walk is split into one run of whole blocks per CPU the process may use
-    (:func:`_screen`), walked at once on a thread pool. The walk then holds
-    one block and two (COUNT_CHUNK, n_queries) bool buffers per part. The
-    ranks do not depend on the CPU count: the counts are exact integer
-    sums, and the band pairs of every part, ties among them, come out in
-    the serial walk's order.
+    (:func:`_screen`), walked at once on a thread pool, each part rescoring
+    its own band. The walk then holds one block, two (COUNT_CHUNK,
+    n_queries) bool buffers and one rescoring buffer per part. The ranks do
+    not depend on the CPU count: the counts are exact integer sums.
     """
     own = np.concatenate([spec.ents.reshape(-1) for spec in groups])
     true = _row_dots(kernels, table.rows[own])
@@ -362,36 +365,16 @@ def rank_from_scores(
     gamma = terms * F32_UNIT / (1.0 - terms * F32_UNIT)
     tol = gamma * scale + 4.0 * F32_TINY * (abs_k.sum(axis=1) + table.col_max.sum() + width)
     # the largest magnitude a row's float32 product meets: from F32_LIMIT
-    # up it could overflow, so the row is left to float64
+    # up it could overflow, so the row is blind
     reach = np.maximum(np.maximum(scale, abs_k.max(axis=1)), table.col_max.max())
     tol[reach >= F32_LIMIT] = np.inf
     hi = _round_out(true + tol, up=True)
     lo = _round_out(true - tol, up=False)
-    unscreened = ~(np.isfinite(hi) & np.isfinite(lo))
-    hi[unscreened] = lo[unscreened] = np.nan  # any comparison with NaN is false: they count nothing
+    blind = ~(np.isfinite(hi) & np.isfinite(lo))
+    hi[blind], lo[blind] = np.inf, -np.inf
 
     query, entity = kb.filtered_candidates(groups)
-    with np.errstate(over="ignore", invalid="ignore"):  # only in rows left to float64
-        above, band_q, band_e, crowded = _screen(
-            table, kernels.astype(np.float32), hi, lo, query, entity
-        )
-    band = np.empty(band_q.size)
-    for start in range(0, band_q.size, BAND_SLICE):
-        pairs = slice(start, start + BAND_SLICE)
-        band[pairs] = _row_dots(kernels[band_q[pairs]], table.rows[band_e[pairs]])
-    above += np.bincount(band_q[band > true[band_q]], minlength=above.size)
-    ties = np.bincount(band_q[band == true[band_q]], minlength=above.size)
-    fallback = unscreened | crowded
-    rows = np.flatnonzero(fallback)
-    row_pairs = np.flatnonzero(fallback[query])
-    row_pairs = row_pairs[np.argsort(query[row_pairs])]  # grouped by query
-    # each row has a pair, its own entity: one piece of row_pairs per row
-    pieces = np.split(entity[row_pairs], np.searchsorted(query[row_pairs], rows[1:]))
-    for q, masked in zip(rows, pieces):
-        scores = _row_dots(kernels[q], table.rows)
-        scores[masked] = np.nan
-        above[q] = np.count_nonzero(scores > true[q])
-        ties[q] = np.count_nonzero(scores == true[q])
+    above, ties = _screen(table, kernels, true, hi, lo, query, entity)
     return 1 + above, ties
 
 

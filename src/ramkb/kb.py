@@ -327,7 +327,9 @@ class KnowledgeBase:
             )
             self._levels.append((end, codes))
             n_ids, first = codes.size, end
-        pairs = np.unique(_encode(ids, n_ids, own, self._base))
+        # sorted, adjacent repeats dropped: np.unique's hash path is slower
+        pairs = np.sort(_encode(ids, n_ids, own, self._base))
+        pairs = pairs[np.diff(pairs, prepend=-1) != 0]
         self._true = (pairs % self._base).astype(np.intp)
         self._offsets = np.searchsorted(pairs // self._base, np.arange(n_ids + 1))
 

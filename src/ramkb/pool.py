@@ -15,11 +15,13 @@ Four steps are spread: the candidate pass of every training batch, one
 job per fixed chunk of its stacked kernel rows; a full-negative batch's
 entity-table gradient, one product run :func:`beside` the calling thread's
 pull-back of the batch's groups; and, as runs of whole blocks cut by
-:func:`in_parts`, the ranking walk over the entity table and the lazy Adam
-step of a slot's touched rows, contiguous or scattered. The gradient
-scatter stays on the calling thread: ``np.add.at`` gains little from a
-second one: on a 2-vCPU VM, two threads that each scattered a sampled
-batch's entity gradient took 1.5 times as long as one thread scattering one.
+:func:`in_parts`, the ranking walk over the entity table, each part also
+rescoring in float64 the candidates its float32 screen cannot decide, and
+the lazy Adam step of a slot's touched rows, contiguous or scattered. The
+gradient scatter stays on the calling thread: ``np.add.at`` gains little
+from a second one: on a 2-vCPU VM, two threads that each scattered a
+sampled batch's entity gradient took 1.5 times as long as one thread
+scattering one.
 
 No split changes a bit. A job runs whole numpy calls, and a whole matmul
 gives the same bits on any thread; a job never runs a share of one matmul,

@@ -286,6 +286,20 @@ def test_header_without_holdout_still_loads(tmp_path):
     assert_same_arrays(params, loaded)
 
 
+def test_holdout_that_would_not_load_is_not_saved(tmp_path):
+    """load_dataset's second value names the files read, not the holdout:
+    saving it raises the DataError loading would, and writes no file."""
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "train.txt").write_text("r a b\nr b c\n")
+    kb, info = cli.load_dataset(data)
+    params = randomized_params(ModelConfig(embed_dim=3, latent_size=2), kb.vocab, seed=1)
+    path = tmp_path / "model.ramckpt"
+    with pytest.raises(DataError, match="holdout .* needs a valid_fraction"):
+        save_checkpoint(path, params, info)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("mode_str", ["extended", "explicit"])
 def test_exported_values_are_the_parameters_bit_for_bit(mode_str):
     params = trained_mode_params(mode_str)

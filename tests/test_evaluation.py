@@ -131,8 +131,8 @@ COLLAPSED_PEAK_BYTES = 8 * 2**20
 @pytest.mark.parametrize("fill", ["zero", "one", "first-row"])
 def test_collapsed_table_ranks_a_full_batch_as_in_float64_in_bounded_memory(
         full_batch_case, fill, workers, monkeypatch):
-    """Every query's band holds the whole table: each query is decided in
-    float64, its candidates all tie, and no pair of the band is kept."""
+    """Every query's band holds the whole table: every candidate is scored
+    again in float64 within the walk, and all of them tie."""
     kb, params, n_candidates = full_batch_case
     params = params.copy()
     ent = params.data[("ent",)]
@@ -155,11 +155,11 @@ def test_collapsed_table_ranks_a_full_batch_as_in_float64_in_bounded_memory(
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_crowded_queries_drop_their_band_pairs_from_every_chunk(workers, monkeypatch):
-    """Entities 0 and 200-299 share one row, so a query on any of them has a
-    crowded band in the block of 130-259. A query on one of 200-299 also
-    has one band pair, entity 0, in the first block, which is dropped; the
-    ranks equal the float64 oracle's."""
+def test_entities_sharing_one_row_rank_as_in_float64(workers, monkeypatch):
+    """Entities 0 and 200-299 share one row, so a query on any of them has
+    about a hundred exact ties, most in the block of 130-259, one in the
+    first block: each chunk's band holds dozens of candidates, all rescored
+    in float64 in the walk, on whichever thread walks that part."""
     kb = random_kb(300, (2, 3), n_train=60, n_test=40, seed=5)
     params = randomized_params(ModelConfig(embed_dim=3, multiplicity=2, latent_size=2),
                                kb.vocab, seed=6)
@@ -168,19 +168,9 @@ def test_crowded_queries_drop_their_band_pairs_from_every_chunk(workers, monkeyp
     n_queries = sum(fact.arity for fact in kb.test)
     monkeypatch.setattr(evaluation, "SCORE_BLOCK_CELLS", 130 * n_queries)
     monkeypatch.setattr(pool, "WORKERS", workers)
-    screen, walks = evaluation._screen, []
-
-    def recording(*args):
-        found = screen(*args)
-        walks.append([a.copy() for a in found])
-        return found
-
-    monkeypatch.setattr(evaluation, "_screen", recording)
-    assert_ranks_match_oracle(params, kb)
-    _, band_q, _, crowded = walks[0]
     own = np.concatenate([spec.ents.reshape(-1) for spec in split_groups(kb.vocab, kb.test)])
-    assert crowded.tolist() == ((own == 0) | (own >= 200)).tolist()
-    assert crowded.any() and not crowded[band_q].any()
+    _, n_ties = assert_ranks_match_oracle(params, kb)
+    assert ((own == 0) | (own >= 200)).any() and n_ties >= 100
 
 
 # tracemalloc peak of evaluating the hub KB below; a pass that rescored every
@@ -581,12 +571,13 @@ def test_ranks_and_band_pairs_do_not_depend_on_the_worker_count(monkeypatch):
             for q, (fact, pos) in enumerate(slots)]
     assert [ties for _, ties in want] == [0] * 7 + [2, 2] + [0]
     screen, executor = evaluation._screen, pool.executor
-    walks, pools, masked = [], [], []
+    walks, pools, masked, bands = [], [], [], []
 
-    def recording(table, kernels32, hi, lo, query, entity):
-        found = screen(table, kernels32, hi, lo, query, entity)
-        walks.append([a.copy() for a in found])  # the caller adds to `above` in place
+    def recording(table, kernels, true, hi, lo, query, entity):
+        found = screen(table, kernels, true, hi, lo, query, entity)
+        walks.append([a.copy() for a in found])
         masked.append(set(zip(query.tolist(), entity.tolist())))
+        bands.append((hi.copy(), lo.copy()))
         return found
 
     monkeypatch.setattr(evaluation, "_screen", recording)
@@ -598,21 +589,65 @@ def test_ranks_and_band_pairs_do_not_depend_on_the_worker_count(monkeypatch):
         ranks[workers] = list(zip(*(column.tolist() for column in got)))
         assert len(pools) == (workers > 1)  # the pool walks some parts
         pools.clear()
-    above, band_q, band_e, crowded = walks[0]
-    assert not crowded.any()
-    assert above[7] == 0 and 7 not in band_q and want[7][0] > 1  # row 7 is not screened
+    hi, lo = bands[0]
+    # row 7 is blind: its band is infinite, and the walk counts it in float64
+    assert np.isinf(hi).tolist() == np.isinf(lo).tolist() == [q == 7 for q in range(10)]
+    assert hi[7] == np.inf and lo[7] == -np.inf and want[7][0] > 1
     # the walk masks every non-candidate: the own entities and query 0's
-    # known-true copies of its true entity are in no band
+    # known-true copies of its true entity are counted nowhere
     non_candidates = {(q, e) for q, mask in enumerate(masks) for e in np.flatnonzero(~mask)}
     non_candidates |= {(q, fact.entities[pos]) for q, (fact, pos) in enumerate(slots)}
     assert {(0, 49), (0, 10), (0, 90)} <= non_candidates
     assert all(pairs == non_candidates for pairs in masked)
-    pairs = set(zip(band_q.tolist(), band_e.tolist()))
-    assert {(8, 10), (8, 90)} <= pairs and not pairs & non_candidates  # the exact ties
+    above, ties = walks[0]
+    assert ties[0] == 0 and ties[8] == 2  # (8, 10) and (8, 90) tie exactly
     for workers, walk in zip(ranks, walks):
         assert ranks[workers] == want, workers
         for got, serial in zip(walk, walks[0]):
             assert got.dtype == serial.dtype and got.tolist() == serial.tolist(), workers
+    assert (1 + above).tolist() == [rank for rank, _ in want]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_blind_row_counts_no_known_true_tie(workers, monkeypatch):
+    """A blind row, whose kernel holds 1e39, past the float32 range, where
+    entities in every part of the walk copy its true entity's block: those
+    known true at its slot tie it exactly in float64 but are not
+    candidates, the others count as ties. Where an entity's float32 score
+    is NaN (inf * 0) the walk zeroes the row's product before it masks the
+    non-candidates, so that entity still counts, above, and the known-true
+    ones do not."""
+    vocab = make_vocab(100, (2,))
+    test = [Fact(0, (50, 7))]
+    known, tied, overflow = [10, 45, 90], [20, 60, 95], [30, 75]
+    kb = KnowledgeBase(vocab, [Fact(0, (e, 7)) for e in known], [], test)
+    params = randomized_params(ModelConfig(embed_dim=3, multiplicity=2, latent_size=2),
+                               vocab, seed=33)
+    ent = params.data[("ent",)]
+    ent[50, 0, 0] = -1.0  # a true score near -1e39
+    ent[known + tied] = ent[50]
+    ent[overflow, 0, 0] = 0.0
+    groups = split_groups(vocab, test)
+    kernels = query_kernels(params, groups, test)
+    kernels[0, 0] = 1e39
+    rows = ent.reshape(100, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(rows[overflow].astype(np.float32) @ kernels[0].astype(np.float32)).all()
+    scores = (kernels[:, None, :] * rows[None]).sum(axis=-1)
+    masks = [brute_force_candidates(kb, fact, pos) for fact, pos in query_slots(groups, test)]
+    want = [(sort_rank(list(scores[q]), masks[q], fact.entities[pos]),
+             sort_ties(list(scores[q]), masks[q], fact.entities[pos]))
+            for q, (fact, pos) in enumerate(query_slots(groups, test))]
+    assert want[0][1] == len(tied) and want[0][0] > len(overflow)
+    assert not masks[0][known].any() and (scores[0, known] == scores[0, 50]).all()
+    # blocks of 7 entities: every part of the walk holds a known-true tie
+    monkeypatch.setattr(evaluation, "SCORE_BLOCK_CELLS", 7 * len(kernels))
+    monkeypatch.setattr(pool, "WORKERS", workers)
+    executor, pools = pool.executor, []
+    monkeypatch.setattr(pool, "executor", lambda: pools.append(1) or executor())
+    got = rank_from_scores(kb, groups, kernels, entity_table(params))
+    assert list(zip(*(column.tolist() for column in got))) == want
+    assert len(pools) == (workers > 1)  # the pool walks some parts
 
 
 @pytest.mark.parametrize("workers", [2, 3])
