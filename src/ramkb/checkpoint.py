@@ -22,11 +22,10 @@ import json
 import math
 import struct
 from itertools import zip_longest
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, read_input
 from .kb import Vocabulary
 from .model import ModelConfig, ModelParams, relation_terms
 
@@ -95,8 +94,9 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     arity below 2, a relation's roles that are not one role id per position,
     a vocabulary that the config's mode cannot take, or a payload that is
     not exactly as long as the slots the config and vocabulary call for.
+    So does a path that cannot be read (:func:`errors.read_input`).
     """
-    raw = Path(path).read_bytes()
+    raw = read_input(path, DataError)
     if raw[: len(MAGIC)] != MAGIC:
         raise DataError(f"{path}: not a checkpoint (bad magic)")
     header_start = len(MAGIC) + 8

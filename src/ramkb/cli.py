@@ -15,7 +15,9 @@ one of those two formats, and then ``train`` on the subset's directory, so
 that ``eval`` on that directory sees the very facts ``train`` did.
 ``express`` reads its ground truth from one split file in either format;
 a fact listed twice is one true fact. An ``--out`` that cannot be made a
-directory is a configuration error.
+directory is a configuration error. An input file that cannot be read, or a
+text file that is not UTF-8, is an error of its kind: a config file's a
+configuration error, a split's, ``--spec``'s or checkpoint's a data error.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric abort.
 The RAM_LOG environment variable sets the log level.
 """
@@ -35,7 +37,7 @@ from pathlib import Path
 
 from . import checkpoint as ckpt
 from .engine import score
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, RamError, read_input
 from .evaluation import evaluate
 from .expressive import construct, verify_separation
 from .gradcheck import run_gradcheck
@@ -56,11 +58,19 @@ from .training import TrainConfig, train, write_trace_csv
 log = logging.getLogger("ramkb.cli")
 
 
+def _utf8(path: Path, data: bytes, error: type[RamError]) -> str:
+    """`data`, the bytes of the input file `path`, as text; bytes that are not
+    UTF-8 raise `error`, naming the path and the first bad byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def _read_config_file(path: Path) -> dict[str, str]:
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    text = _utf8(path, read_input(path, ConfigError), ConfigError)
     values: dict[str, str] = {}
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -116,14 +126,8 @@ def _read_split(path: Path) -> tuple[list[RawFact], str]:
 
     Every DataError it raises begins with the file's path.
     """
-    try:
-        data = path.read_bytes()
-    except IsADirectoryError:
-        raise DataError(f"{path}: is a directory, not a split file") from None
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    data = read_input(path, DataError)
+    text = _utf8(path, data, DataError)
     parse = parse_role_json if path.suffix in (".json", ".jsonl") else parse_tabular
     try:
         facts = parse(text.splitlines())
@@ -336,7 +340,7 @@ def cmd_express(args) -> int:
     kb = build_kb(raw)
     facts = list(dict.fromkeys(kb.train))
     out = _out_dir(args.out) if args.out else None
-    report = verify_separation(kb.vocab, facts, construct(kb.vocab, facts))
+    report = verify_separation(construct(kb.vocab, facts), facts)
     text = json.dumps(asdict(report), indent=2)
     print(text)
     if out:
@@ -488,9 +492,6 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -23,9 +23,9 @@ training stacks a batch's kernel rows, every arity group's, in the groups'
 stacked row order (group by group, fact by fact, slot by slot; each
 group's ``rows``), and scores them in fixed chunks of rows (``training``).
 Ranking stacks them in the same order and reads the kernels alone.
-:func:`group_losses` gives the candidate cross-entropy and its score
-gradient, already scaled by the batch's 1/B, which it computes in the score
-array itself.
+:func:`group_losses` gives each kernel row's candidate cross-entropy and its
+score gradient, already scaled by the batch's 1/B, which it computes in the
+(n, C) score array of the rows itself.
 
 A scorer's ``pullback`` returns the kernels' gradient, one
 gradient-weighted sum of candidate blocks per kernel row. The entity
@@ -304,29 +304,29 @@ class SampledCandidates:
 
 
 def group_losses(scores: np.ndarray, true_cols: np.ndarray,
-                 scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Per-fact candidate cross-entropy and its gradient with respect to `scores`.
+                 scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row candidate cross-entropy and its gradient with respect to `scores`.
 
-    `scores` is a C-contiguous (B, a, C) array and `true_cols` (B, a) the true
-    entity's column. The (B,) losses sum over positions; the (B, a, C)
-    gradient is `scale` times softmax(scores) minus the true one-hot, from
-    the same max, exp and sum. The gradient is computed in place: `scores`
-    is overwritten and returned as the gradient, so scores and gradient
-    share one array. `scale` (a batch's 1/B) is folded into the
+    `scores` is a C-contiguous (n, C) array, the candidate scores of n kernel
+    rows, and `true_cols` (n,) each row's true column. The (n,) losses are one
+    per row; the (n, C) gradient is `scale` times softmax(scores) minus the
+    true one-hot, from the same max, exp and sum. The gradient is computed in
+    place: `scores` is overwritten and returned as the gradient, so scores and
+    gradient share one array. `scale` (a batch's 1/B) is folded into the
     normalization, ``exp * (scale / sum)``, so the array is swept once; the
     gradient is within 2 ulp of ``scale * (softmax - onehot)`` (of `scale`
     at the true column), and the losses do not depend on `scale`.
     """
-    top = scores.max(axis=-1, keepdims=True)
-    at_true = (*np.indices(true_cols.shape, sparse=True), true_cols)
+    top = scores.max(axis=1, keepdims=True)
+    at_true = (np.arange(len(scores)), true_cols)
     true_scores = scores[at_true]  # a copy, read before the array is overwritten
     scores -= top
     np.exp(scores, out=scores)
-    total = scores.sum(axis=-1, keepdims=True)
-    losses = (top[..., 0] + np.log(total[..., 0]) - true_scores).sum(axis=1)
+    total = scores.sum(axis=1, keepdims=True)
+    losses = top[:, 0] + np.log(total[:, 0]) - true_scores
     np.divide(scale, total, out=total)
     scores *= total
-    # each (fact, position) pair appears once, so a plain indexed subtract
+    # each row appears once, so a plain indexed subtract
     scores[at_true] -= scale
     return losses, scores
 

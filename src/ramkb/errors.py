@@ -1,8 +1,11 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
-NumericError -> 4.
+NumericError -> 4. Every input file is read through :func:`read_input`,
+which maps a file that cannot be read onto one of them.
 """
+
+from pathlib import Path
 
 
 class RamError(Exception):
@@ -31,3 +34,14 @@ class DimensionError(ConfigError, ValueError):
 
 class NumericError(RamError):
     """Non-finite values encountered during training."""
+
+
+def read_input(path, error: type[RamError]) -> bytes:
+    """The bytes of the input file `path`. A file that cannot be read (missing,
+    a directory, not permitted) raises `error`, its message led by the path."""
+    try:
+        return Path(path).read_bytes()
+    except IsADirectoryError:
+        raise error(f"{path}: is a directory") from None
+    except OSError as exc:
+        raise error(f"{path}: {exc.strerror}") from None

@@ -76,12 +76,13 @@ class SeparationReport:
     n_enumerated: int
 
 
-def _relation_scores(params: ModelParams, rel: int, arity: int, n_entities: int) -> np.ndarray:
+def _relation_scores(params: ModelParams, rel: int) -> np.ndarray:
     """Scores of every entity tuple of one relation, shape (n_entities,) * arity.
 
     Each group row fixes the first arity-1 entities; the full-table scores of
     its last position give a whole column of tuples at once.
     """
+    n_entities, arity = params.vocab.n_entities, params.vocab.arity(rel)
     heads = np.indices((n_entities,) * (arity - 1)).reshape(arity - 1, -1).T
     out = np.empty((len(heads), n_entities))
     for lo in range(0, len(heads), SEPARATION_CHUNK):
@@ -95,16 +96,15 @@ def _relation_scores(params: ModelParams, rel: int, arity: int, n_entities: int)
     return out.reshape((n_entities,) * arity)
 
 
-def verify_separation(
-    vocab: Vocabulary, facts: list[Fact], params: ModelParams
-) -> SeparationReport:
-    """Exhaustively check that true facts score positive and others zero.
+def verify_separation(params: ModelParams, facts: list[Fact]) -> SeparationReport:
+    """Exhaustively check that true facts score positive and others zero,
+    over every entity tuple of every relation of ``params.vocab``.
 
     Passes iff the smallest true-fact score is positive and the largest
     score over all non-true tuples is exactly zero.
     """
-    n_entities = vocab.n_entities
-    total = sum(n_entities ** arity for _, arity in vocab.relations)
+    n_entities = params.vocab.n_entities
+    total = sum(n_entities ** arity for _, arity in params.vocab.relations)
     if total > ENUMERATION_CAP:
         raise ConfigError(
             f"{total} candidate tuples exceed the enumeration cap "
@@ -112,8 +112,8 @@ def verify_separation(
         )
     true_scores = []
     false_scores = []
-    for rel, (_, arity) in enumerate(vocab.relations):
-        scores = _relation_scores(params, rel, arity, n_entities)
+    for rel in range(params.vocab.n_relations):
+        scores = _relation_scores(params, rel)
         is_true = np.zeros(scores.shape, dtype=bool)
         for fact in facts:
             if fact.relation == rel:

@@ -5,7 +5,8 @@ is one softmax of the parameters, over the last axis, and one pullback for
 it; a matrix that is normalized jointly over all its entries is a softmax
 over its flattened last axes, so callers reshape to ``(n, rows * cols)``
 around these two. The softmax of the candidate scores is not one of them:
-``engine.group_losses`` fuses it with the cross-entropy, whose gradient with
+``engine.group_losses`` takes the (n, C) candidate scores of n kernel rows
+and fuses each row's softmax with its cross-entropy, whose gradient with
 respect to the scores is that softmax minus the true one-hot, so it needs no
 pullback. :func:`scatter_rows` is the one row scatter-add, for gradients
 whose rows repeat.

@@ -58,7 +58,7 @@ class TrainConfig:
     dropout: float = 0.2
     max_epochs: int = 200
     patience: int = 10
-    eval_every: int = 5
+    eval_every: int = 1
     negatives: str | int = "full"
     seed: int = 0
 
@@ -155,26 +155,6 @@ def _group_masks(
     return keep / (1.0 - dropout)
 
 
-def _draw_and_forward(
-    params: ModelParams,
-    spec: GroupSpec,
-    negatives: str | int,
-    dropout: float,
-    fact_rngs: Optional[list[np.random.Generator]],
-) -> tuple[GroupKernels, np.ndarray]:
-    """One arity group's kernels and candidates.
-
-    Candidates, then dropout masks, are drawn from the generator that
-    `fact_rngs` holds for the group's first fact.
-    """
-    if fact_rngs is None and (negatives != "full" or dropout > 0):
-        raise ConfigError("sampled negatives and dropout need one generator per fact")
-    rng = None if fact_rngs is None else fact_rngs[spec.fact_index[0]]
-    cands = _group_candidates(params, spec, negatives, rng)
-    mask = _group_masks(spec, params, dropout, rng)
-    return forward_group(params, spec, mask), cands
-
-
 class _CandidatePass:
     """A batch's candidates, scored in one pass over its stacked kernel rows.
 
@@ -186,7 +166,8 @@ class _CandidatePass:
     also takes their score gradient, scaled by 1 / len(facts) within
     :func:`group_losses`, and pulls it back to their kernels. A job writes
     only its own rows of the pass's arrays and calls only the engine's
-    names, so it may run on any thread. An empty batch raises ConfigError.
+    names, so it may run on any thread. An empty batch, and a sampled or
+    dropout batch without `fact_rngs`, raise ConfigError.
     """
 
     def __init__(self, params: ModelParams, facts: list[Fact], negatives: str | int,
@@ -194,9 +175,12 @@ class _CandidatePass:
                  backward: bool = False) -> None:
         if not facts:
             raise ConfigError("empty batch")
+        if fact_rngs is None and (negatives != "full" or dropout > 0):
+            raise ConfigError("sampled negatives and dropout need one generator per fact")
         self.params, self.negatives = params, negatives
         self.dropout, self.fact_rngs = dropout, fact_rngs
-        self.scale = 1.0 / len(facts) if backward else None
+        self.backward = backward
+        self.scale = 1.0 / len(facts)
         self.full = negatives == "full"
         self.groups = split_groups(params.vocab, facts)
         self.n_rows = self.groups[-1].rows.stop
@@ -207,32 +191,32 @@ class _CandidatePass:
             self.pseudo = np.empty_like(self.kernels)  # dL/d kernels
         self.forwarded: list[GroupKernels] = []  # kept when there is a gradient to pull back
 
-    def _stack(self, rows: slice, cands: np.ndarray) -> None:
-        """Put a group's candidates at `rows`; the first group's give the
-        candidate count, and so the arrays' shapes."""
-        if rows.start == 0:
-            self.cands = np.empty((self.n_rows,) + cands.shape[2:], dtype=np.intp)
-            if self.scale is not None:
-                # what the entity table's gradient is made of: the score
-                # gradient of every row under full negatives, else the row
-                # gradient of every sampled candidate
-                width = ((self.params.vocab.n_entities,) if self.full
-                         else self.cands.shape[1:] + self.block)
-                self.grads = np.empty((self.n_rows,) + width)
-        self.cands[rows] = cands.reshape(self.cands[rows].shape)
-
     def jobs(self) -> Iterator[tuple[Callable[[], None], Callable[[], None]]]:
         """Draw and forward each group on the calling thread, in ascending
         arity order, and make each chunk's job, a :func:`pool.spread` pair,
-        as soon as the groups its rows come from are forwarded."""
+        as soon as the groups its rows come from are forwarded. A group
+        draws its candidates, then its dropout masks, from the generator
+        that `fact_rngs` holds for its first fact."""
         made = 0
         for spec in self.groups:
             rows = spec.rows
-            kern, cands = _draw_and_forward(self.params, spec, self.negatives, self.dropout,
-                                            self.fact_rngs)
+            rng = None if self.fact_rngs is None else self.fact_rngs[spec.fact_index[0]]
+            cands = _group_candidates(self.params, spec, self.negatives, rng)
+            kern = forward_group(self.params, spec,
+                                 _group_masks(spec, self.params, self.dropout, rng))
             self.kernels[rows] = kern.gather.reshape((-1,) + self.block)
-            self._stack(rows, cands)
-            if self.scale is not None:
+            if rows.start == 0:
+                # the first group gives the candidate count, and so the shapes
+                # of the stacked candidates and of the entity gradient's parts:
+                # each row's score gradient under full negatives, else each
+                # sampled candidate's row gradient
+                self.cands = np.empty((self.n_rows,) + cands.shape[2:], dtype=np.intp)
+                if self.backward:
+                    width = ((self.params.vocab.n_entities,) if self.full
+                             else self.cands.shape[1:] + self.block)
+                    self.grads = np.empty((self.n_rows,) + width)
+            self.cands[rows] = cands.reshape(self.cands[rows].shape)
+            if self.backward:
                 self.forwarded.append(kern)
             while made < rows.stop and min(made + CHUNK_ROWS, self.n_rows) <= rows.stop:
                 chunk = slice(made, min(made + CHUNK_ROWS, self.n_rows))
@@ -246,16 +230,13 @@ class _CandidatePass:
         scorer = TableCandidates if self.full else SampledCandidates
         cand = scorer(self.params, self.cands[rows])
         kernels = self.kernels[rows]
-        if self.full and self.scale is not None:
+        if self.full and self.backward:
             scores = cand.scores(kernels, out=self.grads[rows])
         else:
             scores = cand.scores(kernels)
-        scale = 1.0 if self.scale is None else self.scale
-        losses, g = losses_of(scores[:, None], cand.true_cols[:, None], scale)
-        self.losses[rows] = losses
-        if self.scale is None:
+        self.losses[rows], g = losses_of(scores, cand.true_cols, self.scale)
+        if not self.backward:
             return
-        g = g[:, 0]
         self.pseudo[rows] = cand.pullback(g)
         if not self.full:
             cand.row_grads(kernels, g, out=self.grads[rows])
@@ -363,14 +344,6 @@ class AdamState:
         self.m2: dict = {}
         self.steps: dict = {}
 
-    def _ensure(self, key, template: np.ndarray, row_sparse: bool) -> None:
-        if key not in self.m1:
-            self.m1[key] = np.zeros_like(template)
-            self.m2[key] = np.zeros_like(template)
-            self.steps[key] = (
-                np.zeros(template.shape[0], dtype=np.int64) if row_sparse else 0
-            )
-
 
 def _check_gradients(params: ModelParams, summed: list) -> None:
     """Raise NumericError on the first slot of `summed` (:meth:`GradientBuffer.summed`'s
@@ -418,7 +391,9 @@ def optimizer_step(
     _check_gradients(params, summed)
     for key, rows, grad in summed:
         target = params.data[key]
-        state._ensure(key, target, rows is not None)
+        if key not in state.m1:
+            state.m1[key], state.m2[key] = np.zeros_like(target), np.zeros_like(target)
+            state.steps[key] = 0 if rows is None else np.zeros(len(target), dtype=np.int64)
         m1, m2 = state.m1[key], state.m2[key]
         if rows is None:
             state.steps[key] += 1
@@ -496,11 +471,12 @@ class TrainResult:
 def train(kb: KnowledgeBase, model_cfg: ModelConfig, train_cfg: TrainConfig) -> TrainResult:
     """Mini-batch training with per-epoch decay and early stopping.
 
-    Facts are reshuffled every epoch; every `eval_every` epochs the filtered
-    MRR on the validation split is measured, the best-scoring parameters are
-    kept, and training stops after `patience` evaluations without
-    improvement. The returned trace has one row per epoch, and each epoch
-    logs one INFO line on the ``ramkb.training`` logger.
+    Facts are reshuffled every epoch. Every `eval_every` epochs (by default
+    every epoch) the filtered MRR on the validation split, if there is one,
+    is measured and the best-scoring parameters are kept; training stops
+    after `patience` validations without improvement. The returned trace has
+    one row per epoch, and each epoch logs one INFO line on the
+    ``ramkb.training`` logger.
 
     The same data, configs and seed give bitwise-identical parameters,
     losses and validation MRRs on the same numpy and BLAS build with the

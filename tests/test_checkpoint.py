@@ -81,7 +81,7 @@ def test_round_trip_raw_construction_still_separates(tmp_path):
         np.testing.assert_array_equal(
             table_scores(loaded, spec), table_scores(params, spec)
         )
-    assert verify_separation(vocab, facts, loaded).passed
+    assert verify_separation(loaded, facts).passed
 
 
 def test_truncated_or_malformed_checkpoint_is_data_error(tmp_path):

@@ -325,6 +325,35 @@ def test_unreadable_split_file_exits_3_naming_it(tmp_path, capsys, command, spoi
     assert f"{bad}: {reason}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,spoil,code,reason", [
+    ("eval", "directory", 3, "is a directory"),
+    ("export", "directory", 3, "is a directory"),
+    ("express", "directory", 3, "is a directory"),
+    ("train", "directory", 2, "is a directory"),
+    ("train", "not-utf8", 2, "not UTF-8 text (byte 15)"),
+    ("eval", "missing", 3, "No such file or directory"),
+], ids=["eval-checkpoint-directory", "export-checkpoint-directory", "express-spec-directory",
+        "train-config-directory", "train-config-not-utf8", "eval-checkpoint-missing"])
+def test_unreadable_input_file_exits_with_its_code_naming_it(tmp_path, capsys, command, spoil,
+                                                             code, reason):
+    # the checkpoint, spec or config file: the command's one input besides the data
+    data, _ = write_dataset(tmp_path)
+    bad, out = tmp_path / "input", tmp_path / "out"
+    if spoil == "directory":
+        bad.mkdir()
+    elif spoil == "not-utf8":
+        bad.write_bytes(b"max_epochs = 1\n\xff\xfe\n")
+    argv = {
+        "eval": ["eval", "--data-dir", str(data), "--checkpoint", str(bad)],
+        "export": ["export", "--checkpoint", str(bad)],
+        "express": ["express", "--spec", str(bad)],
+        "train": ["train", "--data-dir", str(data), "--config", str(bad)],
+    }[command]
+    assert cli.main(argv + ["--out", str(out)]) == code
+    assert f"{bad}: {reason}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_subset_in_place_is_what_load_dataset_reads(tmp_path):
     data = tmp_path / "data"
     data.mkdir()

@@ -50,7 +50,7 @@ def per_tuple_report(vocab, facts, params):
 @pytest.mark.parametrize("seed", range(5))
 def test_construct_separates_random_ground_truths(seed):
     vocab, facts = random_ground_truth(seed)
-    report = verify_separation(vocab, facts, construct(vocab, facts))
+    report = verify_separation(construct(vocab, facts), facts)
     assert report.passed, report
     assert report.n_true == len(facts)
 
@@ -59,7 +59,7 @@ def test_construct_separates_random_ground_truths(seed):
 def test_batched_report_equals_per_tuple_loop(seed):
     vocab, facts = random_ground_truth(seed)
     params = construct(vocab, facts)
-    report = verify_separation(vocab, facts, params)
+    report = verify_separation(params, facts)
     expected = per_tuple_report(vocab, facts, params)
     assert (report.n_enumerated, report.min_true_score, report.max_false_score) == expected
 
@@ -69,7 +69,7 @@ def test_perturbed_entity_block_fails():
     params = construct(vocab, facts)
     entity = facts[0].entities[0]
     params.data[("ent",)][entity] += 1e-3
-    report = verify_separation(vocab, facts, params)
+    report = verify_separation(params, facts)
     assert not report.passed
     assert report.max_false_score > 0.0
     assert report.max_false_score == pytest.approx(
@@ -85,7 +85,7 @@ def test_ground_truth_over_enumeration_cap_rejected():
     facts = [Fact(0, (0, 1, 2))]
     assert n_entities ** 3 > ENUMERATION_CAP
     with pytest.raises(ConfigError):
-        verify_separation(vocab, facts, construct(vocab, facts))
+        verify_separation(construct(vocab, facts), facts)
 
 
 def test_express_command_writes_passing_report(tmp_path):

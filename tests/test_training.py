@@ -3,6 +3,7 @@ import functools
 import logging
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from oracles import (
     naive_latent_score,
     rowwise_scatter,
 )
+from ramkb import evaluation, training
 from ramkb.engine import (
     GradientBuffer,
     SampledCandidates,
@@ -148,7 +150,7 @@ class TestLoss:
         assert batch_loss(params, [fact]) == pytest.approx(expected, rel=1e-9)
 
     def test_dominant_true_score_drives_loss_to_zero(self):
-        loss = group_losses(np.array([[[1000.0, 0.0, -5.0]]]), np.array([[0]]))[0][0]
+        loss = group_losses(np.array([[1000.0, 0.0, -5.0]]), np.array([0]), 1.0)[0][0]
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_naive_composition(self):
@@ -164,29 +166,34 @@ class TestLoss:
     def test_shift_invariance_of_position_loss(self):
         rng = make_rng(4)
         scores = rng.normal(size=12)
-        true_cols = np.array([[3]])
+        true_cols = np.array([3])
         # group_losses overwrites its scores, so each call gets its own copy
-        base = group_losses(scores[None, None].copy(), true_cols)[0][0]
-        shifted = group_losses(scores[None, None] + 123.456, true_cols)[0][0]
+        base = group_losses(scores[None].copy(), true_cols, 1.0)[0][0]
+        shifted = group_losses(scores[None] + 123.456, true_cols, 1.0)[0][0]
         assert shifted == pytest.approx(base, abs=1e-9)
 
     def test_gradient_is_computed_in_the_score_array(self):
-        scores = make_rng(5).normal(size=(4, 3, 9))
-        _, grad = group_losses(scores, np.zeros((4, 3), dtype=np.intp))
+        scores = make_rng(5).normal(size=(12, 9))
+        _, grad = group_losses(scores, np.zeros(12, dtype=np.intp), 1.0)
         assert np.shares_memory(grad, scores) and grad.shape == scores.shape
 
     @staticmethod
     def _spread_scores(spread):
-        # spread values span 16 decades, so at spread 1 most rows are one-hot;
-        # at 1e-6 the softmax spreads over many columns
+        # 15 kernel rows of 40 candidates. Spread values span 16 decades, so
+        # at spread 1 most rows are one-hot; at 1e-6 the softmax spreads over
+        # many columns
         rng = np.random.default_rng(6)
-        return spread_values(rng, (5, 3, 40)) * spread, rng.integers(0, 40, (5, 3))
+        return spread_values(rng, (15, 40)) * spread, rng.integers(0, 40, 15)
 
     @pytest.mark.parametrize("spread", [1.0, 1e-6])
     def test_in_place_equals_copy_based_reference_bit_for_bit(self, spread):
         scores, true_cols = self._spread_scores(spread)
+        n, c = scores.shape
         for scale in (1.0, 1 / 64, 1 / 3):
-            want_losses, want_grad = copy_cross_entropy(scores, true_cols, scale)
+            # the oracle takes (B, a, C): each row is a one-position fact
+            want_losses, want_grad = copy_cross_entropy(
+                scores.reshape(n, 1, c), true_cols.reshape(n, 1), scale)
+            want_grad = want_grad.reshape(n, c)
             losses, grad = group_losses(scores.copy(), true_cols, scale)
             for got, want in ((losses, want_losses), (grad, want_grad)):
                 np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -199,12 +206,12 @@ class TestLoss:
         within 2 ulp of ``scale * (softmax - onehot)``, the ulp of `scale`
         at the true column, whose subtraction may cancel."""
         scores, true_cols = self._spread_scores(spread)
-        plain, _ = group_losses(scores.copy(), true_cols)
+        plain, _ = group_losses(scores.copy(), true_cols, 1.0)
         losses, grad = group_losses(scores.copy(), true_cols, scale)
         np.testing.assert_array_equal(losses.view(np.uint64), plain.view(np.uint64))
         exps = np.exp(scores - scores.max(axis=-1, keepdims=True))
         onehot = np.zeros(scores.shape, dtype=bool)
-        np.put_along_axis(onehot, true_cols[:, :, None], True, axis=2)
+        np.put_along_axis(onehot, true_cols[:, None], True, axis=1)
         want = scale * (exps / exps.sum(axis=-1, keepdims=True) - onehot)
         ulp = np.spacing(np.where(onehot, scale, np.abs(want)))
         assert (np.abs(grad - want) <= 2 * ulp).all()
@@ -231,6 +238,19 @@ class TestLoss:
         loss, _ = batch_backward(params, kb.train, negatives=3, dropout=0.3, fact_rngs=rngs())
         again = batch_loss(params, kb.train, negatives=3, dropout=0.3, fact_rngs=rngs())
         assert again == pytest.approx(loss, rel=1e-12)
+
+    @pytest.mark.parametrize("negatives,dropout", [(3, 0.0), ("full", 0.2)])
+    def test_sampled_or_dropout_batch_without_generators_forwards_no_group(
+            self, monkeypatch, negatives, dropout):
+        kb = random_kb(9, (2, 3), n_train=6, seed=24)
+        cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
+        params = randomized_params(cfg, kb.vocab, seed=25)
+        forwarded = []
+        monkeypatch.setattr(training, "forward_group", lambda *args: forwarded.append(args))
+        for run in (batch_loss, batch_backward):
+            with pytest.raises(ConfigError, match="one generator per fact"):
+                run(params, kb.train, negatives=negatives, dropout=dropout, fact_rngs=None)
+        assert not forwarded
 
     def test_groups_draw_only_from_their_first_facts_generator(self):
         kb = random_kb(9, (2, 3, 4), n_train=12, seed=28)
@@ -828,6 +848,29 @@ class TestTrainLoop:
         result = train(kb, mcfg, tcfg)
         report = evaluate(result.params, kb, split="valid")
         assert report.mrr == pytest.approx(result.best_valid_mrr, abs=1e-12)
+
+    def test_default_config_validates_every_epoch_and_keeps_the_best(self, monkeypatch):
+        """Valid MRR 0.1, then 0.3, then 0.2 for ever: the defaults validate
+        after every epoch, stop `patience` epochs after the best one, and
+        return its parameters."""
+        kb = random_kb(8, (2, 3), n_train=12, n_valid=4, seed=30)
+        mcfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
+        snapshots, mrrs = [], iter([0.1, 0.3])
+
+        def evaluate(params, kb, split):
+            snapshots.append(params.copy())
+            return SimpleNamespace(mrr=next(mrrs, 0.2))
+
+        monkeypatch.setattr(evaluation, "evaluate", evaluate)
+        result = train(kb, mcfg, TrainConfig(batch_size=4, seed=5))
+        patience = TrainConfig().patience
+        assert [row.valid_mrr for row in result.trace] == [0.1, 0.3] + [0.2] * patience
+        assert len(snapshots) == 2 + patience
+        assert result.best_valid_mrr == 0.3
+        assert result.params.slots() == snapshots[1].slots()
+        for key in result.params.slots():
+            assert_same_bits(result.params.data[key], snapshots[1].data[key])
+        assert not np.array_equal(result.params.data[("ent",)], snapshots[-1].data[("ent",)])
 
     def test_logs_one_info_line_per_epoch(self, caplog):
         kb = random_kb(8, (2, 3), n_train=12, n_valid=4, seed=21)
