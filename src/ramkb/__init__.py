@@ -18,7 +18,7 @@ if "numpy" not in sys.modules and not (
 
 from .errors import ConfigError, DataError, DimensionError, NumericError, ParseError
 from .engine import score
-from .kb import Fact, KnowledgeBase, Vocabulary, build_kb, subset_by_arity
+from .kb import Fact, Facts, KnowledgeBase, Vocabulary, build_kb, subset_by_arity
 from .model import ModelConfig, ModelParams
 from .training import TrainConfig, train
 
@@ -31,6 +31,7 @@ __all__ = [
     "NumericError",
     "ParseError",
     "Fact",
+    "Facts",
     "KnowledgeBase",
     "Vocabulary",
     "build_kb",

@@ -4,7 +4,8 @@ Checkpoint layout: the magic bytes ``RAMCKPT1``, a little-endian uint64
 header length, a UTF-8 JSON header, then the payload. The header holds only
 what cannot be derived: ``config``, ``vocab`` (the vocabulary the parameters
 own) and ``holdout`` (the arguments ``cli.load_dataset`` split the training
-data with). The payload is every slot as little-endian float64, one after
+data with and, when recorded, under ``sha256`` the checksum of each split
+file it read). The payload is every slot as little-endian float64, one after
 another in ``ModelParams.slots()`` order; the config and vocabulary fix each
 slot's shape (``ModelParams.slot_shapes()``) and so the payload's exact
 length. Files that also carry a table of the arrays, and spell a preset
@@ -31,6 +32,7 @@ from .model import ModelConfig, ModelParams, relation_terms
 
 MAGIC = b"RAMCKPT1"
 _HEADER_KEYS = ("config", "vocab")
+SPLITS = ("train", "valid", "test")
 # the holdout of a header that records none: the split evaluation used by default
 DEFAULT_HOLDOUT = {"valid_fraction": 0.2, "seed": 0}
 
@@ -52,18 +54,32 @@ def _header_config(path, data) -> ModelConfig:
         raise DataError(f"{path}: bad model config in checkpoint ({exc})") from None
 
 
+def _is_checksums(value) -> bool:
+    """A JSON object mapping split names to strings."""
+    return isinstance(value, dict) and all(
+        split in SPLITS and isinstance(digest, str) for split, digest in value.items()
+    )
+
+
 def _header_holdout(path, data) -> dict:
     fraction = data.get("valid_fraction") if isinstance(data, dict) else None
-    if not (type(fraction) in (int, float) and 0 <= fraction < 1 and _is_count(data.get("seed"))):
+    if not (type(fraction) in (int, float) and 0 <= fraction < 1 and _is_count(data.get("seed"))
+            and _is_checksums(data.get("sha256", {}))):
         raise DataError(
-            f"{path}: checkpoint holdout {data!r} needs a valid_fraction in [0, 1) "
-            "and a count as seed"
+            f"{path}: checkpoint holdout {data!r} needs a valid_fraction in [0, 1), "
+            "a count as seed and, if any, a sha256 string per split"
         )
-    return {"valid_fraction": fraction, "seed": data["seed"]}
+    holdout = {"valid_fraction": fraction, "seed": data["seed"]}
+    if "sha256" in data:
+        holdout["sha256"] = data["sha256"]
+    return holdout
 
 
 def save_checkpoint(path, params: ModelParams, holdout=DEFAULT_HOLDOUT):
     """Write `params`, their vocabulary, and the `holdout` their training data was split by.
+
+    The holdout may also map, under ``sha256``, each split to the sha256 of
+    the file the training data was read from.
 
     A holdout that :func:`load_checkpoint` would refuse raises its DataError
     before the file is opened.
@@ -87,7 +103,8 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
 
     The header's config and vocabulary fix every slot's shape, and the
     payload holds those slots in `ModelParams.slots()` order. A header
-    without ``holdout`` reads as DEFAULT_HOLDOUT; other keys are ignored, so
+    without ``holdout`` reads as DEFAULT_HOLDOUT, and a holdout without
+    ``sha256`` reads without it; other keys are ignored, so
     files with the older table of arrays load too. A truncated or malformed
     file raises DataError: a header field of the wrong type, a config that
     ModelConfig rejects, a holdout fraction outside [0, 1), a relation of

@@ -9,10 +9,12 @@ A data directory holds ``train``, ``valid`` and ``test`` splits in one of the
 two distribution formats, chosen by suffix: tabular lines (``.txt``,
 ``.tsv``) or role-annotated JSON lines (``.jsonl``, ``.json``).
 ``train`` records in the checkpoint the valid fraction and seed it split
-the data with; ``eval`` rebuilds the same splits from them. To train on a
-subset of a dataset, write it with ``subset``, which writes each split in
-one of those two formats, and then ``train`` on the subset's directory, so
-that ``eval`` on that directory sees the very facts ``train`` did.
+the data with, and the sha256 of each split file it read; ``eval`` rebuilds
+the same splits from them, and warns once for each split whose file's
+sha256 is not the recorded one. To train on a subset of a dataset, write it
+with ``subset``, which writes each split in one of those two formats, and
+then ``train`` on the subset's directory, so that ``eval`` on that
+directory sees the very facts ``train`` did.
 ``express`` reads its ground truth from one split file in either format;
 a fact listed twice is one true fact. An ``--out`` that cannot be made a
 directory is a configuration error. An input file that cannot be read, or a
@@ -261,7 +263,8 @@ def cmd_train(args) -> int:
     manifest_path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
 
     result = train(kb, model_cfg, train_cfg)
-    holdout = {"valid_fraction": args.valid_fraction, "seed": train_cfg.seed}
+    holdout = {"valid_fraction": args.valid_fraction, "seed": train_cfg.seed,
+               "sha256": data_info["sha256"]}
     ckpt.save_checkpoint(ckpt_path, result.params, holdout)
     write_trace_csv(result.trace, trace_path)
     manifest["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
@@ -275,9 +278,23 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _warn_changed_splits(recorded: dict | None, found: dict) -> None:
+    """Log one warning per split whose file's sha256 (`found`) is not the one
+    training recorded; a file missing on one side counts as changed.
+    Nothing is checked when the checkpoint recorded no checksums."""
+    if recorded is None:
+        return
+    for split in ckpt.SPLITS:
+        if recorded.get(split) != found.get(split):
+            log.warning("the %s split is not the data the checkpoint was trained on: "
+                        "sha256 %s, recorded %s", split, found.get(split, "none (no file)"),
+                        recorded.get(split, "none (no file)"))
+
+
 def cmd_eval(args) -> int:
     params, holdout = ckpt.load_checkpoint(args.checkpoint)
-    kb, _ = load_dataset(args.data_dir, **holdout)
+    kb, data_info = load_dataset(args.data_dir, holdout["valid_fraction"], holdout["seed"])
+    _warn_changed_splits(holdout.get("sha256"), data_info["sha256"])
     ckpt.check_vocab_compatible(params.vocab, kb.vocab)
     out = _out_dir(args.out) if args.out else None
     report = evaluate(params, kb, split=args.split)

@@ -13,8 +13,9 @@ where H is the harmonic number; with no tie they are ``1 / (A+1)`` and
 chance, rather than first. :class:`EvalReport` counts the ties.
 
 Each batch of EVAL_BATCH facts is ranked in one call
-(:func:`rank_from_scores`), all arities together. The batch is read once,
-into its arity groups (``kb.split_groups``), and a query is one (fact,
+(:func:`rank_from_scores`), all arities together. The batch, a slice of
+the split's ``kb.Facts`` arrays, is read once into its arity groups
+(``kb.split_groups``), and a query is one (fact,
 slot) row of them: the contraction kernels of every query are stacked in
 the groups' row order, group by group in ascending arity, fact by fact,
 slot by slot, and the own entities, the non-candidates and the ranks

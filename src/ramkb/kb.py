@@ -6,11 +6,20 @@ This module parses both, builds dense vocabularies over the union of
 splits, and writes a split back in whichever of the two formats holds it,
 so a written subset reads back as the same facts.
 
-:func:`split_groups` is the one reader that turns a list of facts into
-arrays: one :class:`GroupSpec` per arity, in ascending arity, each holding
-its facts in list order. It also fixes the one row order that training,
-ranking and the known-true index share. A (fact, slot) pair is one row,
-and the rows stack group by group, fact by fact, slot by slot.
+A split is held as a :class:`Facts`: int arrays of relations and arities,
+and every fact's entities in one flat array with offsets, 24 bytes per
+fact plus 8 per entity slot and no Python object per fact. :func:`build_kb`
+fills them in whole-list passes, and training batches, ranking batches and
+subsets are gathered from them by index. :class:`Fact` is the element
+that an integer index and iteration give. A plain list of Fact is accepted
+wherever facts are passed in, and :func:`as_facts` decodes it into arrays
+once.
+
+:func:`split_groups` turns a fact sequence into one :class:`GroupSpec` per
+arity, in ascending arity, each holding its facts in sequence order. It
+also fixes the one row order that training, ranking and the known-true
+index share. A (fact, slot) pair is one row, and the rows stack group by
+group, fact by fact, slot by slot.
 
 This module also owns the known-true index of filtered ranking (Bordes et
 al., NIPS 2013): for every (relation, position, other entities) key met in
@@ -27,8 +36,9 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable, Iterable
+from itertools import chain, repeat
+from operator import is_not, itemgetter
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -55,6 +65,105 @@ class Fact:
     @property
     def arity(self) -> int:
         return len(self.entities)
+
+
+class Facts:
+    """An immutable sequence of facts held as int arrays, with no object per fact.
+
+    ``rels`` and ``arity`` hold one entry per fact. ``ents`` holds the
+    facts' entities one fact after another, fact i's at
+    ``ents[offsets[i]:offsets[i + 1]]``; ``offsets`` has one entry more
+    than there are facts. All four are read-only intp arrays, so a split
+    costs 24 bytes per fact plus 8 per entity slot.
+
+    An integer index and iteration give :class:`Fact` objects. A slice, an
+    integer or boolean index array, and ``+`` with another Facts or a list
+    of Fact give a new Facts, gathered in whole-array passes. Two Facts are
+    equal when their arrays are, and a Facts equals a list holding the
+    same Fact objects in the same order.
+    """
+
+    __slots__ = ("rels", "arity", "ents", "offsets")
+
+    def __init__(self, rels, arity, ents) -> None:
+        offsets = np.zeros(len(arity) + 1, dtype=np.intp)
+        np.cumsum(arity, out=offsets[1:])
+        if len(rels) != len(arity) or offsets[-1] != len(ents):
+            raise ValueError(f"{len(rels)} relations, {len(arity)} arities and "
+                             f"{len(ents)} entities do not make one fact list")
+        for name, value in zip(self.__slots__, (rels, arity, ents, offsets)):
+            value = np.asarray(value, dtype=np.intp).view()  # the caller's array stays writeable
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"Facts is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return Facts, (self.rels, self.arity, self.ents)
+
+    def __len__(self) -> int:
+        return len(self.rels)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            lo, hi, step = key.indices(len(self))
+            if step != 1:
+                return self[np.arange(lo, hi, step)]
+            hi = max(lo, hi)
+            return Facts(self.rels[lo:hi], self.arity[lo:hi],
+                         self.ents[self.offsets[lo] : self.offsets[hi]])
+        if isinstance(key, (int, np.integer)):
+            i = range(len(self))[key]
+            return Fact(int(self.rels[i]),
+                        tuple(self.ents[self.offsets[i] : self.offsets[i + 1]].tolist()))
+        index = np.asarray(key)
+        if index.dtype == bool:
+            index = np.flatnonzero(index)
+        arity = self.arity[index]
+        ends = np.cumsum(arity)
+        # entity j of the gathered list sits `starts - new starts` further on
+        shift = np.repeat(self.offsets[:-1][index] - (ends - arity), arity)
+        return Facts(self.rels[index], arity, self.ents[np.arange(shift.size) + shift])
+
+    def __iter__(self) -> Iterator[Fact]:
+        ents, bounds = self.ents.tolist(), self.offsets.tolist()
+        for rel, lo, hi in zip(self.rels.tolist(), bounds, bounds[1:]):
+            yield Fact(rel, tuple(ents[lo:hi]))
+
+    def __add__(self, other):
+        if not isinstance(other, (Facts, list)):
+            return NotImplemented
+        other = as_facts(other)
+        return Facts(*(np.concatenate([getattr(self, name), getattr(other, name)])
+                       for name in ("rels", "arity", "ents")))
+
+    def __eq__(self, other):
+        if isinstance(other, list):
+            return list(self) == other
+        if not isinstance(other, Facts):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in ("rels", "arity", "ents"))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Facts({len(self)} facts over relations {np.unique(self.rels).tolist()})"
+
+
+def as_facts(facts: Facts | list[Fact]) -> Facts:
+    """`facts` as a :class:`Facts`: itself, or a list of Fact decoded into arrays.
+
+    This is the one place a list of Fact objects is read fact by fact.
+    """
+    if isinstance(facts, Facts):
+        return facts
+    n = len(facts)
+    arity = np.fromiter((len(f.entities) for f in facts), dtype=np.intp, count=n)
+    return Facts(np.fromiter((f.relation for f in facts), dtype=np.intp, count=n), arity,
+                 np.fromiter(chain.from_iterable(f.entities for f in facts), dtype=np.intp,
+                             count=int(arity.sum())))
 
 
 class Vocabulary:
@@ -233,30 +342,29 @@ class GroupSpec:
     rows: slice  # the group's (fact, slot) rows in the list's stacked row order
 
 
-def split_groups(vocab: Vocabulary, facts: list[Fact]) -> list[GroupSpec]:
+def split_groups(vocab: Vocabulary, facts: Facts | list[Fact]) -> list[GroupSpec]:
     """The arity groups of `facts`, in ascending arity, each with its facts
     in list order.
 
-    This fixes the stacked row order: group by group, fact by fact, slot by
-    slot, so slot p of a group's i-th fact is row ``rows.start + i * arity +
-    p``. Raises DimensionError at the first fact whose arity is not its
-    relation's in `vocab`.
+    The groups are gathered from the arrays of a :class:`Facts`; a list of
+    Fact is decoded into one first (:func:`as_facts`). This fixes the
+    stacked row order: group by group, fact by fact, slot by slot, so slot
+    p of a group's i-th fact is row ``rows.start + i * arity + p``. Raises
+    DimensionError at the first fact whose arity is not its relation's in
+    `vocab`.
     """
-    n = len(facts)
-    rels = np.fromiter((f.relation for f in facts), dtype=np.intp, count=n)
-    arity = np.fromiter((len(f.entities) for f in facts), dtype=np.intp, count=n)
-    ents = np.fromiter(chain.from_iterable(f.entities for f in facts), dtype=np.intp,
-                       count=int(arity.sum()))
+    facts = as_facts(facts)
+    rels, arity = facts.rels, facts.arity
     want = np.array([a for _, a in vocab.relations], dtype=np.intp)[rels]
     bad = np.flatnonzero(arity != want)
     if bad.size:
         raise DimensionError(f"fact arity {arity[bad[0]]} != relation arity {want[bad[0]]}")
-    starts = np.cumsum(arity) - arity
+    starts = facts.offsets[:-1]
     groups, row = [], 0
     for a in np.unique(arity).tolist():
         index = np.flatnonzero(arity == a)
         rows = slice(row, row + index.size * a)
-        groups.append(GroupSpec(a, rels[index], ents[starts[index, None] + np.arange(a)],
+        groups.append(GroupSpec(a, rels[index], facts.ents[starts[index, None] + np.arange(a)],
                                 index, rows))
         row = rows.stop
     return groups
@@ -269,6 +377,9 @@ CODE_LIMIT = 2**63
 
 class KnowledgeBase:
     """A dataset plus its known-true index for filtered ranking.
+
+    ``train``, ``valid`` and ``test`` are each held as a :class:`Facts`; a
+    list of Fact passed in is decoded into one (:func:`as_facts`).
 
     The index lists, for every key (relation, position, the other entities
     in order) met in any split, the distinct entities known true at that
@@ -304,18 +415,18 @@ class KnowledgeBase:
     def __init__(
         self,
         vocab: Vocabulary,
-        train: list[Fact],
-        valid: list[Fact],
-        test: list[Fact],
+        train: Facts | list[Fact],
+        valid: Facts | list[Fact],
+        test: Facts | list[Fact],
     ) -> None:
         self.vocab = vocab
-        self.train = train
-        self.valid = valid
-        self.test = test
+        self.train = as_facts(train)
+        self.valid = as_facts(valid)
+        self.test = as_facts(test)
         self._width = vocab.max_arity
         self._base = vocab.n_entities + 1
         self._widths = [vocab.n_relations * self._width] + [self._base] * (self._width - 1)
-        groups = split_groups(vocab, train + valid + test)
+        groups = split_groups(vocab, self.train + self.valid + self.test)
         columns, own = _key_columns(groups, self._width, vocab.n_entities)
         self._levels: list[tuple[int, np.ndarray]] = []
         # the first level follows the one empty prefix
@@ -333,7 +444,7 @@ class KnowledgeBase:
         self._true = (pairs % self._base).astype(np.intp)
         self._offsets = np.searchsorted(pairs // self._base, np.arange(n_ids + 1))
 
-    def split(self, name: str) -> list[Fact]:
+    def split(self, name: str) -> Facts:
         try:
             return {"train": self.train, "valid": self.valid, "test": self.test}[name]
         except KeyError:
@@ -375,11 +486,7 @@ class KnowledgeBase:
         return query, entity
 
     def stats(self) -> dict:
-        arity_hist: dict[int, int] = {}
-        for fact in self.train:
-            arity_hist[fact.arity] = arity_hist.get(fact.arity, 0) + 1
-        train_entities = {e for f in self.train for e in f.entities}
-        train_relations = {f.relation for f in self.train}
+        arities, counts = np.unique(self.train.arity, return_counts=True)
         return {
             "n_entities": self.vocab.n_entities,
             "n_relations": self.vocab.n_relations,
@@ -388,9 +495,9 @@ class KnowledgeBase:
             "n_train": len(self.train),
             "n_valid": len(self.valid),
             "n_test": len(self.test),
-            "train_arity_histogram": {str(a): c for a, c in sorted(arity_hist.items())},
-            "entities_outside_train": self.vocab.n_entities - len(train_entities),
-            "relations_outside_train": self.vocab.n_relations - len(train_relations),
+            "train_arity_histogram": dict(zip(map(str, arities.tolist()), counts.tolist())),
+            "entities_outside_train": self.vocab.n_entities - np.unique(self.train.ents).size,
+            "relations_outside_train": self.vocab.n_relations - np.unique(self.train.rels).size,
         }
 
 
@@ -463,41 +570,77 @@ def build_kb(
     valid: list[RawFact] | None = None,
     test: list[RawFact] | None = None,
 ) -> KnowledgeBase:
-    """Index raw facts into a KnowledgeBase.
+    """Index raw facts into a KnowledgeBase whose splits are :class:`Facts`.
 
     Vocabularies are built over the union of all splits so evaluation never
     meets an out-of-vocabulary entity; names appearing only in valid/test
-    still get indices (reported by :meth:`KnowledgeBase.stats`). Each call
-    builds its own :class:`Vocabulary`, so two KBs are comparable by index
-    only when they share one, as in ``KnowledgeBase(other.vocab, ...)``.
+    still get indices (reported by :meth:`KnowledgeBase.stats`). Entities,
+    relations and roles are numbered in order of first appearance, split by
+    split, fact by fact. Each call builds its own :class:`Vocabulary`, so
+    two KBs are comparable by index only when they share one, as in
+    ``KnowledgeBase(other.vocab, ...)``.
+
+    The splits are indexed together in whole-list passes, with no object
+    made per fact. A fact with fewer than two entities, or a role-annotated
+    fact whose roles differ from the first ones its relation was given,
+    raises DataError; when several facts are bad, the first in split order
+    is named.
     """
     valid = valid or []
     test = test or []
     if not train:
         raise DataError("empty training split")
+    raw = [*train, *valid, *test]
+    names = list(map(itemgetter(0), raw))
+    entities = list(map(itemgetter(1), raw))
+    arity = np.fromiter(map(len, entities), dtype=np.intp, count=len(raw))
     vocab = Vocabulary()
-    splits: list[list[Fact]] = []
-    for raw_split in (train, valid, test):
-        facts: list[Fact] = []
-        for name, entities, roles in raw_split:
-            arity = len(entities)
-            if arity < 2:
-                raise DataError(f"relation {name!r}: facts need >= 2 entities")
-            rel = vocab.add_relation(name, arity)
-            ent_ids = tuple(vocab.add_entity(e) for e in entities)
-            if roles is not None:
-                role_ids = tuple(vocab.add_role(r) for r in roles)
-                seen = vocab.rel_roles.setdefault(rel, role_ids)
-                if seen != role_ids:
-                    raise DataError(
-                        f"relation {name!r} used with inconsistent role lists"
-                    )
-            facts.append(Fact(rel, ent_ids))
-        splits.append(facts)
-    kb = KnowledgeBase(vocab, *splits)
+    # a relation is a (name, arity) pair, numbered through int codes: no tuple per fact
+    distinct_names, _, name_ids = _number(names)
+    width = int(arity.max()) + 1
+    codes, _, rels = _number((name_ids * width + arity).tolist())
+    vocab.relations = [(distinct_names[code // width], code % width) for code in codes]
+    vocab.relation_index = dict(zip(vocab.relations, range(len(vocab.relations))))
+    vocab.entities, vocab.entity_index, ents = _number(list(chain.from_iterable(entities)))
+
+    # (first bad fact, message) of each check; the first in split order is raised
+    errors = [(int(i), "{!r}: facts need >= 2 entities") for i in np.flatnonzero(arity < 2)[:1]]
+    annotated = np.flatnonzero(np.fromiter(map(is_not, map(itemgetter(2), raw),
+                                               repeat(None)), dtype=bool, count=len(raw)))
+    if annotated.size:
+        role_lists = [raw[i][2] for i in annotated.tolist()]
+        vocab.roles, vocab.role_index, _ = _number(list(chain.from_iterable(role_lists)))
+        # every distinct role list gets an id; a relation keeps the id of its first
+        _, _, lists = _number(role_lists)
+        with_roles = rels[annotated]
+        _, first = np.unique(with_roles, return_index=True)
+        first.sort()  # each annotated relation's first annotated fact, in split order
+        first_list = np.empty(vocab.n_relations, dtype=np.intp)
+        first_list[with_roles[first]] = lists[first]
+        clash = np.flatnonzero(lists != first_list[with_roles])[:1]
+        errors += [(int(annotated[i]), "{!r} used with inconsistent role lists") for i in clash]
+        for i in first.tolist():
+            vocab.rel_roles[int(with_roles[i])] = tuple(map(vocab.role_index.__getitem__,
+                                                            role_lists[i]))
+    if errors:
+        i, message = min(errors)
+        raise DataError("relation " + message.format(names[i]))
+
+    facts = Facts(rels, arity, ents)
+    lo, hi = len(train), len(train) + len(valid)
+    kb = KnowledgeBase(vocab, facts[:lo], facts[lo:hi], facts[hi:])
     if log.isEnabledFor(logging.INFO):
         log.info("loaded KB: %s", kb.stats())
     return kb
+
+
+def _number(items: list) -> tuple[list, dict, np.ndarray]:
+    """The distinct `items` in order of first appearance, their ids (item ->
+    position in that order), and every item's id."""
+    distinct = list(dict.fromkeys(items))
+    index = dict(zip(distinct, range(len(distinct))))
+    return distinct, index, np.fromiter(map(index.__getitem__, items), dtype=np.intp,
+                                     count=len(items))
 
 
 def subset_by_arity(
@@ -519,20 +662,21 @@ def subset_by_arity(
     """
     if not 0.0 <= binary_keep_ratio <= 1.0:
         raise ConfigError(f"binary_keep_ratio must be in [0, 1], got {binary_keep_ratio}")
-    kept = [i for i, f in enumerate(kb.train) if keep(f.arity)]
-    binary = [i for i in kept if kb.train[i].arity == 2]
-    n_keep = int(round(binary_keep_ratio * len(binary)))
-    selected = {i for i in kept if kb.train[i].arity != 2}
-    if n_keep < len(binary):
-        rng = make_rng(seed)
-        chosen = rng.choice(len(binary), size=n_keep, replace=False)
-        selected.update(binary[i] for i in chosen)
-    else:
-        selected.update(binary)
-    new_train = [kb.train[i] for i in sorted(selected)]
+
+    def kept(facts: Facts) -> np.ndarray:
+        arities = [a for a in np.unique(facts.arity).tolist() if keep(a)]
+        return np.isin(facts.arity, arities)
+
+    selected = kept(kb.train)
+    binary = np.flatnonzero(selected & (kb.train.arity == 2))
+    n_keep = int(round(binary_keep_ratio * binary.size))
+    if n_keep < binary.size:
+        selected[binary] = False
+        selected[binary[make_rng(seed).choice(binary.size, size=n_keep, replace=False)]] = True
+    new_train = kb.train[selected]
     if not new_train:
         raise DataError("empty training split after arity/ratio subsetting")
-    valid, test = ([f for f in facts if keep(f.arity)] for facts in (kb.valid, kb.test))
+    valid, test = (facts[kept(facts)] for facts in (kb.valid, kb.test))
     return KnowledgeBase(kb.vocab, new_train, valid, test)
 
 
@@ -548,16 +692,14 @@ def export_split(kb: KnowledgeBase, split: str) -> tuple[str, list[str]]:
     """
     vocab = kb.vocab
     facts = kb.split(split)
-    if all(f.relation in vocab.rel_roles for f in facts or kb.train):
+    rels = facts.rels.tolist()
+    bounds = facts.offsets.tolist()
+    names = list(map(vocab.entities.__getitem__, facts.ents.tolist()))
+    spans = [names[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    if all(r in vocab.rel_roles for r in np.unique((facts if facts else kb.train).rels).tolist()):
         return ".jsonl", [
-            json.dumps(
-                {vocab.roles[r]: vocab.entities[e]
-                 for r, e in zip(vocab.rel_roles[f.relation], f.entities)},
-                ensure_ascii=False,
-            )
-            for f in facts
+            json.dumps({vocab.roles[g]: e for g, e in zip(vocab.rel_roles[r], ents)},
+                       ensure_ascii=False)
+            for r, ents in zip(rels, spans)
         ]
-    return ".txt", [
-        "\t".join([vocab.relations[f.relation][0], *(vocab.entities[e] for e in f.entities)])
-        for f in facts
-    ]
+    return ".txt", ["\t".join([vocab.relations[r][0], *ents]) for r, ents in zip(rels, spans)]

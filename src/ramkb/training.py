@@ -21,7 +21,7 @@ from .engine import (
     group_losses,
 )
 from .errors import ConfigError, NumericError
-from .kb import Fact, GroupSpec, KnowledgeBase, split_groups
+from .kb import Fact, Facts, GroupSpec, KnowledgeBase, split_groups
 from .mathcore import make_rng
 from .model import ModelConfig, ModelParams
 
@@ -170,7 +170,7 @@ class _CandidatePass:
     dropout batch without `fact_rngs`, raise ConfigError.
     """
 
-    def __init__(self, params: ModelParams, facts: list[Fact], negatives: str | int,
+    def __init__(self, params: ModelParams, facts: Facts | list[Fact], negatives: str | int,
                  dropout: float, fact_rngs: Optional[list[np.random.Generator]],
                  backward: bool = False) -> None:
         if not facts:
@@ -280,7 +280,7 @@ class _CandidatePass:
 
 def batch_loss(
     params: ModelParams,
-    facts: list[Fact],
+    facts: Facts | list[Fact],
     negatives: str | int = "full",
     dropout: float = 0.0,
     fact_rngs: Optional[list[np.random.Generator]] = None,
@@ -295,7 +295,7 @@ def batch_loss(
 
 def batch_backward(
     params: ModelParams,
-    facts: list[Fact],
+    facts: Facts | list[Fact],
     negatives: str | int = "full",
     dropout: float = 0.0,
     fact_rngs: Optional[list[np.random.Generator]] = None,
@@ -471,7 +471,9 @@ class TrainResult:
 def train(kb: KnowledgeBase, model_cfg: ModelConfig, train_cfg: TrainConfig) -> TrainResult:
     """Mini-batch training with per-epoch decay and early stopping.
 
-    Facts are reshuffled every epoch. Every `eval_every` epochs (by default
+    Facts are reshuffled every epoch, and each batch is gathered from the
+    training split's arrays by index (``kb.train[order[lo:hi]]``), with no
+    object made per fact. Every `eval_every` epochs (by default
     every epoch) the filtered MRR on the validation split, if there is one,
     is measured and the best-scoring parameters are kept; training stops
     after `patience` validations without improvement. The returned trace has
@@ -509,20 +511,19 @@ def train(kb: KnowledgeBase, model_cfg: ModelConfig, train_cfg: TrainConfig) -> 
     evals_since_best = 0
     trace: list[TraceRow] = []
     start = time.perf_counter()
-    facts = list(kb.train)
 
     for epoch in range(train_cfg.max_epochs):
-        order = make_rng(train_cfg.seed, _STREAM_SHUFFLE, epoch).permutation(len(facts))
+        order = make_rng(train_cfg.seed, _STREAM_SHUFFLE, epoch).permutation(len(kb.train))
         epoch_loss = 0.0
         for n_batch, lo in enumerate(range(0, len(order), train_cfg.batch_size)):
-            batch = [facts[i] for i in order[lo : lo + train_cfg.batch_size]]
+            batch = kb.train[order[lo : lo + train_cfg.batch_size]]
             rngs = [make_rng(train_cfg.seed, _STREAM_BATCH, epoch, n_batch)] * len(batch)
             loss, buf = batch_backward(
                 params, batch, train_cfg.negatives, train_cfg.dropout, fact_rngs=rngs
             )
             optimizer_step(params, buf, state, lr)
             epoch_loss += loss * len(batch)
-        epoch_loss /= len(facts)
+        epoch_loss /= len(kb.train)
         lr *= train_cfg.decay_rate
 
         valid_mrr: Optional[float] = None

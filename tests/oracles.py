@@ -8,7 +8,8 @@ import math
 
 import numpy as np
 
-from ramkb.errors import DimensionError
+from ramkb.errors import DataError, DimensionError
+from ramkb.kb import Fact, Vocabulary
 
 
 def naive_softmax(values):
@@ -218,6 +219,35 @@ def loop_split_groups(vocab, facts):
         ))
         row += len(idx) * arity
     return groups
+
+
+def loop_build_kb(train, valid=(), test=()):
+    """The vocabulary and the Fact lists of raw splits, indexed one fact and
+    one name at a time: (vocab, [train, valid, test]).
+
+    Raises the DataError of the first bad fact in split order: fewer than
+    two entities, or roles other than the first ones its relation met.
+    """
+    if not train:
+        raise DataError("empty training split")
+    vocab = Vocabulary()
+    splits = []
+    for raw_split in (train, valid, test):
+        facts = []
+        for name, entities, roles in raw_split:
+            arity = len(entities)
+            if arity < 2:
+                raise DataError(f"relation {name!r}: facts need >= 2 entities")
+            rel = vocab.add_relation(name, arity)
+            ent_ids = tuple(vocab.add_entity(e) for e in entities)
+            if roles is not None:
+                role_ids = tuple(vocab.add_role(r) for r in roles)
+                seen = vocab.rel_roles.setdefault(rel, role_ids)
+                if seen != role_ids:
+                    raise DataError(f"relation {name!r} used with inconsistent role lists")
+            facts.append(Fact(rel, ent_ids))
+        splits.append(facts)
+    return vocab, splits
 
 
 def brute_force_candidates(kb, fact, position):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import re
 
 import numpy as np
@@ -79,14 +80,60 @@ def test_eval_rebuilds_the_split_train_held_out(tmp_path):
                      "--config", str(config), "--seed", "3"]) == 0
     ckpt = run / "model.ramckpt"
     params, holdout = load_checkpoint(ckpt)
-    assert holdout == {"valid_fraction": 0.2, "seed": 3}
-    kb, _ = cli.load_dataset(data, valid_fraction=0.2, seed=3)
+    kb, info = cli.load_dataset(data, valid_fraction=0.2, seed=3)
+    assert holdout == {"valid_fraction": 0.2, "seed": 3, "sha256": info["sha256"]}
     for split in ("test", "valid"):
         out = tmp_path / f"eval-{split}"
         assert cli.main(["eval", "--data-dir", str(data), "--checkpoint", str(ckpt),
                          "--split", split, "--out", str(out)]) == 0
         report = json.loads((out / f"eval_{split}.json").read_text())
         assert report["mrr"] == evaluate(params, kb, split).mrr
+
+
+def cli_warnings(caplog):
+    return [rec.getMessage() for rec in caplog.records
+            if rec.name == "ramkb.cli" and rec.levelno == logging.WARNING]
+
+
+def test_eval_warns_once_per_split_whose_file_changed(tmp_path, caplog):
+    """train records each split file's sha256; eval names every split whose file differs."""
+    data, config = write_dataset(tmp_path)
+    run = tmp_path / "run"
+    assert cli.main(["train", "--data-dir", str(data), "--out", str(run),
+                     "--config", str(config), "--seed", "3"]) == 0
+    ckpt = str(run / "model.ramckpt")
+    _, info = cli.load_dataset(data)
+    assert load_checkpoint(ckpt)[1]["sha256"] == info["sha256"]
+    with caplog.at_level(logging.WARNING, logger="ramkb.cli"):
+        assert cli.main(["eval", "--data-dir", str(data), "--checkpoint", ckpt]) == 0
+    assert cli_warnings(caplog) == []
+    # the same facts in another order: the vocabulary is unchanged, the files are not
+    for split, lines in (("valid", VALID), ("test", TEST)):
+        (data / f"{split}.txt").write_text("\n".join(lines[::-1]) + "\n")
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="ramkb.cli"):
+        assert cli.main(["eval", "--data-dir", str(data), "--checkpoint", ckpt]) == 0
+    warned = cli_warnings(caplog)
+    assert len(warned) == 2
+    assert [w.split()[1] for w in warned] == ["valid", "test"]
+    assert info["sha256"]["test"] in warned[1]
+
+
+def test_eval_of_checkpoint_without_checksums_is_silent(tmp_path, caplog):
+    """A checkpoint saved before the checksums were recorded evaluates without a warning."""
+    data, config = write_dataset(tmp_path)
+    run = tmp_path / "run"
+    assert cli.main(["train", "--data-dir", str(data), "--out", str(run),
+                     "--config", str(config), "--seed", "3"]) == 0
+    ckpt = run / "model.ramckpt"
+    params, holdout = load_checkpoint(ckpt)
+    del holdout["sha256"]
+    save_checkpoint(ckpt, params, holdout)
+    assert load_checkpoint(ckpt)[1] == holdout
+    (data / "test.txt").write_text("\n".join(TEST[::-1]) + "\n")
+    with caplog.at_level(logging.WARNING, logger="ramkb.cli"):
+        assert cli.main(["eval", "--data-dir", str(data), "--checkpoint", str(ckpt)]) == 0
+    assert cli_warnings(caplog) == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,10 +4,10 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_candidates, loop_split_groups
+from oracles import brute_force_candidates, loop_build_kb, loop_split_groups
 from ramkb import kb as kb_module
 from ramkb.errors import DataError, DimensionError, ParseError
 from ramkb.kb import (
@@ -98,6 +98,103 @@ def test_build_kb_vocab_spans_all_splits():
     assert kb.vocab.n_entities == 6
     assert kb.stats()["entities_outside_train"] == 4
     assert kb.stats()["relations_outside_train"] == 1
+
+
+ENTITY_NAMES = [f"e{i}" for i in range(8)]
+ROLE_NAMES = [f"g{i}" for i in range(7)]
+
+
+def relation_roles(name, arity):
+    """The one role list of relation (name, arity); relations share role names."""
+    return tuple(ROLE_NAMES[(ord(name) + i) % len(ROLE_NAMES)] for i in range(arity))
+
+
+@st.composite
+def raw_fact(draw, name=None, arity=None):
+    """A raw fact over a few shared entity names, with or without its relation's roles."""
+    name = draw(st.sampled_from("rs")) if name is None else name
+    arity = draw(st.integers(2, 6)) if arity is None else arity
+    entities = tuple(draw(st.lists(st.sampled_from(ENTITY_NAMES), min_size=arity,
+                                   max_size=arity)))
+    return name, entities, relation_roles(name, arity) if draw(st.booleans()) else None
+
+
+@st.composite
+def raw_splits(draw):
+    """Train, valid and test raw facts of arities 2 to 6, plain and role-annotated,
+    with relation name "t" used at two arities."""
+    facts = draw(st.lists(raw_fact(), max_size=30))
+    for arity in draw(st.lists(st.integers(2, 6), min_size=2, max_size=2, unique=True)):
+        facts.insert(draw(st.integers(0, len(facts))), draw(raw_fact("t", arity)))
+    return cut_splits(draw, facts)
+
+
+def cut_splits(draw, facts):
+    """`facts` cut into train (at least one fact), valid and test."""
+    lo = draw(st.integers(1, len(facts)))
+    hi = draw(st.integers(lo, len(facts)))
+    return facts[:lo], facts[lo:hi], facts[hi:]
+
+
+@st.composite
+def bad_raw_splits(draw):
+    """Raw splits with relations given two role lists, facts of fewer than two
+    entities, or both, at drawn places in split order."""
+    facts = [f for split in draw(raw_splits()) for f in split]
+    clashes = draw(st.lists(st.sampled_from("vw"), max_size=2, unique=True))
+    for name in clashes:
+        roles = relation_roles(name, 3)
+        first, clash = sorted(draw(st.lists(st.integers(0, len(facts)), min_size=2, max_size=2)))
+        facts.insert(clash, (name, ("e0", "e1", "e2"), roles[1:] + roles[:1]))
+        facts.insert(first, (name, ("e2", "e1", "e0"), roles))
+    for name in draw(st.lists(st.sampled_from("ux"), min_size=0 if clashes else 1, max_size=2,
+                              unique=True)):
+        entities = tuple(draw(st.lists(st.sampled_from(ENTITY_NAMES), max_size=1)))
+        facts.insert(draw(st.integers(0, len(facts))), (name, entities, None))
+    return cut_splits(draw, facts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(splits=raw_splits())
+# a relation met plain before another's first roles takes its own roles after them
+@example(splits=([("r", ("e0", "e1"), None), ("t", ("e1", "e0"), relation_roles("t", 2)),
+                  ("r", ("e1", "e2"), relation_roles("r", 2))],
+                 [("t", ("e2", "e1", "e0"), None)], []))
+def test_build_kb_matches_the_per_fact_loop(splits):
+    """The whole-list build numbers names and stores facts as the per-fact loop does."""
+    vocab, facts = loop_build_kb(*splits)
+    kb = build_kb(*splits)
+    assert kb.vocab.to_dict() == vocab.to_dict()
+    assert list(kb.vocab.rel_roles.items()) == list(vocab.rel_roles.items())
+    for name in ("entity_index", "relation_index", "role_index"):
+        assert getattr(kb.vocab, name) == getattr(vocab, name)
+    assert [list(kb.split(split)) for split in SPLITS] == facts
+
+
+@settings(max_examples=80, deadline=None)
+@given(splits=bad_raw_splits())
+def test_build_kb_names_the_first_bad_fact_as_the_loop_does(splits):
+    with pytest.raises(DataError) as want:
+        loop_build_kb(*splits)
+    with pytest.raises(DataError) as got:
+        build_kb(*splits)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("roles_first", [True, False], ids=["roles-first", "short-first"])
+def test_build_kb_raises_at_the_first_bad_fact_in_split_order(roles_first):
+    """A relation given two role lists and a fact of one entity: the one met
+    first in split order is named, whichever split holds it."""
+    good = ("v", ("a", "b"), ("x", "y"))
+    clash = ("v", ("b", "a"), ("y", "x"))
+    short = ("u", ("a",), None)
+    train = [good, clash] if roles_first else [good]
+    test = [short] if roles_first else [short, clash]
+    with pytest.raises(DataError) as err:
+        build_kb(train, [("w", ("a", "b"), None)], test)
+    want = ("relation 'v' used with inconsistent role lists" if roles_first
+            else "relation 'u': facts need >= 2 entities")
+    assert str(err.value) == want
 
 
 def non_candidates(kb, groups):
