@@ -3,12 +3,12 @@
 Checkpoint layout: the magic bytes ``RAMCKPT1``, a little-endian uint64
 header length, a UTF-8 JSON header, then the payload. The header holds only
 what cannot be derived: ``config``, ``vocab`` (the vocabulary the parameters
-own) and ``holdout`` (the arguments ``cli.load_dataset`` split the training
-data with and, when recorded, under ``sha256`` the checksum of each split
-file it read). The payload is every slot as little-endian float64, one after
-another in ``ModelParams.slots()`` order; the config and vocabulary fix each
-slot's shape (``ModelParams.slot_shapes()``) and so the payload's exact
-length. Files that also carry a table of the arrays, and spell a preset
+own), ``holdout`` (the arguments ``cli.load_dataset`` split the training
+data with) and, when recorded, ``sha256`` (the checksum of each split file
+the training data was read from). The payload is every slot as
+little-endian float64, one after another in ``ModelParams.slots()`` order;
+the config and vocabulary fix each slot's shape
+(``ModelParams.slot_shapes()``) and so the payload's exact length. Files that also carry a table of the arrays, and spell a preset
 model as ``"mode": "preset", "preset": <Kind>``, were written in this same
 slot order and still load. Saving, loading and the CSV exports read the
 vocabulary from ``ModelParams.vocab``; none of them takes a vocabulary of
@@ -54,41 +54,39 @@ def _header_config(path, data) -> ModelConfig:
         raise DataError(f"{path}: bad model config in checkpoint ({exc})") from None
 
 
-def _is_checksums(value) -> bool:
-    """A JSON object mapping split names to strings."""
-    return isinstance(value, dict) and all(
-        split in SPLITS and isinstance(digest, str) for split, digest in value.items()
-    )
-
-
 def _header_holdout(path, data) -> dict:
     fraction = data.get("valid_fraction") if isinstance(data, dict) else None
-    if not (type(fraction) in (int, float) and 0 <= fraction < 1 and _is_count(data.get("seed"))
-            and _is_checksums(data.get("sha256", {}))):
+    if not (type(fraction) in (int, float) and 0 <= fraction < 1 and _is_count(data.get("seed"))):
         raise DataError(
-            f"{path}: checkpoint holdout {data!r} needs a valid_fraction in [0, 1), "
-            "a count as seed and, if any, a sha256 string per split"
+            f"{path}: checkpoint holdout {data!r} needs a valid_fraction in [0, 1) "
+            "and a count as seed"
         )
-    holdout = {"valid_fraction": fraction, "seed": data["seed"]}
-    if "sha256" in data:
-        holdout["sha256"] = data["sha256"]
-    return holdout
+    return {"valid_fraction": fraction, "seed": data["seed"]}
 
 
-def save_checkpoint(path, params: ModelParams, holdout=DEFAULT_HOLDOUT):
+def _header_checksums(path, data) -> dict | None:
+    if data is not None and not (isinstance(data, dict) and all(
+        split in SPLITS and isinstance(digest, str) for split, digest in data.items()
+    )):
+        raise DataError(f"{path}: checkpoint sha256 {data!r} needs a string per split")
+    return data
+
+
+def save_checkpoint(path, params: ModelParams, holdout=DEFAULT_HOLDOUT, sha256=None):
     """Write `params`, their vocabulary, and the `holdout` their training data was split by.
 
-    The holdout may also map, under ``sha256``, each split to the sha256 of
-    the file the training data was read from.
-
-    A holdout that :func:`load_checkpoint` would refuse raises its DataError
-    before the file is opened.
+    `sha256`, if given, maps each split to the sha256 of the file the
+    training data was read from (:func:`load_checksums`). A holdout or
+    checksums that loading would refuse raise its DataError before the file
+    is opened.
     """
     header = {
         "config": params.cfg.to_dict(),
         "vocab": params.vocab.to_dict(),
         "holdout": _header_holdout(path, holdout),
     }
+    if _header_checksums(path, sha256) is not None:
+        header["sha256"] = sha256
     blob = json.dumps(header).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -98,21 +96,8 @@ def save_checkpoint(path, params: ModelParams, holdout=DEFAULT_HOLDOUT):
             fh.write(np.ascontiguousarray(params.data[key], dtype="<f8").tobytes())
 
 
-def load_checkpoint(path) -> tuple[ModelParams, dict]:
-    """Read a checkpoint as (params, holdout); the params own the header's vocabulary.
-
-    The header's config and vocabulary fix every slot's shape, and the
-    payload holds those slots in `ModelParams.slots()` order. A header
-    without ``holdout`` reads as DEFAULT_HOLDOUT, and a holdout without
-    ``sha256`` reads without it; other keys are ignored, so
-    files with the older table of arrays load too. A truncated or malformed
-    file raises DataError: a header field of the wrong type, a config that
-    ModelConfig rejects, a holdout fraction outside [0, 1), a relation of
-    arity below 2, a relation's roles that are not one role id per position,
-    a vocabulary that the config's mode cannot take, or a payload that is
-    not exactly as long as the slots the config and vocabulary call for.
-    So does a path that cannot be read (:func:`errors.read_input`).
-    """
+def _read_header(path) -> tuple[dict, bytes]:
+    """A checkpoint's JSON header, with the keys every checkpoint has, and its payload."""
     raw = read_input(path, DataError)
     if raw[: len(MAGIC)] != MAGIC:
         raise DataError(f"{path}: not a checkpoint (bad magic)")
@@ -134,8 +119,24 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     missing = [key for key in _HEADER_KEYS if key not in header]
     if missing:
         raise DataError(f"{path}: checkpoint header lacks {', '.join(missing)}")
-    payload = raw[header_start + header_len :]
+    return header, raw[header_start + header_len :]
 
+
+def load_checkpoint(path) -> tuple[ModelParams, dict]:
+    """Read a checkpoint as (params, holdout); the params own the header's vocabulary.
+
+    The header's config and vocabulary fix every slot's shape, and the
+    payload holds those slots in `ModelParams.slots()` order. A header
+    without ``holdout`` reads as DEFAULT_HOLDOUT; other keys are ignored, so
+    files with the older table of arrays load too. A truncated or malformed
+    file raises DataError: a header field of the wrong type, a config that
+    ModelConfig rejects, a holdout fraction outside [0, 1), a relation of
+    arity below 2, a relation's roles that are not one role id per position,
+    a vocabulary that the config's mode cannot take, or a payload that is
+    not exactly as long as the slots the config and vocabulary call for.
+    So does a path that cannot be read (:func:`errors.read_input`).
+    """
+    header, payload = _read_header(path)
     cfg = _header_config(path, header["config"])
     holdout = _header_holdout(path, header.get("holdout", DEFAULT_HOLDOUT))
     try:
@@ -171,6 +172,18 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         params.data[key] = array.reshape(shape).astype(np.float64)
         offset += 8 * count
     return params, holdout
+
+
+def load_checksums(path) -> dict | None:
+    """The sha256 of each split file a checkpoint's training data was read
+    from, or None for a checkpoint that records none.
+
+    A checkpoint that :func:`load_checkpoint` refuses before its header is
+    read raises the same DataError, and so does a ``sha256`` entry that is
+    not a string per split.
+    """
+    header, _ = _read_header(path)
+    return _header_checksums(path, header.get("sha256"))
 
 
 def check_vocab_compatible(vocab: Vocabulary, other: Vocabulary) -> None:

@@ -263,9 +263,8 @@ def cmd_train(args) -> int:
     manifest_path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
 
     result = train(kb, model_cfg, train_cfg)
-    holdout = {"valid_fraction": args.valid_fraction, "seed": train_cfg.seed,
-               "sha256": data_info["sha256"]}
-    ckpt.save_checkpoint(ckpt_path, result.params, holdout)
+    holdout = {"valid_fraction": args.valid_fraction, "seed": train_cfg.seed}
+    ckpt.save_checkpoint(ckpt_path, result.params, holdout, sha256=data_info["sha256"])
     write_trace_csv(result.trace, trace_path)
     manifest["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     manifest["best_valid_mrr"] = result.best_valid_mrr
@@ -293,8 +292,8 @@ def _warn_changed_splits(recorded: dict | None, found: dict) -> None:
 
 def cmd_eval(args) -> int:
     params, holdout = ckpt.load_checkpoint(args.checkpoint)
-    kb, data_info = load_dataset(args.data_dir, holdout["valid_fraction"], holdout["seed"])
-    _warn_changed_splits(holdout.get("sha256"), data_info["sha256"])
+    kb, data_info = load_dataset(args.data_dir, **holdout)
+    _warn_changed_splits(ckpt.load_checksums(args.checkpoint), data_info["sha256"])
     ckpt.check_vocab_compatible(params.vocab, kb.vocab)
     out = _out_dir(args.out) if args.out else None
     report = evaluate(params, kb, split=args.split)

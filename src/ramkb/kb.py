@@ -77,10 +77,9 @@ class Facts:
     costs 24 bytes per fact plus 8 per entity slot.
 
     An integer index and iteration give :class:`Fact` objects. A slice, an
-    integer or boolean index array, and ``+`` with another Facts or a list
-    of Fact give a new Facts, gathered in whole-array passes. Two Facts are
-    equal when their arrays are, and a Facts equals a list holding the
-    same Fact objects in the same order.
+    integer or boolean index array, and ``+`` with another Facts give a new
+    Facts, gathered in whole-array passes. Two Facts are equal when their
+    arrays are.
     """
 
     __slots__ = ("rels", "arity", "ents", "offsets")
@@ -98,9 +97,6 @@ class Facts:
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError(f"Facts is immutable; cannot set {name!r}")
-
-    def __reduce__(self):
-        return Facts, (self.rels, self.arity, self.ents)
 
     def __len__(self) -> int:
         return len(self.rels)
@@ -132,15 +128,12 @@ class Facts:
             yield Fact(rel, tuple(ents[lo:hi]))
 
     def __add__(self, other):
-        if not isinstance(other, (Facts, list)):
+        if not isinstance(other, Facts):
             return NotImplemented
-        other = as_facts(other)
         return Facts(*(np.concatenate([getattr(self, name), getattr(other, name)])
                        for name in ("rels", "arity", "ents")))
 
     def __eq__(self, other):
-        if isinstance(other, list):
-            return list(self) == other
         if not isinstance(other, Facts):
             return NotImplemented
         return all(np.array_equal(getattr(self, name), getattr(other, name))

@@ -14,6 +14,7 @@ from ramkb.checkpoint import (
     export_patterns_csv,
     export_roles_csv,
     load_checkpoint,
+    load_checksums,
     save_checkpoint,
 )
 from ramkb.errors import DataError
@@ -358,3 +359,28 @@ def test_vocab_mismatch_names_first_differing_entry():
     for other, message in cases:
         with pytest.raises(DataError, match=message):
             check_vocab_compatible(base, other)
+
+
+def test_split_checksums_have_their_own_header_key(tmp_path):
+    """The holdout stays load_dataset's arguments; a malformed sha256 entry is
+    refused by saving (no file written) and by load_checksums, not by load_checkpoint."""
+    vocab = make_vocab(5, (2, 3))
+    params = randomized_params(ModelConfig(embed_dim=3, latent_size=2), vocab, seed=1)
+    path = tmp_path / "model.ramckpt"
+    sums = {"train": "ab12", "test": "cd34"}
+    save_checkpoint(path, params, {"valid_fraction": 0.5, "seed": 7}, sha256=sums)
+    raw = path.read_bytes()
+    header_end = 16 + struct.unpack("<Q", raw[8:16])[0]
+    header = json.loads(raw[16:header_end])
+    assert list(header) == ["config", "vocab", "holdout", "sha256"]
+    assert load_checkpoint(path)[1] == header["holdout"] == {"valid_fraction": 0.5, "seed": 7}
+    assert load_checksums(path) == sums
+    bad_path = tmp_path / "bad.ramckpt"
+    for bad in ({"train": 1}, {"tests": "ab12"}, ["ab12"], "ab12"):
+        with pytest.raises(DataError, match="sha256 .* needs a string per split"):
+            save_checkpoint(bad_path, params, sha256=bad)
+        assert not bad_path.exists()
+        write_checkpoint(path, {**header, "sha256": bad}, raw[header_end:])
+        with pytest.raises(DataError, match="sha256 .* needs a string per split"):
+            load_checksums(path)
+        assert_same_arrays(params, load_checkpoint(path)[0])

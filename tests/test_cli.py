@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ramkb import cli
-from ramkb.checkpoint import load_checkpoint, save_checkpoint
+from ramkb.checkpoint import load_checkpoint, load_checksums, save_checkpoint
 from ramkb.errors import DataError
 from ramkb.evaluation import evaluate
 
@@ -80,8 +80,9 @@ def test_eval_rebuilds_the_split_train_held_out(tmp_path):
                      "--config", str(config), "--seed", "3"]) == 0
     ckpt = run / "model.ramckpt"
     params, holdout = load_checkpoint(ckpt)
-    kb, info = cli.load_dataset(data, valid_fraction=0.2, seed=3)
-    assert holdout == {"valid_fraction": 0.2, "seed": 3, "sha256": info["sha256"]}
+    assert holdout == {"valid_fraction": 0.2, "seed": 3}
+    kb, info = cli.load_dataset(data, **holdout)
+    assert load_checksums(ckpt) == info["sha256"]
     for split in ("test", "valid"):
         out = tmp_path / f"eval-{split}"
         assert cli.main(["eval", "--data-dir", str(data), "--checkpoint", str(ckpt),
@@ -103,7 +104,7 @@ def test_eval_warns_once_per_split_whose_file_changed(tmp_path, caplog):
                      "--config", str(config), "--seed", "3"]) == 0
     ckpt = str(run / "model.ramckpt")
     _, info = cli.load_dataset(data)
-    assert load_checkpoint(ckpt)[1]["sha256"] == info["sha256"]
+    assert load_checksums(ckpt) == info["sha256"]
     with caplog.at_level(logging.WARNING, logger="ramkb.cli"):
         assert cli.main(["eval", "--data-dir", str(data), "--checkpoint", ckpt]) == 0
     assert cli_warnings(caplog) == []
@@ -127,9 +128,8 @@ def test_eval_of_checkpoint_without_checksums_is_silent(tmp_path, caplog):
                      "--config", str(config), "--seed", "3"]) == 0
     ckpt = run / "model.ramckpt"
     params, holdout = load_checkpoint(ckpt)
-    del holdout["sha256"]
     save_checkpoint(ckpt, params, holdout)
-    assert load_checkpoint(ckpt)[1] == holdout
+    assert load_checksums(ckpt) is None and load_checkpoint(ckpt)[1] == holdout
     (data / "test.txt").write_text("\n".join(TEST[::-1]) + "\n")
     with caplog.at_level(logging.WARNING, logger="ramkb.cli"):
         assert cli.main(["eval", "--data-dir", str(data), "--checkpoint", str(ckpt)]) == 0

@@ -91,7 +91,7 @@ def test_all_equal_entity_table_ranks_as_chance(fill):
     kb = random_kb(3000, (2, 3), n_train=400, n_test=12, seed=3)
     # the first test facts' slot 0 also holds entities 1 to 3 in training facts
     known = [Fact(f.relation, (e,) + f.entities[1:]) for f in kb.test[:3] for e in (1, 2, 3)]
-    kb = KnowledgeBase(kb.vocab, kb.train + known, [], kb.test)
+    kb = KnowledgeBase(kb.vocab, list(kb.train) + known, [], kb.test)
     cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
     params = ModelParams.init(cfg, kb.vocab, seed=4)
     ent = params.data[("ent",)]
@@ -410,7 +410,7 @@ def near_tie_case(filter_neighbours):
     assert sorted(scores[free[:2]].tolist()) == [
         np.nextafter(t, -np.inf), np.nextafter(t, np.inf)]
     assert scores[true_e] == t and scores[free[len(neighbours) - 1]] == t
-    return KnowledgeBase(kb.vocab, kb.train + extra, kb.valid, kb.test), params
+    return KnowledgeBase(kb.vocab, list(kb.train) + extra, kb.valid, kb.test), params
 
 
 @pytest.mark.parametrize("filter_neighbours", [False, True], ids=["open", "filtered"])

@@ -403,7 +403,7 @@ def test_filtered_candidates_arities_two_to_six_in_one_call():
     kb = build_kb(parse_tabular(lines[:80]), test=parse_tabular(lines[80:]))
     assert kb.vocab.arities == (2, 3, 4, 5, 6)
     assert ("r", 2) in kb.vocab.relations and ("r", 3) in kb.vocab.relations
-    mixed = kb.test + random_facts(kb.vocab, 30, seed=3)
+    mixed = list(kb.test) + random_facts(kb.vocab, 30, seed=3)
     assert {f.arity for f in mixed} == {2, 3, 4, 5, 6}
     assert [f.arity for f in mixed] != sorted(f.arity for f in mixed)
     assert_facts_match_brute_force(kb, mixed)
@@ -529,7 +529,7 @@ def test_filtered_candidates_on_packed_levels_match_brute_force(arities, limit, 
     assert_masks_match_brute_force(kb)
     probes = random_facts(kb.vocab, 40, seed=78)
     assert any(p not in set(kb.train + kb.valid + kb.test) for p in probes)
-    assert_facts_match_brute_force(kb, kb.train + kb.valid + kb.test + probes)
+    assert_facts_match_brute_force(kb, list(kb.train + kb.valid + kb.test) + probes)
     monkeypatch.setattr(kb_module, "CODE_LIMIT", 100)  # a bound some column cannot fit
     with pytest.raises(DataError, match="too large"):
         random_kb(9, arities, n_train=40, n_valid=5, n_test=5, seed=19)
