@@ -21,8 +21,10 @@ import csv
 import io
 import json
 import math
+import os
 import struct
 from itertools import zip_longest
+from pathlib import Path
 
 import numpy as np
 
@@ -37,14 +39,8 @@ SPLITS = ("train", "valid", "test")
 DEFAULT_HOLDOUT = {"valid_fraction": 0.2, "seed": 0}
 
 
-def _is_count(value) -> bool:
-    """A non-negative JSON integer (not a boolean)."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
 def _header_config(path, data) -> ModelConfig:
-    int_fields = [f for f in ModelConfig.__dataclass_fields__.values() if f.type == "int"]
-    if not isinstance(data, dict) or not all(_is_count(data.get(f.name, 1)) for f in int_fields):
+    if not isinstance(data, dict):
         raise DataError(f"{path}: checkpoint config {data!r} is not a model config")
     if data.get("mode") == "preset":  # the older spelling of "preset:<Kind>"
         data = {**data, "mode": f"preset:{data.get('preset')}"}
@@ -56,7 +52,9 @@ def _header_config(path, data) -> ModelConfig:
 
 def _header_holdout(path, data) -> dict:
     fraction = data.get("valid_fraction") if isinstance(data, dict) else None
-    if not (type(fraction) in (int, float) and 0 <= fraction < 1 and _is_count(data.get("seed"))):
+    seed = data.get("seed") if isinstance(data, dict) else None
+    if not (type(fraction) in (int, float) and 0 <= fraction < 1
+            and type(seed) is int and seed >= 0):
         raise DataError(
             f"{path}: checkpoint holdout {data!r} needs a valid_fraction in [0, 1) "
             "and a count as seed"
@@ -78,7 +76,9 @@ def save_checkpoint(path, params: ModelParams, holdout=DEFAULT_HOLDOUT, sha256=N
     `sha256`, if given, maps each split to the sha256 of the file the
     training data was read from (:func:`load_checksums`). A holdout or
     checksums that loading would refuse raise its DataError before the file
-    is opened.
+    is opened. The checkpoint is written to a temporary file beside `path`
+    and then renamed over it, so a write that fails leaves any previous file
+    at `path` as it was, and no temporary file behind.
     """
     header = {
         "config": params.cfg.to_dict(),
@@ -88,12 +88,17 @@ def save_checkpoint(path, params: ModelParams, holdout=DEFAULT_HOLDOUT, sha256=N
     if _header_checksums(path, sha256) is not None:
         header["sha256"] = sha256
     blob = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for key in params.slots():
-            fh.write(np.ascontiguousarray(params.data[key], dtype="<f8").tobytes())
+    partial = Path(f"{path}.tmp")
+    try:
+        with open(partial, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            for key in params.slots():
+                fh.write(np.ascontiguousarray(params.data[key], dtype="<f8").tobytes())
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)  # left only by a write that failed
 
 
 def _read_header(path) -> tuple[dict, bytes]:
@@ -130,11 +135,12 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     without ``holdout`` reads as DEFAULT_HOLDOUT; other keys are ignored, so
     files with the older table of arrays load too. A truncated or malformed
     file raises DataError: a header field of the wrong type, a config that
-    ModelConfig rejects, a holdout fraction outside [0, 1), a relation of
-    arity below 2, a relation's roles that are not one role id per position,
-    a vocabulary that the config's mode cannot take, or a payload that is
-    not exactly as long as the slots the config and vocabulary call for.
-    So does a path that cannot be read (:func:`errors.read_input`).
+    ModelConfig rejects, a holdout fraction outside [0, 1), a vocabulary
+    that the Vocabulary constructor rejects (a name listed twice, an arity
+    below 2, a relation's roles that are not one role id per position) or
+    that the config's mode cannot take, or a payload that is not exactly as
+    long as the slots the config and vocabulary call for. So does a path
+    that cannot be read (:func:`errors.read_input`).
     """
     header, payload = _read_header(path)
     cfg = _header_config(path, header["config"])
@@ -143,18 +149,6 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         vocab = Vocabulary.from_dict(header["vocab"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed vocabulary in checkpoint ({exc!r})") from None
-    if any(a < 2 for a in vocab.arities):
-        raise DataError(f"{path}: checkpoint relation arities {vocab.arities} include one below 2")
-    for rel, roles in vocab.rel_roles.items():
-        if not (
-            0 <= rel < vocab.n_relations
-            and len(roles) == vocab.arity(rel)
-            and all(0 <= g < vocab.n_roles for g in roles)
-        ):
-            raise DataError(
-                f"{path}: checkpoint rel_roles entry {rel}: {list(roles)} needs a relation "
-                f"of the vocabulary and one role id in [0, {vocab.n_roles}) per position"
-            )
     params = ModelParams(cfg, vocab)
     try:
         shapes = params.slot_shapes()

@@ -41,11 +41,13 @@ from . import checkpoint as ckpt
 from .engine import score
 from .errors import ConfigError, DataError, NumericError, RamError, read_input
 from .evaluation import evaluate
-from .expressive import construct, verify_separation
+from .expressive import construct, distinct_facts, verify_separation
 from .gradcheck import run_gradcheck
 from .kb import (
+    Fact,
     KnowledgeBase,
     RawFact,
+    Vocabulary,
     build_kb,
     export_split,
     parse_role_json,
@@ -99,7 +101,8 @@ def load_configs(config_path: Path | None, overrides: dict) -> tuple[ModelConfig
     """Build training configs from a key=value file plus CLI overrides.
 
     Raw mode is rejected: it holds the expressiveness construction's fixed
-    values and has no gradients.
+    values and has no gradients. A stated value that the mode fixes otherwise,
+    as a preset fixes its dimensions, is rejected rather than replaced.
     """
     raw = _read_config_file(config_path) if config_path else {}
     raw.update({k: v for k, v in overrides.items() if v is not None})
@@ -115,6 +118,10 @@ def load_configs(config_path: Path | None, overrides: dict) -> tuple[ModelConfig
         else:
             raise ConfigError(f"unknown config key {key!r}")
     model_cfg = ModelConfig(**model_kwargs)
+    for key, value in model_kwargs.items():
+        if getattr(model_cfg, key) != value:
+            raise ConfigError(f"{key} = {value} does not fit mode {model_cfg.mode}, "
+                              f"which fixes it at {getattr(model_cfg, key)}")
     if model_cfg.mode == "raw":
         raise ConfigError("raw mode is a fixed construction and cannot be trained")
     return model_cfg, TrainConfig(**train_kwargs)
@@ -319,22 +326,16 @@ def cmd_gradcheck(args) -> int:
 def cmd_equiv(args) -> int:
     if args.kind not in PRESET_KINDS:
         raise ConfigError(f"unknown preset {args.kind!r}; expected one of {PRESET_KINDS}")
-    from .kb import Vocabulary
-    from .kb import Fact as KFact
-
     rng = make_rng(args.seed, 11)
     cfg = ModelConfig(embed_dim=args.dim, mode=f"preset:{args.kind}")
-    vocab = Vocabulary()
-    vocab.add_entity("h")
-    vocab.add_entity("t")
-    vocab.add_relation("r", 2)
+    vocab = Vocabulary(["h", "t"], [("r", 2)])
     max_abs = 0.0
     max_rel = 0.0
     for _ in range(args.trials):
         params = ModelParams.init(cfg, vocab, seed=0)
         for key in params.slots():
             params.data[key] = rng.normal(0, 1, params.data[key].shape)
-        got = score(params, KFact(0, (0, 1)))
+        got = score(params, Fact(0, (0, 1)))
         ent = params.data[("ent",)]
         role_emb = relation_terms(params, [0]).role_emb[0]
         want = reference_score(args.kind, role_emb, ent[0], ent[1])
@@ -354,7 +355,7 @@ def cmd_express(args) -> int:
     if not raw:
         raise DataError(f"{spec}: holds no facts")
     kb = build_kb(raw)
-    facts = list(dict.fromkeys(kb.train))
+    facts = distinct_facts(kb.vocab, kb.train)
     out = _out_dir(args.out) if args.out else None
     report = verify_separation(construct(kb.vocab, facts), facts)
     text = json.dumps(asdict(report), indent=2)
@@ -494,10 +495,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("RAM_LOG", "WARNING").upper())
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        level = os.environ.get("RAM_LOG", "WARNING")
+        # checked here: basicConfig skips its own check when logging has handlers
+        if not isinstance(logging.getLevelName(level.upper()), int):
+            raise ConfigError(f"RAM_LOG={level!r} is not a log level; expected one of "
+                              "DEBUG, INFO, WARNING, ERROR, CRITICAL")
+        logging.basicConfig(level=level.upper())
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

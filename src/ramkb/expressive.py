@@ -27,7 +27,7 @@ import numpy as np
 
 from .engine import TableCandidates, forward_group
 from .errors import ConfigError
-from .kb import Fact, GroupSpec, Vocabulary
+from .kb import Fact, Facts, GroupSpec, Vocabulary, as_facts, split_groups
 from .model import ModelConfig, ModelParams
 
 ENUMERATION_CAP = 1_000_000
@@ -35,36 +35,32 @@ ENUMERATION_CAP = 1_000_000
 SEPARATION_CHUNK = 256
 
 
-def construct(vocab: Vocabulary, facts: list[Fact]) -> ModelParams:
+def construct(vocab: Vocabulary, facts: Facts | list[Fact]) -> ModelParams:
     """Raw-mode parameters that exactly separate the distinct true facts."""
-    n_facts = len(facts)
-    max_arity = vocab.max_arity
-    cfg = ModelConfig(
-        embed_dim=n_facts,
-        multiplicity=max_arity,
-        latent_size=n_facts,
-        mode="raw",
-    )
+    facts = as_facts(facts)
+    n_facts, max_arity = len(facts), vocab.max_arity
+    cfg = ModelConfig(embed_dim=n_facts, multiplicity=max_arity, latent_size=n_facts, mode="raw")
     params = ModelParams(cfg, vocab)
     ent = np.zeros((vocab.n_entities, max_arity, n_facts))
-    for j, fact in enumerate(facts):
-        for i, entity in enumerate(fact.entities):
-            ent[entity, i, j] = 1.0
+    fact = np.repeat(np.arange(n_facts), facts.arity)  # the fact of each entity slot
+    ent[facts.ents, np.arange(facts.ents.size) - facts.offsets[fact], fact] = 1.0
     params.data[("ent",)] = ent
-
-    rel_columns: dict[int, list[int]] = {}
-    for j, fact in enumerate(facts):
-        rel_columns.setdefault(fact.relation, []).append(j)
     for rel, (_, arity) in enumerate(vocab.relations):
         u = np.zeros((arity, n_facts))
-        for j in rel_columns.get(rel, []):
-            u[:, j] = 1.0
+        u[:, facts.rels == rel] = 1.0
         params.data[("raw_u", rel)] = u
         pattern = np.zeros((arity, arity, max_arity))
-        for i in range(arity):
-            pattern[i, np.arange(arity), np.arange(arity)] = 1.0
+        pattern[:, np.arange(arity), np.arange(arity)] = 1.0
         params.data[("raw_p", rel)] = pattern
     return params
+
+
+def distinct_facts(vocab: Vocabulary, facts: Facts) -> Facts:
+    """The distinct facts of a non-empty `facts`, each where it first appears."""
+    firsts = [spec.fact_index[np.unique(np.column_stack([spec.rels, spec.ents]), axis=0,
+                                        return_index=True)[1]]
+              for spec in split_groups(vocab, facts)]
+    return facts[np.sort(np.concatenate(firsts))]
 
 
 @dataclass
@@ -96,7 +92,7 @@ def _relation_scores(params: ModelParams, rel: int) -> np.ndarray:
     return out.reshape((n_entities,) * arity)
 
 
-def verify_separation(params: ModelParams, facts: list[Fact]) -> SeparationReport:
+def verify_separation(params: ModelParams, facts: Facts | list[Fact]) -> SeparationReport:
     """Exhaustively check that true facts score positive and others zero,
     over every entity tuple of every relation of ``params.vocab``.
 
@@ -110,18 +106,15 @@ def verify_separation(params: ModelParams, facts: list[Fact]) -> SeparationRepor
             f"{total} candidate tuples exceed the enumeration cap "
             f"{ENUMERATION_CAP}; use a smaller ground truth"
         )
-    true_scores = []
-    false_scores = []
-    for rel in range(params.vocab.n_relations):
+    facts = as_facts(facts)
+    true_scores, false_scores = [], []
+    for rel, (_, arity) in enumerate(params.vocab.relations):
         scores = _relation_scores(params, rel)
         is_true = np.zeros(scores.shape, dtype=bool)
-        for fact in facts:
-            if fact.relation == rel:
-                is_true[fact.entities] = True
+        is_true[tuple(facts[facts.rels == rel].ents.reshape(-1, arity).T)] = True
         true_scores.append(scores[is_true])
         false_scores.append(scores[~is_true])
-    true_all = np.concatenate(true_scores)
-    false_all = np.concatenate(false_scores)
+    true_all, false_all = np.concatenate(true_scores), np.concatenate(false_scores)
     min_true = float(true_all.min())
     max_false = float(false_all.max()) if false_all.size else 0.0
     passed = min_true > 0 and max_false == 0.0

@@ -12,6 +12,7 @@ group from the generator of its first fact).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -103,19 +104,17 @@ def _random_trial(
         cfg = ModelConfig(embed_dim=d, multiplicity=m, latent_size=k, mode=mode)
 
     n_entities = int(rng.integers(4, 8))
-    vocab = Vocabulary()
-    for e in range(n_entities):
-        vocab.add_entity(f"e{e}")
     arity_pool = [2] if mode.startswith("preset:") else [2, 3, 4]
-    n_relations = int(rng.integers(1, 4))
-    for r in range(n_relations):
+    relations, role_names = [], []
+    for r in range(int(rng.integers(1, 4))):
         arity = int(rng.choice(arity_pool))
-        rel = vocab.add_relation(f"r{r}", arity)
+        relations.append((f"r{r}", arity))
         if mode == "explicit":
-            vocab.rel_roles[rel] = tuple(
-                vocab.add_role(f"g{int(g)}")
-                for g in rng.choice(8, size=arity, replace=False)
-            )
+            role_names.append([f"g{int(g)}" for g in rng.choice(8, size=arity, replace=False)])
+    # roles are numbered in order of first use
+    roles = list(dict.fromkeys(chain.from_iterable(role_names)))
+    rel_roles = {rel: tuple(map(roles.index, names)) for rel, names in enumerate(role_names)}
+    vocab = Vocabulary([f"e{e}" for e in range(n_entities)], relations, roles, rel_roles)
     facts = []
     for _ in range(int(rng.integers(3, 7))):
         rel = int(rng.integers(0, vocab.n_relations))

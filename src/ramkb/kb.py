@@ -4,7 +4,9 @@ A dataset comes in one of two distribution formats: tabular lines
 (``relation entity...``) and role-annotated JSON lines (``{role: entity}``).
 This module parses both, builds dense vocabularies over the union of
 splits, and writes a split back in whichever of the two formats holds it,
-so a written subset reads back as the same facts.
+so a written subset reads back as the same facts. A :class:`Vocabulary` is
+made in one call from its name lists, and its constructor is the one place
+that checks it; nothing changes it afterwards.
 
 A split is held as a :class:`Facts`: int arrays of relations and arities,
 and every fact's entities in one flat array with offsets, 24 bytes per
@@ -160,47 +162,39 @@ def as_facts(facts: Facts | list[Fact]) -> Facts:
 
 
 class Vocabulary:
-    """Dense entity/relation/role index maps.
+    """Dense entity/relation/role index maps, made whole from their name lists.
 
     Relations are keyed by (name, arity): the same surface name used at two
     arities is two independent relations, because pattern parameters are
-    arity-shaped and cannot be shared.
+    arity-shaped and cannot be shared. A name's id is its position in its
+    list, and ``entity_index``, ``relation_index`` and ``role_index`` map it
+    back. ``rel_roles`` (role-annotated data only) maps a relation id to a
+    role id per position.
+
+    The constructor is the one check: a name listed twice, an arity below 2,
+    or a ``rel_roles`` entry that is not one id in ``[0, n_roles)`` per
+    position of a relation it holds raises ValueError. No method changes a
+    vocabulary once it is made.
     """
 
-    def __init__(self) -> None:
-        self.entities: list[str] = []
-        self.entity_index: dict[str, int] = {}
-        self.relations: list[tuple[str, int]] = []
-        self.relation_index: dict[tuple[str, int], int] = {}
-        self.roles: list[str] = []
-        self.role_index: dict[str, int] = {}
-        # per-relation tuple of global role ids (role-annotated data only)
+    def __init__(self, entities=(), relations=(), roles=(), rel_roles=None) -> None:
+        self.entities: list[str] = list(entities)
+        self.relations: list[tuple[str, int]] = [(name, arity) for name, arity in relations]
+        self.roles: list[str] = list(roles)
+        self.entity_index = _index("entity", self.entities)
+        self.relation_index = _index("relation", self.relations)
+        self.role_index = _index("role", self.roles)
+        low = [key for key in self.relations if key[1] < 2]
+        if low:
+            raise ValueError(f"relation {low[0]!r} has arity below 2")
         self.rel_roles: dict[int, tuple[int, ...]] = {}
-
-    def add_entity(self, name: str) -> int:
-        idx = self.entity_index.get(name)
-        if idx is None:
-            idx = len(self.entities)
-            self.entities.append(name)
-            self.entity_index[name] = idx
-        return idx
-
-    def add_relation(self, name: str, arity: int) -> int:
-        key = (name, arity)
-        idx = self.relation_index.get(key)
-        if idx is None:
-            idx = len(self.relations)
-            self.relations.append(key)
-            self.relation_index[key] = idx
-        return idx
-
-    def add_role(self, name: str) -> int:
-        idx = self.role_index.get(name)
-        if idx is None:
-            idx = len(self.roles)
-            self.roles.append(name)
-            self.role_index[name] = idx
-        return idx
+        for rel, group in (rel_roles or {}).items():
+            group = tuple(group)
+            if not (0 <= rel < self.n_relations and len(group) == self.arity(rel)
+                    and all(0 <= g < self.n_roles for g in group)):
+                raise ValueError(f"rel_roles entry {rel}: {list(group)} needs a relation of the "
+                                 f"vocabulary and one role id in [0, {self.n_roles}) per position")
+            self.rel_roles[rel] = group
 
     @property
     def n_entities(self) -> int:
@@ -219,9 +213,7 @@ class Vocabulary:
 
     @property
     def max_arity(self) -> int:
-        if not self.relations:
-            return 0
-        return max(a for _, a in self.relations)
+        return max((a for _, a in self.relations), default=0)
 
     @property
     def arities(self) -> tuple[int, ...]:
@@ -244,31 +236,36 @@ class Vocabulary:
         An entity, relation or role name that is not a string, an arity or
         role id that is not an int (a bool, a float, a string), or a
         `rel_roles` that is not an object raises TypeError rather than being
-        coerced.
+        coerced. The constructor then checks the vocabulary itself.
         """
         if not (_is_names(data["entities"]) and _is_names(data.get("roles", []))):
             raise TypeError("entity and role names must be lists of strings")
-        vocab = cls()
-        for name in data["entities"]:
-            vocab.add_entity(name)
         for name, arity in data["relations"]:
             if not isinstance(name, str):
                 raise TypeError(f"relation name {name!r} is not a string")
-            vocab.add_relation(name, _json_int(arity, "arity"))
-        for name in data.get("roles", []):
-            vocab.add_role(name)
+            _json_int(arity, "arity")
         rel_roles = data.get("rel_roles", {})
         if not isinstance(rel_roles, dict):
             raise TypeError(f"rel_roles {rel_roles!r} is not an object")
-        for rel, group in rel_roles.items():
-            vocab.rel_roles[int(rel)] = tuple(_json_int(g, "role id") for g in group)
-        return vocab
+        return cls(data["entities"], data["relations"], data.get("roles", []),
+                   {int(rel): [_json_int(g, "role id") for g in group]
+                    for rel, group in rel_roles.items()})
 
 
 def _json_int(value, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{what} {value!r} is not an int")
     return value
+
+
+def _index(kind: str, names: list) -> dict:
+    """Each of `names` mapped to its position; a name listed twice raises ValueError."""
+    index = dict(zip(names, range(len(names))))
+    if len(index) < len(names):
+        # a repeated name maps to its last position, so its first one is the first mismatch
+        repeated = next(name for i, name in enumerate(names) if index[name] != i)
+        raise ValueError(f"{kind} {repeated!r} is listed twice")
+    return index
 
 
 def parse_tabular(lines: Iterable[str]) -> list[RawFact]:
@@ -587,38 +584,41 @@ def build_kb(
     names = list(map(itemgetter(0), raw))
     entities = list(map(itemgetter(1), raw))
     arity = np.fromiter(map(len, entities), dtype=np.intp, count=len(raw))
-    vocab = Vocabulary()
     # a relation is a (name, arity) pair, numbered through int codes: no tuple per fact
-    distinct_names, _, name_ids = _number(names)
+    distinct_names, name_ids = _number(names)
     width = int(arity.max()) + 1
-    codes, _, rels = _number((name_ids * width + arity).tolist())
-    vocab.relations = [(distinct_names[code // width], code % width) for code in codes]
-    vocab.relation_index = dict(zip(vocab.relations, range(len(vocab.relations))))
-    vocab.entities, vocab.entity_index, ents = _number(list(chain.from_iterable(entities)))
+    codes, rels = _number((name_ids * width + arity).tolist())
 
     # (first bad fact, message) of each check; the first in split order is raised
     errors = [(int(i), "{!r}: facts need >= 2 entities") for i in np.flatnonzero(arity < 2)[:1]]
     annotated = np.flatnonzero(np.fromiter(map(is_not, map(itemgetter(2), raw),
                                                repeat(None)), dtype=bool, count=len(raw)))
+    roles, rel_roles = [], {}
     if annotated.size:
         role_lists = [raw[i][2] for i in annotated.tolist()]
-        vocab.roles, vocab.role_index, _ = _number(list(chain.from_iterable(role_lists)))
         # every distinct role list gets an id; a relation keeps the id of its first
-        _, _, lists = _number(role_lists)
+        distinct_lists, lists = _number(role_lists)
+        roles = list(dict.fromkeys(chain.from_iterable(distinct_lists)))
         with_roles = rels[annotated]
         _, first = np.unique(with_roles, return_index=True)
         first.sort()  # each annotated relation's first annotated fact, in split order
-        first_list = np.empty(vocab.n_relations, dtype=np.intp)
+        first_list = np.empty(len(codes), dtype=np.intp)
         first_list[with_roles[first]] = lists[first]
         clash = np.flatnonzero(lists != first_list[with_roles])[:1]
         errors += [(int(annotated[i]), "{!r} used with inconsistent role lists") for i in clash]
-        for i in first.tolist():
-            vocab.rel_roles[int(with_roles[i])] = tuple(map(vocab.role_index.__getitem__,
-                                                            role_lists[i]))
+        # a linear search per position: a relation's roles are few, and so
+        # are the role names
+        rel_roles = {int(with_roles[i]): tuple(map(roles.index, role_lists[i]))
+                     for i in first.tolist()}
     if errors:
         i, message = min(errors)
         raise DataError("relation " + message.format(names[i]))
 
+    vocab = Vocabulary(dict.fromkeys(chain.from_iterable(entities)),
+                       [(distinct_names[code // width], code % width) for code in codes],
+                       roles, rel_roles)
+    ents = np.fromiter(map(vocab.entity_index.__getitem__, chain.from_iterable(entities)),
+                       dtype=np.intp, count=int(arity.sum()))
     facts = Facts(rels, arity, ents)
     lo, hi = len(train), len(train) + len(valid)
     kb = KnowledgeBase(vocab, facts[:lo], facts[lo:hi], facts[hi:])
@@ -627,13 +627,12 @@ def build_kb(
     return kb
 
 
-def _number(items: list) -> tuple[list, dict, np.ndarray]:
-    """The distinct `items` in order of first appearance, their ids (item ->
-    position in that order), and every item's id."""
+def _number(items: list) -> tuple[list, np.ndarray]:
+    """The distinct `items` in order of first appearance, and every item's id:
+    its position in that order."""
     distinct = list(dict.fromkeys(items))
     index = dict(zip(distinct, range(len(distinct))))
-    return distinct, index, np.fromiter(map(index.__getitem__, items), dtype=np.intp,
-                                     count=len(items))
+    return distinct, np.fromiter(map(index.__getitem__, items), dtype=np.intp, count=len(items))
 
 
 def subset_by_arity(

@@ -36,6 +36,7 @@ config:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -64,6 +65,8 @@ class ModelConfig:
     patterns_per_role: int = 1
 
     def __post_init__(self) -> None:
+        require_counts(self, ("embed_dim", "multiplicity", "latent_size", "role_multiplicity",
+                              "patterns_per_role"))
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.mode.startswith("preset:"):
@@ -75,10 +78,6 @@ class ModelConfig:
             raise ConfigError(
                 "role_multiplicity/patterns_per_role require extended or preset mode"
             )
-        if min(self.embed_dim, self.multiplicity, self.latent_size) < 1:
-            raise ConfigError("embed_dim, multiplicity and latent_size must be >= 1")
-        if min(self.role_multiplicity, self.patterns_per_role) < 1:
-            raise ConfigError("role_multiplicity and patterns_per_role must be >= 1")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -86,6 +85,15 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
         return cls(**{k: data[k] for k in cls.__dataclass_fields__ if k in data})
+
+
+def require_counts(cfg, names, least: int = 1) -> None:
+    """Raise ConfigError unless each field `names` of `cfg` is an integer of
+    at least `least`; a bool or a float is refused, not truncated."""
+    for name in names:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 SlotKey = tuple
@@ -96,8 +104,9 @@ class ModelParams:
 
     The params own `vocab`: it alone fixes the slot layout (the entity count,
     every relation's arity and the explicit roles), and it is written with
-    the arrays into a checkpoint. A Vocabulary must not change once params
-    are built on it; copies share it.
+    the arrays into a checkpoint. A Vocabulary has no method that changes
+    it, so the layout stays the one the slots were made for; copies share
+    the vocabulary.
 
     Slot keys:
 

@@ -23,7 +23,7 @@ from .engine import (
 from .errors import ConfigError, NumericError
 from .kb import Fact, Facts, GroupSpec, KnowledgeBase, split_groups
 from .mathcore import make_rng
-from .model import ModelConfig, ModelParams
+from .model import ModelConfig, ModelParams, require_counts
 
 log = logging.getLogger("ramkb.training")
 
@@ -63,24 +63,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("batch_size", "max_epochs", "patience", "eval_every"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        require_counts(self, ("batch_size", "max_epochs", "patience", "eval_every"))
+        require_counts(self, ("seed",), least=0)
         if not 0 < self.learning_rate < float("inf"):
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0 < self.decay_rate <= 1:
             raise ConfigError("decay_rate must be in (0, 1]")
         if not 0 <= self.dropout < 1:
             raise ConfigError("dropout must be in [0, 1)")
-        if isinstance(self.negatives, str):
-            if self.negatives != "full":
-                raise ConfigError(
-                    f"negatives must be 'full' or an integer, got {self.negatives!r}"
-                )
-        elif self.negatives < 1:
-            raise ConfigError("sampled negatives count must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        if not isinstance(self.negatives, str):
+            require_counts(self, ("negatives",))
+        elif self.negatives != "full":
+            raise ConfigError(f"negatives must be 'full' or an integer, got {self.negatives!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

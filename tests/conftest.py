@@ -1,3 +1,5 @@
+from itertools import chain
+
 import numpy as np
 import pytest
 
@@ -35,15 +37,12 @@ def toy_kb():
 def make_vocab(n_entities, arities, explicit_roles=False, seed=0):
     """Vocabulary with one relation per listed arity."""
     rng = make_rng(seed, 99)
-    vocab = Vocabulary()
-    for i in range(n_entities):
-        vocab.add_entity(f"e{i}")
-    for r, arity in enumerate(arities):
-        rel = vocab.add_relation(f"r{r}", arity)
-        if explicit_roles:
-            pool = rng.choice(2 * max(arities) + 2, size=arity, replace=False)
-            vocab.rel_roles[rel] = tuple(vocab.add_role(f"g{int(g)}") for g in pool)
-    return vocab
+    pools = [[f"g{int(g)}" for g in rng.choice(2 * max(arities) + 2, size=arity, replace=False)]
+             for arity in arities] if explicit_roles else []
+    roles = list(dict.fromkeys(chain.from_iterable(pools)))  # in order of first use
+    return Vocabulary([f"e{i}" for i in range(n_entities)],
+                      [(f"r{r}", arity) for r, arity in enumerate(arities)], roles,
+                      {rel: tuple(map(roles.index, pool)) for rel, pool in enumerate(pools)})
 
 
 def random_facts(vocab, n_facts, seed=0):

@@ -230,24 +230,25 @@ def loop_build_kb(train, valid=(), test=()):
     """
     if not train:
         raise DataError("empty training split")
-    vocab = Vocabulary()
+    # each name's id is the number of names before it: the first-appearance order
+    entities, relations, roles, rel_roles = {}, {}, {}, {}
     splits = []
     for raw_split in (train, valid, test):
         facts = []
-        for name, entities, roles in raw_split:
-            arity = len(entities)
+        for name, ents, role_names in raw_split:
+            arity = len(ents)
             if arity < 2:
                 raise DataError(f"relation {name!r}: facts need >= 2 entities")
-            rel = vocab.add_relation(name, arity)
-            ent_ids = tuple(vocab.add_entity(e) for e in entities)
-            if roles is not None:
-                role_ids = tuple(vocab.add_role(r) for r in roles)
-                seen = vocab.rel_roles.setdefault(rel, role_ids)
+            rel = relations.setdefault((name, arity), len(relations))
+            ent_ids = tuple(entities.setdefault(e, len(entities)) for e in ents)
+            if role_names is not None:
+                role_ids = tuple(roles.setdefault(r, len(roles)) for r in role_names)
+                seen = rel_roles.setdefault(rel, role_ids)
                 if seen != role_ids:
                     raise DataError(f"relation {name!r} used with inconsistent role lists")
             facts.append(Fact(rel, ent_ids))
         splits.append(facts)
-    return vocab, splits
+    return Vocabulary(entities, relations, roles, rel_roles), splits
 
 
 def brute_force_candidates(kb, fact, position):

@@ -113,6 +113,27 @@ def test_truncated_or_malformed_checkpoint_is_data_error(tmp_path):
         assert code == 3, name
 
 
+def test_failed_save_leaves_the_previous_checkpoint_and_no_temporary_file(tmp_path):
+    cfg = ModelConfig(embed_dim=3, latent_size=2)
+    params = ModelParams.init(cfg, make_vocab(5, (2, 3)), seed=0)
+    path = tmp_path / "model.ramckpt"
+    save_checkpoint(path, params)
+    before = path.read_bytes()
+
+    class DiskFull:
+        """A slot whose bytes cannot be written, as on a full disk."""
+
+        def __array__(self, dtype=None, copy=None):
+            raise OSError(28, "No space left on device")
+
+    broken = params.copy()
+    broken.data[broken.slots()[-1]] = DiskFull()  # every other slot is written before it
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(path, broken)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ramckpt"]
+
+
 def write_checkpoint(path, header, payload):
     blob = json.dumps(header).encode("utf-8")
     path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + payload)
@@ -160,7 +181,7 @@ def test_payload_of_another_size_is_data_error(tmp_path):
     assert_data_error_and_export_exits_3(tmp_path, bad_files, match="payload")
 
 
-def test_malformed_header_is_data_error(tmp_path):
+def test_malformed_header_is_data_error(tmp_path, capsys):
     cfg = ModelConfig(embed_dim=3, latent_size=2)
     header, payload = saved_header_and_payload(tmp_path / "model.ramckpt", cfg, make_vocab(5, (2,)))
     # an explicit-mode checkpoint, whose arrays fit a vocabulary with two roles
@@ -182,6 +203,10 @@ def test_malformed_header_is_data_error(tmp_path):
         "holdout-seed-negative": {**header, "holdout": {"valid_fraction": 0.2, "seed": -1}},
         "config-int": {**header, "config": 5},
         "config-embed-dim-string": {**header, "config": {**header["config"], "embed_dim": "3"}},
+        "config-embed-dim-float": {**header, "config": {**header["config"], "embed_dim": 3.0}},
+        "config-multiplicity-bool": {
+            **header, "config": {**header["config"], "multiplicity": True}
+        },
         "config-unknown-mode": {**header, "config": {**header["config"], "mode": "bogus"}},
         # vocabularies that the config's mode rejects
         "explicit-without-roles": {**header, "config": {**header["config"], "mode": "explicit"}},
@@ -204,6 +229,14 @@ def test_malformed_header_is_data_error(tmp_path):
         },
         "vocab-relation-name-int": {
             **header, "vocab": {**header["vocab"], "relations": [[5, 2]]}
+        },
+        # a name listed twice, over a payload of the saved size; the payload
+        # fits the relation case once the repeat is dropped
+        "repeated-entity": {
+            **header, "vocab": {**header["vocab"], "entities": ["e0", "e1", "e2", "e1", "e4"]}
+        },
+        "repeated-relation": {
+            **header, "vocab": {**header["vocab"], "relations": [["r0", 2], ["r0", 2]]}
         },
         # rel_roles that is not an object of relation ids
         **{f"vocab-rel-roles-{kind}": {**header, "vocab": {**header["vocab"], "rel_roles": roles}}
@@ -230,7 +263,21 @@ def test_malformed_header_is_data_error(tmp_path):
         {**explicit_header, "vocab": {**explicit_header["vocab"], "roles": [0, 1]}},
         explicit_payload,
     )
+    role = explicit_header["vocab"]["roles"][0]
+    bad_files["repeated-role"] = (
+        {**explicit_header, "vocab": {**explicit_header["vocab"], "roles": [role, role]}},
+        explicit_payload,
+    )
     assert_data_error_and_export_exits_3(tmp_path, bad_files)
+    capsys.readouterr()
+    for name, repeated in (("repeated-entity", "entity 'e1'"),
+                           ("repeated-relation", "relation ('r0', 2)"),
+                           ("repeated-role", f"role {role!r}")):
+        bad = tmp_path / f"{name}.ramckpt"
+        assert cli.main(["export", "--checkpoint", str(bad), "--out", str(tmp_path / name)]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {bad}: malformed vocabulary" in err
+        assert f"{repeated} is listed twice" in err
 
 
 def write_older_layout(path, params, holdout):
@@ -333,14 +380,7 @@ def test_exported_values_are_the_parameters_bit_for_bit(mode_str):
 
 
 def _vocab(entities=("x", "y", "z"), relations=(("r", 2),), roles=()):
-    vocab = Vocabulary()
-    for name in entities:
-        vocab.add_entity(name)
-    for name, arity in relations:
-        vocab.add_relation(name, arity)
-    for name in roles:
-        vocab.add_role(name)
-    return vocab
+    return Vocabulary(entities, relations, roles)
 
 
 def test_vocab_mismatch_names_first_differing_entry():

@@ -223,6 +223,37 @@ def test_preset_field_beside_mode_exits_2_before_anything_is_written(tmp_path):
     assert not run.exists()
 
 
+@pytest.mark.parametrize("key, fixed", [
+    ("multiplicity", 4), ("role_multiplicity", 2), ("patterns_per_role", 4),
+])
+def test_preset_dimension_stated_otherwise_exits_2_naming_the_fixed_value(tmp_path, capsys, key,
+                                                                        fixed):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "train.txt").write_text("r a b\nr b c\nr c a\n")
+    config = tmp_path / "run.cfg"
+    config.write_text(f"mode = preset:QuatE\n{key} = 7\nmax_epochs = 1\n")
+    run = tmp_path / "run"
+    argv = ["train", "--data-dir", str(data), "--out", str(run), "--config", str(config)]
+    assert cli.main(argv) == 2
+    assert (f"config error: {key} = 7 does not fit mode preset:QuatE, which fixes it at {fixed}"
+            in capsys.readouterr().err)
+    assert not run.exists()
+    # the value the preset fixes may be stated
+    model_cfg, _ = cli.load_configs(None, {"mode": "preset:QuatE", key: str(fixed)})
+    assert getattr(model_cfg, key) == fixed
+
+
+def test_unknown_ram_log_level_exits_2_naming_it(monkeypatch, capsys):
+    monkeypatch.setenv("RAM_LOG", "verbose")
+    assert cli.main(["gradcheck", "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert ("config error: RAM_LOG='verbose' is not a log level; expected one of DEBUG, INFO, "
+            "WARNING, ERROR, CRITICAL") in err
+    monkeypatch.setenv("RAM_LOG", "error")  # a level's name in any case
+    assert cli.main(["gradcheck", "--trials", "1"]) == 0
+
+
 def test_preset_on_ternary_data_exits_2_before_anything_is_written(tmp_path):
     data = tmp_path / "data"
     data.mkdir()

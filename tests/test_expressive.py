@@ -15,11 +15,9 @@ def random_ground_truth(seed, n_entities=4, n_facts=6):
     """(vocab, facts): distinct mixed arity 2-3 facts over `n_entities` entities
     plus one unused entity."""
     rng = make_rng(seed, 21)
-    vocab = Vocabulary()
-    for e in range(n_entities + 1):
-        vocab.add_entity(f"e{e}")
-    for r, arity in enumerate((2, 3, int(rng.integers(2, 4)))):
-        vocab.add_relation(f"r{r}", arity)
+    arities = (2, 3, int(rng.integers(2, 4)))
+    vocab = Vocabulary([f"e{e}" for e in range(n_entities + 1)],
+                       [(f"r{r}", arity) for r, arity in enumerate(arities)])
     facts = []
     while len(facts) < n_facts:
         rel = int(rng.integers(vocab.n_relations))
@@ -78,10 +76,7 @@ def test_perturbed_entity_block_fails():
 
 def test_ground_truth_over_enumeration_cap_rejected():
     n_entities = round(ENUMERATION_CAP ** (1 / 3)) + 1
-    vocab = Vocabulary()
-    for e in range(n_entities):
-        vocab.add_entity(f"e{e}")
-    vocab.add_relation("r", 3)
+    vocab = Vocabulary([f"e{e}" for e in range(n_entities)], [("r", 3)])
     facts = [Fact(0, (0, 1, 2))]
     assert n_entities ** 3 > ENUMERATION_CAP
     with pytest.raises(ConfigError):

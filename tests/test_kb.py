@@ -89,6 +89,34 @@ def test_build_kb_same_name_two_arities_is_two_relations():
     assert kb.vocab.max_arity == 3
 
 
+def test_vocabulary_derives_its_index_maps_from_its_lists():
+    vocab = Vocabulary(["a", "b"], [("r", 2), ("r", 3)], ["x", "y", "z"], {1: [2, 0, 1]})
+    assert vocab.entity_index == {"a": 0, "b": 1}
+    assert vocab.relation_index == {("r", 2): 0, ("r", 3): 1}
+    assert vocab.role_index == {"x": 0, "y": 1, "z": 2}
+    assert vocab.rel_roles == {1: (2, 0, 1)}
+    header = json.loads(json.dumps(vocab.to_dict()))
+    assert Vocabulary.from_dict(header).to_dict() == vocab.to_dict()
+    empty = Vocabulary()
+    assert (empty.n_entities, empty.n_relations, empty.n_roles, empty.rel_roles) == (0, 0, 0, {})
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"entities": ["a", "b", "a"]}, "entity 'a' is listed twice"),
+    ({"relations": [("r", 2), ("s", 2), ("r", 2)]}, r"relation \('r', 2\) is listed twice"),
+    ({"roles": ["x", "y", "y"]}, "role 'y' is listed twice"),
+    ({"relations": [("r", 2), ("s", 1)]}, r"relation \('s', 1\) has arity below 2"),
+    ({"relations": [("r", 2)], "roles": ["x"], "rel_roles": {0: [0]}}, r"entry 0: \[0\] needs"),
+    ({"relations": [("r", 2)], "roles": ["x"], "rel_roles": {0: [0, 1]}}, r"in \[0, 1\)"),
+    ({"relations": [("r", 2)], "roles": ["x"], "rel_roles": {0: [0, -1]}}, r"in \[0, 1\)"),
+    ({"relations": [("r", 2)], "roles": ["x"], "rel_roles": {1: [0, 0]}}, "entry 1: .* a relation"),
+], ids=["entity", "relation", "role", "arity-1", "roles-too-short", "role-id-past-end",
+        "role-id-negative", "relation-not-held"])
+def test_vocabulary_refuses_a_repeated_name_a_low_arity_and_bad_rel_roles(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        Vocabulary(**kwargs)
+
+
 def test_build_kb_vocab_spans_all_splits():
     kb = build_kb(
         parse_tabular(["r a b"]),
@@ -490,8 +518,7 @@ class Huge(Vocabulary):
 def test_kb_past_the_code_bound_raises_data_error():
     """One binary fact's two keys stay below the bound and two facts' four
     keys reach it."""
-    vocab = Huge()
-    vocab.add_relation("r", 2)
+    vocab = Huge(relations=[("r", 2)])
     KnowledgeBase(vocab, [Fact(0, (0, 1))], [], [])
     with pytest.raises(DataError, match="too large"):
         KnowledgeBase(vocab, [Fact(0, (0, 1)), Fact(0, (2, 3))], [], [])
@@ -501,8 +528,7 @@ def test_kb_with_a_column_past_the_code_bound_raises_data_error():
     """A ternary relation's columns 0 and 1 pack into one level: 3 * (2**61
     + 1) codes. Column 2 fits after one fact's 3 prefixes, but not after
     two facts' 6, so it cannot be encoded even in a level of its own."""
-    vocab = Huge()
-    vocab.add_relation("r", 3)
+    vocab = Huge(relations=[("r", 3)])
     kb = KnowledgeBase(vocab, [Fact(0, (0, 1, 2))], [], [])
     assert [end for end, _ in kb._levels] == [2, 3]
     with pytest.raises(DataError, match="6 distinct key prefixes .* column 2 .* too large"):

@@ -17,11 +17,7 @@ HALF = 0.5
 
 
 def pair_vocab():
-    vocab = Vocabulary()
-    vocab.add_entity("h")
-    vocab.add_entity("t")
-    vocab.add_relation("r", 2)
-    return vocab
+    return Vocabulary(["h", "t"], [("r", 2)])
 
 
 def random_preset_params(kind, d, rng):
@@ -82,11 +78,7 @@ def test_every_pattern_matrix_sums_to_one():
 
 
 def test_preset_rejects_non_binary():
-    vocab = Vocabulary()
-    vocab.add_entity("a")
-    vocab.add_entity("b")
-    vocab.add_entity("c")
-    vocab.add_relation("r", 3)
+    vocab = Vocabulary(["a", "b", "c"], [("r", 3)])
     with pytest.raises(ConfigError):
         ModelParams.init(ModelConfig(mode="preset:QuatE"), vocab, seed=0)
 

@@ -81,6 +81,25 @@ class TestTrainConfig:
                 with pytest.raises(ConfigError, match=name):
                     TrainConfig(**{name: value})
 
+    @pytest.mark.parametrize("make, name, value", [
+        (TrainConfig, "negatives", 2.5),
+        (TrainConfig, "negatives", True),
+        (TrainConfig, "batch_size", 64.0),
+        (TrainConfig, "seed", False),
+        (ModelConfig, "embed_dim", 2.5),
+        (ModelConfig, "latent_size", True),
+        (ModelConfig, "multiplicity", 2.0),
+        (functools.partial(ModelConfig, mode="preset:QuatE"), "multiplicity", 4.0),
+    ], ids=["negatives-float", "negatives-bool", "batch-size-float", "seed-bool",
+            "embed-dim-float", "latent-size-bool", "multiplicity-float",
+            "preset-multiplicity-float"])
+    def test_an_integer_field_refuses_a_bool_or_a_float(self, make, name, value):
+        """Neither is truncated into a count: negatives=2.5 would train with 2, True with 1."""
+        message = f"{name} must be an integer of at least ., got {value!r}"
+        with pytest.raises(ConfigError, match=message):
+            make(**{name: value})
+        assert getattr(make(**{name: 4}), name) == 4
+
 
 class TestCorrupt:
     """The group-wide sampler: one (B, a, n) draw of distinct non-true entities per slot."""
@@ -301,9 +320,7 @@ class TestLoss:
 
 class TestBackward:
     def test_single_candidate_means_zero_gradients(self):
-        vocab = Vocabulary()
-        vocab.add_entity("only")
-        vocab.add_relation("r", 2)
+        vocab = Vocabulary(["only"], [("r", 2)])
         cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
         params = ModelParams.init(cfg, vocab, seed=0)
         loss, buf = batch_backward(params, [Fact(0, (0, 0))])
