@@ -100,9 +100,9 @@ def _coerce(key: str, field_type: str, value: str):
 def load_configs(config_path: Path | None, overrides: dict) -> tuple[ModelConfig, TrainConfig]:
     """Build training configs from a key=value file plus CLI overrides.
 
-    Raw mode is rejected: it holds the expressiveness construction's fixed
-    values and has no gradients. A stated value that the mode fixes otherwise,
-    as a preset fixes its dimensions, is rejected rather than replaced.
+    An unknown mode is ModelConfig's ConfigError. A stated value that the
+    mode fixes otherwise, as a preset fixes its dimensions, is rejected
+    rather than replaced.
     """
     raw = _read_config_file(config_path) if config_path else {}
     raw.update({k: v for k, v in overrides.items() if v is not None})
@@ -122,8 +122,6 @@ def load_configs(config_path: Path | None, overrides: dict) -> tuple[ModelConfig
         if getattr(model_cfg, key) != value:
             raise ConfigError(f"{key} = {value} does not fit mode {model_cfg.mode}, "
                               f"which fixes it at {getattr(model_cfg, key)}")
-    if model_cfg.mode == "raw":
-        raise ConfigError("raw mode is a fixed construction and cannot be trained")
     return model_cfg, TrainConfig(**train_kwargs)
 
 
@@ -356,8 +354,9 @@ def cmd_express(args) -> int:
         raise DataError(f"{spec}: holds no facts")
     kb = build_kb(raw)
     facts = distinct_facts(kb.vocab, kb.train)
+    params = construct(kb.vocab, facts)  # refuses a ground truth past the enumeration cap
     out = _out_dir(args.out) if args.out else None
-    report = verify_separation(construct(kb.vocab, facts), facts)
+    report = verify_separation(params, facts)
     text = json.dumps(asdict(report), indent=2)
     print(text)
     if out:

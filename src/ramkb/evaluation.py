@@ -355,8 +355,7 @@ def rank_from_scores(
         i, slot = divmod(q - spec.rows.start, spec.arity)
         raise NumericError(
             f"non-finite score {true[q]} at slot {slot} of fact "
-            f"{kb.vocab.relations[spec.rels[i]][0]}"
-            f"({', '.join(kb.vocab.entities[e] for e in spec.ents[i])})"
+            f"{kb.vocab.fact_name(spec.rels[i], spec.ents[i])}"
         )
 
     width = kernels.shape[1]

@@ -1,18 +1,25 @@
-"""Constructive exact separation of a ground truth by a raw-mode model.
+"""Constructive exact separation of a ground truth by the paper's latent model.
 
-Given any finite set of true facts, parameters of a raw-mode model (no
-softmax normalization anywhere) can be written down so that every true fact
-scores exactly its arity and every other tuple scores exactly zero:
+For any finite set of true facts, :func:`construct` writes latent-mode
+parameters under which every true fact scores exactly its arity and every
+other tuple exactly zero. It takes ``ModelParams.init`` with d the number of
+facts, K the number of relations and m the largest arity plus one, and
+overwrites the slots' values. With w the power of two at or above the arity
+a of relation r:
 
-* embedding dimensionality and latent size equal the number of facts;
-* the block of entity e has a 1 at (row i, column j) iff e fills role
-  position i of the j-th fact;
-* every pattern matrix is the arity-sized identity padded with zeros, so row
-  i of the matrix selects row i of an entity block;
-* the role vector of relation r has a 1 in column j iff fact j uses r.
+* row r of ``basis_u`` is the indicator of r's facts, and ``("alpha", r)``
+  has logit 0 at index r and -1000 elsewhere, so every role of r is row r;
+* row r of ``("basis_p", a)`` has logit 0 on the diagonal (j, j) and on
+  w - a entries of the last column, -1000 elsewhere: 1/w each once softmaxed;
+* the block of entity e holds w at (i, j) iff e fills position i of fact j.
+  Its last row is zero, so the pattern mass put there scores nothing.
 
-Each multilinear term then counts the facts matching the query exactly, and
-all arithmetic stays on small integers represented exactly in floats.
+The exactness is a float64 fact: exp(-1000) underflows to exactly 0.0, so
+every softmax output, product and partial sum is a small multiple of a power
+of two. A mass of 1/a would not do, as the engine sums a position's a
+pattern weights before it multiplies: 6 * (1/6 + ... + 1/6), six terms, is
+5.999999999999999. In exact arithmetic, these same parameters score a false
+tuple within e^-1000 of 0.
 
 The ground truth is a vocabulary and its distinct true facts, as
 ``build_kb`` indexes a split; ``ram express`` reads it from one split file
@@ -35,23 +42,40 @@ ENUMERATION_CAP = 1_000_000
 SEPARATION_CHUNK = 256
 
 
+def enumeration_size(vocab: Vocabulary) -> int:
+    """The number of entity tuples over every relation of `vocab`; a
+    ConfigError past ENUMERATION_CAP, raised before anything is allocated."""
+    total = sum(vocab.n_entities ** arity for _, arity in vocab.relations)
+    if total > ENUMERATION_CAP:
+        raise ConfigError(
+            f"{total} candidate tuples exceed the enumeration cap "
+            f"{ENUMERATION_CAP}; use a smaller ground truth"
+        )
+    return total
+
+
 def construct(vocab: Vocabulary, facts: Facts | list[Fact]) -> ModelParams:
-    """Raw-mode parameters that exactly separate the distinct true facts."""
+    """Latent-mode parameters that exactly separate the distinct true facts."""
+    enumeration_size(vocab)
     facts = as_facts(facts)
-    n_facts, max_arity = len(facts), vocab.max_arity
-    cfg = ModelConfig(embed_dim=n_facts, multiplicity=max_arity, latent_size=n_facts, mode="raw")
-    params = ModelParams(cfg, vocab)
-    ent = np.zeros((vocab.n_entities, max_arity, n_facts))
+    n_facts, sink = len(facts), vocab.max_arity
+    cfg = ModelConfig(embed_dim=n_facts, multiplicity=sink + 1,
+                      latent_size=vocab.n_relations, mode="latent")
+    params = ModelParams.init(cfg, vocab)
+    width = np.array([1 << (arity - 1).bit_length() for _, arity in vocab.relations])
+    ent = params.data[("ent",)]
+    ent[...] = 0.0
     fact = np.repeat(np.arange(n_facts), facts.arity)  # the fact of each entity slot
-    ent[facts.ents, np.arange(facts.ents.size) - facts.offsets[fact], fact] = 1.0
-    params.data[("ent",)] = ent
+    slot = np.arange(facts.ents.size) - facts.offsets[fact]
+    ent[facts.ents, slot, fact] = width[facts.rels[fact]]
+    params.data[("basis_u",)][...] = np.arange(vocab.n_relations)[:, None] == facts.rels
+    logits = np.where(np.eye(vocab.n_relations, dtype=bool), 0.0, -1000.0)  # row r: index r
     for rel, (_, arity) in enumerate(vocab.relations):
-        u = np.zeros((arity, n_facts))
-        u[:, facts.rels == rel] = 1.0
-        params.data[("raw_u", rel)] = u
-        pattern = np.zeros((arity, arity, max_arity))
-        pattern[:, np.arange(arity), np.arange(arity)] = 1.0
-        params.data[("raw_p", rel)] = pattern
+        params.data[("alpha", rel)][...] = logits[rel]  # (arity, 1, K)
+        pattern = params.data[("basis_p", arity)][rel]  # (arity, m)
+        pattern[...] = -1000.0
+        pattern[np.arange(arity), np.arange(arity)] = 0.0
+        pattern[np.arange(width[rel] - arity), sink] = 0.0
     return params
 
 
@@ -99,13 +123,7 @@ def verify_separation(params: ModelParams, facts: Facts | list[Fact]) -> Separat
     Passes iff the smallest true-fact score is positive and the largest
     score over all non-true tuples is exactly zero.
     """
-    n_entities = params.vocab.n_entities
-    total = sum(n_entities ** arity for _, arity in params.vocab.relations)
-    if total > ENUMERATION_CAP:
-        raise ConfigError(
-            f"{total} candidate tuples exceed the enumeration cap "
-            f"{ENUMERATION_CAP}; use a smaller ground truth"
-        )
+    total = enumeration_size(params.vocab)
     facts = as_facts(facts)
     true_scores, false_scores = [], []
     for rel, (_, arity) in enumerate(params.vocab.relations):

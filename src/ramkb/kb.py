@@ -219,6 +219,10 @@ class Vocabulary:
     def arities(self) -> tuple[int, ...]:
         return tuple(sorted({a for _, a in self.relations}))
 
+    def fact_name(self, relation: int, entities) -> str:
+        """A fact by its names, as ``relation(entity, ...)``."""
+        return f"{self.relations[relation][0]}({', '.join(self.entities[e] for e in entities)})"
+
     def to_dict(self) -> dict:
         out: dict = {
             "entities": self.entities,

@@ -29,14 +29,13 @@ config:
 * ``preset:<Kind>`` - pattern matrices and term signs are the constants
   that reproduce the bilinear model ``<Kind>`` (DistMult / SimplE / ComplEx
   / QuatE, e.g. ``mode = "preset:QuatE"``); role embeddings are free vectors.
-* ``raw``      - role embeddings and pattern matrices are stored in the
-  ``("raw_u", r)`` / ``("raw_p", r)`` slots and used verbatim without any
-  normalization; set by the expressiveness construction, never trained.
+
+Every mode trains. The expressiveness construction of ``expressive`` is a
+latent-mode model whose slot values it writes.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -47,7 +46,7 @@ from .kb import Vocabulary
 from .mathcore import make_rng, scatter_rows, softmax_last_axis, softmax_vjp
 from .presets import PRESET_DIMS, PRESET_KINDS, preset_patterns
 
-MODES = ("latent", "explicit", "extended", "raw", *(f"preset:{k}" for k in PRESET_KINDS))
+MODES = ("latent", "explicit", "extended", *(f"preset:{k}" for k in PRESET_KINDS))
 
 INIT_STD = 0.1
 _STREAM_INIT = 0
@@ -88,11 +87,12 @@ class ModelConfig:
 
 
 def require_counts(cfg, names, least: int = 1) -> None:
-    """Raise ConfigError unless each field `names` of `cfg` is an integer of
-    at least `least`; a bool or a float is refused, not truncated."""
+    """Raise ConfigError unless each field `names` of `cfg` is a Python int of
+    at least `least`. A bool, a float or a numpy integer is refused, not
+    converted, so every count a config holds writes to a checkpoint's JSON."""
     for name in names:
         value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        if type(value) is not int or value < least:
             raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
@@ -108,6 +108,10 @@ class ModelParams:
     it, so the layout stays the one the slots were made for; copies share
     the vocabulary.
 
+    Only the mode objects' ``init`` lay out slots. Code that sets chosen
+    values, as ``expressive.construct`` does, overwrites the arrays that
+    :meth:`init` made.
+
     Slot keys:
 
     * ``("ent",)``            entity blocks, shape (n_entities, m, d)
@@ -119,8 +123,6 @@ class ModelParams:
     * ``("role_vec",)``       explicit role embeddings, (n_roles, d)
     * ``("role_pat", a)``     explicit raw pattern matrices, (n_roles, a, m)
     * ``("preset_u", r)``     free role embeddings in preset mode, (2, mg, d)
-    * ``("raw_u", r)``        verbatim raw-mode role embeddings, (a_r, d)
-    * ``("raw_p", r)``        verbatim raw-mode pattern matrices, (a_r, a_r, m)
 
     ``("ent",)``, ``("role_vec",)`` and ``("role_pat", a)`` are row-sparse:
     their gradients are written by rows (the entity table's by the engine,
@@ -342,35 +344,10 @@ class _Preset:
         )
 
 
-class _Raw:
-    """Verbatim role vectors and pattern matrices from the construction."""
-
-    def init(self, params: ModelParams, make) -> None:
-        # the construction sets these values; init only fixes the slots' shapes
-        cfg = params.cfg
-        for rel, (_, a) in enumerate(params.vocab.relations):
-            params.data[("raw_u", rel)] = make(a, cfg.embed_dim)
-            params.data[("raw_p", rel)] = make(a, a, cfg.multiplicity)
-
-    def terms(self, params: ModelParams, rels):
-        raw_u = _stacked(params, "raw_u", rels)  # (R, a, d)
-
-        def backward(gu, gp, gw, buf) -> None:
-            raise ConfigError("raw mode is a fixed construction and cannot be trained")
-
-        return (
-            raw_u[:, :, None, :],
-            _stacked(params, "raw_p", rels)[:, :, None, None],
-            np.ones(raw_u.shape[:2] + (1, 1)),
-            backward,
-        )
-
-
 _MODE_OBJECTS = {
     "latent": _Latent(extended=False),
     "extended": _Latent(extended=True),
     "explicit": _Explicit(),
-    "raw": _Raw(),
     **{f"preset:{kind}": _Preset(kind) for kind in PRESET_KINDS},
 }
 

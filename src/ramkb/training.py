@@ -310,9 +310,10 @@ def batch_backward(
     scored = _CandidatePass(params, facts, negatives, dropout, fact_rngs, backward=True)
     loss = scored.run() * scored.scale
     if not np.isfinite(loss):
+        first = facts[0]
         raise NumericError(
-            f"non-finite loss {loss} on batch of {len(facts)} facts; "
-            f"first fact {facts[0]}; {_blame_slots(params)}"
+            f"non-finite loss {loss} on batch of {len(facts)} facts; first fact "
+            f"{params.vocab.fact_name(first.relation, first.entities)}; {_blame_slots(params)}"
         )
     buf = GradientBuffer(params)
     scored.pull_back(buf)

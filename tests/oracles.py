@@ -139,27 +139,6 @@ def naive_explicit_score(params, fact):
     return total
 
 
-def naive_raw_score(params, fact):
-    """Raw-mode score via loops over the verbatim role and pattern arrays."""
-    arity = params.vocab.arity(fact.relation)
-    role_vecs = params.data[("raw_u", fact.relation)]
-    patterns = params.data[("raw_p", fact.relation)]
-    ent = params.data[("ent",)]
-    total = 0.0
-    for i in range(arity):
-        vectors = [list(role_vecs[i])]
-        for j in range(arity):
-            block = ent[fact.entities[j]]
-            vectors.append(
-                [
-                    sum(patterns[i][j][mu] * block[mu][t] for mu in range(block.shape[0]))
-                    for t in range(block.shape[1])
-                ]
-            )
-        total += naive_multilinear(vectors)
-    return total
-
-
 def naive_fact_loss(score_fn, params, fact, n_entities):
     """Cross-entropy against all corruptions, composed without log-sum-exp."""
     total = 0.0

@@ -68,16 +68,16 @@ def test_round_trip_every_trained_mode(tmp_path, mode_str):
         )
 
 
-def test_round_trip_raw_construction_still_separates(tmp_path):
+def test_round_trip_latent_construction_still_separates(tmp_path):
     vocab = make_vocab(4, (2, 3))
     facts = [Fact(0, (0, 1)), Fact(1, (1, 2, 3)), Fact(1, (3, 3, 0))]
     params = construct(vocab, facts)
-    path = tmp_path / "raw.ramckpt"
+    path = tmp_path / "construction.ramckpt"
     save_checkpoint(path, params)
     loaded, _ = load_checkpoint(path)
     check_vocab_compatible(vocab, loaded.vocab)
     assert_same_arrays(params, loaded)
-    assert {key[0] for key in loaded.slots()} == {"ent", "raw_u", "raw_p"}
+    assert {key[0] for key in loaded.slots()} == {"ent", "basis_u", "basis_p", "alpha"}
     for spec in split_groups(params.vocab, facts):
         np.testing.assert_array_equal(
             table_scores(loaded, spec), table_scores(params, spec)
@@ -208,6 +208,8 @@ def test_malformed_header_is_data_error(tmp_path, capsys):
             **header, "config": {**header["config"], "multiplicity": True}
         },
         "config-unknown-mode": {**header, "config": {**header["config"], "mode": "bogus"}},
+        # the retired raw mode of an older expressiveness construction
+        "config-raw-mode": {**header, "config": {**header["config"], "mode": "raw"}},
         # vocabularies that the config's mode rejects
         "explicit-without-roles": {**header, "config": {**header["config"], "mode": "explicit"}},
         "preset-ternary": {
@@ -278,6 +280,10 @@ def test_malformed_header_is_data_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"data error: {bad}: malformed vocabulary" in err
         assert f"{repeated} is listed twice" in err
+    bad = tmp_path / "config-raw-mode.ramckpt"
+    assert cli.main(["export", "--checkpoint", str(bad), "--out", str(tmp_path / "raw")]) == 3
+    assert (f"data error: {bad}: bad model config in checkpoint (unknown mode 'raw'"
+            in capsys.readouterr().err)
 
 
 def write_older_layout(path, params, holdout):

@@ -3,12 +3,13 @@ import json
 
 import pytest
 
-from oracles import naive_raw_score
+from oracles import naive_latent_score
 from ramkb import cli
 from ramkb.errors import ConfigError
 from ramkb.expressive import ENUMERATION_CAP, construct, verify_separation
 from ramkb.kb import Fact, Vocabulary
 from ramkb.mathcore import make_rng
+from ramkb.model import ModelConfig, ModelParams
 
 
 def random_ground_truth(seed, n_entities=4, n_facts=6):
@@ -36,7 +37,7 @@ def per_tuple_report(vocab, facts, params):
     for rel, (_, arity) in enumerate(vocab.relations):
         for ents in itertools.product(range(vocab.n_entities), repeat=arity):
             fact = Fact(rel, ents)
-            value = naive_raw_score(params, fact)
+            value = naive_latent_score(params, fact)
             n_enumerated += 1
             if fact in true_set:
                 min_true = min(min_true, value)
@@ -51,6 +52,16 @@ def test_construct_separates_random_ground_truths(seed):
     report = verify_separation(construct(vocab, facts), facts)
     assert report.passed, report
     assert report.n_true == len(facts)
+
+
+@pytest.mark.parametrize("arity", range(2, 13))
+def test_true_fact_scores_exactly_its_arity(arity):
+    # at arity 6, 7, 9, ... a pattern mass of 1/arity would score a hair off
+    vocab = Vocabulary(["a", "b"], [("r", arity)])
+    facts = [Fact(0, (0,) * arity), Fact(0, tuple(i % 2 for i in range(arity)))]
+    report = verify_separation(construct(vocab, facts), facts)
+    assert report.passed, report
+    assert (report.min_true_score, report.max_false_score) == (arity, 0.0)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -74,13 +85,30 @@ def test_perturbed_entity_block_fails():
         per_tuple_report(vocab, facts, params)[2], rel=1e-12)
 
 
-def test_ground_truth_over_enumeration_cap_rejected():
+def over_cap_ground_truth():
     n_entities = round(ENUMERATION_CAP ** (1 / 3)) + 1
     vocab = Vocabulary([f"e{e}" for e in range(n_entities)], [("r", 3)])
-    facts = [Fact(0, (0, 1, 2))]
     assert n_entities ** 3 > ENUMERATION_CAP
-    with pytest.raises(ConfigError):
-        verify_separation(construct(vocab, facts), facts)
+    return vocab, [Fact(0, (0, 1, 2))]
+
+
+def test_ground_truth_over_enumeration_cap_rejected():
+    vocab, facts = over_cap_ground_truth()
+    params = ModelParams.init(ModelConfig(embed_dim=1, multiplicity=1, latent_size=1), vocab)
+    with pytest.raises(ConfigError, match="enumeration cap"):
+        verify_separation(params, facts)
+
+
+def test_construct_checks_the_cap_before_building_anything(tmp_path, capsys):
+    vocab, facts = over_cap_ground_truth()
+    with pytest.raises(ConfigError, match="enumeration cap"):
+        construct(vocab, facts)
+    spec = tmp_path / "truth.txt"
+    spec.write_text("".join(f"r e{e} e{e} e{e}\n" for e in range(vocab.n_entities)))
+    out = tmp_path / "out"
+    assert cli.main(["express", "--spec", str(spec), "--out", str(out)]) == 2
+    assert "exceed the enumeration cap" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_express_command_writes_passing_report(tmp_path):

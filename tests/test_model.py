@@ -207,14 +207,6 @@ class TestRelationTermsContract:
         for key in want:
             np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-12, err_msg=key)
 
-    def test_raw_pullback_is_config_error(self):
-        vocab = make_vocab(4, (2, 2))
-        params = ModelParams.init(ModelConfig(embed_dim=3, mode="raw"), vocab, seed=0)
-        terms = relation_terms(params, self.IDS)
-        grads = [np.ones(x.shape) for x in terms.flat()]
-        with pytest.raises(ConfigError):
-            terms.pullback(*grads, GradientBuffer(params))
-
 
 class TestScore:
     def test_zero_entities_score_zero(self):

@@ -2,6 +2,7 @@ import copy
 import functools
 import logging
 import math
+import re
 import time
 from types import SimpleNamespace
 
@@ -90,12 +91,15 @@ class TestTrainConfig:
         (ModelConfig, "latent_size", True),
         (ModelConfig, "multiplicity", 2.0),
         (functools.partial(ModelConfig, mode="preset:QuatE"), "multiplicity", 4.0),
+        (TrainConfig, "batch_size", np.int64(64)),
+        (ModelConfig, "embed_dim", np.int64(3)),
     ], ids=["negatives-float", "negatives-bool", "batch-size-float", "seed-bool",
             "embed-dim-float", "latent-size-bool", "multiplicity-float",
-            "preset-multiplicity-float"])
+            "preset-multiplicity-float", "batch-size-numpy-int", "embed-dim-numpy-int"])
     def test_an_integer_field_refuses_a_bool_or_a_float(self, make, name, value):
-        """Neither is truncated into a count: negatives=2.5 would train with 2, True with 1."""
-        message = f"{name} must be an integer of at least ., got {value!r}"
+        """Neither is truncated into a count: negatives=2.5 would train with 2, True with 1.
+        A numpy integer is refused too, since a checkpoint header cannot write it as JSON."""
+        message = f"{name} must be an integer of at least ., got {re.escape(repr(value))}"
         with pytest.raises(ConfigError, match=message):
             make(**{name: value})
         assert getattr(make(**{name: 4}), name) == 4
@@ -414,22 +418,19 @@ class TestBackward:
         families = {key[0] for key in buf.dense()}
         assert families == {"ent", "preset_u"}
 
-    def test_raw_mode_not_trainable(self):
-        from ramkb.expressive import construct
-
-        vocab = make_vocab(3, (2,))
-        params = construct(vocab, [Fact(0, (0, 1))])
-        with pytest.raises(ConfigError):
-            batch_backward(params, [Fact(0, (0, 1))])
-
     def _abort_message(self, plant):
+        """The abort of a batch on planted entity values; it names the batch's first fact."""
         kb = random_kb(4, (2,), n_train=2, seed=13)
         cfg = ModelConfig(embed_dim=2, multiplicity=1, latent_size=1)
         params = ModelParams.init(cfg, kb.vocab, seed=0)
         plant(params.data[("ent",)])
         with pytest.raises(NumericError) as err:
             batch_backward(params, kb.train)
-        return params, str(err.value)
+        message = str(err.value)
+        first = kb.train[0]
+        names = ", ".join(kb.vocab.entities[e] for e in first.entities)
+        assert f"first fact {kb.vocab.relations[first.relation][0]}({names});" in message
+        return params, message
 
     def test_non_finite_loss_aborts_with_diagnostics(self):
         def plant(ent):
