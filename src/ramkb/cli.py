@@ -20,6 +20,7 @@ a fact listed twice is one true fact. An ``--out`` that cannot be made a
 directory is a configuration error. An input file that cannot be read, or a
 text file that is not UTF-8, is an error of its kind: a config file's a
 configuration error, a split's, ``--spec``'s or checkpoint's a data error.
+A text file's leading byte-order mark is not part of its text.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric abort.
 The RAM_LOG environment variable sets the log level.
 """
@@ -44,7 +45,6 @@ from .evaluation import evaluate
 from .expressive import construct, distinct_facts, verify_separation
 from .gradcheck import run_gradcheck
 from .kb import (
-    Fact,
     KnowledgeBase,
     RawFact,
     Vocabulary,
@@ -63,12 +63,14 @@ log = logging.getLogger("ramkb.cli")
 
 
 def _utf8(path: Path, data: bytes, error: type[RamError]) -> str:
-    """`data`, the bytes of the input file `path`, as text; bytes that are not
-    UTF-8 raise `error`, naming the path and the first bad byte."""
+    """`data`, the bytes of the input file `path`, as text, without one
+    leading byte-order mark; bytes that are not UTF-8 raise `error`, naming
+    the path and the first bad byte by its offset in the file."""
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    return text.removeprefix("\ufeff")
 
 
 def _read_config_file(path: Path) -> dict[str, str]:
@@ -333,7 +335,7 @@ def cmd_equiv(args) -> int:
         params = ModelParams.init(cfg, vocab, seed=0)
         for key in params.slots():
             params.data[key] = rng.normal(0, 1, params.data[key].shape)
-        got = score(params, Fact(0, (0, 1)))
+        got = score(params, 0, (0, 1))
         ent = params.data[("ent",)]
         role_emb = relation_terms(params, [0]).role_emb[0]
         want = reference_score(args.kind, role_emb, ent[0], ent[1])

@@ -53,7 +53,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .kb import Fact, GroupSpec, split_groups
+from .kb import Facts, GroupSpec, split_groups
 from .mathcore import scatter_rows
 from .model import ModelParams, RelationTerms, SlotKey, relation_terms
 
@@ -372,13 +372,17 @@ def backward_group(kern: GroupKernels, pseudo: np.ndarray, buf: GradientBuffer) 
     kern.terms.pullback(grad_u, grad_p, grad_w, buf)
 
 
-def score(params: ModelParams, fact: Fact) -> float:
-    """Plausibility score of one fact under the current parameters.
+def score(params: ModelParams, relation: int, entities) -> float:
+    """Plausibility score of one fact, `relation` over the ordered entity ids
+    `entities`, under the current parameters.
 
-    Scores a one-fact group whose only candidate at each position is the true
-    entity, so no entity-table-wide product is formed; every position then
-    scores the fact itself, and the first is returned.
+    The fact is a one-row :class:`~ramkb.kb.Facts`, scored as a one-fact
+    group whose only candidate at each position is the true entity, so no
+    entity-table-wide product is formed; every position then scores the fact
+    itself, and the first is returned. An arity that is not the relation's
+    raises DimensionError.
     """
-    spec = split_groups(params.vocab, [fact])[0]
+    facts = Facts([relation], [len(entities)], entities)
+    spec = split_groups(params.vocab, facts)[0]
     own = SampledCandidates(params, spec.ents[:, :, None])
     return float(own.scores(forward_group(params, spec).gather)[0, 0, 0])

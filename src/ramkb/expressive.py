@@ -34,7 +34,7 @@ import numpy as np
 
 from .engine import TableCandidates, forward_group
 from .errors import ConfigError
-from .kb import Fact, Facts, GroupSpec, Vocabulary, as_facts, split_groups
+from .kb import Facts, GroupSpec, Vocabulary, split_groups
 from .model import ModelConfig, ModelParams
 
 ENUMERATION_CAP = 1_000_000
@@ -54,10 +54,9 @@ def enumeration_size(vocab: Vocabulary) -> int:
     return total
 
 
-def construct(vocab: Vocabulary, facts: Facts | list[Fact]) -> ModelParams:
+def construct(vocab: Vocabulary, facts: Facts) -> ModelParams:
     """Latent-mode parameters that exactly separate the distinct true facts."""
     enumeration_size(vocab)
-    facts = as_facts(facts)
     n_facts, sink = len(facts), vocab.max_arity
     cfg = ModelConfig(embed_dim=n_facts, multiplicity=sink + 1,
                       latent_size=vocab.n_relations, mode="latent")
@@ -96,27 +95,36 @@ class SeparationReport:
     n_enumerated: int
 
 
-def _relation_scores(params: ModelParams, rel: int) -> np.ndarray:
-    """Scores of every entity tuple of one relation, shape (n_entities,) * arity.
+def _places(n_entities: int, size: int) -> np.ndarray:
+    """The place values of a `size`-digit base-`n_entities` code, most
+    significant first. Every code of a relation stays below its tuple count,
+    at most ENUMERATION_CAP, so it is exact in int64."""
+    return n_entities ** np.arange(size - 1, -1, -1)
 
-    Each group row fixes the first arity-1 entities; the full-table scores of
-    its last position give a whole column of tuples at once.
+
+def _relation_scores(params: ModelParams, rel: int) -> np.ndarray:
+    """Scores of every entity tuple of one relation, (n_entities ** arity,):
+    a tuple's score at its base-n_entities code, first entity most significant.
+
+    Each group row fixes the first arity-1 entities, a head code's digits;
+    the full-table scores of its last position give n_entities consecutive
+    codes at once.
     """
     n_entities, arity = params.vocab.n_entities, params.vocab.arity(rel)
-    heads = np.indices((n_entities,) * (arity - 1)).reshape(arity - 1, -1).T
-    out = np.empty((len(heads), n_entities))
-    for lo in range(0, len(heads), SEPARATION_CHUNK):
-        chunk = heads[lo : lo + SEPARATION_CHUNK]
-        ents = np.zeros((len(chunk), arity), dtype=np.intp)
-        ents[:, :-1] = chunk
-        spec = GroupSpec(arity, np.full(len(chunk), rel, dtype=np.intp), ents,
-                         np.arange(len(chunk), dtype=np.intp), slice(0, ents.size))
+    n_heads, places = n_entities ** (arity - 1), _places(n_entities, arity - 1)
+    out = np.empty((n_heads, n_entities))
+    for lo in range(0, n_heads, SEPARATION_CHUNK):
+        heads = np.arange(lo, min(lo + SEPARATION_CHUNK, n_heads))
+        ents = np.zeros((len(heads), arity), dtype=np.intp)
+        ents[:, :-1] = heads[:, None] // places % n_entities
+        spec = GroupSpec(arity, np.full(len(heads), rel, dtype=np.intp), ents,
+                         np.arange(len(heads), dtype=np.intp), slice(0, ents.size))
         scores = TableCandidates(params, ents).scores(forward_group(params, spec).gather)
-        out[lo : lo + len(chunk)] = scores[:, arity - 1, :]
-    return out.reshape((n_entities,) * arity)
+        out[lo : lo + len(heads)] = scores[:, arity - 1, :]
+    return out.reshape(-1)
 
 
-def verify_separation(params: ModelParams, facts: Facts | list[Fact]) -> SeparationReport:
+def verify_separation(params: ModelParams, facts: Facts) -> SeparationReport:
     """Exhaustively check that true facts score positive and others zero,
     over every entity tuple of every relation of ``params.vocab``.
 
@@ -124,12 +132,13 @@ def verify_separation(params: ModelParams, facts: Facts | list[Fact]) -> Separat
     score over all non-true tuples is exactly zero.
     """
     total = enumeration_size(params.vocab)
-    facts = as_facts(facts)
+    n_entities = params.vocab.n_entities
     true_scores, false_scores = [], []
     for rel, (_, arity) in enumerate(params.vocab.relations):
         scores = _relation_scores(params, rel)
-        is_true = np.zeros(scores.shape, dtype=bool)
-        is_true[tuple(facts[facts.rels == rel].ents.reshape(-1, arity).T)] = True
+        codes = facts[facts.rels == rel].ents.reshape(-1, arity) @ _places(n_entities, arity)
+        is_true = np.zeros(scores.size, dtype=bool)
+        is_true[codes] = True
         true_scores.append(scores[is_true])
         false_scores.append(scores[~is_true])
     true_all, false_all = np.concatenate(true_scores), np.concatenate(false_scores)

@@ -16,7 +16,7 @@ from itertools import chain
 
 import numpy as np
 
-from .kb import Fact, Vocabulary
+from .kb import Facts, Vocabulary
 from .mathcore import make_rng
 from .model import ModelConfig, ModelParams
 from .training import batch_backward, batch_loss
@@ -48,7 +48,7 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 def check_batch(
     params: ModelParams,
-    facts: list[Fact],
+    facts: Facts,
     negatives: str | int,
     dropout: float,
     rng_keys: list[tuple[int, ...]],
@@ -86,7 +86,7 @@ def check_batch(
 
 def _random_trial(
     seed: int, trial: int
-) -> tuple[ModelParams, list[Fact], str | int, float, list[tuple[int, ...]]]:
+) -> tuple[ModelParams, Facts, str | int, float, list[tuple[int, ...]]]:
     rng = make_rng(seed, 7, trial)
     modes = ["latent", "latent", "extended", "explicit",
              "preset:DistMult", "preset:SimplE", "preset:ComplEx", "preset:QuatE"]
@@ -115,12 +115,11 @@ def _random_trial(
     roles = list(dict.fromkeys(chain.from_iterable(role_names)))
     rel_roles = {rel: tuple(map(roles.index, names)) for rel, names in enumerate(role_names)}
     vocab = Vocabulary([f"e{e}" for e in range(n_entities)], relations, roles, rel_roles)
-    facts = []
+    rels, ents = [], []
     for _ in range(int(rng.integers(3, 7))):
-        rel = int(rng.integers(0, vocab.n_relations))
-        arity = vocab.arity(rel)
-        ents = tuple(int(e) for e in rng.integers(0, n_entities, size=arity))
-        facts.append(Fact(rel, ents))
+        rels.append(int(rng.integers(0, vocab.n_relations)))
+        ents.append(rng.integers(0, n_entities, size=vocab.arity(rels[-1])))
+    facts = Facts(rels, [len(e) for e in ents], np.concatenate(ents))
 
     params = ModelParams.init(cfg, vocab, seed=seed + trial)
     # random mixing weights exercise both softmax pullbacks away from uniform

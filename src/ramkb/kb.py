@@ -8,16 +8,15 @@ so a written subset reads back as the same facts. A :class:`Vocabulary` is
 made in one call from its name lists, and its constructor is the one place
 that checks it; nothing changes it afterwards.
 
-A split is held as a :class:`Facts`: int arrays of relations and arities,
-and every fact's entities in one flat array with offsets, 24 bytes per
-fact plus 8 per entity slot and no Python object per fact. :func:`build_kb`
-fills them in whole-list passes, and training batches, ranking batches and
-subsets are gathered from them by index. :class:`Fact` is the element
-that an integer index and iteration give. A plain list of Fact is accepted
-wherever facts are passed in, and :func:`as_facts` decodes it into arrays
-once.
+A split, and every fact list passed in, is held as a :class:`Facts`: int
+arrays of relations and arities, and every fact's entities in one flat
+array with offsets, 24 bytes per fact plus 8 per entity slot and no Python
+object per fact. A fact is one row of those arrays, a relation plus its
+ordered entities. :func:`build_kb` fills them in whole-list passes, and
+training batches, ranking batches and subsets are gathered from them by
+index.
 
-:func:`split_groups` turns a fact sequence into one :class:`GroupSpec` per
+:func:`split_groups` turns a Facts into one :class:`GroupSpec` per
 arity, in ascending arity, each holding its facts in sequence order. It
 also fixes the one row order that training, ranking and the known-true
 index share. A (fact, slot) pair is one row, and the rows stack group by
@@ -40,7 +39,7 @@ import logging
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import is_not, itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -53,24 +52,8 @@ log = logging.getLogger("ramkb.kb")
 RawFact = tuple[str, tuple[str, ...], tuple[str, ...] | None]
 
 
-@dataclass(frozen=True)
-class Fact:
-    """One n-ary fact: a relation plus its ordered entity slots.
-
-    The role each slot plays belongs to the relation, in
-    ``Vocabulary.rel_roles``.
-    """
-
-    relation: int
-    entities: tuple[int, ...]
-
-    @property
-    def arity(self) -> int:
-        return len(self.entities)
-
-
 class Facts:
-    """An immutable sequence of facts held as int arrays, with no object per fact.
+    """An immutable list of facts held as int arrays, with no object per fact.
 
     ``rels`` and ``arity`` hold one entry per fact. ``ents`` holds the
     facts' entities one fact after another, fact i's at
@@ -78,10 +61,10 @@ class Facts:
     than there are facts. All four are read-only intp arrays, so a split
     costs 24 bytes per fact plus 8 per entity slot.
 
-    An integer index and iteration give :class:`Fact` objects. A slice, an
-    integer or boolean index array, and ``+`` with another Facts give a new
-    Facts, gathered in whole-array passes. Two Facts are equal when their
-    arrays are.
+    A slice, an integer or boolean index array, and ``+`` with another
+    Facts give a new Facts, gathered in whole-array passes. A single
+    integer index raises TypeError, and so does iteration: a fact is read
+    from the arrays. Two Facts are equal when their arrays are.
     """
 
     __slots__ = ("rels", "arity", "ents", "offsets")
@@ -112,9 +95,8 @@ class Facts:
             return Facts(self.rels[lo:hi], self.arity[lo:hi],
                          self.ents[self.offsets[lo] : self.offsets[hi]])
         if isinstance(key, (int, np.integer)):
-            i = range(len(self))[key]
-            return Fact(int(self.rels[i]),
-                        tuple(self.ents[self.offsets[i] : self.offsets[i + 1]].tolist()))
+            raise TypeError(f"Facts takes a slice or an index array, not the integer {key!r}; "
+                            "fact i is rels[i] and ents[offsets[i]:offsets[i + 1]]")
         index = np.asarray(key)
         if index.dtype == bool:
             index = np.flatnonzero(index)
@@ -123,11 +105,6 @@ class Facts:
         # entity j of the gathered list sits `starts - new starts` further on
         shift = np.repeat(self.offsets[:-1][index] - (ends - arity), arity)
         return Facts(self.rels[index], arity, self.ents[np.arange(shift.size) + shift])
-
-    def __iter__(self) -> Iterator[Fact]:
-        ents, bounds = self.ents.tolist(), self.offsets.tolist()
-        for rel, lo, hi in zip(self.rels.tolist(), bounds, bounds[1:]):
-            yield Fact(rel, tuple(ents[lo:hi]))
 
     def __add__(self, other):
         if not isinstance(other, Facts):
@@ -145,20 +122,6 @@ class Facts:
 
     def __repr__(self) -> str:
         return f"Facts({len(self)} facts over relations {np.unique(self.rels).tolist()})"
-
-
-def as_facts(facts: Facts | list[Fact]) -> Facts:
-    """`facts` as a :class:`Facts`: itself, or a list of Fact decoded into arrays.
-
-    This is the one place a list of Fact objects is read fact by fact.
-    """
-    if isinstance(facts, Facts):
-        return facts
-    n = len(facts)
-    arity = np.fromiter((len(f.entities) for f in facts), dtype=np.intp, count=n)
-    return Facts(np.fromiter((f.relation for f in facts), dtype=np.intp, count=n), arity,
-                 np.fromiter(chain.from_iterable(f.entities for f in facts), dtype=np.intp,
-                             count=int(arity.sum())))
 
 
 class Vocabulary:
@@ -336,18 +299,15 @@ class GroupSpec:
     rows: slice  # the group's (fact, slot) rows in the list's stacked row order
 
 
-def split_groups(vocab: Vocabulary, facts: Facts | list[Fact]) -> list[GroupSpec]:
+def split_groups(vocab: Vocabulary, facts: Facts) -> list[GroupSpec]:
     """The arity groups of `facts`, in ascending arity, each with its facts
-    in list order.
+    in list order, gathered from the arrays in whole-array passes.
 
-    The groups are gathered from the arrays of a :class:`Facts`; a list of
-    Fact is decoded into one first (:func:`as_facts`). This fixes the
-    stacked row order: group by group, fact by fact, slot by slot, so slot
-    p of a group's i-th fact is row ``rows.start + i * arity + p``. Raises
-    DimensionError at the first fact whose arity is not its relation's in
-    `vocab`.
+    This fixes the stacked row order: group by group, fact by fact, slot by
+    slot, so slot p of a group's i-th fact is row ``rows.start + i * arity +
+    p``. Raises DimensionError at the first fact whose arity is not its
+    relation's in `vocab`.
     """
-    facts = as_facts(facts)
     rels, arity = facts.rels, facts.arity
     want = np.array([a for _, a in vocab.relations], dtype=np.intp)[rels]
     bad = np.flatnonzero(arity != want)
@@ -372,8 +332,8 @@ CODE_LIMIT = 2**63
 class KnowledgeBase:
     """A dataset plus its known-true index for filtered ranking.
 
-    ``train``, ``valid`` and ``test`` are each held as a :class:`Facts`; a
-    list of Fact passed in is decoded into one (:func:`as_facts`).
+    ``train``, ``valid`` and ``test`` are each a :class:`Facts`, held as
+    passed in.
 
     The index lists, for every key (relation, position, the other entities
     in order) met in any split, the distinct entities known true at that
@@ -406,17 +366,9 @@ class KnowledgeBase:
     still filters by the whole KB it was copied from.
     """
 
-    def __init__(
-        self,
-        vocab: Vocabulary,
-        train: Facts | list[Fact],
-        valid: Facts | list[Fact],
-        test: Facts | list[Fact],
-    ) -> None:
+    def __init__(self, vocab: Vocabulary, train: Facts, valid: Facts, test: Facts) -> None:
         self.vocab = vocab
-        self.train = as_facts(train)
-        self.valid = as_facts(valid)
-        self.test = as_facts(test)
+        self.train, self.valid, self.test = train, valid, test
         self._width = vocab.max_arity
         self._base = vocab.n_entities + 1
         self._widths = [vocab.n_relations * self._width] + [self._base] * (self._width - 1)

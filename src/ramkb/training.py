@@ -21,7 +21,7 @@ from .engine import (
     group_losses,
 )
 from .errors import ConfigError, NumericError
-from .kb import Fact, Facts, GroupSpec, KnowledgeBase, split_groups
+from .kb import Facts, GroupSpec, KnowledgeBase, split_groups
 from .mathcore import make_rng
 from .model import ModelConfig, ModelParams, require_counts
 
@@ -164,7 +164,7 @@ class _CandidatePass:
     dropout batch without `fact_rngs`, raise ConfigError.
     """
 
-    def __init__(self, params: ModelParams, facts: Facts | list[Fact], negatives: str | int,
+    def __init__(self, params: ModelParams, facts: Facts, negatives: str | int,
                  dropout: float, fact_rngs: Optional[list[np.random.Generator]],
                  backward: bool = False) -> None:
         if not facts:
@@ -274,7 +274,7 @@ class _CandidatePass:
 
 def batch_loss(
     params: ModelParams,
-    facts: Facts | list[Fact],
+    facts: Facts,
     negatives: str | int = "full",
     dropout: float = 0.0,
     fact_rngs: Optional[list[np.random.Generator]] = None,
@@ -289,7 +289,7 @@ def batch_loss(
 
 def batch_backward(
     params: ModelParams,
-    facts: Facts | list[Fact],
+    facts: Facts,
     negatives: str | int = "full",
     dropout: float = 0.0,
     fact_rngs: Optional[list[np.random.Generator]] = None,
@@ -310,10 +310,10 @@ def batch_backward(
     scored = _CandidatePass(params, facts, negatives, dropout, fact_rngs, backward=True)
     loss = scored.run() * scored.scale
     if not np.isfinite(loss):
-        first = facts[0]
+        first = params.vocab.fact_name(facts.rels[0], facts.ents[: facts.arity[0]])
         raise NumericError(
             f"non-finite loss {loss} on batch of {len(facts)} facts; first fact "
-            f"{params.vocab.fact_name(first.relation, first.entities)}; {_blame_slots(params)}"
+            f"{first}; {_blame_slots(params)}"
         )
     buf = GradientBuffer(params)
     scored.pull_back(buf)

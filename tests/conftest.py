@@ -4,8 +4,22 @@ import numpy as np
 import pytest
 
 from ramkb.engine import SampledCandidates, TableCandidates, forward_group
-from ramkb.kb import Fact, KnowledgeBase, Vocabulary, build_kb, parse_tabular
+from ramkb.kb import Facts, KnowledgeBase, Vocabulary, build_kb, parse_tabular
 from ramkb.mathcore import make_rng
+
+
+def facts_of(pairs):
+    """A Facts of `(relation, entities)` pairs, in order."""
+    pairs = list(pairs)
+    return Facts([rel for rel, _ in pairs], [len(ents) for _, ents in pairs],
+                 [e for _, ents in pairs for e in ents])
+
+
+def fact_pairs(facts):
+    """The `(relation, entities)` pair of every fact of a Facts, in order."""
+    ents, bounds = facts.ents.tolist(), facts.offsets.tolist()
+    return [(rel, tuple(ents[lo:hi]))
+            for rel, lo, hi in zip(facts.rels.tolist(), bounds, bounds[1:])]
 
 
 def table_scores(params, spec):
@@ -47,19 +61,18 @@ def make_vocab(n_entities, arities, explicit_roles=False, seed=0):
 
 def random_facts(vocab, n_facts, seed=0):
     rng = make_rng(seed, 98)
-    facts = []
+    pairs = []
     for _ in range(n_facts):
         rel = int(rng.integers(0, vocab.n_relations))
         arity = vocab.arity(rel)
-        ents = tuple(int(e) for e in rng.integers(0, vocab.n_entities, arity))
-        facts.append(Fact(rel, ents))
-    return facts
+        pairs.append((rel, tuple(int(e) for e in rng.integers(0, vocab.n_entities, arity))))
+    return facts_of(pairs)
 
 
 def random_kb(n_entities, arities, n_train, n_valid=0, n_test=0, seed=0,
               explicit_roles=False):
     vocab = make_vocab(n_entities, arities, explicit_roles, seed)
     train = random_facts(vocab, n_train, seed)
-    valid = random_facts(vocab, n_valid, seed + 1) if n_valid else []
-    test = random_facts(vocab, n_test, seed + 2) if n_test else []
+    valid = random_facts(vocab, n_valid, seed + 1)
+    test = random_facts(vocab, n_test, seed + 2)
     return KnowledgeBase(vocab, train, valid, test)

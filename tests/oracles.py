@@ -9,7 +9,9 @@ import math
 import numpy as np
 
 from ramkb.errors import DataError, DimensionError
-from ramkb.kb import Fact, Vocabulary
+from ramkb.kb import Vocabulary
+
+from conftest import fact_pairs
 
 
 def naive_softmax(values):
@@ -58,12 +60,12 @@ def naive_pattern_matrix(alpha, basis_matrices):
     return out
 
 
-def naive_latent_score(params, fact):
+def naive_latent_score(params, relation, entities):
     """Latent-mode score via loops over the raw parameter arrays."""
-    arity = params.vocab.arity(fact.relation)
+    arity = params.vocab.arity(relation)
     basis_u = params.data[("basis_u",)]
     basis_p = params.data[("basis_p", arity)]
-    alpha = params.data[("alpha", fact.relation)]
+    alpha = params.data[("alpha", relation)]
     ent = params.data[("ent",)]
     total = 0.0
     for i in range(arity):
@@ -73,7 +75,7 @@ def naive_latent_score(params, fact):
         )
         vectors = [u]
         for j in range(arity):
-            block = ent[fact.entities[j]]
+            block = ent[entities[j]]
             weighted = [
                 sum(pat[j][mu] * block[mu][t] for mu in range(block.shape[0]))
                 for t in range(block.shape[1])
@@ -83,14 +85,14 @@ def naive_latent_score(params, fact):
     return total
 
 
-def naive_extended_score(params, fact):
-    arity = params.vocab.arity(fact.relation)
+def naive_extended_score(params, relation, entities):
+    arity = params.vocab.arity(relation)
     cfg = params.cfg
     basis_u = params.data[("basis_u",)]
     basis_p = params.data[("basis_p", arity)]
-    alpha = params.data[("alpha", fact.relation)]
-    beta = params.data[("beta", fact.relation)]
-    omega = params.data[("omega", fact.relation)]
+    alpha = params.data[("alpha", relation)]
+    beta = params.data[("beta", relation)]
+    omega = params.data[("omega", relation)]
     ent = params.data[("ent",)]
     total = 0.0
     for i in range(arity):
@@ -102,7 +104,7 @@ def naive_extended_score(params, fact):
                 )
                 vectors = [u]
                 for l in range(arity):
-                    block = ent[fact.entities[l]]
+                    block = ent[entities[l]]
                     vectors.append(
                         [
                             sum(
@@ -116,9 +118,9 @@ def naive_extended_score(params, fact):
     return total
 
 
-def naive_explicit_score(params, fact):
-    arity = params.vocab.arity(fact.relation)
-    roles = params.vocab.rel_roles[fact.relation]
+def naive_explicit_score(params, relation, entities):
+    arity = params.vocab.arity(relation)
+    roles = params.vocab.rel_roles[relation]
     role_vec = params.data[("role_vec",)]
     role_pat = params.data[("role_pat", arity)]
     ent = params.data[("ent",)]
@@ -128,7 +130,7 @@ def naive_explicit_score(params, fact):
         pat = naive_softmax_matrix([list(r) for r in role_pat[roles[i]]])
         vectors = [u]
         for j in range(arity):
-            block = ent[fact.entities[j]]
+            block = ent[entities[j]]
             vectors.append(
                 [
                     sum(pat[j][mu] * block[mu][t] for mu in range(block.shape[0]))
@@ -139,17 +141,16 @@ def naive_explicit_score(params, fact):
     return total
 
 
-def naive_fact_loss(score_fn, params, fact, n_entities):
+def naive_fact_loss(score_fn, params, relation, entities, n_entities):
     """Cross-entropy against all corruptions, composed without log-sum-exp."""
     total = 0.0
-    for pos in range(len(fact.entities)):
-        true_score = score_fn(params, fact)
+    for pos in range(len(entities)):
+        true_score = score_fn(params, relation, entities)
         denom = 0.0
         for e in range(n_entities):
-            entities = list(fact.entities)
-            entities[pos] = e
-            candidate = type(fact)(fact.relation, tuple(entities))
-            denom += math.exp(score_fn(params, candidate))
+            candidate = list(entities)
+            candidate[pos] = e
+            denom += math.exp(score_fn(params, relation, tuple(candidate)))
         total += -math.log(math.exp(true_score) / denom)
     return total
 
@@ -175,24 +176,24 @@ def copy_cross_entropy(scores, true_cols, scale=1.0):
 
 
 def loop_split_groups(vocab, facts):
-    """Arity groups of `facts`, built one fact at a time: an (arity, rels,
-    ents, fact_index, rows) tuple per arity, ascending. Each group keeps its
-    facts in list order, and its rows follow the rows of the groups before
-    it, `arity` per fact."""
+    """Arity groups of `facts`, a list of (relation, entities) pairs, built one
+    fact at a time: an (arity, rels, ents, fact_index, rows) tuple per arity,
+    ascending. Each group keeps its facts in list order, and its rows follow
+    the rows of the groups before it, `arity` per fact."""
     by_arity = {}
-    for i, fact in enumerate(facts):
-        if fact.arity != vocab.arity(fact.relation):
+    for i, (relation, entities) in enumerate(facts):
+        if len(entities) != vocab.arity(relation):
             raise DimensionError(
-                f"fact arity {fact.arity} != relation arity {vocab.arity(fact.relation)}"
+                f"fact arity {len(entities)} != relation arity {vocab.arity(relation)}"
             )
-        by_arity.setdefault(fact.arity, []).append(i)
+        by_arity.setdefault(len(entities), []).append(i)
     groups, row = [], 0
     for arity in sorted(by_arity):
         idx = by_arity[arity]
         groups.append((
             arity,
-            np.array([facts[i].relation for i in idx], dtype=np.intp),
-            np.array([facts[i].entities for i in idx], dtype=np.intp),
+            np.array([facts[i][0] for i in idx], dtype=np.intp),
+            np.array([facts[i][1] for i in idx], dtype=np.intp),
             np.array(idx, dtype=np.intp),
             slice(row, row + len(idx) * arity),
         ))
@@ -201,8 +202,8 @@ def loop_split_groups(vocab, facts):
 
 
 def loop_build_kb(train, valid=(), test=()):
-    """The vocabulary and the Fact lists of raw splits, indexed one fact and
-    one name at a time: (vocab, [train, valid, test]).
+    """The vocabulary and the (relation, entities) pair lists of raw splits,
+    indexed one fact and one name at a time: (vocab, [train, valid, test]).
 
     Raises the DataError of the first bad fact in split order: fewer than
     two entities, or roles other than the first ones its relation met.
@@ -225,25 +226,25 @@ def loop_build_kb(train, valid=(), test=()):
                 seen = rel_roles.setdefault(rel, role_ids)
                 if seen != role_ids:
                     raise DataError(f"relation {name!r} used with inconsistent role lists")
-            facts.append(Fact(rel, ent_ids))
+            facts.append((rel, ent_ids))
         splits.append(facts)
     return Vocabulary(entities, relations, roles, rel_roles), splits
 
 
-def brute_force_candidates(kb, fact, position):
+def brute_force_candidates(kb, relation, entities, position):
     """Filtered-candidate mask recomputed by scanning every stored fact."""
     mask = np.ones(kb.vocab.n_entities, dtype=bool)
-    for other in kb.train + kb.valid + kb.test:
-        if other.relation != fact.relation:
+    for other_relation, other_entities in fact_pairs(kb.train + kb.valid + kb.test):
+        if other_relation != relation:
             continue
         rest_match = all(
-            other.entities[j] == fact.entities[j]
-            for j in range(len(fact.entities))
+            other_entities[j] == entities[j]
+            for j in range(len(entities))
             if j != position
         )
         if rest_match:
-            mask[other.entities[position]] = False
-    mask[fact.entities[position]] = True
+            mask[other_entities[position]] = False
+    mask[entities[position]] = True
     return mask
 
 

@@ -19,10 +19,10 @@ from ramkb.checkpoint import (
 )
 from ramkb.errors import DataError
 from ramkb.expressive import construct, verify_separation
-from ramkb.kb import Fact, Vocabulary, split_groups
+from ramkb.kb import Vocabulary, split_groups
 from ramkb.model import ModelConfig, ModelParams, relation_terms
 
-from conftest import make_vocab, random_facts, table_scores
+from conftest import facts_of, make_vocab, random_facts, table_scores
 from test_model import randomized_params
 
 TRAINED_MODES = [
@@ -70,7 +70,7 @@ def test_round_trip_every_trained_mode(tmp_path, mode_str):
 
 def test_round_trip_latent_construction_still_separates(tmp_path):
     vocab = make_vocab(4, (2, 3))
-    facts = [Fact(0, (0, 1)), Fact(1, (1, 2, 3)), Fact(1, (3, 3, 0))]
+    facts = facts_of([(0, (0, 1)), (1, (1, 2, 3)), (1, (3, 3, 0))])
     params = construct(vocab, facts)
     path = tmp_path / "construction.ramckpt"
     save_checkpoint(path, params)

@@ -11,6 +11,8 @@ from ramkb.checkpoint import load_checkpoint, load_checksums, save_checkpoint
 from ramkb.errors import DataError
 from ramkb.evaluation import evaluate
 
+from conftest import fact_pairs
+
 TRAIN = ["r1 a b c", "r1 b c d", "r2 a d", "r2 c b", "r2 d e", "r3 d a e b", "r1 e a b"]
 VALID = ["r2 b a", "r1 c d e"]
 TEST = ["r2 e c", "r1 a c d", "r3 a b c d"]
@@ -330,7 +332,7 @@ def test_split_file_is_read_once_and_hashed_as_parsed(tmp_path):
     content = b"r a b\r\nr b c\r\n"
     (data / "train.txt").write_bytes(content)
     kb, info = cli.load_dataset(data, valid_fraction=0.0)
-    names = [[kb.vocab.entities[e] for e in f.entities] for f in kb.train]
+    names = [[kb.vocab.entities[e] for e in ents] for _, ents in fact_pairs(kb.train)]
     assert names == [["a", "b"], ["b", "c"]]
     assert info["sha256"] == {"train": hashlib.sha256(content).hexdigest()}
 
@@ -514,3 +516,37 @@ def test_subset_of_role_annotated_data_trains_explicit_roles(tmp_path):
                      "--config", str(config), "--seed", "3"]) == 0
     assert cli.main(["eval", "--data-dir", str(sub), "--checkpoint",
                      str(run / "model.ramckpt")]) == 0
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("suffix,text", [
+    (".txt", "r0 a b\nr0 b c\nr1 a b c\n"),
+    (".jsonl", '{"actor": "p1", "movie": "m1"}\n{"actor": "p2", "movie": "m1"}\n'),
+], ids=["tabular", "role-json"])
+def test_split_with_a_byte_order_mark_loads_as_its_twin_without_one(tmp_path, suffix, text):
+    kbs = {}
+    for name, head in (("plain", b""), ("bom", BOM)):
+        data = tmp_path / name
+        data.mkdir()
+        content = head + text.encode("utf-8")
+        (data / f"train{suffix}").write_bytes(content)
+        kb, info = cli.load_dataset(data, valid_fraction=0.0)
+        assert info["sha256"] == {"train": hashlib.sha256(content).hexdigest()}
+        kbs[name] = kb
+    assert kbs["bom"].vocab.to_dict() == kbs["plain"].vocab.to_dict()
+    assert kbs["bom"].train == kbs["plain"].train
+
+
+def test_config_with_a_byte_order_mark_reads_as_its_twin_without_one(tmp_path, capsys):
+    plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_text(CONFIG)
+    bom.write_bytes(BOM + CONFIG.encode("utf-8"))
+    assert cli.load_configs(bom, {}) == cli.load_configs(plain, {})
+    # the offset of a bad byte is still its offset in the file, the mark included
+    bom.write_bytes(BOM + b"max_epochs = 1\n\xff\n")
+    data, _ = write_dataset(tmp_path)
+    assert cli.main(["train", "--data-dir", str(data), "--config", str(bom),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert f"{bom}: not UTF-8 text (byte 18)" in capsys.readouterr().err

@@ -17,18 +17,20 @@ from ramkb.evaluation import (
     rank_from_scores,
     report_from_ranks,
 )
-from ramkb.kb import Fact, KnowledgeBase, build_kb, parse_tabular, split_groups
+from ramkb.kb import KnowledgeBase, build_kb, parse_tabular, split_groups
 from ramkb.mathcore import make_rng
 from ramkb.model import ModelConfig, ModelParams
 
-from conftest import make_vocab, random_kb, table_scores
+from conftest import fact_pairs, facts_of, make_vocab, random_kb, table_scores
 from test_model import randomized_params
 
 
 def query_slots(groups, facts):
-    """The (fact, slot) pair of every query of the facts' arity groups, in
-    their stacked row order: group by group, fact by fact, slot by slot."""
-    return [(facts[i], p) for spec in groups for i in spec.fact_index for p in range(spec.arity)]
+    """The ((relation, entities), slot) pair of every query of the facts'
+    arity groups, in their stacked row order: group by group, fact by fact,
+    slot by slot."""
+    pairs = fact_pairs(facts)
+    return [(pairs[i], p) for spec in groups for i in spec.fact_index for p in range(spec.arity)]
 
 
 def query_kernels(params, groups, facts):
@@ -38,7 +40,7 @@ def query_kernels(params, groups, facts):
     return np.concatenate([
         forward_group(params, one).gather.reshape(one.arity, -1)
         for spec in groups for i in spec.fact_index
-        for one in split_groups(params.vocab, [facts[i]])
+        for one in split_groups(params.vocab, facts[i : i + 1])
     ])
 
 
@@ -71,15 +73,16 @@ def test_rank_one_for_unique_maximum():
     params = randomized_params(cfg, kb.vocab, seed=2)
     # The true entity fills only the queried slot, so scaling its block scales
     # the true score and leaves every other candidate's score unchanged.
-    fact = next(f for f in kb.train if f.entities[0] not in f.entities[1:])
-    true_e = fact.entities[0]
-    scores = group_scores_and_ranks(params, kb, [fact])[0][0, 0]
+    i = next(i for i, (_, ents) in enumerate(fact_pairs(kb.train)) if ents[0] not in ents[1:])
+    fact = kb.train[i : i + 1]
+    true_e = fact.ents[0]
+    scores = group_scores_and_ranks(params, kb, fact)[0][0, 0]
     true_score = scores[true_e]
     assert true_score != 0.0
     others = np.delete(scores, true_e)
     factor = np.sign(true_score) * (2.0 * np.abs(others).max() / abs(true_score) + 1.0)
     params.data[("ent",)][true_e] *= factor  # dominate every candidate
-    scores, ranks = group_scores_and_ranks(params, kb, [fact])
+    scores, ranks = group_scores_and_ranks(params, kb, fact)
     np.testing.assert_allclose(np.delete(scores[0, 0], true_e), others)
     assert ranks[0, 0] == 1
 
@@ -90,13 +93,14 @@ def test_all_equal_entity_table_ranks_as_chance(fill):
     expected reciprocal rank is H(N') / N' (~0.003 at 3000), not 1."""
     kb = random_kb(3000, (2, 3), n_train=400, n_test=12, seed=3)
     # the first test facts' slot 0 also holds entities 1 to 3 in training facts
-    known = [Fact(f.relation, (e,) + f.entities[1:]) for f in kb.test[:3] for e in (1, 2, 3)]
-    kb = KnowledgeBase(kb.vocab, list(kb.train) + known, [], kb.test)
+    known = facts_of((rel, (e,) + ents[1:]) for rel, ents in fact_pairs(kb.test[:3])
+                     for e in (1, 2, 3))
+    kb = KnowledgeBase(kb.vocab, kb.train + known, facts_of([]), kb.test)
     cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
     params = ModelParams.init(cfg, kb.vocab, seed=4)
     ent = params.data[("ent",)]
     ent[:] = {"zero": 0.0, "one": 1.0, "first-row": ent[0].copy()}[fill]
-    n_candidates = [int(brute_force_candidates(kb, fact, pos).sum())
+    n_candidates = [int(brute_force_candidates(kb, *fact, pos).sum())
                     for fact, pos in query_slots(split_groups(kb.vocab, kb.test), kb.test)]
     assert min(n_candidates) < 3000  # the filter removes some candidates
     ranks, ties = batch_ranks(params, kb, kb.test)
@@ -117,7 +121,7 @@ def full_batch_case():
     kb = random_kb(300, (2, 3), n_train=100, n_test=evaluation.EVAL_BATCH, seed=3)
     cfg = ModelConfig(embed_dim=8, multiplicity=2, latent_size=2)
     params = ModelParams.init(cfg, kb.vocab, seed=4)
-    n_candidates = [int(brute_force_candidates(kb, fact, pos).sum())
+    n_candidates = [int(brute_force_candidates(kb, *fact, pos).sum())
                     for fact, pos in query_slots(split_groups(kb.vocab, kb.test), kb.test)]
     return kb, params, n_candidates
 
@@ -165,7 +169,7 @@ def test_entities_sharing_one_row_rank_as_in_float64(workers, monkeypatch):
                                kb.vocab, seed=6)
     ent = params.data[("ent",)]
     ent[200:] = ent[0]
-    n_queries = sum(fact.arity for fact in kb.test)
+    n_queries = kb.test.ents.size
     monkeypatch.setattr(evaluation, "SCORE_BLOCK_CELLS", 130 * n_queries)
     monkeypatch.setattr(pool, "WORKERS", workers)
     own = np.concatenate([spec.ents.reshape(-1) for spec in split_groups(kb.vocab, kb.test)])
@@ -207,12 +211,12 @@ def test_rank_matches_sort_oracle_on_toy_kb():
     cfg = ModelConfig(embed_dim=4, multiplicity=2, latent_size=3)
     params = randomized_params(cfg, kb.vocab, seed=6)
     for arity in (2, 3):
-        group = [fact for fact in kb.test if fact.arity == arity]
+        group = kb.test[kb.test.arity == arity]
         scores, ranks = group_scores_and_ranks(params, kb, group)
-        for row, fact in enumerate(group):
-            for pos in range(fact.arity):
-                mask = brute_force_candidates(kb, fact, pos)
-                expected = sort_rank(list(scores[row, pos]), mask, fact.entities[pos])
+        for row, fact in enumerate(fact_pairs(group)):
+            for pos in range(arity):
+                mask = brute_force_candidates(kb, *fact, pos)
+                expected = sort_rank(list(scores[row, pos]), mask, fact[1][pos])
                 assert ranks[row, pos] == expected
 
 
@@ -294,10 +298,11 @@ def test_evaluate_counts_all_positions_per_arity():
     cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
     params = randomized_params(cfg, kb.vocab, seed=8)
     report = evaluate(params, kb, split="test")
-    assert report.n_queries == sum(f.arity for f in kb.test)
+    pairs = fact_pairs(kb.test)
+    assert report.n_queries == sum(len(ents) for _, ents in pairs)
     assert sum(s.n_queries for s in report.per_arity.values()) == report.n_queries
     for arity, stats in report.per_arity.items():
-        assert stats.n_queries == sum(f.arity for f in kb.test if f.arity == arity)
+        assert stats.n_queries == sum(arity for _, ents in pairs if len(ents) == arity)
 
 
 def oracle_ranks(params, kb):
@@ -307,12 +312,12 @@ def oracle_ranks(params, kb):
     outscore a true one."""
     queries, filtered_above = [], 0
     for fact, pos in query_slots(split_groups(kb.vocab, kb.test), kb.test):
-        all_scores = table_scores(params, split_groups(params.vocab, [fact])[0])[0, pos]
+        all_scores = table_scores(params, split_groups(params.vocab, facts_of([fact]))[0])[0, pos]
         scores = list(all_scores)
-        mask = brute_force_candidates(kb, fact, pos)
-        true_e = fact.entities[pos]
+        mask = brute_force_candidates(kb, *fact, pos)
+        true_e = fact[1][pos]
         filtered_above += int((all_scores[~mask] > scores[true_e]).sum())
-        queries.append((fact.arity, sort_rank(scores, mask, true_e),
+        queries.append((len(fact[1]), sort_rank(scores, mask, true_e),
                         sort_ties(scores, mask, true_e)))
     return queries, filtered_above
 
@@ -383,9 +388,10 @@ def near_tie_case(filter_neighbours):
     values = make_rng(23, 1).normal(0.0, 1.0, len(ent))
     ent[:] = 0.0
     ent[:, 0, 0] = values
-    fact = next(f for f in kb.test if len(set(f.entities)) == f.arity)
-    true_e = fact.entities[0]
-    (spec,) = split_groups(params.vocab, [fact])
+    relation, entities = next(f for f in fact_pairs(kb.test) if len(set(f[1])) == len(f[1]))
+    fact = facts_of([(relation, entities)])
+    true_e = entities[0]
+    (spec,) = split_groups(params.vocab, fact)
     g = forward_group(params, spec).gather[0, 0, 0, 0]
     # the query's kernel does not read the queried entity. With a mantissa
     # near 2, one ulp of x moves g * x by less than one ulp of the product
@@ -400,17 +406,17 @@ def near_tie_case(filter_neighbours):
         x0 * (1 + 2.0**-40), x0 * (1 - 2.0**-40),
         x0,
     ]
-    free = [e for e in range(len(ent)) if e not in fact.entities]
+    free = [e for e in range(len(ent)) if e not in entities]
     extra = []
     for i, (e, x) in enumerate(zip(free, neighbours)):
         ent[e, 0, 0] = x
         if filter_neighbours and i % 2 == 0:
-            extra.append(Fact(fact.relation, (e,) + fact.entities[1:]))
-    scores = group_scores_and_ranks(params, kb, [fact])[0][0, 0]
+            extra.append((relation, (e,) + entities[1:]))
+    scores = group_scores_and_ranks(params, kb, fact)[0][0, 0]
     assert sorted(scores[free[:2]].tolist()) == [
         np.nextafter(t, -np.inf), np.nextafter(t, np.inf)]
     assert scores[true_e] == t and scores[free[len(neighbours) - 1]] == t
-    return KnowledgeBase(kb.vocab, list(kb.train) + extra, kb.valid, kb.test), params
+    return KnowledgeBase(kb.vocab, kb.train + facts_of(extra), kb.valid, kb.test), params
 
 
 @pytest.mark.parametrize("filter_neighbours", [False, True], ids=["open", "filtered"])
@@ -418,7 +424,7 @@ def test_candidates_inside_float32_error_band_rank_as_in_float64(filter_neighbou
     """The test split mixes arities, so with `filter_neighbours` the filtered
     band members sit in a mixed-arity batch."""
     kb, params = near_tie_case(filter_neighbours)
-    assert {fact.arity for fact in kb.test} == {2, 3}
+    assert set(kb.test.arity.tolist()) == {2, 3}
     filtered_above, ties = assert_ranks_match_oracle(params, kb)
     assert ties > 0
     if filter_neighbours:
@@ -442,8 +448,8 @@ def test_scaled_entity_table_ranks_as_in_float64(scale):
     for kb, params in cases:
         params.data[("ent",)] *= scale
         assert_ranks_match_oracle(params, kb)
-        (ternary,) = [f for f in kb.test if f.arity == 3][:1]
-        scores = np.abs(group_scores_and_ranks(params, kb, [ternary])[0])
+        ternary = kb.test[kb.test.arity == 3][:1]
+        scores = np.abs(group_scores_and_ranks(params, kb, ternary)[0])
         if scale > 1:
             assert scores.max() > f32.max  # such rows are decided in float64
         else:
@@ -486,13 +492,13 @@ def test_hand_built_kernels_rank_as_in_float64():
     got = rank_from_scores(kb, groups, kernels, entity_table(params))
     scores = kernels @ rows.T
     slots = query_slots(groups, kb.test)
-    masks = [brute_force_candidates(kb, fact, pos) for fact, pos in slots]
-    want = [sort_rank(list(scores[q]), masks[q], fact.entities[pos])
+    masks = [brute_force_candidates(kb, *fact, pos) for fact, pos in slots]
+    want = [sort_rank(list(scores[q]), masks[q], fact[1][pos])
             for q, (fact, pos) in enumerate(slots)]
-    assert slots[0] == (kb.test[1], 0)
+    assert slots[0] == (fact_pairs(kb.test)[1], 0)
     assert want[:2] == [2, 5]  # e2 above e0; e0, e2, e3, e6 above e1, with e5 filtered
     assert got[0].tolist() == want
-    assert got[1].tolist() == [sort_ties(list(scores[q]), masks[q], fact.entities[pos])
+    assert got[1].tolist() == [sort_ties(list(scores[q]), masks[q], fact[1][pos])
                                for q, (fact, pos) in enumerate(slots)]
 
 
@@ -500,14 +506,14 @@ def test_more_than_a_uint8_of_entities_above_in_one_block():
     """600 entities in one block, all but the last two scoring above the true
     one, the last: the walk's first two count chunks are all above it."""
     true_e, other = 599, 598
-    fact = Fact(0, (true_e, other))
-    kb = KnowledgeBase(make_vocab(600, (2,)), [fact], [], [fact])
+    fact = facts_of([(0, (true_e, other))])
+    kb = KnowledgeBase(make_vocab(600, (2,)), fact, facts_of([]), fact)
     cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
     params = randomized_params(cfg, kb.vocab, seed=25)
     ent = params.data[("ent",)]
     ent[:] = 0.0
     ent[:, 0, 0] = 1.0 + np.arange(len(ent))
-    (spec,) = split_groups(params.vocab, [fact])
+    (spec,) = split_groups(params.vocab, fact)
     g = forward_group(params, spec).gather[0, 0, 0, 0]  # slot 0's kernel does not read true_e
     assert g != 0.0
     ent[:, 0, 0] *= np.sign(g)
@@ -515,7 +521,7 @@ def test_more_than_a_uint8_of_entities_above_in_one_block():
     ent[true_e, 0, 0] = 0.5 * np.sign(g)
     assert forward_group(params, spec).gather[0, 0, 0, 0] == g
     assert_ranks_match_oracle(params, kb)
-    assert batch_ranks(params, kb, [fact])[0][0] >= 599
+    assert batch_ranks(params, kb, fact)[0][0] >= 599
 
 
 @pytest.mark.parametrize("cells", [2**20, 64, 1])
@@ -544,9 +550,9 @@ def pooled_walk_case():
     part, on a pool thread.
     """
     vocab = make_vocab(100, (2, 3))
-    test = [Fact(0, (49, 48)), Fact(1, (35, 34, 70)), Fact(1, (69, 49, 3)), Fact(0, (97, 0))]
-    train = [Fact(0, (10, 48)), Fact(0, (90, 48)), Fact(1, (5, 34, 70))]
-    kb = KnowledgeBase(vocab, train, [], test)
+    test = facts_of([(0, (49, 48)), (1, (35, 34, 70)), (1, (69, 49, 3)), (0, (97, 0))])
+    train = facts_of([(0, (10, 48)), (0, (90, 48)), (1, (5, 34, 70))])
+    kb = KnowledgeBase(vocab, train, facts_of([]), test)
     cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
     params = randomized_params(cfg, vocab, seed=27)
     ent = params.data[("ent",)]
@@ -565,9 +571,9 @@ def test_ranks_and_band_pairs_do_not_depend_on_the_worker_count(monkeypatch):
     scores = (kernels[:, None, :] * rows[None]).sum(axis=-1)  # float64 (query, entity)
     groups = split_groups(kb.vocab, kb.test)
     slots = query_slots(groups, kb.test)
-    masks = [brute_force_candidates(kb, fact, pos) for fact, pos in slots]
-    want = [(sort_rank(list(scores[q]), masks[q], fact.entities[pos]),
-             sort_ties(list(scores[q]), masks[q], fact.entities[pos]))
+    masks = [brute_force_candidates(kb, *fact, pos) for fact, pos in slots]
+    want = [(sort_rank(list(scores[q]), masks[q], fact[1][pos]),
+             sort_ties(list(scores[q]), masks[q], fact[1][pos]))
             for q, (fact, pos) in enumerate(slots)]
     assert [ties for _, ties in want] == [0] * 7 + [2, 2] + [0]
     screen, executor = evaluation._screen, pool.executor
@@ -596,7 +602,7 @@ def test_ranks_and_band_pairs_do_not_depend_on_the_worker_count(monkeypatch):
     # the walk masks every non-candidate: the own entities and query 0's
     # known-true copies of its true entity are counted nowhere
     non_candidates = {(q, e) for q, mask in enumerate(masks) for e in np.flatnonzero(~mask)}
-    non_candidates |= {(q, fact.entities[pos]) for q, (fact, pos) in enumerate(slots)}
+    non_candidates |= {(q, fact[1][pos]) for q, (fact, pos) in enumerate(slots)}
     assert {(0, 49), (0, 10), (0, 90)} <= non_candidates
     assert all(pairs == non_candidates for pairs in masked)
     above, ties = walks[0]
@@ -618,9 +624,9 @@ def test_blind_row_counts_no_known_true_tie(workers, monkeypatch):
     non-candidates, so that entity still counts, above, and the known-true
     ones do not."""
     vocab = make_vocab(100, (2,))
-    test = [Fact(0, (50, 7))]
+    test = facts_of([(0, (50, 7))])
     known, tied, overflow = [10, 45, 90], [20, 60, 95], [30, 75]
-    kb = KnowledgeBase(vocab, [Fact(0, (e, 7)) for e in known], [], test)
+    kb = KnowledgeBase(vocab, facts_of((0, (e, 7)) for e in known), facts_of([]), test)
     params = randomized_params(ModelConfig(embed_dim=3, multiplicity=2, latent_size=2),
                                vocab, seed=33)
     ent = params.data[("ent",)]
@@ -634,9 +640,9 @@ def test_blind_row_counts_no_known_true_tie(workers, monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isnan(rows[overflow].astype(np.float32) @ kernels[0].astype(np.float32)).all()
     scores = (kernels[:, None, :] * rows[None]).sum(axis=-1)
-    masks = [brute_force_candidates(kb, fact, pos) for fact, pos in query_slots(groups, test)]
-    want = [(sort_rank(list(scores[q]), masks[q], fact.entities[pos]),
-             sort_ties(list(scores[q]), masks[q], fact.entities[pos]))
+    masks = [brute_force_candidates(kb, *fact, pos) for fact, pos in query_slots(groups, test)]
+    want = [(sort_rank(list(scores[q]), masks[q], fact[1][pos]),
+             sort_ties(list(scores[q]), masks[q], fact[1][pos]))
             for q, (fact, pos) in enumerate(query_slots(groups, test))]
     assert want[0][1] == len(tied) and want[0][0] > len(overflow)
     assert not masks[0][known].any() and (scores[0, known] == scores[0, 50]).all()
@@ -653,7 +659,7 @@ def test_blind_row_counts_no_known_true_tie(workers, monkeypatch):
 @pytest.mark.parametrize("workers", [2, 3])
 def test_evaluate_on_a_pooled_walk_ranks_as_in_float64(workers, monkeypatch):
     kb = random_kb(40, (2, 3, 4), n_train=60, n_test=12, seed=28)
-    assert {fact.arity for fact in kb.test} == {2, 3, 4}
+    assert set(kb.test.arity.tolist()) == {2, 3, 4}
     cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
     params = randomized_params(cfg, kb.vocab, seed=29)
     monkeypatch.setattr(evaluation, "SCORE_BLOCK_CELLS", 64)  # a walk of many small blocks
@@ -741,8 +747,8 @@ def test_non_finite_true_score_is_numeric_error():
     with pytest.raises(NumericError, match=r"non-finite score") as exc:
         evaluate(params, kb, split="test")
     named = {
-        f"{kb.vocab.relations[f.relation][0]}({', '.join(kb.vocab.entities[e] for e in f.entities)})"
-        for f in kb.test
+        f"{kb.vocab.relations[rel][0]}({', '.join(kb.vocab.entities[e] for e in ents)})"
+        for rel, ents in fact_pairs(kb.test)
     }
     assert str(exc.value).split(" of fact ")[1] in named
 
@@ -757,11 +763,11 @@ def test_non_finite_true_score_names_its_fact_in_a_mixed_batch():
     cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
     params = randomized_params(cfg, kb.vocab, seed=10)
     params.data[("alpha", kb.vocab.relation_index[("r2", 3)])][:] = np.inf
-    rels = [kb.vocab.relations[f.relation][0] for f in kb.test]
+    rels = [kb.vocab.relations[rel][0] for rel in kb.test.rels]
     first = rels.index("r2")
     assert {"r0", "r1"} <= set(rels[:first])
-    fact = kb.test[first]
-    name = f"r2({', '.join(kb.vocab.entities[e] for e in fact.entities)})"
+    _, entities = fact_pairs(kb.test)[first]
+    name = f"r2({', '.join(kb.vocab.entities[e] for e in entities)})"
     for rank in (lambda: evaluate(params, kb, split="test"),
                  lambda: batch_ranks(params, kb, kb.test)):
         with pytest.raises(NumericError, match=r"non-finite score") as exc:
@@ -792,21 +798,21 @@ def test_filter_monotonicity_removing_fact_cannot_improve_rank():
     base_lines = ["r a b", "r c b", "r d b"]
     kb_full = build_kb(parse_tabular(base_lines), test=parse_tabular(["r a b"]))
     # the same KB without "r d b", indexed by the same vocabulary
-    kb_small = KnowledgeBase(kb_full.vocab, kb_full.train[:2], [], kb_full.test)
+    kb_small = KnowledgeBase(kb_full.vocab, kb_full.train[:2], facts_of([]), kb_full.test)
     assert kb_full.vocab.entities == kb_small.vocab.entities
     cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
     params = randomized_params(cfg, kb_full.vocab, seed=15)
-    fact = kb_full.test[0]
+    fact = kb_full.test[:1]
     # Make d outscore a at position 0: d's block is a multiple of a's, with
     # the sign of a's score and a magnitude above 1.
     a, d = (kb_full.vocab.entity_index[name] for name in ("a", "d"))
-    a_score = group_scores_and_ranks(params, kb_full, [fact])[0][0, 0, a]
+    a_score = group_scores_and_ranks(params, kb_full, fact)[0][0, 0, a]
     assert a_score != 0.0
     ent = params.data[("ent",)]
     ent[d] = 2.0 * np.sign(a_score) * ent[a]
-    small = group_scores_and_ranks(params, kb_small, [fact])[1][0]
-    full = group_scores_and_ranks(params, kb_full, [fact])[1][0]
-    for pos in range(fact.arity):
+    small = group_scores_and_ranks(params, kb_small, fact)[1][0]
+    full = group_scores_and_ranks(params, kb_full, fact)[1][0]
+    for pos in range(fact.arity[0]):
         assert small[pos] >= full[pos]
     # position 0 is the slot where removing "r d b" un-filters d
     assert small[0] > full[0]

@@ -7,9 +7,11 @@ from oracles import naive_latent_score
 from ramkb import cli
 from ramkb.errors import ConfigError
 from ramkb.expressive import ENUMERATION_CAP, construct, verify_separation
-from ramkb.kb import Fact, Vocabulary
+from ramkb.kb import Vocabulary
 from ramkb.mathcore import make_rng
 from ramkb.model import ModelConfig, ModelParams
+
+from conftest import fact_pairs, facts_of
 
 
 def random_ground_truth(seed, n_entities=4, n_facts=6):
@@ -19,27 +21,26 @@ def random_ground_truth(seed, n_entities=4, n_facts=6):
     arities = (2, 3, int(rng.integers(2, 4)))
     vocab = Vocabulary([f"e{e}" for e in range(n_entities + 1)],
                        [(f"r{r}", arity) for r, arity in enumerate(arities)])
-    facts = []
-    while len(facts) < n_facts:
+    pairs = []
+    while len(pairs) < n_facts:
         rel = int(rng.integers(vocab.n_relations))
         ents = tuple(int(e) for e in rng.integers(0, n_entities, vocab.arity(rel)))
-        if Fact(rel, ents) not in facts:
-            facts.append(Fact(rel, ents))
-    return vocab, facts
+        if (rel, ents) not in pairs:
+            pairs.append((rel, ents))
+    return vocab, facts_of(pairs)
 
 
 def per_tuple_report(vocab, facts, params):
     """(n_enumerated, min_true_score, max_false_score) by scoring one tuple at a time."""
-    true_set = set(facts)
+    true_set = set(fact_pairs(facts))
     n_enumerated = 0
     min_true = float("inf")
     max_false = float("-inf")
     for rel, (_, arity) in enumerate(vocab.relations):
         for ents in itertools.product(range(vocab.n_entities), repeat=arity):
-            fact = Fact(rel, ents)
-            value = naive_latent_score(params, fact)
+            value = naive_latent_score(params, rel, ents)
             n_enumerated += 1
-            if fact in true_set:
+            if (rel, ents) in true_set:
                 min_true = min(min_true, value)
             else:
                 max_false = max(max_false, value)
@@ -58,7 +59,7 @@ def test_construct_separates_random_ground_truths(seed):
 def test_true_fact_scores_exactly_its_arity(arity):
     # at arity 6, 7, 9, ... a pattern mass of 1/arity would score a hair off
     vocab = Vocabulary(["a", "b"], [("r", arity)])
-    facts = [Fact(0, (0,) * arity), Fact(0, tuple(i % 2 for i in range(arity)))]
+    facts = facts_of([(0, (0,) * arity), (0, tuple(i % 2 for i in range(arity)))])
     report = verify_separation(construct(vocab, facts), facts)
     assert report.passed, report
     assert (report.min_true_score, report.max_false_score) == (arity, 0.0)
@@ -76,7 +77,7 @@ def test_batched_report_equals_per_tuple_loop(seed):
 def test_perturbed_entity_block_fails():
     vocab, facts = random_ground_truth(0)
     params = construct(vocab, facts)
-    entity = facts[0].entities[0]
+    entity = facts.ents[0]
     params.data[("ent",)][entity] += 1e-3
     report = verify_separation(params, facts)
     assert not report.passed
@@ -89,7 +90,7 @@ def over_cap_ground_truth():
     n_entities = round(ENUMERATION_CAP ** (1 / 3)) + 1
     vocab = Vocabulary([f"e{e}" for e in range(n_entities)], [("r", 3)])
     assert n_entities ** 3 > ENUMERATION_CAP
-    return vocab, [Fact(0, (0, 1, 2))]
+    return vocab, facts_of([(0, (0, 1, 2))])
 
 
 def test_ground_truth_over_enumeration_cap_rejected():
@@ -181,3 +182,14 @@ def test_unreadable_spec_exits_3_naming_it(tmp_path, capsys, spoil):
     spec, reason = spoil(tmp_path)
     assert cli.main(["express", "--spec", str(spec)]) == 3
     assert f"data error: {spec}: {reason}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("arity", [63, 64, 65, 70])
+def test_one_entity_relation_of_arity_64_and_above_separates(tmp_path, capsys, arity):
+    """The tuples of a relation are indexed by flat codes, so an arity past
+    numpy's 64 index arrays enumerates as any other."""
+    spec = tmp_path / "truth.txt"
+    spec.write_text("w" + " a" * arity + "\n")
+    assert express_report(spec, capsys) == {
+        "passed": True, "min_true_score": float(arity), "max_false_score": 0.0,
+        "n_true": 1, "n_enumerated": 1}

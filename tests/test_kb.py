@@ -12,7 +12,6 @@ from ramkb import kb as kb_module
 from ramkb.errors import DataError, DimensionError, ParseError
 from ramkb.kb import (
     CODE_LIMIT,
-    Fact,
     KnowledgeBase,
     Vocabulary,
     _encode,
@@ -24,7 +23,7 @@ from ramkb.kb import (
     subset_by_arity,
 )
 
-from conftest import make_vocab, random_facts, random_kb
+from conftest import fact_pairs, facts_of, make_vocab, random_facts, random_kb
 
 
 def test_parse_tabular_tabs_and_spaces():
@@ -196,7 +195,7 @@ def test_build_kb_matches_the_per_fact_loop(splits):
     assert list(kb.vocab.rel_roles.items()) == list(vocab.rel_roles.items())
     for name in ("entity_index", "relation_index", "role_index"):
         assert getattr(kb.vocab, name) == getattr(vocab, name)
-    assert [list(kb.split(split)) for split in SPLITS] == facts
+    assert [fact_pairs(kb.split(split)) for split in SPLITS] == facts
 
 
 @settings(max_examples=80, deadline=None)
@@ -242,9 +241,10 @@ def candidates(kb, facts):
 
 
 def brute_force_mask(kb, fact, position):
-    """The brute-force candidate mask of a slot, its own entity taken out."""
-    mask = brute_force_candidates(kb, fact, position)
-    mask[fact.entities[position]] = False
+    """The brute-force candidate mask of a slot of a (relation, entities)
+    pair, its own entity taken out."""
+    mask = brute_force_candidates(kb, *fact, position)
+    mask[fact[1][position]] = False
     return mask
 
 
@@ -263,28 +263,31 @@ def slot_mask(kb, facts, index, position):
 
 
 def known_true(kb, fact, position):
-    """Every entity known true at a slot of `fact`. A query filters all of
-    them and its own entity, so two probes with different own entities at
-    the slot (0 and 1) both filter the whole set and nothing else."""
+    """Every entity known true at a slot of `fact`, a (relation, entities)
+    pair. A query filters all of them and its own entity, so two probes with
+    different own entities at the slot (0 and 1) both filter the whole set
+    and nothing else."""
+    relation, entities = fact
     known = None
     for probe in (0, 1):
-        entities = fact.entities[:position] + (probe,) + fact.entities[position + 1 :]
-        mask = slot_mask(kb, [Fact(fact.relation, entities)], 0, position)
+        probed = entities[:position] + (probe,) + entities[position + 1 :]
+        mask = slot_mask(kb, facts_of([(relation, probed)]), 0, position)
         filtered = {int(e) for e in np.flatnonzero(~mask)}
         known = filtered if known is None else known & filtered
     return known
 
 
-def assert_groups_match_loop(vocab, facts):
-    """split_groups gives the per-fact loop's groups, or raises its error."""
+def assert_groups_match_loop(vocab, pairs):
+    """split_groups of (relation, entities) pairs gives the per-fact loop's
+    groups, or raises its error."""
     try:
-        want = loop_split_groups(vocab, facts)
+        want = loop_split_groups(vocab, pairs)
     except DimensionError as loop_error:
         with pytest.raises(DimensionError) as error:
-            split_groups(vocab, facts)
+            split_groups(vocab, facts_of(pairs))
         assert str(error.value) == str(loop_error)
         return
-    got = split_groups(vocab, facts)
+    got = split_groups(vocab, facts_of(pairs))
     assert [(spec.arity, spec.rows) for spec in got] == [(g[0], g[4]) for g in want]
     for spec, (_, rels, ents, fact_index, _) in zip(got, want):
         for array, oracle in ((spec.rels, rels), (spec.ents, ents), (spec.fact_index, fact_index)):
@@ -303,26 +306,26 @@ def test_split_groups_matches_the_per_fact_loop(arities, n_facts, seed, wrong):
     """Random mixed-arity fact lists; with `wrong`, one fact (if the list
     reaches it) gets one entity fewer or more than its relation's arity."""
     vocab = make_vocab(7, tuple(arities))
-    facts = random_facts(vocab, n_facts, seed=seed)
+    pairs = fact_pairs(random_facts(vocab, n_facts, seed=seed))
     if wrong is not None and wrong[0] < n_facts:
         i, change = wrong
-        entities = facts[i].entities
-        facts[i] = Fact(facts[i].relation, entities[:-1] if change < 0 else entities + (0,))
-    assert_groups_match_loop(vocab, facts)
+        relation, entities = pairs[i]
+        pairs[i] = (relation, entities[:-1] if change < 0 else entities + (0,))
+    assert_groups_match_loop(vocab, pairs)
 
 
 def test_split_groups_of_no_fact_one_fact_and_a_wrong_arity():
     vocab = make_vocab(4, (3, 2))
-    assert split_groups(vocab, []) == []
+    assert split_groups(vocab, facts_of([])) == []
     assert_groups_match_loop(vocab, [])
-    (spec,) = split_groups(vocab, [Fact(0, (3, 1, 3))])
+    (spec,) = split_groups(vocab, facts_of([(0, (3, 1, 3))]))
     assert spec.rows == slice(0, 3) and spec.ents.tolist() == [[3, 1, 3]]
-    assert_groups_match_loop(vocab, [Fact(0, (3, 1, 3))])
+    assert_groups_match_loop(vocab, [(0, (3, 1, 3))])
     # the first fact of a wrong arity is named, after a right one
-    facts = [Fact(1, (0, 1)), Fact(0, (0, 1)), Fact(1, (0, 1, 2))]
+    pairs = [(1, (0, 1)), (0, (0, 1)), (1, (0, 1, 2))]
     with pytest.raises(DimensionError, match=r"^fact arity 2 != relation arity 3$"):
-        split_groups(vocab, facts)
-    assert_groups_match_loop(vocab, facts)
+        split_groups(vocab, facts_of(pairs))
+    assert_groups_match_loop(vocab, pairs)
 
 
 def test_build_kb_computes_stats_only_for_an_info_log(monkeypatch, caplog):
@@ -340,16 +343,16 @@ def test_build_kb_computes_stats_only_for_an_info_log(monkeypatch, caplog):
 
 def test_truth_index_complete_for_every_split_and_position():
     kb = random_kb(8, (2, 3, 4), n_train=15, n_valid=5, n_test=5, seed=11)
-    for fact in kb.train + kb.valid + kb.test:
-        for pos in range(fact.arity):
-            assert fact.entities[pos] in known_true(kb, fact, pos)
+    for fact in fact_pairs(kb.train + kb.valid + kb.test):
+        for pos in range(len(fact[1])):
+            assert fact[1][pos] in known_true(kb, fact, pos)
 
 
 def test_truth_index_single_fact_both_positions():
     kb = build_kb(parse_tabular(["r a b"]))
-    fact = kb.train[0]
-    assert known_true(kb, fact, 0) == {fact.entities[0]}
-    assert known_true(kb, fact, 1) == {fact.entities[1]}
+    (fact,) = fact_pairs(kb.train)
+    assert known_true(kb, fact, 0) == {fact[1][0]}
+    assert known_true(kb, fact, 1) == {fact[1][1]}
 
 
 def test_filtered_candidates_excludes_other_true_entities():
@@ -367,8 +370,8 @@ def test_filtered_candidates_single_fact_everything_allowed():
 
 
 def assert_facts_match_brute_force(kb, facts):
-    for i, fact in enumerate(facts):
-        for pos in range(fact.arity):
+    for i, fact in enumerate(fact_pairs(facts)):
+        for pos in range(len(fact[1])):
             np.testing.assert_array_equal(
                 slot_mask(kb, facts, i, pos),
                 brute_force_mask(kb, fact, pos),
@@ -377,14 +380,14 @@ def assert_facts_match_brute_force(kb, facts):
 
 def assert_masks_match_brute_force(kb):
     """Per arity group, and on the train split's mixed-arity list as it is."""
-    groups = [[f for f in kb.train if f.arity == arity] for arity in kb.vocab.arities]
+    groups = [kb.train[kb.train.arity == arity] for arity in kb.vocab.arities]
     for facts in groups + [kb.train]:
         assert_facts_match_brute_force(kb, facts)
 
 
 def test_filtered_candidates_matches_brute_force_on_random_kb():
     kb = random_kb(9, (2, 3), n_train=20, seed=5)
-    assert {f.arity for f in kb.train} == {2, 3}  # the mixed list has both
+    assert set(kb.train.arity.tolist()) == {2, 3}  # the mixed list has both
     assert_masks_match_brute_force(kb)
 
 
@@ -402,8 +405,8 @@ def test_filtered_candidates_exhaustive_small_kbs(seed, n_facts, n_entities):
 def test_filtered_candidates_facts_not_in_kb_match_brute_force():
     kb = random_kb(6, (2, 3), n_train=25, n_valid=5, n_test=5, seed=13)
     probes = random_facts(kb.vocab, 60, seed=77)
-    stored = set(kb.train + kb.valid + kb.test)
-    assert any(p not in stored for p in probes)
+    stored = set(fact_pairs(kb.train + kb.valid + kb.test))
+    assert any(p not in stored for p in fact_pairs(probes))
     assert_facts_match_brute_force(kb, probes)
 
 
@@ -416,8 +419,8 @@ def test_filtered_candidates_lists_a_fact_repeated_across_splits_once():
     a, c = kb.vocab.entity_index["a"], kb.vocab.entity_index["c"]
     assert a < c
     # slot 0's own entity once, though the index holds it three times
-    for fact in kb.test:
-        query, entity = candidates(kb, [fact])
+    for i in range(len(kb.test)):
+        query, entity = candidates(kb, kb.test[i : i + 1])
         assert entity[query == 0].tolist() == [a, c]
 
 
@@ -431,9 +434,9 @@ def test_filtered_candidates_arities_two_to_six_in_one_call():
     kb = build_kb(parse_tabular(lines[:80]), test=parse_tabular(lines[80:]))
     assert kb.vocab.arities == (2, 3, 4, 5, 6)
     assert ("r", 2) in kb.vocab.relations and ("r", 3) in kb.vocab.relations
-    mixed = list(kb.test) + random_facts(kb.vocab, 30, seed=3)
-    assert {f.arity for f in mixed} == {2, 3, 4, 5, 6}
-    assert [f.arity for f in mixed] != sorted(f.arity for f in mixed)
+    mixed = kb.test + random_facts(kb.vocab, 30, seed=3)
+    assert set(mixed.arity.tolist()) == {2, 3, 4, 5, 6}
+    assert mixed.arity.tolist() != sorted(mixed.arity.tolist())
     assert_facts_match_brute_force(kb, mixed)
     # one call over every group: its queries numbered in the stacked row
     # order, its pairs in entity order and by query within an entity
@@ -443,37 +446,37 @@ def test_filtered_candidates_arities_two_to_six_in_one_call():
         for row, (i, p) in enumerate(
             (i, p) for spec in groups for i in spec.fact_index.tolist() for p in range(spec.arity)
         )
-        for e in np.flatnonzero(~brute_force_mask(kb, mixed[i], p)).tolist()
+        for e in np.flatnonzero(~brute_force_mask(kb, fact_pairs(mixed)[i], p)).tolist()
     )
     query, entity = kb.filtered_candidates(groups)
-    assert len(want) > sum(fact.arity for fact in mixed)  # more than the own entities
+    assert len(want) > mixed.ents.size  # more than the own entities
     assert list(zip(entity.tolist(), query.tolist())) == want
 
 
 def test_filtered_candidates_empty_fact_list():
     kb = random_kb(5, (2, 3), n_train=10, seed=1)
-    query, entity = kb.filtered_candidates([])
+    query, entity = kb.filtered_candidates(split_groups(kb.vocab, facts_of([])))
     assert query.shape == entity.shape == (0,)
     assert query.dtype == entity.dtype == np.intp
 
 
-@pytest.mark.parametrize("test_facts", [[Fact(0, (0, 1))], []], ids=["empty-train", "no-facts"])
+@pytest.mark.parametrize("test_facts", [[(0, (0, 1))], []], ids=["empty-train", "no-facts"])
 def test_filtered_candidates_kb_with_empty_splits(test_facts):
-    kb = KnowledgeBase(make_vocab(3, (2,)), [], [], test_facts)
-    probes = [Fact(0, (0, 1)), Fact(0, (2, 1)), Fact(0, (0, 2))]
+    empty = facts_of([])
+    kb = KnowledgeBase(make_vocab(3, (2,)), empty, empty, facts_of(test_facts))
+    probes = facts_of([(0, (0, 1)), (0, (2, 1)), (0, (0, 2))])
     assert_facts_match_brute_force(kb, probes)
     _, entity = candidates(kb, probes)
     if not test_facts:  # a KB with no facts filters the own entities only
-        assert entity.tolist() == sorted(e for fact in probes for e in fact.entities)
+        assert entity.tolist() == sorted(probes.ents.tolist())
 
 
 def test_filtered_candidates_largest_entity_id():
     vocab = make_vocab(7, (2, 3))
     top = vocab.n_entities - 1
-    facts = [Fact(0, (top, top)), Fact(0, (2, top)), Fact(1, (top, 0, top)),
-             Fact(1, (top, 1, top))]
-    probes = [Fact(0, (1, top)), Fact(1, (top, top, top))]
-    kb = KnowledgeBase(vocab, facts, [], [])
+    facts = facts_of([(0, (top, top)), (0, (2, top)), (1, (top, 0, top)), (1, (top, 1, top))])
+    probes = facts_of([(0, (1, top)), (1, (top, top, top))])
+    kb = KnowledgeBase(vocab, facts, facts_of([]), facts_of([]))
     _, entity = candidates(kb, probes)
     assert top in entity.tolist()
     assert_facts_match_brute_force(kb, facts + probes)
@@ -519,9 +522,10 @@ def test_kb_past_the_code_bound_raises_data_error():
     """One binary fact's two keys stay below the bound and two facts' four
     keys reach it."""
     vocab = Huge(relations=[("r", 2)])
-    KnowledgeBase(vocab, [Fact(0, (0, 1))], [], [])
+    empty = facts_of([])
+    KnowledgeBase(vocab, facts_of([(0, (0, 1))]), empty, empty)
     with pytest.raises(DataError, match="too large"):
-        KnowledgeBase(vocab, [Fact(0, (0, 1)), Fact(0, (2, 3))], [], [])
+        KnowledgeBase(vocab, facts_of([(0, (0, 1)), (0, (2, 3))]), empty, empty)
 
 
 def test_kb_with_a_column_past_the_code_bound_raises_data_error():
@@ -529,10 +533,11 @@ def test_kb_with_a_column_past_the_code_bound_raises_data_error():
     + 1) codes. Column 2 fits after one fact's 3 prefixes, but not after
     two facts' 6, so it cannot be encoded even in a level of its own."""
     vocab = Huge(relations=[("r", 3)])
-    kb = KnowledgeBase(vocab, [Fact(0, (0, 1, 2))], [], [])
+    empty = facts_of([])
+    kb = KnowledgeBase(vocab, facts_of([(0, (0, 1, 2))]), empty, empty)
     assert [end for end, _ in kb._levels] == [2, 3]
     with pytest.raises(DataError, match="6 distinct key prefixes .* column 2 .* too large"):
-        KnowledgeBase(vocab, [Fact(0, (0, 1, 2)), Fact(0, (3, 4, 5))], [], [])
+        KnowledgeBase(vocab, facts_of([(0, (0, 1, 2)), (0, (3, 4, 5))]), empty, empty)
 
 
 @pytest.mark.parametrize(
@@ -554,8 +559,8 @@ def test_filtered_candidates_on_packed_levels_match_brute_force(arities, limit, 
     assert [end for end, _ in kb._levels] == ends
     assert_masks_match_brute_force(kb)
     probes = random_facts(kb.vocab, 40, seed=78)
-    assert any(p not in set(kb.train + kb.valid + kb.test) for p in probes)
-    assert_facts_match_brute_force(kb, list(kb.train + kb.valid + kb.test) + probes)
+    assert any(p not in set(fact_pairs(kb.train + kb.valid + kb.test)) for p in fact_pairs(probes))
+    assert_facts_match_brute_force(kb, kb.train + kb.valid + kb.test + probes)
     monkeypatch.setattr(kb_module, "CODE_LIMIT", 100)  # a bound some column cannot fit
     with pytest.raises(DataError, match="too large"):
         random_kb(9, arities, n_train=40, n_valid=5, n_test=5, seed=19)
@@ -595,8 +600,8 @@ def named(kb):
     """A KB's splits, relations and per-relation roles, all by name."""
     v = kb.vocab
     facts = {
-        split: [(v.relations[f.relation], [v.entities[e] for e in f.entities])
-                for f in kb.split(split)]
+        split: [(v.relations[rel], [v.entities[e] for e in ents])
+                for rel, ents in fact_pairs(kb.split(split))]
         for split in SPLITS
     }
     roles = {v.relations[r]: [v.roles[g] for g in group] for r, group in v.rel_roles.items()}
@@ -630,7 +635,7 @@ def test_subset_empty_result_errors():
 def test_subset_exact_binary_count():
     kb = random_kb(30, (2,), n_train=100, seed=9)
     sub = subset_by_arity(kb, binary_keep_ratio=0.5, seed=4)
-    assert sum(1 for f in sub.train if f.arity == 2) == 50
+    assert np.count_nonzero(sub.train.arity == 2) == 50
 
 
 def test_subset_deterministic_under_seed():
@@ -655,12 +660,12 @@ def test_subset_filters_every_split_and_rebuilds_truth():
     sub = subset_by_arity(kb, binary_keep_ratio=0.0, seed=0)
     assert sub.train == kb.train[2:]
     assert sub.valid == kb.valid and sub.test == kb.test
-    for fact in sub.train + sub.valid + sub.test:
-        for pos in range(fact.arity):
-            assert fact.entities[pos] in known_true(sub, fact, pos)
+    for fact in fact_pairs(sub.train + sub.valid + sub.test):
+        for pos in range(len(fact[1])):
+            assert fact[1][pos] in known_true(sub, fact, pos)
     # dropped binary train facts no longer pollute the rebuilt index: the
     # valid fact (r, a, d) now only competes with itself at the tail slot
-    valid_fact = sub.valid[0]
+    valid_fact = fact_pairs(sub.valid)[0]
     d = kb.vocab.entity_index["d"]
     assert known_true(sub, valid_fact, 1) == {d}
 

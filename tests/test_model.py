@@ -11,11 +11,11 @@ from oracles import (
 )
 from ramkb.engine import GradientBuffer, score
 from ramkb.errors import ConfigError, DimensionError
-from ramkb.kb import Fact, split_groups
+from ramkb.kb import split_groups
 from ramkb.mathcore import make_rng
 from ramkb.model import ModelConfig, ModelParams, relation_terms
 
-from conftest import make_vocab, own_scores, random_facts, table_scores
+from conftest import fact_pairs, facts_of, make_vocab, own_scores, random_facts, table_scores
 
 
 def randomized_params(cfg, vocab, seed=0, mixing_scale=0.7):
@@ -214,7 +214,7 @@ class TestScore:
         cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
         params = randomized_params(cfg, vocab, seed=8)
         params.data[("ent",)][:] = 0.0
-        assert score(params, Fact(0, (0, 1, 2))) == 0.0
+        assert score(params, 0, (0, 1, 2)) == 0.0
 
     def test_distmult_hand_case(self):
         vocab = make_vocab(2, (2,))
@@ -223,15 +223,15 @@ class TestScore:
         params.data[("preset_u", 0)][:] = np.array([[[1.0, 1.0]], [[1.0, 1.0]]])
         params.data[("ent",)][0] = np.array([[2.0, 0.0], [0.0, 3.0]])
         params.data[("ent",)][1] = np.array([[1.0, 1.0], [1.0, 2.0]])
-        assert score(params, Fact(0, (0, 1))) == pytest.approx(2.0, abs=1e-12)
+        assert score(params, 0, (0, 1)) == pytest.approx(2.0, abs=1e-12)
 
     def test_latent_matches_naive_triple_loop(self):
         vocab = make_vocab(5, (3,))
         cfg = ModelConfig(embed_dim=4, multiplicity=2, latent_size=3)
         params = randomized_params(cfg, vocab, seed=9)
-        for fact in random_facts(vocab, 6, seed=10):
-            assert score(params, fact) == pytest.approx(
-                naive_latent_score(params, fact), rel=1e-12, abs=1e-12
+        for fact in fact_pairs(random_facts(vocab, 6, seed=10)):
+            assert score(params, *fact) == pytest.approx(
+                naive_latent_score(params, *fact), rel=1e-12, abs=1e-12
             )
 
     def test_extended_matches_naive(self):
@@ -245,34 +245,33 @@ class TestScore:
             patterns_per_role=3,
         )
         params = randomized_params(cfg, vocab, seed=11)
-        for fact in random_facts(vocab, 6, seed=12):
-            assert score(params, fact) == pytest.approx(
-                naive_extended_score(params, fact), rel=1e-12, abs=1e-12
+        for fact in fact_pairs(random_facts(vocab, 6, seed=12)):
+            assert score(params, *fact) == pytest.approx(
+                naive_extended_score(params, *fact), rel=1e-12, abs=1e-12
             )
 
     def test_explicit_matches_naive(self):
         vocab = make_vocab(5, (2, 3), explicit_roles=True)
         cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2, mode="explicit")
         params = randomized_params(cfg, vocab, seed=13)
-        for fact in random_facts(vocab, 6, seed=14):
-            assert score(params, fact) == pytest.approx(
-                naive_explicit_score(params, fact), rel=1e-12, abs=1e-12
+        for fact in fact_pairs(random_facts(vocab, 6, seed=14)):
+            assert score(params, *fact) == pytest.approx(
+                naive_explicit_score(params, *fact), rel=1e-12, abs=1e-12
             )
 
     def test_linear_in_single_occurrence_entity_block(self):
         vocab = make_vocab(5, (3,))
         cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
         params = randomized_params(cfg, vocab, seed=15)
-        fact = Fact(0, (0, 1, 2))
-        base = score(params, fact)
+        base = score(params, 0, (0, 1, 2))
         params.data[("ent",)][1] *= 2.0
-        assert score(params, fact) == pytest.approx(2.0 * base, rel=1e-10)
+        assert score(params, 0, (0, 1, 2)) == pytest.approx(2.0 * base, rel=1e-10)
 
     def test_arity_mismatch_rejected(self):
         vocab = make_vocab(4, (3,))
         params = ModelParams.init(ModelConfig(embed_dim=2), vocab, seed=0)
         with pytest.raises(DimensionError):
-            score(params, Fact(0, (0, 1)))
+            score(params, 0, (0, 1))
 
 
 class TestScoreBatchPosition:
@@ -296,25 +295,25 @@ class TestScoreBatchPosition:
         for spec in split_groups(params.vocab, facts):
             scores = table_scores(params, spec)
             for row, fact_idx in enumerate(spec.fact_index):
-                fact = facts[fact_idx]
-                for pos in range(fact.arity):
+                relation, fact_entities = fact_pairs(facts)[fact_idx]
+                for pos in range(len(fact_entities)):
                     got = scores[row, pos]
                     for e in range(vocab.n_entities):
-                        entities = list(fact.entities)
+                        entities = list(fact_entities)
                         entities[pos] = e
-                        expected = score(params, Fact(fact.relation, tuple(entities)))
+                        expected = score(params, relation, entities)
                         assert got[e] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_true_entity_entry_equals_plain_score(self):
         vocab = make_vocab(6, (4,))
         cfg = ModelConfig(embed_dim=5, multiplicity=2, latent_size=3)
         params = randomized_params(cfg, vocab, seed=18)
-        fact = Fact(0, (1, 3, 3, 5))
-        scores = table_scores(params, split_groups(params.vocab, [fact])[0])[0]
+        entities = (1, 3, 3, 5)
+        scores = table_scores(params, split_groups(params.vocab, facts_of([(0, entities)]))[0])[0]
         for pos in range(4):
             got = scores[pos]
-            assert got[fact.entities[pos]] == pytest.approx(
-                score(params, fact), rel=1e-12, abs=1e-12
+            assert got[entities[pos]] == pytest.approx(
+                score(params, 0, entities), rel=1e-12, abs=1e-12
             )
 
     def test_identical_embeddings_give_constant_vector(self):
@@ -322,7 +321,7 @@ class TestScoreBatchPosition:
         cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
         params = randomized_params(cfg, vocab, seed=19)
         params.data[("ent",)][:] = params.data[("ent",)][0]
-        spec = split_groups(params.vocab, [Fact(0, (0, 1))])[0]
+        spec = split_groups(params.vocab, facts_of([(0, (0, 1))]))[0]
         got = table_scores(params, spec)[0, 1]
         np.testing.assert_allclose(got, got[0], atol=1e-12)
 
@@ -352,8 +351,8 @@ def test_batched_phi_matches_per_fact_score(toy_kb):
             # a fact's score is the candidate score of its own entity
             phi = own_scores(params, spec)[:, 0, 0]
             for row, fact_idx in enumerate(spec.fact_index):
-                fact = facts[fact_idx]
-                assert phi[row] == pytest.approx(score(params, fact), abs=1e-15)
+                fact = fact_pairs(facts)[fact_idx]
+                assert phi[row] == pytest.approx(score(params, *fact), abs=1e-15)
 
 
 def test_scoring_time_roughly_linear_in_embedding_dim():

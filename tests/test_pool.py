@@ -117,14 +117,13 @@ def batches(kb):
     """Batches of mixed arities; of one arity; of one fact per arity but one;
     and of every training fact, whose stacked rows span more than two
     chunks, with an arity group that crosses a chunk boundary."""
-    by_arity = {}
-    for fact in kb.train:
-        by_arity.setdefault(fact.arity, []).append(fact)
-    firsts = [facts[0] for facts in by_arity.values()]
+    arities = dict.fromkeys(kb.train.arity.tolist())  # in order of first appearance
+    by_arity = {arity: kb.train[kb.train.arity == arity] for arity in arities}
+    firsts = [facts[:1] for facts in by_arity.values()]
     return {
         "mixed": kb.train[:16],
         "one group": by_arity[2][:6],
-        "one-fact groups": by_arity[2][:5] + firsts[1:],
+        "one-fact groups": sum(firsts[1:], by_arity[2][:5]),
         "one fact": kb.train[:1],
         "across chunks": kb.train,
     }
@@ -173,7 +172,7 @@ def test_pooled_batch_backward_equals_serial_at_any_worker_count(mode, dropout, 
                 assert_same_gradient(backward(params, facts, negatives, dropout), serial[name])
                 # one job per chunk of stacked rows, and the entity table's
                 # product under full negatives
-                n_chunks = -(-sum(fact.arity for fact in facts) // CHUNK_ROWS)
+                n_chunks = -(-facts.ents.size // CHUNK_ROWS)
                 want = n_chunks + (negatives == "full") if workers > 1 else 0
                 assert len(submitted) == want, (workers, name)
                 submitted.clear()
@@ -242,8 +241,8 @@ def test_pooled_batch_waits_for_every_group_before_it_raises(monkeypatch):
     kb, params = mode_case("latent")
     # 12 binary and 4 ternary facts: 36 rows, the first chunk holding every
     # binary one, the second the last 4 ternary ones
-    facts = [f for f in kb.train if f.arity == 2][:12] + [f for f in kb.train if f.arity == 3][:4]
-    assert sum(f.arity for f in facts) == CHUNK_ROWS + 4
+    facts = kb.train[kb.train.arity == 2][:12] + kb.train[kb.train.arity == 3][:4]
+    assert facts.ents.size == CHUNK_ROWS + 4
     executor, done = StartAtOnce(), threading.Event()
     monkeypatch.setattr(pool, "WORKERS", 2)
     monkeypatch.setattr(pool, "executor", lambda: executor)

@@ -3,7 +3,7 @@ import pytest
 
 from ramkb.engine import score
 from ramkb.errors import ConfigError
-from ramkb.kb import Fact, Vocabulary
+from ramkb.kb import Vocabulary
 from ramkb.mathcore import make_rng
 from ramkb.model import ModelConfig, ModelParams
 from ramkb.presets import (
@@ -148,7 +148,7 @@ def test_preset_score_equals_reference_on_random_draws(kind):
     worst = 0.0
     for trial in range(200):
         params = random_preset_params(kind, d=6, rng=rng)
-        got = score(params, Fact(0, (0, 1)))
+        got = score(params, 0, (0, 1))
         ent = params.data[("ent",)]
         want = reference_score(kind, params.data[("preset_u", 0)], ent[0], ent[1])
         worst = max(worst, abs(got - want) / max(abs(want), 1e-300))

@@ -31,7 +31,7 @@ from ramkb.engine import (
 from ramkb.errors import ConfigError, NumericError
 from ramkb.evaluation import evaluate
 from ramkb.gradcheck import _random_trial, check_batch, run_gradcheck
-from ramkb.kb import Fact, KnowledgeBase, Vocabulary, build_kb, parse_tabular, split_groups
+from ramkb.kb import KnowledgeBase, Vocabulary, build_kb, parse_tabular, split_groups
 from ramkb.mathcore import make_rng, scatter_rows
 from ramkb.model import ModelConfig, ModelParams
 from ramkb.training import (
@@ -46,7 +46,7 @@ from ramkb.training import (
     train,
 )
 
-from conftest import make_vocab, own_scores, random_facts, random_kb
+from conftest import fact_pairs, facts_of, make_vocab, own_scores, random_facts, random_kb
 from test_model import randomized_params
 
 
@@ -168,9 +168,9 @@ class TestLoss:
         kb = random_kb(7, (2,), n_train=3, seed=1)
         params = ModelParams.init(ModelConfig(embed_dim=3, multiplicity=2), kb.vocab, 0)
         params.data[("ent",)][:] = params.data[("ent",)][0]
-        fact = kb.train[0]
-        expected = fact.arity * math.log(kb.vocab.n_entities)
-        assert batch_loss(params, [fact]) == pytest.approx(expected, rel=1e-9)
+        fact = kb.train[:1]
+        expected = fact.arity[0] * math.log(kb.vocab.n_entities)
+        assert batch_loss(params, fact) == pytest.approx(expected, rel=1e-9)
 
     def test_dominant_true_score_drives_loss_to_zero(self):
         loss = group_losses(np.array([[1000.0, 0.0, -5.0]]), np.array([0]), 1.0)[0][0]
@@ -180,11 +180,9 @@ class TestLoss:
         vocab = make_vocab(5, (2, 3))
         cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
         params = randomized_params(cfg, vocab, seed=2)
-        for fact in random_facts(vocab, 4, seed=3):
-            expected = naive_fact_loss(
-                lambda p, f: naive_latent_score(p, f), params, fact, vocab.n_entities
-            )
-            assert batch_loss(params, [fact]) == pytest.approx(expected, rel=1e-9)
+        for fact in fact_pairs(random_facts(vocab, 4, seed=3)):
+            expected = naive_fact_loss(naive_latent_score, params, *fact, vocab.n_entities)
+            assert batch_loss(params, facts_of([fact])) == pytest.approx(expected, rel=1e-9)
 
     def test_shift_invariance_of_position_loss(self):
         rng = make_rng(4)
@@ -319,7 +317,7 @@ class TestLoss:
     def test_batch_backward_of_an_empty_batch_is_rejected(self):
         params = ModelParams.init(ModelConfig(embed_dim=2), make_vocab(3, (2,)), 0)
         with pytest.raises(ConfigError, match="empty batch"):
-            batch_backward(params, [])
+            batch_backward(params, facts_of([]))
 
 
 class TestBackward:
@@ -327,7 +325,7 @@ class TestBackward:
         vocab = Vocabulary(["only"], [("r", 2)])
         cfg = ModelConfig(embed_dim=3, multiplicity=2, latent_size=2)
         params = ModelParams.init(cfg, vocab, seed=0)
-        loss, buf = batch_backward(params, [Fact(0, (0, 0))])
+        loss, buf = batch_backward(params, facts_of([(0, (0, 0))]))
         assert loss == pytest.approx(0.0, abs=1e-12)
         largest = max(float(np.abs(g).max()) for g in buf.dense().values())
         assert largest == pytest.approx(0.0, abs=1e-15)
@@ -382,17 +380,14 @@ class TestBackward:
         vocab = make_vocab(4, (2,))
         cfg = ModelConfig(embed_dim=2, multiplicity=2, latent_size=2)
         params = randomized_params(cfg, vocab, seed=9)
-        facts = [Fact(0, (0, 1)), Fact(0, (2, 3))]
+        pairs = [(0, (0, 1)), (0, (2, 3))]
 
         def loss_fn():
             return sum(
-                naive_fact_loss(
-                    lambda p, f: naive_latent_score(p, f), params, f, 4
-                )
-                for f in facts
-            ) / len(facts)
+                naive_fact_loss(naive_latent_score, params, *f, 4) for f in pairs
+            ) / len(pairs)
 
-        grads = batch_backward(params, facts)[1].dense()
+        grads = batch_backward(params, facts_of(pairs))[1].dense()
         h = 1e-5
         rng = make_rng(10)
         for key in params.slots():
@@ -414,7 +409,7 @@ class TestBackward:
         vocab = make_vocab(4, (2,))
         cfg = ModelConfig(embed_dim=3, mode="preset:SimplE")
         params = ModelParams.init(cfg, vocab, seed=0)
-        _, buf = batch_backward(params, [Fact(0, (0, 1))])
+        _, buf = batch_backward(params, facts_of([(0, (0, 1))]))
         families = {key[0] for key in buf.dense()}
         assert families == {"ent", "preset_u"}
 
@@ -427,9 +422,9 @@ class TestBackward:
         with pytest.raises(NumericError) as err:
             batch_backward(params, kb.train)
         message = str(err.value)
-        first = kb.train[0]
-        names = ", ".join(kb.vocab.entities[e] for e in first.entities)
-        assert f"first fact {kb.vocab.relations[first.relation][0]}({names});" in message
+        relation, entities = fact_pairs(kb.train)[0]
+        names = ", ".join(kb.vocab.entities[e] for e in entities)
+        assert f"first fact {kb.vocab.relations[relation][0]}({names});" in message
         return params, message
 
     def test_non_finite_loss_aborts_with_diagnostics(self):
@@ -543,7 +538,7 @@ class TestDropout:
         vocab = make_vocab(5, (3,))
         cfg = ModelConfig(embed_dim=4, multiplicity=2, latent_size=2)
         params = randomized_params(cfg, vocab, seed=seed)
-        return params, split_groups(params.vocab, [Fact(0, (0, 1, 2))] * n_copies)[0]
+        return params, split_groups(params.vocab, facts_of([(0, (0, 1, 2))] * n_copies))[0]
 
     def test_zero_probability_is_identity(self):
         params, spec = self._group()
@@ -562,7 +557,7 @@ class TestDropout:
         # one group of 10,000 copies of the fact, each row its own mask draw
         n_draws = 10_000
         params, spec = self._group(n_copies=n_draws, seed=15)
-        base = score(params, Fact(0, (0, 1, 2)))
+        base = score(params, 0, (0, 1, 2))
         masks = _group_masks(spec, params, 0.3, make_rng(3))
         draws = own_scores(params, spec, masks)[:, 0, 0]
         stderr = draws.std(ddof=1) / math.sqrt(len(draws))
@@ -907,6 +902,7 @@ class TestTrainLoop:
 
     def test_empty_training_split_rejected(self):
         vocab = make_vocab(3, (2,))
-        kb = KnowledgeBase(vocab, [], [], [Fact(0, (0, 1))])
+        empty = facts_of([])
+        kb = KnowledgeBase(vocab, empty, empty, facts_of([(0, (0, 1))]))
         with pytest.raises(ConfigError):
             train(kb, ModelConfig(embed_dim=2), TrainConfig())
