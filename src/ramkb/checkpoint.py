@@ -8,11 +8,11 @@ data with) and, when recorded, ``sha256`` (the checksum of each split file
 the training data was read from). The payload is every slot as
 little-endian float64, one after another in ``ModelParams.slots()`` order;
 the config and vocabulary fix each slot's shape
-(``ModelParams.slot_shapes()``) and so the payload's exact length. Files that also carry a table of the arrays, and spell a preset
-model as ``"mode": "preset", "preset": <Kind>``, were written in this same
-slot order and still load. Saving, loading and the CSV exports read the
-vocabulary from ``ModelParams.vocab``; none of them takes a vocabulary of
-its own.
+(``ModelParams.slot_shapes()``) and so the payload's exact length. This is
+the one layout: a file without ``holdout``, or whose config has a key
+ModelConfig does not take, is refused like any other malformed file.
+Saving, loading and the CSV exports read the vocabulary from
+``ModelParams.vocab``; none of them takes a vocabulary of its own.
 """
 
 from __future__ import annotations
@@ -33,20 +33,16 @@ from .kb import Vocabulary
 from .model import ModelConfig, ModelParams, relation_terms
 
 MAGIC = b"RAMCKPT1"
-_HEADER_KEYS = ("config", "vocab")
+_HEADER_KEYS = ("config", "vocab", "holdout")
 SPLITS = ("train", "valid", "test")
-# the holdout of a header that records none: the split evaluation used by default
-DEFAULT_HOLDOUT = {"valid_fraction": 0.2, "seed": 0}
 
 
 def _header_config(path, data) -> ModelConfig:
     if not isinstance(data, dict):
         raise DataError(f"{path}: checkpoint config {data!r} is not a model config")
-    if data.get("mode") == "preset":  # the older spelling of "preset:<Kind>"
-        data = {**data, "mode": f"preset:{data.get('preset')}"}
     try:
-        return ModelConfig.from_dict(data)
-    except ConfigError as exc:
+        return ModelConfig(**data)
+    except (ConfigError, TypeError) as exc:  # TypeError: a key ModelConfig does not take
         raise DataError(f"{path}: bad model config in checkpoint ({exc})") from None
 
 
@@ -70,11 +66,13 @@ def _header_checksums(path, data) -> dict | None:
     return data
 
 
-def save_checkpoint(path, params: ModelParams, holdout=DEFAULT_HOLDOUT, sha256=None):
+def save_checkpoint(path, params: ModelParams, holdout: dict, sha256=None):
     """Write `params`, their vocabulary, and the `holdout` their training data was split by.
 
-    `sha256`, if given, maps each split to the sha256 of the file the
-    training data was read from (:func:`load_checksums`). A holdout or
+    `holdout` is the ``valid_fraction`` and ``seed`` that
+    ``cli.load_dataset`` split the data with. `sha256`, if given, maps each
+    split to the sha256 of the file the training data was read from, as
+    :func:`load_checkpoint` returns it. A holdout or
     checksums that loading would refuse raise its DataError before the file
     is opened. The checkpoint is written to a temporary file beside `path`
     and then renamed over it, so a write that fails leaves any previous file
@@ -101,8 +99,24 @@ def save_checkpoint(path, params: ModelParams, holdout=DEFAULT_HOLDOUT, sha256=N
         partial.unlink(missing_ok=True)  # left only by a write that failed
 
 
-def _read_header(path) -> tuple[dict, bytes]:
-    """A checkpoint's JSON header, with the keys every checkpoint has, and its payload."""
+def load_checkpoint(path) -> tuple[ModelParams, dict, dict | None]:
+    """Read a checkpoint as (params, holdout, sha256); the params own the header's vocabulary.
+
+    `sha256` is None for a checkpoint that records no checksums. The file is
+    read once, and every header field is checked in that pass. The header's
+    config and vocabulary fix every slot's shape, and the payload holds those
+    slots in `ModelParams.slots()` order. A truncated or malformed file
+    raises DataError, which the CLI maps to exit 3: a header without
+    ``config``, ``vocab`` or ``holdout``, or a field of the wrong type; a
+    config that ModelConfig rejects or with a key it does not take; a
+    holdout fraction outside [0, 1); a ``sha256`` entry that is not a
+    string per split; a vocabulary that the Vocabulary constructor rejects
+    (a name listed twice, an arity below 2, a relation's roles that are not
+    one role id per position) or that the config's mode cannot take; or a
+    payload that is not exactly as long as the slots the config and
+    vocabulary call for. So does a path that cannot be read
+    (:func:`errors.read_input`).
+    """
     raw = read_input(path, DataError)
     if raw[: len(MAGIC)] != MAGIC:
         raise DataError(f"{path}: not a checkpoint (bad magic)")
@@ -124,27 +138,10 @@ def _read_header(path) -> tuple[dict, bytes]:
     missing = [key for key in _HEADER_KEYS if key not in header]
     if missing:
         raise DataError(f"{path}: checkpoint header lacks {', '.join(missing)}")
-    return header, raw[header_start + header_len :]
-
-
-def load_checkpoint(path) -> tuple[ModelParams, dict]:
-    """Read a checkpoint as (params, holdout); the params own the header's vocabulary.
-
-    The header's config and vocabulary fix every slot's shape, and the
-    payload holds those slots in `ModelParams.slots()` order. A header
-    without ``holdout`` reads as DEFAULT_HOLDOUT; other keys are ignored, so
-    files with the older table of arrays load too. A truncated or malformed
-    file raises DataError: a header field of the wrong type, a config that
-    ModelConfig rejects, a holdout fraction outside [0, 1), a vocabulary
-    that the Vocabulary constructor rejects (a name listed twice, an arity
-    below 2, a relation's roles that are not one role id per position) or
-    that the config's mode cannot take, or a payload that is not exactly as
-    long as the slots the config and vocabulary call for. So does a path
-    that cannot be read (:func:`errors.read_input`).
-    """
-    header, payload = _read_header(path)
+    payload = raw[header_start + header_len :]
     cfg = _header_config(path, header["config"])
-    holdout = _header_holdout(path, header.get("holdout", DEFAULT_HOLDOUT))
+    holdout = _header_holdout(path, header["holdout"])
+    sha256 = _header_checksums(path, header.get("sha256"))
     try:
         vocab = Vocabulary.from_dict(header["vocab"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -165,19 +162,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         array = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
         params.data[key] = array.reshape(shape).astype(np.float64)
         offset += 8 * count
-    return params, holdout
-
-
-def load_checksums(path) -> dict | None:
-    """The sha256 of each split file a checkpoint's training data was read
-    from, or None for a checkpoint that records none.
-
-    A checkpoint that :func:`load_checkpoint` refuses before its header is
-    read raises the same DataError, and so does a ``sha256`` entry that is
-    not a string per split.
-    """
-    header, _ = _read_header(path)
-    return _header_checksums(path, header.get("sha256"))
+    return params, holdout, sha256
 
 
 def check_vocab_compatible(vocab: Vocabulary, other: Vocabulary) -> None:

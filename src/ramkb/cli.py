@@ -298,9 +298,9 @@ def _warn_changed_splits(recorded: dict | None, found: dict) -> None:
 
 
 def cmd_eval(args) -> int:
-    params, holdout = ckpt.load_checkpoint(args.checkpoint)
+    params, holdout, recorded = ckpt.load_checkpoint(args.checkpoint)
     kb, data_info = load_dataset(args.data_dir, **holdout)
-    _warn_changed_splits(ckpt.load_checksums(args.checkpoint), data_info["sha256"])
+    _warn_changed_splits(recorded, data_info["sha256"])
     ckpt.check_vocab_compatible(params.vocab, kb.vocab)
     out = _out_dir(args.out) if args.out else None
     report = evaluate(params, kb, split=args.split)
@@ -367,7 +367,7 @@ def cmd_express(args) -> int:
 
 
 def cmd_export(args) -> int:
-    params, _ = ckpt.load_checkpoint(args.checkpoint)
+    params, _, _ = ckpt.load_checkpoint(args.checkpoint)
     out = _out_dir(args.out)
     exporters = {
         "entity": ckpt.export_entities_csv,

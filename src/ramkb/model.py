@@ -81,10 +81,6 @@ class ModelConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelConfig":
-        return cls(**{k: data[k] for k in cls.__dataclass_fields__ if k in data})
-
 
 def require_counts(cfg, names, least: int = 1) -> None:
     """Raise ConfigError unless each field `names` of `cfg` is a Python int of

@@ -10,7 +10,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from . import engine, pool
+from . import engine, evaluation, pool
 from .engine import (
     GradientBuffer,
     GroupKernels,
@@ -493,8 +493,6 @@ def train(kb: KnowledgeBase, model_cfg: ModelConfig, train_cfg: TrainConfig) -> 
     second pass differ from today's in the last bits, for full and sampled
     negatives alike.
     """
-    from .evaluation import evaluate  # local import to avoid a cycle
-
     if not kb.train:
         raise ConfigError("cannot train on an empty training split")
     params = ModelParams.init(model_cfg, kb.vocab, seed=train_cfg.seed)
@@ -523,7 +521,7 @@ def train(kb: KnowledgeBase, model_cfg: ModelConfig, train_cfg: TrainConfig) -> 
 
         valid_mrr: Optional[float] = None
         if kb.valid and (epoch + 1) % train_cfg.eval_every == 0:
-            report = evaluate(params, kb, split="valid")
+            report = evaluation.evaluate(params, kb, split="valid")
             valid_mrr = report.mrr
             if best_mrr is None or valid_mrr > best_mrr:
                 best_mrr = valid_mrr

@@ -14,7 +14,6 @@ from ramkb.checkpoint import (
     export_patterns_csv,
     export_roles_csv,
     load_checkpoint,
-    load_checksums,
     save_checkpoint,
 )
 from ramkb.errors import DataError
@@ -34,6 +33,7 @@ TRAINED_MODES = [
     "preset:ComplEx",
     "preset:QuatE",
 ]
+HOLDOUT = {"valid_fraction": 0.2, "seed": 0}
 
 
 def assert_same_arrays(params, loaded):
@@ -57,8 +57,8 @@ def test_round_trip_every_trained_mode(tmp_path, mode_str):
     params = trained_mode_params(mode_str)
     cfg, vocab = params.cfg, params.vocab
     path = tmp_path / "model.ramckpt"
-    save_checkpoint(path, params)
-    loaded, _ = load_checkpoint(path)
+    save_checkpoint(path, params, HOLDOUT)
+    loaded = load_checkpoint(path)[0]
     assert loaded.cfg == cfg
     check_vocab_compatible(vocab, loaded.vocab)
     assert_same_arrays(params, loaded)
@@ -73,8 +73,8 @@ def test_round_trip_latent_construction_still_separates(tmp_path):
     facts = facts_of([(0, (0, 1)), (1, (1, 2, 3)), (1, (3, 3, 0))])
     params = construct(vocab, facts)
     path = tmp_path / "construction.ramckpt"
-    save_checkpoint(path, params)
-    loaded, _ = load_checkpoint(path)
+    save_checkpoint(path, params, HOLDOUT)
+    loaded = load_checkpoint(path)[0]
     check_vocab_compatible(vocab, loaded.vocab)
     assert_same_arrays(params, loaded)
     assert {key[0] for key in loaded.slots()} == {"ent", "basis_u", "basis_p", "alpha"}
@@ -89,7 +89,7 @@ def test_truncated_or_malformed_checkpoint_is_data_error(tmp_path):
     vocab = make_vocab(5, (2, 3))
     params = ModelParams.init(ModelConfig(embed_dim=3, latent_size=2), vocab, seed=0)
     path = tmp_path / "model.ramckpt"
-    save_checkpoint(path, params)
+    save_checkpoint(path, params, HOLDOUT)
     raw = path.read_bytes()
     header_end = 16 + struct.unpack("<Q", raw[8:16])[0]
     cuts = {
@@ -117,7 +117,7 @@ def test_failed_save_leaves_the_previous_checkpoint_and_no_temporary_file(tmp_pa
     cfg = ModelConfig(embed_dim=3, latent_size=2)
     params = ModelParams.init(cfg, make_vocab(5, (2, 3)), seed=0)
     path = tmp_path / "model.ramckpt"
-    save_checkpoint(path, params)
+    save_checkpoint(path, params, HOLDOUT)
     before = path.read_bytes()
 
     class DiskFull:
@@ -129,7 +129,7 @@ def test_failed_save_leaves_the_previous_checkpoint_and_no_temporary_file(tmp_pa
     broken = params.copy()
     broken.data[broken.slots()[-1]] = DiskFull()  # every other slot is written before it
     with pytest.raises(OSError, match="No space left"):
-        save_checkpoint(path, broken)
+        save_checkpoint(path, broken, HOLDOUT)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.ramckpt"]
 
@@ -141,7 +141,7 @@ def write_checkpoint(path, header, payload):
 
 def saved_header_and_payload(path, cfg, vocab):
     """Header dict and array payload of a fresh checkpoint written to `path`."""
-    save_checkpoint(path, ModelParams.init(cfg, vocab, seed=0))
+    save_checkpoint(path, ModelParams.init(cfg, vocab, seed=0), HOLDOUT)
     raw = path.read_bytes()
     header_end = 16 + struct.unpack("<Q", raw[8:16])[0]
     return json.loads(raw[16:header_end]), raw[header_end:]
@@ -217,11 +217,6 @@ def test_malformed_header_is_data_error(tmp_path, capsys):
             "config": {**header["config"], "mode": "preset:DistMult"},
             "vocab": ternary_vocab,
         },
-        "preset-ternary-older-spelling": {
-            **header,
-            "config": {**header["config"], "mode": "preset", "preset": "DistMult"},
-            "vocab": ternary_vocab,
-        },
         # arities that int() would coerce to the saved arity 2 or to 1
         "vocab-arity-float": {**header, "vocab": {**header["vocab"], "relations": [["r0", 2.9]]}},
         "vocab-arity-bool": {**header, "vocab": {**header["vocab"], "relations": [["r0", True]]}},
@@ -270,8 +265,34 @@ def test_malformed_header_is_data_error(tmp_path, capsys):
         {**explicit_header, "vocab": {**explicit_header["vocab"], "roles": [role, role]}},
         explicit_payload,
     )
+    # headers that only the retired layouts wrote, and a malformed sha256
+    # entry: each over a payload that fits its config and vocabulary
+    distmult_header, distmult_payload = saved_header_and_payload(
+        tmp_path / "distmult.ramckpt",
+        ModelConfig(embed_dim=3, mode="preset:DistMult"),
+        make_vocab(5, (2,)),
+    )
+    refused_by_eval = {
+        "no-holdout": ({k: v for k, v in header.items() if k != "holdout"}, payload),
+        "preset-older-spelling": (
+            {**distmult_header,
+             "config": {**distmult_header["config"], "mode": "preset", "preset": "DistMult"}},
+            distmult_payload,
+        ),
+        "config-unknown-key": ({**header, "config": {**header["config"], "preset": None}}, payload),
+        "sha256-not-a-string": ({**header, "sha256": {"train": 1}}, payload),
+    }
     assert_data_error_and_export_exits_3(tmp_path, bad_files)
     capsys.readouterr()
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "train.txt").write_text("r0 e0 e1\n")
+    for name, (bad_header, bad_payload) in refused_by_eval.items():
+        bad = tmp_path / f"{name}.ramckpt"
+        write_checkpoint(bad, bad_header, bad_payload)
+        for argv in (["eval", "--data-dir", str(data)], ["export", "--out", str(tmp_path / name)]):
+            assert cli.main(argv + ["--checkpoint", str(bad)]) == 3, (name, argv[0])
+            assert f"data error: {bad}: " in capsys.readouterr().err, (name, argv[0])
     for name, repeated in (("repeated-entity", "entity 'e1'"),
                            ("repeated-relation", "relation ('r0', 2)"),
                            ("repeated-role", f"role {role!r}")):
@@ -284,60 +305,6 @@ def test_malformed_header_is_data_error(tmp_path, capsys):
     assert cli.main(["export", "--checkpoint", str(bad), "--out", str(tmp_path / "raw")]) == 3
     assert (f"data error: {bad}: bad model config in checkpoint (unknown mode 'raw'"
             in capsys.readouterr().err)
-
-
-def write_older_layout(path, params, holdout):
-    """Write `params` as checkpoints with a table of arrays were written.
-
-    Their header also lists every slot's name, shape and byte offset, and
-    spells a preset model's mode as ``"mode": "preset", "preset": <Kind>``.
-    """
-    config = {**params.cfg.to_dict(), "preset": None}
-    if config["mode"].startswith("preset:"):
-        config.update(mode="preset", preset=config["mode"].removeprefix("preset:"))
-    entries, payload = [], b""
-    for key in params.slots():
-        array = params.data[key]
-        entries.append(
-            {"name": "/".join(str(part) for part in key), "shape": list(array.shape),
-             "offset": len(payload)}
-        )
-        payload += array.astype("<f8").tobytes()
-    header = {"config": config, "vocab": params.vocab.to_dict(), "holdout": holdout,
-              "arrays": entries}
-    write_checkpoint(path, header, payload)
-
-
-@pytest.mark.parametrize("mode_str", ["latent", "extended", "explicit", "preset:QuatE"])
-def test_older_layout_still_loads(tmp_path, mode_str):
-    params = trained_mode_params(mode_str)
-    path = tmp_path / "model.ramckpt"
-    write_older_layout(path, params, {"valid_fraction": 0.5, "seed": 7})
-    loaded, holdout = load_checkpoint(path)
-    assert holdout == {"valid_fraction": 0.5, "seed": 7}
-    assert loaded.cfg == params.cfg
-    check_vocab_compatible(params.vocab, loaded.vocab)
-    assert_same_arrays(params, loaded)
-
-
-def test_header_without_holdout_still_loads(tmp_path):
-    """A header in the layout before the holdout was recorded reads as the defaults."""
-    vocab = make_vocab(5, (2, 3))
-    params = randomized_params(ModelConfig(embed_dim=3, latent_size=2), vocab, seed=1)
-    path = tmp_path / "model.ramckpt"
-    save_checkpoint(path, params, {"valid_fraction": 0.5, "seed": 7})
-    raw = path.read_bytes()
-    header_end = 16 + struct.unpack("<Q", raw[8:16])[0]
-    header = json.loads(raw[16:header_end])
-    assert list(header) == ["config", "vocab", "holdout"]
-    assert header["holdout"] == {"valid_fraction": 0.5, "seed": 7}
-    del header["holdout"]
-    header.update(n_entities=5, n_relations=2, max_arity=3, arities=[2, 3], rel_arity=[2, 3])
-    write_checkpoint(path, header, raw[header_end:])
-    loaded, holdout = load_checkpoint(path)
-    assert holdout == {"valid_fraction": 0.2, "seed": 0}
-    check_vocab_compatible(vocab, loaded.vocab)
-    assert_same_arrays(params, loaded)
 
 
 def test_holdout_that_would_not_load_is_not_saved(tmp_path):
@@ -408,25 +375,29 @@ def test_vocab_mismatch_names_first_differing_entry():
 
 
 def test_split_checksums_have_their_own_header_key(tmp_path):
-    """The holdout stays load_dataset's arguments; a malformed sha256 entry is
-    refused by saving (no file written) and by load_checksums, not by load_checkpoint."""
+    """The holdout stays load_dataset's arguments, and load_checkpoint returns
+    the checksums beside it; a malformed sha256 entry is refused by saving
+    (no file written) and by loading."""
     vocab = make_vocab(5, (2, 3))
     params = randomized_params(ModelConfig(embed_dim=3, latent_size=2), vocab, seed=1)
     path = tmp_path / "model.ramckpt"
+    save_checkpoint(path, params, HOLDOUT)
+    assert load_checkpoint(path)[2] is None
     sums = {"train": "ab12", "test": "cd34"}
     save_checkpoint(path, params, {"valid_fraction": 0.5, "seed": 7}, sha256=sums)
     raw = path.read_bytes()
     header_end = 16 + struct.unpack("<Q", raw[8:16])[0]
     header = json.loads(raw[16:header_end])
     assert list(header) == ["config", "vocab", "holdout", "sha256"]
-    assert load_checkpoint(path)[1] == header["holdout"] == {"valid_fraction": 0.5, "seed": 7}
-    assert load_checksums(path) == sums
+    loaded, holdout, checksums = load_checkpoint(path)
+    assert holdout == header["holdout"] == {"valid_fraction": 0.5, "seed": 7}
+    assert checksums == sums
+    assert_same_arrays(params, loaded)
     bad_path = tmp_path / "bad.ramckpt"
     for bad in ({"train": 1}, {"tests": "ab12"}, ["ab12"], "ab12"):
         with pytest.raises(DataError, match="sha256 .* needs a string per split"):
-            save_checkpoint(bad_path, params, sha256=bad)
+            save_checkpoint(bad_path, params, HOLDOUT, sha256=bad)
         assert not bad_path.exists()
         write_checkpoint(path, {**header, "sha256": bad}, raw[header_end:])
         with pytest.raises(DataError, match="sha256 .* needs a string per split"):
-            load_checksums(path)
-        assert_same_arrays(params, load_checkpoint(path)[0])
+            load_checkpoint(path)

@@ -2,12 +2,13 @@ import hashlib
 import json
 import logging
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ramkb import cli
-from ramkb.checkpoint import load_checkpoint, load_checksums, save_checkpoint
+from ramkb.checkpoint import load_checkpoint, save_checkpoint
 from ramkb.errors import DataError
 from ramkb.evaluation import evaluate
 
@@ -81,16 +82,35 @@ def test_eval_rebuilds_the_split_train_held_out(tmp_path):
     assert cli.main(["train", "--data-dir", str(data), "--out", str(run),
                      "--config", str(config), "--seed", "3"]) == 0
     ckpt = run / "model.ramckpt"
-    params, holdout = load_checkpoint(ckpt)
+    params, holdout, checksums = load_checkpoint(ckpt)
     assert holdout == {"valid_fraction": 0.2, "seed": 3}
     kb, info = cli.load_dataset(data, **holdout)
-    assert load_checksums(ckpt) == info["sha256"]
+    assert checksums == info["sha256"]
     for split in ("test", "valid"):
         out = tmp_path / f"eval-{split}"
         assert cli.main(["eval", "--data-dir", str(data), "--checkpoint", str(ckpt),
                          "--split", split, "--out", str(out)]) == 0
         report = json.loads((out / f"eval_{split}.json").read_text())
         assert report["mrr"] == evaluate(params, kb, split).mrr
+
+
+def test_eval_reads_the_checkpoint_file_once(tmp_path, monkeypatch):
+    data, config = write_dataset(tmp_path)
+    run = tmp_path / "run"
+    assert cli.main(["train", "--data-dir", str(data), "--out", str(run),
+                     "--config", str(config), "--seed", "3"]) == 0
+    ckpt = run / "model.ramckpt"
+    read, read_bytes = [], Path.read_bytes
+
+    def recording(path):
+        read.append(path)
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", recording)
+    assert cli.main(["eval", "--data-dir", str(data), "--checkpoint", str(ckpt)]) == 0
+    assert read.count(ckpt) == 1
+    assert sorted(path.name for path in read) == ["model.ramckpt", "test.txt", "train.txt",
+                                                  "valid.txt"]
 
 
 def cli_warnings(caplog):
@@ -106,7 +126,7 @@ def test_eval_warns_once_per_split_whose_file_changed(tmp_path, caplog):
                      "--config", str(config), "--seed", "3"]) == 0
     ckpt = str(run / "model.ramckpt")
     _, info = cli.load_dataset(data)
-    assert load_checksums(ckpt) == info["sha256"]
+    assert load_checkpoint(ckpt)[2] == info["sha256"]
     with caplog.at_level(logging.WARNING, logger="ramkb.cli"):
         assert cli.main(["eval", "--data-dir", str(data), "--checkpoint", ckpt]) == 0
     assert cli_warnings(caplog) == []
@@ -129,9 +149,9 @@ def test_eval_of_checkpoint_without_checksums_is_silent(tmp_path, caplog):
     assert cli.main(["train", "--data-dir", str(data), "--out", str(run),
                      "--config", str(config), "--seed", "3"]) == 0
     ckpt = run / "model.ramckpt"
-    params, holdout = load_checkpoint(ckpt)
+    params, holdout, _ = load_checkpoint(ckpt)
     save_checkpoint(ckpt, params, holdout)
-    assert load_checksums(ckpt) is None and load_checkpoint(ckpt)[1] == holdout
+    assert load_checkpoint(ckpt)[1:] == (holdout, None)
     (data / "test.txt").write_text("\n".join(TEST[::-1]) + "\n")
     with caplog.at_level(logging.WARNING, logger="ramkb.cli"):
         assert cli.main(["eval", "--data-dir", str(data), "--checkpoint", str(ckpt)]) == 0
@@ -197,9 +217,10 @@ def test_raw_mode_is_rejected_before_anything_is_written(tmp_path):
     ("", ["--valid-fraction", "2"]),
     ("", ["--valid-fraction", "-1"]),
     ("embed_dim = 1000000000000\n", []),
+    ("max_epochs 2\n", []),
 ], ids=["config-negatives", "config-eval-every-0", "config-learning-rate-nan",
         "config-learning-rate-inf", "valid-fraction-2", "valid-fraction-negative",
-        "config-embed-dim-too-large"])
+        "config-embed-dim-too-large", "config-line-without-equals"])
 def test_malformed_value_exits_2_before_anything_is_written(tmp_path, capsys, extra_config,
                                                             extra_argv):
     data, config = write_dataset(tmp_path)
@@ -210,6 +231,8 @@ def test_malformed_value_exits_2_before_anything_is_written(tmp_path, capsys, ex
     assert not (run / "manifest.json").exists()
     if "embed_dim" in extra_config:  # 5 entities, multiplicity 2
         assert "slot, ('ent',), has shape (5, 2, 1000000000000)" in capsys.readouterr().err
+    if "max_epochs 2" in extra_config:  # the line after CONFIG's seven
+        assert f"{config}:8: expected key=value, got 'max_epochs 2'" in capsys.readouterr().err
 
 
 def test_preset_field_beside_mode_exits_2_before_anything_is_written(tmp_path):
@@ -290,7 +313,7 @@ def test_eval_of_non_finite_parameters_exits_4(tmp_path, capsys):
     assert cli.main(["train", "--data-dir", str(data), "--out", str(run),
                      "--config", str(config), "--seed", "3"]) == 0
     ckpt = run / "model.ramckpt"
-    params, holdout = load_checkpoint(ckpt)
+    params, holdout, _ = load_checkpoint(ckpt)
     params.data[("ent",)][2, 0, 1] = np.nan
     save_checkpoint(ckpt, params, holdout)
     capsys.readouterr()
@@ -393,8 +416,17 @@ def _one_role(data):
     return path, "line 2: expected >= 2 roles, got 1"
 
 
+def _not_an_object(data):
+    (data / "test.txt").unlink()
+    path = data / "test.jsonl"
+    # line 2 is blank and skipped, so line 3 is the first that is not an object
+    path.write_text('{"actor": "p1", "movie": "m1"}\n\n["p2", "m1"]\n')
+    return path, "line 3: expected a JSON object per line"
+
+
 @pytest.mark.parametrize("command", ["subset", "train"])
-@pytest.mark.parametrize("spoil", [_not_utf8, _malformed_line, _directory, _one_role])
+@pytest.mark.parametrize("spoil", [_not_utf8, _malformed_line, _directory, _one_role,
+                                   _not_an_object])
 def test_unreadable_split_file_exits_3_naming_it(tmp_path, capsys, command, spoil):
     # three split files, one of them spoiled: the message says which
     data, _ = write_dataset(tmp_path)
@@ -432,6 +464,55 @@ def test_unreadable_input_file_exits_with_its_code_naming_it(tmp_path, capsys, c
     assert cli.main(argv + ["--out", str(out)]) == code
     assert f"{bad}: {reason}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["subset", "train"])
+@pytest.mark.parametrize("case", ["missing", "no-train"])
+def test_data_dir_without_a_train_split_exits_3_naming_it(tmp_path, capsys, command, case):
+    data, _ = write_dataset(tmp_path)
+    if case == "missing":
+        data = tmp_path / "absent"
+        message = f"data directory not found: {data}"
+    else:
+        (data / "train.txt").unlink()
+        message = f"no train split found under {data}"
+    out = tmp_path / "out"
+    assert cli.main([command, "--data-dir", str(data), "--out", str(out)]) == 3
+    assert f"data error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_subset_arity_bounds_keep_their_arities_in_every_split(tmp_path):
+    data, _ = write_dataset(tmp_path)  # arities 2, 3 and 4
+
+    def facts_by_split(data_dir):
+        kb, _ = cli.load_dataset(data_dir, valid_fraction=0.0)
+        vocab = kb.vocab
+        return {split: sorted((vocab.relations[rel][0], tuple(vocab.entities[e] for e in ents))
+                              for rel, ents in fact_pairs(kb.split(split)))
+                for split in ("train", "valid", "test")}
+
+    every = facts_by_split(data)
+    for spec, keep in ((">=3", lambda arity: arity >= 3), ("<=2", lambda arity: arity == 2)):
+        sub = tmp_path / f"sub{spec[0]}"
+        assert cli.main(["subset", "--data-dir", str(data), "--out", str(sub),
+                         "--arity-filter", spec]) == 0
+        want = {split: [fact for fact in facts if keep(len(fact[1]))]
+                for split, facts in every.items()}
+        assert all(want.values()), spec  # the filter leaves a fact in every split
+        assert facts_by_split(sub) == want, spec
+    out = tmp_path / "bad"
+    assert cli.main(["subset", "--data-dir", str(data), "--out", str(out),
+                     "--arity-filter", ">=x"]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["DistMult", "SimplE", "ComplEx", "QuatE"])
+def test_equiv_passes_for_every_preset_kind(capsys, kind):
+    assert cli.main(["equiv", "--kind", kind]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"{kind}: 200 trials, ")
+    assert out.splitlines()[-1] == "PASS"
 
 
 def test_subset_in_place_is_what_load_dataset_reads(tmp_path):

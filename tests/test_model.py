@@ -35,7 +35,7 @@ class TestModelConfig:
         assert (cfg.multiplicity, cfg.role_multiplicity, cfg.patterns_per_role) == (4, 2, 4)
         cfg = ModelConfig(mode="preset:ComplEx")
         assert (cfg.multiplicity, cfg.role_multiplicity, cfg.patterns_per_role) == (2, 1, 2)
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+        assert ModelConfig(**cfg.to_dict()) == cfg
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigError):
@@ -356,8 +356,11 @@ def test_batched_phi_matches_per_fact_score(toy_kb):
 
 
 def test_scoring_time_roughly_linear_in_embedding_dim():
-    # coarse guard at unit-test scale; the acceptance suite pins the ratio
-    def per_fact_seconds(d):
+    # coarse guard at unit-test scale; the acceptance suite pins the ratio.
+    # The two sizes are timed in turn within each round, and each one's
+    # fastest round is kept, so a burst of load on the machine slows both
+    # sizes alike or is dropped, rather than inflating one side of the ratio.
+    def setup(d):
         vocab = make_vocab(256, (3,))
         params = ModelParams.init(
             ModelConfig(embed_dim=d, multiplicity=2, latent_size=8), vocab, seed=0
@@ -366,13 +369,15 @@ def test_scoring_time_roughly_linear_in_embedding_dim():
         specs = split_groups(params.vocab, facts)
         for spec in specs:
             table_scores(params, spec)
-        times = []
-        for _ in range(5):
+        return params, specs
+
+    runs = {d: setup(d) for d in (64, 256)}
+    fastest = dict.fromkeys(runs, float("inf"))
+    for _ in range(9):
+        for d, (params, specs) in runs.items():
             t0 = time.perf_counter()
             for spec in specs:
                 table_scores(params, spec)
-            times.append(time.perf_counter() - t0)
-        return float(np.median(times)) / len(facts)
-
-    ratio = per_fact_seconds(256) / per_fact_seconds(64)
+            fastest[d] = min(fastest[d], time.perf_counter() - t0)
+    ratio = fastest[256] / fastest[64]  # both sizes score the same 128 facts
     assert ratio < 16.0
