@@ -18,7 +18,7 @@ if "numpy" not in sys.modules and not (
 
 from .errors import ConfigError, DataError, DimensionError, NumericError, ParseError
 from .engine import score
-from .kb import Facts, KnowledgeBase, Vocabulary, build_kb, subset_by_arity
+from .kb import Facts, KnowledgeBase, RawSplit, Vocabulary, build_kb, subset_by_arity
 from .model import ModelConfig, ModelParams
 from .training import TrainConfig, train
 
@@ -32,6 +32,7 @@ __all__ = [
     "ParseError",
     "Facts",
     "KnowledgeBase",
+    "RawSplit",
     "Vocabulary",
     "build_kb",
     "subset_by_arity",

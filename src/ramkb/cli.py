@@ -20,7 +20,8 @@ a fact listed twice is one true fact. An ``--out`` that cannot be made a
 directory is a configuration error. An input file that cannot be read, or a
 text file that is not UTF-8, is an error of its kind: a config file's a
 configuration error, a split's, ``--spec``'s or checkpoint's a data error.
-A text file's leading byte-order mark is not part of its text.
+A text file's leading byte-order mark is not part of its text, and its
+lines end where text-mode ``open()`` ends them (:func:`kb.split_lines`).
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric abort.
 The RAM_LOG environment variable sets the log level.
 """
@@ -38,6 +39,8 @@ import time
 from dataclasses import asdict, fields
 from pathlib import Path
 
+import numpy as np
+
 from . import checkpoint as ckpt
 from .engine import score
 from .errors import ConfigError, DataError, NumericError, RamError, read_input
@@ -46,12 +49,13 @@ from .expressive import construct, distinct_facts, verify_separation
 from .gradcheck import run_gradcheck
 from .kb import (
     KnowledgeBase,
-    RawFact,
+    RawSplit,
     Vocabulary,
     build_kb,
     export_split,
     parse_role_json,
     parse_tabular,
+    split_lines,
     subset_by_arity,
 )
 from .mathcore import make_rng
@@ -62,21 +66,22 @@ from .training import TrainConfig, train, write_trace_csv
 log = logging.getLogger("ramkb.cli")
 
 
-def _utf8(path: Path, data: bytes, error: type[RamError]) -> str:
-    """`data`, the bytes of the input file `path`, as text, without one
-    leading byte-order mark; bytes that are not UTF-8 raise `error`, naming
-    the path and the first bad byte by its offset in the file."""
+def _text_lines(path: Path, data: bytes, error: type[RamError]) -> list[str]:
+    """The lines (:func:`kb.split_lines`) of `data`, the bytes of the input
+    file `path`, as text without one leading byte-order mark; bytes that are
+    not UTF-8 raise `error`, naming the path and the first bad byte by its
+    offset in the file."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
-    return text.removeprefix("\ufeff")
+    return split_lines(text.removeprefix("\ufeff"))
 
 
 def _read_config_file(path: Path) -> dict[str, str]:
-    text = _utf8(path, read_input(path, ConfigError), ConfigError)
+    lines = _text_lines(path, read_input(path, ConfigError), ConfigError)
     values: dict[str, str] = {}
-    for line_no, line in enumerate(text.splitlines(), 1):
+    for line_no, line in enumerate(lines, 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -130,16 +135,16 @@ def load_configs(config_path: Path | None, overrides: dict) -> tuple[ModelConfig
 SPLIT_SUFFIXES = (".txt", ".tsv", ".jsonl", ".json")
 
 
-def _read_split(path: Path) -> tuple[list[RawFact], str]:
+def _read_split(path: Path) -> tuple[RawSplit, str]:
     """Parse a split file by its suffix; also return the sha256 of the bytes parsed.
 
     Every DataError it raises begins with the file's path.
     """
     data = read_input(path, DataError)
-    text = _utf8(path, data, DataError)
+    lines = _text_lines(path, data, DataError)
     parse = parse_role_json if path.suffix in (".json", ".jsonl") else parse_tabular
     try:
-        facts = parse(text.splitlines())
+        facts = parse(lines)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
     return facts, hashlib.sha256(data).hexdigest()
@@ -187,17 +192,17 @@ def load_dataset(
     if paths["train"] is None:
         raise DataError(f"no train split found under {data_dir}")
     paths = {split: path for split, path in paths.items() if path}
-    raw = {"train": [], "valid": [], "test": []}
+    raw = dict.fromkeys(("train", "valid", "test"))
     checksums = {}
     for split, path in paths.items():
         raw[split], checksums[split] = _read_split(path)
     if not raw["valid"] and valid_fraction > 0 and raw["train"]:
         rng = make_rng(seed, 3)
         n_valid = int(valid_fraction * len(raw["train"]))
-        order = rng.permutation(len(raw["train"]))
-        hold = set(int(i) for i in order[:n_valid])
-        raw["valid"] = [f for i, f in enumerate(raw["train"]) if i in hold]
-        raw["train"] = [f for i, f in enumerate(raw["train"]) if i not in hold]
+        held = np.zeros(len(raw["train"]), dtype=bool)
+        held[rng.permutation(len(raw["train"]))[:n_valid]] = True
+        # both keep the order of the training file
+        raw["valid"], raw["train"] = raw["train"][held], raw["train"][~held]
         log.info("held out %d training facts as validation", n_valid)
     kb = build_kb(raw["train"], raw["valid"], raw["test"])
     return kb, {"paths": {s: str(p) for s, p in paths.items()}, "sha256": checksums}
@@ -404,9 +409,9 @@ def cmd_subset(args) -> int:
         path = out / f"{split}{suffix}"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         print(f"wrote {path}")
-    (out / "stats.json").write_text(
-        json.dumps(sub.stats(), indent=2), encoding="utf-8"
-    )
+    # the stats of the subset as it reads back: its own vocabulary, not the source's
+    written, _ = load_dataset(out, valid_fraction=0.0)
+    (out / "stats.json").write_text(json.dumps(written.stats(), indent=2), encoding="utf-8")
     return 0
 
 

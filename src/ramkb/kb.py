@@ -1,20 +1,26 @@
-"""Datasets of n-ary relational facts.
+r"""Datasets of n-ary relational facts.
 
 A dataset comes in one of two distribution formats: tabular lines
 (``relation entity...``) and role-annotated JSON lines (``{role: entity}``).
-This module parses both, builds dense vocabularies over the union of
-splits, and writes a split back in whichever of the two formats holds it,
-so a written subset reads back as the same facts. A :class:`Vocabulary` is
-made in one call from its name lists, and its constructor is the one place
-that checks it; nothing changes it afterwards.
+A line ends where an editor ends it: at ``\n``, ``\r\n`` or ``\r``
+(:func:`split_lines`). Every other separator, U+2028 and form feed among
+them, is part of its line, whitespace between tabular tokens and raw text
+inside a JSON string. This module parses both formats, builds dense
+vocabularies over the union of splits, and writes a split back in whichever
+of the two formats holds it, so a written subset reads back as the same
+facts. A :class:`Vocabulary` is made in one call from its name lists, and its
+constructor is the one place that checks it; nothing changes it afterwards.
 
-A split, and every fact list passed in, is held as a :class:`Facts`: int
-arrays of relations and arities, and every fact's entities in one flat
-array with offsets, 24 bytes per fact plus 8 per entity slot and no Python
-object per fact. A fact is one row of those arrays, a relation plus its
-ordered entities. :func:`build_kb` fills them in whole-list passes, and
-training batches, ranking batches and subsets are gathered from them by
-index.
+A split goes from its file to :class:`Facts` in columns, with no Python
+object per fact on the way. A parser returns one :class:`RawSplit`: the
+facts' relation names, an int array of arities, every fact's entity names
+in one flat list, and each fact's role names. :func:`build_kb` numbers the
+names of all splits in whole-list passes and returns each split as a
+:class:`Facts`: int arrays of relations and arities, and every fact's
+entities in one flat array with offsets, 24 bytes per fact plus 8 per
+entity slot. A fact is one row of those arrays, a relation plus its ordered
+entities. Training batches, ranking batches and subsets are gathered from
+them by index.
 
 :func:`split_groups` turns a Facts into one :class:`GroupSpec` per
 arity, in ascending arity, each holding its facts in sequence order. It
@@ -36,9 +42,10 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import is_not, itemgetter
+from itertools import chain, count, repeat
+from operator import is_not
 from typing import Callable, Iterable
 
 import numpy as np
@@ -47,10 +54,6 @@ from .errors import ConfigError, DataError, DimensionError, ParseError
 from .mathcore import make_rng
 
 log = logging.getLogger("ramkb.kb")
-
-# (relation name, entity names, role names or None)
-RawFact = tuple[str, tuple[str, ...], tuple[str, ...] | None]
-
 
 class Facts:
     """An immutable list of facts held as int arrays, with no object per fact.
@@ -122,6 +125,43 @@ class Facts:
 
     def __repr__(self) -> str:
         return f"Facts({len(self)} facts over relations {np.unique(self.rels).tolist()})"
+
+
+class RawSplit:
+    """One split as a parser reads it, in columns, before any name is numbered.
+
+    ``names`` holds each fact's relation name and ``arity`` (an intp array)
+    its number of entities. ``entities`` holds the facts' entity names one
+    fact after another, and ``roles`` each fact's role names in entity
+    order, or None for a fact without them; left out, no fact has roles.
+    :func:`build_kb` takes these columns as they are. An index array gives a
+    new RawSplit of the facts it selects, in its order.
+    """
+
+    __slots__ = ("names", "arity", "entities", "roles")
+
+    def __init__(self, names, arity, entities, roles=None) -> None:
+        self.names: list[str] = list(names)
+        self.arity = np.asarray(arity, dtype=np.intp)
+        self.entities: list[str] = list(entities)
+        self.roles: list[tuple[str, ...] | None] = (
+            [None] * len(self.names) if roles is None else list(roles))
+        if not (len(self.names) == self.arity.size == len(self.roles)
+                and self.arity.sum() == len(self.entities)):
+            raise ValueError(f"{len(self.names)} names, {self.arity.size} arities, "
+                             f"{len(self.roles)} role lists and {len(self.entities)} "
+                             "entities do not make one split")
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __getitem__(self, key) -> "RawSplit":
+        # a Facts of positions gathers the selected facts' and slots' positions
+        picked = Facts(np.arange(len(self)), self.arity, np.arange(len(self.entities)))[key]
+        index = picked.rels.tolist()
+        return RawSplit(map(self.names.__getitem__, index), picked.arity,
+                        map(self.entities.__getitem__, picked.ents.tolist()),
+                        map(self.roles.__getitem__, index))
 
 
 class Vocabulary:
@@ -235,23 +275,50 @@ def _index(kind: str, names: list) -> dict:
     return index
 
 
-def parse_tabular(lines: Iterable[str]) -> list[RawFact]:
-    """Parse whitespace/tab separated lines: relation name then >= 2 entities."""
-    facts: list[RawFact] = []
-    for line_no, line in enumerate(lines, start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        if len(tokens) < 3:
-            raise ParseError(
-                line_no, f"expected relation plus >= 2 entities, got {len(tokens)} token(s)"
-            )
-        facts.append((tokens[0], tuple(tokens[1:]), None))
-    return facts
+def split_lines(text: str) -> list[str]:
+    r"""The lines of `text`, ended where text-mode ``open()`` ends them: at
+    ``\n``, ``\r\n`` or ``\r``. The other characters that Python also
+    counts as line boundaries (U+2028, U+2029, U+0085, ``\x0b``, ``\x0c``,
+    ``\x1c``-``\x1e``) stay inside their line. A line break at the end
+    ends the last line; it does not start an empty one."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
-def parse_role_json(lines: Iterable[str]) -> list[RawFact]:
-    """Parse JSON-lines facts mapping role names to entity names.
+def parse_tabular(lines: Iterable[str]) -> RawSplit:
+    """Parse tabular lines into one :class:`RawSplit`: on each, a relation
+    name and then at least two entity names, separated by runs of whitespace
+    (``str.split``). A blank line holds no fact; a line of one or two tokens
+    raises ParseError at its line number.
+
+    Each line is split once, and the columns are taken from those token
+    lists in whole-list passes, with no other object made per line.
+    """
+    lines = list(lines)
+    counts = np.empty(len(lines), dtype=np.intp)
+    names, entities = [], []
+    # 500 lines at a time: their token lists are freed before the cyclic GC
+    # gets to walk them (by default it runs once 700 new containers live)
+    for lo in range(0, len(lines), 500):
+        tokens = list(map(str.split, lines[lo : lo + 500]))
+        counts[lo : lo + len(tokens)] = np.fromiter(map(len, tokens), dtype=np.intp,
+                                                    count=len(tokens))
+        # a blank line has no token; every other line's list gives up its
+        # first token, the relation name, and keeps the entities
+        names += map(list.pop, filter(None, tokens), repeat(0))
+        entities += chain.from_iterable(tokens)
+    bad = np.flatnonzero((counts > 0) & (counts < 3))[:1]
+    if bad.size:
+        raise ParseError(int(bad[0]) + 1, "expected relation plus >= 2 entities, "
+                         f"got {counts[bad[0]]} token(s)")
+    return RawSplit(names, counts[counts > 0] - 1, entities)
+
+
+def parse_role_json(lines: Iterable[str]) -> RawSplit:
+    """Parse JSON-lines facts mapping role names to entity names into one
+    :class:`RawSplit`.
 
     Role keys are sorted lexicographically so role order is deterministic per
     relation; the relation name is the sorted role names joined with "|".
@@ -259,7 +326,7 @@ def parse_role_json(lines: Iterable[str]) -> list[RawFact]:
     logged warning since the model scores fixed-length role-entity tuples.
     A fact with fewer than two roles raises ParseError.
     """
-    facts: list[RawFact] = []
+    names, arity, entities, roles = [], [], [], []
     dropped = 0
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
@@ -276,12 +343,14 @@ def parse_role_json(lines: Iterable[str]) -> list[RawFact]:
             continue
         if len(obj) < 2:
             raise ParseError(line_no, f"expected >= 2 roles, got {len(obj)}")
-        roles = tuple(sorted(obj.keys()))
-        entities = tuple(obj[r] for r in roles)
-        facts.append(("|".join(roles), entities, roles))
+        fact_roles = tuple(sorted(obj))
+        names.append("|".join(fact_roles))
+        arity.append(len(fact_roles))
+        entities.extend(map(obj.__getitem__, fact_roles))
+        roles.append(fact_roles)
     if dropped:
         log.warning("dropped %d fact(s) with multi-valued or literal roles", dropped)
-    return facts
+    return RawSplit(names, arity, entities, roles)
 
 
 def _is_names(value) -> bool:
@@ -512,11 +581,11 @@ def _encode(ids: np.ndarray, n_ids: int, column: np.ndarray, base: int) -> np.nd
 
 
 def build_kb(
-    train: list[RawFact],
-    valid: list[RawFact] | None = None,
-    test: list[RawFact] | None = None,
+    train: RawSplit,
+    valid: RawSplit | None = None,
+    test: RawSplit | None = None,
 ) -> KnowledgeBase:
-    """Index raw facts into a KnowledgeBase whose splits are :class:`Facts`.
+    """Index parsed splits into a KnowledgeBase whose splits are :class:`Facts`.
 
     Vocabularies are built over the union of all splits so evaluation never
     meets an out-of-vocabulary entity; names appearing only in valid/test
@@ -526,20 +595,19 @@ def build_kb(
     two KBs are comparable by index only when they share one, as in
     ``KnowledgeBase(other.vocab, ...)``.
 
-    The splits are indexed together in whole-list passes, with no object
-    made per fact. A fact with fewer than two entities, or a role-annotated
-    fact whose roles differ from the first ones its relation was given,
-    raises DataError; when several facts are bad, the first in split order
-    is named.
+    The columns of the :class:`RawSplit` splits are numbered together in
+    whole-list passes, with no object made per fact. A fact with fewer than
+    two entities, or a role-annotated fact whose roles differ from the first
+    ones its relation was given, raises DataError; when several facts are
+    bad, the first in split order is named.
     """
-    valid = valid or []
-    test = test or []
     if not train:
         raise DataError("empty training split")
-    raw = [*train, *valid, *test]
-    names = list(map(itemgetter(0), raw))
-    entities = list(map(itemgetter(1), raw))
-    arity = np.fromiter(map(len, entities), dtype=np.intp, count=len(raw))
+    splits = [train, *(split or RawSplit([], [], []) for split in (valid, test))]
+    names = list(chain.from_iterable(split.names for split in splits))
+    arity = np.concatenate([split.arity for split in splits])
+    entities = list(chain.from_iterable(split.entities for split in splits))
+    fact_roles = list(chain.from_iterable(split.roles for split in splits))
     # a relation is a (name, arity) pair, numbered through int codes: no tuple per fact
     distinct_names, name_ids = _number(names)
     width = int(arity.max()) + 1
@@ -547,11 +615,11 @@ def build_kb(
 
     # (first bad fact, message) of each check; the first in split order is raised
     errors = [(int(i), "{!r}: facts need >= 2 entities") for i in np.flatnonzero(arity < 2)[:1]]
-    annotated = np.flatnonzero(np.fromiter(map(is_not, map(itemgetter(2), raw),
-                                               repeat(None)), dtype=bool, count=len(raw)))
     roles, rel_roles = [], {}
-    if annotated.size:
-        role_lists = [raw[i][2] for i in annotated.tolist()]
+    if fact_roles.count(None) < len(fact_roles):  # one C pass; tabular splits have none
+        annotated = np.flatnonzero(np.fromiter(map(is_not, fact_roles, repeat(None)),
+                                               dtype=bool, count=len(fact_roles)))
+        role_lists = list(map(fact_roles.__getitem__, annotated.tolist()))
         # every distinct role list gets an id; a relation keeps the id of its first
         distinct_lists, lists = _number(role_lists)
         roles = list(dict.fromkeys(chain.from_iterable(distinct_lists)))
@@ -570,13 +638,12 @@ def build_kb(
         i, message = min(errors)
         raise DataError("relation " + message.format(names[i]))
 
-    vocab = Vocabulary(dict.fromkeys(chain.from_iterable(entities)),
+    distinct_entities, ents = _number(entities)
+    vocab = Vocabulary(distinct_entities,
                        [(distinct_names[code // width], code % width) for code in codes],
                        roles, rel_roles)
-    ents = np.fromiter(map(vocab.entity_index.__getitem__, chain.from_iterable(entities)),
-                       dtype=np.intp, count=int(arity.sum()))
     facts = Facts(rels, arity, ents)
-    lo, hi = len(train), len(train) + len(valid)
+    lo, hi = len(train), len(train) + len(splits[1])
     kb = KnowledgeBase(vocab, facts[:lo], facts[lo:hi], facts[hi:])
     if log.isEnabledFor(logging.INFO):
         log.info("loaded KB: %s", kb.stats())
@@ -586,9 +653,10 @@ def build_kb(
 def _number(items: list) -> tuple[list, np.ndarray]:
     """The distinct `items` in order of first appearance, and every item's id:
     its position in that order."""
-    distinct = list(dict.fromkeys(items))
-    index = dict(zip(distinct, range(len(distinct))))
-    return distinct, np.fromiter(map(index.__getitem__, items), dtype=np.intp, count=len(items))
+    # one pass: an item met for the first time takes the next id
+    index = defaultdict(count().__next__)
+    ids = np.fromiter(map(index.__getitem__, items), dtype=np.intp, count=len(items))
+    return list(index), ids
 
 
 def subset_by_arity(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ramkb.engine import SampledCandidates, TableCandidates, forward_group
-from ramkb.kb import Facts, KnowledgeBase, Vocabulary, build_kb, parse_tabular
+from ramkb.kb import Facts, KnowledgeBase, RawSplit, Vocabulary, build_kb, parse_tabular
 from ramkb.mathcore import make_rng
 
 
@@ -20,6 +20,22 @@ def fact_pairs(facts):
     ents, bounds = facts.ents.tolist(), facts.offsets.tolist()
     return [(rel, tuple(ents[lo:hi]))
             for rel, lo, hi in zip(facts.rels.tolist(), bounds, bounds[1:])]
+
+
+def raw_split(facts):
+    """A RawSplit of `(name, entity names, role names or None)` triples, in order."""
+    facts = list(facts)
+    return RawSplit([name for name, _, _ in facts], [len(ents) for _, ents, _ in facts],
+                    [e for _, ents, _ in facts for e in ents], [roles for _, _, roles in facts])
+
+
+def raw_facts(split):
+    """The `(name, entity names, role names or None)` triple of every fact of a
+    RawSplit, in order: the inverse of :func:`raw_split`."""
+    ends = np.cumsum(split.arity).tolist()
+    return [(name, tuple(split.entities[end - arity : end]), roles)
+            for name, arity, end, roles in zip(split.names, split.arity.tolist(), ends,
+                                               split.roles)]
 
 
 def table_scores(params, spec):

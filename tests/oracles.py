@@ -4,11 +4,12 @@ Everything here is written with plain Python loops and direct formula
 transcription, independent of the vectorized production paths.
 """
 
+import io
 import math
 
 import numpy as np
 
-from ramkb.errors import DataError, DimensionError
+from ramkb.errors import DataError, DimensionError, ParseError
 from ramkb.kb import Vocabulary
 
 from conftest import fact_pairs
@@ -199,6 +200,23 @@ def loop_split_groups(vocab, facts):
         ))
         row += len(idx) * arity
     return groups
+
+
+def loop_parse_tabular(text):
+    """The `(name, entity names, None)` triple of every fact of tabular
+    `text`, one line at a time, with lines ended as text-mode ``open()`` ends
+    them. Raises the ParseError of the first line of one or two tokens."""
+    facts = []
+    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) < 3:
+            raise ParseError(
+                line_no, f"expected relation plus >= 2 entities, got {len(tokens)} token(s)"
+            )
+        facts.append((tokens[0], tuple(tokens[1:]), None))
+    return facts
 
 
 def loop_build_kb(train, valid=(), test=()):

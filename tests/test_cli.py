@@ -11,8 +11,10 @@ from ramkb import cli
 from ramkb.checkpoint import load_checkpoint, save_checkpoint
 from ramkb.errors import DataError
 from ramkb.evaluation import evaluate
+from ramkb.mathcore import make_rng
 
 from conftest import fact_pairs
+from oracles import loop_build_kb, loop_parse_tabular
 
 TRAIN = ["r1 a b c", "r1 b c d", "r2 a d", "r2 c b", "r2 d e", "r3 d a e b", "r1 e a b"]
 VALID = ["r2 b a", "r1 c d e"]
@@ -92,6 +94,22 @@ def test_eval_rebuilds_the_split_train_held_out(tmp_path):
                          "--split", split, "--out", str(out)]) == 0
         report = json.loads((out / f"eval_{split}.json").read_text())
         assert report["mrr"] == evaluate(params, kb, split).mrr
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_load_dataset_holds_out_the_facts_the_per_fact_loop_does(tmp_path, seed):
+    """The held-out split is today's list-comprehension hold-out, numbered
+    over the kept training facts, the held-out ones and the test split."""
+    data, _ = write_dataset_without_valid(tmp_path)
+    train, test = (loop_parse_tabular((data / f"{split}.txt").read_text())
+                   for split in ("train", "test"))
+    order = make_rng(seed, 3).permutation(len(train))
+    hold = set(int(i) for i in order[: int(0.2 * len(train))])
+    vocab, facts = loop_build_kb([f for i, f in enumerate(train) if i not in hold],
+                                 [f for i, f in enumerate(train) if i in hold], test)
+    kb, _ = cli.load_dataset(data, valid_fraction=0.2, seed=seed)
+    assert kb.vocab.to_dict() == vocab.to_dict()
+    assert [fact_pairs(kb.split(split)) for split in ("train", "valid", "test")] == facts
 
 
 def test_eval_reads_the_checkpoint_file_once(tmp_path, monkeypatch):
@@ -597,6 +615,47 @@ def test_subset_of_role_annotated_data_trains_explicit_roles(tmp_path):
                      "--config", str(config), "--seed", "3"]) == 0
     assert cli.main(["eval", "--data-dir", str(sub), "--checkpoint",
                      str(run / "model.ramckpt")]) == 0
+
+
+def test_subset_stats_describe_the_subset_as_it_reads_back(tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "train.txt").write_text("r a b\nr b c\nt a b c\nt c d e\n")
+    (data / "test.txt").write_text("t a b d\n")
+    out = tmp_path / "sub"
+    assert cli.main(["subset", "--data-dir", str(data), "--out", str(out),
+                     "--arity-filter", ">=3"]) == 0
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats == cli.load_dataset(out, valid_fraction=0.0)[0].stats()
+    assert (stats["n_relations"], stats["arities"], stats["relations_outside_train"]) == (1, [3], 0)
+
+
+def test_subset_of_a_name_holding_a_line_separator_reads_back(tmp_path):
+    """A JSON string may hold U+2028 raw, and ``ram subset`` writes it raw;
+    it ends no line, so the subset of the subset holds the same facts."""
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "train.jsonl").write_text('{"agent": "a", "target": "x\\u2028y"}\n'
+                                      '{"agent": "b", "target": "x"}\n')
+    first, second = tmp_path / "sub1", tmp_path / "sub2"
+    assert cli.main(["subset", "--data-dir", str(data), "--out", str(first)]) == 0
+    assert "x\u2028y" in (first / "train.jsonl").read_text(encoding="utf-8")
+    assert cli.main(["subset", "--data-dir", str(first), "--out", str(second)]) == 0
+    kbs = [cli.load_dataset(d, valid_fraction=0.0)[0] for d in (data, first, second)]
+    assert "x\u2028y" in kbs[0].vocab.entities
+    for kb in kbs[1:]:
+        assert kb.vocab.to_dict() == kbs[0].vocab.to_dict()
+        assert kb.train == kbs[0].train
+
+
+def test_a_raw_next_line_character_inside_a_json_string_is_part_of_its_line(tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "train.jsonl").write_text('{"agent": "a", "target": "x\x85y"}\n'
+                                      '{"agent": "b", "target": "x"}\n', encoding="utf-8")
+    kb, _ = cli.load_dataset(data, valid_fraction=0.0)
+    assert len(kb.train) == 2 and "x\x85y" in kb.vocab.entities
+    assert cli.main(["subset", "--data-dir", str(data), "--out", str(tmp_path / "sub")]) == 0
 
 
 BOM = b"\xef\xbb\xbf"

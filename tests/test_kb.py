@@ -7,12 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_candidates, loop_build_kb, loop_split_groups
+from oracles import brute_force_candidates, loop_build_kb, loop_parse_tabular, loop_split_groups
 from ramkb import kb as kb_module
 from ramkb.errors import DataError, DimensionError, ParseError
 from ramkb.kb import (
     CODE_LIMIT,
     KnowledgeBase,
+    RawSplit,
     Vocabulary,
     _encode,
     build_kb,
@@ -20,16 +21,25 @@ from ramkb.kb import (
     parse_role_json,
     parse_tabular,
     split_groups,
+    split_lines,
     subset_by_arity,
 )
 
-from conftest import fact_pairs, facts_of, make_vocab, random_facts, random_kb
+from conftest import (
+    fact_pairs,
+    facts_of,
+    make_vocab,
+    random_facts,
+    random_kb,
+    raw_facts,
+    raw_split,
+)
 
 
 def test_parse_tabular_tabs_and_spaces():
-    facts = parse_tabular(["r1\ta\tb\tc", "r1 a b"])
-    assert facts[0] == ("r1", ("a", "b", "c"), None)
-    assert facts[1] == ("r1", ("a", "b"), None)
+    split = parse_tabular(["r1\ta\tb\tc", "r1 a b"])
+    assert raw_facts(split) == [("r1", ("a", "b", "c"), None), ("r1", ("a", "b"), None)]
+    assert split.arity.dtype == np.intp
 
 
 def test_parse_tabular_too_few_tokens():
@@ -41,11 +51,77 @@ def test_parse_tabular_too_few_tokens():
     assert err.value.line_no == 3
 
 
+def test_split_lines_ends_a_line_where_text_mode_open_does():
+    text = "a\r\nb\rc\u2028d\u2029e\x85f\x0bg\x0ch\x1ci\x1dj\x1ek\n\nl\n"
+    assert split_lines(text) == ["a", "b", "c\u2028d\u2029e\x85f\x0bg\x0ch\x1ci\x1dj\x1ek", "", "l"]
+    assert split_lines("") == [] and split_lines("\n") == [""] and split_lines("a") == ["a"]
+
+
+@pytest.mark.parametrize("text, want", [
+    ("r a\u2028b c\n", [("r", ("a", "b", "c"), None)]),
+    ("r a b\x0cr c d\n", [("r", ("a", "b", "r", "c", "d"), None)]),
+], ids=["line-separator", "form-feed"])
+def test_a_separator_inside_a_tabular_line_is_whitespace(text, want):
+    assert raw_facts(parse_tabular(split_lines(text))) == want
+
+
+LINE_ENDS = ["\n", "\r\n", "\r"]
+SPACES = [" ", "  ", "\t", " \t ", "\u2028", "\u3000"]
+
+
+@st.composite
+def tabular_texts(draw):
+    """Tabular text with blank lines, runs of spaces and tabs, CRLF and CR
+    line ends, U+2028 and U+3000 inside a line, and lines of one or two tokens."""
+    text = []
+    for _ in range(draw(st.integers(0, 8))):
+        n_tokens = draw(st.integers(0, 5) if draw(st.integers(0, 9)) else st.integers(1, 2))
+        tokens = draw(st.lists(st.sampled_from(["r", "s", "a", "b", "c", "é"]),
+                               min_size=n_tokens, max_size=n_tokens))
+        line = draw(st.sampled_from(["", *SPACES]))
+        for token in tokens:
+            line += token + draw(st.sampled_from(SPACES))
+        text.append(line + draw(st.sampled_from(LINE_ENDS)))
+    return "".join(text) + draw(st.sampled_from(["", "r a b", "r"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=tabular_texts())
+@example(text="r a b\r\n\r\nr c\rr d e\n")
+def test_parse_tabular_matches_the_per_line_loop(text):
+    """The whole-list parse reads the facts, or raises the ParseError, that
+    the per-line loop does."""
+    try:
+        want = loop_parse_tabular(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_tabular(split_lines(text))
+        assert (got.value.line_no, str(got.value)) == (exc.line_no, str(exc))
+        return
+    split = parse_tabular(split_lines(text))
+    assert split.names == [name for name, _, _ in want]
+    assert split.arity.tolist() == [len(ents) for _, ents, _ in want]
+    assert split.entities == [e for _, ents, _ in want for e in ents]
+    assert raw_facts(split) == want
+
+
+def test_raw_split_refuses_columns_that_make_no_split_and_gathers_by_index():
+    with pytest.raises(ValueError, match="do not make one split"):
+        RawSplit(["r", "s"], [2, 3], ["a", "b", "c", "d"])
+    with pytest.raises(ValueError, match="do not make one split"):
+        RawSplit(["r"], [2], ["a", "b"], [("x", "y"), None])
+    split = raw_split([("r", ("a", "b"), None), ("s", ("c", "d", "e"), ("x", "y", "z")),
+                       ("r", ("f", "g"), None)])
+    assert raw_facts(split[np.array([2, 1])]) == [("r", ("f", "g"), None),
+                                                  ("s", ("c", "d", "e"), ("x", "y", "z"))]
+    assert raw_facts(split[np.array([False, True, False])]) == raw_facts(split)[1:2]
+
+
 def test_parse_role_json_sorted_keys():
     line = json.dumps(
         {"Actor": "Schwarzenegger", "Character": "T-800", "Movie": "Terminator 2"}
     )
-    facts = parse_role_json([line])
+    facts = raw_facts(parse_role_json([line]))
     assert facts == [
         (
             "Actor|Character|Movie",
@@ -58,7 +134,7 @@ def test_parse_role_json_sorted_keys():
 def test_parse_role_json_drops_multivalued(caplog):
     lines = ['{"P1": "x", "P2": ["y", "z"], "P3": "w"}', '{"P1": "x", "P2": "y"}']
     with caplog.at_level(logging.WARNING, logger="ramkb.kb"):
-        facts = parse_role_json(lines)
+        facts = raw_facts(parse_role_json(lines))
     assert len(facts) == 1
     assert facts[0][0] == "P1|P2"
     assert any("dropped" in rec.message for rec in caplog.records)
@@ -66,7 +142,7 @@ def test_parse_role_json_drops_multivalued(caplog):
 
 def test_parse_role_json_drops_literals(caplog):
     with caplog.at_level(logging.WARNING, logger="ramkb.kb"):
-        facts = parse_role_json(['{"P1": "x", "P2": 1979}'])
+        facts = raw_facts(parse_role_json(['{"P1": "x", "P2": 1979}']))
     assert facts == []
 
 
@@ -190,7 +266,7 @@ def bad_raw_splits(draw):
 def test_build_kb_matches_the_per_fact_loop(splits):
     """The whole-list build numbers names and stores facts as the per-fact loop does."""
     vocab, facts = loop_build_kb(*splits)
-    kb = build_kb(*splits)
+    kb = build_kb(*map(raw_split, splits))
     assert kb.vocab.to_dict() == vocab.to_dict()
     assert list(kb.vocab.rel_roles.items()) == list(vocab.rel_roles.items())
     for name in ("entity_index", "relation_index", "role_index"):
@@ -204,7 +280,7 @@ def test_build_kb_names_the_first_bad_fact_as_the_loop_does(splits):
     with pytest.raises(DataError) as want:
         loop_build_kb(*splits)
     with pytest.raises(DataError) as got:
-        build_kb(*splits)
+        build_kb(*map(raw_split, splits))
     assert str(got.value) == str(want.value)
 
 
@@ -218,7 +294,7 @@ def test_build_kb_raises_at_the_first_bad_fact_in_split_order(roles_first):
     train = [good, clash] if roles_first else [good]
     test = [short] if roles_first else [short, clash]
     with pytest.raises(DataError) as err:
-        build_kb(train, [("w", ("a", "b"), None)], test)
+        build_kb(raw_split(train), raw_split([("w", ("a", "b"), None)]), raw_split(test))
     want = ("relation 'v' used with inconsistent role lists" if roles_first
             else "relation 'u': facts need >= 2 entities")
     assert str(err.value) == want
