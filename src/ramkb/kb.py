@@ -31,11 +31,12 @@ group, fact by fact, slot by slot.
 This module also owns the known-true index of filtered ranking (Bordes et
 al., NIPS 2013): for every (relation, position, other entities) key met in
 any split, the entities known true at that slot. :class:`KnowledgeBase`
-builds it once, as sorted int64 arrays, in a few whole-array passes with no
-per-slot Python. :meth:`KnowledgeBase.filtered_candidates` looks the rows
-of a batch's arity groups up in it with one ``searchsorted`` per level of
-packed key columns, and is the one place that decides which entities a
-query does not rank against: its own and the known-true ones.
+builds it once, one index per arity with no pad column, in a few
+whole-array passes with no per-slot Python; at a few thousand entities most
+arities' key rows take one sort. :meth:`KnowledgeBase.filtered_candidates`
+looks the rows of a batch's arity groups up in it with ``searchsorted``,
+and is the one place that decides which entities a query does not rank
+against: its own and the known-true ones.
 """
 
 from __future__ import annotations
@@ -406,58 +407,61 @@ class KnowledgeBase:
 
     The index lists, for every key (relation, position, the other entities
     in order) met in any split, the distinct entities known true at that
-    slot. ``__init__`` builds it as sorted int64 arrays:
+    slot. ``__init__`` builds it as sorted int64 arrays, one per arity that
+    some split holds:
 
-    - every (fact, position) of every split is one key row
-      ``[relation * A + position, other entities...]``, in the stacked row
-      order of the splits' arity groups (:func:`split_groups`), where A is the
-      vocabulary's largest arity and a fact of lower arity pads its other
-      entities with ``n_entities``. Column 0 is ``n_relations * A`` wide and
-      every other column ``n_entities + 1``;
-    - the rows are encoded into dense ids one level at a time. A level packs
-      consecutive columns into one code, ``id`` first and then each column
-      as ``code * width + value``, where ``id`` numbers the distinct
-      prefixes of the columns before the level. It takes columns for as long
-      as that number times the product of their widths stays below
-      ``CODE_LIMIT`` (2**63), so every code is exact in int64, and
-      ``np.unique`` turns its codes into the next level's ids. ``_levels``
-      keeps each level's end column and sorted distinct codes, so a lookup
-      is one ``searchsorted`` per level. On the benchmark's planted KBs
-      (3k and 30k entities, arities up to 6) the six columns pack into two
-      levels;
-    - a CSR table maps each key id to its distinct true entities in
-      increasing order: ``_true[_offsets[k]:_offsets[k + 1]]``.
+    - every (fact, position) of an arity-a fact is one key row of a + 1
+      columns (:func:`_key_columns`), with no pad column: ``rank * a +
+      position``, ``rank`` being the relation's among the arity-a
+      relations, then the a - 1 other entities, then the slot's own entity;
+    - the rows are encoded one level at a time. A level packs consecutive
+      columns into one code, ``id`` first and then each column as
+      ``code * width + value``, where ``id`` numbers the distinct prefixes
+      of the columns before the level. It takes columns for as long as that
+      number times the product of their widths stays below ``CODE_LIMIT``
+      (2**63), so every code is exact in int64, and ``np.unique`` turns
+      its codes into the next level's ids;
+    - the last level ends with the own entity, so its sorted distinct codes
+      are the (key, true entity) table: the true entities of last prefix
+      ``k`` are its codes in ``[k * n_entities, (k + 1) * n_entities)``.
+      ``_levels[a]`` keeps each level's end column and codes, the table
+      last, so a lookup is one ``searchsorted`` per level and two on the
+      table. At the benchmark's 3k entities arities 2–5 take one level, a
+      single sort, and arity 6 two; at 23k, arities 2–3 one and 4–6 two.
 
-    A KB with a column that does not fit a level on its own, or whose key
-    ids times ``n_entities + 1`` reach 2**63, raises DataError. Instances
-    are immutable after construction and safe to share across parallel
-    readers. A shallow copy with a replaced split shares the index, so it
-    still filters by the whole KB it was copied from.
+    A KB with a column that does not fit a level on its own raises
+    DataError. Instances are immutable after construction and safe to share
+    across parallel readers. A shallow copy with a replaced split shares
+    the index, so it still filters by the whole KB it was copied from.
     """
 
     def __init__(self, vocab: Vocabulary, train: Facts, valid: Facts, test: Facts) -> None:
         self.vocab = vocab
         self.train, self.valid, self.test = train, valid, test
-        self._width = vocab.max_arity
-        self._base = vocab.n_entities + 1
-        self._widths = [vocab.n_relations * self._width] + [self._base] * (self._width - 1)
-        groups = split_groups(vocab, self.train + self.valid + self.test)
-        columns, own = _key_columns(groups, self._width, vocab.n_entities)
-        self._levels: list[tuple[int, np.ndarray]] = []
-        # the first level follows the one empty prefix
-        ids, n_ids, first = np.zeros(own.size, dtype=np.int64), 1, 0
-        while first < len(columns):
-            end = _level_end(n_ids, self._widths, first)
-            codes, ids = np.unique(
-                _pack(ids, columns[first:end], self._widths[first:end]), return_inverse=True
-            )
-            self._levels.append((end, codes))
-            n_ids, first = codes.size, end
-        # sorted, adjacent repeats dropped: np.unique's hash path is slower
-        pairs = np.sort(_encode(ids, n_ids, own, self._base))
-        pairs = pairs[np.diff(pairs, prepend=-1) != 0]
-        self._true = (pairs % self._base).astype(np.intp)
-        self._offsets = np.searchsorted(pairs // self._base, np.arange(n_ids + 1))
+        arity_of = np.array([a for _, a in vocab.relations], dtype=np.intp)
+        self._rank = np.zeros(vocab.n_relations, dtype=np.intp)
+        self._widths: dict[int, list[int]] = {}
+        for a in vocab.arities:
+            of_arity = np.flatnonzero(arity_of == a)
+            self._rank[of_arity] = np.arange(of_arity.size)
+            self._widths[a] = [of_arity.size * a] + [vocab.n_entities] * a
+        self._levels: dict[int, list[tuple[int, np.ndarray]]] = {}
+        for spec in split_groups(vocab, self.train + self.valid + self.test):
+            columns, widths, levels = _key_columns(spec, self._rank), self._widths[spec.arity], []
+            # the first level follows the one empty prefix
+            ids, n_ids, first = np.zeros(spec.ents.size, dtype=np.int64), 1, 0
+            while first < len(widths):
+                end = _level_end(n_ids, widths, first)
+                codes = _pack(ids, columns[first:end], widths[first:end])
+                if end < len(widths):
+                    codes, ids = np.unique(codes, return_inverse=True)
+                else:
+                    # sorted, adjacent repeats dropped: np.unique's hash path is slower
+                    codes = np.sort(codes)
+                    codes = codes[np.diff(codes, prepend=-1) != 0]
+                levels.append((end, codes))
+                n_ids, first = codes.size, end
+            self._levels[spec.arity] = levels
 
     def split(self, name: str) -> Facts:
         try:
@@ -477,27 +481,35 @@ class KnowledgeBase:
         by query within an entity: the order in which the ranking walks the
         entity table.
         """
-        columns, own = _key_columns(groups, self._width, self._base - 1)
-        query, entity = np.arange(own.size), own
-        if self._true.size:
-            ids, first = np.zeros(own.size, dtype=np.int64), 0
-            found = np.ones(own.size, dtype=bool)
-            for end, codes in self._levels:
-                code = _pack(ids, columns[first:end], self._widths[first:end])
+        n_rows, n_entities = sum(spec.ents.size for spec in groups), self.vocab.n_entities
+        own = np.empty(n_rows, dtype=np.intp)
+        query, entity = [np.arange(n_rows)], [own]
+        for spec in groups:
+            own[spec.rows] = spec.ents.reshape(-1)
+            if spec.arity not in self._levels:
+                continue  # no split holds a fact of this arity
+            columns, widths = _key_columns(spec, self._rank), self._widths[spec.arity]
+            *levels, (_, table) = self._levels[spec.arity]
+            ids, first = np.zeros(spec.ents.size, dtype=np.int64), 0
+            found = np.ones(spec.ents.size, dtype=bool)
+            for end, codes in levels:
+                code = _pack(ids, columns[first:end], widths[first:end])
                 ids = np.minimum(np.searchsorted(codes, code), codes.size - 1)
                 found &= codes[ids] == code
                 first = end
-            lo = self._offsets[ids]
-            count = np.where(found, self._offsets[ids + 1] - lo, 0)
-            # the known-true entities of query q are _true[lo[q] : lo[q] + count[q]]
+            # the key's true entities are the table's codes from `low` on, below `low + n_entities`
+            low = _pack(ids, columns[first:-1], widths[first:-1]) * n_entities
+            lo = np.searchsorted(table, low)
+            count = np.where(found, np.searchsorted(table, low + n_entities) - lo, 0)
+            # the known-true codes of row q are table[lo[q] : lo[q] + count[q]]
             start = np.cumsum(count) - count
-            known = self._true[np.arange(count.sum()) + np.repeat(lo - start, count)]
-            query = np.concatenate([query, np.repeat(query, count)])
-            entity = np.concatenate([entity, known])
+            known = table[np.arange(count.sum()) + np.repeat(lo - start, count)]
+            query.append(np.repeat(np.arange(spec.rows.start, spec.rows.stop), count))
+            entity.append(known % n_entities)
         # one sort orders the pairs; a pair met twice, an own entity that is
         # also known true, is kept once
-        code = np.sort(entity * own.size + query)
-        entity, query = np.divmod(code[np.diff(code, prepend=-1) != 0], own.size)
+        code = np.sort(np.concatenate(entity) * n_rows + np.concatenate(query))
+        entity, query = np.divmod(code[np.diff(code, prepend=-1) != 0], n_rows)
         return query, entity
 
     def stats(self) -> dict:
@@ -516,44 +528,43 @@ class KnowledgeBase:
         }
 
 
-def _key_columns(
-    groups: list[GroupSpec], width: int, pad: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The key columns (width, n_rows) and own entities (n_rows,) of the
-    groups' (fact, slot) rows, in their stacked row order.
+def _key_columns(spec: GroupSpec, rank: np.ndarray) -> np.ndarray:
+    """The key columns (a + 1, n_rows) of an arity group's (fact, slot)
+    rows, in their stacked row order.
 
-    Column 0 is ``relation * width + position``; column j >= 1 is the slot's
-    j-th other entity, or `pad` past the fact's arity.
+    Column 0 is ``rank[relation] * a + position``; column j from 1 to a - 1
+    is the slot's j-th other entity, and column a its own entity.
     """
-    n_rows = sum(spec.ents.size for spec in groups)
-    columns = np.full((width, n_rows), pad, dtype=np.int64)
-    own = np.empty(n_rows, dtype=np.int64)
-    for spec in groups:
-        b, a = spec.ents.shape
-        block = columns[:, spec.rows].reshape(width, b, a)  # a view: rows is a slice
-        block[0] = spec.rels[:, None] * width + np.arange(a)
-        # the j-th other entity of slot p sits at column j, or j + 1 from p on
-        for j in range(a - 1):
-            block[j + 1] = spec.ents[:, j + (np.arange(a) <= j)]
-        own[spec.rows] = spec.ents.reshape(-1)
-    return columns, own
+    b, a = spec.ents.shape
+    columns = np.empty((a + 1, b, a), dtype=np.int64)
+    columns[0] = rank[spec.rels][:, None] * a + np.arange(a)
+    # the j-th other entity of slot p sits at column j, or j + 1 from p on
+    for j in range(a - 1):
+        columns[j + 1] = spec.ents[:, j + (np.arange(a) <= j)]
+    columns[a] = spec.ents
+    return columns.reshape(a + 1, b * a)
 
 
 def _level_end(n_ids: int, widths: list[int], first: int) -> int:
-    """One past the last column of the level that starts at column `first`,
-    after `n_ids` distinct prefixes: it takes columns while `n_ids` times
-    the product of their `widths` stays below CODE_LIMIT.
+    """One past the last column of the level that starts at column `first`
+    of an arity's key columns (:func:`_key_columns`), after `n_ids` distinct
+    prefixes: it takes columns while `n_ids` times the product of their
+    `widths` stays below CODE_LIMIT.
 
-    Raises DataError when column `first` alone reaches CODE_LIMIT.
+    Raises DataError naming the arity and the column's role when column
+    `first` alone reaches CODE_LIMIT.
     """
     end, span = first, n_ids
     while end < len(widths) and span * widths[end] < CODE_LIMIT:
         span *= widths[end]
         end += 1
     if end == first:
+        arity = len(widths) - 1
+        role = ("the relation-position column" if first == 0 else
+                "the slot's own entity" if first == arity else f"other entity {first}")
         raise DataError(
-            f"known-true index: {n_ids} distinct key prefixes times {widths[first]} "
-            f"codes of column {first} reaches 2**63; the KB is too large to index"
+            f"known-true index of arity {arity}: {n_ids} distinct key prefixes times "
+            f"{widths[first]} codes of {role} reaches 2**63; the KB is too large to index"
         )
     return end
 
@@ -564,20 +575,6 @@ def _pack(ids: np.ndarray, columns: list[np.ndarray], widths: list[int]) -> np.n
     for column, width in zip(columns, widths):
         code = code * width + column
     return code
-
-
-def _encode(ids: np.ndarray, n_ids: int, column: np.ndarray, base: int) -> np.ndarray:
-    """``ids * base + column``, distinct per (id, column value) pair.
-
-    Raises DataError when ``n_ids * base`` reaches ``CODE_LIMIT``, past
-    which int64 codes could wrap.
-    """
-    if n_ids * base >= CODE_LIMIT:
-        raise DataError(
-            f"known-true index: {n_ids} distinct key prefixes times {base} "
-            f"entity codes reaches 2**63; the KB is too large to index"
-        )
-    return ids * base + column
 
 
 def build_kb(

@@ -15,7 +15,8 @@ from ramkb.kb import (
     KnowledgeBase,
     RawSplit,
     Vocabulary,
-    _encode,
+    _level_end,
+    _pack,
     build_kb,
     export_split,
     parse_role_json,
@@ -572,18 +573,37 @@ def test_filtered_candidates_shallow_copy_filters_by_whole_kb():
 
 
 def test_encode_rejects_codes_past_int64():
-    """Synthetic sizes: the check reads only the id count and the base."""
-    none = np.zeros(0, dtype=np.int64)
-    base = 2**31 + 1  # n_entities + 1 for 2**31 entities
-    assert _encode(none, (CODE_LIMIT - 1) // base, none, base).size == 0
-    with pytest.raises(DataError, match="2\\*\\*63"):
-        _encode(none, CODE_LIMIT // base + 1, none, base)
+    """Synthetic sizes: the level rule reads only the prefix count and the
+    widths. A binary key row's last column, 2, is the slot's own entity, so
+    these are the bounds of the last level, the (key, true entity) table."""
+    base = 2**31 + 1  # 2**31 + 1 entities
+    widths = [2, base, base]
+    assert _level_end((CODE_LIMIT - 1) // base, widths, 2) == 3
+    with pytest.raises(DataError, match="^known-true index of arity 2: .* own entity reaches 2\\*\\*63"):
+        _level_end(CODE_LIMIT // base + 1, widths, 2)
     with pytest.raises(DataError):
-        _encode(none, 2, none, CODE_LIMIT // 2)
+        _level_end(2, [2, 1, CODE_LIMIT // 2], 2)
     # the largest code allowed is exact in int64
     base = 2**62 - 1
-    top = _encode(np.array([1]), 2, np.array([base - 1]), base)
+    assert _level_end(2, [2, base, base], 2) == 3
+    top = _pack(np.array([1]), [np.array([base - 1])], [base])
     assert int(top[0]) == 2 * base - 1
+
+
+@pytest.mark.parametrize(
+    "first, role",
+    [(0, "the relation-position column"), (1, "other entity 1"), (2, "other entity 2"),
+     (3, "the slot's own entity")],
+)
+def test_a_column_too_wide_for_a_level_is_named_by_arity_and_role(first, role):
+    widths = [3, 5, 7, 11]  # a ternary key row
+    widths[first] = CODE_LIMIT
+    with pytest.raises(DataError) as error:
+        _level_end(1, widths, first)
+    assert str(error.value) == (
+        f"known-true index of arity 3: 1 distinct key prefixes times {CODE_LIMIT} codes of "
+        f"{role} reaches 2**63; the KB is too large to index"
+    )
 
 
 class Huge(Vocabulary):
@@ -594,37 +614,44 @@ class Huge(Vocabulary):
         return 2**61
 
 
+def level_ends(kb):
+    """Each indexed arity's level ends: the key columns each level ends before."""
+    return {arity: [end for end, _ in levels] for arity, levels in kb._levels.items()}
+
+
 def test_kb_past_the_code_bound_raises_data_error():
     """One binary fact's two keys stay below the bound and two facts' four
     keys reach it."""
     vocab = Huge(relations=[("r", 2)])
     empty = facts_of([])
-    KnowledgeBase(vocab, facts_of([(0, (0, 1))]), empty, empty)
-    with pytest.raises(DataError, match="too large"):
+    kb = KnowledgeBase(vocab, facts_of([(0, (0, 1))]), empty, empty)
+    assert level_ends(kb) == {2: [2, 3]}
+    with pytest.raises(DataError, match="arity 2: 4 distinct key prefixes .* own entity .* too large"):
         KnowledgeBase(vocab, facts_of([(0, (0, 1)), (0, (2, 3))]), empty, empty)
 
 
 def test_kb_with_a_column_past_the_code_bound_raises_data_error():
-    """A ternary relation's columns 0 and 1 pack into one level: 3 * (2**61
-    + 1) codes. Column 2 fits after one fact's 3 prefixes, but not after
-    two facts' 6, so it cannot be encoded even in a level of its own."""
+    """A ternary relation's columns 0 and 1 pack into one level: 3 * 2**61
+    codes. Column 2 fits after one fact's 3 prefixes, but not after two
+    facts' 6, so it cannot be encoded even in a level of its own."""
     vocab = Huge(relations=[("r", 3)])
     empty = facts_of([])
     kb = KnowledgeBase(vocab, facts_of([(0, (0, 1, 2))]), empty, empty)
-    assert [end for end, _ in kb._levels] == [2, 3]
-    with pytest.raises(DataError, match="6 distinct key prefixes .* column 2 .* too large"):
+    assert level_ends(kb) == {3: [2, 3, 4]}
+    with pytest.raises(DataError, match="arity 3: 6 distinct key prefixes .* other entity 2 .* too large"):
         KnowledgeBase(vocab, facts_of([(0, (0, 1, 2)), (0, (3, 4, 5))]), empty, empty)
 
 
 @pytest.mark.parametrize(
     "arities, limit, ends",
     [
-        # column 0 is 3 relations * 4 positions wide, the others 10: columns
-        # 0 to 2 pack (12 * 10 * 10 codes), then column 3 alone
-        ((2, 3, 4), 2000, [3, 4]),
-        # column 0 is 60 * 4 wide and fills a level alone, and so does each
-        # column after it
-        ((2, 3, 4) * 20, 2400, [1, 2, 3, 4]),
+        # column 0 is a relation * a positions wide, the others 9: arity 2's
+        # 2 * 9 * 9 codes fit one level; arities 3 and 4 pack columns 0 to 2
+        # (3 * 9 * 9 and 4 * 9 * 9 codes), then take one column a level
+        ((2, 3, 4), 2000, {2: [3], 3: [3, 4], 4: [3, 4, 5]}),
+        # column 0 is 20 relations * a positions wide and packs with one
+        # entity column; every level after takes one column
+        ((2, 3, 4) * 20, 2400, {2: [2, 3], 3: [2, 3, 4], 4: [2, 3, 4, 5]}),
     ],
     ids=["packed", "one-column-levels"],
 )
@@ -632,7 +659,7 @@ def test_filtered_candidates_on_packed_levels_match_brute_force(arities, limit, 
     """A smaller code bound, so 9 entities' keys need several levels."""
     monkeypatch.setattr(kb_module, "CODE_LIMIT", limit)
     kb = random_kb(9, arities, n_train=40, n_valid=5, n_test=5, seed=19)
-    assert [end for end, _ in kb._levels] == ends
+    assert level_ends(kb) == ends
     assert_masks_match_brute_force(kb)
     probes = random_facts(kb.vocab, 40, seed=78)
     assert any(p not in set(fact_pairs(kb.train + kb.valid + kb.test)) for p in fact_pairs(probes))
@@ -640,6 +667,54 @@ def test_filtered_candidates_on_packed_levels_match_brute_force(arities, limit, 
     monkeypatch.setattr(kb_module, "CODE_LIMIT", 100)  # a bound some column cannot fit
     with pytest.raises(DataError, match="too large"):
         random_kb(9, arities, n_train=40, n_valid=5, n_test=5, seed=19)
+
+
+class Wide(Vocabulary):
+    n_entities = 2**20  # synthetic, as Huge's
+
+
+def test_filtered_candidates_on_one_two_and_three_levels_match_brute_force():
+    """At 2**20 entities and the default bound, a binary key row fits one
+    level, an arity-5 row packs into two and an arity-6 row into three.
+    Facts hold entities 0, 1 and the largest id, and each has a twin that
+    differs in at most one slot, so keys share true entities."""
+    vocab = Wide(relations=[("r", 2), ("s", 5), ("t", 6)])
+    rng = np.random.default_rng(23)
+    values = [0, 1, vocab.n_entities - 1]
+    pairs = []
+    for rel, arity in enumerate((2, 5, 6)):
+        for _ in range(8):
+            ents = rng.choice(values, arity)
+            twin = ents.copy()
+            twin[rng.integers(arity)] = rng.choice(values)
+            pairs += [(rel, tuple(ents.tolist())), (rel, tuple(twin.tolist()))]
+    facts = facts_of(pairs)
+    kb = KnowledgeBase(vocab, facts[:36], facts_of([]), facts[36:])
+    assert level_ends(kb) == {2: [3], 5: [4, 6], 6: [4, 6, 7]}
+    probes = facts_of([(rel, tuple(rng.choice(values, arity).tolist()))
+                       for rel, arity in enumerate((2, 5, 6)) for _ in range(4)])
+    assert any(p not in set(pairs) for p in fact_pairs(probes))
+    _, entity = candidates(kb, facts)
+    assert entity.size > facts.ents.size  # known-true entities besides the own ones
+    assert_facts_match_brute_force(kb, facts + probes)
+
+
+def test_filtered_candidates_of_an_arity_no_split_holds():
+    """A subset keeps the vocabulary's ternary relation but none of its
+    facts: there is no ternary index, and a ternary probe filters its own
+    entity only, in a call beside binary queries that filter more."""
+    kb = random_kb(5, (2, 3), n_train=30, n_valid=5, n_test=5, seed=6)
+    sub = subset_by_arity(kb, keep=lambda a: a == 2)
+    assert sub.vocab.arities == (2, 3) and set(level_ends(sub)) == {2}
+    ternary = kb.train[kb.train.arity == 3]
+    mixed = sub.train + ternary
+    query, entity = candidates(sub, mixed)
+    rows = split_groups(sub.vocab, mixed)[1].rows
+    mine = (query >= rows.start) & (query < rows.stop)
+    assert sorted(zip(query[mine].tolist(), entity[mine].tolist())) == list(
+        zip(range(rows.start, rows.stop), ternary.ents.tolist()))
+    assert np.count_nonzero(~mine) > rows.start  # the binary queries filter known-true entities
+    assert_facts_match_brute_force(sub, mixed)
 
 
 SPLITS = ("train", "valid", "test")
